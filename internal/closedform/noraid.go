@@ -105,6 +105,11 @@ func LK(in NIRInputs, h []float64) float64 {
 	return l(in.MuD*LK(in, h[:half]), in.MuN*LK(in, h[half:]))
 }
 
+// hsetStackLen sizes the stack buffer the no-internal-RAID closed forms
+// evaluate h^(k) into: 2^k values, so fault tolerance up to 6 runs
+// without a heap allocation (deeper k spills to the heap).
+const hsetStackLen = 1 << 6
+
 // NIRMTTDLGeneral returns the appendix theorem's MTTDL (Figure A1) for
 // arbitrary node fault tolerance k:
 //
@@ -115,7 +120,8 @@ func LK(in NIRInputs, h []float64) float64 {
 func NIRMTTDLGeneral(in NIRInputs, k int) float64 {
 	in.validate(k)
 	n, d := float64(in.N), float64(in.D)
-	hset := combinat.HSet(in.N, in.R, in.D, in.CHER, k)
+	var buf [hsetStackLen]float64
+	hset := combinat.AppendHSet(buf[:0], in.N, in.R, in.D, in.CHER, k)
 	lMu := in.MuD*in.LambdaN + in.MuN*d*in.LambdaD // L(μ_d, μ_N)
 	lMuPowK := 1.0
 	num := 1.0

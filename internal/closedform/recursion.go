@@ -49,7 +49,8 @@ import (
 // the chain construction.
 func NIRMTTDLRecursive(in NIRInputs, k int) float64 {
 	in.validate(k)
-	hset := combinat.HSet(in.N, in.R, in.D, in.CHER, k)
+	var buf [hsetStackLen]float64
+	hset := combinat.AppendHSet(buf[:0], in.N, in.R, in.D, in.CHER, k)
 	for i, h := range hset {
 		if h > 1 {
 			hset[i] = 1

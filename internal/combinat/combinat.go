@@ -165,7 +165,15 @@ func AllWords(k int) []Word {
 }
 
 // HSet returns the ordered parameter set h^(k) = {h_α : α ∈ {N,d}^k} in the
-// order of AllWords(k), as consumed by the appendix's L_k recursion.
+// order of AllWords(k), as consumed by the appendix's L_k recursion. It is
+// AppendHSet into a fresh slice.
+func HSet(n, r, d int, cher float64, k int) []float64 {
+	return AppendHSet(nil, n, r, d, cher, k)
+}
+
+// AppendHSet appends h^(k) (see HSet) to dst and returns the extended
+// slice, so a caller holding a large enough buffer — the closed forms
+// pass one on their stack — evaluates it without allocating.
 //
 // It exploits the order's structure instead of materializing the words:
 // AllWords(k)[i] has letter pattern given by the bits of i (most
@@ -175,20 +183,20 @@ func AllWords(k int) []Word {
 // evaluates tens of thousands of these per search). Every float is
 // produced by the same operations as the word-by-word path, so results
 // are bit-identical (TestHSetMatchesWordByWord).
-func HSet(n, r, d int, cher float64, k int) []float64 {
+func AppendHSet(dst []float64, n, r, d int, cher float64, k int) []float64 {
 	if k < 0 {
 		panic(fmt.Sprintf("combinat: HSet with negative k = %d", k))
 	}
 	h := BaseH(n, r, k, cher)
-	powD := make([]float64, k+1)
+	var powBuf [16]float64
+	powD := powBuf[:0]
 	for j := 0; j <= k; j++ {
-		powD[j] = math.Pow(float64(d), float64(1-j))
+		powD = append(powD, math.Pow(float64(d), float64(1-j)))
 	}
-	out := make([]float64, 1<<k)
-	for i := range out {
-		out[i] = h * powD[bits.OnesCount(uint(i))]
+	for i := 0; i < 1<<k; i++ {
+		dst = append(dst, h*powD[bits.OnesCount(uint(i))])
 	}
-	return out
+	return dst
 }
 
 // RedundancySets returns C(N, R), the total number of redundancy sets of

@@ -93,6 +93,25 @@ func TestAnalyzeBaselineAllConfigs(t *testing.T) {
 	}
 }
 
+// The closed form is the design-space search's per-candidate cost, run
+// ~10^4 times per plan request: it must not allocate.
+func TestAnalyzeClosedFormAllocs(t *testing.T) {
+	p := params.Baseline()
+	for _, ir := range []InternalRedundancy{InternalNone, InternalRAID5, InternalRAID6} {
+		for ft := 1; ft <= 3; ft++ {
+			cfg := Config{Internal: ir, NodeFaultTolerance: ft}
+			if _, err := Analyze(p, cfg, MethodClosedForm); err != nil {
+				t.Fatalf("%v: %v", cfg, err)
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				Analyze(p, cfg, MethodClosedForm) //nolint:errcheck // checked above
+			}); n != 0 {
+				t.Errorf("%v: closed-form Analyze allocates %v times per run, want 0", cfg, n)
+			}
+		}
+	}
+}
+
 // Figure 13, observation 1: fault tolerance 1 configurations miss the
 // target; every FT >= 2 configuration meets it.
 func TestBaselineTargetPattern(t *testing.T) {

@@ -212,14 +212,17 @@ type Candidate struct {
 	MarginVsTarget float64 `json:"margin_vs_target,omitempty"`
 	// Confirmed records that the exact solver ran for this candidate.
 	Confirmed bool `json:"confirmed"`
-
-	// params is the fully resolved parameter set the candidate analyzes
-	// (kept internal: the JSON surface carries the knobs that vary).
-	params params.Parameters
 }
 
-// Params returns the candidate's fully resolved parameter set.
-func (c Candidate) Params() params.Parameters { return c.params }
+// resolve returns the parameter set the candidate analyzes: base with
+// the knobs the space varies.
+func (c *Candidate) resolve(base params.Parameters) params.Parameters {
+	base.NodeSetSize = c.NodeSetSize
+	base.RedundancySetSize = c.RedundancySetSize
+	base.CapacityUtilization = c.Utilization
+	base.RebuildCommandBytes = c.RebuildCommandBytes
+	return base
+}
 
 // Config returns the candidate's redundancy configuration.
 func (c Candidate) Config() core.Config {
@@ -273,7 +276,7 @@ type Result struct {
 // order, so the ranking is unique and byte-stable.
 func rankCandidates(cs []Candidate) {
 	sort.Slice(cs, func(i, j int) bool {
-		a, b := cs[i], cs[j]
+		a, b := &cs[i], &cs[j]
 		if a.ExactEventsPerPBYear != b.ExactEventsPerPBYear {
 			return a.ExactEventsPerPBYear < b.ExactEventsPerPBYear
 		}

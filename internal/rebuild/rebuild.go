@@ -89,7 +89,10 @@ func NetworkThroughput(p params.Parameters) float64 {
 // distributedRebuildTime returns the time in hours to rebuild dataBytes of
 // lost data distributed across the N-1 surviving nodes, with fault
 // tolerance t of the inter-node redundancy, plus the limiting path.
-func distributedRebuildTime(p params.Parameters, dataBytes float64, t int) (float64, Bottleneck) {
+// It reads p through a pointer and spells out DriveThroughput and
+// NetworkThroughput with the same association, so the per-candidate
+// rate computation copies no Parameters and its floats are unchanged.
+func distributedRebuildTime(p *params.Parameters, dataBytes float64, t int) (float64, Bottleneck) {
 	n := float64(p.NodeSetSize)
 	r := float64(p.RedundancySetSize)
 	survivors := n - 1
@@ -99,11 +102,12 @@ func distributedRebuildTime(p params.Parameters, dataBytes float64, t int) (floa
 	received := (r - float64(t)) / survivors * dataBytes
 	sourced := received // symmetric: total received == total sourced
 
-	netBytes := received + sourced         // in and out of the node
-	diskBytes := sourced + rebuilt         // reads for peers + local writes
-	diskRate := float64(p.DrivesPerNode) * // all drives participate
-		DriveThroughput(p, p.RebuildCommandBytes) // bytes/sec
-	netRate := NetworkThroughput(p)
+	netBytes := received + sourced // in and out of the node
+	diskBytes := sourced + rebuilt // reads for peers + local writes
+	// All drives participate, each at DriveThroughput (bytes/sec).
+	diskRate := float64(p.DrivesPerNode) *
+		(math.Min(p.DriveMaxIOPS*p.RebuildCommandBytes, p.DriveTransferBytesPerSec) * p.RebuildBandwidthFraction)
+	netRate := p.LinkSpeedGbps * params.LinkBytesPerSecPerGbps * p.EffectiveLinks * p.RebuildBandwidthFraction
 
 	diskSec := diskBytes / diskRate
 	netSec := netBytes / netRate
@@ -116,7 +120,7 @@ func distributedRebuildTime(p params.Parameters, dataBytes float64, t int) (floa
 // NodeRebuildTimeHours returns the time to rebuild one node's worth of data
 // after a node (or internal array) failure, and the limiting path.
 func NodeRebuildTimeHours(p params.Parameters, t int) (float64, Bottleneck) {
-	return distributedRebuildTime(p, p.NodeDataBytes(), t)
+	return distributedRebuildTime(&p, p.NodeDataBytes(), t)
 }
 
 // DriveRebuildTimeHours returns the time to rebuild one drive's worth of
@@ -124,7 +128,7 @@ func NodeRebuildTimeHours(p params.Parameters, t int) (float64, Bottleneck) {
 // limiting path. Spare capacity is evenly distributed, so the flow
 // accounting matches the node rebuild with one drive's worth of data.
 func DriveRebuildTimeHours(p params.Parameters, t int) (float64, Bottleneck) {
-	return distributedRebuildTime(p, p.DriveDataBytes(), t)
+	return distributedRebuildTime(&p, p.DriveDataBytes(), t)
 }
 
 // RestripeTimeHours returns the time for an internal RAID array to

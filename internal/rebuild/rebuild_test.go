@@ -204,3 +204,42 @@ func TestLargerBlocksNeverSlowRebuild(t *testing.T) {
 		prev = h
 	}
 }
+
+// distributedRebuildTime spells out DriveThroughput and NetworkThroughput
+// inline; the times must equal the composition of the public helpers
+// bit for bit, on both sides of the disk/network crossover.
+func TestDistributedRebuildMatchesThroughputHelpers(t *testing.T) {
+	ref := func(p params.Parameters, dataBytes float64, ft int) (float64, Bottleneck) {
+		survivors := float64(p.NodeSetSize) - 1
+		rebuilt := dataBytes / survivors
+		received := (float64(p.RedundancySetSize) - float64(ft)) / survivors * dataBytes
+		diskSec := (received + rebuilt) / (float64(p.DrivesPerNode) * DriveThroughput(p, p.RebuildCommandBytes))
+		netSec := (received + received) / NetworkThroughput(p)
+		if diskSec >= netSec {
+			return diskSec / 3600, BottleneckDisk
+		}
+		return netSec / 3600, BottleneckNetwork
+	}
+	for _, link := range []float64{0.7, 1.3, 2.9, 10} {
+		for _, cmd := range []float64{4 * params.KiB, 96 * params.KiB, 1 * params.MiB} {
+			for ft := 1; ft <= 3; ft++ {
+				p := params.Baseline()
+				p.LinkSpeedGbps = link
+				p.RebuildCommandBytes = cmd
+				p.RebuildBandwidthFraction = 0.37
+				gotT, gotB := NodeRebuildTimeHours(p, ft)
+				wantT, wantB := ref(p, p.NodeDataBytes(), ft)
+				if gotT != wantT || gotB != wantB {
+					t.Errorf("link %v cmd %v ft %d: node rebuild (%v, %v), helpers give (%v, %v)",
+						link, cmd, ft, gotT, gotB, wantT, wantB)
+				}
+				gotT, gotB = DriveRebuildTimeHours(p, ft)
+				wantT, wantB = ref(p, p.DriveDataBytes(), ft)
+				if gotT != wantT || gotB != wantB {
+					t.Errorf("link %v cmd %v ft %d: drive rebuild (%v, %v), helpers give (%v, %v)",
+						link, cmd, ft, gotT, gotB, wantT, wantB)
+				}
+			}
+		}
+	}
+}

@@ -79,13 +79,13 @@ func (lw lineWriter) line(v any) error {
 // completes points and filling the cache on success.
 func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, key string, job sweepJob) {
 	s.metrics.streams.Inc()
+	// As on the buffered path, the cache span stays open across the solve
+	// it parents.
 	ctx, csp := obs.StartSpan(r.Context(), "serve.cache")
 	body, hit := s.cache.peek(key)
-	if csp != nil {
-		csp.SetAttr("hit", hit)
-		csp.End()
-	}
+	csp.SetAttr("hit", hit)
 	if hit {
+		csp.End()
 		s.replayStream(w, job, body)
 		return
 	}
@@ -96,6 +96,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, key string,
 		started = true
 		return nil, s.streamSolve(cctx, w, key, job)
 	})
+	csp.End()
 	if err != nil && !started {
 		// Cancelled while queued for a solve slot: no byte has been
 		// written, a normal error reply is still possible.

@@ -253,6 +253,81 @@ func TestSweepSpanTree(t *testing.T) {
 	})
 }
 
+// TestPlanSpanTree pins the plan search's span nesting: each phase hangs
+// off plan.search, and the confirm phase's batch solves hang off
+// plan.confirm, so the phase's self time excludes the solves it waits on.
+func TestPlanSpanTree(t *testing.T) {
+	var buf bytes.Buffer
+	s := New(Options{TraceWriter: &buf})
+	w := postJSON(t, s.Handler(), "/v1/plan", smallPlanBody)
+	if w.Code != http.StatusOK {
+		t.Fatalf("plan: %d %s", w.Code, w.Body.String())
+	}
+	spans := readSpans(t, &buf)
+	idx := spanIndex(spans)
+	if len(idx["plan.search"]) != 1 || len(idx["plan.confirm"]) != 1 {
+		t.Fatalf("want one plan.search and one plan.confirm span; have %v", names(spans))
+	}
+	search, confirm := idx["plan.search"][0], idx["plan.confirm"][0]
+	for _, name := range []string{"plan.enumerate", "plan.prune", "plan.confirm", "plan.rank"} {
+		if len(idx[name]) != 1 || idx[name][0].Parent != search.ID {
+			t.Errorf("%s: want one span whose parent is plan.search; have %+v", name, idx[name])
+		}
+	}
+	if len(idx["markov.batch"]) == 0 {
+		t.Fatalf("plan trace has no markov.batch span; have %v", names(spans))
+	}
+	for _, b := range idx["markov.batch"] {
+		if b.Parent != confirm.ID {
+			t.Errorf("markov.batch span %d has parent %d, want plan.confirm (%d)", b.ID, b.Parent, confirm.ID)
+		}
+	}
+}
+
+// TestSweepStreamSpansNested checks that every span of a streamed sweep
+// lies inside its parent's interval: the cache span stays open across
+// the solve it parents, as on the buffered path.
+func TestSweepStreamSpansNested(t *testing.T) {
+	var buf bytes.Buffer
+	s := New(Options{MaxGridCells: 65536, TraceWriter: &buf})
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(traceSweepBody(4)))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", "application/x-ndjson")
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"done":true`) {
+		t.Fatalf("stream: %d %s", w.Code, w.Body.String())
+	}
+	spans := readSpans(t, &buf)
+	byID := make(map[int64]obs.SpanRecord, len(spans))
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+	}
+	idx := spanIndex(spans)
+	for _, name := range []string{"serve.request", "serve.cache", "serve.compute", "core.sweep"} {
+		if len(idx[name]) == 0 {
+			t.Errorf("stream trace missing %q span; have %v", name, names(spans))
+		}
+	}
+	const eps = 1e-9 // rounding of exported offsets
+	for _, sp := range spans {
+		if sp.Parent == 0 {
+			continue
+		}
+		p, ok := byID[sp.Parent]
+		if !ok {
+			t.Errorf("%s span %d: parent %d not in trace", sp.Name, sp.ID, sp.Parent)
+			continue
+		}
+		if sp.StartSeconds+eps < p.StartSeconds ||
+			sp.StartSeconds+sp.Seconds > p.StartSeconds+p.Seconds+eps {
+			t.Errorf("%s span [%g, %g] outside parent %s [%g, %g]", sp.Name,
+				sp.StartSeconds, sp.StartSeconds+sp.Seconds,
+				p.Name, p.StartSeconds, p.StartSeconds+p.Seconds)
+		}
+	}
+}
+
 func names(spans []obs.SpanRecord) []string {
 	seen := make(map[string]bool)
 	var out []string
