@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -189,9 +191,12 @@ func AnalyzeChainBatchCtx(ctx context.Context, cfg Config, ps []params.Parameter
 // Chunks are (configuration, x-range) slices of the grid, fanned across
 // the same bounded pool the per-cell path uses; chunk claiming is
 // ordered by x block first so a streaming sweep's emission frontier
-// advances as fast as possible. Error semantics replicate the per-cell
-// path exactly: the reported error is that of the lowest failing grid
-// cell (x order, then configuration order), with the same message.
+// advances as fast as possible, and within an x block by descending
+// chain size (chunkSpecs), so the longest chunks start first and the
+// short ones fill in around them instead of a long one running alone at
+// the end of the block. Error semantics replicate the per-cell path
+// exactly: the reported error is that of the lowest failing grid cell
+// (x order, then configuration order), with the same message.
 func sweepBatch(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), out []SweepPoint, tr *pointTracker) error {
 	nx, ncfg := len(xs), len(cfgs)
 	chunk := batchCells()
@@ -207,17 +212,7 @@ func sweepBatch(ctx context.Context, base params.Parameters, cfgs []Config, meth
 		chunk = 1
 	}
 
-	type chunkSpec struct{ ci, lo, hi int }
-	specs := make([]chunkSpec, 0, ncfg*((nx+chunk-1)/chunk))
-	for lo := 0; lo < nx; lo += chunk {
-		hi := lo + chunk
-		if hi > nx {
-			hi = nx
-		}
-		for ci := range cfgs {
-			specs = append(specs, chunkSpec{ci: ci, lo: lo, hi: hi})
-		}
-	}
+	specs := chunkSpecs(cfgs, nx, chunk)
 
 	// First-error reduction across chunks, by global grid-cell index
 	// (xi*ncfg + ci), mirroring runIndexedCtx's lowest-index guarantee.
@@ -263,6 +258,40 @@ func sweepBatch(ctx context.Context, base params.Parameters, cfgs []Config, meth
 		return err
 	}
 	return rerr
+}
+
+// chunkSpec is one sweep chunk: configuration ci over points [lo, hi).
+type chunkSpec struct{ ci, lo, hi int }
+
+// chunkSpecs splits an nx-point sweep over cfgs into chunks of at most
+// chunk points, in claim order: x block by x block, and within a block
+// by descending chainStates, ties in configuration order.
+func chunkSpecs(cfgs []Config, nx, chunk int) []chunkSpec {
+	claim := make([]int, len(cfgs))
+	for ci := range claim {
+		claim[ci] = ci
+	}
+	sort.SliceStable(claim, func(a, b int) bool {
+		return chainStates(cfgs[claim[a]]) > chainStates(cfgs[claim[b]])
+	})
+	specs := make([]chunkSpec, 0, len(cfgs)*((nx+chunk-1)/chunk))
+	for lo := 0; lo < nx; lo += chunk {
+		hi := min(lo+chunk, nx)
+		for _, ci := range claim {
+			specs = append(specs, chunkSpec{ci: ci, lo: lo, hi: hi})
+		}
+	}
+	return specs
+}
+
+// chainStates is the size of cfg's exact chain, the measure of a sweep
+// chunk's cost: 2^(k+1) states without internal RAID, k+2 with it.
+func chainStates(cfg Config) float64 {
+	k := cfg.NodeFaultTolerance
+	if cfg.Internal == InternalNone {
+		return math.Ldexp(1, k+1)
+	}
+	return float64(k + 2)
 }
 
 // runBatchChunk analyzes one configuration across a run of consecutive

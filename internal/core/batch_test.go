@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/markov"
+	"repro/internal/obs"
 	"repro/internal/params"
 )
 
@@ -125,6 +128,190 @@ func TestSweepErrorShapeBatchAndPerCell(t *testing.T) {
 		cfgs[0], cfgs[0].NodeFaultTolerance)
 	if gerr.Error() != wantGeom {
 		t.Errorf("geometry error = %q, want %q", gerr, wantGeom)
+	}
+}
+
+// mixedConfigs lists no-internal-RAID ft 1–7 and internal RAID 5/6 in
+// ascending chain size — the reverse of the batched sweep's claim order
+// within an x block — with a size tie (RAID 6 ft 2 and NIR ft 1, four
+// states each) that must keep configuration order.
+func mixedConfigs() []Config {
+	cfgs := []Config{
+		{Internal: InternalRAID5, NodeFaultTolerance: 1},
+		{Internal: InternalRAID6, NodeFaultTolerance: 2},
+	}
+	for k := 1; k <= 7; k++ {
+		cfgs = append(cfgs, Config{Internal: InternalNone, NodeFaultTolerance: k})
+	}
+	return cfgs
+}
+
+// deepBase is a base at which every mixedConfigs chain, ft 7 included,
+// solves exactly in float64: large redundancy sets, short node and
+// drive lifetimes and a high hard error rate (at the baseline's rates
+// the deepest chains exhaust float64).
+func deepBase() params.Parameters {
+	p := params.Baseline()
+	p.RedundancySetSize = 48
+	p.NodeMTTFHours = 150_000
+	p.DriveMTTFHours = 50_000
+	p.HardErrorRate = 1e-13
+	return p
+}
+
+// Claiming the heaviest chunks first reorders the work, never the
+// results: a mixed sweep from ft 1 to ft 7 is bitwise identical to the
+// per-cell path at every worker count and chunk size.
+func TestSweepBatchMixedConfigsMatchesPerCellBitwise(t *testing.T) {
+	p := deepBase()
+	cfgs := mixedConfigs()
+	xs := make([]float64, 7)
+	for i := range xs {
+		xs[i] = 20_000 + 30_000*float64(i)
+	}
+	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
+
+	var ref []SweepPoint
+	withWorkers(t, 1, func() {
+		withBatchCells(t, -1, func() {
+			var err error
+			ref, err = Sweep(p, cfgs, MethodExactChain, xs, apply)
+			if err != nil {
+				t.Fatalf("per-cell sweep: %v", err)
+			}
+		})
+	})
+	for _, w := range []int{1, 2, 7} {
+		for _, bc := range []int{1, 3, 256} {
+			withWorkers(t, w, func() {
+				withBatchCells(t, bc, func() {
+					got, err := Sweep(p, cfgs, MethodExactChain, xs, apply)
+					if err != nil {
+						t.Fatalf("workers=%d batch=%d sweep: %v", w, bc, err)
+					}
+					if !reflect.DeepEqual(got, ref) {
+						t.Errorf("workers=%d batch=%d sweep differs from per-cell path", w, bc)
+					}
+				})
+			})
+		}
+	}
+}
+
+// Within each x block, chunks are claimed heaviest chain first, with
+// equal sizes in configuration order; blocks stay in x order.
+func TestChunkSpecsClaimOrder(t *testing.T) {
+	// mixedConfigs: 0 RAID5/ft1 (3 states), 1 RAID6/ft2 (4), 2 NIR/ft1
+	// (4), 3..8 NIR/ft2..ft7 (8..256).
+	order := []int{8, 7, 6, 5, 4, 3, 1, 2, 0}
+	var want []chunkSpec
+	for _, blk := range [][2]int{{0, 3}, {3, 5}} {
+		for _, ci := range order {
+			want = append(want, chunkSpec{ci: ci, lo: blk[0], hi: blk[1]})
+		}
+	}
+	if got := chunkSpecs(mixedConfigs(), 5, 3); !reflect.DeepEqual(got, want) {
+		t.Errorf("chunkSpecs = %v, want %v", got, want)
+	}
+}
+
+// The lowest failing grid cell wins regardless of claim order. Here it
+// is RAID 6 at x = 2 (two drives cannot form RAID 6), a cheap chunk
+// claimed after every NIR chunk of its x block; RAID 5 fails later, at
+// x = 1, in the last-claimed chunk.
+func TestSweepErrorMixedConfigsClaimOrder(t *testing.T) {
+	p := deepBase()
+	cfgs := mixedConfigs()
+	xs := []float64{12, 6, 2, 1, 4}
+	apply := func(p *params.Parameters, x float64) { p.DrivesPerNode = int(x) }
+
+	var perCell string
+	withWorkers(t, 1, func() {
+		withBatchCells(t, -1, func() {
+			_, err := Sweep(p, cfgs, MethodExactChain, xs, apply)
+			if err == nil {
+				t.Fatal("per-cell sweep unexpectedly succeeded")
+			}
+			perCell = err.Error()
+		})
+	})
+	want := fmt.Sprintf("core: sweep at x=2: %v: core: 2 drives per node cannot form %s", cfgs[1], InternalRAID6)
+	if perCell != want {
+		t.Fatalf("per-cell error = %q, want %q", perCell, want)
+	}
+	for _, w := range []int{1, 2, 7} {
+		for _, bc := range []int{1, 3, 256} {
+			withWorkers(t, w, func() {
+				withBatchCells(t, bc, func() {
+					_, err := Sweep(p, cfgs, MethodExactChain, xs, apply)
+					if err == nil || err.Error() != perCell {
+						t.Errorf("workers=%d batch=%d error = %v, want %q", w, bc, err, perCell)
+					}
+				})
+			})
+		}
+	}
+}
+
+// Batched cells are accounted once per chunk: after an instrumented
+// batched sweep, markov.absorption.solves and the chain-size histogram
+// have counted every cell, and markov.absorption.seconds — the per-cell
+// solver's timer — saw none of them. With one worker the last chunk to
+// finish is the last one claimed, and the residual gauge must hold
+// exactly what the per-cell solver reports for that chunk's last cell:
+// on the dense route (mixed list, cheapest config claimed last) and on
+// the sparse route (ft 7 alone).
+func TestSweepBatchAbsorptionMetrics(t *testing.T) {
+	p := deepBase()
+	xs := make([]float64, 11)
+	for i := range xs {
+		xs[i] = 20_000 + 18_000*float64(i)
+	}
+	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
+	const chunk = 3
+	for _, cfgs := range [][]Config{mixedConfigs(), {{Internal: InternalNone, NodeFaultTolerance: 7}}} {
+		reg := obs.NewRegistry()
+		markov.Instrument(reg)
+		withWorkers(t, 1, func() {
+			withBatchCells(t, chunk, func() {
+				if _, err := Sweep(p, cfgs, MethodExactChain, xs, apply); err != nil {
+					t.Fatalf("sweep: %v", err)
+				}
+			})
+		})
+		markov.Instrument(nil)
+		cells := int64(len(xs) * len(cfgs))
+		if got := reg.Counter("markov.absorption.solves").Value(); got != cells {
+			t.Errorf("markov.absorption.solves = %d, want %d (one per cell)", got, cells)
+		}
+		if got := reg.Counter("markov.batch.cells").Value(); got != cells {
+			t.Errorf("markov.batch.cells = %d, want %d", got, cells)
+		}
+		if got := reg.Histogram("markov.absorption.states", nil).Count(); got != cells {
+			t.Errorf("markov.absorption.states observed %d times, want %d", got, cells)
+		}
+		if got := reg.Histogram("markov.absorption.seconds", nil).Count(); got != 0 {
+			t.Errorf("markov.absorption.seconds observed %d batched cells, want 0", got)
+		}
+		res := reg.Gauge("markov.absorption.last_residual").Value()
+		if math.IsNaN(res) || math.IsInf(res, 0) || res < 0 || res > 1e-3 {
+			t.Errorf("markov.absorption.last_residual = %v, want finite and small", res)
+		}
+
+		specs := chunkSpecs(cfgs, len(xs), chunk)
+		last := cfgs[specs[len(specs)-1].ci]
+		ref := obs.NewRegistry()
+		markov.Instrument(ref)
+		q := p
+		apply(&q, xs[len(xs)-1])
+		_, err := AnalyzeCtx(context.Background(), q, last, MethodExactChain)
+		markov.Instrument(nil)
+		if err != nil {
+			t.Fatalf("per-cell analyze: %v", err)
+		}
+		if want := ref.Gauge("markov.absorption.last_residual").Value(); res != want {
+			t.Errorf("%v: batched last_residual = %v, per-cell solver reports %v", last, res, want)
+		}
 	}
 }
 

@@ -34,6 +34,7 @@ type BatchSolver struct {
 	n       int
 	label   string
 	nedges  int
+	initial int
 	initRow int
 	trans   []int
 	pos     []int
@@ -67,6 +68,11 @@ type BatchSolver struct {
 	r              *linalg.Matrix
 	f              linalg.LU
 	vs             validateScratch
+
+	// Chunk accounting since StartChunk: cells solved, whether the
+	// latest SolveCell succeeded, and on which route.
+	solved            int
+	lastOK, lastDense bool
 }
 
 // NewBatchSolver returns an empty BatchSolver; buffers are sized by Bind
@@ -124,6 +130,7 @@ func (b *BatchSolver) Bind(ctx context.Context, c *Chain) error {
 			b.trans = append(b.trans, i)
 		}
 	}
+	b.initial = c.initial
 	b.initRow = b.pos[c.initial]
 	m := len(b.trans)
 
@@ -209,9 +216,71 @@ func (b *BatchSolver) Cells(n int) {
 	}
 }
 
-// ValidateRates runs the bound chain's Validate with the solver's reused
-// scratch: identical checks, identical messages, no allocation.
-func (b *BatchSolver) ValidateRates(c *Chain) error { return c.validate(&b.vs) }
+// ValidateRates runs Chain.Validate's checks on c against the bound
+// topology: identical checks, identical order, identical messages, no
+// allocation. The structural checks were settled at Bind, so only the
+// rate-dependent ones run — every transient row has an edge and a
+// non-zero exit rate, and some absorbing state is reachable over
+// positive-rate edges — with the bound state→row map standing in for
+// the chain's absorbing-state set. A chain that does not match the
+// bound topology gets the full Chain.Validate.
+func (b *BatchSolver) ValidateRates(c *Chain) error {
+	if !b.bound(c) {
+		return c.validate(&b.vs)
+	}
+	for _, st := range b.trans {
+		if c.ptr[st+1] == c.ptr[st] || c.exit[st] == 0 {
+			return fmt.Errorf("markov: transient state %q has no outgoing transitions", c.names[st])
+		}
+	}
+	if !b.absorptionReachable(c) {
+		return fmt.Errorf("markov: no absorbing state is reachable from the initial state")
+	}
+	return nil
+}
+
+// bound reports whether c has the bound topology's shape: frozen, with
+// the same state and edge counts, label, initial state and number of
+// absorbing states. Fill relies on the same identity.
+func (b *BatchSolver) bound(c *Chain) bool {
+	return c.Frozen() && len(c.names) == b.n && len(c.edges) == b.nedges &&
+		c.label == b.label && c.initial == b.initial &&
+		len(c.absorbing) == b.n-len(b.trans)
+}
+
+// absorptionReachable is Chain.absorptionReachable over the bound
+// topology: the same depth-first search from the initial state over
+// positive-rate edges, in the solver's reused scratch.
+func (b *BatchSolver) absorptionReachable(c *Chain) bool {
+	seen := b.vs.seen
+	if cap(seen) < b.n {
+		seen = make([]bool, b.n)
+		b.vs.seen = seen
+	}
+	seen = seen[:b.n]
+	for i := range seen {
+		seen[i] = false
+	}
+	stack := append(b.vs.stack[:0], b.initial)
+	seen[b.initial] = true
+	reached := false
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if b.pos[s] < 0 {
+			reached = true
+			break
+		}
+		for _, e := range c.edges[c.ptr[s]:c.ptr[s+1]] {
+			if e.Rate > 0 && !seen[e.To] {
+				seen[e.To] = true
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	b.vs.stack = stack[:0]
+	return reached
+}
 
 // Fill scatters c's current rates into cell's row of the value slab.
 // c must be a chain of the bound topology (any refill of the chain Bind
@@ -235,8 +304,14 @@ func (b *BatchSolver) Fill(cell int, c *Chain) {
 
 // StartChunk opens one "markov.batch" span and one chunk timer covering
 // the SolveCell calls that follow; the returned stop function closes
-// both. One span and one metric observation cover the whole chunk —
-// that is the amortization the batch path exists for.
+// both and accounts the chunk's absorption solves: the solved-cell count
+// onto markov.absorption.solves and markov.absorption.states, and the
+// residual of the chunk's last cell, computed on the route that cell
+// took, into markov.absorption.last_residual. A chunk whose last cell
+// failed sets no residual. One span and one set of metric updates cover
+// the whole chunk — that is the amortization the batch path exists for;
+// the chunk's time is markov.batch.chunk_seconds, never
+// markov.absorption.seconds.
 func (b *BatchSolver) StartChunk(ctx context.Context, cells int) func() {
 	_, sp := obs.StartSpan(ctx, "markov.batch")
 	if sp != nil {
@@ -244,26 +319,48 @@ func (b *BatchSolver) StartChunk(ctx context.Context, cells int) func() {
 		sp.SetAttr("states", b.n)
 		sp.SetAttr("sparse", b.sparseRoute)
 	}
+	b.solved, b.lastOK = 0, false
 	stop := batchChunkTimer(cells)
 	return func() {
 		sp.End()
 		if stop != nil {
 			stop()
+			batchSolvesDone(b.solved, b.n, b.lastOK, b.lastResidual)
 		}
 	}
+}
+
+// lastResidual is the ∞-norm residual ‖Rᵀτ − e‖ of the latest solved
+// cell, computed as the per-cell Solver computes it on the same route.
+// Only valid while lastOK: the cell's matrix and τ are still in place.
+func (b *BatchSolver) lastResidual() float64 {
+	if b.lastDense {
+		return absorptionResidual(b.r, b.tau, b.initRow)
+	}
+	return sparseResidual(&b.view, b.tau, b.initRow, b.work)
+}
+
+// cellSolved records a solved cell for the chunk's accounting and
+// returns its MTTA.
+func (b *BatchSolver) cellSolved(dense bool) float64 {
+	b.solved++
+	b.lastOK, b.lastDense = true, dense
+	return linalg.Sum(b.tau)
 }
 
 // SolveCell solves the filled cell for its mean time to absorption,
 // reusing all solver storage (0 allocs after warmup). The numeric path
 // and its results are bit-identical to Solver.MTTACtx on the same chain:
 // sparse Refactor+SolveTranspose with the τ certificate and dense
-// partial-pivot fallback on the sparse route, dense LU otherwise.
+// partial-pivot fallback on the sparse route, dense LU otherwise. It
+// records no metrics of its own: StartChunk's stop function accounts
+// the chunk's solves.
 func (b *BatchSolver) SolveCell(cell int) (float64, error) {
 	if b.initRow < 0 {
 		return 0, nil // initial state is absorbing
 	}
+	b.lastOK = false
 	m := len(b.trans)
-	timer := absorptionTimer(b.n)
 	v := b.vals[cell*b.nnz : (cell+1)*b.nnz]
 	if b.sparseRoute {
 		if b.num != nil {
@@ -272,10 +369,7 @@ func (b *BatchSolver) SolveCell(cell int) (float64, error) {
 				b.num.SolveTransposeInto(b.tau, b.rhs, b.work)
 				if tauPlausible(b.tau) {
 					sparseSolveDone(&b.view)
-					if timer != nil {
-						timer(sparseResidual(&b.view, b.tau, b.initRow, b.work))
-					}
-					return linalg.Sum(b.tau), nil
+					return b.cellSolved(false), nil
 				}
 			}
 		}
@@ -293,8 +387,5 @@ func (b *BatchSolver) SolveCell(cell int) (float64, error) {
 		return 0, fmt.Errorf("markov: absorption matrix: %w", err)
 	}
 	b.f.SolveTransposeInto(b.tau, b.rhs, b.work)
-	if timer != nil {
-		timer(absorptionResidual(b.r, b.tau, b.initRow))
-	}
-	return linalg.Sum(b.tau), nil
+	return b.cellSolved(true), nil
 }

@@ -225,25 +225,6 @@ func TestApplyRatesMatchesStringRefill(t *testing.T) {
 	}
 }
 
-// ValidateRates reports exactly what Validate reports, message included.
-func TestBatchValidateRatesParity(t *testing.T) {
-	c := NewChain()
-	c.SetInitial("a")
-	c.SetAbsorbing("loss")
-	c.AddEdge("a", "b", 1)
-	c.AddEdge("b", "loss", 0) // structural zero: b has no outgoing rate
-	c.Freeze()
-	b := NewBatchSolver()
-	if err := b.Bind(context.Background(), c); err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	want := c.Validate()
-	got := b.ValidateRates(c)
-	if want == nil || got == nil || got.Error() != want.Error() {
-		t.Fatalf("ValidateRates = %v, Validate = %v; want identical non-nil", got, want)
-	}
-}
-
 // A chain whose initial state is absorbing batches to MTTA 0, matching
 // the per-cell path.
 func TestBatchSolverAbsorbingInitial(t *testing.T) {

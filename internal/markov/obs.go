@@ -38,12 +38,21 @@ type solverMetrics struct {
 
 var instr atomic.Pointer[solverMetrics]
 
-// Instrument routes solver telemetry into reg: per-solve wall time and
-// chain size for the absorption (MTTDL) path, uniformization term counts
-// for the transient path, and the most recent solution residuals. Pass
-// nil to disable again. Instrumented absorption solves additionally
-// compute the ∞-norm residual ‖Rᵀτ − e‖ (one extra mat-vec, O(n²)
-// against the solve's O(n³)).
+// Instrument routes solver telemetry into reg: solve counts and chain
+// sizes for the absorption (MTTDL) path, uniformization term counts for
+// the transient path, and the most recent solution residuals. Pass nil
+// to disable again.
+//
+// A per-cell absorption solve (Solver) counts itself, observes its wall
+// time into markov.absorption.seconds and its chain size, and sets
+// markov.absorption.last_residual to its ∞-norm residual ‖Rᵀτ − e‖ (one
+// extra mat-vec, O(n²) against the solve's O(n³)). Batched cells
+// (BatchSolver) are accounted once per chunk when StartChunk's stop
+// function runs: the chunk's solved cells are added to the solve count
+// and the chain-size histogram, one residual — that of the chunk's
+// last cell, if it solved — is computed and set, and the chunk's wall
+// time goes to markov.batch.chunk_seconds; batched cells never feed
+// markov.absorption.seconds.
 func Instrument(reg *obs.Registry) {
 	if reg == nil {
 		instr.Store(nil)
@@ -106,8 +115,8 @@ func sparseSolveDone(a *sparse.CSR) {
 	}
 }
 
-// solveTimer returns a stop function that records one absorption solve,
-// or a no-op when instrumentation is off.
+// absorptionTimer returns a stop function that records one per-cell
+// absorption solve, or nil when instrumentation is off.
 func absorptionTimer(states int) func(residual float64) {
 	m := instr.Load()
 	if m == nil {
@@ -119,6 +128,22 @@ func absorptionTimer(states int) func(residual float64) {
 		m.absorptionSeconds.Observe(time.Since(start).Seconds())
 		m.absorptionStates.Observe(float64(states))
 		m.residual.Set(residual)
+	}
+}
+
+// batchSolvesDone accounts one chunk's batched absorption solves:
+// solved cells of a states-state chain and, when the chunk's last cell
+// succeeded (lastOK), that cell's residual — computed only here, once
+// per chunk.
+func batchSolvesDone(solved, states int, lastOK bool, residual func() float64) {
+	m := instr.Load()
+	if m == nil {
+		return
+	}
+	m.absorptionSolves.Add(int64(solved))
+	m.absorptionStates.ObserveN(float64(states), int64(solved))
+	if lastOK {
+		m.residual.Set(residual())
 	}
 }
 

@@ -61,8 +61,33 @@ func padLabel(stack string, k int) string {
 // chain's topology is a function of k alone and refills of a recycled
 // chain always land on existing edges. The sink is either the chain
 // itself or an edgeRecorder compiling the sweep refill program; both see
-// the identical emission order.
+// the identical emission order. The h_α table is evaluated once per
+// build (see hAt).
 func buildNIR(c edgeSink, in closedform.NIRInputs, k int, stack string) {
+	b := nirBuilder{c: c, in: in, k: k, hs: combinat.HSet(in.N, in.R, in.D, in.CHER, k)}
+	word := 0
+	for i := 0; i < len(stack); i++ {
+		word <<= 1
+		if stack[i] == 'd' {
+			word |= 1
+		}
+	}
+	b.emit(stack, word)
+}
+
+// nirBuilder carries buildNIR's per-build constants through the
+// recursion.
+type nirBuilder struct {
+	c  edgeSink
+	in closedform.NIRInputs
+	k  int
+	hs []float64
+}
+
+// emit is buildNIR for one state; word is the stack's letters as bits
+// (see hAt).
+func (b *nirBuilder) emit(stack string, word int) {
+	in, k := b.in, b.k
 	j := len(stack)
 	label := padLabel(stack, k)
 	n := float64(in.N) - float64(j)
@@ -74,12 +99,12 @@ func buildNIR(c edgeSink, in closedform.NIRInputs, k int, stack string) {
 		if stack[j-1] == 'd' {
 			mu = in.MuD
 		}
-		c.AddEdge(label, padLabel(stack[:j-1], k), mu)
+		b.c.AddEdge(label, padLabel(stack[:j-1], k), mu)
 	}
 
 	if j == k {
 		// Fully degraded: any further failure loses data.
-		c.AddEdge(label, "loss", n*(in.LambdaN+d*in.LambdaD))
+		b.c.AddEdge(label, "loss", n*(in.LambdaN+d*in.LambdaD))
 		return
 	}
 
@@ -87,27 +112,27 @@ func buildNIR(c edgeSink, in closedform.NIRInputs, k int, stack string) {
 	driveRate := n * d * in.LambdaD
 	if j == k-1 {
 		// The next rebuild is critical: sector errors can lose data.
-		hN := hFor(in, stack+"N")
-		hD := hFor(in, stack+"d")
-		c.AddEdge(label, padLabel(stack+"N", k), nodeRate*(1-hN))
-		c.AddEdge(label, padLabel(stack+"d", k), driveRate*(1-hD))
-		c.AddEdge(label, "loss", nodeRate*hN+driveRate*hD)
+		hN := hAt(b.hs, word<<1)
+		hD := hAt(b.hs, word<<1|1)
+		b.c.AddEdge(label, padLabel(stack+"N", k), nodeRate*(1-hN))
+		b.c.AddEdge(label, padLabel(stack+"d", k), driveRate*(1-hD))
+		b.c.AddEdge(label, "loss", nodeRate*hN+driveRate*hD)
 	} else {
-		c.AddEdge(label, padLabel(stack+"N", k), nodeRate)
-		c.AddEdge(label, padLabel(stack+"d", k), driveRate)
+		b.c.AddEdge(label, padLabel(stack+"N", k), nodeRate)
+		b.c.AddEdge(label, padLabel(stack+"d", k), driveRate)
 	}
-	buildNIR(c, in, k, stack+"N")
-	buildNIR(c, in, k, stack+"d")
+	b.emit(stack+"N", word<<1)
+	b.emit(stack+"d", word<<1|1)
 }
 
-// hFor returns h_α for the failure word, clamped to [0, 1] so that extreme
+// hAt returns h_α from hs = combinat.HSet(N, R, d, C·HER, k) for the
+// full-length word α whose letters, most significant bit first, are the
+// bits of word (1 = drive failure) — the AllWords order HSet follows, so
+// hs[word] is bit-identical to combinat.H of that word
+// (TestHSetMatchesWordByWord). The value is clamped to 1 so that extreme
 // parameterizations still yield a valid probability.
-func hFor(in closedform.NIRInputs, word string) float64 {
-	alpha := make(combinat.Word, len(word))
-	for i := range word {
-		alpha[i] = combinat.FailureKind(word[i])
-	}
-	h := combinat.H(in.N, in.R, in.D, in.CHER, alpha)
+func hAt(hs []float64, word int) float64 {
+	h := hs[word]
 	if h > 1 {
 		return 1
 	}

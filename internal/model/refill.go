@@ -54,7 +54,7 @@ type NIRRefiller struct {
 	k       int
 	program []int
 	rates   []float64
-	word    combinat.Word
+	hs      []float64 // h_α table for in, indexed by word bits (hAt)
 	in      closedform.NIRInputs
 }
 
@@ -78,7 +78,7 @@ func AcquireNIRRefiller(in closedform.NIRInputs, k int) *NIRRefiller {
 		k:       k,
 		program: rec.program,
 		rates:   make([]float64, 0, len(rec.program)),
-		word:    make(combinat.Word, 0, k),
+		hs:      make([]float64, 0, 1<<k),
 	}
 }
 
@@ -100,22 +100,23 @@ func (r *NIRRefiller) Refill(in closedform.NIRInputs) *markov.Chain {
 	}
 	r.in = in
 	r.rates = r.rates[:0]
-	r.word = r.word[:0]
-	r.emitNIR(0)
+	r.hs = combinat.AppendHSet(r.hs[:0], in.N, in.R, in.D, in.CHER, r.k)
+	r.emitNIR(0, 0)
 	r.c.ApplyRates(r.program, r.rates)
 	return r.c
 }
 
 // emitNIR is buildNIR with the label arithmetic deleted: same recursion,
-// same float expressions, same order, rates only.
-func (r *NIRRefiller) emitNIR(j int) {
+// same float expressions, same order, rates only. word holds the j
+// outstanding failures as bits, most recent lowest (see hAt).
+func (r *NIRRefiller) emitNIR(j, word int) {
 	in := r.in
 	n := float64(in.N) - float64(j)
 	d := float64(in.D)
 
 	if j > 0 {
 		mu := in.MuN
-		if r.word[j-1] == combinat.DriveFailure {
+		if word&1 == 1 {
 			mu = in.MuD
 		}
 		r.rates = append(r.rates, mu)
@@ -129,8 +130,8 @@ func (r *NIRRefiller) emitNIR(j int) {
 	nodeRate := n * in.LambdaN
 	driveRate := n * d * in.LambdaD
 	if j == r.k-1 {
-		hN := r.hFor(combinat.NodeFailure)
-		hD := r.hFor(combinat.DriveFailure)
+		hN := hAt(r.hs, word<<1)
+		hD := hAt(r.hs, word<<1|1)
 		r.rates = append(r.rates, nodeRate*(1-hN))
 		r.rates = append(r.rates, driveRate*(1-hD))
 		r.rates = append(r.rates, nodeRate*hN+driveRate*hD)
@@ -138,24 +139,8 @@ func (r *NIRRefiller) emitNIR(j int) {
 		r.rates = append(r.rates, nodeRate)
 		r.rates = append(r.rates, driveRate)
 	}
-	r.word = append(r.word, combinat.NodeFailure)
-	r.emitNIR(j + 1)
-	r.word = r.word[:j]
-	r.word = append(r.word, combinat.DriveFailure)
-	r.emitNIR(j + 1)
-	r.word = r.word[:j]
-}
-
-// hFor is nir.go's hFor against the reused word buffer: h_α for the
-// current stack extended by kind, clamped to 1.
-func (r *NIRRefiller) hFor(kind combinat.FailureKind) float64 {
-	r.word = append(r.word, kind)
-	h := combinat.H(r.in.N, r.in.R, r.in.D, r.in.CHER, r.word)
-	r.word = r.word[:len(r.word)-1]
-	if h > 1 {
-		return 1
-	}
-	return h
+	r.emitNIR(j+1, word<<1)
+	r.emitNIR(j+1, word<<1|1)
 }
 
 // IRRefiller is the internal-RAID counterpart of NIRRefiller.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/closedform"
+	"repro/internal/combinat"
 	"repro/internal/markov"
 )
 
@@ -66,12 +67,24 @@ func randomIRInputs(rng *rand.Rand, k int) closedform.IRInputs {
 	}
 }
 
+// freshNIR builds the k-tolerant NIR chain for in through the string
+// builder into a new chain labelled like the refiller's.
+func freshNIR(label string, in closedform.NIRInputs, k int) *markov.Chain {
+	c := markov.NewChain()
+	c.SetLabel(label)
+	c.SetInitial(padLabel("", k))
+	c.SetAbsorbing("loss")
+	buildNIR(c, in, k, "")
+	return c.Freeze()
+}
+
 // The refill program must track the string builder in lockstep: for any
 // valid inputs, Refill produces a chain bit-identical to a fresh
-// NIRChain build — every rate and every exit sum.
+// NIRChain build — every rate and every exit sum — up to k = 7, the
+// deepest chains the exact-chain sweeps serve.
 func TestNIRRefillerLockstep(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for k := 1; k <= 6; k++ {
+	for k := 1; k <= 7; k++ {
 		r := AcquireNIRRefiller(randomNIRInputs(rng, k), k)
 		for trial := 0; trial < 25; trial++ {
 			in := randomNIRInputs(rng, k)
@@ -90,7 +103,7 @@ func TestNIRRefillerLockstep(t *testing.T) {
 
 func TestIRRefillerLockstep(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for k := 1; k <= 6; k++ {
+	for k := 1; k <= 7; k++ {
 		r := AcquireIRRefiller(randomIRInputs(rng, k), k)
 		for trial := 0; trial < 25; trial++ {
 			in := randomIRInputs(rng, k)
@@ -104,6 +117,59 @@ func TestIRRefillerLockstep(t *testing.T) {
 			chainsBitwiseEqual(t, got, want)
 		}
 		r.Release()
+	}
+}
+
+// With a large C·HER, d = 12 and R close to N, h_α exceeds 1 for
+// node-heavy words: the refill must clamp exactly where the string
+// builder does, leaving the clamped critical edges at rate zero.
+func TestNIRRefillerClampsH(t *testing.T) {
+	const k = 3
+	in := closedform.NIRInputs{
+		N: 20, R: 19, D: 12,
+		LambdaN: 2e-6, LambdaD: 3e-6, MuN: 0.05, MuD: 0.2,
+		CHER: 0.5,
+	}
+	nnn := combinat.Word{combinat.NodeFailure, combinat.NodeFailure, combinat.NodeFailure}
+	ddd := combinat.Word{combinat.DriveFailure, combinat.DriveFailure, combinat.DriveFailure}
+	if h := combinat.H(in.N, in.R, in.D, in.CHER, nnn); h <= 1 {
+		t.Fatalf("h_NNN = %v, want > 1 so the clamp engages", h)
+	}
+	if h := combinat.H(in.N, in.R, in.D, in.CHER, ddd); h >= 1 {
+		t.Fatalf("h_ddd = %v, want < 1 so some words stay unclamped", h)
+	}
+	r := AcquireNIRRefiller(randomNIRInputs(rand.New(rand.NewSource(29)), k), k)
+	defer r.Release()
+	got := r.Refill(in)
+	chainsBitwiseEqual(t, got, freshNIR(got.Label(), in, k))
+	from, _ := got.StateIndex("NN0")
+	to, _ := got.StateIndex("NNN")
+	for _, e := range got.Successors(from) {
+		if e.To == to && e.Rate != 0 {
+			t.Errorf("clamped edge NN0→NNN has rate %v, want 0", e.Rate)
+		}
+	}
+}
+
+// One refiller refilled with a different geometry and C·HER every call
+// must rebuild its h_α table each time: a table left over from the
+// previous call would show up as a rate mismatch.
+func TestNIRRefillerGeometryChanges(t *testing.T) {
+	const k = 4
+	inputs := []closedform.NIRInputs{
+		{N: 10, R: 6, D: 2, CHER: 1e-3},
+		{N: 40, R: 12, D: 12, CHER: 0.3},
+		{N: 6, R: 5, D: 1, CHER: 0},
+		{N: 64, R: 48, D: 7, CHER: 2e-2},
+		{N: 10, R: 6, D: 2, CHER: 1e-3},
+	}
+	r := AcquireNIRRefiller(inputs[0], k)
+	defer r.Release()
+	for i, in := range inputs {
+		in.LambdaN, in.LambdaD = 1e-5*float64(i+1), 4e-6
+		in.MuN, in.MuD = 0.1, 0.5/float64(i+1)
+		got := r.Refill(in)
+		chainsBitwiseEqual(t, got, freshNIR(got.Label(), in, k))
 	}
 }
 

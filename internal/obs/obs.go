@@ -111,6 +111,17 @@ func (h *Histogram) Observe(v float64) {
 	h.addSum(v)
 }
 
+// ObserveN records the value v n times, as n Observe calls would (the
+// sum adds v·n in one step). NaN and n <= 0 are ignored.
+func (h *Histogram) ObserveN(v float64, n int64) {
+	if math.IsNaN(v) || n <= 0 {
+		return
+	}
+	h.counts[h.bucketIndex(v)].Add(n)
+	h.count.Add(n)
+	h.addSum(v * float64(n))
+}
+
 // bucketIndex returns the index of the first bound >= v, or len(bounds)
 // for the overflow bucket. Power-of-two layouts (ExpBuckets with factor
 // 2, the hot repair-duration histograms) resolve in O(1) from the

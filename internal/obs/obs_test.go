@@ -134,6 +134,25 @@ func TestHistogramRecorder(t *testing.T) {
 	}
 }
 
+// ObserveN(v, n) lands exactly where n Observe(v) calls would.
+func TestHistogramObserveN(t *testing.T) {
+	r := NewRegistry()
+	direct := r.Histogram("direct", []float64{2, 4, 8})
+	counted := r.Histogram("counted", []float64{2, 4, 8})
+	for _, v := range []float64{3, 255, 8} {
+		for i := 0; i < 7; i++ {
+			direct.Observe(v)
+		}
+		counted.ObserveN(v, 7)
+	}
+	counted.ObserveN(5, 0)
+	counted.ObserveN(math.NaN(), 3)
+	snap := r.Snapshot()
+	if d, c := snap.Histograms["direct"], snap.Histograms["counted"]; !reflect.DeepEqual(d, c) {
+		t.Fatalf("ObserveN diverges from repeated Observe:\ndirect:  %+v\ncounted: %+v", d, c)
+	}
+}
+
 func TestHistogramRejectsBadBounds(t *testing.T) {
 	r := NewRegistry()
 	for _, bounds := range [][]float64{nil, {}, {1, 1}, {2, 1}} {

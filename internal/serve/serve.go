@@ -221,9 +221,9 @@ type Server struct {
 	fleetMetrics *sim.FleetMetrics
 
 	http *http.Server
-	// baseCtx parents every request context; cancelled after drain so
-	// solves orphaned by a forced shutdown stop promptly.
-	baseCtx    context.Context
+	// cancelBase cancels the base context that parents every request
+	// context; called after drain so solves orphaned by a forced
+	// shutdown stop promptly.
 	cancelBase context.CancelFunc
 }
 
@@ -248,7 +248,6 @@ func New(opts Options) *Server {
 			reg.Counter("serve.cache.evictions")),
 		sem:          make(chan struct{}, core.MaxWorkers()),
 		mux:          http.NewServeMux(),
-		baseCtx:      baseCtx,
 		cancelBase:   cancel,
 		fleetMetrics: sim.NewFleetMetrics(reg),
 	}
@@ -258,6 +257,13 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("/v1/plan", s.instrument("plan", true, s.handlePlan))
 	s.mux.HandleFunc("/healthz", s.instrument("healthz", false, s.handleHealthz))
 	s.mux.HandleFunc("/metrics", s.instrument("metrics", false, s.handleMetrics))
+	// Built here, not in Serve, so Shutdown never races Serve for the
+	// field when the two run on different goroutines.
+	s.http = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: 10 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return baseCtx },
+	}
 	return s
 }
 
@@ -395,11 +401,6 @@ func (s *Server) CacheLen() int { return s.cache.len() }
 // descend from the server's base context, so Shutdown can cancel
 // orphaned work after the drain deadline.
 func (s *Server) Serve(l net.Listener) error {
-	s.http = &http.Server{
-		Handler:           s.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		BaseContext:       func(net.Listener) context.Context { return s.baseCtx },
-	}
 	err := s.http.Serve(l)
 	if err == http.ErrServerClosed {
 		return nil
@@ -412,10 +413,7 @@ func (s *Server) Serve(l net.Listener) error {
 // base context so any still-running solves stop instead of computing
 // answers nobody will read. Returns ctx.Err() if the drain timed out.
 func (s *Server) Shutdown(ctx context.Context) error {
-	var err error
-	if s.http != nil {
-		err = s.http.Shutdown(ctx)
-	}
+	err := s.http.Shutdown(ctx)
 	s.cancelBase()
 	return err
 }
