@@ -564,10 +564,8 @@ func BenchmarkSweepSparseReuse(b *testing.B) {
 
 // benchSweepGrid runs one r=48/ft=7 DriveMTTF sweep of nx cells per
 // iteration — the same 255-transient-state chain as
-// BenchmarkSweepSparseReuse — with the batch chunk size pinned.
-// batch < 0 forces the per-cell path (rebuild the chain from strings for
-// every cell); batch = 0 uses the batched engine's default chunk.
-func benchSweepGrid(b *testing.B, nx, batch int) {
+// BenchmarkSweepSparseReuse — through the batched engine.
+func benchSweepGrid(b *testing.B, nx int) {
 	b.Helper()
 	p := params.Baseline()
 	p.RedundancySetSize = 48
@@ -577,8 +575,6 @@ func benchSweepGrid(b *testing.B, nx, batch int) {
 		xs[i] = float64(200_000 + i)
 	}
 	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
-	prev := core.SetBatchCells(batch)
-	defer core.SetBatchCells(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Sweep(p, cfgs, core.MethodExactChain, xs, apply); err != nil {
@@ -588,24 +584,20 @@ func benchSweepGrid(b *testing.B, nx, batch int) {
 	b.ReportMetric(float64(nx*len(cfgs)), "cells")
 }
 
-// BenchmarkSweepBatch contrasts the structure-of-arrays batched cell
-// solver against the per-cell path on the Section 7 figure grid (64
-// cells) and a 10k-cell grid. Both variants produce bit-identical
-// results (TestSweepBatchMatchesPerCellBitwise); only wall-clock
-// differs. The batched engine amortizes chain construction: rates are
-// refilled through a compiled index program straight into the shared
-// CSR skeleton, so the per-cell string/map work disappears.
+// BenchmarkSweepBatch measures the structure-of-arrays batched cell
+// solver on the Section 7 figure grid (64 cells) and a 10k-cell grid.
+// The batched engine amortizes chain construction: rates are refilled
+// through a compiled index program straight into the shared CSR
+// skeleton, so no per-cell string/map work remains.
 func BenchmarkSweepBatch(b *testing.B) {
 	for _, c := range []struct {
-		name      string
-		nx, batch int
+		name string
+		nx   int
 	}{
-		{"cells=64/batched", 64, 0},
-		{"cells=64/percell", 64, -1},
-		{"cells=10240/batched", 10_240, 0},
-		{"cells=10240/percell", 10_240, -1},
+		{"cells=64/batched", 64},
+		{"cells=10240/batched", 10_240},
 	} {
-		b.Run(c.name, func(b *testing.B) { benchSweepGrid(b, c.nx, c.batch) })
+		b.Run(c.name, func(b *testing.B) { benchSweepGrid(b, c.nx) })
 	}
 }
 

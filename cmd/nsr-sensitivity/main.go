@@ -35,7 +35,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	fig := fs.Int("fig", 0, "figure number 14..20 (0 = all)")
 	workers := fs.Int("workers", 0, "concurrent analyses per sweep (0 = all CPUs, 1 = serial; results are identical at any setting)")
-	batchCells := fs.Int("batch-cells", 0, "cells per batched exact-chain solver chunk (0 = default 256, negative = per-cell path; results are identical at any setting)")
 	oflags := obs.AddFlags(fs)
 	showVersion := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -49,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	core.SetMaxWorkers(*workers)
-	core.SetBatchCells(*batchCells)
 	sess, err := oflags.Start()
 	if err != nil {
 		return err

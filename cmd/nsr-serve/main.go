@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	nsr-serve [-addr :8080] [-workers 0] [-batch-cells 0] [-cache 256]
+//	nsr-serve [-addr :8080] [-workers 0] [-cache 256]
 //	          [-drain 10s] [-grid-cells 4096] [-sim-trials 20000]
 //	          [-max-fleet-brick-years 2e7] [-max-body 1048576]
 //	          [-access-log FILE] [-slow 1s] [-trace-out FILE]
@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	workers := fs.Int("workers", 0, "concurrent solves and per-solve worker ceiling (0 = all CPUs)")
-	batchCells := fs.Int("batch-cells", 0, "cells per batched exact-chain solver chunk (0 = default 256, negative = per-cell path; results are identical at any setting)")
 	cacheN := fs.Int("cache", 256, "result cache capacity (completed responses)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window before in-flight solves are cancelled")
 	gridCells := fs.Int("grid-cells", 4096, "maximum sweep grid cells (values × configs)")
@@ -86,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	core.SetMaxWorkers(*workers)
-	core.SetBatchCells(*batchCells)
 
 	accessW, closeAccess, err := openSink(*accessLog, stdout)
 	if err != nil {

@@ -89,44 +89,28 @@ func AnalyzeCtx(ctx context.Context, p params.Parameters, cfg Config, method Met
 	if err != nil {
 		return Result{}, err
 	}
-	k := pr.k
+	k, nir := pr.k, cfg.Internal == InternalNone
 	var mttdl float64
-	if cfg.Internal == InternalNone {
-		switch method {
-		case MethodClosedForm:
-			mttdl = closedform.NIRMTTDLGeneral(pr.nir, k)
-		case MethodExactChain:
-			_, fsp := obs.StartSpan(ctx, "chain.freeze")
-			ch := model.NIRChain(pr.nir, k)
-			fsp.End()
-			mttdl, err = markov.MTTACtx(ctx, ch)
-			model.ReleaseChain(ch)
-			if err != nil {
-				return Result{}, chainSolveError(true, err)
-			}
-		case MethodExactStable:
-			mttdl = closedform.NIRMTTDLRecursive(pr.nir, k)
-		default:
-			return Result{}, fmt.Errorf("core: unknown method %d", int(method))
+	switch {
+	case method == MethodExactChain:
+		_, fsp := obs.StartSpan(ctx, "chain.freeze")
+		ch := pr.chain()
+		fsp.End()
+		mttdl, err = markov.MTTACtx(ctx, ch)
+		model.ReleaseChain(ch)
+		if err != nil {
+			return Result{}, chainSolveError(nir, err)
 		}
-	} else {
-		switch method {
-		case MethodClosedForm:
-			mttdl = closedform.IRMTTDL(pr.ir, k)
-		case MethodExactChain:
-			_, fsp := obs.StartSpan(ctx, "chain.freeze")
-			ch := model.IRChain(pr.ir, k)
-			fsp.End()
-			mttdl, err = markov.MTTACtx(ctx, ch)
-			model.ReleaseChain(ch)
-			if err != nil {
-				return Result{}, chainSolveError(false, err)
-			}
-		case MethodExactStable:
-			mttdl = closedform.IRMTTDLExact(pr.ir, k)
-		default:
-			return Result{}, fmt.Errorf("core: unknown method %d", int(method))
-		}
+	case method == MethodClosedForm && nir:
+		mttdl = closedform.NIRMTTDLGeneral(pr.nir, k)
+	case method == MethodClosedForm:
+		mttdl = closedform.IRMTTDL(pr.ir, k)
+	case method == MethodExactStable && nir:
+		mttdl = closedform.NIRMTTDLRecursive(pr.nir, k)
+	case method == MethodExactStable:
+		mttdl = closedform.IRMTTDLExact(pr.ir, k)
+	default:
+		return Result{}, fmt.Errorf("core: unknown method %d", int(method))
 	}
 	return pr.finish(mttdl)
 }
@@ -204,6 +188,14 @@ func analyzePrep(p params.Parameters, cfg Config, method Method) (analysisPrep, 
 		}
 	}
 	return pr, nil
+}
+
+// chain builds the prepared configuration's exact chain.
+func (pr *analysisPrep) chain() *markov.Chain {
+	if pr.res.Config.Internal == InternalNone {
+		return model.NIRChain(pr.nir, pr.k)
+	}
+	return model.IRChain(pr.ir, pr.k)
 }
 
 // chainSolveError wraps a chain-solve failure in AnalyzeCtx's wording.

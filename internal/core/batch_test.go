@@ -14,17 +14,35 @@ import (
 	"repro/internal/params"
 )
 
-// withBatchCells runs fn under a batch chunk-size setting, restoring the
-// previous setting afterwards.
-func withBatchCells(t *testing.T, n int, fn func()) {
-	t.Helper()
-	prev := SetBatchCells(n)
-	defer SetBatchCells(prev)
-	fn()
+// sweepChunked runs a buffered exact-chain sweep in chunks of at most
+// chunk cells.
+func sweepChunked(p params.Parameters, cfgs []Config, xs []float64, apply func(*params.Parameters, float64), chunk int) ([]SweepPoint, error) {
+	return sweepCtx(context.Background(), p, cfgs, MethodExactChain, xs, apply, nil, chunk)
+}
+
+// perCellSweep is the reference the batch engine must reproduce: a
+// serial loop of AnalyzeCtx over the grid in sweep order (x, then
+// configuration), reporting the first failing cell's error with its
+// sweep position.
+func perCellSweep(p params.Parameters, cfgs []Config, xs []float64, apply func(*params.Parameters, float64)) ([]SweepPoint, error) {
+	out := make([]SweepPoint, len(xs))
+	for i, x := range xs {
+		out[i] = SweepPoint{X: x, Results: make([]Result, len(cfgs))}
+		q := p
+		apply(&q, x)
+		for ci, cfg := range cfgs {
+			r, err := AnalyzeCtx(context.Background(), q, cfg, MethodExactChain)
+			if err != nil {
+				return nil, sweepCellError(x, cfg, err)
+			}
+			out[i].Results[ci] = r
+		}
+	}
+	return out, nil
 }
 
 // The batch engine's acceptance gate: an exact-chain sweep through the
-// batched path is bitwise identical to the per-cell path, at every
+// batched path is bitwise identical to per-cell analysis, at every
 // worker count and chunk size.
 func TestSweepBatchMatchesPerCellBitwise(t *testing.T) {
 	p := params.Baseline()
@@ -35,28 +53,20 @@ func TestSweepBatchMatchesPerCellBitwise(t *testing.T) {
 	}
 	apply := func(p *params.Parameters, x float64) { p.NodeMTTFHours = x }
 
-	var ref []SweepPoint
-	withWorkers(t, 1, func() {
-		withBatchCells(t, -1, func() {
-			var err error
-			ref, err = Sweep(p, cfgs, MethodExactChain, xs, apply)
-			if err != nil {
-				t.Fatalf("per-cell sweep: %v", err)
-			}
-		})
-	})
+	ref, err := perCellSweep(p, cfgs, xs, apply)
+	if err != nil {
+		t.Fatalf("per-cell sweep: %v", err)
+	}
 	for _, w := range []int{1, 3, runtime.NumCPU()} {
-		for _, bc := range []int{0, 1, 5, 1024} {
+		for _, bc := range []int{chunkCells, 1, 5, 1024} {
 			withWorkers(t, w, func() {
-				withBatchCells(t, bc, func() {
-					got, err := Sweep(p, cfgs, MethodExactChain, xs, apply)
-					if err != nil {
-						t.Fatalf("workers=%d batch=%d sweep: %v", w, bc, err)
-					}
-					if !reflect.DeepEqual(got, ref) {
-						t.Errorf("workers=%d batch=%d sweep differs from per-cell path", w, bc)
-					}
-				})
+				got, err := sweepChunked(p, cfgs, xs, apply, bc)
+				if err != nil {
+					t.Fatalf("workers=%d batch=%d sweep: %v", w, bc, err)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("workers=%d batch=%d sweep differs from per-cell path", w, bc)
+				}
 			})
 		}
 	}
@@ -73,21 +83,17 @@ func TestSweepErrorShapeBatchAndPerCell(t *testing.T) {
 	apply := func(p *params.Parameters, x float64) { p.NodeSetSize = int(x) }
 
 	var perCell, batch string
+	_, err := perCellSweep(p, cfgs, xs, apply)
+	if err == nil {
+		t.Fatal("per-cell sweep unexpectedly succeeded")
+	}
+	perCell = err.Error()
 	withWorkers(t, 1, func() {
-		withBatchCells(t, -1, func() {
-			_, err := Sweep(p, cfgs, MethodExactChain, xs, apply)
-			if err == nil {
-				t.Fatal("per-cell sweep unexpectedly succeeded")
-			}
-			perCell = err.Error()
-		})
-		withBatchCells(t, 2, func() {
-			_, err := Sweep(p, cfgs, MethodExactChain, xs, apply)
-			if err == nil {
-				t.Fatal("batched sweep unexpectedly succeeded")
-			}
-			batch = err.Error()
-		})
+		_, err := sweepChunked(p, cfgs, xs, apply, 2)
+		if err == nil {
+			t.Fatal("batched sweep unexpectedly succeeded")
+		}
+		batch = err.Error()
 	})
 	if batch != perCell {
 		t.Errorf("batched error %q != per-cell error %q", batch, perCell)
@@ -160,8 +166,8 @@ func deepBase() params.Parameters {
 }
 
 // Claiming the heaviest chunks first reorders the work, never the
-// results: a mixed sweep from ft 1 to ft 7 is bitwise identical to the
-// per-cell path at every worker count and chunk size.
+// results: a mixed sweep from ft 1 to ft 7 is bitwise identical to
+// per-cell analysis at every worker count and chunk size.
 func TestSweepBatchMixedConfigsMatchesPerCellBitwise(t *testing.T) {
 	p := deepBase()
 	cfgs := mixedConfigs()
@@ -171,28 +177,20 @@ func TestSweepBatchMixedConfigsMatchesPerCellBitwise(t *testing.T) {
 	}
 	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
 
-	var ref []SweepPoint
-	withWorkers(t, 1, func() {
-		withBatchCells(t, -1, func() {
-			var err error
-			ref, err = Sweep(p, cfgs, MethodExactChain, xs, apply)
-			if err != nil {
-				t.Fatalf("per-cell sweep: %v", err)
-			}
-		})
-	})
+	ref, err := perCellSweep(p, cfgs, xs, apply)
+	if err != nil {
+		t.Fatalf("per-cell sweep: %v", err)
+	}
 	for _, w := range []int{1, 2, 7} {
 		for _, bc := range []int{1, 3, 256} {
 			withWorkers(t, w, func() {
-				withBatchCells(t, bc, func() {
-					got, err := Sweep(p, cfgs, MethodExactChain, xs, apply)
-					if err != nil {
-						t.Fatalf("workers=%d batch=%d sweep: %v", w, bc, err)
-					}
-					if !reflect.DeepEqual(got, ref) {
-						t.Errorf("workers=%d batch=%d sweep differs from per-cell path", w, bc)
-					}
-				})
+				got, err := sweepChunked(p, cfgs, xs, apply, bc)
+				if err != nil {
+					t.Fatalf("workers=%d batch=%d sweep: %v", w, bc, err)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("workers=%d batch=%d sweep differs from per-cell path", w, bc)
+				}
 			})
 		}
 	}
@@ -225,16 +223,11 @@ func TestSweepErrorMixedConfigsClaimOrder(t *testing.T) {
 	xs := []float64{12, 6, 2, 1, 4}
 	apply := func(p *params.Parameters, x float64) { p.DrivesPerNode = int(x) }
 
-	var perCell string
-	withWorkers(t, 1, func() {
-		withBatchCells(t, -1, func() {
-			_, err := Sweep(p, cfgs, MethodExactChain, xs, apply)
-			if err == nil {
-				t.Fatal("per-cell sweep unexpectedly succeeded")
-			}
-			perCell = err.Error()
-		})
-	})
+	_, err := perCellSweep(p, cfgs, xs, apply)
+	if err == nil {
+		t.Fatal("per-cell sweep unexpectedly succeeded")
+	}
+	perCell := err.Error()
 	want := fmt.Sprintf("core: sweep at x=2: %v: core: 2 drives per node cannot form %s", cfgs[1], InternalRAID6)
 	if perCell != want {
 		t.Fatalf("per-cell error = %q, want %q", perCell, want)
@@ -242,12 +235,10 @@ func TestSweepErrorMixedConfigsClaimOrder(t *testing.T) {
 	for _, w := range []int{1, 2, 7} {
 		for _, bc := range []int{1, 3, 256} {
 			withWorkers(t, w, func() {
-				withBatchCells(t, bc, func() {
-					_, err := Sweep(p, cfgs, MethodExactChain, xs, apply)
-					if err == nil || err.Error() != perCell {
-						t.Errorf("workers=%d batch=%d error = %v, want %q", w, bc, err, perCell)
-					}
-				})
+				_, err := sweepChunked(p, cfgs, xs, apply, bc)
+				if err == nil || err.Error() != perCell {
+					t.Errorf("workers=%d batch=%d error = %v, want %q", w, bc, err, perCell)
+				}
 			})
 		}
 	}
@@ -273,11 +264,9 @@ func TestSweepBatchAbsorptionMetrics(t *testing.T) {
 		reg := obs.NewRegistry()
 		markov.Instrument(reg)
 		withWorkers(t, 1, func() {
-			withBatchCells(t, chunk, func() {
-				if _, err := Sweep(p, cfgs, MethodExactChain, xs, apply); err != nil {
-					t.Fatalf("sweep: %v", err)
-				}
-			})
+			if _, err := sweepChunked(p, cfgs, xs, apply, chunk); err != nil {
+				t.Fatalf("sweep: %v", err)
+			}
 		})
 		markov.Instrument(nil)
 		cells := int64(len(xs) * len(cfgs))
@@ -315,30 +304,58 @@ func TestSweepBatchAbsorptionMetrics(t *testing.T) {
 	}
 }
 
-// SetBatchCells round-trips its raw setting.
-func TestSetBatchCells(t *testing.T) {
-	prev := SetBatchCells(0)
-	defer SetBatchCells(prev)
-	if got := batchCells(); got != defaultBatchCells {
-		t.Errorf("default batchCells = %d, want %d", got, defaultBatchCells)
+// A chunk whose first cell fails its prep fills no cell: it must open
+// no markov.batch span and record no chunk, and the sweep still reports
+// that cell's error.
+func TestSweepEmptyChunkRecordsNothing(t *testing.T) {
+	p := params.Baseline()
+	cfgs := []Config{{Internal: InternalNone, NodeFaultTolerance: 2}}
+	xs := []float64{64, 48, 2, 64}
+	apply := func(p *params.Parameters, x float64) { p.NodeSetSize = int(x) }
+	_, want := perCellSweep(p, cfgs, xs, apply)
+	if want == nil {
+		t.Fatal("per-cell sweep unexpectedly succeeded")
 	}
-	if p := SetBatchCells(17); p != 0 {
-		t.Errorf("SetBatchCells returned %d, want 0", p)
+
+	reg := obs.NewRegistry()
+	markov.Instrument(reg)
+	defer markov.Instrument(nil)
+	tr := obs.NewTracer()
+	ctx, root := tr.Start(context.Background(), "test")
+	withWorkers(t, 1, func() {
+		// Chunks of two: [64 48] solves, [2 64] fails at its first cell.
+		_, err := sweepCtx(ctx, p, cfgs, MethodExactChain, xs, apply, nil, 2)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("sweep error = %v, want %v", err, want)
+		}
+	})
+	root.End()
+
+	var chunks int
+	for _, sp := range tr.Spans() {
+		if sp.Name != "markov.batch" {
+			continue
+		}
+		chunks++
+		if cells, _ := sp.Attrs["cells"].(int); cells < 1 {
+			t.Errorf("markov.batch span with cells=%v", sp.Attrs["cells"])
+		}
 	}
-	if got := batchCells(); got != 17 {
-		t.Errorf("batchCells = %d, want 17", got)
+	if chunks != 1 {
+		t.Errorf("markov.batch spans = %d, want 1", chunks)
 	}
-	if p := SetBatchCells(-1); p != 17 {
-		t.Errorf("SetBatchCells returned %d, want 17", p)
+	if got := reg.Counter("markov.batch.chunks").Value(); got != 1 {
+		t.Errorf("markov.batch.chunks = %d, want 1 (the empty chunk recorded)", got)
 	}
-	if got := batchCells(); got != 0 {
-		t.Errorf("disabled batchCells = %d, want 0", got)
+	if got := reg.Histogram("markov.batch.chunk_cells", nil).Count(); got != 1 {
+		t.Errorf("markov.batch.chunk_cells observed %d chunks, want 1", got)
 	}
 }
 
 // Streaming: emit sees every point exactly once, in ascending x order,
 // with results identical to the buffered sweep — at any worker count and
-// chunk size, on both engines.
+// chunk size on the batched exact-chain engine, and on the per-cell
+// engine the other methods use.
 func TestSweepStreamEmitOrderDeterministic(t *testing.T) {
 	p := params.Baseline()
 	cfgs := SensitivityConfigs()
@@ -348,44 +365,46 @@ func TestSweepStreamEmitOrderDeterministic(t *testing.T) {
 	}
 	apply := func(p *params.Parameters, x float64) { p.NodeMTTFHours = x }
 
-	var ref []SweepPoint
+	refs := make(map[Method][]SweepPoint)
 	withWorkers(t, 1, func() {
-		var err error
-		ref, err = Sweep(p, cfgs, MethodExactChain, xs, apply)
-		if err != nil {
-			t.Fatalf("buffered sweep: %v", err)
+		for _, m := range []Method{MethodExactChain, MethodClosedForm} {
+			ref, err := Sweep(p, cfgs, m, xs, apply)
+			if err != nil {
+				t.Fatalf("buffered %v sweep: %v", m, err)
+			}
+			refs[m] = ref
 		}
 	})
 
 	cases := []struct {
 		name           string
+		method         Method
 		workers, cells int
 	}{
-		{"serial/batch", 1, 4},
-		{"parallel/batch", runtime.NumCPU(), 3},
-		{"parallel/defaultBatch", 0, 0},
-		{"parallel/perCell", runtime.NumCPU(), -1},
+		{"serial/batch", MethodExactChain, 1, 4},
+		{"parallel/batch", MethodExactChain, runtime.NumCPU(), 3},
+		{"parallel/defaultBatch", MethodExactChain, 0, chunkCells},
+		{"parallel/perCell", MethodClosedForm, runtime.NumCPU(), chunkCells},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			withWorkers(t, tc.workers, func() {
-				withBatchCells(t, tc.cells, func() {
-					var streamed []SweepPoint
-					got, err := SweepStreamCtx(context.Background(), p, cfgs, MethodExactChain, xs, apply,
-						func(pt SweepPoint) error {
-							streamed = append(streamed, pt)
-							return nil
-						})
-					if err != nil {
-						t.Fatalf("stream sweep: %v", err)
-					}
-					if !reflect.DeepEqual(got, ref) {
-						t.Error("returned grid differs from buffered sweep")
-					}
-					if !reflect.DeepEqual(streamed, ref) {
-						t.Error("streamed points differ from buffered sweep (order or content)")
-					}
-				})
+				var streamed []SweepPoint
+				got, err := sweepCtx(context.Background(), p, cfgs, tc.method, xs, apply,
+					func(pt SweepPoint) error {
+						streamed = append(streamed, pt)
+						return nil
+					}, tc.cells)
+				if err != nil {
+					t.Fatalf("stream sweep: %v", err)
+				}
+				ref := refs[tc.method]
+				if !reflect.DeepEqual(got, ref) {
+					t.Error("returned grid differs from buffered sweep")
+				}
+				if !reflect.DeepEqual(streamed, ref) {
+					t.Error("streamed points differ from buffered sweep (order or content)")
+				}
 			})
 		})
 	}

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/closedform"
 	"repro/internal/markov"
-	"repro/internal/model"
 	"repro/internal/params"
-	"repro/internal/rebuild"
 )
 
 // MissionResult reports transient (finite-horizon) reliability — the
@@ -69,37 +66,11 @@ func MissionSurvival(p params.Parameters, cfg Config, hours float64, fleetSize i
 }
 
 // configChain builds the exact chain for a configuration (shared by the
-// exact-analysis, exposure, and mission paths).
+// exposure and mission paths) from the inputs AnalyzeCtx solves.
 func configChain(p params.Parameters, cfg Config) (*markov.Chain, error) {
-	k := cfg.NodeFaultTolerance
-	switch {
-	case p.NodeSetSize <= k+1:
-		return nil, fmt.Errorf("core: node set size %d too small for fault tolerance %d", p.NodeSetSize, k)
-	case p.RedundancySetSize <= k:
-		return nil, fmt.Errorf("core: redundancy set size %d too small for fault tolerance %d", p.RedundancySetSize, k)
-	case cfg.Internal != InternalNone && p.DrivesPerNode <= cfg.Internal.ParityDrives():
-		return nil, fmt.Errorf("core: %d drives per node cannot form %s", p.DrivesPerNode, cfg.Internal)
+	pr, err := analyzePrep(p, cfg, MethodExactChain)
+	if err != nil {
+		return nil, err
 	}
-	rates := rebuild.Compute(p, k)
-	if cfg.Internal == InternalNone {
-		in := closedform.NIRInputs{
-			N: p.NodeSetSize, R: p.RedundancySetSize, D: p.DrivesPerNode,
-			LambdaN: p.NodeFailureRate(), LambdaD: p.DriveFailureRate(),
-			MuN: rates.NodeRebuild, MuD: rates.DriveRebuild, CHER: p.CHER(),
-		}
-		return model.NIRChain(in, k), nil
-	}
-	m := cfg.Internal.ParityDrives()
-	arr := closedform.ArrayInputs{
-		D: p.DrivesPerNode, LambdaD: p.DriveFailureRate(),
-		MuD: rates.Restripe, CHER: p.CHER(),
-	}
-	in := closedform.IRInputs{
-		N: p.NodeSetSize, R: p.RedundancySetSize,
-		LambdaN:      p.NodeFailureRate(),
-		LambdaArray:  closedform.ArrayFailureRate(m, arr),
-		LambdaSector: closedform.SectorErrorRate(m, arr),
-		MuN:          rates.NodeRebuild,
-	}
-	return model.IRChain(in, k), nil
+	return pr.chain(), nil
 }

@@ -40,14 +40,14 @@ func Sweep(base params.Parameters, cfgs []Config, method Method, xs []float64, a
 // one Analyze and returns ctx.Err() instead of a partial grid.
 //
 // When the context carries an active span (obs.StartSpan), the grid is
-// traced: one "core.sweep" span brackets the whole grid. On the per-cell
-// path each cell's analysis runs under a "core.cell" child carrying the
-// swept x value and configuration index; the batched exact-chain path
-// (see SetBatchCells) instead emits one "markov.batch" child per solved
-// chunk — cells and chunks run on worker goroutines, so their spans
-// interleave but parent correctly.
+// traced: one "core.sweep" span brackets the whole grid. Closed-form and
+// stable-recurrence grids run each cell's analysis under a "core.cell"
+// child carrying the swept x value and configuration index; exact-chain
+// grids instead emit one "markov.batch" child per solved chunk — cells
+// and chunks run on worker goroutines, so their spans interleave but
+// parent correctly.
 func SweepCtx(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64)) ([]SweepPoint, error) {
-	return sweepCtx(ctx, base, cfgs, method, xs, apply, nil)
+	return sweepCtx(ctx, base, cfgs, method, xs, apply, nil, chunkCells)
 }
 
 // SweepStreamCtx is SweepCtx delivering completed points incrementally:
@@ -64,7 +64,7 @@ func SweepStreamCtx(ctx context.Context, base params.Parameters, cfgs []Config, 
 	if emit == nil {
 		return nil, fmt.Errorf("core: nil emit function")
 	}
-	return sweepCtx(ctx, base, cfgs, method, xs, apply, emit)
+	return sweepCtx(ctx, base, cfgs, method, xs, apply, emit, chunkCells)
 }
 
 // sweepCellError attributes a grid-cell failure to its sweep position and
@@ -77,10 +77,9 @@ func sweepCellError(x float64, cfg Config, err error) error {
 
 // sweepCtx runs the grid for SweepCtx and SweepStreamCtx (emit == nil
 // means buffered). MethodExactChain grids route through the batched
-// engine in batch.go unless SetBatchCells disabled it; everything else
-// takes the per-cell path. Both paths produce bitwise-identical grids
-// and first-error strings.
-func sweepCtx(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), emit func(SweepPoint) error) ([]SweepPoint, error) {
+// engine in batch.go in chunks of at most chunk cells; every other
+// method analyzes cell by cell.
+func sweepCtx(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), emit func(SweepPoint) error, chunk int) ([]SweepPoint, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("core: empty sweep")
 	}
@@ -106,8 +105,8 @@ func sweepCtx(ctx context.Context, base params.Parameters, cfgs []Config, method
 	}
 
 	var err error
-	if method == MethodExactChain && batchCells() > 0 {
-		err = sweepBatch(ctx, base, cfgs, method, xs, apply, out, tr)
+	if method == MethodExactChain {
+		err = sweepBatch(ctx, base, cfgs, xs, apply, out, tr, chunk)
 	} else {
 		// Flatten to (point, configuration) cells: finer-grained than
 		// fanning out whole points, and it avoids nested pools.

@@ -1,9 +1,7 @@
 package markov
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/linalg"
 )
@@ -93,28 +91,4 @@ func absorptionResidual(r *linalg.Matrix, tau []float64, initRow int) float64 {
 		}
 	}
 	return worst
-}
-
-// solverPool recycles Solvers (and their matrix/vector storage) across
-// MTTA calls. Parallel sweeps call MTTA from many goroutines; each call
-// borrows a private Solver, so no locking beyond the pool's own.
-var solverPool = sync.Pool{New: func() any { return NewSolver() }}
-
-// MTTA is a convenience wrapper returning only the mean time to
-// absorption. It solves through a pooled Solver, so repeated calls (the
-// inner loop of every sweep) reuse factorization and scratch storage
-// instead of reallocating; the value is bit-identical to
-// Absorption(c).MeanTimeToAbsorption.
-func MTTA(c *Chain) (float64, error) {
-	return MTTACtx(context.Background(), c)
-}
-
-// MTTACtx is MTTA carrying the caller's context so an active trace
-// (obs.StartSpan) attributes the solve and its sparse/dense stages as
-// child spans. Results are identical to MTTA at any context.
-func MTTACtx(ctx context.Context, c *Chain) (float64, error) {
-	s := solverPool.Get().(*Solver)
-	v, err := s.MTTACtx(ctx, c)
-	solverPool.Put(s)
-	return v, err
 }

@@ -10,22 +10,22 @@ import (
 	"repro/internal/obs"
 )
 
-// BatchSolver solves many absorption problems that share one frozen
-// chain topology, structure-of-arrays style. Bind captures the topology
-// once — transient indexing, the CSR pattern of R = -Q_B, the
-// dense/sparse routing decision and (on the sparse route) the symbolic
-// factorization; Fill scatters one refilled chain's numeric values into
-// its row of a reused value slab; SolveCell runs Refactor+Solve against
-// that row. After the first chunk every per-cell step is allocation-free:
-// the per-cell cost is a value refill plus the numeric factorization,
-// with all pattern work, span bookkeeping and metric timers amortized to
-// one per chunk (StartChunk).
+// BatchSolver is the package's one absorbing-chain solver. It solves
+// many absorption problems that share one frozen chain topology,
+// structure-of-arrays style. Bind captures the topology once — transient
+// indexing, the CSR pattern of R = -Q_B, the dense/sparse routing
+// decision and (on the sparse route) the symbolic factorization; Fill
+// scatters one refilled chain's numeric values into its row of a reused
+// value slab; SolveCell runs Refactor+Solve against that row. After the
+// first chunk every per-cell step is allocation-free: the per-cell cost
+// is a value refill plus the numeric factorization, with all pattern
+// work, span bookkeeping and metric timers amortized to one per chunk
+// (StartChunk).
 //
-// Routing mirrors Solver.MTTACtx exactly — dense LU below the
-// SetSparseMinStates crossover or above the density guard, sparse LU
-// with the τ-nonnegativity certificate and dense fallback otherwise — so
-// a batched cell is bit-identical to the same cell solved through the
-// per-cell path.
+// Routing: dense partial-pivot LU below the SetSparseMinStates crossover
+// or above the density guard (sparseRoute); otherwise sparse static-pivot
+// LU with the τ-nonnegativity certificate and a dense fallback. A
+// per-call solve (Solver, MTTA) is the same machinery on a single cell.
 //
 // A BatchSolver is not safe for concurrent use; each worker owns one
 // (see AcquireBatchSolver).
@@ -52,8 +52,7 @@ type BatchSolver struct {
 
 	// Routing captured at Bind: sparseRoute selects the sparse path; num
 	// is the shared numeric factorization (nil if symbolic analysis
-	// failed, which falls back to dense per cell exactly like the
-	// per-cell path's analyze failure).
+	// failed: every cell then falls back to dense).
 	sparseRoute bool
 	num         *sparse.Numeric
 	cache       topoCache
@@ -69,6 +68,10 @@ type BatchSolver struct {
 	f              linalg.LU
 	vs             validateScratch
 
+	// own is the private frozen copy through which a one-cell solve
+	// binds a mutable chain, leaving the caller's chain unsealed.
+	own Chain
+
 	// Chunk accounting since StartChunk: cells solved, whether the
 	// latest SolveCell succeeded, and on which route.
 	solved            int
@@ -81,17 +84,43 @@ func NewBatchSolver() *BatchSolver {
 	return &BatchSolver{r: linalg.New(0, 0)}
 }
 
-// batchPool recycles BatchSolvers (and their pattern, slab and symbolic
-// caches) across sweep chunks, so consecutive chunks of one topology pay
-// the symbolic analysis once per pooled solver, not once per chunk.
-var batchPool = sync.Pool{New: func() any { return NewBatchSolver() }}
+// maxPooled bounds the free list: enough for every worker of a busy
+// process, never a leak.
+const maxPooled = 64
+
+// pool is the one recycler of BatchSolvers: every per-call MTTA and
+// every batched chunk state takes its solver from it. It is a LIFO free
+// list rather than a sync.Pool so the most recently released solver,
+// whose topology cache is the warmest, is handed out next, and caches
+// survive garbage collection: consecutive solves of one topology pay the
+// symbolic analysis once.
+var pool struct {
+	sync.Mutex
+	free []*BatchSolver
+}
 
 // AcquireBatchSolver returns a pooled BatchSolver.
-func AcquireBatchSolver() *BatchSolver { return batchPool.Get().(*BatchSolver) }
+func AcquireBatchSolver() *BatchSolver {
+	pool.Lock()
+	defer pool.Unlock()
+	n := len(pool.free)
+	if n == 0 {
+		return NewBatchSolver()
+	}
+	b := pool.free[n-1]
+	pool.free = pool.free[:n-1]
+	return b
+}
 
 // ReleaseBatchSolver hands a BatchSolver back for recycling. The caller
 // must not use it afterwards.
-func ReleaseBatchSolver(b *BatchSolver) { batchPool.Put(b) }
+func ReleaseBatchSolver(b *BatchSolver) {
+	pool.Lock()
+	if len(pool.free) < maxPooled {
+		pool.free = append(pool.free, b)
+	}
+	pool.Unlock()
+}
 
 // Bind captures c's topology: state indexing, the CSR pattern of the
 // absorption matrix, the dense/sparse route and — on the sparse route —
@@ -113,6 +142,20 @@ func (b *BatchSolver) Bind(ctx context.Context, c *Chain) error {
 	if len(c.absorbing) == 0 {
 		return fmt.Errorf("markov: chain has no absorbing state")
 	}
+	b.bindPattern(c)
+	if b.sparseRoute {
+		// A failed analysis leaves num nil: SolveCell then falls back
+		// to dense per cell — counted, never silent.
+		b.num, _ = b.cache.lookup(ctx, &b.view)
+	}
+	return nil
+}
+
+// bindPattern is Bind's assembly half: transient indexing, the CSR
+// pattern of R (transient successors ascending — already target-sorted,
+// and the state→row map is monotone — with the diagonal merged in
+// place), the solve vectors and the route. It leaves num unset.
+func (b *BatchSolver) bindPattern(c *Chain) {
 	b.n = c.NumStates()
 	b.label = c.Label()
 	b.nedges = len(c.edges)
@@ -134,11 +177,6 @@ func (b *BatchSolver) Bind(ctx context.Context, c *Chain) error {
 	b.initRow = b.pos[c.initial]
 	m := len(b.trans)
 
-	// Pattern assembly: same emission order as Solver.assembleSparse —
-	// transient successors ascending (already target-sorted, and the
-	// state→row map is monotone) with the diagonal merged in place — so
-	// the pattern, and therefore the factorization, matches the per-cell
-	// path entry for entry.
 	if cap(b.rowptr) < m+1 {
 		b.rowptr = make([]int, m+1)
 	} else {
@@ -188,20 +226,9 @@ func (b *BatchSolver) Bind(ctx context.Context, c *Chain) error {
 	}
 
 	b.num = nil
-	b.sparseRoute = m >= sparseMinStates() &&
-		float64(b.nnz) <= maxSparseDensity*float64(m)*float64(m)
-	if b.sparseRoute {
-		b.Cells(1) // the pattern lookup needs a full-length value view
-		b.view = sparse.CSR{Rows: m, Cols: m, RowPtr: b.rowptr, Col: b.col, Val: b.vals[:b.nnz]}
-		num, err := b.cache.lookup(ctx, &b.view)
-		if err == nil {
-			b.num = num
-		}
-		// A failed analysis leaves num nil: SolveCell then falls back to
-		// dense per cell, exactly as the per-cell path does on the same
-		// failure — counted, never silent.
-	}
-	return nil
+	b.sparseRoute = sparseRoute(m, b.nnz)
+	b.Cells(1) // the pattern views need a full-length value row
+	b.view = sparse.CSR{Rows: m, Cols: m, RowPtr: b.rowptr, Col: b.col, Val: b.vals[:b.nnz]}
 }
 
 // Cells ensures the value slab holds at least n cells (monotonic growth;
@@ -233,7 +260,7 @@ func (b *BatchSolver) ValidateRates(c *Chain) error {
 			return fmt.Errorf("markov: transient state %q has no outgoing transitions", c.names[st])
 		}
 	}
-	if !b.absorptionReachable(c) {
+	if !c.absorptionReachable(&b.vs, b.pos) {
 		return fmt.Errorf("markov: no absorbing state is reachable from the initial state")
 	}
 	return nil
@@ -248,46 +275,12 @@ func (b *BatchSolver) bound(c *Chain) bool {
 		len(c.absorbing) == b.n-len(b.trans)
 }
 
-// absorptionReachable is Chain.absorptionReachable over the bound
-// topology: the same depth-first search from the initial state over
-// positive-rate edges, in the solver's reused scratch.
-func (b *BatchSolver) absorptionReachable(c *Chain) bool {
-	seen := b.vs.seen
-	if cap(seen) < b.n {
-		seen = make([]bool, b.n)
-		b.vs.seen = seen
-	}
-	seen = seen[:b.n]
-	for i := range seen {
-		seen[i] = false
-	}
-	stack := append(b.vs.stack[:0], b.initial)
-	seen[b.initial] = true
-	reached := false
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if b.pos[s] < 0 {
-			reached = true
-			break
-		}
-		for _, e := range c.edges[c.ptr[s]:c.ptr[s+1]] {
-			if e.Rate > 0 && !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	b.vs.stack = stack[:0]
-	return reached
-}
-
 // Fill scatters c's current rates into cell's row of the value slab.
 // c must be a chain of the bound topology (any refill of the chain Bind
 // saw, or a pooled sibling of the same family); cell must be below the
-// Cells bound. The scattered row is exactly the matrix assembleSparse
-// would emit: diagonal = the chain's precomputed exit sum (same sorted
-// summation order), off-diagonals = -rate.
+// Cells bound. The scattered row is R = -Q_B on the bound pattern:
+// diagonal = the chain's precomputed exit sum (sorted summation order),
+// off-diagonals = -rate.
 func (b *BatchSolver) Fill(cell int, c *Chain) {
 	if c.NumStates() != b.n || len(c.edges) != b.nedges || c.Label() != b.label {
 		panic(fmt.Sprintf("markov: Fill chain (%d states, %d edges, label %q) does not match bound topology (%d, %d, %q)",
@@ -331,8 +324,8 @@ func (b *BatchSolver) StartChunk(ctx context.Context, cells int) func() {
 }
 
 // lastResidual is the ∞-norm residual ‖Rᵀτ − e‖ of the latest solved
-// cell, computed as the per-cell Solver computes it on the same route.
-// Only valid while lastOK: the cell's matrix and τ are still in place.
+// cell on the route that cell took. Only valid while lastOK: the cell's
+// matrix and τ are still in place.
 func (b *BatchSolver) lastResidual() float64 {
 	if b.lastDense {
 		return absorptionResidual(b.r, b.tau, b.initRow)
@@ -349,13 +342,20 @@ func (b *BatchSolver) cellSolved(dense bool) float64 {
 }
 
 // SolveCell solves the filled cell for its mean time to absorption,
-// reusing all solver storage (0 allocs after warmup). The numeric path
-// and its results are bit-identical to Solver.MTTACtx on the same chain:
-// sparse Refactor+SolveTranspose with the τ certificate and dense
-// partial-pivot fallback on the sparse route, dense LU otherwise. It
-// records no metrics of its own: StartChunk's stop function accounts
-// the chunk's solves.
+// reusing all solver storage (0 allocs after warmup): sparse
+// Refactor+SolveTranspose with the τ certificate and dense partial-pivot
+// fallback on the sparse route, dense LU otherwise. It records no spans
+// and no metrics of its own: StartChunk's stop function accounts the
+// chunk's solves.
 func (b *BatchSolver) SolveCell(cell int) (float64, error) {
+	return b.solveCell(context.Background(), cell)
+}
+
+// solveCell is SolveCell tracing its stages — "sparse.refactor",
+// "sparse.solve", "dense.solve" (with fallback=true after a sparse
+// failure) — as children of ctx's active span, if any. The batched
+// chunk loop passes no span, so it emits none per cell.
+func (b *BatchSolver) solveCell(ctx context.Context, cell int) (float64, error) {
 	if b.initRow < 0 {
 		return 0, nil // initial state is absorbing
 	}
@@ -365,8 +365,14 @@ func (b *BatchSolver) SolveCell(cell int) (float64, error) {
 	if b.sparseRoute {
 		if b.num != nil {
 			b.view.Val = v
-			if err := b.num.Refactor(&b.view); err == nil {
+			_, rsp := obs.StartSpan(ctx, "sparse.refactor")
+			err := b.num.Refactor(&b.view)
+			rsp.End()
+			if err == nil {
+				// τ_B = π_B(0)·R⁻¹ means Rᵀ·τ = π_B(0).
+				_, ssp := obs.StartSpan(ctx, "sparse.solve")
 				b.num.SolveTransposeInto(b.tau, b.rhs, b.work)
+				ssp.End()
 				if tauPlausible(b.tau) {
 					sparseSolveDone(&b.view)
 					return b.cellSolved(false), nil
@@ -377,6 +383,11 @@ func (b *BatchSolver) SolveCell(cell int) (float64, error) {
 		// dense partial pivoting, the authoritative fallback.
 		sparseFellBack()
 	}
+	_, dsp := obs.StartSpan(ctx, "dense.solve")
+	if dsp != nil && b.sparseRoute {
+		dsp.SetAttr("fallback", true)
+	}
+	defer dsp.End()
 	b.r.Reshape(m, m)
 	for row := 0; row < m; row++ {
 		for p := b.rowptr[row]; p < b.rowptr[row+1]; p++ {
@@ -388,4 +399,50 @@ func (b *BatchSolver) SolveCell(cell int) (float64, error) {
 	}
 	b.f.SolveTransposeInto(b.tau, b.rhs, b.work)
 	return b.cellSolved(true), nil
+}
+
+// solveChain is the one-cell solve behind Solver.MTTACtx and MTTACtx:
+// validate c (Chain.Validate's checks and messages, in reused scratch),
+// then bind, fill and solve it as cell 0 under a "markov.solve" span,
+// accounted per call in markov.absorption.*. A mutable chain is bound
+// through the solver's private frozen copy; the caller's chain stays
+// mutable.
+func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error) {
+	if err := c.validate(&b.vs); err != nil {
+		return 0, err
+	}
+	ctx, sp := obs.StartSpan(ctx, "markov.solve")
+	if sp != nil {
+		sp.SetAttr("states", c.NumStates())
+	}
+	defer sp.End()
+	if !c.Frozen() {
+		c = b.frozenCopy(c)
+	}
+	timer := absorptionTimer(c.NumStates())
+	if err := b.Bind(ctx, c); err != nil {
+		return 0, err
+	}
+	if b.initRow < 0 {
+		return 0, nil // initial state is absorbing
+	}
+	b.Fill(0, c)
+	mtta, err := b.solveCell(ctx, 0)
+	if err == nil && timer != nil {
+		timer(b.lastResidual())
+	}
+	return mtta, err
+}
+
+// frozenCopy lays the mutable chain c out in the solver's private
+// frozen Chain: shared names and absorbing set, CSR adjacency and exit
+// sums in reused buffers — the same layout and summation order Freeze
+// produces, so the solve is bit-identical to solving c.Freeze().
+func (b *BatchSolver) frozenCopy(c *Chain) *Chain {
+	f := &b.own
+	f.names, f.absorbing, f.initial, f.label = c.names, c.absorbing, c.initial, c.label
+	f.ptr, f.edges = c.csrInto(f.ptr, f.edges)
+	f.exit = resizeFloats(f.exit, len(c.names))
+	f.recomputeExits()
+	return f
 }

@@ -16,7 +16,9 @@
 package markov
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/linalg"
@@ -226,26 +228,37 @@ func (c *Chain) Freeze() *Chain {
 	if c.Frozen() {
 		return c
 	}
-	n := len(c.names)
 	nnz := 0
 	for _, m := range c.rates {
 		nnz += len(m)
 	}
-	c.ptr = make([]int, n+1)
-	c.edges = make([]Edge, 0, nnz)
-	for i := 0; i < n; i++ {
-		start := len(c.edges)
-		for to, r := range c.rates[i] {
-			c.edges = append(c.edges, Edge{To: to, Rate: r})
-		}
-		row := c.edges[start:]
-		sort.Slice(row, func(a, b int) bool { return row[a].To < row[b].To })
-		c.ptr[i+1] = len(c.edges)
-	}
-	c.exit = make([]float64, n)
+	c.ptr, c.edges = c.csrInto(nil, make([]Edge, 0, nnz))
+	c.exit = make([]float64, len(c.names))
 	c.recomputeExits()
 	c.rates = nil
 	return c
+}
+
+// csrInto lays the mutable adjacency out in CSR form — state i's edges
+// at edges[ptr[i]:ptr[i+1]], sorted by target index — reusing the given
+// buffers when they are large enough.
+func (c *Chain) csrInto(ptr []int, edges []Edge) ([]int, []Edge) {
+	n := len(c.names)
+	if cap(ptr) < n+1 {
+		ptr = make([]int, n+1)
+	}
+	ptr = ptr[:n+1]
+	ptr[0] = 0
+	edges = edges[:0]
+	for i := 0; i < n; i++ {
+		start := len(edges)
+		for to, r := range c.rates[i] {
+			edges = append(edges, Edge{To: to, Rate: r})
+		}
+		slices.SortFunc(edges[start:], func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+		ptr[i+1] = len(edges)
+	}
+	return ptr, edges
 }
 
 // Frozen reports whether the chain has been frozen.
@@ -390,7 +403,10 @@ type Edge struct {
 // probability mass and make mean time to absorption infinite). Structural
 // zero-rate edges (AddEdge) do not count as outgoing rate and do not make
 // an absorbing state reachable.
-func (c *Chain) Validate() error { return c.validate(nil) }
+func (c *Chain) Validate() error {
+	var vs validateScratch
+	return c.validate(&vs)
+}
 
 // validateScratch holds the reachability buffers so repeated validations
 // (batched sweeps validate one refilled chain per grid cell) run without
@@ -400,8 +416,7 @@ type validateScratch struct {
 	stack []int
 }
 
-// validate is Validate with optional caller-owned scratch; the checks,
-// their order and their messages are identical either way.
+// validate is Validate in caller-owned scratch.
 func (c *Chain) validate(vs *validateScratch) error {
 	if len(c.names) == 0 {
 		return fmt.Errorf("markov: chain has no states")
@@ -420,36 +435,32 @@ func (c *Chain) validate(vs *validateScratch) error {
 			return fmt.Errorf("markov: transient state %q has no outgoing transitions", c.names[i])
 		}
 	}
-	if !c.absorptionReachable(vs) {
+	if !c.absorptionReachable(vs, nil) {
 		return fmt.Errorf("markov: no absorbing state is reachable from the initial state")
 	}
 	return nil
 }
 
-func (c *Chain) absorptionReachable(vs *validateScratch) bool {
+// absorptionReachable reports whether a depth-first search from the
+// initial state over positive-rate edges reaches an absorbing state.
+// When pos is non-nil, pos[s] < 0 marks the absorbing states (a bound
+// BatchSolver's state→row map, cheaper than the absorbing-set lookup).
+func (c *Chain) absorptionReachable(vs *validateScratch, pos []int) bool {
 	n := len(c.names)
-	var seen []bool
-	var stack []int
-	if vs != nil {
-		if cap(vs.seen) < n {
-			vs.seen = make([]bool, n)
-		}
-		seen = vs.seen[:n]
-		for i := range seen {
-			seen[i] = false
-		}
-		stack = vs.stack[:0]
-	} else {
-		seen = make([]bool, n)
-		stack = make([]int, 0, n)
+	if cap(vs.seen) < n {
+		vs.seen = make([]bool, n)
 	}
-	reached := false
-	stack = append(stack, c.initial)
+	seen := vs.seen[:n]
+	for i := range seen {
+		seen[i] = false
+	}
+	stack := append(vs.stack[:0], c.initial)
 	seen[c.initial] = true
+	reached := false
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if c.absorbing[s] {
+		if pos != nil && pos[s] < 0 || pos == nil && c.absorbing[s] {
 			reached = true
 			break
 		}
@@ -460,9 +471,7 @@ func (c *Chain) absorptionReachable(vs *validateScratch) bool {
 			}
 		}
 	}
-	if vs != nil {
-		vs.stack = stack[:0]
-	}
+	vs.stack = stack[:0]
 	return reached
 }
 

@@ -5,53 +5,40 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/linalg"
 	"repro/internal/linalg/sparse"
 	"repro/internal/obs"
 )
 
-// Solver computes mean times to absorption like Absorption, but owns all
-// intermediate storage — the absorption matrix (dense or CSR), the LU
-// factorization, the transient-state maps, and the solve vectors — and
-// reuses it across calls. Analysis sweeps and exact-chain Monte Carlo
-// paths solve thousands of identically shaped chains; after the first
-// call a Solver performs the whole analysis without heap allocation
-// (buffers grow monotonically to the largest chain seen).
+// Solver computes mean times to absorption like Absorption, reusing all
+// intermediate storage across calls. It is a one-cell BatchSolver: each
+// call validates the chain, binds it, fills its single cell and solves
+// it — the same assembly, routing and topology cache the batched sweeps
+// use. Analysis sweeps and exact-chain Monte Carlo paths solve thousands
+// of identically shaped chains; after the first call a Solver performs
+// the whole analysis of a frozen chain without heap allocation (buffers
+// grow monotonically to the largest chain seen).
 //
-// Above a size/density crossover the Solver switches from dense LU to
-// the sparse direct path (internal/linalg/sparse): the absorption matrix
-// is assembled in CSR form, and a small per-Solver cache keyed by the
+// Above a size/density crossover the solve takes the sparse direct path
+// (internal/linalg/sparse), and the solver's small cache keyed by the
 // exact CSR pattern reuses the fill-reducing ordering and symbolic
-// factorization across every chain sharing the topology — sweep grids
-// refill numeric values only. Sparse results agree with dense to ≤1e-12
-// relative error; below the crossover the dense path runs and results
-// are bit-identical to Absorption's MeanTimeToAbsorption.
+// factorization across every chain sharing the topology. Sparse results
+// agree with dense to ≤1e-12 relative error; below the crossover the
+// dense path runs and results are bit-identical to Absorption's
+// MeanTimeToAbsorption.
 //
 // A Solver is not safe for concurrent use; give each goroutine its own
 // (see the pooled package-level MTTA).
-type Solver struct {
-	r              *linalg.Matrix
-	f              linalg.LU
-	trans          []int
-	pos            []int // state index → transient row, -1 for absorbing
-	edges          []Edge
-	rhs, tau, work []float64
+type Solver struct{ b *BatchSolver }
 
-	// Sparse path: the assembled absorption matrix (buffers reused
-	// across calls) and the most-recently-used topology cache.
-	sp    sparse.CSR
-	cache topoCache
-}
-
-// topoCacheSize bounds the per-Solver symbolic cache. Sweeps interleave
+// topoCacheSize bounds a solver's symbolic cache. Sweeps interleave
 // at most a handful of configurations per worker (one topology per fault
 // tolerance and redundancy family), so a short MRU list captures
 // effectively all reuse without growing with grid size.
 const topoCacheSize = 8
 
 // topoEntry pairs one CSR pattern with its symbolic+numeric
-// factorization. The pattern slices are private copies — the Solver's
-// assembly buffers are overwritten every call.
+// factorization. The pattern slices are private copies — the solver's
+// pattern buffers are overwritten by every Bind.
 type topoEntry struct {
 	rowptr, col []int
 	num         *sparse.Numeric
@@ -74,7 +61,7 @@ const maxSparseDensity = 0.25
 var sparseMinOverride atomic.Int64
 
 // SetSparseMinStates overrides the minimum transient-state count at
-// which Solver.MTTA switches to the sparse LU path, returning the
+// which solves switch to the sparse LU path, returning the
 // previous effective value. n <= 0 restores the benchmarked default;
 // a very large n forces the dense path everywhere (benchmark baselines),
 // 1 forces sparse nearly everywhere (property tests). The setting is
@@ -99,134 +86,28 @@ func sparseMinStates() int {
 
 // NewSolver returns an empty Solver; buffers are sized on first use.
 func NewSolver() *Solver {
-	return &Solver{r: linalg.New(0, 0)}
+	return &Solver{b: NewBatchSolver()}
 }
 
-// successorsInto returns state i's outgoing edges sorted by target index
-// — the same deterministic order as Chain.Successors. Frozen chains
-// return the CSR view directly; mutable chains fill the solver's edge
-// buffer (insertion sort: state degrees in the reliability chains are a
-// handful at most).
-func (s *Solver) successorsInto(c *Chain, i int) []Edge {
-	if c.Frozen() {
-		return c.Successors(i)
-	}
-	s.edges = s.edges[:0]
-	for to, r := range c.rates[i] {
-		s.edges = append(s.edges, Edge{To: to, Rate: r})
-	}
-	for a := 1; a < len(s.edges); a++ {
-		e := s.edges[a]
-		b := a - 1
-		for b >= 0 && s.edges[b].To > e.To {
-			s.edges[b+1] = s.edges[b]
-			b--
-		}
-		s.edges[b+1] = e
-	}
-	return s.edges
+// sparseRoute is the one dense/sparse routing predicate: an m×m
+// absorption matrix with nnz stored entries solves sparse when m reaches
+// the crossover and the density guard admits it.
+func sparseRoute(m, nnz int) bool {
+	return m >= sparseMinStates() && float64(nnz) <= maxSparseDensity*float64(m)*float64(m)
 }
 
-// indexTransients rebuilds the state→row maps for c, returning the
-// initial state's row (-1 if the initial state is absorbing).
-func (s *Solver) indexTransients(c *Chain) int {
-	n := c.NumStates()
-	if cap(s.pos) < n {
-		s.pos = make([]int, n)
-	} else {
-		s.pos = s.pos[:n]
-	}
-	s.trans = s.trans[:0]
-	for i := 0; i < n; i++ {
-		if c.absorbing[i] {
-			s.pos[i] = -1
-		} else {
-			s.pos[i] = len(s.trans)
-			s.trans = append(s.trans, i)
-		}
-	}
-	return s.pos[c.initial]
-}
-
-// absorptionMatrixInto rebuilds R = -Q_B into the solver's reused dense
-// matrix. indexTransients must have run. Matches Chain.AbsorptionMatrix
-// entry for entry.
-func (s *Solver) absorptionMatrixInto(c *Chain) {
-	s.r.Reshape(len(s.trans), len(s.trans))
-	for row, st := range s.trans {
-		var exit float64
-		for _, e := range s.successorsInto(c, st) {
-			exit += e.Rate
-			if col := s.pos[e.To]; col >= 0 {
-				s.r.Set(row, col, -e.Rate)
-			}
-		}
-		s.r.Set(row, row, s.r.At(row, row)+exit)
-	}
-}
-
-// assembleSparse rebuilds R = -Q_B in CSR form into the solver's reused
-// sparse buffers. Entries within a row are emitted in ascending column
-// order (transient successors are already target-sorted and the
-// state→row map is monotone; the diagonal is merged at its place), and
-// the diagonal is the same sorted-order exit-rate sum the dense assembly
-// computes — identical values, different layout.
-func (s *Solver) assembleSparse(c *Chain) {
-	m := len(s.trans)
-	s.sp.Rows, s.sp.Cols = m, m
-	if cap(s.sp.RowPtr) < m+1 {
-		s.sp.RowPtr = make([]int, m+1)
-	} else {
-		s.sp.RowPtr = s.sp.RowPtr[:m+1]
-	}
-	s.sp.RowPtr[0] = 0
-	s.sp.Col = s.sp.Col[:0]
-	s.sp.Val = s.sp.Val[:0]
-	for row, st := range s.trans {
-		succ := s.successorsInto(c, st)
-		var exit float64
-		for _, e := range succ {
-			exit += e.Rate
-		}
-		diagDone := false
-		for _, e := range succ {
-			col := s.pos[e.To]
-			if col < 0 {
-				continue
-			}
-			if !diagDone && col > row {
-				s.sp.Col = append(s.sp.Col, row)
-				s.sp.Val = append(s.sp.Val, exit)
-				diagDone = true
-			}
-			s.sp.Col = append(s.sp.Col, col)
-			s.sp.Val = append(s.sp.Val, -e.Rate)
-		}
-		if !diagDone {
-			s.sp.Col = append(s.sp.Col, row)
-			s.sp.Val = append(s.sp.Val, exit)
-		}
-		s.sp.RowPtr[row+1] = len(s.sp.Col)
-	}
-}
-
-// topoCache is the MRU list of pattern→factorization entries shared by
-// Solver (per-cell solves) and BatchSolver (batched chunks).
+// topoCache is a BatchSolver's MRU list of pattern→factorization
+// entries.
 type topoCache []*topoEntry
 
-// lookupTopology returns the cached factorization whose pattern matches
-// the assembled CSR, building (and caching) a new symbolic analysis on
-// miss. Hits move to the front; the cache evicts from the back. Hit or
-// miss is invisible in the results: the ordering is a pure function of
-// the pattern, so a cached and a fresh analysis factor identically.
-// A miss's ordering + symbolic analysis is traced as "sparse.symbolic";
-// hits skip that work and so carry no span.
-func (s *Solver) lookupTopology(ctx context.Context) (*sparse.Numeric, error) {
-	return s.cache.lookup(ctx, &s.sp)
-}
-
-// lookup implements the MRU search and miss handling for lookupTopology;
-// a is only read, and the cached pattern slices are private copies.
+// lookup returns the cached factorization whose pattern matches a,
+// building (and caching) a new symbolic analysis on miss. Hits move to
+// the front; the cache evicts from the back. Hit or miss is invisible in
+// the results: the ordering is a pure function of the pattern, so a
+// cached and a fresh analysis factor identically. A miss's ordering +
+// symbolic analysis is traced as "sparse.symbolic"; hits skip that work
+// and so carry no span. a is only read; the cached pattern slices are
+// private copies.
 func (tc *topoCache) lookup(ctx context.Context, a *sparse.CSR) (*sparse.Numeric, error) {
 	cache := *tc
 	for i, e := range cache {
@@ -293,9 +174,10 @@ func resizeFloats(v []float64, n int) []float64 {
 // absorption matrix is singular. Chains whose transient count reaches
 // the sparse crossover (SetSparseMinStates) solve through the sparse
 // symbolic/numeric path; smaller chains are bit-identical to
-// Absorption's MeanTimeToAbsorption via dense LU.
+// Absorption's MeanTimeToAbsorption via dense LU. A mutable chain is
+// solved as its frozen equivalent without being frozen.
 func (s *Solver) MTTA(c *Chain) (float64, error) {
-	return s.MTTACtx(context.Background(), c)
+	return s.b.solveChain(context.Background(), c)
 }
 
 // MTTACtx is MTTA carrying the caller's context for tracing: when the
@@ -305,75 +187,26 @@ func (s *Solver) MTTA(c *Chain) (float64, error) {
 // cancellation (a single solve is far below any useful cancellation
 // granularity); results are identical to MTTA.
 func (s *Solver) MTTACtx(ctx context.Context, c *Chain) (float64, error) {
-	if err := c.Validate(); err != nil {
-		return 0, err
-	}
-	ctx, solveSp := obs.StartSpan(ctx, "markov.solve")
-	if solveSp != nil {
-		solveSp.SetAttr("states", c.NumStates())
-	}
-	defer solveSp.End()
-	initRow := s.indexTransients(c)
-	if initRow < 0 {
-		return 0, nil // initial state is absorbing
-	}
-	m := len(s.trans)
-	s.rhs = resizeFloats(s.rhs, m)
-	s.tau = resizeFloats(s.tau, m)
-	s.work = resizeFloats(s.work, m)
-	for i := range s.rhs {
-		s.rhs[i] = 0
-	}
-	s.rhs[initRow] = 1
+	return s.b.solveChain(ctx, c)
+}
 
-	fellBack := false
-	timer := absorptionTimer(c.NumStates())
-	if m >= sparseMinStates() {
-		s.assembleSparse(c)
-		if float64(s.sp.NNZ()) <= maxSparseDensity*float64(m)*float64(m) {
-			num, err := s.lookupTopology(ctx)
-			if err == nil {
-				_, rsp := obs.StartSpan(ctx, "sparse.refactor")
-				err = num.Refactor(&s.sp)
-				rsp.End()
-			}
-			if err == nil {
-				// τ_B = π_B(0)·R⁻¹ means Rᵀ·τ = π_B(0).
-				_, ssp := obs.StartSpan(ctx, "sparse.solve")
-				num.SolveTransposeInto(s.tau, s.rhs, s.work)
-				ssp.End()
-				if tauPlausible(s.tau) {
-					sparseSolveDone(&s.sp)
-					if timer != nil {
-						timer(sparseResidual(&s.sp, s.tau, initRow, s.work))
-					}
-					return linalg.Sum(s.tau), nil
-				}
-			}
-			// Zero pivot, or a solution the static-pivot factorization
-			// cannot certify (see tauPlausible): redo with dense partial
-			// pivoting, the authoritative fallback. Counted, never silent
-			// in the metrics or the trace.
-			sparseFellBack()
-			fellBack = true
-		}
-		// (Too dense for the sparse path: fall through to dense LU.)
-	}
-	_, dsp := obs.StartSpan(ctx, "dense.solve")
-	if dsp != nil && fellBack {
-		dsp.SetAttr("fallback", true)
-	}
-	s.absorptionMatrixInto(c)
-	if err := linalg.FactorizeInto(&s.f, s.r); err != nil {
-		dsp.End()
-		return 0, fmt.Errorf("markov: absorption matrix: %w", err)
-	}
-	s.f.SolveTransposeInto(s.tau, s.rhs, s.work)
-	dsp.End()
-	if timer != nil {
-		timer(absorptionResidual(s.r, s.tau, initRow))
-	}
-	return linalg.Sum(s.tau), nil
+// MTTA is a convenience wrapper returning only the mean time to
+// absorption. It solves through a pooled BatchSolver, so repeated calls
+// (the inner loop of every sweep) reuse factorization and scratch
+// storage instead of reallocating; the value is bit-identical to
+// Solver.MTTA.
+func MTTA(c *Chain) (float64, error) {
+	return MTTACtx(context.Background(), c)
+}
+
+// MTTACtx is MTTA carrying the caller's context so an active trace
+// (obs.StartSpan) attributes the solve and its sparse/dense stages as
+// child spans. Results are identical to MTTA at any context.
+func MTTACtx(ctx context.Context, c *Chain) (float64, error) {
+	b := AcquireBatchSolver()
+	v, err := b.solveChain(ctx, c)
+	ReleaseBatchSolver(b)
+	return v, err
 }
 
 // tauPlausible reports whether a computed mean-time-in-state vector is
@@ -444,24 +277,25 @@ func AbsorptionSparseStats(c *Chain) (SparseStats, error) {
 	if err := c.Validate(); err != nil {
 		return SparseStats{}, err
 	}
-	s := solverPool.Get().(*Solver)
-	defer solverPool.Put(s)
-	if s.indexTransients(c) < 0 {
+	b := AcquireBatchSolver()
+	defer ReleaseBatchSolver(b)
+	if !c.Frozen() {
+		c = b.frozenCopy(c)
+	}
+	b.bindPattern(c)
+	if b.initRow < 0 {
 		return SparseStats{}, fmt.Errorf("markov: initial state is absorbing")
 	}
-	s.assembleSparse(c)
-	sym, err := sparse.Analyze(&s.sp)
+	sym, err := sparse.Analyze(&b.view)
 	if err != nil {
 		return SparseStats{}, fmt.Errorf("markov: absorption matrix: %w", err)
 	}
-	m := len(s.trans)
-	st := SparseStats{
-		N:         m,
-		NNZ:       s.sp.NNZ(),
-		Density:   s.sp.Density(),
+	return SparseStats{
+		N:         len(b.trans),
+		NNZ:       b.view.NNZ(),
+		Density:   b.view.Density(),
 		FactorNNZ: sym.FactorNNZ(),
 		FillRatio: sym.FillRatio(),
-	}
-	st.Sparse = m >= sparseMinStates() && float64(st.NNZ) <= maxSparseDensity*float64(m)*float64(m)
-	return st, nil
+		Sparse:    b.sparseRoute,
+	}, nil
 }

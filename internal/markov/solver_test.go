@@ -95,3 +95,65 @@ func TestSolverSingular(t *testing.T) {
 		t.Fatal("invalid chain solved")
 	}
 }
+
+// A warm Solver solves a frozen chain without heap allocation, on the
+// dense and the sparse route: validation, binding (a topology-cache
+// hit), fill and solve all run in the solver's reused storage.
+func TestSolverWarmZeroAllocs(t *testing.T) {
+	for _, route := range []struct {
+		name      string
+		crossover int
+	}{
+		{"sparse", 1},
+		{"dense", 1 << 30},
+	} {
+		t.Run(route.name, func(t *testing.T) {
+			prev := SetSparseMinStates(route.crossover)
+			defer SetSparseMinStates(prev)
+			c := newLadder(24, 1.7)
+			s := NewSolver()
+			var solveErr error
+			solve := func() {
+				if _, err := s.MTTA(c); err != nil {
+					solveErr = err
+				}
+			}
+			solve() // warmup
+			if n := testing.AllocsPerRun(100, solve); n != 0 {
+				t.Errorf("warm Solver.MTTA allocates %v times per run, want 0", n)
+			}
+			if solveErr != nil {
+				t.Fatal(solveErr)
+			}
+		})
+	}
+}
+
+// MTTA on a mutable chain solves its frozen equivalent bit for bit and
+// leaves the caller's chain mutable.
+func TestSolverMutableChainStaysMutable(t *testing.T) {
+	for _, crossover := range []int{1, 1 << 30} {
+		prev := SetSparseMinStates(crossover)
+		c := bigSolverChain(60)
+		twin := bigSolverChain(60).Freeze()
+		got, err := MTTA(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MTTA(twin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("crossover %d: mutable MTTA %v != frozen twin %v", crossover, got, want)
+		}
+		if c.Frozen() {
+			t.Fatalf("crossover %d: MTTA froze the caller's chain", crossover)
+		}
+		c.AddRate("a", "lost", 1) // panics on a frozen chain
+		if c.Rate(0, c.State("lost")) != 1 {
+			t.Errorf("AddRate after MTTA did not take")
+		}
+		SetSparseMinStates(prev)
+	}
+}

@@ -43,10 +43,9 @@ func benchBase() params.Parameters {
 
 // BenchmarkPlanSearch contrasts the production two-phase search
 // (closed-form prune + topology-grouped batch confirmation) against the
-// exhaustive baseline that solves every feasible candidate's chain
-// per-cell. Both produce the identical ranked frontier
-// (TestSearchPruneMatchesExhaustive, TestSearchBatchMatchesPerCell);
-// only wall-clock differs. Single-core (workers=1) so the headline
+// exhaustive baseline that confirms every feasible candidate's chain.
+// Both produce the identical ranked frontier
+// (TestSearchPruneMatchesExhaustive); only wall-clock differs. Single-core (workers=1) so the headline
 // measures the algorithm, not the fan-out.
 func BenchmarkPlanSearch(b *testing.B) {
 	base := benchBase()
@@ -72,7 +71,7 @@ func BenchmarkPlanSearch(b *testing.B) {
 	b.Run("candidates=10800/pruned+batched", func(b *testing.B) {
 		run(b, Options{})
 	})
-	b.Run("candidates=10800/exhaustive-percell", func(b *testing.B) {
-		run(b, Options{DisablePrune: true, DisableBatch: true})
+	b.Run("candidates=10800/exhaustive", func(b *testing.B) {
+		run(b, Options{DisablePrune: true})
 	})
 }

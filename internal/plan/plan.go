@@ -164,16 +164,13 @@ func (c Constraints) Validate() error {
 }
 
 // Options tune how the search runs; the zero value is the production
-// configuration. Both Disable knobs exist for benchmarking and for
-// tests that prove the fast path changes nothing — results are
-// identical (same frontier, same ranking) with either set.
+// configuration. DisablePrune exists for benchmarking and for tests
+// that prove the prune changes nothing — results are identical (same
+// frontier, same ranking) with it set.
 type Options struct {
 	// DisablePrune confirms every feasible candidate exactly instead of
 	// closed-form filtering first (the exhaustive baseline).
 	DisablePrune bool `json:"disable_prune,omitempty"`
-	// DisableBatch confirms survivors through per-cell chain solves
-	// instead of the batched SoA solver.
-	DisableBatch bool `json:"disable_batch,omitempty"`
 	// Top truncates the ranked frontier to at most this many entries
 	// after ranking (0 = no truncation). Stats always describe the full
 	// search.

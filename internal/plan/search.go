@@ -87,7 +87,7 @@ func SearchCtx(ctx context.Context, base params.Parameters, space Space, cons Co
 	} else {
 		surv = prune(ctx, cands, res.TargetEventsPerPBYear, st)
 	}
-	if err := confirm(ctx, base, cands, surv, res.TargetEventsPerPBYear, opt, st); err != nil {
+	if err := confirm(ctx, base, cands, surv, res.TargetEventsPerPBYear, st); err != nil {
 		return nil, err
 	}
 
@@ -335,9 +335,8 @@ func dominancePrune(cands []Candidate, kept []int) []bool {
 // are contiguous; each such group batches through one bound solver,
 // split into chunks fanned over the worker pool. Error semantics mirror
 // the sweep engine: the lowest-indexed failing candidate is reported,
-// and the per-candidate cause is identical between the batched and
-// per-cell paths.
-func confirm(ctx context.Context, base params.Parameters, cands []Candidate, surv []int, target float64, opt Options, st *Stats) error {
+// with the cause core.AnalyzeCtx would give for it.
+func confirm(ctx context.Context, base params.Parameters, cands []Candidate, surv []int, target float64, st *Stats) error {
 	ctx, sp := obs.StartSpan(ctx, "plan.confirm")
 	defer sp.End()
 	if len(surv) == 0 {
@@ -387,30 +386,17 @@ func confirm(ctx context.Context, base params.Parameters, cands []Candidate, sur
 		mu.Unlock()
 	}
 
-	var rerr error
-	if opt.DisableBatch {
-		rerr = core.RunIndexedCtx(ctx, len(surv), func(i int) error {
-			r, err := core.AnalyzeCtx(ctx, ps[i], cands[surv[i]].Config(), core.MethodExactChain)
-			if err != nil {
-				record(i, err)
-				return nil
+	rerr := core.RunIndexedCtx(ctx, len(chunks), func(k int) error {
+		ch := chunks[k]
+		idx, err := core.AnalyzeChainBatchCtx(ctx, ch.cfg, ps[ch.lo:ch.hi], out[ch.lo:ch.hi])
+		if err != nil {
+			if idx < 0 {
+				return err // cancellation: propagate as-is
 			}
-			out[i] = r
-			return nil
-		})
-	} else {
-		rerr = core.RunIndexedCtx(ctx, len(chunks), func(k int) error {
-			ch := chunks[k]
-			idx, err := core.AnalyzeChainBatchCtx(ctx, ch.cfg, ps[ch.lo:ch.hi], out[ch.lo:ch.hi])
-			if err != nil {
-				if idx < 0 {
-					return err // cancellation: propagate as-is
-				}
-				record(ch.lo+idx, err)
-			}
-			return nil
-		})
-	}
+			record(ch.lo+idx, err)
+		}
+		return nil
+	})
 	mu.Lock()
 	idx, err := firstIdx, firstErr
 	mu.Unlock()

@@ -119,12 +119,11 @@ func traceSweepBody(n int) string {
 		"values":[` + strings.Join(vals, ",") + `]}`
 }
 
-// TestSweepSpanTree drives a sweep onto the sparse CTMC path (wide
-// chains at r=48, ft=8) and pins the span-tree shape of both sweep
-// engines. The default batched engine amortizes per-cell bookkeeping
-// into one "markov.batch" span per chunk (DESIGN.md §11); the per-cell
-// path (batching disabled) keeps the §10 tree: per-cell spans parenting
-// freeze, symbolic, refactor and solve.
+// TestSweepSpanTree pins the span-tree shape of both sweep engines. An
+// exact-chain sweep onto the sparse CTMC path (wide chains at r=48,
+// ft=8) takes the batched engine, which amortizes per-cell bookkeeping
+// into one "markov.batch" span per chunk (DESIGN.md §11); a closed-form
+// sweep of the same grid runs cell by cell, one "core.cell" span each.
 func TestSweepSpanTree(t *testing.T) {
 	// One worker ⇒ one pooled solver serves every cell (and one chunk on
 	// the batched path), so the span counts below are deterministic on
@@ -185,22 +184,17 @@ func TestSweepSpanTree(t *testing.T) {
 	})
 
 	t.Run("percell", func(t *testing.T) {
-		prev := core.SetBatchCells(-1)
-		defer core.SetBatchCells(prev)
-
+		body := strings.Replace(traceSweepBody(4), "exact-chain", "closed-form", 1)
 		var buf bytes.Buffer
 		s := New(Options{MaxGridCells: 65536, TraceWriter: &buf})
-		h := s.Handler()
-		w := postJSON(t, h, "/v1/sweep", traceSweepBody(4))
+		w := postJSON(t, s.Handler(), "/v1/sweep", body)
 		if w.Code != http.StatusOK {
 			t.Fatalf("sweep: %d %s", w.Code, w.Body.String())
 		}
 		spans := readSpans(t, &buf)
 		idx := spanIndex(spans)
 		for _, name := range []string{
-			"serve.request", "serve.cache", "serve.compute", "core.sweep",
-			"core.cell", "chain.freeze", "sparse.symbolic", "sparse.refactor",
-			"sparse.solve", "markov.solve",
+			"serve.request", "serve.cache", "serve.compute", "core.sweep", "core.cell",
 		} {
 			if len(idx[name]) == 0 {
 				t.Errorf("sweep trace missing %q span; have %v", name, names(spans))
@@ -215,42 +209,93 @@ func TestSweepSpanTree(t *testing.T) {
 				t.Errorf("core.cell span %d not under core.sweep", cell.ID)
 			}
 		}
-		// The sparse stages belong to a solve, which belongs to a cell.
-		for _, name := range []string{"sparse.refactor", "sparse.solve"} {
-			for _, sp := range idx[name] {
-				if !hasAncestor(spans, sp, "markov.solve") {
-					t.Errorf("%s span %d not under markov.solve", name, sp.ID)
-				}
-			}
-		}
-		for _, solve := range idx["markov.solve"] {
-			if !hasAncestor(spans, solve, "core.cell") {
-				t.Errorf("markov.solve span %d not under core.cell", solve.ID)
-			}
-		}
-		// One topology shared across cells: the symbolic analysis runs on
-		// the miss only, then is reused.
-		if got := len(idx["sparse.symbolic"]); got < 1 || got >= len(idx["sparse.refactor"]) {
-			t.Errorf("sparse.symbolic spans = %d (refactors %d): want fewer symbolic analyses than refactors",
-				got, len(idx["sparse.refactor"]))
+		if got := len(idx["markov.batch"]); got != 0 {
+			t.Errorf("markov.batch spans = %d on a closed-form sweep, want 0", got)
 		}
 
-		// Fold-only mode covers the per-cell stages too.
+		// Fold-only mode covers the per-cell stage too.
 		s2 := New(Options{MaxGridCells: 65536})
-		h2 := s2.Handler()
-		if w := postJSON(t, h2, "/v1/sweep", traceSweepBody(4)); w.Code != http.StatusOK {
+		if w := postJSON(t, s2.Handler(), "/v1/sweep", body); w.Code != http.StatusOK {
 			t.Fatalf("untraced sweep: %d %s", w.Code, w.Body.String())
 		}
 		snap := s2.Registry().Snapshot()
-		for _, hist := range []string{
-			"trace.serve.request.seconds", "trace.core.cell.seconds",
-			"trace.sparse.solve.seconds", "trace.chain.freeze.seconds",
-		} {
+		for _, hist := range []string{"trace.serve.request.seconds", "trace.core.cell.seconds"} {
 			if _, ok := snap.Histograms[hist]; !ok {
 				t.Errorf("fold-only server missing %q histogram", hist)
 			}
 		}
 	})
+}
+
+// sparseAnalyzeBody is an exact-chain analyze request on traceSweepBody's
+// topology (r=48, ft=8: 511 transient states, past the sparse crossover)
+// at drive MTTF x.
+func sparseAnalyzeBody(x int) string {
+	return fmt.Sprintf(`{"params":{"redundancy_set_size":48,"drive_mttf_hours":%d},
+		"config":{"internal":"none","ft":8},"method":"exact-chain"}`, x)
+}
+
+// TestAnalyzeSparseSpanTree pins the per-call solve's span tree on the
+// sparse route: the refactor and triangular solve hang off markov.solve,
+// a second request of the same topology reuses the pooled solver's
+// symbolic analysis (no sparse.symbolic span), and a server without a
+// TraceWriter still folds the solve and chain stages into /metrics.
+func TestAnalyzeSparseSpanTree(t *testing.T) {
+	var buf bytes.Buffer
+	s := New(Options{TraceWriter: &buf})
+	h := s.Handler()
+	if w := postJSON(t, h, "/v1/analyze", sparseAnalyzeBody(200_000)); w.Code != http.StatusOK {
+		t.Fatalf("analyze: %d %s", w.Code, w.Body.String())
+	}
+	spans := readSpans(t, &buf)
+	idx := spanIndex(spans)
+	for _, name := range []string{
+		"serve.request", "serve.compute", "chain.freeze", "markov.solve",
+		"sparse.refactor", "sparse.solve",
+	} {
+		if len(idx[name]) == 0 {
+			t.Errorf("analyze trace missing %q span; have %v", name, names(spans))
+		}
+	}
+	for _, name := range []string{"sparse.refactor", "sparse.solve"} {
+		for _, sp := range idx[name] {
+			if !hasAncestor(spans, sp, "markov.solve") {
+				t.Errorf("%s span %d not under markov.solve", name, sp.ID)
+			}
+		}
+	}
+	for _, solve := range idx["markov.solve"] {
+		if !hasAncestor(spans, solve, "serve.compute") {
+			t.Errorf("markov.solve span %d not under serve.compute", solve.ID)
+		}
+	}
+
+	// Same topology, different rates: the solve refactors on the cached
+	// symbolic analysis.
+	buf.Reset()
+	if w := postJSON(t, h, "/v1/analyze", sparseAnalyzeBody(200_001)); w.Code != http.StatusOK {
+		t.Fatalf("second analyze: %d %s", w.Code, w.Body.String())
+	}
+	spans = readSpans(t, &buf)
+	idx = spanIndex(spans)
+	if len(idx["sparse.refactor"]) != 1 {
+		t.Errorf("second analyze: sparse.refactor spans = %d, want 1", len(idx["sparse.refactor"]))
+	}
+	if got := len(idx["sparse.symbolic"]); got != 0 {
+		t.Errorf("second analyze of the same topology ran %d symbolic analyses, want 0", got)
+	}
+
+	// Fold-only mode covers the per-call stages.
+	s2 := New(Options{})
+	if w := postJSON(t, s2.Handler(), "/v1/analyze", sparseAnalyzeBody(200_002)); w.Code != http.StatusOK {
+		t.Fatalf("untraced analyze: %d %s", w.Code, w.Body.String())
+	}
+	snap := s2.Registry().Snapshot()
+	for _, hist := range []string{"trace.sparse.solve.seconds", "trace.chain.freeze.seconds"} {
+		if _, ok := snap.Histograms[hist]; !ok {
+			t.Errorf("fold-only server missing %q histogram", hist)
+		}
+	}
 }
 
 // TestPlanSpanTree pins the plan search's span nesting: each phase hangs
