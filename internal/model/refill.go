@@ -22,7 +22,8 @@ import (
 // emission order) and replaying them through markov.Chain.ApplyRates.
 // Accumulation order and exit-sum order match the string path addition
 // for addition, so a refilled chain is bit-identical to a freshly built
-// one — the batch sweep inherits the per-cell path's results exactly.
+// one — a batched sweep cell reproduces a solve of the string-built
+// chain exactly.
 
 // edgeSink receives the builders' emissions: the chain itself on the
 // build/refill string path, or an edgeRecorder when compiling a program.

@@ -337,10 +337,10 @@ func TestSparseCountersSurfaceInMetrics(t *testing.T) {
 		t.Errorf("markov.sparse.solves = %d, want >= 64 (one per sweep cell)", c["markov.sparse.solves"])
 	}
 	// The batched engine binds the shared topology once per chunk, so
-	// the symbolic cache sees one lookup per chunk — not per cell as the
-	// per-cell path does. Chunk count depends on the worker pool (the
-	// chunk shrinks to spread cells across CPUs), so tie the lookup
-	// count to the chunk counter rather than a constant. Earlier tests
+	// the symbolic cache sees one lookup per chunk, not one per cell.
+	// Chunk count depends on the worker pool (the chunk shrinks to
+	// spread cells across CPUs), so tie the lookup count to the chunk
+	// counter rather than a constant. Earlier tests
 	// in this binary may have warmed the pooled solvers' caches (their
 	// builds landed in other registries), so assert the sum, not the
 	// build/reuse split.
