@@ -115,7 +115,7 @@ func BenchmarkSimulatorValidation(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		est, err := sim.EstimateMTTDL(sc, rng, 200, 1_000_000)
+		est, err := sim.EstimateMTTDL(sc, rng, 200, 1_000_000, sim.Observer{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkDESBaseline(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.EstimateMTTDL(sc, rng, 100, 1_000_000); err != nil {
+		if _, err := sim.EstimateMTTDL(sc, rng, 100, 1_000_000, sim.Observer{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func BenchmarkDESInstrumented(b *testing.B) {
 	ob := sim.Observer{Metrics: sim.NewMetrics(reg)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.EstimateMTTDLObserved(sc, rng, 100, 1_000_000, ob); err != nil {
+		if _, err := sim.EstimateMTTDL(sc, rng, 100, 1_000_000, ob); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -392,7 +392,7 @@ func BenchmarkEstimateParallel(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.EstimateMTTDLParallel(sc, 1, 512, 1_000_000, w); err != nil {
+				if _, err := sim.EstimateMTTDLParallel(b.Context(), sc, 1, 512, 1_000_000, w, sim.Observer{}); err != nil {
 					b.Fatal(err)
 				}
 			}

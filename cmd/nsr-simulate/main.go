@@ -11,8 +11,8 @@
 // A third, flag-selected mode simulates an entire fleet at baseline
 // rates: -fleet runs the aggregating fleet estimator over -bricks
 // storage nodes for -years years (a million-brick decade completes in
-// seconds on the calendar-queue engine) and compares the observed
-// per-node-set MTTDL against the exact chain.
+// seconds) and compares the observed per-node-set MTTDL against the
+// exact chain. -ft and -internal pick the fleet's configuration.
 package main
 
 import (
@@ -54,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fleet := fs.Bool("fleet", false, "fleet mode: simulate -bricks storage nodes for -years years at baseline rates (overrides -mode)")
 	bricks := fs.Int("bricks", 1_000_000, "fleet size in bricks (storage nodes)")
 	years := fs.Float64("years", 10, "fleet mission horizon in years")
-	engine := fs.String("engine", "calendar", "fleet scheduler engine: calendar or heap (bit-identical results)")
 	ft := fs.Int("ft", 1, "fleet config: inter-node fault tolerance")
 	internal := fs.String("internal", "none", "fleet config: internal redundancy (none, raid5, raid6)")
 	oflags := obs.AddFlags(fs)
@@ -87,14 +86,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	switch {
 	case *fleet:
 		runErr = runFleet(ctx, stdout, fleetOpts{
-			bricks: *bricks, years: *years, engine: *engine,
+			bricks: *bricks, years: *years,
 			ft: *ft, internal: *internal,
 			seed: *seed, workers: *workers,
 		}, sess)
 	case *mode == "des":
 		runErr = runDES(ctx, stdout, *trials, *seed, *workers, sess)
 	case *mode == "biased":
-		runErr = runBiased(stdout, *trials*10, *seed, *workers, sess)
+		runErr = runBiased(ctx, stdout, *trials*10, *seed, *workers, sess)
 	default:
 		runErr = fmt.Errorf("unknown mode %q", *mode)
 	}
@@ -185,11 +184,11 @@ func runDES(ctx context.Context, stdout io.Writer, trials int, seed int64, worke
 		}
 		var est sim.Estimate
 		if workers == 1 {
-			est, err = sim.EstimateMTTDLObserved(s.sc, rng, trials, 10_000_000, ob)
+			est, err = sim.EstimateMTTDL(s.sc, rng, trials, 10_000_000, ob)
 		} else {
 			// Each scenario gets its own base seed from the stream, so
 			// any scenario's run can be reproduced in isolation.
-			est, err = sim.EstimateMTTDLParallelObservedCtx(
+			est, err = sim.EstimateMTTDLParallel(
 				ctx, s.sc, seedstream.Derive(seed, uint64(si)), trials, 10_000_000, workers, ob)
 		}
 		if err != nil {
@@ -209,7 +208,7 @@ func runDES(ctx context.Context, stdout io.Writer, trials int, seed int64, worke
 // biasing and compares with the dense linear-algebra solution. Worker
 // semantics match runDES: 1 = legacy serial sample, otherwise the
 // worker-count-independent parallel estimator.
-func runBiased(stdout io.Writer, cycles int, seed int64, workers int, sess *obs.Session) error {
+func runBiased(ctx context.Context, stdout io.Writer, cycles int, seed int64, workers int, sess *obs.Session) error {
 	rng := rand.New(rand.NewSource(seed))
 	p := params.Baseline()
 	fmt.Fprintln(stdout, "Balanced-failure-biasing estimator vs dense LU solution (baseline chains)")
@@ -232,7 +231,7 @@ func runBiased(stdout io.Writer, cycles int, seed int64, workers int, sess *obs.
 			est, err = sim.EstimateMTTABiased(ch, rng, cycles, 0.5, sim.RepairThreshold(ch))
 		} else {
 			est, err = sim.EstimateMTTABiasedParallel(
-				ch, seedstream.Derive(seed, uint64(ci)), cycles, 0.5, sim.RepairThreshold(ch), workers)
+				ctx, ch, seedstream.Derive(seed, uint64(ci)), cycles, 0.5, sim.RepairThreshold(ch), workers)
 		}
 		if err != nil {
 			return err
@@ -248,7 +247,6 @@ func runBiased(stdout io.Writer, cycles int, seed int64, workers int, sess *obs.
 type fleetOpts struct {
 	bricks   int
 	years    float64
-	engine   string
 	ft       int
 	internal string
 	seed     int64
@@ -259,10 +257,6 @@ type fleetOpts struct {
 // aggregating estimator and compares the observed per-node-set MTTDL
 // against the exact chain's MTTA.
 func runFleet(ctx context.Context, stdout io.Writer, o fleetOpts, sess *obs.Session) error {
-	engine, err := sim.ParseEngine(o.engine)
-	if err != nil {
-		return err
-	}
 	var ir core.InternalRedundancy
 	switch o.internal {
 	case "none":
@@ -288,10 +282,8 @@ func runFleet(ctx context.Context, stdout io.Writer, o fleetOpts, sess *obs.Sess
 		m = sim.NewFleetMetrics(sess.Registry)
 	}
 	horizon := o.years * params.HoursPerYear
-	fmt.Fprintf(stdout, "Fleet DES: %d bricks, %g years, config %s, engine %s\n",
-		o.bricks, o.years, cfg, engine)
-	est, err := sim.EstimateFleetObservedCtx(ctx, sc, o.bricks, horizon, o.seed, o.workers,
-		0, engine, m)
+	fmt.Fprintf(stdout, "Fleet DES: %d bricks, %g years, config %s\n", o.bricks, o.years, cfg)
+	est, err := sim.EstimateFleet(ctx, sc, o.bricks, horizon, o.seed, o.workers, 0, m)
 	if err != nil {
 		return err
 	}

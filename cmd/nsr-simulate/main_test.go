@@ -59,27 +59,17 @@ func TestRunFleetSmoke(t *testing.T) {
 		t.Fatalf("run: %v (stderr %q)", err, stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"seed 5", "Fleet DES: 20000 bricks", "engine calendar",
+	for _, want := range []string{"seed 5", "Fleet DES: 20000 bricks",
 		"node sets", "data losses", "per-set MTTDL"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fleet output missing %q:\n%s", want, out)
 		}
 	}
-
-	// The heap engine must print the identical report (bit-identical
-	// estimates are the cross-engine contract).
-	var heap bytes.Buffer
-	if err := run(append(args, "-engine", "heap"), &heap, &stderr); err != nil {
-		t.Fatalf("heap run: %v", err)
-	}
-	if got := strings.ReplaceAll(heap.String(), "engine heap", "engine calendar"); got != out {
-		t.Errorf("heap engine output differs:\n%s\nvs\n%s", heap.String(), out)
-	}
 }
 
 func TestRunFleetRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
-		{"-fleet", "-engine", "wheel"},
+		{"-fleet", "-engine", "wheel"}, // -engine is gone: an unknown flag
 		{"-fleet", "-internal", "raid7"},
 		{"-fleet", "-ft", "0"},
 		{"-fleet", "-bricks", "0"},

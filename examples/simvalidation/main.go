@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := sim.EstimateMTTDL(sc, rng, 3000, 1_000_000)
+	est, err := sim.EstimateMTTDL(sc, rng, 3000, 1_000_000, sim.Observer{})
 	if err != nil {
 		log.Fatal(err)
 	}

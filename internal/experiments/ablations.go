@@ -61,7 +61,7 @@ func AblationModelAssumptions(trials int, seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		est, err := sim.EstimateMTTDL(sc, rng, trials, 10_000_000)
+		est, err := sim.EstimateMTTDL(sc, rng, trials, 10_000_000, sim.Observer{})
 		if err != nil {
 			return nil, err
 		}

@@ -298,7 +298,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// Workers 0 = all CPUs. The estimate is bit-identical at any
 		// worker count, so the choice is invisible in the response —
 		// the precondition for caching a Monte Carlo result at all.
-		est, err := sim.EstimateMTTDLParallelCtx(ctx, job.Scenario, job.Seed, job.Trials, job.MaxEvts, 0)
+		est, err := sim.EstimateMTTDLParallel(ctx, job.Scenario, job.Seed, job.Trials, job.MaxEvts, 0, sim.Observer{})
 		if err != nil {
 			return nil, err
 		}
@@ -316,11 +316,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 // handleSimulateFleet is the fleet leg of POST /v1/simulate: one mission
 // horizon over a whole fleet via the aggregating estimator, cached under
-// the engine-independent canonical job (both engines are bit-identical
-// by the equivalence harness's contract, so either spelling shares the
-// entry and the cached bytes are exact for both).
+// the canonical job. The wire's engine field selects nothing, so every
+// accepted spelling shares the entry.
 func (s *Server) handleSimulateFleet(w http.ResponseWriter, r *http.Request, req SimulateRequest, csp *obs.Span) {
-	job, engine, err := req.resolveFleet(s.opts.MaxFleetBrickYears)
+	job, err := req.resolveFleet(s.opts.MaxFleetBrickYears)
 	if err != nil {
 		csp.End()
 		s.writeError(w, http.StatusBadRequest, err)
@@ -332,8 +331,8 @@ func (s *Server) handleSimulateFleet(w http.ResponseWriter, r *http.Request, req
 	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
 		// Workers 0 = all CPUs; the estimate is bit-identical at any
 		// worker count, the precondition for caching it.
-		est, err := sim.EstimateFleetObservedCtx(ctx, job.Scenario, job.Bricks, job.HorizonHours,
-			job.Seed, 0, 0, engine, s.fleetMetrics)
+		est, err := sim.EstimateFleet(ctx, job.Scenario, job.Bricks, job.HorizonHours,
+			job.Seed, 0, 0, s.fleetMetrics)
 		if err != nil {
 			return nil, err
 		}

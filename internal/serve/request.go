@@ -279,15 +279,15 @@ type FleetSpec struct {
 	Bricks int `json:"bricks"`
 	// Years is the mission horizon in years.
 	Years float64 `json:"years"`
-	// Engine selects the scheduler: "" or "calendar", or "heap". Both
-	// produce bit-identical results (the equivalence harness enforces
-	// it), so the engine is excluded from the cache key.
+	// Engine is accepted for compatibility and ignored: "", "calendar"
+	// or "heap" (any other spelling is a 400). Every fleet runs on the
+	// calendar queue, so the engine is excluded from the cache key.
 	Engine string `json:"engine,omitempty"`
 }
 
 // fleetJob is the canonical resolved form of a fleet simulate request.
-// The engine is deliberately not part of the job: engines are
-// bit-identical by contract, so both spellings share a cache entry.
+// The engine is deliberately not part of the job: it selects nothing, so
+// every accepted spelling shares a cache entry.
 type fleetJob struct {
 	Scenario     sim.Scenario
 	Bricks       int
@@ -295,17 +295,16 @@ type fleetJob struct {
 	Seed         int64
 }
 
-func (r SimulateRequest) resolveFleet(maxBrickYears float64) (fleetJob, sim.Engine, error) {
-	if r.Trials != 0 || r.MaxEventsPerTrial != 0 {
-		return fleetJob{}, 0, fmt.Errorf("fleet simulate does not take trials or max_events_per_trial")
-	}
+// scenario resolves the request's parameters, configuration and repair
+// distribution into the simulated system.
+func (r SimulateRequest) scenario() (sim.Scenario, error) {
 	p, err := resolveParams(r.Preset, r.Params)
 	if err != nil {
-		return fleetJob{}, 0, err
+		return sim.Scenario{}, err
 	}
 	cfg, err := r.Config.resolve()
 	if err != nil {
-		return fleetJob{}, 0, err
+		return sim.Scenario{}, err
 	}
 	var repair sim.RepairDistribution
 	switch r.Repair {
@@ -314,24 +313,32 @@ func (r SimulateRequest) resolveFleet(maxBrickYears float64) (fleetJob, sim.Engi
 	case "deterministic":
 		repair = sim.RepairDeterministic
 	default:
-		return fleetJob{}, 0, fmt.Errorf("unknown repair distribution %q (valid: exponential, deterministic)", r.Repair)
+		return sim.Scenario{}, fmt.Errorf("unknown repair distribution %q (valid: exponential, deterministic)", r.Repair)
 	}
-	sc, err := sim.ScenarioFromConfig(p, cfg, repair)
-	if err != nil {
-		return fleetJob{}, 0, err
+	return sim.ScenarioFromConfig(p, cfg, repair)
+}
+
+func (r SimulateRequest) resolveFleet(maxBrickYears float64) (fleetJob, error) {
+	if r.Trials != 0 || r.MaxEventsPerTrial != 0 {
+		return fleetJob{}, fmt.Errorf("fleet simulate does not take trials or max_events_per_trial")
 	}
-	engine, err := sim.ParseEngine(r.Fleet.Engine)
+	sc, err := r.scenario()
 	if err != nil {
-		return fleetJob{}, 0, err
+		return fleetJob{}, err
+	}
+	switch r.Fleet.Engine {
+	case "", "calendar", "heap":
+	default:
+		return fleetJob{}, fmt.Errorf("unknown engine %q (valid: calendar, heap)", r.Fleet.Engine)
 	}
 	if r.Fleet.Bricks < 1 {
-		return fleetJob{}, 0, fmt.Errorf("fleet bricks %d must be at least 1", r.Fleet.Bricks)
+		return fleetJob{}, fmt.Errorf("fleet bricks %d must be at least 1", r.Fleet.Bricks)
 	}
 	if !(r.Fleet.Years > 0) {
-		return fleetJob{}, 0, fmt.Errorf("fleet years %v must be positive", r.Fleet.Years)
+		return fleetJob{}, fmt.Errorf("fleet years %v must be positive", r.Fleet.Years)
 	}
 	if by := float64(r.Fleet.Bricks) * r.Fleet.Years; by > maxBrickYears {
-		return fleetJob{}, 0, fmt.Errorf("fleet workload of %g brick-years (%d bricks × %g years) exceeds the limit of %g",
+		return fleetJob{}, fmt.Errorf("fleet workload of %g brick-years (%d bricks × %g years) exceeds the limit of %g",
 			by, r.Fleet.Bricks, r.Fleet.Years, maxBrickYears)
 	}
 	return fleetJob{
@@ -339,7 +346,7 @@ func (r SimulateRequest) resolveFleet(maxBrickYears float64) (fleetJob, sim.Engi
 		Bricks:       r.Fleet.Bricks,
 		HorizonHours: r.Fleet.Years * params.HoursPerYear,
 		Seed:         r.Seed,
-	}, engine, nil
+	}, nil
 }
 
 // simulateJob is the canonical resolved form of a simulate request.
@@ -351,24 +358,7 @@ type simulateJob struct {
 }
 
 func (r SimulateRequest) resolve(maxTrials int) (simulateJob, error) {
-	p, err := resolveParams(r.Preset, r.Params)
-	if err != nil {
-		return simulateJob{}, err
-	}
-	cfg, err := r.Config.resolve()
-	if err != nil {
-		return simulateJob{}, err
-	}
-	var repair sim.RepairDistribution
-	switch r.Repair {
-	case "", "exponential":
-		repair = sim.RepairExponential
-	case "deterministic":
-		repair = sim.RepairDeterministic
-	default:
-		return simulateJob{}, fmt.Errorf("unknown repair distribution %q (valid: exponential, deterministic)", r.Repair)
-	}
-	sc, err := sim.ScenarioFromConfig(p, cfg, repair)
+	sc, err := r.scenario()
 	if err != nil {
 		return simulateJob{}, err
 	}

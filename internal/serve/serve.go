@@ -31,7 +31,7 @@
 //	optimization, never a semantic one.
 //
 //	Cancellation. The request context is threaded through the solver hot
-//	loops (core.SweepCtx, sim.EstimateMTTDLParallelCtx, markov
+//	loops (core.SweepCtx, sim.EstimateMTTDLParallel, markov
 //	uniformization), so a client disconnect or server drain deadline
 //	stops the grid mid-flight instead of burning CPU on an unwanted
 //	answer. A cancelled solve is never cached; waiters deduplicated onto

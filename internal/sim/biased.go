@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -85,30 +86,7 @@ func RepairThreshold(c *markov.Chain) float64 {
 // Pass RepairThreshold(c) for the automatic choice; a zero threshold
 // disables biasing (every transition sampled at its true probability).
 func EstimateMTTABiased(c *markov.Chain, rng *rand.Rand, cycles int, delta, repairThreshold float64) (BiasedEstimate, error) {
-	if err := c.Validate(); err != nil {
-		return BiasedEstimate{}, err
-	}
-	if cycles < 2 {
-		return BiasedEstimate{}, fmt.Errorf("sim: need at least 2 cycles, got %d", cycles)
-	}
-	if delta <= 0 || delta >= 1 {
-		return BiasedEstimate{}, fmt.Errorf("sim: delta %v must lie in (0,1)", delta)
-	}
-	init := c.Initial()
-	if c.IsAbsorbing(init) {
-		return BiasedEstimate{MTTA: 0, Cycles: cycles, CycleLossProbability: 1}, nil
-	}
-
-	plans := buildBiasPlans(c, delta, repairThreshold)
-	var sums biasedSums
-	for n := 0; n < cycles; n++ {
-		x, y, err := runBiasedCycle(c, plans, init, rng)
-		if err != nil {
-			return BiasedEstimate{}, err
-		}
-		sums.add(x, y)
-	}
-	return sums.estimate()
+	return estimateMTTABiased(context.TODO(), c, rng, 0, cycles, delta, repairThreshold, 1)
 }
 
 // buildBiasPlans precomputes the per-state sampling plans. The plans are

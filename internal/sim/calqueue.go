@@ -14,7 +14,7 @@ import "math"
 // power-of-two threshold.
 //
 // Ordering contract: next() returns the exact minimum under event.less,
-// identically to the heap engine. The scan position is an integer day
+// identically to the heap oracle. The scan position is an integer day
 // counter, never an accumulated float bound: an event is due exactly when
 // dayOf(e.at) <= day, the same floor that placed it in its bucket, so
 // placement and due-check can never disagree (an earlier float-threshold
@@ -23,7 +23,7 @@ import "math"
 // nondecreasing times; equal times share a day — hence a bucket — where
 // the sorted insert applies the explicit (kind, brick, node, drive, seq)
 // tie-break. The cross-engine harness and FuzzEventSchedule hold this
-// equivalence to the heap engine down to the byte.
+// equivalence to the heap oracle down to the byte.
 type calendarQueue struct {
 	buckets [][]event
 	width   float64 // one bucket's span of simulated time
@@ -58,6 +58,20 @@ func newCalendarQueue() *calendarQueue {
 
 func (q *calendarQueue) Len() int { return q.count }
 
+// reset empties the queue for reuse, keeping the bucket slabs and the
+// calibrated width. Pop order never depends on the width, so a reused
+// queue pops exactly the sequence a fresh one would, without regrowing
+// its slabs.
+func (q *calendarQueue) reset() {
+	for b := range q.buckets {
+		q.buckets[b] = q.buckets[b][:0]
+	}
+	q.count = 0
+	q.day = 0
+	q.lastPop = 0
+	q.popGapSum, q.popGaps = 0, 0
+}
+
 // dayOf maps a timestamp to its absolute day index.
 func (q *calendarQueue) dayOf(at float64) int64 {
 	return int64(math.Floor(at / q.width))
@@ -73,19 +87,23 @@ func (q *calendarQueue) bucketOf(day int64) int {
 	return b
 }
 
-// schedule inserts e in sorted position within its day's bucket.
-func (q *calendarQueue) schedule(e event) {
-	d := q.dayOf(e.at)
+// insert places e in sorted position within day d's bucket.
+func (q *calendarQueue) insert(e event, d int64) {
 	b := q.bucketOf(d)
-	bucket := q.buckets[b]
 	// Insertion sort from the tail: new events are usually the latest in
 	// their bucket, so the common case is a plain append.
-	bucket = append(bucket, e)
+	bucket := append(q.buckets[b], e)
 	for i := len(bucket) - 1; i > 0 && bucket[i].less(bucket[i-1]); i-- {
 		bucket[i], bucket[i-1] = bucket[i-1], bucket[i]
 	}
 	q.buckets[b] = bucket
 	q.count++
+}
+
+// schedule inserts e into its day's bucket.
+func (q *calendarQueue) schedule(e event) {
+	d := q.dayOf(e.at)
+	q.insert(e, d)
 	// An event before the scan's parked day (possible only when time runs
 	// backwards — the fuzz harness does this; the DES never schedules
 	// before now) must pull the scan back or it would wait a whole year.
@@ -178,16 +196,8 @@ func (q *calendarQueue) resize(n int) {
 	for _, bucket := range old {
 		for _, e := range bucket {
 			d := q.dayOf(e.at)
-			if d < minDay {
-				minDay = d
-			}
-			b := q.bucketOf(d)
-			dst := append(q.buckets[b], e)
-			for i := len(dst) - 1; i > 0 && dst[i].less(dst[i-1]); i-- {
-				dst[i], dst[i-1] = dst[i-1], dst[i]
-			}
-			q.buckets[b] = dst
-			q.count++
+			minDay = min(minDay, d)
+			q.insert(e, d)
 		}
 	}
 	if q.count > 0 {

@@ -131,14 +131,14 @@ func TestCalendarQueueSteadyStateZeroAlloc(t *testing.T) {
 func TestFleetSetRecordRecyclingZeroAlloc(t *testing.T) {
 	sc := parallelTestScenario()
 	rng := rand.New(rand.NewSource(8))
-	s := newFleetShard(sc, 1000, 1e9, rng, EngineCalendar)
+	s := newFleetShard(sc, 1000, 1e9, rng, newCalendarQueue())
 	cycle := func() {
 		// Mirror split's bookkeeping so healthy (hence the class arrival
 		// rate and the queue population) stays constant: one acquire, one
 		// reabsorb, one pop to balance the rescheduled class arrival.
 		s.healthy--
 		idx := s.acquireSet()
-		s.reabsorb(idx, &s.records[idx])
+		s.reabsorb(&s.records[idx])
 		s.q.next()
 	}
 	for i := 0; i < 5000; i++ {

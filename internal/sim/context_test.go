@@ -17,7 +17,7 @@ func acceleratedScenario() Scenario {
 func TestEstimateMTTDLParallelCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := EstimateMTTDLParallelCtx(ctx, acceleratedScenario(), 1, 500, 1_000_000, 4)
+	_, err := EstimateMTTDLParallel(ctx, acceleratedScenario(), 1, 500, 1_000_000, 4, Observer{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -35,7 +35,7 @@ func TestEstimateMTTDLParallelCtxCancelledMidFlight(t *testing.T) {
 			cancel()
 		}
 	}}
-	_, err := EstimateMTTDLParallelObservedCtx(ctx, acceleratedScenario(), 1, 100_000, 1_000_000, 4, ob)
+	_, err := EstimateMTTDLParallel(ctx, acceleratedScenario(), 1, 100_000, 1_000_000, 4, ob)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -45,21 +45,24 @@ func TestEstimateMTTABiasedParallelCtxPreCancelled(t *testing.T) {
 	ch := biasedParallelTestChain()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := EstimateMTTABiasedParallelCtx(ctx, ch, 1, 10_000, 0.5, RepairThreshold(ch), 4)
+	_, err := EstimateMTTABiasedParallel(ctx, ch, 1, 10_000, 0.5, RepairThreshold(ch), 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestEstimateMTTDLParallelCtxBackgroundMatchesPlain(t *testing.T) {
-	// Threading a live context through must not change a single bit of
-	// the estimate — the determinism contract the serving cache leans on.
+	// Threading a live, cancellable context through must not change a
+	// single bit of the estimate — the determinism contract the serving
+	// cache leans on.
 	sc := acceleratedScenario()
-	plain, err := EstimateMTTDLParallel(sc, 7, 300, 1_000_000, 3)
+	plain, err := EstimateMTTDLParallel(context.Background(), sc, 7, 300, 1_000_000, 3, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := EstimateMTTDLParallelCtx(context.Background(), sc, 7, 300, 1_000_000, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctxed, err := EstimateMTTDLParallel(ctx, sc, 7, 300, 1_000_000, 3, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,12 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 
-	"repro/internal/combinat"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/params"
 	"repro/internal/rebuild"
@@ -117,32 +116,6 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// failureRef is one outstanding failure, in arrival order.
-type failureRef struct {
-	isNode bool
-	node   int
-	drive  int // meaningful when !isNode
-}
-
-// desNode is a node's live state.
-type desNode struct {
-	up      bool
-	seq     uint64 // validates pending node-failure events
-	drives  []desDrive
-	rebuild uint64 // validates the pending node-rebuild event
-
-	// Internal RAID state.
-	liveDrives int
-	degraded   int // failed drives awaiting restripe
-	restriping bool
-	restripe   uint64 // validates the pending restripe event
-}
-
-type desDrive struct {
-	up  bool
-	seq uint64
-}
-
 // LossCause classifies what ended a mission.
 type LossCause int
 
@@ -178,47 +151,6 @@ func (c LossCause) String() string {
 	}
 }
 
-// des is one running trajectory.
-type des struct {
-	sc          Scenario
-	rng         *rand.Rand
-	q           scheduler
-	now         float64
-	seq         uint64
-	nodes       []desNode
-	outstanding []failureRef
-	lost        bool
-	cause       LossCause
-	events      int
-
-	// Instrumentation: m is nil when disabled; per-event tallies stay in
-	// the local arrays and flush into the atomic registry once per
-	// mission, keeping the instrumented hot loop allocation- and
-	// contention-free.
-	m         *Metrics
-	recs      *desRecorders
-	kindCount [numEventKinds]int64
-
-	// onEvent, when non-nil, observes every popped event in dispatch
-	// order — the cross-engine harness's sequence probe.
-	onEvent func(event)
-}
-
-// desRecorders batches the per-repair histogram samples locally; Flush
-// resets them, so one set is reused across an entire Monte Carlo run
-// instead of being reallocated per mission.
-type desRecorders struct {
-	node, drive, restripe *obs.HistogramRecorder
-}
-
-func newDESRecorders(m *Metrics) *desRecorders {
-	return &desRecorders{
-		node:     m.NodeRebuildHours.Recorder(),
-		drive:    m.DriveRebuildHours.Recorder(),
-		restripe: m.RestripeHours.Recorder(),
-	}
-}
-
 // LossResult describes one simulated run.
 type LossResult struct {
 	// Time is the simulated time to the data-loss event, in hours.
@@ -229,364 +161,99 @@ type LossResult struct {
 	Cause LossCause
 }
 
+// missionRecorders batch the histogram samples locally — repair durations
+// indexed by their completion event's kind, and times to loss; Flush
+// resets them, so one set is reused across an entire Monte Carlo run
+// instead of being reallocated per mission.
+type missionRecorders struct {
+	repair [numEventKinds]*obs.HistogramRecorder
+	loss   *obs.HistogramRecorder
+}
+
+// newMissionShard builds the one-set shard that runs missions of sc on q.
+// An estimator worker reuses it — record, queue, recorders — across all
+// its missions; m == nil disables instrumentation.
+func newMissionShard(sc Scenario, q scheduler, m *Metrics) *shard {
+	s := &shard{sc: sc, q: q, horizon: math.Inf(1), mission: true, m: m}
+	if m != nil {
+		s.recs = &missionRecorders{loss: m.LossHours.Recorder()}
+		s.recs.repair[evNodeRebuildDone] = m.NodeRebuildHours.Recorder()
+		s.recs.repair[evDriveRebuildDone] = m.DriveRebuildHours.Recorder()
+		s.recs.repair[evRestripeDone] = m.RestripeHours.Recorder()
+	}
+	s.records = []brickSet{newBrickSet(s, 0)}
+	return s
+}
+
+// runMission simulates one trajectory from a fresh set at t=0 to its first
+// data-loss event, drawing from rng. Every node and drive is born fresh,
+// node by node (the node's lifetime, then its drives'), so birth-time
+// draws are exact for any lifetime shape.
+func (s *shard) runMission(rng *rand.Rand, maxEvents int) (LossResult, error) {
+	s.rng = rng
+	s.q.reset()
+	s.now, s.events, s.losses = 0, 0, 0
+	b := &s.records[0]
+	b.reset()
+	b.inUse = true
+	for i := range b.nodes {
+		b.restoreNode(i)
+		b.nodeUp(i)
+	}
+	s.scheduleArrival(evShock, 0, 0, s.sc.ShockRate)
+	if err := s.run(int64(maxEvents)); err != nil {
+		return LossResult{}, err
+	}
+	if s.recs != nil {
+		s.recs.loss.Observe(s.now)
+	}
+	return LossResult{Time: s.now, Events: int(s.events), Cause: s.cause}, nil
+}
+
+// flushMetrics folds the tallies of the missions run since the last flush
+// into the shared registry: every completed mission ended in one loss,
+// counted by cause. Callers flush once per chunk of missions, so the
+// registry's atomics are touched a handful of times per chunk.
+func (s *shard) flushMetrics() {
+	if s.m == nil {
+		return
+	}
+	var events, missions int64
+	for k := evNodeFail; k < numEventKinds; k++ {
+		if c := s.kindCount[k]; c != 0 {
+			s.m.byKind[k].Add(c)
+			events += c
+		}
+	}
+	for c := LossTolerance; c < lossCauseCount; c++ {
+		if n := s.byCause[c]; n != 0 {
+			s.m.byCause[c].Add(n)
+			missions += n
+		}
+	}
+	s.m.Events.Add(events)
+	s.m.Missions.Add(missions)
+	s.kindCount = [numEventKinds]int64{}
+	s.byCause = [lossCauseCount]int64{}
+	for _, r := range s.recs.repair {
+		if r != nil {
+			r.Flush()
+		}
+	}
+	s.recs.loss.Flush()
+}
+
 // RunUntilLoss simulates one trajectory from a fresh system to its first
 // data-loss event. maxEvents bounds the run; exceeding it returns an error
 // (the scenario is too reliable for naive simulation — use the biased
-// estimator instead).
-func RunUntilLoss(sc Scenario, rng *rand.Rand, maxEvents int) (LossResult, error) {
-	return runUntilLoss(sc, rng, maxEvents, nil, nil)
-}
-
-// RunUntilLossEngine is RunUntilLoss on an explicit scheduler engine.
-// Every engine pops the same event total order, so the trajectory — every
-// event, every RNG draw, the result — is bit-identical across engines;
-// the cross-engine harness enforces exactly that.
-func RunUntilLossEngine(sc Scenario, rng *rand.Rand, maxEvents int, engine Engine) (LossResult, error) {
-	if err := engine.validate(); err != nil {
-		return LossResult{}, err
-	}
-	return runUntilLossEngine(sc, rng, maxEvents, nil, nil, engine, nil)
-}
-
-func runUntilLoss(sc Scenario, rng *rand.Rand, maxEvents int, m *Metrics, recs *desRecorders) (LossResult, error) {
-	return runUntilLossEngine(sc, rng, maxEvents, m, recs, EngineHeap, nil)
-}
-
-func runUntilLossEngine(sc Scenario, rng *rand.Rand, maxEvents int, m *Metrics, recs *desRecorders, engine Engine, onEvent func(event)) (LossResult, error) {
+// estimator instead). m, when non-nil, collects the run's metrics.
+func RunUntilLoss(sc Scenario, rng *rand.Rand, maxEvents int, m *Metrics) (LossResult, error) {
 	if err := sc.Validate(); err != nil {
 		return LossResult{}, err
 	}
-	d := &des{sc: sc, rng: rng, m: m, recs: recs, onEvent: onEvent}
-	d.q = newScheduler(engine)
-	if m != nil && recs == nil {
-		d.recs = newDESRecorders(m)
-	}
-	d.nodes = make([]desNode, sc.N)
-	for i := range d.nodes {
-		d.freshNode(i)
-	}
-	if sc.ShockRate > 0 {
-		d.q.schedule(event{at: d.exp(sc.ShockRate), kind: evShock})
-	}
-	for !d.lost {
-		if d.events >= maxEvents {
-			d.flushMetrics()
-			return LossResult{}, fmt.Errorf("sim: no data loss within %d events (t=%.3g h); use the biased estimator", maxEvents, d.now)
-		}
-		if d.q.Len() == 0 {
-			return LossResult{}, fmt.Errorf("sim: event queue drained unexpectedly")
-		}
-		e := d.q.next()
-		d.now = e.at
-		d.events++
-		if d.m != nil {
-			d.kindCount[e.kind]++
-		}
-		if d.onEvent != nil {
-			d.onEvent(e)
-		}
-		d.dispatch(e)
-	}
-	d.flushMetrics()
-	return LossResult{Time: d.now, Events: d.events, Cause: d.cause}, nil
-}
-
-// flushMetrics folds the mission-local tallies into the shared registry.
-func (d *des) flushMetrics() {
-	if d.m == nil {
-		return
-	}
-	d.m.Events.Add(int64(d.events))
-	for k := evNodeFail; k < numEventKinds; k++ {
-		if c := d.kindCount[k]; c != 0 {
-			d.m.byKind[k].Add(c)
-		}
-	}
-	d.recs.node.Flush()
-	d.recs.drive.Flush()
-	d.recs.restripe.Flush()
-}
-
-// freshNode (re)initializes node i as a brand-new spare and schedules its
-// failure processes. Replenishment keeps the population constant, matching
-// the models' fixed N and the paper's spare-node provisioning.
-func (d *des) freshNode(i int) {
-	n := &d.nodes[i]
-	n.up = true
-	n.seq++
-	n.restriping = false
-	n.degraded = 0
-	n.liveDrives = d.sc.D
-	if n.drives == nil {
-		n.drives = make([]desDrive, d.sc.D)
-	}
-	d.scheduleNodeFailure(i)
-	for j := range n.drives {
-		n.drives[j].up = true
-		n.drives[j].seq++
-		d.scheduleDriveFailure(i, j)
-	}
-}
-
-func (d *des) exp(rate float64) float64 { return d.rng.ExpFloat64() / rate }
-
-func (d *des) repairTime(rate float64) float64 {
-	if d.sc.Repair == RepairDeterministic {
-		return 1 / rate
-	}
-	return d.exp(rate)
-}
-
-// lifetime draws a component time-to-failure with mean 1/rate: exponential
-// for shape 0 or 1, Weibull otherwise (scale chosen so the mean is 1/rate).
-func (d *des) lifetime(rate, shape float64) float64 {
-	return dist.Lifetime{Mean: 1 / rate, Shape: shape}.Sample(d.rng)
-}
-
-func (d *des) scheduleNodeFailure(i int) {
-	ttf := d.lifetime(d.sc.LambdaN, d.sc.NodeFailureShape)
-	d.q.schedule(event{at: d.now + ttf, kind: evNodeFail, node: i, seq: d.nodes[i].seq})
-}
-
-func (d *des) scheduleDriveFailure(i, j int) {
-	ttf := d.lifetime(d.sc.LambdaD, d.sc.DriveFailureShape)
-	d.q.schedule(event{at: d.now + ttf, kind: evDriveFail, node: i, drive: j, seq: d.nodes[i].drives[j].seq})
-}
-
-// affectedNodes counts distinct nodes with outstanding failures — the
-// maximum number of erasures any single redundancy set can currently have
-// (each set holds at most one element per node).
-func (d *des) affectedNodes() int {
-	seen := make(map[int]bool, len(d.outstanding))
-	for _, f := range d.outstanding {
-		seen[f.node] = true
-	}
-	return len(seen)
-}
-
-// failureWord renders the outstanding failures (arrival order) as the
-// h-subscript word of Section 5.2.2.
-func (d *des) failureWord() combinat.Word {
-	w := make(combinat.Word, len(d.outstanding))
-	for i, f := range d.outstanding {
-		if f.isNode {
-			w[i] = combinat.NodeFailure
-		} else {
-			w[i] = combinat.DriveFailure
-		}
-	}
-	return w
-}
-
-// dispatch applies one event if it is still valid.
-func (d *des) dispatch(e event) {
-	n := &d.nodes[e.node]
-	switch e.kind {
-	case evNodeFail:
-		if !n.up || e.seq != n.seq {
-			return
-		}
-		d.nodeLevelFailure(e.node)
-	case evDriveFail:
-		if !n.up || e.seq != n.drives[e.drive].seq || !n.drives[e.drive].up {
-			return
-		}
-		if d.sc.ParityDrives > 0 {
-			d.internalDriveFailure(e.node, e.drive)
-		} else {
-			d.nirDriveFailure(e.node, e.drive)
-		}
-	case evNodeRebuildDone:
-		if e.seq != n.rebuild || n.up {
-			return
-		}
-		d.removeOutstanding(func(f failureRef) bool { return f.isNode && f.node == e.node })
-		d.freshNode(e.node)
-	case evDriveRebuildDone:
-		if !n.up || e.seq != n.drives[e.drive].seq || n.drives[e.drive].up {
-			return
-		}
-		d.removeOutstanding(func(f failureRef) bool { return !f.isNode && f.node == e.node && f.drive == e.drive })
-		// Replenished spare capacity behaves like a fresh drive.
-		n.drives[e.drive].up = true
-		n.drives[e.drive].seq++
-		d.scheduleDriveFailure(e.node, e.drive)
-	case evRestripeDone:
-		if !n.up || !n.restriping || e.seq != n.restripe {
-			return
-		}
-		d.restripeDone(e.node)
-	case evShock:
-		d.shock()
-		if !d.lost {
-			d.q.schedule(event{at: d.now + d.exp(d.sc.ShockRate), kind: evShock})
-		}
-	}
-}
-
-// shock fails ShockSize uniformly chosen live nodes at once — a correlated
-// failure outside the models' independence assumption.
-func (d *des) shock() {
-	live := make([]int, 0, len(d.nodes))
-	for i := range d.nodes {
-		if d.nodes[i].up {
-			live = append(live, i)
-		}
-	}
-	d.rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
-	for i := 0; i < d.sc.ShockSize && i < len(live) && !d.lost; i++ {
-		d.nodeLevelFailure(live[i])
-	}
-}
-
-// nodeLevelFailure handles a whole-node (or internal-array) failure.
-func (d *des) nodeLevelFailure(i int) {
-	n := &d.nodes[i]
-	n.up = false
-	n.seq++
-	n.restriping = false
-	// Invalidate drive events and drop subsumed drive failures: the node
-	// rebuild regenerates everything the node held.
-	for j := range n.drives {
-		n.drives[j].seq++
-	}
-	d.removeOutstanding(func(f failureRef) bool { return !f.isNode && f.node == i })
-	d.outstanding = append(d.outstanding, failureRef{isNode: true, node: i})
-	d.checkCriticalArrival()
-	if d.lost {
-		return
-	}
-	n.rebuild++
-	rt := d.repairTime(d.sc.MuN)
-	if d.m != nil {
-		d.recs.node.Observe(rt)
-	}
-	d.q.schedule(event{at: d.now + rt, kind: evNodeRebuildDone, node: i, seq: n.rebuild})
-}
-
-// nirDriveFailure handles a drive failure when drives directly carry the
-// inter-node code.
-func (d *des) nirDriveFailure(i, j int) {
-	n := &d.nodes[i]
-	n.drives[j].up = false
-	n.drives[j].seq++
-	d.outstanding = append(d.outstanding, failureRef{isNode: false, node: i, drive: j})
-	d.checkCriticalArrival()
-	if d.lost {
-		return
-	}
-	rt := d.repairTime(d.sc.MuD)
-	if d.m != nil {
-		d.recs.drive.Observe(rt)
-	}
-	d.q.schedule(event{at: d.now + rt, kind: evDriveRebuildDone, node: i, drive: j, seq: n.drives[j].seq})
-}
-
-// checkCriticalArrival applies the data-loss rules after a new failure:
-// more distinct affected nodes than the fault tolerance loses data
-// outright; arriving exactly at the tolerance makes the triggered rebuild
-// critical, losing data with the Section 5.2.2 uncorrectable-error
-// probability h_α. The h draw applies only without internal RAID: an
-// internal array corrects uncorrectable read errors on its own drives, so
-// IR node rebuilds are exposed only through the restripe λ_S path
-// (exactly as in the paper's Figures 5–7, which carry no h terms).
-func (d *des) checkCriticalArrival() {
-	affected := d.affectedNodes()
-	if affected > d.sc.T {
-		d.lost = true
-		d.cause = LossTolerance
-		return
-	}
-	if d.sc.ParityDrives > 0 {
-		return
-	}
-	if affected == d.sc.T && d.sc.CHER > 0 && len(d.outstanding) == d.sc.T {
-		h := combinat.H(d.sc.N, d.sc.R, d.sc.D, d.sc.CHER, d.failureWord())
-		if h > 1 {
-			h = 1
-		}
-		if d.rng.Float64() < h {
-			d.lost = true
-			d.cause = LossCriticalUE
-		}
-	}
-}
-
-// internalDriveFailure handles a drive failure inside a RAID-protected
-// node.
-func (d *des) internalDriveFailure(i, j int) {
-	n := &d.nodes[i]
-	n.drives[j].up = false
-	n.drives[j].seq++
-	n.degraded++
-	if n.degraded > d.sc.ParityDrives {
-		// Beyond the array's tolerance: the whole node's data is gone.
-		d.nodeLevelFailure(i)
-		return
-	}
-	if !n.restriping {
-		n.restriping = true
-		n.restripe++
-		rt := d.repairTime(d.sc.MuRestripe)
-		if d.m != nil {
-			d.recs.restripe.Observe(rt)
-		}
-		d.q.schedule(event{at: d.now + rt, kind: evRestripeDone, node: i, seq: n.restripe})
-	}
-}
-
-// restripeDone completes an internal restripe: the failed drives leave the
-// array and redundancy is restored. Reading the surviving data may hit an
-// uncorrectable error; if the inter-node redundancy is critical at that
-// moment, the error falls in a critical redundancy set with probability
-// k_t and loses data (Section 5.2.1). Like the analytic models (constant
-// d), the spare over-provisioning absorbs the capacity loss: the array
-// returns to full strength.
-func (d *des) restripeDone(i int) {
-	n := &d.nodes[i]
-	read := n.liveDrives - n.degraded
-	// An uncorrectable read error only matters when the restripe had no
-	// parity margin left (degraded == m): with RAID 6 a single-failure
-	// restripe corrects UEs through the second parity, exactly as the
-	// Figure 4 chain charges h only on the two-failures rebuild.
-	critical := n.degraded == d.sc.ParityDrives
-	n.degraded = 0
-	n.restriping = false
-	if critical && d.sc.CHER > 0 && d.affectedNodes() == d.sc.T {
-		h := float64(read) * d.sc.CHER
-		if h > 1 {
-			h = 1
-		}
-		if d.rng.Float64() < h {
-			kt := combinat.CriticalFraction(d.sc.N, d.sc.R, d.sc.T)
-			if d.rng.Float64() < kt {
-				d.lost = true
-				d.cause = LossRestripeUE
-				return
-			}
-		}
-	}
-	// Replenish: failed drives' data now lives on spare capacity that is
-	// itself subject to drive failures, so the at-risk population stays d.
-	for j := range n.drives {
-		if !n.drives[j].up {
-			n.drives[j].up = true
-			n.drives[j].seq++
-			d.scheduleDriveFailure(i, j)
-		}
-	}
-	n.liveDrives = d.sc.D
-}
-
-// removeOutstanding deletes matching entries, preserving order.
-func (d *des) removeOutstanding(match func(failureRef) bool) {
-	out := d.outstanding[:0]
-	for _, f := range d.outstanding {
-		if !match(f) {
-			out = append(out, f)
-		}
-	}
-	d.outstanding = out
+	s := newMissionShard(sc, newCalendarQueue(), m)
+	defer s.flushMetrics()
+	return s.runMission(rng, maxEvents)
 }
 
 // Estimate summarizes repeated RunUntilLoss trials.
@@ -606,57 +273,37 @@ func (e Estimate) RelHalfWidth95() float64 {
 	return 1.96 * e.StdErr / e.MeanHours
 }
 
-// EstimateMTTDL runs independent trajectories and aggregates the observed
-// times to data loss.
-func EstimateMTTDL(sc Scenario, rng *rand.Rand, trials, maxEventsPerTrial int) (Estimate, error) {
-	return estimateMTTDL(sc, rng, trials, maxEventsPerTrial, Observer{})
+// missionStats accumulates mission results. Welford's online algorithm:
+// the textbook sumSq - sum·mean form cancels catastrophically for MTTDLs
+// of 10¹⁰ hours and beyond.
+type missionStats struct {
+	w    welford
+	evts float64
 }
 
-func estimateMTTDL(sc Scenario, rng *rand.Rand, trials, maxEventsPerTrial int, ob Observer) (Estimate, error) {
-	if trials < 2 {
-		return Estimate{}, fmt.Errorf("sim: need at least 2 trials, got %d", trials)
-	}
-	// Welford's online algorithm: the textbook sumSq - sum·mean form
-	// cancels catastrophically for MTTDLs of 10¹⁰ hours and beyond.
-	var w welford
-	var evts float64
-	var recs *desRecorders
-	if ob.Metrics != nil {
-		recs = newDESRecorders(ob.Metrics)
-	}
-	for i := 0; i < trials; i++ {
-		r, err := runUntilLoss(sc, rng, maxEventsPerTrial, ob.Metrics, recs)
-		if err != nil {
-			return Estimate{}, fmt.Errorf("trial %d: %w", i, err)
-		}
-		observeMissionCallbacks(ob, i, r)
-		w.observe(r.Time)
-		evts += float64(r.Events)
-	}
+func (m *missionStats) add(r LossResult) {
+	m.w.observe(r.Time)
+	m.evts += float64(r.Events)
+}
+
+func (m *missionStats) merge(o missionStats) {
+	m.w.merge(o.w)
+	m.evts += o.evts
+}
+
+func (m missionStats) estimate(trials int) Estimate {
 	return Estimate{
 		Trials:    trials,
-		MeanHours: w.mean,
-		StdErr:    math.Sqrt(w.variance() / float64(trials)),
-		MeanEvts:  evts / float64(trials),
-	}, nil
+		MeanHours: m.w.mean,
+		StdErr:    math.Sqrt(m.w.variance() / float64(trials)),
+		MeanEvts:  m.evts / float64(trials),
+	}
 }
 
-// observeMissionCallbacks fires the per-mission observer surface for one
-// completed mission: metrics fold, hook event, progress callback. The
-// parallel estimator serializes calls to this under a mutex so JSONL
-// events stay well-formed and OnMission never runs concurrently.
-func observeMissionCallbacks(ob Observer, i int, r LossResult) {
-	if ob.Metrics != nil {
-		ob.Metrics.observeMission(r)
-	}
-	if ob.Hook != nil {
-		ob.Hook.Emit(obs.Event{T: r.Time, Name: "data_loss", Fields: map[string]any{
-			"mission": i,
-			"cause":   r.Cause.String(),
-			"events":  r.Events,
-		}})
-	}
-	if ob.OnMission != nil {
-		ob.OnMission(i, r)
-	}
+// EstimateMTTDL runs independent trajectories off one shared RNG and
+// aggregates the observed times to data loss, with per-mission telemetry
+// through ob (the zero Observer disables it). Trial i's sample depends on
+// trials 0..i-1; EstimateMTTDLParallel draws per-trial streams instead.
+func EstimateMTTDL(sc Scenario, rng *rand.Rand, trials, maxEventsPerTrial int, ob Observer) (Estimate, error) {
+	return estimateMTTDL(context.TODO(), sc, rng, 0, trials, maxEventsPerTrial, 1, ob)
 }

@@ -97,7 +97,7 @@ func TestDESMatchesChainNIRFaultTolerance1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(11)), 4000, 1_000_000)
+	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(11)), 4000, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDESChainLIFOConservatismFaultTolerance2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(12)), 1500, 5_000_000)
+	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(12)), 1500, 5_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDESMatchesChainInternalRAID5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(13)), 1200, 10_000_000)
+	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(13)), 1200, 10_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestDESMatchesChainInternalRAID6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(20)), 800, 10_000_000)
+	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(20)), 800, 10_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +199,11 @@ func TestDESRepairDistributionAblation(t *testing.T) {
 	scExp, _ := acceleratedNIR(1)
 	scDet := scExp
 	scDet.Repair = RepairDeterministic
-	expEst, err := EstimateMTTDL(scExp, rand.New(rand.NewSource(14)), 2500, 1_000_000)
+	expEst, err := EstimateMTTDL(scExp, rand.New(rand.NewSource(14)), 2500, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	detEst, err := EstimateMTTDL(scDet, rand.New(rand.NewSource(15)), 2500, 1_000_000)
+	detEst, err := EstimateMTTDL(scDet, rand.New(rand.NewSource(15)), 2500, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRunUntilLossTooReliable(t *testing.T) {
 	sc.LambdaN = 1e-9
 	sc.LambdaD = 1e-9
 	sc.CHER = 0 // overlapping failures are then essentially impossible
-	_, err := RunUntilLoss(sc, rand.New(rand.NewSource(16)), 2000)
+	_, err := RunUntilLoss(sc, rand.New(rand.NewSource(16)), 2000, nil)
 	if err == nil || !strings.Contains(err.Error(), "biased estimator") {
 		t.Errorf("err = %v, want max-events guidance", err)
 	}
@@ -226,12 +226,12 @@ func TestRunUntilLossTooReliable(t *testing.T) {
 
 func TestEstimateMTTDLValidation(t *testing.T) {
 	sc, _ := acceleratedNIR(1)
-	if _, err := EstimateMTTDL(sc, rand.New(rand.NewSource(1)), 1, 100); err == nil {
+	if _, err := EstimateMTTDL(sc, rand.New(rand.NewSource(1)), 1, 100, Observer{}); err == nil {
 		t.Error("trials=1 accepted")
 	}
 	bad := sc
 	bad.T = 0
-	if _, err := EstimateMTTDL(bad, rand.New(rand.NewSource(1)), 10, 100); err == nil {
+	if _, err := EstimateMTTDL(bad, rand.New(rand.NewSource(1)), 10, 100, Observer{}); err == nil {
 		t.Error("invalid scenario accepted")
 	}
 }
@@ -247,7 +247,7 @@ func TestDESNoSectorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(17)), 2000, 2_000_000)
+	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(17)), 2000, 2_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +260,11 @@ func TestDESNoSectorErrors(t *testing.T) {
 func TestDESMonotoneInFaultTolerance(t *testing.T) {
 	sc1, _ := acceleratedNIR(1)
 	sc2, _ := acceleratedNIR(2)
-	est1, err := EstimateMTTDL(sc1, rand.New(rand.NewSource(18)), 1000, 1_000_000)
+	est1, err := EstimateMTTDL(sc1, rand.New(rand.NewSource(18)), 1000, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	est2, err := EstimateMTTDL(sc2, rand.New(rand.NewSource(19)), 1000, 5_000_000)
+	est2, err := EstimateMTTDL(sc2, rand.New(rand.NewSource(19)), 1000, 5_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}

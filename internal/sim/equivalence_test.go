@@ -1,15 +1,14 @@
 package sim
 
-// The cross-engine differential harness: both scheduler engines must pop
-// the exact same event total order, which makes every trajectory — every
-// RNG draw, every estimate — bit-identical between them. This is the
-// regression anchor for any future scheduler work: a new engine (or a
-// "harmless" optimization to an existing one) that reorders so much as
-// one pair of events fails here immediately, on a randomized scenario it
-// was never tuned for.
+// The cross-engine differential harness: the calendar queue and the heap
+// oracle (heap_test.go) must pop the exact same event total order, which
+// makes every trajectory — every RNG draw, every estimate — bit-identical
+// between them. This is the regression anchor for any future scheduler
+// work: a new scheduler (or a "harmless" optimization to the calendar
+// queue) that reorders so much as one pair of events fails here
+// immediately, on a randomized scenario it was never tuned for.
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -57,14 +56,13 @@ func randomScenario(rng *rand.Rand) Scenario {
 	return sc
 }
 
-// runTraced runs one trajectory on the given engine, capturing the full
-// popped-event sequence.
-func runTraced(sc Scenario, seed int64, maxEvents int, engine Engine) ([]event, LossResult, error) {
+// runTraced runs one trajectory on the given scheduler, capturing the
+// full popped-event sequence.
+func runTraced(sc Scenario, seed int64, maxEvents int, q scheduler) ([]event, LossResult, error) {
 	var seq []event
-	rng := rand.New(rand.NewSource(seed))
-	res, err := runUntilLossEngine(sc, rng, maxEvents, nil, nil, engine, func(e event) {
-		seq = append(seq, e)
-	})
+	s := newMissionShard(sc, q, nil)
+	s.onEvent = func(e event) { seq = append(seq, e) }
+	res, err := s.runMission(rand.New(rand.NewSource(seed)), maxEvents)
 	return seq, res, err
 }
 
@@ -86,8 +84,8 @@ func TestCrossEngineEquivalence(t *testing.T) {
 		}
 		for s := 0; s < seeds; s++ {
 			seed := int64(1000*i + s)
-			hSeq, hRes, hErr := runTraced(sc, seed, maxEvents, EngineHeap)
-			cSeq, cRes, cErr := runTraced(sc, seed, maxEvents, EngineCalendar)
+			hSeq, hRes, hErr := runTraced(sc, seed, maxEvents, newHeapQueue())
+			cSeq, cRes, cErr := runTraced(sc, seed, maxEvents, newCalendarQueue())
 			if (hErr == nil) != (cErr == nil) {
 				t.Fatalf("scenario %d seed %d: heap err %v vs calendar err %v (%+v)", i, s, hErr, cErr, sc)
 			}
@@ -107,29 +105,21 @@ func TestCrossEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunUntilLossEngineMatchesDefault pins that the default path IS the
-// heap engine: RunUntilLoss and RunUntilLossEngine(EngineHeap) produce
-// the identical trajectory, so wiring the scheduler interface in changed
-// nothing for existing callers.
+// TestRunUntilLossEngineMatchesDefault pins that RunUntilLoss — the
+// calendar queue — produces the identical trajectory to the same mission
+// on the injected heap oracle.
 func TestRunUntilLossEngineMatchesDefault(t *testing.T) {
 	sc := parallelTestScenario()
-	def, err := RunUntilLoss(sc, rand.New(rand.NewSource(9)), 1_000_000)
+	def, err := RunUntilLoss(sc, rand.New(rand.NewSource(9)), 1_000_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, err := RunUntilLossEngine(sc, rand.New(rand.NewSource(9)), 1_000_000, EngineHeap)
+	_, heap, err := runTraced(sc, 9, 1_000_000, newHeapQueue())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := RunUntilLossEngine(sc, rand.New(rand.NewSource(9)), 1_000_000, EngineCalendar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def != heap || def != cal {
-		t.Errorf("default %+v, heap %+v, calendar %+v", def, heap, cal)
-	}
-	if _, err := RunUntilLossEngine(sc, rand.New(rand.NewSource(9)), 1_000_000, Engine(7)); err == nil {
-		t.Error("invalid engine accepted")
+	if def != heap {
+		t.Errorf("RunUntilLoss %+v, heap oracle %+v", def, heap)
 	}
 }
 
@@ -151,17 +141,17 @@ func fleetEquivalenceScenarios() []Scenario {
 }
 
 // TestFleetCrossEngineEquivalence extends the harness to the fleet
-// estimator: heap and calendar engines must produce equal FleetEstimates
-// (every field, ==) across scenario shapes and seeds.
+// estimator: the heap oracle and the calendar queue must produce equal
+// FleetEstimates (every field, ==) across scenario shapes and seeds.
 func TestFleetCrossEngineEquivalence(t *testing.T) {
 	const bricks, horizon = 2000, 2000.0
 	for i, sc := range fleetEquivalenceScenarios() {
 		for seed := int64(1); seed <= 2; seed++ {
-			h, err := EstimateFleetObservedCtx(t.Context(), sc, bricks, horizon, seed, 0, 0, EngineHeap, nil)
+			h, err := estimateFleet(t.Context(), sc, bricks, horizon, seed, 0, 0, nil, newHeapQueue)
 			if err != nil {
 				t.Fatalf("scenario %d seed %d heap: %v", i, seed, err)
 			}
-			c, err := EstimateFleetObservedCtx(t.Context(), sc, bricks, horizon, seed, 0, 0, EngineCalendar, nil)
+			c, err := EstimateFleet(t.Context(), sc, bricks, horizon, seed, 0, 0, nil)
 			if err != nil {
 				t.Fatalf("scenario %d seed %d calendar: %v", i, seed, err)
 			}
@@ -177,18 +167,18 @@ func TestFleetCrossEngineEquivalence(t *testing.T) {
 // identical aggregates.
 func TestFleetShardEventSequenceEquivalence(t *testing.T) {
 	sc := parallelTestScenario()
-	capture := func(engine Engine) []event {
+	capture := func(q scheduler) []event {
 		var seq []event
 		rng := rand.New(rand.NewSource(77))
-		if _, err := runFleetShard(sc, 500, 4000, rng, engine, 0x7fffffff, func(e event) {
+		if _, err := runFleetShard(sc, 500, 4000, rng, q, 0x7fffffff, func(e event) {
 			seq = append(seq, e)
 		}); err != nil {
 			t.Fatal(err)
 		}
 		return seq
 	}
-	hSeq := capture(EngineHeap)
-	cSeq := capture(EngineCalendar)
+	hSeq := capture(newHeapQueue())
+	cSeq := capture(newCalendarQueue())
 	if len(hSeq) != len(cSeq) {
 		t.Fatalf("event counts %d vs %d", len(hSeq), len(cSeq))
 	}
@@ -210,12 +200,12 @@ func TestFleetEstimateWorkerDeterminism(t *testing.T) {
 	// > 2 shards so the worker pool actually contends.
 	const bricks = 3 * fleetShardSets * 8 // 3 shards of N=8 sets
 	const horizon = 2000.0
-	want, err := EstimateFleetObservedCtx(t.Context(), sc, bricks, horizon, 42, 1, 0, EngineCalendar, nil)
+	want, err := EstimateFleet(t.Context(), sc, bricks, horizon, 42, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7, runtime.NumCPU(), 0} {
-		got, err := EstimateFleetObservedCtx(t.Context(), sc, bricks, horizon, 42, workers, 0, EngineCalendar, nil)
+		got, err := EstimateFleet(t.Context(), sc, bricks, horizon, 42, workers, 0, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -223,7 +213,7 @@ func TestFleetEstimateWorkerDeterminism(t *testing.T) {
 			t.Errorf("workers=%d: %+v != workers=1 result %+v", workers, got, want)
 		}
 	}
-	other, err := EstimateFleetObservedCtx(t.Context(), sc, bricks, horizon, 43, 0, 0, EngineCalendar, nil)
+	other, err := EstimateFleet(t.Context(), sc, bricks, horizon, 43, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,9 +224,10 @@ func TestFleetEstimateWorkerDeterminism(t *testing.T) {
 
 // TestEventTieBreakOrder is the latent-inconsistency fix: equal-time
 // events must pop in the documented (kind, brick, node, drive, seq)
-// order on BOTH engines — a contract, not a heap accident. The DES never
-// creates time ties (continuous draws), but a scheduler that resolved
-// them arbitrarily would make engines incomparable the day one appears.
+// order on the calendar queue and the heap oracle alike — a contract, not
+// a heap accident. The DES never creates time ties (continuous draws), but
+// a scheduler that resolved them arbitrarily would make the two
+// incomparable the day one appears.
 func TestEventTieBreakOrder(t *testing.T) {
 	// Every permutation axis at one shared timestamp, plus surrounding
 	// times to prove ties don't leak across time boundaries.
@@ -257,10 +248,13 @@ func TestEventTieBreakOrder(t *testing.T) {
 		{at: tie, kind: evSetArrival, set: 1, seq: 4},
 		{at: tie + 1, kind: evNodeFail},
 	}
-	for _, engine := range []Engine{EngineHeap, EngineCalendar} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, engine := range []struct {
+		name     string
+		newQueue func() scheduler
+	}{{"heap", newHeapQueue}, {"calendar", newCalendarScheduler}} {
+		t.Run(engine.name, func(t *testing.T) {
 			for trial := 0; trial < 50; trial++ {
-				q := newScheduler(engine)
+				q := engine.newQueue()
 				perm := rand.New(rand.NewSource(int64(trial))).Perm(len(want))
 				for _, k := range perm {
 					q.schedule(want[k])
@@ -277,31 +271,4 @@ func TestEventTieBreakOrder(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestEngineParseAndString covers the flag/wire mapping.
-func TestEngineParseAndString(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Engine
-		ok   bool
-	}{
-		{"", EngineCalendar, true},
-		{"calendar", EngineCalendar, true},
-		{"heap", EngineHeap, true},
-		{"btree", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseEngine(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
-		}
-	}
-	if EngineHeap.String() != "heap" || EngineCalendar.String() != "calendar" {
-		t.Error("engine names changed")
-	}
-	if s := Engine(9).String(); s != "Engine(9)" {
-		t.Errorf("unknown engine string %q", s)
-	}
-	_ = fmt.Sprintf("%v", EngineCalendar)
 }

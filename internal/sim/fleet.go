@@ -3,10 +3,10 @@ package sim
 // Fleet-scale DES: simulate a million-brick fleet over a mission horizon.
 //
 // A brick is one storage node (the paper's unit); the Scenario's N bricks
-// form one node set, the system the chain models and the single-system
+// form one node set, the system the chain models and the per-mission
 // simulator (des.go) runs. A fleet is many independent node sets: 10⁶
-// baseline bricks are 15625 sets of 64. The single-system simulator
-// heap-schedules every component individually, so a fleet carries
+// baseline bricks are 15625 sets of 64. The per-mission simulator
+// schedules every component individually, so a fleet carries
 // O(bricks·drives) pending events — tens of millions before the first one
 // fires. The fleet engine makes the population cheap with the aggregation
 // idea of Karmakar & Gopinath (arXiv 1508.02055), applied at node-set
@@ -39,66 +39,21 @@ package sim
 //
 // Determinism: the fleet is sharded into fixed fleetShardSets-set shards
 // whose boundaries depend only on the set count; shard k runs off
-// rand.New(seedstream.Derive(baseSeed, k)) on its own scheduler, and
-// shard results fold in ascending shard order — bit-identical at any
-// worker count, PR 2's contract. Both scheduler engines pop the same
-// event total order, so the whole estimate is also bit-identical between
-// EngineHeap and EngineCalendar (enforced by the cross-engine harness).
+// rand.New(seedstream.Derive(baseSeed, k)) on a freshly reset scheduler,
+// and shard results fold in ascending shard order — bit-identical at any
+// worker count. The transitions themselves are the brick-set kernel's
+// (kernel.go), shared with the per-mission simulator; this file adds the
+// aggregate class, the competing-risks arrival and the fleet estimator.
 
 import (
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/combinat"
 	"repro/internal/obs"
 	"repro/internal/seedstream"
 )
-
-// Engine selects the event-scheduler implementation.
-type Engine int
-
-const (
-	// EngineHeap is the container/heap reference engine.
-	EngineHeap Engine = iota + 1
-	// EngineCalendar is the bucketed calendar queue — the fleet-scale
-	// default.
-	EngineCalendar
-)
-
-// String returns the engine's wire/flag name.
-func (e Engine) String() string {
-	switch e {
-	case EngineHeap:
-		return "heap"
-	case EngineCalendar:
-		return "calendar"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-func (e Engine) validate() error {
-	if e != EngineHeap && e != EngineCalendar {
-		return fmt.Errorf("sim: unknown engine %d", int(e))
-	}
-	return nil
-}
-
-// ParseEngine maps a flag/wire name onto an Engine ("" selects calendar).
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "calendar":
-		return EngineCalendar, nil
-	case "heap":
-		return EngineHeap, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown engine %q (valid: calendar, heap)", s)
-	}
-}
 
 // fleetShardSets is the fixed shard size in node sets. Like missionChunk,
 // it is a constant: shard boundaries must depend only on the fleet size,
@@ -143,7 +98,7 @@ func NewFleetMetrics(reg *obs.Registry) *FleetMetrics {
 }
 
 // FleetEstimate summarizes a fleet simulation. All fields are pure
-// functions of (scenario, bricks, horizon, baseSeed, engine): two runs at
+// functions of (scenario, bricks, horizon, baseSeed): two runs at
 // different worker counts compare equal with ==.
 type FleetEstimate struct {
 	// Bricks is the simulated brick (storage node) count — the requested
@@ -206,95 +161,28 @@ func validateFleet(sc Scenario, bricks int, horizonHours float64) error {
 	return nil
 }
 
-// fleetSet is one split node set's record. Records live in a slab and
-// recycle through a freelist. Released records are always CLEAN — fully
-// healthy, with every validator seq bumped past any event the previous
-// tenancy left in the queue (seqs never reset) — so acquire is O(1): it
-// does not touch the N nodes and N·D drives at all. A merge releases a
-// record that is already clean by definition; a loss scrubs only the
-// nodes its tenancy dirtied (the dirty list) before release.
-type fleetSet struct {
-	inUse       bool
-	arrSeq      uint64 // validates the pending evSetArrival
-	nodes       []desNode
-	outstanding []failureRef
-
-	// dirty lists nodes whose state deviated from clean this tenancy
-	// (duplicates allowed; scrub is idempotent).
-	dirty []int32
-
-	// Incremental tallies that make setRate and setHealthy O(1):
-	// downNodes counts !up nodes, downDrivesUp counts down drives on up
-	// nodes (down nodes hide their drives from the failure rate, exactly
-	// as the component walk in sampleSetFailure skips them), restripingN
-	// counts nodes with a restripe in flight.
-	downNodes    int
-	downDrivesUp int
-	restripingN  int
-}
-
-// fleetShard simulates one shard's sub-fleet on its own scheduler and RNG.
-type fleetShard struct {
-	sc      Scenario
-	rng     *rand.Rand
-	q       scheduler
-	now     float64
-	horizon float64
-
-	// healthy is the aggregate class count (fully-healthy node sets);
-	// classSeq validates its pending arrival.
-	healthy  int
-	classSeq uint64
-	// lambdaHealthy is one fully-healthy node set's total event rate.
-	lambdaHealthy float64
-
-	records []fleetSet
-	free    []int32
-	live    int
-	peak    int
-
-	events         int64
-	splits, merges int64
-	losses         int64
-	byCause        [lossCauseCount]int64
-
-	// onEvent observes every popped event — the harness's sequence probe.
-	onEvent func(event)
-}
-
-func newFleetShard(sc Scenario, sets int, horizonHours float64, rng *rand.Rand, engine Engine) *fleetShard {
-	s := &fleetShard{
+// newFleetShard builds a fleet shard of sets node sets, all starting in
+// the aggregate class.
+func newFleetShard(sc Scenario, sets int, horizonHours float64, rng *rand.Rand, q scheduler) *shard {
+	s := &shard{
 		sc:      sc,
 		rng:     rng,
-		q:       newScheduler(engine),
+		q:       q,
 		horizon: horizonHours,
 		healthy: sets,
 		lambdaHealthy: float64(sc.N)*sc.LambdaN +
 			float64(sc.N*sc.D)*sc.LambdaD + sc.ShockRate,
 	}
-	s.classSeq++
-	s.scheduleClassArrival()
+	s.redrawClassArrival()
 	return s
 }
 
-func (s *fleetShard) exp(rate float64) float64 { return s.rng.ExpFloat64() / rate }
-
-func (s *fleetShard) repairTime(rate float64) float64 {
-	if s.sc.Repair == RepairDeterministic {
-		return 1 / rate
-	}
-	return s.exp(rate)
-}
-
-// scheduleClassArrival draws the aggregate class's next failure from the
-// superposition of its healthy node sets. Callers bump classSeq first,
-// which lazily cancels any previously pending class arrival.
-func (s *fleetShard) scheduleClassArrival() {
-	rate := float64(s.healthy) * s.lambdaHealthy
-	if rate <= 0 {
-		return
-	}
-	s.q.schedule(event{at: s.now + s.exp(rate), kind: evClassArrival, set: -1, seq: s.classSeq})
+// redrawClassArrival draws the aggregate class's next failure from the
+// superposition of its healthy node sets, lazily cancelling any pending
+// class arrival.
+func (s *shard) redrawClassArrival() {
+	s.classSeq++
+	s.scheduleArrival(evClassArrival, -1, s.classSeq, float64(s.healthy)*s.lambdaHealthy)
 }
 
 // acquireSet takes a record off the freelist (or grows the slab during
@@ -303,28 +191,16 @@ func (s *fleetShard) scheduleClassArrival() {
 // recycled path touches no per-component state: O(1), which is what
 // keeps split cost independent of N·D. Seqs only ever increment, so a
 // recycled record is immune to its previous tenant's stale events.
-func (s *fleetShard) acquireSet() int32 {
+func (s *shard) acquireSet() int32 {
 	var idx int32
 	if n := len(s.free); n > 0 {
 		idx = s.free[n-1]
 		s.free = s.free[:n-1]
-		s.records[idx].inUse = true
 	} else {
-		s.records = append(s.records, fleetSet{})
-		idx = int32(len(s.records) - 1)
-		b := &s.records[idx]
-		b.inUse = true
-		b.nodes = make([]desNode, s.sc.N)
-		for i := range b.nodes {
-			n := &b.nodes[i]
-			n.up = true
-			n.liveDrives = s.sc.D
-			n.drives = make([]desDrive, s.sc.D)
-			for j := range n.drives {
-				n.drives[j].up = true
-			}
-		}
+		idx = int32(len(s.records))
+		s.records = append(s.records, newBrickSet(s, idx))
 	}
+	s.records[idx].inUse = true
 	s.live++
 	if s.live > s.peak {
 		s.peak = s.live
@@ -338,20 +214,11 @@ func (s *fleetShard) acquireSet() int32 {
 // in the queue. Untouched nodes are already clean and have no pending
 // events, so the cost is proportional to the tenancy's failure count,
 // not to N·D.
-func (s *fleetShard) scrub(b *fleetSet) {
+func (s *shard) scrub(b *brickSet) {
 	for _, i := range b.dirty {
-		n := &b.nodes[i]
-		n.up = true
-		n.seq++
-		n.rebuild++
-		n.restriping = false
-		n.restripe++
-		n.degraded = 0
-		n.liveDrives = s.sc.D
-		for j := range n.drives {
-			n.drives[j].up = true
-			n.drives[j].seq++
-		}
+		b.restoreNode(int(i))
+		b.nodes[i].rebuild++
+		b.nodes[i].restripe++
 	}
 	b.outstanding = b.outstanding[:0]
 	b.downNodes, b.downDrivesUp, b.restripingN = 0, 0, 0
@@ -360,74 +227,59 @@ func (s *fleetShard) scrub(b *fleetSet) {
 // reabsorb returns a split node set to the aggregate class (after a merge
 // or a loss-and-rebirth): the record goes back to the freelist, the class
 // count grows, and the class arrival is redrawn at the new rate.
-func (s *fleetShard) reabsorb(idx int32, b *fleetSet) {
+func (s *shard) reabsorb(b *brickSet) {
 	b.inUse = false
 	b.arrSeq++ // lazily cancel the pending set arrival
 	b.dirty = b.dirty[:0]
-	s.free = append(s.free, idx)
+	s.free = append(s.free, b.idx)
 	s.live--
 	s.healthy++
-	s.classSeq++
-	s.scheduleClassArrival()
+	s.redrawClassArrival()
 }
 
-// setRate is a split node set's total live event rate: per-up-node and
+// rate is a split node set's total live event rate: per-up-node and
 // per-live-drive failure rates plus its shock process, computed from the
-// incremental tallies in O(1). setRateWalk is the reference
-// implementation the invariant test checks it against.
-func (s *fleetShard) setRate(b *fleetSet) float64 {
-	upNodes := s.sc.N - b.downNodes
-	upDrives := upNodes*s.sc.D - b.downDrivesUp
-	return s.sc.ShockRate + float64(upNodes)*s.sc.LambdaN + float64(upDrives)*s.sc.LambdaD
+// incremental tallies in O(1).
+func (b *brickSet) rate() float64 {
+	sc := &b.sh.sc
+	upNodes := sc.N - b.downNodes
+	upDrives := upNodes*sc.D - b.downDrivesUp
+	return sc.ShockRate + float64(upNodes)*sc.LambdaN + float64(upDrives)*sc.LambdaD
 }
 
-// setRateWalk recomputes the live event rate by walking every component —
-// test-only reference for the incremental tallies.
-func (s *fleetShard) setRateWalk(b *fleetSet) float64 {
-	rate := s.sc.ShockRate
-	for i := range b.nodes {
-		n := &b.nodes[i]
-		if !n.up {
-			continue
-		}
-		rate += s.sc.LambdaN
-		for j := range n.drives {
-			if n.drives[j].up {
-				rate += s.sc.LambdaD
-			}
-		}
-	}
-	return rate
+// healthy reports whether a split node set has fully recovered and can
+// merge back into the aggregate class — O(1) from the incremental
+// tallies. (degraded > 0 implies restriping or a down node, so the three
+// tallies plus the outstanding list cover every deviation.)
+func (b *brickSet) healthy() bool {
+	return len(b.outstanding) == 0 && b.downNodes == 0 && b.restripingN == 0 && b.downDrivesUp == 0
 }
 
 // rescheduleArrival redraws a split node set's competing-risks failure
 // arrival. Exact under memorylessness: the minimum of the remaining
 // exponential clocks is Exp(sum of live rates) regardless of history.
-func (s *fleetShard) rescheduleArrival(idx int32, b *fleetSet) {
+func (s *shard) rescheduleArrival(b *brickSet) {
 	b.arrSeq++
-	rate := s.setRate(b)
-	if rate <= 0 {
-		return
-	}
-	s.q.schedule(event{at: s.now + s.exp(rate), kind: evSetArrival, set: idx, seq: b.arrSeq})
+	s.scheduleArrival(evSetArrival, b.idx, b.arrSeq, b.rate())
 }
 
-// sampleSetFailure picks WHICH component fails, proportionally to the
-// live rates, and applies it. The walk order (shock, then nodes in index
+// sampleFailure picks WHICH component fails, proportionally to the live
+// rates, and applies it. The walk order (shock, then nodes in index
 // order, each node's drives in index order) is part of the deterministic
 // contract. Float roundoff that walks off the end charges the last live
 // component.
-func (s *fleetShard) sampleSetFailure(idx int32, b *fleetSet) (bool, LossCause) {
-	rate := s.setRate(b)
+func (b *brickSet) sampleFailure() (bool, LossCause) {
+	sc := &b.sh.sc
+	rate := b.rate()
 	if rate <= 0 {
 		return false, LossNone
 	}
-	u := s.rng.Float64() * rate
-	if s.sc.ShockRate > 0 {
-		if u < s.sc.ShockRate {
-			return s.setShock(idx, b)
+	u := b.sh.rng.Float64() * rate
+	if sc.ShockRate > 0 {
+		if u < sc.ShockRate {
+			return b.shock()
 		}
-		u -= s.sc.ShockRate
+		u -= sc.ShockRate
 	}
 	lastNode, lastDriveNode, lastDrive := -1, -1, -1
 	for i := range b.nodes {
@@ -435,414 +287,73 @@ func (s *fleetShard) sampleSetFailure(idx int32, b *fleetSet) (bool, LossCause) 
 		if !n.up {
 			continue
 		}
-		if u < s.sc.LambdaN {
-			return s.setNodeFailure(idx, b, i)
+		if u < sc.LambdaN {
+			return b.nodeFailure(i)
 		}
-		u -= s.sc.LambdaN
+		u -= sc.LambdaN
 		lastNode = i
 		for j := range n.drives {
 			if !n.drives[j].up {
 				continue
 			}
-			if u < s.sc.LambdaD {
-				return s.setDriveFailure(idx, b, i, j)
+			if u < sc.LambdaD {
+				return b.driveFailure(i, j)
 			}
-			u -= s.sc.LambdaD
+			u -= sc.LambdaD
 			lastDriveNode, lastDrive = i, j
 		}
 	}
 	if lastDrive >= 0 {
-		return s.setDriveFailure(idx, b, lastDriveNode, lastDrive)
+		return b.driveFailure(lastDriveNode, lastDrive)
 	}
 	if lastNode >= 0 {
-		return s.setNodeFailure(idx, b, lastNode)
+		return b.nodeFailure(lastNode)
 	}
-	if s.sc.ShockRate > 0 {
-		return s.setShock(idx, b)
-	}
-	return false, LossNone
-}
-
-// removeRefs deletes matching outstanding-failure entries in place,
-// preserving order (the h-subscript word is arrival-ordered).
-func removeRefs(refs []failureRef, match func(failureRef) bool) []failureRef {
-	out := refs[:0]
-	for _, f := range refs {
-		if !match(f) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// affectedSetNodes counts distinct nodes with outstanding failures.
-// Outstanding lists are a handful of entries; the nested scan beats a map
-// and allocates nothing.
-func affectedSetNodes(refs []failureRef) int {
-	distinct := 0
-	for i, f := range refs {
-		seen := false
-		for _, g := range refs[:i] {
-			if g.node == f.node {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			distinct++
-		}
-	}
-	return distinct
-}
-
-// checkCritical applies the data-loss rules after a new failure — the
-// same Section 5.2.2 semantics as des.checkCriticalArrival, on a node-set
-// record.
-func (s *fleetShard) checkCritical(b *fleetSet) (bool, LossCause) {
-	affected := affectedSetNodes(b.outstanding)
-	if affected > s.sc.T {
-		return true, LossTolerance
-	}
-	if s.sc.ParityDrives > 0 {
-		return false, LossNone
-	}
-	if affected == s.sc.T && s.sc.CHER > 0 && len(b.outstanding) == s.sc.T {
-		w := make(combinat.Word, len(b.outstanding))
-		for i, f := range b.outstanding {
-			if f.isNode {
-				w[i] = combinat.NodeFailure
-			} else {
-				w[i] = combinat.DriveFailure
-			}
-		}
-		h := combinat.H(s.sc.N, s.sc.R, s.sc.D, s.sc.CHER, w)
-		if h > 1 {
-			h = 1
-		}
-		if s.rng.Float64() < h {
-			return true, LossCriticalUE
-		}
+	if sc.ShockRate > 0 {
+		return b.shock()
 	}
 	return false, LossNone
-}
-
-// setNodeFailure mirrors des.nodeLevelFailure on a node-set record.
-func (s *fleetShard) setNodeFailure(idx int32, b *fleetSet, i int) (bool, LossCause) {
-	n := &b.nodes[i]
-	n.up = false
-	n.seq++
-	if n.restriping {
-		b.restripingN--
-	}
-	n.restriping = false
-	for j := range n.drives {
-		n.drives[j].seq++
-	}
-	b.dirty = append(b.dirty, int32(i))
-	b.downNodes++
-	// The node's down drives (outstanding NIR rebuilds, IR degraded
-	// drives) leave the up-node scope along with it.
-	before := len(b.outstanding)
-	b.outstanding = removeRefs(b.outstanding, func(f failureRef) bool { return !f.isNode && f.node == i })
-	b.downDrivesUp -= (before - len(b.outstanding)) + n.degraded
-	b.outstanding = append(b.outstanding, failureRef{isNode: true, node: i})
-	if lost, cause := s.checkCritical(b); lost {
-		return true, cause
-	}
-	n.rebuild++
-	rt := s.repairTime(s.sc.MuN)
-	s.q.schedule(event{at: s.now + rt, kind: evNodeRebuildDone, set: idx, node: i, seq: n.rebuild})
-	return false, LossNone
-}
-
-// setDriveFailure mirrors the NIR/IR drive-failure split of des.
-func (s *fleetShard) setDriveFailure(idx int32, b *fleetSet, i, j int) (bool, LossCause) {
-	if s.sc.ParityDrives > 0 {
-		return s.setInternalDriveFailure(idx, b, i, j)
-	}
-	n := &b.nodes[i]
-	n.drives[j].up = false
-	n.drives[j].seq++
-	b.dirty = append(b.dirty, int32(i))
-	b.downDrivesUp++
-	b.outstanding = append(b.outstanding, failureRef{isNode: false, node: i, drive: j})
-	if lost, cause := s.checkCritical(b); lost {
-		return true, cause
-	}
-	rt := s.repairTime(s.sc.MuD)
-	s.q.schedule(event{at: s.now + rt, kind: evDriveRebuildDone, set: idx, node: i, drive: j, seq: n.drives[j].seq})
-	return false, LossNone
-}
-
-func (s *fleetShard) setInternalDriveFailure(idx int32, b *fleetSet, i, j int) (bool, LossCause) {
-	n := &b.nodes[i]
-	n.drives[j].up = false
-	n.drives[j].seq++
-	n.degraded++
-	b.dirty = append(b.dirty, int32(i))
-	b.downDrivesUp++
-	if n.degraded > s.sc.ParityDrives {
-		return s.setNodeFailure(idx, b, i)
-	}
-	if !n.restriping {
-		n.restriping = true
-		n.restripe++
-		b.restripingN++
-		rt := s.repairTime(s.sc.MuRestripe)
-		s.q.schedule(event{at: s.now + rt, kind: evRestripeDone, set: idx, node: i, seq: n.restripe})
-	}
-	return false, LossNone
-}
-
-// setShock mirrors des.shock within one node set: ShockSize uniformly
-// chosen live nodes fail at once.
-func (s *fleetShard) setShock(idx int32, b *fleetSet) (bool, LossCause) {
-	live := make([]int, 0, len(b.nodes))
-	for i := range b.nodes {
-		if b.nodes[i].up {
-			live = append(live, i)
-		}
-	}
-	s.rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
-	for i := 0; i < s.sc.ShockSize && i < len(live); i++ {
-		if lost, cause := s.setNodeFailure(idx, b, live[i]); lost {
-			return true, cause
-		}
-	}
-	return false, LossNone
-}
-
-// setRestripeDone mirrors des.restripeDone, including the Section 5.2.1
-// k_t uncorrectable-error path and the spare replenishment.
-func (s *fleetShard) setRestripeDone(b *fleetSet, i int) (bool, LossCause) {
-	n := &b.nodes[i]
-	read := n.liveDrives - n.degraded
-	critical := n.degraded == s.sc.ParityDrives
-	n.degraded = 0
-	n.restriping = false
-	b.restripingN--
-	if critical && s.sc.CHER > 0 && affectedSetNodes(b.outstanding) == s.sc.T {
-		h := float64(read) * s.sc.CHER
-		if h > 1 {
-			h = 1
-		}
-		if s.rng.Float64() < h {
-			kt := combinat.CriticalFraction(s.sc.N, s.sc.R, s.sc.T)
-			if s.rng.Float64() < kt {
-				return true, LossRestripeUE
-			}
-		}
-	}
-	for j := range n.drives {
-		if !n.drives[j].up {
-			n.drives[j].up = true
-			n.drives[j].seq++
-			b.downDrivesUp--
-		}
-	}
-	n.liveDrives = s.sc.D
-	return false, LossNone
-}
-
-// setHealthy reports whether a split node set has fully recovered and can
-// merge back into the aggregate class — O(1) from the incremental
-// tallies. (degraded > 0 implies restriping or a down node, so the
-// three tallies plus the outstanding list cover every deviation;
-// setHealthyWalk is the test-only reference.)
-func (s *fleetShard) setHealthy(b *fleetSet) bool {
-	return len(b.outstanding) == 0 && b.downNodes == 0 && b.restripingN == 0 && b.downDrivesUp == 0
-}
-
-// setHealthyWalk recomputes full health by walking every component —
-// test-only reference for the incremental tallies.
-func (s *fleetShard) setHealthyWalk(b *fleetSet) bool {
-	if len(b.outstanding) != 0 {
-		return false
-	}
-	for i := range b.nodes {
-		n := &b.nodes[i]
-		if !n.up || n.restriping || n.degraded != 0 {
-			return false
-		}
-		for j := range n.drives {
-			if !n.drives[j].up {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// afterSetEvent settles a split node set after one applied event: count a
-// loss and rebirth the set, merge it if fully healthy, or redraw its
-// failure arrival under the new live rates.
-func (s *fleetShard) afterSetEvent(idx int32, b *fleetSet, lost bool, cause LossCause) {
-	if lost {
-		s.losses++
-		s.byCause[cause]++
-		s.scrub(b)
-		s.reabsorb(idx, b)
-		return
-	}
-	if s.setHealthy(b) {
-		s.merges++
-		s.reabsorb(idx, b)
-		return
-	}
-	s.rescheduleArrival(idx, b)
 }
 
 // split peels one node set off the aggregate class and applies its
 // sampled first failure.
-func (s *fleetShard) split() {
+func (s *shard) split() {
 	s.healthy--
 	s.splits++
-	s.classSeq++
-	s.scheduleClassArrival()
-	idx := s.acquireSet()
-	b := &s.records[idx]
-	lost, cause := s.sampleSetFailure(idx, b)
-	s.afterSetEvent(idx, b, lost, cause)
+	s.redrawClassArrival()
+	b := &s.records[s.acquireSet()]
+	lost, cause := b.sampleFailure()
+	s.settle(b, lost, cause)
 }
 
-// dispatch applies one event if it is still valid. Guards mirror the
-// single-system engine's: stale seqs (including events addressed to a
-// record's previous tenant) are discarded.
-func (s *fleetShard) dispatch(e event) {
-	if e.kind == evClassArrival {
-		if e.seq != s.classSeq || s.healthy == 0 {
-			return
-		}
-		s.split()
-		return
-	}
-	b := &s.records[e.set]
-	if !b.inUse {
-		return
-	}
-	switch e.kind {
-	case evSetArrival:
-		if e.seq != b.arrSeq {
-			return
-		}
-		lost, cause := s.sampleSetFailure(e.set, b)
-		s.afterSetEvent(e.set, b, lost, cause)
-	case evNodeRebuildDone:
-		n := &b.nodes[e.node]
-		if e.seq != n.rebuild || n.up {
-			return
-		}
-		b.outstanding = removeRefs(b.outstanding, func(f failureRef) bool { return f.isNode && f.node == e.node })
-		n.up = true
-		n.seq++
-		n.restriping = false
-		n.degraded = 0
-		n.liveDrives = s.sc.D
-		for j := range n.drives {
-			n.drives[j].up = true
-			n.drives[j].seq++
-		}
-		// A rebuilt node returns fully stocked (spare replenishment), so
-		// only the node tally moves; its drives were hidden while down.
-		b.downNodes--
-		s.afterSetEvent(e.set, b, false, LossNone)
-	case evDriveRebuildDone:
-		n := &b.nodes[e.node]
-		if !n.up || e.seq != n.drives[e.drive].seq || n.drives[e.drive].up {
-			return
-		}
-		b.outstanding = removeRefs(b.outstanding, func(f failureRef) bool {
-			return !f.isNode && f.node == e.node && f.drive == e.drive
-		})
-		n.drives[e.drive].up = true
-		n.drives[e.drive].seq++
-		b.downDrivesUp--
-		s.afterSetEvent(e.set, b, false, LossNone)
-	case evRestripeDone:
-		n := &b.nodes[e.node]
-		if !n.up || !n.restriping || e.seq != n.restripe {
-			return
-		}
-		lost, cause := s.setRestripeDone(b, e.node)
-		s.afterSetEvent(e.set, b, lost, cause)
-	}
-}
-
-// run drives the shard to its horizon.
-func (s *fleetShard) run(maxEvents int64) error {
-	for s.q.Len() > 0 {
-		e := s.q.next()
-		if e.at > s.horizon {
-			break
-		}
-		s.now = e.at
-		s.events++
-		if s.events > maxEvents {
-			return fmt.Errorf("sim: fleet shard exceeded %d events at t=%.3g h", maxEvents, s.now)
-		}
-		if s.onEvent != nil {
-			s.onEvent(e)
-		}
-		s.dispatch(e)
-	}
-	return nil
-}
-
-// fleetShardResult is one shard's fold contribution.
-type fleetShardResult struct {
-	losses         int64
-	byCause        [lossCauseCount]int64
-	events         int64
-	splits, merges int64
-	peak           int
-}
-
-// runFleetShard simulates one shard's sub-fleet of node sets; the
+// runFleetShard simulates one shard's sub-fleet of node sets on q; the
 // internal seam the harness and benchmarks drive directly.
-func runFleetShard(sc Scenario, sets int, horizonHours float64, rng *rand.Rand, engine Engine, maxEvents int64, onEvent func(event)) (fleetShardResult, error) {
-	s := newFleetShard(sc, sets, horizonHours, rng, engine)
+func runFleetShard(sc Scenario, sets int, horizonHours float64, rng *rand.Rand, q scheduler, maxEvents int64, onEvent func(event)) (shardTally, error) {
+	s := newFleetShard(sc, sets, horizonHours, rng, q)
 	s.onEvent = onEvent
 	if err := s.run(maxEvents); err != nil {
-		return fleetShardResult{}, err
+		return shardTally{}, err
 	}
-	return fleetShardResult{
-		losses:  s.losses,
-		byCause: s.byCause,
-		events:  s.events,
-		splits:  s.splits,
-		merges:  s.merges,
-		peak:    s.peak,
-	}, nil
+	return s.shardTally, nil
 }
 
 // EstimateFleet simulates a fleet of bricks (storage nodes, rounded up to
-// whole node sets of Scenario.N) over horizonHours on the calendar-queue
-// engine. The result is bit-identical at any worker count and for either
-// engine.
-func EstimateFleet(sc Scenario, bricks int, horizonHours float64, baseSeed int64, workers int) (FleetEstimate, error) {
-	return EstimateFleetObservedCtx(context.Background(), sc, bricks, horizonHours, baseSeed, workers,
-		DefaultFleetMaxEventsPerShard, EngineCalendar, nil)
+// whole node sets of Scenario.N) over horizonHours. maxEventsPerShard
+// bounds each shard's event count (<= 0 selects
+// DefaultFleetMaxEventsPerShard); m, when non-nil, collects metrics.
+// Workers poll ctx before claiming each shard, so a cancelled estimate
+// stops within one shard and returns ctx.Err(). Shard k is seeded from
+// seedstream.Derive(baseSeed, k) and results fold in ascending shard
+// order, so the estimate is bit-identical at any worker count.
+func EstimateFleet(ctx context.Context, sc Scenario, bricks int, horizonHours float64, baseSeed int64, workers int, maxEventsPerShard int64, m *FleetMetrics) (FleetEstimate, error) {
+	return estimateFleet(ctx, sc, bricks, horizonHours, baseSeed, workers, maxEventsPerShard, m,
+		func() scheduler { return newCalendarQueue() })
 }
 
-// EstimateFleetCtx is EstimateFleet with cancellation: workers poll the
-// context before claiming each shard, so a cancelled estimate stops
-// within one shard and returns ctx.Err().
-func EstimateFleetCtx(ctx context.Context, sc Scenario, bricks int, horizonHours float64, baseSeed int64, workers int) (FleetEstimate, error) {
-	return EstimateFleetObservedCtx(ctx, sc, bricks, horizonHours, baseSeed, workers,
-		DefaultFleetMaxEventsPerShard, EngineCalendar, nil)
-}
-
-// EstimateFleetObservedCtx is the full-control fleet estimator: explicit
-// engine, per-shard event budget, metrics (nil = off) and cancellation.
-// Shard k is seeded from seedstream.Derive(baseSeed, k) and results fold
-// in ascending shard order, so the estimate is bit-identical at any
-// worker count; both engines pop the same event total order, so it is
-// also engine-independent.
-func EstimateFleetObservedCtx(ctx context.Context, sc Scenario, bricks int, horizonHours float64, baseSeed int64, workers int, maxEventsPerShard int64, engine Engine, m *FleetMetrics) (FleetEstimate, error) {
+// estimateFleet is EstimateFleet with every worker's scheduler built by
+// newQueue — the seam that lets the harness run the heap oracle.
+func estimateFleet(ctx context.Context, sc Scenario, bricks int, horizonHours float64, baseSeed int64, workers int, maxEventsPerShard int64, m *FleetMetrics, newQueue func() scheduler) (FleetEstimate, error) {
 	if err := validateFleet(sc, bricks, horizonHours); err != nil {
-		return FleetEstimate{}, err
-	}
-	if err := engine.validate(); err != nil {
 		return FleetEstimate{}, err
 	}
 	if maxEventsPerShard <= 0 {
@@ -850,86 +361,46 @@ func EstimateFleetObservedCtx(ctx context.Context, sc Scenario, bricks int, hori
 	}
 	sets := (bricks + sc.N - 1) / sc.N
 	numShards := (sets + fleetShardSets - 1) / fleetShardSets
-	workers = clampWorkers(workers, numShards)
-
-	results := make([]fleetShardResult, numShards)
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-		firstIdx = numShards
-	)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				k := int(next.Add(1)) - 1
-				if k >= numShards {
-					return
-				}
-				// After a failure, only shards below the current first
-				// failing shard still matter (lowest-index error wins
-				// deterministically).
-				if failed.Load() {
-					mu.Lock()
-					skip := k > firstIdx
-					mu.Unlock()
-					if skip {
-						continue
-					}
-				}
-				shardSets := fleetShardSets
-				if lo := k * fleetShardSets; lo+shardSets > sets {
-					shardSets = sets - lo
-				}
-				if m != nil {
-					m.InflightShards.Add(1)
-				}
-				_, sp := obs.StartSpan(ctx, "sim.fleet.shard")
-				if sp != nil {
-					sp.SetAttr("shard", k)
-					sp.SetAttr("sets", shardSets)
-				}
-				rng := rand.New(rand.NewSource(seedstream.Derive(baseSeed, uint64(k))))
-				res, err := runFleetShard(sc, shardSets, horizonHours, rng, engine, maxEventsPerShard, nil)
-				sp.End()
-				if m != nil {
-					m.InflightShards.Add(-1)
-				}
-				if err != nil {
-					mu.Lock()
-					if k < firstIdx {
-						firstIdx = k
-						firstErr = fmt.Errorf("shard %d: %w", k, err)
-					}
-					mu.Unlock()
-					failed.Store(true)
-					continue
-				}
-				if m != nil {
-					m.Shards.Inc()
-					m.Bricks.Add(int64(shardSets * sc.N))
-					m.Events.Add(res.events)
-					m.Losses.Add(res.losses)
-					m.Splits.Add(res.splits)
-					m.Merges.Add(res.merges)
-					m.PeakLiveRecords.Max(float64(res.peak))
-				}
-				results[k] = res
+	results := make([]shardTally, numShards)
+	err := runChunks(ctx, numShards, workers, func() func(int) error {
+		// One queue per worker, reset between shards: its bucket slabs
+		// and calibrated width carry over, and pop order never depends
+		// on either.
+		q := newQueue()
+		return func(k int) error {
+			shardSets := min(fleetShardSets, sets-k*fleetShardSets)
+			if m != nil {
+				m.InflightShards.Add(1)
 			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return FleetEstimate{}, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+			_, sp := obs.StartSpan(ctx, "sim.fleet.shard")
+			if sp != nil {
+				sp.SetAttr("shard", k)
+				sp.SetAttr("sets", shardSets)
+			}
+			q.reset()
+			rng := rand.New(rand.NewSource(seedstream.Derive(baseSeed, uint64(k))))
+			res, err := runFleetShard(sc, shardSets, horizonHours, rng, q, maxEventsPerShard, nil)
+			sp.End()
+			if m != nil {
+				m.InflightShards.Add(-1)
+			}
+			if err != nil {
+				return fmt.Errorf("shard %d: %w", k, err)
+			}
+			if m != nil {
+				m.Shards.Inc()
+				m.Bricks.Add(int64(shardSets * sc.N))
+				m.Events.Add(res.events)
+				m.Losses.Add(res.losses)
+				m.Splits.Add(res.splits)
+				m.Merges.Add(res.merges)
+				m.PeakLiveRecords.Max(float64(res.peak))
+			}
+			results[k] = res
+			return nil
+		}
+	})
+	if err != nil {
 		return FleetEstimate{}, err
 	}
 	// Deterministic reduction: fold shard results in ascending order.
@@ -943,9 +414,7 @@ func EstimateFleetObservedCtx(ctx context.Context, sc Scenario, bricks int, hori
 		est.Events += res.events
 		est.Splits += res.splits
 		est.Merges += res.merges
-		if res.peak > est.PeakLiveRecords {
-			est.PeakLiveRecords = res.peak
-		}
+		est.PeakLiveRecords = max(est.PeakLiveRecords, res.peak)
 	}
 	brickHours := float64(est.Bricks) * horizonHours
 	est.BrickYears = brickHours / 8760

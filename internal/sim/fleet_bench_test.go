@@ -34,7 +34,7 @@ func benchHoldPattern(b *testing.B, q scheduler, held int) {
 	}
 }
 
-// BenchmarkFleetSchedulerHeap / Calendar are the paired engine
+// BenchmarkFleetSchedulerHeap / Calendar are the paired scheduler
 // microbenchmark: same hold pattern, same population, so the ns/op ratio
 // is the scheduler speedup in isolation. Both must report 0 allocs/op.
 func BenchmarkFleetSchedulerHeap(b *testing.B) {
@@ -60,16 +60,23 @@ func benchSizeName(n int) string {
 	return fmt.Sprintf("%d", n)
 }
 
+// benchSchedulers pairs the production calendar queue with the heap
+// oracle for the …/heap and …/calendar sub-benchmarks.
+var benchSchedulers = []struct {
+	name     string
+	newQueue func() scheduler
+}{{"heap", newHeapQueue}, {"calendar", newCalendarScheduler}}
+
 // BenchmarkFleetEstimate runs the full fleet estimator at a CI-safe scale
 // (one -benchtime 1x iteration in the smoke job): baseline parameters,
 // 100k bricks over one year.
 func BenchmarkFleetEstimate(b *testing.B) {
 	sc := benchBaselineScenario(b)
-	for _, eng := range []Engine{EngineHeap, EngineCalendar} {
-		b.Run(eng.String(), func(b *testing.B) {
+	for _, eng := range benchSchedulers {
+		b.Run(eng.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				est, err := EstimateFleetObservedCtx(b.Context(), sc, 100_000, 8766, 1, 0, 0, eng, nil)
+				est, err := estimateFleet(b.Context(), sc, 100_000, 8766, 1, 0, 0, nil, eng.newQueue)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,10 +94,10 @@ func BenchmarkFleetEstimate(b *testing.B) {
 // run it explicitly when recording BENCH_fleet.json.
 func BenchmarkMillionBrickDecade(b *testing.B) {
 	sc := benchBaselineScenario(b)
-	for _, eng := range []Engine{EngineHeap, EngineCalendar} {
-		b.Run(eng.String(), func(b *testing.B) {
+	for _, eng := range benchSchedulers {
+		b.Run(eng.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				est, err := EstimateFleetObservedCtx(b.Context(), sc, 1_000_000, 87_660, 1, 0, 0, eng, nil)
+				est, err := estimateFleet(b.Context(), sc, 1_000_000, 87_660, 1, 0, 0, nil, eng.newQueue)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -25,7 +25,7 @@ func TestFleetMatchesChainLossRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bricks, horizon = 4000, 20_000.0 // 500 sets of N=8; horizon ≈ 50 renewal periods
-	est, err := EstimateFleet(sc, bricks, horizon, 17, 0)
+	est, err := EstimateFleet(t.Context(), sc, bricks, horizon, 17, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFleetValidation(t *testing.T) {
 	for _, c := range cases {
 		s, bricks, horizon := sc, 100, 1000.0
 		c.mutate(&s, &bricks, &horizon)
-		_, err := EstimateFleet(s, bricks, horizon, 1, 1)
+		_, err := EstimateFleet(t.Context(), s, bricks, horizon, 1, 1, 0, nil)
 		if err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: got %v, want error containing %q", c.name, err, c.wantSub)
 		}
@@ -85,12 +85,8 @@ func TestFleetValidation(t *testing.T) {
 	// Shape 1 (explicit exponential) is fine.
 	s := sc
 	s.NodeFailureShape, s.DriveFailureShape = 1, 1
-	if _, err := EstimateFleet(s, 100, 100, 1, 1); err != nil {
+	if _, err := EstimateFleet(t.Context(), s, 100, 100, 1, 1, 0, nil); err != nil {
 		t.Errorf("exponential shape 1 rejected: %v", err)
-	}
-	// Unknown engine.
-	if _, err := EstimateFleetObservedCtx(context.Background(), sc, 100, 100, 1, 1, 0, Engine(9), nil); err == nil {
-		t.Error("unknown engine accepted")
 	}
 }
 
@@ -100,8 +96,7 @@ func TestFleetEventBudget(t *testing.T) {
 	sc := parallelTestScenario()
 	want := ""
 	for _, workers := range []int{1, 4} {
-		_, err := EstimateFleetObservedCtx(context.Background(), sc, 3*fleetShardSets*8, 10_000, 3,
-			workers, 50, EngineCalendar, nil)
+		_, err := EstimateFleet(context.Background(), sc, 3*fleetShardSets*8, 10_000, 3, workers, 50, nil)
 		if err == nil || !strings.Contains(err.Error(), "shard") {
 			t.Fatalf("workers=%d: want shard budget error, got %v", workers, err)
 		}
@@ -128,7 +123,7 @@ func TestFleetCancellation(t *testing.T) {
 	bricks := 64 * fleetShardSets * 8
 	done := make(chan error, 1)
 	go func() {
-		_, err := EstimateFleetObservedCtx(ctx, sc, bricks, 2000, 21, 4, 0, EngineCalendar, m)
+		_, err := EstimateFleet(ctx, sc, bricks, 2000, 21, 4, 0, m)
 		done <- err
 	}()
 	// Cancel as soon as the first shard is actually in flight.
@@ -146,7 +141,7 @@ func TestFleetCancellation(t *testing.T) {
 	// A pre-cancelled context returns immediately.
 	pre, preCancel := context.WithCancel(context.Background())
 	preCancel()
-	if _, err := EstimateFleetCtx(pre, sc, 100, 100, 1, 2); err == nil {
+	if _, err := EstimateFleet(pre, sc, 100, 100, 1, 2, 0, nil); err == nil {
 		t.Error("pre-cancelled context accepted")
 	}
 }
@@ -157,7 +152,7 @@ func TestFleetMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewFleetMetrics(reg)
 	const bricks, horizon = 2 * fleetShardSets * 8, 2000.0
-	est, err := EstimateFleetObservedCtx(context.Background(), sc, bricks, horizon, 13, 0, 0, EngineCalendar, m)
+	est, err := EstimateFleet(context.Background(), sc, bricks, horizon, 13, 0, 0, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +190,46 @@ func TestFleetMetrics(t *testing.T) {
 	}
 }
 
+// rateWalk recomputes a split set's live event rate by walking every
+// component — the reference for the incremental tallies behind rate.
+func rateWalk(b *brickSet) float64 {
+	sc := &b.sh.sc
+	rate := sc.ShockRate
+	for i := range b.nodes {
+		n := &b.nodes[i]
+		if !n.up {
+			continue
+		}
+		rate += sc.LambdaN
+		for j := range n.drives {
+			if n.drives[j].up {
+				rate += sc.LambdaD
+			}
+		}
+	}
+	return rate
+}
+
+// healthyWalk recomputes full health by walking every component — the
+// reference for the incremental tallies behind healthy.
+func healthyWalk(b *brickSet) bool {
+	if len(b.outstanding) != 0 {
+		return false
+	}
+	for i := range b.nodes {
+		n := &b.nodes[i]
+		if !n.up || n.restriping || n.degraded != 0 {
+			return false
+		}
+		for j := range n.drives {
+			if !n.drives[j].up {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestFleetIncrementalTalliesMatchWalk pins the O(1) rate/health tallies
 // against their walk-every-component references on every live record
 // after every event, across NIR+shock and IR scenarios. Any drift in the
@@ -209,7 +244,7 @@ func TestFleetIncrementalTalliesMatchWalk(t *testing.T) {
 	shocked.ShockRate = 1e-3
 	shocked.ShockSize = 2
 	for name, sc := range map[string]Scenario{"ir": ir, "nir+shock": shocked} {
-		s := newFleetShard(sc, 200, 5000, rand.New(rand.NewSource(11)), EngineCalendar)
+		s := newFleetShard(sc, 200, 5000, rand.New(rand.NewSource(11)), newCalendarQueue())
 		events := 0
 		s.onEvent = func(event) {
 			events++
@@ -218,11 +253,11 @@ func TestFleetIncrementalTalliesMatchWalk(t *testing.T) {
 				if !b.inUse {
 					continue
 				}
-				fast, walk := s.setRate(b), s.setRateWalk(b)
+				fast, walk := b.rate(), rateWalk(b)
 				if math.Abs(fast-walk) > 1e-9*walk {
 					t.Fatalf("%s: event %d record %d: incremental rate %v vs walk %v", name, events, i, fast, walk)
 				}
-				if gotH, wantH := s.setHealthy(b), s.setHealthyWalk(b); gotH != wantH {
+				if gotH, wantH := b.healthy(), healthyWalk(b); gotH != wantH {
 					t.Fatalf("%s: event %d record %d: incremental healthy %v vs walk %v (%+v)", name, events, i, gotH, wantH, *b)
 				}
 			}
@@ -237,12 +272,12 @@ func TestFleetIncrementalTalliesMatchWalk(t *testing.T) {
 }
 
 // TestFleetShortHorizonNoLosses covers the zero-loss path: MTTDL +Inf,
-// stderr 0, and still engine-deterministic.
+// stderr 0.
 func TestFleetShortHorizonNoLosses(t *testing.T) {
 	sc := parallelTestScenario()
 	sc.LambdaN, sc.LambdaD = 1e-9, 1e-9
 	sc.CHER = 0
-	est, err := EstimateFleet(sc, 1000, 10, 1, 1)
+	est, err := EstimateFleet(t.Context(), sc, 1000, 10, 1, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +297,7 @@ func TestFleetSingleBrickIRAndShock(t *testing.T) {
 	ir.ShockRate = 2e-3
 	ir.ShockSize = 2
 	rng := rand.New(rand.NewSource(3))
-	res, err := runFleetShard(ir, 300, 20_000, rng, EngineCalendar, 1<<30, nil)
+	res, err := runFleetShard(ir, 300, 20_000, rng, newCalendarQueue(), 1<<30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 package sim
 
-// FuzzEventSchedule locksteps the two scheduler engines against a naive
-// sorted-slice model under adversarial schedule/pop interleavings. Any
+// FuzzEventSchedule locksteps the calendar queue and the heap oracle
+// against a naive sorted-slice model under adversarial schedule/pop
+// interleavings. Any
 // lost, duplicated, or reordered event — including same-time ties and
 // stale-seq reschedules (lazy cancellation) — shows up as a three-way
 // mismatch. The fuzzer is free to schedule in the past and to pile many
@@ -52,8 +53,8 @@ func FuzzEventSchedule(f *testing.F) {
 	f.Add(mix)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		heapQ := newScheduler(EngineHeap)
-		calQ := newScheduler(EngineCalendar)
+		heapQ := newHeapQueue()
+		calQ := newCalendarScheduler()
 		var model modelQueue
 		var opSeq uint64
 

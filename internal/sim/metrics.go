@@ -1,15 +1,12 @@
 package sim
 
-import (
-	"repro/internal/obs"
-
-	"math/rand"
-)
+import "repro/internal/obs"
 
 // Metrics bundles the DES's registry handles. A nil *Metrics disables
 // instrumentation at (benchmarked) zero cost: the simulator guards every
 // observation site with one nil check and accumulates per-event tallies
-// locally, flushing them into the atomic registry once per mission.
+// locally, flushing them into the atomic registry once per chunk of
+// missions.
 type Metrics struct {
 	// Missions counts completed RunUntilLoss trajectories; every one ends
 	// in a data-loss event, broken down by cause below.
@@ -47,15 +44,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return m
 }
 
-// observeMission folds one completed mission into the registry.
-func (m *Metrics) observeMission(r LossResult) {
-	m.Missions.Inc()
-	m.LossHours.Observe(r.Time)
-	if r.Cause >= LossTolerance && r.Cause < lossCauseCount {
-		m.byCause[r.Cause].Inc()
-	}
-}
-
 // Observer customizes an instrumented simulation run. The zero value
 // disables everything.
 type Observer struct {
@@ -68,15 +56,4 @@ type Observer struct {
 	// OnMission, when non-nil, runs after every completed mission —
 	// progress reporting for long Monte Carlo runs.
 	OnMission func(i int, r LossResult)
-}
-
-// EstimateMTTDLObserved is EstimateMTTDL with instrumentation: identical
-// estimates, plus per-mission telemetry through ob.
-func EstimateMTTDLObserved(sc Scenario, rng *rand.Rand, trials, maxEventsPerTrial int, ob Observer) (Estimate, error) {
-	return estimateMTTDL(sc, rng, trials, maxEventsPerTrial, ob)
-}
-
-// RunUntilLossObserved is RunUntilLoss with metrics collection.
-func RunUntilLossObserved(sc Scenario, rng *rand.Rand, maxEvents int, m *Metrics) (LossResult, error) {
-	return runUntilLoss(sc, rng, maxEvents, m, nil)
 }

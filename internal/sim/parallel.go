@@ -22,20 +22,22 @@ package sim
 //
 // Observer callbacks and hook emissions are serialized under a mutex so
 // JSONL event streams stay well-formed; per-worker obs recorders keep
-// the shared registry to a handful of atomic adds per mission. Mission
+// the shared registry to a handful of atomic adds per chunk. Mission
 // *completion order* (and therefore event order in a JSONL stream and
 // the OnMission call order) is scheduling-dependent; every event carries
 // its mission index so streams can be re-sorted offline.
 //
-// On error the pool stops early and reports the error of the
-// lowest-numbered failing trial it observed; errors are deterministic in
-// content (trials are pure functions of the seed) but a lower-indexed
-// trial that was never started under one schedule may win under another.
+// One chunk runner serves every estimator — missions, biased cycles and
+// fleet shards; the serial estimators run on it too, as one worker drawing
+// every sample from the caller's RNG. On error it stops early and reports
+// the error of the lowest-numbered failing chunk it observed; errors are
+// deterministic in content (chunks are pure functions of the seed) but a
+// lower-indexed chunk that was never started under one schedule may win
+// under another.
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -59,19 +61,67 @@ const missionChunk = 64
 // arithmetic ops) and the scheduling handshake.
 const cycleChunk = 1024
 
-// clampWorkers resolves a requested worker count: <= 0 selects
-// runtime.NumCPU(), and the pool never exceeds the number of work units.
-func clampWorkers(workers, units int) int {
+// runChunks runs chunks [0, chunks) on a pool of workers goroutines (<= 0
+// selects runtime.NumCPU(); never more than chunks). Each goroutine calls
+// newWorker once for its chunk function, so per-worker state lives in that
+// closure. Workers claim chunks through one shared index and poll ctx
+// before each claim. After a failure, chunks above the lowest failing one
+// are skipped, and that chunk's error is returned; otherwise a cancelled
+// run returns ctx.Err().
+func runChunks(ctx context.Context, chunks, workers int, newWorker func() func(c int) error) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > units {
-		workers = units
+	workers = max(min(workers, chunks), 1)
+	var (
+		next     atomic.Int64 // next chunk to claim
+		failed   atomic.Bool
+		mu       sync.Mutex // guards firstErr/firstIdx
+		firstErr error
+		firstIdx = chunks
+	)
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run := newWorker()
+			for {
+				if ctx.Err() != nil {
+					return
+				}
+				c := int(next.Add(1)) - 1
+				if c >= chunks {
+					return
+				}
+				// After a failure, chunks above the current first failing
+				// chunk are moot; chunks below it must still run so the
+				// reported error is the lowest failing chunk's, not a
+				// schedule accident.
+				if failed.Load() {
+					mu.Lock()
+					skip := c > firstIdx
+					mu.Unlock()
+					if skip {
+						continue
+					}
+				}
+				if err := run(c); err != nil {
+					mu.Lock()
+					if c < firstIdx {
+						firstIdx, firstErr = c, err
+					}
+					mu.Unlock()
+					failed.Store(true)
+				}
+			}
+		}()
 	}
-	if workers < 1 {
-		workers = 1
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
 	}
-	return workers
+	return ctx.Err()
 }
 
 // EstimateMTTDLParallel estimates MTTDL like EstimateMTTDL, but runs
@@ -80,154 +130,98 @@ func clampWorkers(workers, units int) int {
 // from seedstream.Derive(baseSeed, trialIndex), so the returned Estimate
 // is bit-identical for every workers value (including 1) at a fixed
 // baseSeed. workers <= 0 selects runtime.NumCPU().
-func EstimateMTTDLParallel(sc Scenario, baseSeed int64, trials, maxEventsPerTrial, workers int) (Estimate, error) {
-	return EstimateMTTDLParallelObservedCtx(context.Background(), sc, baseSeed, trials, maxEventsPerTrial, workers, Observer{})
+//
+// Workers poll ctx before claiming each chunk (missionChunk missions), so
+// a cancelled estimate stops within one chunk and returns ctx.Err() (a
+// genuine trial error observed before cancellation wins). Hook emissions
+// and OnMission callbacks are serialized (one at a time, from pool
+// goroutines); metrics use per-worker recorders and the lock-free
+// registry.
+func EstimateMTTDLParallel(ctx context.Context, sc Scenario, baseSeed int64, trials, maxEventsPerTrial, workers int, ob Observer) (Estimate, error) {
+	return estimateMTTDL(ctx, sc, nil, baseSeed, trials, maxEventsPerTrial, workers, ob)
 }
 
-// EstimateMTTDLParallelCtx is EstimateMTTDLParallel with cancellation:
-// the context is polled before each chunk of missions is claimed, so a
-// cancelled estimate stops within one chunk and returns ctx.Err().
-func EstimateMTTDLParallelCtx(ctx context.Context, sc Scenario, baseSeed int64, trials, maxEventsPerTrial, workers int) (Estimate, error) {
-	return EstimateMTTDLParallelObservedCtx(ctx, sc, baseSeed, trials, maxEventsPerTrial, workers, Observer{})
-}
-
-// EstimateMTTDLParallelObserved is EstimateMTTDLParallel with
-// instrumentation: identical estimates, plus per-mission telemetry
-// through ob. Hook emissions and OnMission callbacks are serialized (one
-// at a time, from pool goroutines); metrics use per-worker recorders and
-// the lock-free registry.
-func EstimateMTTDLParallelObserved(sc Scenario, baseSeed int64, trials, maxEventsPerTrial, workers int, ob Observer) (Estimate, error) {
-	return EstimateMTTDLParallelObservedCtx(context.Background(), sc, baseSeed, trials, maxEventsPerTrial, workers, ob)
-}
-
-// EstimateMTTDLParallelObservedCtx is EstimateMTTDLParallelObserved with
-// cancellation. Workers poll the context before claiming each chunk
-// (missionChunk missions), so cancellation latency is bounded by one
-// chunk's worth of missions; a cancelled run returns ctx.Err() (a
-// genuine trial error observed before cancellation wins).
-func EstimateMTTDLParallelObservedCtx(ctx context.Context, sc Scenario, baseSeed int64, trials, maxEventsPerTrial, workers int, ob Observer) (Estimate, error) {
+// estimateMTTDL runs both MTTDL estimators on the chunk runner. A non-nil
+// shared RNG is the serial estimator: one worker, every trial drawing
+// from shared in trial order into one running accumulator. Otherwise
+// trial i draws from seedstream.Derive(baseSeed, i) and the chunk
+// accumulators fold in ascending chunk order.
+func estimateMTTDL(ctx context.Context, sc Scenario, shared *rand.Rand, baseSeed int64, trials, maxEventsPerTrial, workers int, ob Observer) (Estimate, error) {
 	if trials < 2 {
 		return Estimate{}, fmt.Errorf("sim: need at least 2 trials, got %d", trials)
 	}
 	if err := sc.Validate(); err != nil {
 		return Estimate{}, err
 	}
+	if shared != nil {
+		workers = 1
+	}
 	numChunks := (trials + missionChunk - 1) / missionChunk
-	workers = clampWorkers(workers, numChunks)
-
-	chunkStats := make([]welford, numChunks)
-	chunkEvts := make([]float64, numChunks)
-
-	var (
-		next     atomic.Int64 // next chunk to claim
-		failed   atomic.Bool
-		mu       sync.Mutex // serializes callbacks; guards firstErr/firstIdx
-		firstErr error
-		firstIdx = trials
-	)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Recorders are documented single-goroutine: one set per
-			// worker, reused across all its missions; runUntilLoss
-			// flushes them into the atomic registry once per mission.
-			var recs *desRecorders
-			if ob.Metrics != nil {
-				recs = newDESRecorders(ob.Metrics)
+	chunkStats := make([]missionStats, numChunks)
+	// mu serializes the per-mission callbacks, so JSONL events stay
+	// well-formed and OnMission never runs concurrently.
+	var mu sync.Mutex
+	err := runChunks(ctx, numChunks, workers, func() func(int) error {
+		// One mission shard and one RNG per worker, reused across all its
+		// missions: reseeding reproduces a fresh rand.New stream exactly.
+		s := newMissionShard(sc, newCalendarQueue(), ob.Metrics)
+		rng := shared
+		if rng == nil {
+			rng = rand.New(rand.NewSource(0))
+		}
+		return func(c int) error {
+			lo := c * missionChunk
+			hi := min(lo+missionChunk, trials)
+			// One span per chunk, not per mission: chunk granularity
+			// keeps trace volume (and the disabled-path context probe)
+			// at 1/64 of the mission count.
+			_, csp := obs.StartSpan(ctx, "sim.chunk")
+			if csp != nil {
+				csp.SetAttr("lo", lo)
+				csp.SetAttr("hi", hi)
 			}
-			for {
-				if ctx.Err() != nil {
-					return
+			defer csp.End()
+			defer s.flushMetrics()
+			st := &chunkStats[c]
+			if shared != nil {
+				st = &chunkStats[0]
+			}
+			for i := lo; i < hi; i++ {
+				if shared == nil {
+					rng.Seed(seedstream.Derive(baseSeed, uint64(i)))
 				}
-				c := int(next.Add(1)) - 1
-				if c >= numChunks {
-					return
+				r, err := s.runMission(rng, maxEventsPerTrial)
+				if err != nil {
+					return fmt.Errorf("trial %d: %w", i, err)
 				}
-				lo := c * missionChunk
-				hi := lo + missionChunk
-				if hi > trials {
-					hi = trials
-				}
-				// After a failure, chunks whose trials all lie above the
-				// current first failing trial are moot; chunks below it
-				// must still run so the reported error is that of the
-				// overall lowest failing trial, not a schedule accident.
-				if failed.Load() {
+				if ob.Hook != nil || ob.OnMission != nil {
 					mu.Lock()
-					skip := lo > firstIdx
+					if ob.Hook != nil {
+						ob.Hook.Emit(obs.Event{T: r.Time, Name: "data_loss", Fields: map[string]any{
+							"mission": i,
+							"cause":   r.Cause.String(),
+							"events":  r.Events,
+						}})
+					}
+					if ob.OnMission != nil {
+						ob.OnMission(i, r)
+					}
 					mu.Unlock()
-					if skip {
-						continue
-					}
 				}
-				// One span per chunk, not per mission: chunk granularity
-				// keeps trace volume (and the disabled-path context probe)
-				// at 1/64 of the mission count.
-				_, csp := obs.StartSpan(ctx, "sim.chunk")
-				if csp != nil {
-					csp.SetAttr("lo", lo)
-					csp.SetAttr("hi", hi)
-				}
-				var w welford
-				var evts float64
-				bad := false
-				for i := lo; i < hi; i++ {
-					rng := rand.New(rand.NewSource(seedstream.Derive(baseSeed, uint64(i))))
-					r, err := runUntilLoss(sc, rng, maxEventsPerTrial, ob.Metrics, recs)
-					if err != nil {
-						mu.Lock()
-						if i < firstIdx {
-							firstIdx = i
-							firstErr = fmt.Errorf("trial %d: %w", i, err)
-						}
-						mu.Unlock()
-						failed.Store(true)
-						bad = true
-						break
-					}
-					if ob.Hook != nil || ob.OnMission != nil {
-						mu.Lock()
-						observeMissionCallbacks(ob, i, r)
-						mu.Unlock()
-					} else if ob.Metrics != nil {
-						// Metrics alone need no serialization: the
-						// registry is lock-free and order-insensitive.
-						ob.Metrics.observeMission(r)
-					}
-					w.observe(r.Time)
-					evts += float64(r.Events)
-				}
-				csp.End()
-				if bad {
-					continue
-				}
-				chunkStats[c] = w
-				chunkEvts[c] = evts
+				st.add(r)
 			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return Estimate{}, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+			return nil
+		}
+	})
+	if err != nil {
 		return Estimate{}, err
 	}
 	// Deterministic reduction: fold chunks in ascending index order.
-	var agg welford
-	var evts float64
-	for c := range chunkStats {
-		agg.merge(chunkStats[c])
-		evts += chunkEvts[c]
+	var agg missionStats
+	for _, st := range chunkStats {
+		agg.merge(st)
 	}
-	return Estimate{
-		Trials:    trials,
-		MeanHours: agg.mean,
-		StdErr:    math.Sqrt(agg.variance() / float64(trials)),
-		MeanEvts:  evts / float64(trials),
-	}, nil
+	return agg.estimate(trials), nil
 }
 
 // EstimateMTTABiasedParallel is EstimateMTTABiased on a worker pool.
@@ -235,16 +229,15 @@ func EstimateMTTDLParallelObservedCtx(ctx context.Context, sc Scenario, baseSeed
 // off an RNG seeded from seedstream.Derive(baseSeed, k), and chunk moment
 // sums fold in chunk order, so the result is bit-identical for every
 // workers value at a fixed baseSeed. workers <= 0 selects
-// runtime.NumCPU().
-func EstimateMTTABiasedParallel(c *markov.Chain, baseSeed int64, cycles int, delta, repairThreshold float64, workers int) (BiasedEstimate, error) {
-	return EstimateMTTABiasedParallelCtx(context.Background(), c, baseSeed, cycles, delta, repairThreshold, workers)
+// runtime.NumCPU(). Workers poll ctx before claiming each chunk, so a
+// cancelled estimate stops within one chunk and returns ctx.Err().
+func EstimateMTTABiasedParallel(ctx context.Context, c *markov.Chain, baseSeed int64, cycles int, delta, repairThreshold float64, workers int) (BiasedEstimate, error) {
+	return estimateMTTABiased(ctx, c, nil, baseSeed, cycles, delta, repairThreshold, workers)
 }
 
-// EstimateMTTABiasedParallelCtx is EstimateMTTABiasedParallel with
-// cancellation: workers poll the context before claiming each chunk of
-// cycleChunk cycles, so a cancelled estimate stops within one chunk and
-// returns ctx.Err().
-func EstimateMTTABiasedParallelCtx(ctx context.Context, c *markov.Chain, baseSeed int64, cycles int, delta, repairThreshold float64, workers int) (BiasedEstimate, error) {
+// estimateMTTABiased runs both biased estimators on the chunk runner; a
+// non-nil shared RNG is the serial estimator, as in estimateMTTDL.
+func estimateMTTABiased(ctx context.Context, c *markov.Chain, shared *rand.Rand, baseSeed int64, cycles int, delta, repairThreshold float64, workers int) (BiasedEstimate, error) {
 	if err := c.Validate(); err != nil {
 		return BiasedEstimate{}, err
 	}
@@ -258,75 +251,30 @@ func EstimateMTTABiasedParallelCtx(ctx context.Context, c *markov.Chain, baseSee
 	if c.IsAbsorbing(init) {
 		return BiasedEstimate{MTTA: 0, Cycles: cycles, CycleLossProbability: 1}, nil
 	}
+	if shared != nil {
+		workers = 1
+	}
 	// Plans are read-only after construction: shared across the pool.
 	plans := buildBiasPlans(c, delta, repairThreshold)
 	numChunks := (cycles + cycleChunk - 1) / cycleChunk
-	workers = clampWorkers(workers, numChunks)
-
 	chunkSums := make([]biasedSums, numChunks)
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-		firstIdx = numChunks
-	)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				k := int(next.Add(1)) - 1
-				if k >= numChunks {
-					return
-				}
-				if failed.Load() {
-					mu.Lock()
-					skip := k > firstIdx
-					mu.Unlock()
-					if skip {
-						continue
-					}
-				}
-				lo := k * cycleChunk
-				hi := lo + cycleChunk
-				if hi > cycles {
-					hi = cycles
-				}
-				rng := rand.New(rand.NewSource(seedstream.Derive(baseSeed, uint64(k))))
-				var sums biasedSums
-				bad := false
-				for i := lo; i < hi; i++ {
-					x, y, err := runBiasedCycle(c, plans, init, rng)
-					if err != nil {
-						mu.Lock()
-						if k < firstIdx {
-							firstIdx = k
-							firstErr = err
-						}
-						mu.Unlock()
-						failed.Store(true)
-						bad = true
-						break
-					}
-					sums.add(x, y)
-				}
-				if bad {
-					continue
-				}
-				chunkSums[k] = sums
+	err := runChunks(ctx, numChunks, workers, func() func(int) error {
+		return func(k int) error {
+			rng, sums := shared, &chunkSums[0]
+			if shared == nil {
+				rng, sums = rand.New(rand.NewSource(seedstream.Derive(baseSeed, uint64(k)))), &chunkSums[k]
 			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return BiasedEstimate{}, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+			for i := k * cycleChunk; i < min((k+1)*cycleChunk, cycles); i++ {
+				x, y, err := runBiasedCycle(c, plans, init, rng)
+				if err != nil {
+					return err
+				}
+				sums.add(x, y)
+			}
+			return nil
+		}
+	})
+	if err != nil {
 		return BiasedEstimate{}, err
 	}
 	var total biasedSums

@@ -29,12 +29,12 @@ func parallelTestScenario() Scenario {
 func TestEstimateMTTDLParallelDeterministic(t *testing.T) {
 	sc := parallelTestScenario()
 	const trials, seed = 400, 42
-	want, err := EstimateMTTDLParallel(sc, seed, trials, 1_000_000, 1)
+	want, err := EstimateMTTDLParallel(t.Context(), sc, seed, trials, 1_000_000, 1, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7, runtime.NumCPU(), 0} {
-		got, err := EstimateMTTDLParallel(sc, seed, trials, 1_000_000, workers)
+		got, err := EstimateMTTDLParallel(t.Context(), sc, seed, trials, 1_000_000, workers, Observer{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -43,7 +43,7 @@ func TestEstimateMTTDLParallelDeterministic(t *testing.T) {
 		}
 	}
 	// A different seed must give a different sample.
-	other, err := EstimateMTTDLParallel(sc, seed+1, trials, 1_000_000, 2)
+	other, err := EstimateMTTDLParallel(t.Context(), sc, seed+1, trials, 1_000_000, 2, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestEstimateMTTDLParallelDeterministic(t *testing.T) {
 func TestEstimateMTTDLParallelStatisticallyConsistent(t *testing.T) {
 	sc := parallelTestScenario()
 	const trials = 2000
-	serial, err := EstimateMTTDL(sc, rand.New(rand.NewSource(7)), trials, 1_000_000)
+	serial, err := EstimateMTTDL(sc, rand.New(rand.NewSource(7)), trials, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := EstimateMTTDLParallel(sc, 7, trials, 1_000_000, 4)
+	par, err := EstimateMTTDLParallel(t.Context(), sc, 7, trials, 1_000_000, 4, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestEstimateMTTDLParallelStress(t *testing.T) {
 			Hook:      sink,
 			OnMission: func(int, LossResult) { progress.Add(1) },
 		}
-		est, err := EstimateMTTDLParallelObserved(sc, 99, trials, 1_000_000, workers, ob)
+		est, err := EstimateMTTDLParallel(t.Context(), sc, 99, trials, 1_000_000, workers, ob)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -120,19 +120,19 @@ func TestEstimateMTTDLParallelStress(t *testing.T) {
 // TestEstimateMTTDLParallelErrors exercises the failure paths.
 func TestEstimateMTTDLParallelErrors(t *testing.T) {
 	sc := parallelTestScenario()
-	if _, err := EstimateMTTDLParallel(sc, 1, 1, 1_000_000, 2); err == nil {
+	if _, err := EstimateMTTDLParallel(t.Context(), sc, 1, 1, 1_000_000, 2, Observer{}); err == nil {
 		t.Error("1 trial accepted")
 	}
 	bad := sc
 	bad.N = 0
-	if _, err := EstimateMTTDLParallel(bad, 1, 100, 1_000_000, 2); err == nil {
+	if _, err := EstimateMTTDLParallel(t.Context(), bad, 1, 100, 1_000_000, 2, Observer{}); err == nil {
 		t.Error("invalid scenario accepted")
 	}
 	// A reliable scenario with a tiny event budget must fail and name a
 	// trial, and the failure must be stable across worker counts.
 	reliable := sc
 	reliable.LambdaN, reliable.LambdaD = 1e-9, 1e-9
-	_, err := EstimateMTTDLParallel(reliable, 1, 64, 100, 3)
+	_, err := EstimateMTTDLParallel(t.Context(), reliable, 1, 64, 100, 3, Observer{})
 	if err == nil || !strings.Contains(err.Error(), "trial") {
 		t.Errorf("want per-trial error, got %v", err)
 	}
@@ -157,12 +157,12 @@ func TestEstimateMTTABiasedParallelDeterministic(t *testing.T) {
 	ch := biasedParallelTestChain()
 	thr := RepairThreshold(ch)
 	const cycles, seed = 30_000, 5
-	want, err := EstimateMTTABiasedParallel(ch, seed, cycles, 0.5, thr, 1)
+	want, err := EstimateMTTABiasedParallel(t.Context(), ch, seed, cycles, 0.5, thr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7, runtime.NumCPU(), 0} {
-		got, err := EstimateMTTABiasedParallel(ch, seed, cycles, 0.5, thr, workers)
+		got, err := EstimateMTTABiasedParallel(t.Context(), ch, seed, cycles, 0.5, thr, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -180,7 +180,7 @@ func TestEstimateMTTABiasedParallelAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTABiasedParallel(ch, 11, 60_000, 0.5, RepairThreshold(ch), 4)
+	est, err := EstimateMTTABiasedParallel(t.Context(), ch, 11, 60_000, 0.5, RepairThreshold(ch), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/markov"
 	"repro/internal/model"
 )
@@ -29,13 +30,12 @@ func TestScenarioValidateWeibullShapes(t *testing.T) {
 // The lifetime sampler must preserve the configured mean for every shape.
 func TestLifetimeMeanPreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	d := &des{sc: Scenario{}, rng: rng}
 	const rate = 0.25 // mean 4
 	for _, shape := range []float64{0, 1, 0.7, 2, 3.5} {
 		var sum float64
 		const n = 200_000
 		for i := 0; i < n; i++ {
-			sum += d.lifetime(rate, shape)
+			sum += dist.Lifetime{Mean: 1 / rate, Shape: shape}.Sample(rng)
 		}
 		mean := sum / n
 		if math.Abs(mean-4) > 0.08 {
@@ -54,7 +54,7 @@ func TestWeibullShapeOneMatchesChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(32)), 3000, 1_000_000)
+	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(32)), 3000, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestWeibullWearOutNearExponential(t *testing.T) {
 	scW := scExp
 	scW.NodeFailureShape = 3
 	scW.DriveFailureShape = 3
-	expEst, err := EstimateMTTDL(scExp, rand.New(rand.NewSource(33)), 2500, 2_000_000)
+	expEst, err := EstimateMTTDL(scExp, rand.New(rand.NewSource(33)), 2500, 2_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wEst, err := EstimateMTTDL(scW, rand.New(rand.NewSource(34)), 2500, 2_000_000)
+	wEst, err := EstimateMTTDL(scW, rand.New(rand.NewSource(34)), 2500, 2_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
