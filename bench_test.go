@@ -7,6 +7,7 @@ package nsr
 // tables themselves come from cmd/nsr-report.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -30,7 +31,7 @@ func BenchmarkFig13Baseline(b *testing.B) {
 	p := params.Baseline()
 	var ft2ir5 float64
 	for i := 0; i < b.N; i++ {
-		_, results, err := experiments.Fig13Baseline(p)
+		_, results, err := experiments.Fig13Baseline(p, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,12 +40,12 @@ func BenchmarkFig13Baseline(b *testing.B) {
 	b.ReportMetric(ft2ir5, "FT2-IR5-events/PB-yr")
 }
 
-func benchSweep(b *testing.B, gen func(params.Parameters) (*experiments.Table, []core.SweepPoint, error)) {
+func benchSweep(b *testing.B, gen func(params.Parameters, int) (*experiments.Table, []core.SweepPoint, error)) {
 	b.Helper()
 	p := params.Baseline()
 	var rows int
 	for i := 0; i < b.N; i++ {
-		t, _, err := gen(p)
+		t, _, err := gen(p, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +58,7 @@ func BenchmarkFig14DriveMTTF(b *testing.B) {
 	p := params.Baseline()
 	var tables int
 	for i := 0; i < b.N; i++ {
-		ts, err := experiments.Fig14DriveMTTF(p)
+		ts, err := experiments.Fig14DriveMTTF(p, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func BenchmarkFig14DriveMTTF(b *testing.B) {
 func BenchmarkFig15NodeMTTF(b *testing.B) {
 	p := params.Baseline()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig15NodeMTTF(p); err != nil {
+		if _, err := experiments.Fig15NodeMTTF(p, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,7 +197,7 @@ func BenchmarkChainSolveNIR(b *testing.B) {
 			ch := model.NIRChain(in, k)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := markov.MTTA(ch); err != nil {
+				if _, err := markov.MTTA(context.Background(), ch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -401,7 +402,7 @@ func BenchmarkEstimateParallel(b *testing.B) {
 }
 
 // BenchmarkSweepParallel measures a Section 7 style sweep grid under the
-// core worker pool at several caps.
+// core worker pool at several worker counts.
 func BenchmarkSweepParallel(b *testing.B) {
 	p := params.Baseline()
 	cfgs := core.SensitivityConfigs()
@@ -409,11 +410,8 @@ func BenchmarkSweepParallel(b *testing.B) {
 	apply := func(p *params.Parameters, x float64) { p.NodeMTTFHours = x }
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			core.SetMaxWorkers(w)
-			defer core.SetMaxWorkers(0)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Sweep(p, cfgs, core.MethodExactChain, xs, apply); err != nil {
+				if _, err := core.Sweep(context.Background(), p, cfgs, core.MethodExactChain, xs, apply, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -499,22 +497,22 @@ func benchAbsorbingChain(n int) *markov.Chain {
 	return c.Freeze()
 }
 
-// benchAbsorption measures one Solver solving the same frozen chain
-// repeatedly — the sweep-grid steady state — with the dense→sparse
-// crossover pinned to force one path.
+// benchAbsorption measures the pooled MTTA solving the same frozen chain
+// repeatedly — the sweep-grid steady state, one warm pooled solver per
+// call — with the dense→sparse crossover pinned to force one path.
 func benchAbsorption(b *testing.B, n, minStates int) {
 	b.Helper()
 	ch := benchAbsorbingChain(n)
 	prev := markov.SetSparseMinStates(minStates)
 	defer markov.SetSparseMinStates(prev)
-	s := markov.NewSolver()
-	if _, err := s.MTTA(ch); err != nil { // warm buffers and the symbolic cache
+	ctx := context.Background()
+	if _, err := markov.MTTA(ctx, ch); err != nil { // warm buffers and the symbolic cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.MTTA(ch); err != nil {
+		if _, err := markov.MTTA(ctx, ch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -553,7 +551,7 @@ func BenchmarkSweepSparseReuse(b *testing.B) {
 	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Sweep(p, cfgs, core.MethodExactChain, xs, apply); err != nil {
+		if _, err := core.Sweep(context.Background(), p, cfgs, core.MethodExactChain, xs, apply, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -577,7 +575,7 @@ func benchSweepGrid(b *testing.B, nx int) {
 	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Sweep(p, cfgs, core.MethodExactChain, xs, apply); err != nil {
+		if _, err := core.Sweep(context.Background(), p, cfgs, core.MethodExactChain, xs, apply, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -50,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *exact {
 		method = core.MethodExactChain
 	}
-	results, err := core.AnalyzeAll(p, core.BaselineConfigs(), method)
+	results, err := core.AnalyzeAll(context.Background(), p, core.BaselineConfigs(), method, 0)
 	if err != nil {
 		return err
 	}

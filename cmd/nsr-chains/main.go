@@ -8,17 +8,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"repro/internal/closedform"
 	"repro/internal/core"
 	"repro/internal/markov"
-	"repro/internal/model"
 	"repro/internal/params"
-	"repro/internal/rebuild"
 	"repro/internal/version"
 )
 
@@ -45,20 +43,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	var ir core.InternalRedundancy
-	switch *internal {
-	case "none":
-		ir = core.InternalNone
-	case "raid5":
-		ir = core.InternalRAID5
-	case "raid6":
-		ir = core.InternalRAID6
-	default:
-		return fmt.Errorf("unknown internal redundancy %q", *internal)
+	ir, err := core.ParseInternal(*internal)
+	if err != nil {
+		return err
 	}
 	cfg := core.Config{Internal: ir, NodeFaultTolerance: *ft}
 	p := params.Baseline()
-	chain, err := buildChain(p, cfg)
+	chain, err := core.Chain(p, cfg)
 	if err != nil {
 		return err
 	}
@@ -78,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			sp.N, sp.N, sp.NNZ, sp.Density, sp.FactorNNZ, sp.FillRatio)
 	}
 
-	mttdl, err := markov.MTTA(chain)
+	mttdl, err := markov.MTTA(context.Background(), chain)
 	if err != nil {
 		return err
 	}
@@ -117,41 +108,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func buildChain(p params.Parameters, cfg core.Config) (*markov.Chain, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	// The same geometry guard core.Analyze applies: the downstream model
-	// constructors panic on an FT the redundancy set cannot hold.
-	k := cfg.NodeFaultTolerance
-	switch {
-	case p.NodeSetSize <= k+1:
-		return nil, fmt.Errorf("node set size %d too small for fault tolerance %d", p.NodeSetSize, k)
-	case p.RedundancySetSize <= k:
-		return nil, fmt.Errorf("redundancy set size %d too small for fault tolerance %d", p.RedundancySetSize, k)
-	}
-	rates := rebuild.Compute(p, cfg.NodeFaultTolerance)
-	if cfg.Internal == core.InternalNone {
-		in := closedform.NIRInputs{
-			N: p.NodeSetSize, R: p.RedundancySetSize, D: p.DrivesPerNode,
-			LambdaN: p.NodeFailureRate(), LambdaD: p.DriveFailureRate(),
-			MuN: rates.NodeRebuild, MuD: rates.DriveRebuild, CHER: p.CHER(),
-		}
-		return model.NIRChain(in, cfg.NodeFaultTolerance), nil
-	}
-	m := cfg.Internal.ParityDrives()
-	arr := closedform.ArrayInputs{
-		D: p.DrivesPerNode, LambdaD: p.DriveFailureRate(),
-		MuD: rates.Restripe, CHER: p.CHER(),
-	}
-	in := closedform.IRInputs{
-		N: p.NodeSetSize, R: p.RedundancySetSize,
-		LambdaN:      p.NodeFailureRate(),
-		LambdaArray:  closedform.ArrayFailureRate(m, arr),
-		LambdaSector: closedform.SectorErrorRate(m, arr),
-		MuN:          rates.NodeRebuild,
-	}
-	return model.IRChain(in, cfg.NodeFaultTolerance), nil
 }

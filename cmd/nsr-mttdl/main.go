@@ -77,27 +77,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rebuild.Instrument(sess.Registry)
 	}
 
-	var ir core.InternalRedundancy
-	switch *internal {
-	case "none":
-		ir = core.InternalNone
-	case "raid5":
-		ir = core.InternalRAID5
-	case "raid6":
-		ir = core.InternalRAID6
-	default:
-		return fmt.Errorf("unknown internal redundancy %q", *internal)
+	ir, err := core.ParseInternal(*internal)
+	if err != nil {
+		return err
 	}
-	var method core.Method
-	switch *methodName {
-	case "closed-form":
-		method = core.MethodClosedForm
-	case "exact-chain":
-		method = core.MethodExactChain
-	case "exact-stable":
-		method = core.MethodExactStable
-	default:
-		return fmt.Errorf("unknown method %q", *methodName)
+	method, err := core.ParseMethod(*methodName)
+	if err != nil {
+		return err
 	}
 	cfg := core.Config{Internal: ir, NodeFaultTolerance: *ft}
 	ctx, root := sess.Trace(context.Background(), "nsr-mttdl")

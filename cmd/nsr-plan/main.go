@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -83,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			MinCapacityPB:         *minCapPB,
 			NodeCostDrives:        *nodeCost,
 		}
-		return runOptimize(stdout, cons, plan.Options{Top: *top}, *workers, oflags, *jsonOut)
+		return runOptimize(stdout, cons, plan.Options{Top: *top, Workers: *workers}, oflags, *jsonOut)
 	}
 
 	p := params.Baseline()
@@ -115,11 +116,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // runOptimize runs the design-space search over the stock space around
 // the paper's baseline and renders the ranked exact Pareto frontier.
-func runOptimize(stdout io.Writer, cons plan.Constraints, opt plan.Options, workers int, oflags *obs.Flags, jsonOut bool) error {
-	if err := core.ValidateWorkers(workers); err != nil {
+func runOptimize(stdout io.Writer, cons plan.Constraints, opt plan.Options, oflags *obs.Flags, jsonOut bool) error {
+	if err := core.ValidateWorkers(opt.Workers); err != nil {
 		return err
 	}
-	core.SetMaxWorkers(workers)
 	sess, err := oflags.Start()
 	if err != nil {
 		return err
@@ -130,7 +130,7 @@ func runOptimize(stdout io.Writer, cons plan.Constraints, opt plan.Options, work
 		linalg.Instrument(sess.Registry)
 		rebuild.Instrument(sess.Registry)
 	}
-	res, runErr := plan.Search(params.Baseline(), plan.DefaultSpace(), cons, opt)
+	res, runErr := plan.SearchCtx(context.Background(), params.Baseline(), plan.DefaultSpace(), cons, opt)
 	if runErr == nil {
 		if jsonOut {
 			enc := json.NewEncoder(stdout)

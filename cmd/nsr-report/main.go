@@ -40,15 +40,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := core.ValidateWorkers(*workers); err != nil {
 		return err
 	}
-	core.SetMaxWorkers(*workers)
 	p := params.Baseline()
 
 	if *asJSON || *csvDir != "" {
-		tables, err := experiments.All(p)
+		tables, err := experiments.All(p, *workers)
 		if err != nil {
 			return err
 		}
-		ablations, err := experiments.Ablations(p, *trials, 1)
+		ablations, err := experiments.Ablations(p, *trials, 1, *workers)
 		if err != nil {
 			return err
 		}
@@ -83,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "link-speed crossover: %.2f Gb/s (paper: ~3 Gb/s)\n", rebuild.CrossoverLinkSpeedGbps(p, 2))
 	fmt.Fprintln(stdout)
 
-	tables, err := experiments.All(p)
+	tables, err := experiments.All(p, *workers)
 	if err != nil {
 		return err
 	}
@@ -93,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	fmt.Fprintln(stdout, "--- ablations beyond the paper ---")
 	fmt.Fprintln(stdout)
-	ablations, err := experiments.Ablations(p, *trials, 1)
+	ablations, err := experiments.Ablations(p, *trials, 1, *workers)
 	if err != nil {
 		return err
 	}
@@ -111,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout)
 
-	claims, err := experiments.ClaimsTable(p)
+	claims, err := experiments.ClaimsTable(p, *workers)
 	if err != nil {
 		return err
 	}

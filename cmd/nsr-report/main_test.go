@@ -6,12 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func TestRunJSONAndCSV(t *testing.T) {
-	defer core.SetMaxWorkers(0)
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
 	// Two ablation trials keep the report fast; the tables' structure is
@@ -56,7 +53,6 @@ func TestRunJSONAndCSV(t *testing.T) {
 }
 
 func TestRunRejectsNegativeWorkers(t *testing.T) {
-	defer core.SetMaxWorkers(0)
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-workers", "-1"}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "negative") {

@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := core.ValidateWorkers(*workers); err != nil {
 		return err
 	}
-	core.SetMaxWorkers(*workers)
 	sess, err := oflags.Start()
 	if err != nil {
 		return err
@@ -77,13 +76,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	run := map[int]func() error{
-		14: func() error { t, err := experiments.Fig14DriveMTTF(p); return print2(t, err) },
-		15: func() error { t, err := experiments.Fig15NodeMTTF(p); return print2(t, err) },
-		16: func() error { t, pts, err := experiments.Fig16RebuildBlockSize(p); return print1(t, pts, err) },
-		17: func() error { t, pts, err := experiments.Fig17LinkSpeed(p); return print1(t, pts, err) },
-		18: func() error { t, pts, err := experiments.Fig18NodeSetSize(p); return print1(t, pts, err) },
-		19: func() error { t, pts, err := experiments.Fig19RedundancySetSize(p); return print1(t, pts, err) },
-		20: func() error { t, pts, err := experiments.Fig20DrivesPerNode(p); return print1(t, pts, err) },
+		14: func() error { t, err := experiments.Fig14DriveMTTF(p, *workers); return print2(t, err) },
+		15: func() error { t, err := experiments.Fig15NodeMTTF(p, *workers); return print2(t, err) },
+		16: func() error {
+			t, pts, err := experiments.Fig16RebuildBlockSize(p, *workers)
+			return print1(t, pts, err)
+		},
+		17: func() error { t, pts, err := experiments.Fig17LinkSpeed(p, *workers); return print1(t, pts, err) },
+		18: func() error { t, pts, err := experiments.Fig18NodeSetSize(p, *workers); return print1(t, pts, err) },
+		19: func() error {
+			t, pts, err := experiments.Fig19RedundancySetSize(p, *workers)
+			return print1(t, pts, err)
+		},
+		20: func() error { t, pts, err := experiments.Fig20DrivesPerNode(p, *workers); return print1(t, pts, err) },
 	}
 	var runErr error
 	if *fig != 0 {

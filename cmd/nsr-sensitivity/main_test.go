@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func TestRunSingleFigure(t *testing.T) {
-	defer core.SetMaxWorkers(0)
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-fig", "16", "-workers", "1"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v (stderr %q)", err, stderr.String())
@@ -20,7 +17,6 @@ func TestRunSingleFigure(t *testing.T) {
 }
 
 func TestRunRejectsUnknownFigure(t *testing.T) {
-	defer core.SetMaxWorkers(0)
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-fig", "13"}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "unknown figure") {
@@ -29,7 +25,6 @@ func TestRunRejectsUnknownFigure(t *testing.T) {
 }
 
 func TestRunRejectsNegativeWorkers(t *testing.T) {
-	defer core.SetMaxWorkers(0)
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-workers", "-3"}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "negative") {

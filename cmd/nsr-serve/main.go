@@ -84,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := core.ValidateWorkers(*workers); err != nil {
 		return err
 	}
-	core.SetMaxWorkers(*workers)
 
 	accessW, closeAccess, err := openSink(*accessLog, stdout)
 	if err != nil {
@@ -109,6 +108,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	srv := serve.New(serve.Options{
+		Workers:            *workers,
 		CacheEntries:       *cacheN,
 		MaxBodyBytes:       *maxBody,
 		MaxGridCells:       *gridCells,

@@ -177,7 +177,7 @@ func runDES(ctx context.Context, stdout io.Writer, trials int, seed int64, worke
 		},
 	}
 	for si, s := range scenarios {
-		want, err := markov.MTTA(s.chain)
+		want, err := markov.MTTA(ctx, s.chain)
 		if err != nil {
 			obs.ProgressStop(progress)
 			return err
@@ -218,11 +218,11 @@ func runBiased(ctx context.Context, stdout io.Writer, cycles int, seed int64, wo
 	progress := sess.Progress("configs", int64(len(configs)), nil)
 	defer obs.ProgressStop(progress)
 	for ci, cfg := range configs {
-		ch, err := buildChain(p, cfg)
+		ch, err := core.Chain(p, cfg)
 		if err != nil {
 			return err
 		}
-		want, err := markov.MTTA(ch)
+		want, err := markov.MTTA(ctx, ch)
 		if err != nil {
 			return err
 		}
@@ -257,16 +257,9 @@ type fleetOpts struct {
 // aggregating estimator and compares the observed per-node-set MTTDL
 // against the exact chain's MTTA.
 func runFleet(ctx context.Context, stdout io.Writer, o fleetOpts, sess *obs.Session) error {
-	var ir core.InternalRedundancy
-	switch o.internal {
-	case "none":
-		ir = core.InternalNone
-	case "raid5":
-		ir = core.InternalRAID5
-	case "raid6":
-		ir = core.InternalRAID6
-	default:
-		return fmt.Errorf("unknown internal redundancy %q (valid: none, raid5, raid6)", o.internal)
+	ir, err := core.ParseInternal(o.internal)
+	if err != nil {
+		return err
 	}
 	p := params.Baseline()
 	cfg := core.Config{Internal: ir, NodeFaultTolerance: o.ft}
@@ -298,11 +291,11 @@ func runFleet(ctx context.Context, stdout io.Writer, o fleetOpts, sess *obs.Sess
 	}
 	fmt.Fprintln(stdout)
 	fmt.Fprintf(stdout, "loss rate        %.6g / brick-year (± %.2g)\n", est.LossesPerBrickYear, 1.96*est.StdErr)
-	ch, err := buildChain(p, cfg)
+	ch, err := core.Chain(p, cfg)
 	if err != nil {
 		return err
 	}
-	want, err := markov.MTTA(ch)
+	want, err := markov.MTTA(ctx, ch)
 	if err != nil {
 		return err
 	}
@@ -313,29 +306,4 @@ func runFleet(ctx context.Context, stdout io.Writer, o fleetOpts, sess *obs.Sess
 		fmt.Fprintf(stdout, "per-set MTTDL    no losses observed (chain MTTA %.6g h)\n", want)
 	}
 	return nil
-}
-
-func buildChain(p params.Parameters, cfg core.Config) (*markov.Chain, error) {
-	rates := rebuild.Compute(p, cfg.NodeFaultTolerance)
-	if cfg.Internal == core.InternalNone {
-		in := closedform.NIRInputs{
-			N: p.NodeSetSize, R: p.RedundancySetSize, D: p.DrivesPerNode,
-			LambdaN: p.NodeFailureRate(), LambdaD: p.DriveFailureRate(),
-			MuN: rates.NodeRebuild, MuD: rates.DriveRebuild, CHER: p.CHER(),
-		}
-		return model.NIRChain(in, cfg.NodeFaultTolerance), nil
-	}
-	m := cfg.Internal.ParityDrives()
-	arr := closedform.ArrayInputs{
-		D: p.DrivesPerNode, LambdaD: p.DriveFailureRate(),
-		MuD: rates.Restripe, CHER: p.CHER(),
-	}
-	in := closedform.IRInputs{
-		N: p.NodeSetSize, R: p.RedundancySetSize,
-		LambdaN:      p.NodeFailureRate(),
-		LambdaArray:  closedform.ArrayFailureRate(m, arr),
-		LambdaSector: closedform.SectorErrorRate(m, arr),
-		MuN:          rates.NodeRebuild,
-	}
-	return model.IRChain(in, cfg.NodeFaultTolerance), nil
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 		}
 		fmt.Printf("%s: %.3g events/PB-yr (target %.2g, margin %.2f×)\n",
 			cfg, r.EventsPerPBYear, target.EventsPerPBYear, target.Margin(r))
-		advice, err := core.Advise(p, cfg, target, core.MethodClosedForm)
+		advice, err := core.Advise(context.Background(), p, cfg, target, core.MethodClosedForm, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -30,7 +31,7 @@ func main() {
 		MuN: sc.MuN, MuD: sc.MuD, CHER: sc.CHER,
 	}
 	chain := model.NIRChain(in, sc.T)
-	exact, err := markov.MTTA(chain)
+	exact, err := markov.MTTA(context.Background(), chain)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func main() {
 		CHER: 0.024,
 	}
 	rareChain := model.NIRChain(rare, 2)
-	rareExact, err := markov.MTTA(rareChain)
+	rareExact, err := markov.MTTA(context.Background(), rareChain)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@ package nsr
 // repair time for both node and drive failures.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -56,7 +57,7 @@ func TestWholeStackMissionLossProbability(t *testing.T) {
 		CHER: 0,
 	}
 	chain := model.NIRChain(in, ft)
-	analytic, err := markov.AbsorbedProbabilityByTime(chain, mission, markov.TransientOptions{})
+	analytic, err := markov.AbsorbedProbabilityByTime(context.Background(), chain, mission, markov.TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -27,13 +28,16 @@ type Advice struct {
 // Advise evaluates, for each tunable parameter, the single-parameter
 // change that would bring the configuration exactly to the target. For
 // configurations already meeting the target, the factors describe how far
-// each parameter could degrade before the target is lost.
-func Advise(p params.Parameters, cfg Config, target Target, method Method) ([]Advice, error) {
-	base, err := Analyze(p, cfg, method)
+// each parameter could degrade before the target is lost. Every analysis
+// carries ctx; the elasticities fan out on a pool of workers goroutines
+// (0 = runtime.NumCPU()), and the context is polled between knobs and
+// between bisection steps, so a cancelled call returns ctx.Err().
+func Advise(ctx context.Context, p params.Parameters, cfg Config, target Target, method Method, workers int) ([]Advice, error) {
+	base, err := AnalyzeCtx(ctx, p, cfg, method)
 	if err != nil {
 		return nil, err
 	}
-	elasticities, err := Elasticities(p, cfg, method, 0)
+	elasticities, err := Elasticities(ctx, p, cfg, method, 0, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +49,10 @@ func Advise(p params.Parameters, cfg Config, target Target, method Method) ([]Ad
 	for i, knob := range knobs {
 		adv := Advice{Parameter: knob.name, Elasticity: elasticities[i].Value}
 		if math.Abs(adv.Elasticity) > 1e-9 {
-			factor, ok := solveFactor(p, cfg, target, method, knob.scale, base.EventsPerPBYear)
+			factor, ok := solveFactor(ctx, p, cfg, target, method, knob.scale, base.EventsPerPBYear)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			adv.RequiredFactor, adv.Achievable = factor, ok
 		}
 		out = append(out, adv)
@@ -54,12 +61,17 @@ func Advise(p params.Parameters, cfg Config, target Target, method Method) ([]Ad
 }
 
 // solveFactor bisects on log-factor for events(f·θ) = target. Returns the
-// factor and whether a bracketing was found within [1/20, 20].
-func solveFactor(p params.Parameters, cfg Config, target Target, method Method, scale func(*params.Parameters, float64), baseEvents float64) (float64, bool) {
+// factor and whether a bracketing was found within [1/20, 20]. ctx is
+// polled before every evaluation; a cancelled search reports no
+// bracketing, and the caller surfaces ctx.Err().
+func solveFactor(ctx context.Context, p params.Parameters, cfg Config, target Target, method Method, scale func(*params.Parameters, float64), baseEvents float64) (float64, bool) {
 	eval := func(f float64) (float64, bool) {
+		if ctx.Err() != nil {
+			return 0, false
+		}
 		q := p
 		scale(&q, f)
-		r, err := Analyze(q, cfg, method)
+		r, err := AnalyzeCtx(ctx, q, cfg, method)
 		if err != nil {
 			return 0, false
 		}

@@ -48,6 +48,17 @@ func (m Method) String() string {
 	}
 }
 
+// ParseMethod maps a method name — what String returns: "closed-form",
+// "exact-chain" or "exact-stable" — onto its Method.
+func ParseMethod(name string) (Method, error) {
+	for _, m := range []Method{MethodClosedForm, MethodExactChain, MethodExactStable} {
+		if name == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown method %q (valid: closed-form, exact-chain, exact-stable)", name)
+}
+
 // Result is the reliability analysis of one configuration.
 type Result struct {
 	Config Config
@@ -96,7 +107,7 @@ func AnalyzeCtx(ctx context.Context, p params.Parameters, cfg Config, method Met
 		_, fsp := obs.StartSpan(ctx, "chain.freeze")
 		ch := pr.chain()
 		fsp.End()
-		mttdl, err = markov.MTTACtx(ctx, ch)
+		mttdl, err = markov.MTTA(ctx, ch)
 		model.ReleaseChain(ch)
 		if err != nil {
 			return Result{}, chainSolveError(nir, err)
@@ -231,20 +242,15 @@ func LogicalCapacityPB(p params.Parameters, cfg Config) float64 {
 	return p.RawSystemBytes() * (r - t) / r * (d - m) / d * p.CapacityUtilization / params.PB
 }
 
-// AnalyzeAll runs Analyze for each configuration, preserving order. The
-// configurations are analyzed on a worker pool bounded by SetMaxWorkers;
-// results and first-error semantics are identical to the serial loop at
-// any worker count.
-func AnalyzeAll(p params.Parameters, cfgs []Config, method Method) ([]Result, error) {
-	return AnalyzeAllCtx(context.Background(), p, cfgs, method)
-}
-
-// AnalyzeAllCtx is AnalyzeAll with cancellation: the context is polled
-// between configurations, so a cancelled call stops within one Analyze
-// and returns ctx.Err().
-func AnalyzeAllCtx(ctx context.Context, p params.Parameters, cfgs []Config, method Method) ([]Result, error) {
+// AnalyzeAll runs AnalyzeCtx for each configuration, preserving order.
+// The configurations are analyzed on a pool of workers goroutines (0 =
+// runtime.NumCPU(); see RunIndexed); results and first-error semantics
+// are identical to the serial loop at any worker count. The context is
+// polled between configurations, so a cancelled call stops within one
+// analysis and returns ctx.Err().
+func AnalyzeAll(ctx context.Context, p params.Parameters, cfgs []Config, method Method, workers int) ([]Result, error) {
 	out := make([]Result, len(cfgs))
-	err := runIndexedCtx(ctx, len(cfgs), func(i int) error {
+	err := RunIndexed(ctx, len(cfgs), workers, func(i int) error {
 		r, err := AnalyzeCtx(ctx, p, cfgs[i], method)
 		if err != nil {
 			return fmt.Errorf("core: %v: %w", cfgs[i], err)

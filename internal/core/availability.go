@@ -35,7 +35,7 @@ func Exposure(p params.Parameters, cfg Config) (DegradedExposure, error) {
 		return DegradedExposure{}, err
 	}
 	k := cfg.NodeFaultTolerance
-	chain, err := configChain(p, cfg)
+	chain, err := Chain(p, cfg)
 	if err != nil {
 		return DegradedExposure{}, err
 	}

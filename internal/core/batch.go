@@ -182,12 +182,12 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, ps []params.Param
 // the end of the block. The reported error is that of the lowest
 // failing grid cell (x order, then configuration order) — the one a
 // serial loop over AnalyzeCtx would report — with the same message.
-func sweepBatch(ctx context.Context, base params.Parameters, cfgs []Config, xs []float64, apply func(*params.Parameters, float64), out []SweepPoint, tr *pointTracker, chunk int) error {
+func sweepBatch(ctx context.Context, base params.Parameters, cfgs []Config, xs []float64, apply func(*params.Parameters, float64), workers int, out []SweepPoint, tr *pointTracker, chunk int) error {
 	nx, ncfg := len(xs), len(cfgs)
 	// When the worker pool would otherwise idle (few, long chunks),
 	// shrink chunks so every worker gets one; chunk size never affects
 	// results, only scheduling.
-	if want := (MaxWorkers() + ncfg - 1) / ncfg; want > 1 {
+	if want := (poolSize(workers) + ncfg - 1) / ncfg; want > 1 {
 		if spread := (nx + want - 1) / want; spread < chunk {
 			chunk = spread
 		}
@@ -199,7 +199,7 @@ func sweepBatch(ctx context.Context, base params.Parameters, cfgs []Config, xs [
 	specs := chunkSpecs(cfgs, nx, chunk)
 
 	// First-error reduction across chunks, by global grid-cell index
-	// (xi*ncfg + ci), mirroring runIndexedCtx's lowest-index guarantee.
+	// (xi*ncfg + ci), mirroring RunIndexed's lowest-index guarantee.
 	var (
 		mu        sync.Mutex
 		firstCell = nx * ncfg
@@ -214,7 +214,7 @@ func sweepBatch(ctx context.Context, base params.Parameters, cfgs []Config, xs [
 		mu.Unlock()
 	}
 
-	rerr := runIndexedCtx(ctx, len(specs), func(si int) error {
+	rerr := RunIndexed(ctx, len(specs), workers, func(si int) error {
 		sp := specs[si]
 		mu.Lock()
 		skip := sp.lo*ncfg+sp.ci > firstCell

@@ -14,10 +14,10 @@ import (
 	"repro/internal/params"
 )
 
-// sweepChunked runs a buffered exact-chain sweep in chunks of at most
-// chunk cells.
-func sweepChunked(p params.Parameters, cfgs []Config, xs []float64, apply func(*params.Parameters, float64), chunk int) ([]SweepPoint, error) {
-	return sweepCtx(context.Background(), p, cfgs, MethodExactChain, xs, apply, nil, chunk)
+// sweepChunked runs a buffered exact-chain sweep on workers goroutines
+// in chunks of at most chunk cells.
+func sweepChunked(p params.Parameters, cfgs []Config, xs []float64, apply func(*params.Parameters, float64), workers, chunk int) ([]SweepPoint, error) {
+	return sweep(context.Background(), p, cfgs, MethodExactChain, xs, apply, workers, nil, chunk)
 }
 
 // perCellSweep is the reference the batch engine must reproduce: a
@@ -59,15 +59,13 @@ func TestSweepBatchMatchesPerCellBitwise(t *testing.T) {
 	}
 	for _, w := range []int{1, 3, runtime.NumCPU()} {
 		for _, bc := range []int{chunkCells, 1, 5, 1024} {
-			withWorkers(t, w, func() {
-				got, err := sweepChunked(p, cfgs, xs, apply, bc)
-				if err != nil {
-					t.Fatalf("workers=%d batch=%d sweep: %v", w, bc, err)
-				}
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("workers=%d batch=%d sweep differs from per-cell path", w, bc)
-				}
-			})
+			got, err := sweepChunked(p, cfgs, xs, apply, w, bc)
+			if err != nil {
+				t.Fatalf("workers=%d batch=%d sweep: %v", w, bc, err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("workers=%d batch=%d sweep differs from per-cell path", w, bc)
+			}
 		}
 	}
 }
@@ -88,13 +86,11 @@ func TestSweepErrorShapeBatchAndPerCell(t *testing.T) {
 		t.Fatal("per-cell sweep unexpectedly succeeded")
 	}
 	perCell = err.Error()
-	withWorkers(t, 1, func() {
-		_, err := sweepChunked(p, cfgs, xs, apply, 2)
-		if err == nil {
-			t.Fatal("batched sweep unexpectedly succeeded")
-		}
-		batch = err.Error()
-	})
+	_, err = sweepChunked(p, cfgs, xs, apply, 1, 2)
+	if err == nil {
+		t.Fatal("batched sweep unexpectedly succeeded")
+	}
+	batch = err.Error()
 	if batch != perCell {
 		t.Errorf("batched error %q != per-cell error %q", batch, perCell)
 	}
@@ -126,7 +122,7 @@ func TestSweepErrorShapeBatchAndPerCell(t *testing.T) {
 			p.RedundancySetSize = int(x)
 		}
 	}
-	_, gerr := Sweep(p, cfgs, MethodExactChain, []float64{64, 3}, applyGeom)
+	_, gerr := Sweep(context.Background(), p, cfgs, MethodExactChain, []float64{64, 3}, applyGeom, 0)
 	if gerr == nil {
 		t.Fatal("geometry sweep unexpectedly succeeded")
 	}
@@ -183,15 +179,13 @@ func TestSweepBatchMixedConfigsMatchesPerCellBitwise(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, 7} {
 		for _, bc := range []int{1, 3, 256} {
-			withWorkers(t, w, func() {
-				got, err := sweepChunked(p, cfgs, xs, apply, bc)
-				if err != nil {
-					t.Fatalf("workers=%d batch=%d sweep: %v", w, bc, err)
-				}
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("workers=%d batch=%d sweep differs from per-cell path", w, bc)
-				}
-			})
+			got, err := sweepChunked(p, cfgs, xs, apply, w, bc)
+			if err != nil {
+				t.Fatalf("workers=%d batch=%d sweep: %v", w, bc, err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("workers=%d batch=%d sweep differs from per-cell path", w, bc)
+			}
 		}
 	}
 }
@@ -234,12 +228,10 @@ func TestSweepErrorMixedConfigsClaimOrder(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, 7} {
 		for _, bc := range []int{1, 3, 256} {
-			withWorkers(t, w, func() {
-				_, err := sweepChunked(p, cfgs, xs, apply, bc)
-				if err == nil || err.Error() != perCell {
-					t.Errorf("workers=%d batch=%d error = %v, want %q", w, bc, err, perCell)
-				}
-			})
+			_, err := sweepChunked(p, cfgs, xs, apply, w, bc)
+			if err == nil || err.Error() != perCell {
+				t.Errorf("workers=%d batch=%d error = %v, want %q", w, bc, err, perCell)
+			}
 		}
 	}
 }
@@ -263,11 +255,9 @@ func TestSweepBatchAbsorptionMetrics(t *testing.T) {
 	for _, cfgs := range [][]Config{mixedConfigs(), {{Internal: InternalNone, NodeFaultTolerance: 7}}} {
 		reg := obs.NewRegistry()
 		markov.Instrument(reg)
-		withWorkers(t, 1, func() {
-			if _, err := sweepChunked(p, cfgs, xs, apply, chunk); err != nil {
-				t.Fatalf("sweep: %v", err)
-			}
-		})
+		if _, err := sweepChunked(p, cfgs, xs, apply, 1, chunk); err != nil {
+			t.Fatalf("sweep: %v", err)
+		}
 		markov.Instrument(nil)
 		cells := int64(len(xs) * len(cfgs))
 		if got := reg.Counter("markov.absorption.solves").Value(); got != cells {
@@ -322,13 +312,11 @@ func TestSweepEmptyChunkRecordsNothing(t *testing.T) {
 	defer markov.Instrument(nil)
 	tr := obs.NewTracer()
 	ctx, root := tr.Start(context.Background(), "test")
-	withWorkers(t, 1, func() {
-		// Chunks of two: [64 48] solves, [2 64] fails at its first cell.
-		_, err := sweepCtx(ctx, p, cfgs, MethodExactChain, xs, apply, nil, 2)
-		if err == nil || err.Error() != want.Error() {
-			t.Errorf("sweep error = %v, want %v", err, want)
-		}
-	})
+	// Chunks of two: [64 48] solves, [2 64] fails at its first cell.
+	_, err := sweep(ctx, p, cfgs, MethodExactChain, xs, apply, 1, nil, 2)
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("sweep error = %v, want %v", err, want)
+	}
 	root.End()
 
 	var chunks int
@@ -366,15 +354,13 @@ func TestSweepStreamEmitOrderDeterministic(t *testing.T) {
 	apply := func(p *params.Parameters, x float64) { p.NodeMTTFHours = x }
 
 	refs := make(map[Method][]SweepPoint)
-	withWorkers(t, 1, func() {
-		for _, m := range []Method{MethodExactChain, MethodClosedForm} {
-			ref, err := Sweep(p, cfgs, m, xs, apply)
-			if err != nil {
-				t.Fatalf("buffered %v sweep: %v", m, err)
-			}
-			refs[m] = ref
+	for _, m := range []Method{MethodExactChain, MethodClosedForm} {
+		ref, err := Sweep(context.Background(), p, cfgs, m, xs, apply, 1)
+		if err != nil {
+			t.Fatalf("buffered %v sweep: %v", m, err)
 		}
-	})
+		refs[m] = ref
+	}
 
 	cases := []struct {
 		name           string
@@ -388,24 +374,22 @@ func TestSweepStreamEmitOrderDeterministic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			withWorkers(t, tc.workers, func() {
-				var streamed []SweepPoint
-				got, err := sweepCtx(context.Background(), p, cfgs, tc.method, xs, apply,
-					func(pt SweepPoint) error {
-						streamed = append(streamed, pt)
-						return nil
-					}, tc.cells)
-				if err != nil {
-					t.Fatalf("stream sweep: %v", err)
-				}
-				ref := refs[tc.method]
-				if !reflect.DeepEqual(got, ref) {
-					t.Error("returned grid differs from buffered sweep")
-				}
-				if !reflect.DeepEqual(streamed, ref) {
-					t.Error("streamed points differ from buffered sweep (order or content)")
-				}
-			})
+			var streamed []SweepPoint
+			got, err := sweep(context.Background(), p, cfgs, tc.method, xs, apply, tc.workers,
+				func(pt SweepPoint) error {
+					streamed = append(streamed, pt)
+					return nil
+				}, tc.cells)
+			if err != nil {
+				t.Fatalf("stream sweep: %v", err)
+			}
+			ref := refs[tc.method]
+			if !reflect.DeepEqual(got, ref) {
+				t.Error("returned grid differs from buffered sweep")
+			}
+			if !reflect.DeepEqual(streamed, ref) {
+				t.Error("streamed points differ from buffered sweep (order or content)")
+			}
 		})
 	}
 }
@@ -421,7 +405,7 @@ func TestSweepStreamEmitErrorCancels(t *testing.T) {
 	apply := func(p *params.Parameters, x float64) { p.NodeMTTFHours = x }
 	boom := fmt.Errorf("client went away")
 	n := 0
-	pts, err := SweepStreamCtx(context.Background(), p, cfgs, MethodExactChain, xs, apply,
+	pts, err := SweepStream(context.Background(), p, cfgs, MethodExactChain, xs, apply, 0,
 		func(SweepPoint) error {
 			n++
 			if n == 3 {
@@ -442,8 +426,8 @@ func TestSweepStreamEmitErrorCancels(t *testing.T) {
 
 func TestSweepStreamNilEmit(t *testing.T) {
 	p := params.Baseline()
-	_, err := SweepStreamCtx(context.Background(), p, SensitivityConfigs(), MethodExactChain,
-		[]float64{1}, func(*params.Parameters, float64) {}, nil)
+	_, err := SweepStream(context.Background(), p, SensitivityConfigs(), MethodExactChain,
+		[]float64{1}, func(*params.Parameters, float64) {}, 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "nil emit") {
 		t.Fatalf("nil emit error = %v", err)
 	}

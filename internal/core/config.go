@@ -36,6 +36,20 @@ func (r InternalRedundancy) String() string {
 	}
 }
 
+// ParseInternal maps an internal-redundancy wire or flag name ("none",
+// "raid5" or "raid6") onto its InternalRedundancy.
+func ParseInternal(name string) (InternalRedundancy, error) {
+	switch name {
+	case "none":
+		return InternalNone, nil
+	case "raid5":
+		return InternalRAID5, nil
+	case "raid6":
+		return InternalRAID6, nil
+	}
+	return 0, fmt.Errorf("unknown internal redundancy %q (valid: none, raid5, raid6)", name)
+}
+
 // ParityDrives returns the m parameter of the internal array formulas
 // (0, 1 or 2).
 func (r InternalRedundancy) ParityDrives() int {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/params"
 )
 
@@ -28,31 +29,31 @@ func TestValidateWorkers(t *testing.T) {
 func TestSweepCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SweepCtx(ctx, params.Baseline(), BaselineConfigs(), MethodClosedForm,
-		[]float64{1e5, 2e5, 3e5}, func(p *params.Parameters, x float64) { p.DriveMTTFHours = x })
+	_, err := Sweep(ctx, params.Baseline(), BaselineConfigs(), MethodClosedForm,
+		[]float64{1e5, 2e5, 3e5}, func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }, 0)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("SweepCtx with cancelled context: err = %v, want context.Canceled", err)
+		t.Fatalf("Sweep with cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
 func TestSweepCtxCancelledMidFlight(t *testing.T) {
+	t.Parallel()
 	// Cancel from inside the apply hook after a few cells have started:
 	// the sweep must stop early and report cancellation, not a grid.
 	for _, workers := range []int{1, 4} {
-		SetMaxWorkers(workers)
 		ctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int64
 		xs := make([]float64, 200)
 		for i := range xs {
 			xs[i] = 1e5 + float64(i)*1e3
 		}
-		pts, err := SweepCtx(ctx, params.Baseline(), BaselineConfigs(), MethodClosedForm, xs,
+		pts, err := Sweep(ctx, params.Baseline(), BaselineConfigs(), MethodClosedForm, xs,
 			func(p *params.Parameters, x float64) {
 				if calls.Add(1) == 3 {
 					cancel()
 				}
 				p.DriveMTTFHours = x
-			})
+			}, workers)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -65,15 +66,14 @@ func TestSweepCtxCancelledMidFlight(t *testing.T) {
 			t.Errorf("workers=%d: all %d cells ran despite cancellation", workers, n)
 		}
 	}
-	SetMaxWorkers(0)
 }
 
 func TestAnalyzeAllCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AnalyzeAllCtx(ctx, params.Baseline(), BaselineConfigs(), MethodClosedForm)
+	_, err := AnalyzeAll(ctx, params.Baseline(), BaselineConfigs(), MethodClosedForm, 0)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("AnalyzeAllCtx with cancelled context: err = %v, want context.Canceled", err)
+		t.Fatalf("AnalyzeAll with cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -81,28 +81,56 @@ func TestElasticitiesCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := Config{Internal: InternalRAID5, NodeFaultTolerance: 2}
-	_, err := ElasticitiesCtx(ctx, params.Baseline(), cfg, MethodClosedForm, 0)
+	_, err := Elasticities(ctx, params.Baseline(), cfg, MethodClosedForm, 0, 0)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ElasticitiesCtx with cancelled context: err = %v, want context.Canceled", err)
+		t.Fatalf("Elasticities with cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
-func TestCtxVariantsMatchPlainCalls(t *testing.T) {
-	// The Background-context wrappers must be the same computation: byte
-	// and bit identical results, the serving cache's core contract.
-	p := params.Baseline()
-	cfgs := BaselineConfigs()
-	plain, err := AnalyzeAll(p, cfgs, MethodClosedForm)
-	if err != nil {
+// Advise polls its context between knobs and between bisection steps,
+// so a cancelled call reports the cancellation instead of advice.
+func TestAdviseCtxPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
+	advice, err := Advise(ctx, params.Baseline(), cfg, PaperTarget(), MethodClosedForm, 0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Advise with cancelled context: err = %v, want context.Canceled", err)
+	}
+	if advice != nil {
+		t.Error("cancelled Advise returned advice")
+	}
+}
+
+// A traced exact-chain Elasticities call attributes every solve to the
+// caller's span: the base analysis plus two perturbed analyses for each
+// of the seven knobs is 15 "markov.solve" spans.
+func TestElasticitiesTracesEverySolve(t *testing.T) {
+	tr := obs.NewTracer()
+	ctx, root := tr.Start(context.Background(), "caller")
+	cfg := Config{Internal: InternalRAID5, NodeFaultTolerance: 2}
+	if _, err := Elasticities(ctx, params.Baseline(), cfg, MethodExactChain, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := AnalyzeAllCtx(context.Background(), p, cfgs, MethodClosedForm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		if plain[i] != ctxed[i] {
-			t.Errorf("config %d: ctx result differs from plain result", i)
+	root.End()
+	spans := tr.Spans()
+	var rootID int64
+	for _, sp := range spans {
+		if sp.Name == "caller" {
+			rootID = sp.ID
 		}
+	}
+	var solves int
+	for _, sp := range spans {
+		if sp.Name != "markov.solve" {
+			continue
+		}
+		solves++
+		if sp.Parent != rootID {
+			t.Errorf("markov.solve span %d has parent %d, want the caller's span %d", sp.ID, sp.Parent, rootID)
+		}
+	}
+	if want := 1 + 2*len(elasticityKnobs()); solves != want {
+		t.Errorf("markov.solve spans = %d, want %d", solves, want)
 	}
 }

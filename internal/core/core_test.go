@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -76,7 +77,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestAnalyzeBaselineAllConfigs(t *testing.T) {
 	p := params.Baseline()
-	results, err := AnalyzeAll(p, BaselineConfigs(), MethodClosedForm)
+	results, err := AnalyzeAll(context.Background(), p, BaselineConfigs(), MethodClosedForm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +245,10 @@ func TestSweepBasics(t *testing.T) {
 	p := params.Baseline()
 	cfgs := SensitivityConfigs()
 	xs := []float64{100_000, 400_000, 750_000}
-	pts, err := Sweep(p, cfgs, MethodClosedForm, xs, func(q *params.Parameters, x float64) {
+	pts, err := Sweep(context.Background(), p, cfgs, MethodClosedForm, xs, func(q *params.Parameters, x float64) {
 		q.DriveMTTFHours = x
-	})
+	}, 0)
+
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,15 +280,16 @@ func TestSweepBasics(t *testing.T) {
 func TestSweepErrors(t *testing.T) {
 	p := params.Baseline()
 	cfgs := SensitivityConfigs()
-	if _, err := Sweep(p, cfgs, MethodClosedForm, nil, func(*params.Parameters, float64) {}); err == nil {
+	if _, err := Sweep(context.Background(), p, cfgs, MethodClosedForm, nil, func(*params.Parameters, float64) {}, 0); err == nil {
 		t.Error("empty sweep accepted")
 	}
-	if _, err := Sweep(p, cfgs, MethodClosedForm, []float64{1}, nil); err == nil {
+	if _, err := Sweep(context.Background(), p, cfgs, MethodClosedForm, []float64{1}, nil, 0); err == nil {
 		t.Error("nil apply accepted")
 	}
-	_, err := Sweep(p, cfgs, MethodClosedForm, []float64{0}, func(q *params.Parameters, x float64) {
-		q.NodeMTTFHours = x // invalid
-	})
+	_, err := Sweep(context.Background(), p, cfgs, MethodClosedForm, []float64{0}, func(q *params.Parameters, x float64) {
+		q.NodeMTTFHours = x
+	}, 0)
+
 	if err == nil || !strings.Contains(err.Error(), "sweep at x=0") {
 		t.Errorf("sweep error = %v, want contextual error", err)
 	}

@@ -42,21 +42,19 @@ func elasticityKnobs() []elasticityKnob {
 // Elasticities computes central-difference log-log sensitivities of
 // events/PB-year to each continuously scalable parameter, holding the
 // configuration fixed. step is the relative perturbation (0 selects 1%).
-func Elasticities(p params.Parameters, cfg Config, method Method, step float64) ([]Elasticity, error) {
-	return ElasticitiesCtx(context.Background(), p, cfg, method, step)
-}
-
-// ElasticitiesCtx is Elasticities with cancellation: the context is
-// polled between knobs, so a cancelled call stops within two Analyze
-// calls and returns ctx.Err().
-func ElasticitiesCtx(ctx context.Context, p params.Parameters, cfg Config, method Method, step float64) ([]Elasticity, error) {
+// The base analysis and the two perturbed analyses per knob all carry
+// ctx, so a traced call attributes every solve to the caller's span;
+// the knobs fan out on a pool of workers goroutines (0 =
+// runtime.NumCPU()) and the context is polled between knobs, so a
+// cancelled call stops within two analyses and returns ctx.Err().
+func Elasticities(ctx context.Context, p params.Parameters, cfg Config, method Method, step float64, workers int) ([]Elasticity, error) {
 	if step == 0 {
 		step = 0.01
 	}
 	if step <= 0 || step >= 0.5 {
 		return nil, fmt.Errorf("core: elasticity step %v out of (0, 0.5)", step)
 	}
-	base, err := Analyze(p, cfg, method)
+	base, err := AnalyzeCtx(ctx, p, cfg, method)
 	if err != nil {
 		return nil, err
 	}
@@ -64,20 +62,20 @@ func ElasticitiesCtx(ctx context.Context, p params.Parameters, cfg Config, metho
 		return nil, fmt.Errorf("core: non-positive base metric")
 	}
 	// Each knob needs two independent analyses; fan the knobs across the
-	// SetMaxWorkers pool (order-preserving, first-error by knob index).
+	// worker pool (order-preserving, first-error by knob index).
 	knobs := elasticityKnobs()
 	out := make([]Elasticity, len(knobs))
-	err = runIndexedCtx(ctx, len(knobs), func(i int) error {
+	err = RunIndexed(ctx, len(knobs), workers, func(i int) error {
 		knob := knobs[i]
 		up := p
 		knob.scale(&up, 1+step)
 		down := p
 		knob.scale(&down, 1-step)
-		rUp, err := Analyze(up, cfg, method)
+		rUp, err := AnalyzeCtx(ctx, up, cfg, method)
 		if err != nil {
 			return fmt.Errorf("core: elasticity of %s (+): %w", knob.name, err)
 		}
-		rDown, err := Analyze(down, cfg, method)
+		rDown, err := AnalyzeCtx(ctx, down, cfg, method)
 		if err != nil {
 			return fmt.Errorf("core: elasticity of %s (-): %w", knob.name, err)
 		}

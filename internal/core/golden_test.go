@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -140,14 +141,14 @@ func TestMTTAGolden(t *testing.T) {
 					} else {
 						ch = model.IRChain(pr.ir, k)
 					}
-					v, err := markov.MTTA(ch)
+					v, err := markov.MTTA(context.Background(), ch)
 					model.ReleaseChain(ch)
 					line(fmt.Sprintf("%s/%s/%s/k=%d", route.name, rs.name, internal, k), v, err)
 				}
 			}
 		}
 		for _, mc := range goldenMutableChains() {
-			v, err := markov.MTTA(mc.c)
+			v, err := markov.MTTA(context.Background(), mc.c)
 			if mc.c.Frozen() {
 				t.Errorf("%s: MTTA froze the caller's chain", mc.name)
 			}
@@ -162,8 +163,8 @@ func TestMTTAGolden(t *testing.T) {
 // the sensitivity configurations, byte for byte.
 func TestExactSweepGolden(t *testing.T) {
 	xs := []float64{100_000, 175_000, 250_000, 300_000, 420_000, 600_000, 850_000, 1_000_000}
-	pts, err := Sweep(params.Baseline(), SensitivityConfigs(), MethodExactChain, xs,
-		func(p *params.Parameters, x float64) { p.DriveMTTFHours = x })
+	pts, err := Sweep(context.Background(), params.Baseline(), SensitivityConfigs(), MethodExactChain, xs, func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }, 0)
+
 	if err != nil {
 		t.Fatal(err)
 	}

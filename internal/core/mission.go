@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -43,15 +44,15 @@ func MissionSurvival(p params.Parameters, cfg Config, hours float64, fleetSize i
 	if err := cfg.Validate(); err != nil {
 		return MissionResult{}, err
 	}
-	chain, err := configChain(p, cfg)
+	chain, err := Chain(p, cfg)
 	if err != nil {
 		return MissionResult{}, err
 	}
-	loss, err := markov.AbsorbedProbabilityByTime(chain, hours, markov.TransientOptions{})
+	loss, err := markov.AbsorbedProbabilityByTime(context.TODO(), chain, hours, markov.TransientOptions{})
 	if err != nil {
 		return MissionResult{}, fmt.Errorf("core: mission transient for %v: %w", cfg, err)
 	}
-	mttdl, err := markov.MTTA(chain)
+	mttdl, err := markov.MTTA(context.TODO(), chain)
 	if err != nil {
 		return MissionResult{}, err
 	}
@@ -65,9 +66,12 @@ func MissionSurvival(p params.Parameters, cfg Config, hours float64, fleetSize i
 	}, nil
 }
 
-// configChain builds the exact chain for a configuration (shared by the
-// exposure and mission paths) from the inputs AnalyzeCtx solves.
-func configChain(p params.Parameters, cfg Config) (*markov.Chain, error) {
+// Chain builds the exact chain for a configuration from the inputs
+// AnalyzeCtx solves, after the same parameter, configuration and
+// geometry checks (the model constructors panic on a fault tolerance
+// the redundancy set cannot hold). The exposure and mission paths and
+// the chain-inspecting CLIs all build through it.
+func Chain(p params.Parameters, cfg Config) (*markov.Chain, error) {
 	pr, err := analyzePrep(p, cfg, MethodExactChain)
 	if err != nil {
 		return nil, err

@@ -9,7 +9,7 @@ package core
 // semantics of the serial loops are preserved by reporting the error of
 // the lowest failing index.
 //
-// Cancellation: runIndexedCtx checks the context before every unit of
+// Cancellation: RunIndexed checks the context before every unit of
 // work, so a cancelled sweep stops within one analysis of the
 // cancellation. A cancelled run returns ctx.Err() unless a genuine
 // analysis error was recorded first; either way the output slots are
@@ -23,33 +23,18 @@ import (
 	"sync/atomic"
 )
 
-// workerCeiling holds the package-wide worker cap set by SetMaxWorkers
-// (0 = default runtime.NumCPU()).
-var workerCeiling atomic.Int64
-
-// SetMaxWorkers caps the number of concurrent analyses Sweep, AnalyzeAll
-// and Elasticities may run. n <= 0 restores the default,
-// runtime.NumCPU(). 1 forces the serial path. The cap is process-wide;
-// results are identical at any setting.
-func SetMaxWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerCeiling.Store(int64(n))
-}
-
-// MaxWorkers returns the effective worker cap.
-func MaxWorkers() int {
-	if n := int(workerCeiling.Load()); n > 0 {
-		return n
+// poolSize maps a worker count onto a pool size: 0 selects
+// runtime.NumCPU().
+func poolSize(workers int) int {
+	if workers > 0 {
+		return workers
 	}
 	return runtime.NumCPU()
 }
 
-// ValidateWorkers rejects worker counts that SetMaxWorkers (and the
-// simulation estimators) would otherwise silently remap: every -workers
-// flag and server field funnels through here so "-workers -4" is a clear
-// error everywhere instead of an accidental all-CPUs run. 0 remains the
+// ValidateWorkers rejects a negative worker count: every -workers flag
+// and RunIndexed funnel through here, so "-workers -4" is a clear error
+// everywhere instead of an accidental all-CPUs run. 0 remains the
 // documented "use all CPUs" convention.
 func ValidateWorkers(n int) error {
 	if n < 0 {
@@ -58,37 +43,28 @@ func ValidateWorkers(n int) error {
 	return nil
 }
 
-// RunIndexedCtx exposes the analysis layer's bounded deterministic
-// fan-out to sibling packages (internal/plan rides it for design-space
-// searches): fn(0), …, fn(n-1) on the MaxWorkers pool with the serial
-// loop's lowest-failing-index error semantics and per-index cancellation
-// polling. Results are identical at any worker count provided fn writes
-// only into caller-indexed slots.
-func RunIndexedCtx(ctx context.Context, n int, fn func(i int) error) error {
-	return runIndexedCtx(ctx, n, fn)
-}
-
-// runIndexed evaluates fn(0), …, fn(n-1) on a bounded worker pool and
-// returns the error of the lowest failing index (nil if all succeed).
-// fn must be safe to call concurrently and should write its result into
-// a caller-owned slot for index i; slots for indices at or above a
-// failing index may be left unwritten. With one worker (or one item) it
-// degenerates to the plain serial loop, returning on the first error.
-func runIndexed(n int, fn func(i int) error) error {
-	return runIndexedCtx(context.Background(), n, fn)
-}
-
-// runIndexedCtx is runIndexed with cancellation: the context is polled
-// before each index is claimed (serial and parallel paths alike), so
-// work stops within one fn call of cancellation. On cancellation the
-// return value is ctx.Err() unless an fn error was recorded first —
-// under cancellation the "lowest failing index" guarantee is waived,
-// since later indices were legitimately never attempted.
-func runIndexedCtx(ctx context.Context, n int, fn func(i int) error) error {
-	workers := MaxWorkers()
-	if workers > n {
-		workers = n
+// RunIndexed evaluates fn(0), …, fn(n-1) on a pool of workers goroutines
+// (0 = runtime.NumCPU(), never more than n) and returns the error of the
+// lowest failing index (nil if all succeed). It is the analysis layer's
+// one fan-out; internal/plan rides it for design-space searches. fn must
+// be safe to call concurrently and should write its result into a
+// caller-owned slot for index i; slots for indices at or above a failing
+// index may be left unwritten. Results are then identical at any worker
+// count. With one worker (or one item) it degenerates to the plain
+// serial loop, returning on the first error.
+//
+// The context is polled before each index is claimed (serial and
+// parallel paths alike), so work stops within one fn call of
+// cancellation. On cancellation the return value is ctx.Err() unless an
+// fn error was recorded first — under cancellation the "lowest failing
+// index" guarantee is waived, since later indices were legitimately
+// never attempted. A negative worker count is rejected before any fn
+// call.
+func RunIndexed(ctx context.Context, n, workers int, fn func(i int) error) error {
+	if err := ValidateWorkers(workers); err != nil {
+		return err
 	}
+	workers = min(poolSize(workers), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -8,35 +9,35 @@ import (
 	"repro/internal/params"
 )
 
-// withWorkers runs fn under a temporary SetMaxWorkers cap and restores
-// the default afterwards (the cap is process-wide state).
-func withWorkers(t *testing.T, n int, fn func()) {
-	t.Helper()
-	SetMaxWorkers(n)
-	defer SetMaxWorkers(0)
-	fn()
-}
-
-func TestMaxWorkersDefaultAndCap(t *testing.T) {
-	t.Cleanup(func() { SetMaxWorkers(0) })
-	SetMaxWorkers(0)
-	if got := MaxWorkers(); got != runtime.NumCPU() {
-		t.Errorf("default MaxWorkers = %d, want NumCPU %d", got, runtime.NumCPU())
+// TestWorkerCountMapping pins the one parallelism convention: 0 selects
+// runtime.NumCPU(), a positive count is taken as given, and a negative
+// count is rejected before any work runs.
+func TestWorkerCountMapping(t *testing.T) {
+	t.Parallel()
+	if got := poolSize(0); got != runtime.NumCPU() {
+		t.Errorf("poolSize(0) = %d, want NumCPU %d", got, runtime.NumCPU())
 	}
-	SetMaxWorkers(5)
-	if got := MaxWorkers(); got != 5 {
-		t.Errorf("MaxWorkers = %d, want 5", got)
+	if got := poolSize(5); got != 5 {
+		t.Errorf("poolSize(5) = %d, want 5", got)
 	}
-	SetMaxWorkers(-3)
-	if got := MaxWorkers(); got != runtime.NumCPU() {
-		t.Errorf("MaxWorkers after negative set = %d, want NumCPU", got)
+	called := false
+	err := RunIndexed(context.Background(), 4, -3, func(int) error { called = true; return nil })
+	if err == nil {
+		t.Error("RunIndexed with -3 workers succeeded, want an error")
+	}
+	if called {
+		t.Error("RunIndexed with -3 workers called fn")
+	}
+	if _, err := Sweep(context.Background(), params.Baseline(), SensitivityConfigs(), MethodClosedForm,
+		[]float64{1e5}, func(p *params.Parameters, x float64) { p.NodeMTTFHours = x }, -1); err == nil {
+		t.Error("Sweep with -1 workers succeeded, want an error")
 	}
 }
 
 func TestRunIndexedEmpty(t *testing.T) {
 	called := false
-	if err := runIndexed(0, func(int) error { called = true; return nil }); err != nil {
-		t.Fatalf("runIndexed(0) = %v", err)
+	if err := RunIndexed(context.Background(), 0, 0, func(int) error { called = true; return nil }); err != nil {
+		t.Fatalf("RunIndexed(0) = %v", err)
 	}
 	if called {
 		t.Error("fn called for empty range")
@@ -46,29 +47,26 @@ func TestRunIndexedEmpty(t *testing.T) {
 // TestSweepDeterministicAcrossWorkers is the core determinism contract:
 // a sweep's output must be byte-identical at every worker count.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
+	t.Parallel()
 	p := params.Baseline()
 	cfgs := SensitivityConfigs()
 	xs := []float64{50_000, 100_000, 200_000, 460_000, 1_000_000}
 	apply := func(p *params.Parameters, x float64) { p.NodeMTTFHours = x }
 
 	var ref []SweepPoint
-	withWorkers(t, 1, func() {
-		var err error
-		ref, err = Sweep(p, cfgs, MethodExactChain, xs, apply)
-		if err != nil {
-			t.Fatalf("serial sweep: %v", err)
-		}
-	})
+	var err error
+	ref, err = Sweep(context.Background(), p, cfgs, MethodExactChain, xs, apply, 1)
+	if err != nil {
+		t.Fatalf("serial sweep: %v", err)
+	}
 	for _, w := range []int{2, 7, runtime.NumCPU(), 0} {
-		withWorkers(t, w, func() {
-			got, err := Sweep(p, cfgs, MethodExactChain, xs, apply)
-			if err != nil {
-				t.Fatalf("workers=%d sweep: %v", w, err)
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("workers=%d sweep differs from serial", w)
-			}
-		})
+		got, err := Sweep(context.Background(), p, cfgs, MethodExactChain, xs, apply, w)
+		if err != nil {
+			t.Fatalf("workers=%d sweep: %v", w, err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("workers=%d sweep differs from serial", w)
+		}
 	}
 }
 
@@ -76,6 +74,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 // worker count the reported error is that of the earliest failing grid
 // cell, exactly as the serial loop reports it.
 func TestSweepFirstErrorDeterministic(t *testing.T) {
+	t.Parallel()
 	p := params.Baseline()
 	cfgs := SensitivityConfigs()
 	// x is installed as the node set size; 2 and 3 are both invalid under
@@ -85,72 +84,62 @@ func TestSweepFirstErrorDeterministic(t *testing.T) {
 	apply := func(p *params.Parameters, x float64) { p.NodeSetSize = int(x) }
 
 	var want string
-	withWorkers(t, 1, func() {
-		_, err := Sweep(p, cfgs, MethodExactChain, xs, apply)
-		if err == nil {
-			t.Fatal("serial sweep unexpectedly succeeded")
-		}
-		want = err.Error()
-	})
+	_, err := Sweep(context.Background(), p, cfgs, MethodExactChain, xs, apply, 1)
+	if err == nil {
+		t.Fatal("serial sweep unexpectedly succeeded")
+	}
+	want = err.Error()
 	for _, w := range []int{2, 7, runtime.NumCPU()} {
-		withWorkers(t, w, func() {
-			_, err := Sweep(p, cfgs, MethodExactChain, xs, apply)
-			if err == nil {
-				t.Fatalf("workers=%d sweep unexpectedly succeeded", w)
-			}
-			if err.Error() != want {
-				t.Errorf("workers=%d error = %q, want %q", w, err, want)
-			}
-		})
+		_, err := Sweep(context.Background(), p, cfgs, MethodExactChain, xs, apply, w)
+		if err == nil {
+			t.Fatalf("workers=%d sweep unexpectedly succeeded", w)
+		}
+		if err.Error() != want {
+			t.Errorf("workers=%d error = %q, want %q", w, err, want)
+		}
 	}
 }
 
 func TestAnalyzeAllDeterministicAcrossWorkers(t *testing.T) {
+	t.Parallel()
 	p := params.Baseline()
 	cfgs := BaselineConfigs()
 
 	var ref []Result
-	withWorkers(t, 1, func() {
-		var err error
-		ref, err = AnalyzeAll(p, cfgs, MethodExactChain)
-		if err != nil {
-			t.Fatalf("serial AnalyzeAll: %v", err)
-		}
-	})
+	var err error
+	ref, err = AnalyzeAll(context.Background(), p, cfgs, MethodExactChain, 1)
+	if err != nil {
+		t.Fatalf("serial AnalyzeAll: %v", err)
+	}
 	for _, w := range []int{2, 7} {
-		withWorkers(t, w, func() {
-			got, err := AnalyzeAll(p, cfgs, MethodExactChain)
-			if err != nil {
-				t.Fatalf("workers=%d AnalyzeAll: %v", w, err)
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("workers=%d AnalyzeAll differs from serial", w)
-			}
-		})
+		got, err := AnalyzeAll(context.Background(), p, cfgs, MethodExactChain, w)
+		if err != nil {
+			t.Fatalf("workers=%d AnalyzeAll: %v", w, err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("workers=%d AnalyzeAll differs from serial", w)
+		}
 	}
 }
 
 func TestElasticitiesDeterministicAcrossWorkers(t *testing.T) {
+	t.Parallel()
 	p := params.Baseline()
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
 
 	var ref []Elasticity
-	withWorkers(t, 1, func() {
-		var err error
-		ref, err = Elasticities(p, cfg, MethodExactChain, 0)
-		if err != nil {
-			t.Fatalf("serial Elasticities: %v", err)
-		}
-	})
+	var err error
+	ref, err = Elasticities(context.Background(), p, cfg, MethodExactChain, 0, 1)
+	if err != nil {
+		t.Fatalf("serial Elasticities: %v", err)
+	}
 	for _, w := range []int{2, 7} {
-		withWorkers(t, w, func() {
-			got, err := Elasticities(p, cfg, MethodExactChain, 0)
-			if err != nil {
-				t.Fatalf("workers=%d Elasticities: %v", w, err)
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("workers=%d Elasticities differ from serial", w)
-			}
-		})
+		got, err := Elasticities(context.Background(), p, cfg, MethodExactChain, 0, w)
+		if err != nil {
+			t.Fatalf("workers=%d Elasticities: %v", w, err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("workers=%d Elasticities differ from serial", w)
+		}
 	}
 }

@@ -25,19 +25,15 @@ type SweepPoint struct {
 // of the paper's Section 7 sensitivity analyses. apply installs a value
 // into a copy of the base parameters.
 //
-// The (point, configuration) grid is analyzed on a worker pool bounded
-// by SetMaxWorkers. Each analysis is a pure function written into its
-// own output slot, so output order and values are identical to the
-// serial loop at any worker count; on failure the error of the earliest
-// grid cell (sweep order, then configuration order) is returned, exactly
-// as the serial loop would have reported it.
-func Sweep(base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64)) ([]SweepPoint, error) {
-	return SweepCtx(context.Background(), base, cfgs, method, xs, apply)
-}
-
-// SweepCtx is Sweep with cancellation: the context is polled before each
-// (point, configuration) grid cell, so a cancelled sweep stops within
-// one Analyze and returns ctx.Err() instead of a partial grid.
+// The (point, configuration) grid is analyzed on a pool of workers
+// goroutines (0 = runtime.NumCPU(); see RunIndexed). Each analysis is a
+// pure function written into its own output slot, so output order and
+// values are identical to the serial loop at any worker count; on
+// failure the error of the earliest grid cell (sweep order, then
+// configuration order) is returned, exactly as the serial loop would
+// have reported it. The context is polled before each grid cell, so a
+// cancelled sweep stops within one analysis and returns ctx.Err()
+// instead of a partial grid.
 //
 // When the context carries an active span (obs.StartSpan), the grid is
 // traced: one "core.sweep" span brackets the whole grid. Closed-form and
@@ -46,25 +42,25 @@ func Sweep(base params.Parameters, cfgs []Config, method Method, xs []float64, a
 // grids instead emit one "markov.batch" child per solved chunk — cells
 // and chunks run on worker goroutines, so their spans interleave but
 // parent correctly.
-func SweepCtx(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64)) ([]SweepPoint, error) {
-	return sweepCtx(ctx, base, cfgs, method, xs, apply, nil, chunkCells)
+func Sweep(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers int) ([]SweepPoint, error) {
+	return sweep(ctx, base, cfgs, method, xs, apply, workers, nil, chunkCells)
 }
 
-// SweepStreamCtx is SweepCtx delivering completed points incrementally:
-// emit is called exactly once per grid point, in ascending x order, as
-// soon as every configuration at that point has been analyzed — the
-// earliest points stream out while later ones are still being solved.
-// emit is never called concurrently with itself. If emit returns an
-// error the sweep is cancelled and that error is returned; if any cell
-// fails, points from the failing x onward are never emitted and the
-// usual first-cell error is returned. The returned slice is the same
-// complete grid SweepCtx returns (nil on error); results are bitwise
-// identical to SweepCtx at any worker count.
-func SweepStreamCtx(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), emit func(SweepPoint) error) ([]SweepPoint, error) {
+// SweepStream is Sweep delivering completed points incrementally: emit
+// is called exactly once per grid point, in ascending x order, as soon
+// as every configuration at that point has been analyzed — the earliest
+// points stream out while later ones are still being solved. emit is
+// never called concurrently with itself. If emit returns an error the
+// sweep is cancelled and that error is returned; if any cell fails,
+// points from the failing x onward are never emitted and the usual
+// first-cell error is returned. The returned slice is the same complete
+// grid Sweep returns (nil on error); results are bitwise identical to
+// Sweep at any worker count.
+func SweepStream(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers int, emit func(SweepPoint) error) ([]SweepPoint, error) {
 	if emit == nil {
 		return nil, fmt.Errorf("core: nil emit function")
 	}
-	return sweepCtx(ctx, base, cfgs, method, xs, apply, emit, chunkCells)
+	return sweep(ctx, base, cfgs, method, xs, apply, workers, emit, chunkCells)
 }
 
 // sweepCellError attributes a grid-cell failure to its sweep position and
@@ -75,11 +71,11 @@ func sweepCellError(x float64, cfg Config, err error) error {
 	return fmt.Errorf("core: sweep at x=%v: %v: %w", x, cfg, err)
 }
 
-// sweepCtx runs the grid for SweepCtx and SweepStreamCtx (emit == nil
-// means buffered). MethodExactChain grids route through the batched
+// sweep runs the grid for Sweep and SweepStream (emit == nil means
+// buffered). MethodExactChain grids route through the batched
 // engine in batch.go in chunks of at most chunk cells; every other
 // method analyzes cell by cell.
-func sweepCtx(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), emit func(SweepPoint) error, chunk int) ([]SweepPoint, error) {
+func sweep(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers int, emit func(SweepPoint) error, chunk int) ([]SweepPoint, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("core: empty sweep")
 	}
@@ -106,11 +102,11 @@ func sweepCtx(ctx context.Context, base params.Parameters, cfgs []Config, method
 
 	var err error
 	if method == MethodExactChain {
-		err = sweepBatch(ctx, base, cfgs, xs, apply, out, tr, chunk)
+		err = sweepBatch(ctx, base, cfgs, xs, apply, workers, out, tr, chunk)
 	} else {
 		// Flatten to (point, configuration) cells: finer-grained than
 		// fanning out whole points, and it avoids nested pools.
-		err = runIndexedCtx(ctx, len(xs)*len(cfgs), func(cell int) error {
+		err = RunIndexed(ctx, len(xs)*len(cfgs), workers, func(cell int) error {
 			xi, ci := cell/len(cfgs), cell%len(cfgs)
 			cctx, csp := obs.StartSpan(ctx, "core.cell")
 			if csp != nil {

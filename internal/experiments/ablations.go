@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -57,7 +58,7 @@ func AblationModelAssumptions(trials int, seed int64) (*Table, error) {
 			LambdaN: sc.LambdaN, LambdaD: sc.LambdaD,
 			MuN: sc.MuN, MuD: sc.MuD, CHER: sc.CHER,
 		}
-		chainMTTDL, err := markov.MTTA(model.NIRChain(in, sc.T))
+		chainMTTDL, err := markov.MTTA(context.TODO(), model.NIRChain(in, sc.T))
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +80,7 @@ func AblationModelAssumptions(trials int, seed int64) (*Table, error) {
 // AblationElasticities tabulates d log(events/PB-yr)/d log(θ) for each
 // tunable parameter across the paper's three sensitivity configurations —
 // the quantitative summary behind Figures 14–20.
-func AblationElasticities(p params.Parameters) (*Table, error) {
+func AblationElasticities(p params.Parameters, workers int) (*Table, error) {
 	cfgs := core.SensitivityConfigs()
 	t := &Table{
 		ID:      "ablation-elasticity",
@@ -91,7 +92,7 @@ func AblationElasticities(p params.Parameters) (*Table, error) {
 	}
 	all := make([][]core.Elasticity, len(cfgs))
 	for i, cfg := range cfgs {
-		es, err := core.Elasticities(p, cfg, core.MethodClosedForm, 0)
+		es, err := core.Elasticities(context.TODO(), p, cfg, core.MethodClosedForm, 0, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +173,7 @@ func SparesPlan(p params.Parameters) (*Table, error) {
 
 // Ablations regenerates the full ablation suite. The simulation table uses
 // the given trial count and seed.
-func Ablations(p params.Parameters, trials int, seed int64) ([]*Table, error) {
+func Ablations(p params.Parameters, trials int, seed int64, workers int) ([]*Table, error) {
 	var out []*Table
 	t1, err := AblationModelAssumptions(trials, seed)
 	if err != nil {
@@ -185,7 +186,9 @@ func Ablations(p params.Parameters, trials int, seed int64) ([]*Table, error) {
 	}
 	out = append(out, t2)
 	for _, gen := range []func(params.Parameters) (*Table, error){
-		AblationElasticities,
+		func(p params.Parameters) (*Table, error) {
+			return AblationElasticities(p, workers)
+		},
 		AblationBottleneck,
 		func(p params.Parameters) (*Table, error) {
 			return AblationScrub(p, 1.0/params.HoursPerYear)

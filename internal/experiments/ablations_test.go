@@ -61,7 +61,7 @@ func TestAblationCorrelatedFailuresShape(t *testing.T) {
 }
 
 func TestAblationElasticities(t *testing.T) {
-	table, err := AblationElasticities(params.Baseline())
+	table, err := AblationElasticities(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSparesPlanTable(t *testing.T) {
 }
 
 func TestAblationsSuite(t *testing.T) {
-	tables, err := Ablations(params.Baseline(), 300, 2)
+	tables, err := Ablations(params.Baseline(), 300, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

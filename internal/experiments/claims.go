@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -25,9 +26,9 @@ type Claim struct {
 // parameters and reports which hold. This is the executable form of the
 // EXPERIMENTS.md claims record: `nsr-report` prints it, and the test suite
 // requires every claim to hold at baseline.
-func CheckClaims(p params.Parameters) ([]Claim, error) {
+func CheckClaims(p params.Parameters, workers int) ([]Claim, error) {
 	target := core.PaperTarget()
-	results, err := core.AnalyzeAll(p, core.BaselineConfigs(), core.MethodClosedForm)
+	results, err := core.AnalyzeAll(context.TODO(), p, core.BaselineConfigs(), core.MethodClosedForm, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +85,7 @@ func CheckClaims(p params.Parameters) ([]Claim, error) {
 		m > 0.2 && m < 5, "margin %.3g (marginal band 0.2..5)", m)
 
 	// Figure 16: block size monotone; survivors meet target at >= 64 KiB.
-	_, pts16, err := Fig16RebuildBlockSize(p)
+	_, pts16, err := Fig16RebuildBlockSize(p, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +105,7 @@ func CheckClaims(p params.Parameters) ([]Claim, error) {
 		mono && meets64, "monotone=%v, >=64KiB target=%v", mono, meets64)
 
 	// Figure 17: 5 and 10 Gb/s identical; 1 Gb/s worse; crossover in (1,5).
-	_, pts17, err := Fig17LinkSpeed(p)
+	_, pts17, err := Fig17LinkSpeed(p, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +126,7 @@ func CheckClaims(p params.Parameters) ([]Claim, error) {
 		"crossover %.2f Gb/s, 5==10 Gb/s: %v, 1 Gb/s worse: %v", cross, flat, worse1)
 
 	// Figure 19: monotone degradation with R.
-	_, pts19, err := Fig19RedundancySetSize(p)
+	_, pts19, err := Fig19RedundancySetSize(p, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +145,7 @@ func CheckClaims(p params.Parameters) ([]Claim, error) {
 		mono19, "monotone over R grid: %v", mono19)
 
 	// Figure 20: little sensitivity to drives per node.
-	_, pts20, err := Fig20DrivesPerNode(p)
+	_, pts20, err := Fig20DrivesPerNode(p, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -186,8 +187,8 @@ func CheckClaims(p params.Parameters) ([]Claim, error) {
 }
 
 // ClaimsTable renders the claim check.
-func ClaimsTable(p params.Parameters) (*Table, error) {
-	claims, err := CheckClaims(p)
+func ClaimsTable(p params.Parameters, workers int) (*Table, error) {
+	claims, err := CheckClaims(p, workers)
 	if err != nil {
 		return nil, err
 	}

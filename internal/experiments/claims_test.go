@@ -8,7 +8,7 @@ import (
 
 // Every enumerated paper claim must hold at the paper's own baseline.
 func TestAllClaimsHoldAtBaseline(t *testing.T) {
-	claims, err := CheckClaims(params.Baseline())
+	claims, err := CheckClaims(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestAllClaimsHoldAtBaseline(t *testing.T) {
 func TestClaimsDetectBrokenPremises(t *testing.T) {
 	p := params.Baseline()
 	p.RebuildBandwidthFraction = 0.001
-	claims, err := CheckClaims(p)
+	claims, err := CheckClaims(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestClaimsDetectBrokenPremises(t *testing.T) {
 }
 
 func TestClaimsTable(t *testing.T) {
-	table, err := ClaimsTable(params.Baseline())
+	table, err := ClaimsTable(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

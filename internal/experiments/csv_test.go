@@ -12,7 +12,7 @@ import (
 )
 
 func TestTableCSV(t *testing.T) {
-	table, _, err := Fig13Baseline(params.Baseline())
+	table, _, err := Fig13Baseline(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestTableCSV(t *testing.T) {
 
 func TestWriteCSVDir(t *testing.T) {
 	dir := t.TempDir()
-	t13, _, err := Fig13Baseline(params.Baseline())
+	t13, _, err := Fig13Baseline(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t17, _, err := Fig17LinkSpeed(params.Baseline())
+	t17, _, err := Fig17LinkSpeed(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestFig13Shape(t *testing.T) {
-	table, results, err := Fig13Baseline(params.Baseline())
+	table, results, err := Fig13Baseline(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig14Shapes(t *testing.T) {
-	tables, err := Fig14DriveMTTF(params.Baseline())
+	tables, err := Fig14DriveMTTF(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +55,9 @@ func TestFig14FT2NIRMissesTargetAtLowNodeMTTF(t *testing.T) {
 	p := params.Baseline()
 	p.NodeMTTFHours = 100_000
 	cfgs := core.SensitivityConfigs() // index 0 is FT2, no internal RAID
-	pts, err := core.Sweep(p, cfgs, core.MethodClosedForm, DriveMTTFGrid, func(q *params.Parameters, x float64) {
+	pts, err := core.Sweep(context.Background(), p, cfgs, core.MethodClosedForm, DriveMTTFGrid, func(q *params.Parameters, x float64) {
 		q.DriveMTTFHours = x
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +76,9 @@ func TestFig14FT2IR5InsensitiveAtLowNodeMTTF(t *testing.T) {
 	p := params.Baseline()
 	p.NodeMTTFHours = 100_000
 	cfg := []core.Config{{Internal: core.InternalRAID5, NodeFaultTolerance: 2}}
-	pts, err := core.Sweep(p, cfg, core.MethodClosedForm, DriveMTTFGrid, func(q *params.Parameters, x float64) {
+	pts, err := core.Sweep(context.Background(), p, cfg, core.MethodClosedForm, DriveMTTFGrid, func(q *params.Parameters, x float64) {
 		q.DriveMTTFHours = x
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +94,9 @@ func TestFig14FT2IR5InsensitiveAtLowNodeMTTF(t *testing.T) {
 func TestFig15IR5MostSensitiveToNodeMTTF(t *testing.T) {
 	p := params.Baseline()
 	cfgs := core.SensitivityConfigs()
-	pts, err := core.Sweep(p, cfgs, core.MethodClosedForm, []float64{100_000, 1_000_000}, func(q *params.Parameters, x float64) {
+	pts, err := core.Sweep(context.Background(), p, cfgs, core.MethodClosedForm, []float64{100_000, 1_000_000}, func(q *params.Parameters, x float64) {
 		q.NodeMTTFHours = x
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestFig15IR5MostSensitiveToNodeMTTF(t *testing.T) {
 // Figure 16: reliability improves monotonically with block size and the
 // surviving configurations meet the target at >= 64 KiB.
 func TestFig16Monotone(t *testing.T) {
-	_, pts, err := Fig16RebuildBlockSize(params.Baseline())
+	_, pts, err := Fig16RebuildBlockSize(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestFig16Monotone(t *testing.T) {
 
 // Figure 17: no difference between 5 and 10 Gb/s; 1 Gb/s strictly worse.
 func TestFig17Knee(t *testing.T) {
-	_, pts, err := Fig17LinkSpeed(params.Baseline())
+	_, pts, err := Fig17LinkSpeed(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestFig17Knee(t *testing.T) {
 // Figure 18: relative insensitivity to node set size for the internal-RAID
 // configuration (within roughly an order of magnitude across the range).
 func TestFig18Insensitive(t *testing.T) {
-	_, pts, err := Fig18NodeSetSize(params.Baseline())
+	_, pts, err := Fig18NodeSetSize(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestFig18Insensitive(t *testing.T) {
 
 // Figure 19: every configuration degrades as the redundancy set size grows.
 func TestFig19MonotoneInR(t *testing.T) {
-	_, pts, err := Fig19RedundancySetSize(params.Baseline())
+	_, pts, err := Fig19RedundancySetSize(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestFig19MonotoneInR(t *testing.T) {
 // Figure 20: very little sensitivity to drives per node (per-PB
 // normalization cancels).
 func TestFig20Flat(t *testing.T) {
-	_, pts, err := Fig20DrivesPerNode(params.Baseline())
+	_, pts, err := Fig20DrivesPerNode(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestAppendixTable(t *testing.T) {
 }
 
 func TestAllFigures(t *testing.T) {
-	tables, err := All(params.Baseline())
+	tables, err := All(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestJSONRoundTrip(t *testing.T) {
-	orig, _, err := Fig13Baseline(params.Baseline())
+	orig, _, err := Fig13Baseline(params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

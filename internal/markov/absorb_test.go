@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,7 +31,7 @@ func repairable(a, b, cc float64) *Chain {
 
 func TestMTTATwoState(t *testing.T) {
 	for _, lambda := range []float64{0.1, 1, 42, 2.5e-6} {
-		got, err := MTTA(twoState(lambda))
+		got, err := MTTA(context.Background(), twoState(lambda))
 		if err != nil {
 			t.Fatalf("λ=%v: %v", lambda, err)
 		}
@@ -48,7 +49,7 @@ func TestMTTARepairableExact(t *testing.T) {
 	}
 	for _, cs := range cases {
 		a, b, cc := cs[0], cs[1], cs[2]
-		got, err := MTTA(repairable(a, b, cc))
+		got, err := MTTA(context.Background(), repairable(a, b, cc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,8 +161,8 @@ func TestMTTAMonotoneInRepairRate(t *testing.T) {
 		cc := 0.01 + rng.Float64()
 		b1 := rng.Float64() * 10
 		b2 := b1 + rng.Float64()*10
-		m1, err1 := MTTA(repairable(a, b1, cc))
-		m2, err2 := MTTA(repairable(a, b2, cc))
+		m1, err1 := MTTA(context.Background(), repairable(a, b1, cc))
+		m2, err2 := MTTA(context.Background(), repairable(a, b2, cc))
 		return err1 == nil && err2 == nil && m2 >= m1-1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -175,8 +176,8 @@ func TestMTTATimeRescalingProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a, b, cc := 0.1+rng.Float64(), rng.Float64()*5, 0.05+rng.Float64()
 		s := 0.5 + rng.Float64()*10
-		m1, err1 := MTTA(repairable(a, b, cc))
-		m2, err2 := MTTA(repairable(s*a, s*b, s*cc))
+		m1, err1 := MTTA(context.Background(), repairable(a, b, cc))
+		m2, err2 := MTTA(context.Background(), repairable(s*a, s*b, s*cc))
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -25,7 +25,7 @@ import (
 // Routing: dense partial-pivot LU below the SetSparseMinStates crossover
 // or above the density guard (sparseRoute); otherwise sparse static-pivot
 // LU with the τ-nonnegativity certificate and a dense fallback. A
-// per-call solve (Solver, MTTA) is the same machinery on a single cell.
+// per-call solve (MTTA) is the same machinery on a single cell.
 //
 // A BatchSolver is not safe for concurrent use; each worker owns one
 // (see AcquireBatchSolver).
@@ -401,7 +401,7 @@ func (b *BatchSolver) solveCell(ctx context.Context, cell int) (float64, error) 
 	return b.cellSolved(true), nil
 }
 
-// solveChain is the one-cell solve behind Solver.MTTACtx and MTTACtx:
+// solveChain is the one-cell solve behind MTTA:
 // validate c (Chain.Validate's checks and messages, in reused scratch),
 // then bind, fill and solve it as cell 0 under a "markov.solve" span,
 // accounted per call in markov.absorption.*. A mutable chain is bound

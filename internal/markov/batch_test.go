@@ -42,7 +42,7 @@ func refillLadder(c *Chain, k int, theta float64) {
 }
 
 // The batch acceptance gate: a batched cell is bit-identical to the same
-// chain solved through the per-cell Solver, on both the dense and the
+// chain solved one call at a time (solveChain, the body of MTTA), on both the dense and the
 // sparse route.
 func TestBatchSolverMatchesPerCellBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -64,10 +64,10 @@ func TestBatchSolverMatchesPerCellBitwise(t *testing.T) {
 				}
 				c := newLadder(k, thetas[0])
 				want := make([]float64, cells)
-				s := NewSolver()
+				s := NewBatchSolver()
 				for i, th := range thetas {
 					refillLadder(c, k, th)
-					v, err := s.MTTA(c)
+					v, err := s.solveChain(context.Background(), c)
 					if err != nil {
 						t.Fatalf("k=%d per-cell %d: %v", k, i, err)
 					}

@@ -11,7 +11,7 @@ func TestTransientDistributionCtxPreCancelled(t *testing.T) {
 	c := repairable(1, 3, 0.5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := TransientDistributionCtx(ctx, c, 50, TransientOptions{})
+	_, err := TransientDistribution(ctx, c, 50, TransientOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -27,25 +27,8 @@ func TestTransientDistributionCtxDeadline(t *testing.T) {
 	c.SetAbsorbing("lost")
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := TransientDistributionCtx(ctx, c, 10, TransientOptions{})
+	_, err := TransientDistribution(ctx, c, 10, TransientOptions{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-func TestTransientCtxBackgroundMatchesPlain(t *testing.T) {
-	c := repairable(1, 3, 0.5)
-	plain, err := TransientDistribution(c, 7.5, TransientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, err := TransientDistributionCtx(context.Background(), c, 7.5, TransientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		if plain[i] != ctxed[i] {
-			t.Fatalf("state %d: ctx probability %v != plain %v", i, ctxed[i], plain[i])
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package markov_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,7 @@ func ExampleChain() {
 	c.AddRate("degraded", "loss", 1) // second failure during repair
 	c.SetAbsorbing("loss")
 
-	mttdl, err := markov.MTTA(c)
+	mttdl, err := markov.MTTA(context.Background(), c)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,11 +28,11 @@ func TestLumpIdentityPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := MTTA(c)
+	want, err := MTTA(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MTTA(lumped)
+	got, err := MTTA(context.Background(), lumped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,11 @@ func TestLumpSymmetricStatesExact(t *testing.T) {
 	if lumped.NumStates() != 3 {
 		t.Errorf("lumped states = %d, want 3", lumped.NumStates())
 	}
-	want, err := MTTA(c)
+	want, err := MTTA(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MTTA(lumped)
+	got, err := MTTA(context.Background(), lumped)
 	if err != nil {
 		t.Fatal(err)
 	}

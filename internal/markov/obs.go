@@ -43,7 +43,7 @@ var instr atomic.Pointer[solverMetrics]
 // the transient path, and the most recent solution residuals. Pass nil
 // to disable again.
 //
-// A per-cell absorption solve (Solver) counts itself, observes its wall
+// A per-cell absorption solve (MTTA) counts itself, observes its wall
 // time into markov.absorption.seconds and its chain size, and sets
 // markov.absorption.last_residual to its ∞-norm residual ‖Rᵀτ − e‖ (one
 // extra mat-vec, O(n²) against the solve's O(n³)). Batched cells

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -49,7 +50,7 @@ func TestRandomChainsSimulationMatchesAbsorption(t *testing.T) {
 			// via pruned states; skip those.
 			continue
 		}
-		want, err := MTTA(c)
+		want, err := MTTA(context.Background(), c)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -73,12 +74,12 @@ func TestRandomChainsTransientConsistency(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			continue
 		}
-		mtta, err := MTTA(c)
+		mtta, err := MTTA(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// F at a long horizon must be close to 1.
-		far, err := AbsorbedProbabilityByTime(c, 50*mtta, TransientOptions{})
+		far, err := AbsorbedProbabilityByTime(context.Background(), c, 50*mtta, TransientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func TestRandomChainsTransientConsistency(t *testing.T) {
 		integral := 0.0
 		prev := 1.0 // survival at t=0
 		for i := 1; i <= steps; i++ {
-			f, err := AbsorbedProbabilityByTime(c, float64(i)*h, TransientOptions{Epsilon: 1e-8})
+			f, err := AbsorbedProbabilityByTime(context.Background(), c, float64(i)*h, TransientOptions{Epsilon: 1e-8})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,7 +20,7 @@ func TestRateSensitivitiesMatchFiniteDifferences(t *testing.T) {
 	if len(sens) != 3 {
 		t.Fatalf("sensitivities = %d, want 3", len(sens))
 	}
-	base, err := MTTA(c)
+	base, err := MTTA(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +36,11 @@ func TestRateSensitivitiesMatchFiniteDifferences(t *testing.T) {
 		{"1", "A", func(d float64) *Chain { return build(a, b, cc+d) }},
 	}
 	for _, p := range perturb {
-		up, err := MTTA(p.make(h))
+		up, err := MTTA(context.Background(), p.make(h))
 		if err != nil {
 			t.Fatal(err)
 		}
-		down, err := MTTA(p.make(-h))
+		down, err := MTTA(context.Background(), p.make(-h))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +111,11 @@ func TestRateSensitivitiesRandomChains(t *testing.T) {
 			}
 		}
 		h := cc * 1e-5
-		up, err := MTTA(repairable(a, b, cc+h))
+		up, err := MTTA(context.Background(), repairable(a, b, cc+h))
 		if err != nil {
 			t.Fatal(err)
 		}
-		down, err := MTTA(repairable(a, b, cc-h))
+		down, err := MTTA(context.Background(), repairable(a, b, cc-h))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,7 +34,7 @@ func TestSamplePathMaxSteps(t *testing.T) {
 
 func TestSimulateMatchesAnalyticMTTA(t *testing.T) {
 	c := repairable(1, 4, 0.5)
-	want, err := MTTA(c)
+	want, err := MTTA(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

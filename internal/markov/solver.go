@@ -9,27 +9,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Solver computes mean times to absorption like Absorption, reusing all
-// intermediate storage across calls. It is a one-cell BatchSolver: each
-// call validates the chain, binds it, fills its single cell and solves
-// it — the same assembly, routing and topology cache the batched sweeps
-// use. Analysis sweeps and exact-chain Monte Carlo paths solve thousands
-// of identically shaped chains; after the first call a Solver performs
-// the whole analysis of a frozen chain without heap allocation (buffers
-// grow monotonically to the largest chain seen).
-//
-// Above a size/density crossover the solve takes the sparse direct path
-// (internal/linalg/sparse), and the solver's small cache keyed by the
-// exact CSR pattern reuses the fill-reducing ordering and symbolic
-// factorization across every chain sharing the topology. Sparse results
-// agree with dense to ≤1e-12 relative error; below the crossover the
-// dense path runs and results are bit-identical to Absorption's
-// MeanTimeToAbsorption.
-//
-// A Solver is not safe for concurrent use; give each goroutine its own
-// (see the pooled package-level MTTA).
-type Solver struct{ b *BatchSolver }
-
 // topoCacheSize bounds a solver's symbolic cache. Sweeps interleave
 // at most a handful of configurations per worker (one topology per fault
 // tolerance and redundancy family), so a short MRU list captures
@@ -82,11 +61,6 @@ func sparseMinStates() int {
 		return int(n)
 	}
 	return defaultSparseMinStates
-}
-
-// NewSolver returns an empty Solver; buffers are sized on first use.
-func NewSolver() *Solver {
-	return &Solver{b: NewBatchSolver()}
 }
 
 // sparseRoute is the one dense/sparse routing predicate: an m×m
@@ -169,40 +143,24 @@ func resizeFloats(v []float64, n int) []float64 {
 	return v[:n]
 }
 
-// MTTA returns the chain's mean time to absorption, reusing the solver's
-// storage. It returns an error if the chain fails Validate or the
-// absorption matrix is singular. Chains whose transient count reaches
-// the sparse crossover (SetSparseMinStates) solve through the sparse
-// symbolic/numeric path; smaller chains are bit-identical to
+// MTTA returns the chain's mean time to absorption. It solves through a
+// pooled BatchSolver as a one-cell batch — the same assembly, routing
+// and topology cache the batched sweeps use — so repeated calls (the
+// inner loop of every per-cell analysis) reuse factorization and scratch
+// storage instead of reallocating. It returns an error if the chain
+// fails Validate or the absorption matrix is singular. Chains whose
+// transient count reaches the sparse crossover (SetSparseMinStates)
+// solve through the sparse symbolic/numeric path, agreeing with dense to
+// ≤1e-12 relative error; smaller chains are bit-identical to
 // Absorption's MeanTimeToAbsorption via dense LU. A mutable chain is
 // solved as its frozen equivalent without being frozen.
-func (s *Solver) MTTA(c *Chain) (float64, error) {
-	return s.b.solveChain(context.Background(), c)
-}
-
-// MTTACtx is MTTA carrying the caller's context for tracing: when the
-// context holds an active span (obs.StartSpan), the solve and its stages
-// — symbolic analysis, numeric refactorization, triangular solve, dense
-// fallback — are attributed as child spans. The context is not used for
-// cancellation (a single solve is far below any useful cancellation
-// granularity); results are identical to MTTA.
-func (s *Solver) MTTACtx(ctx context.Context, c *Chain) (float64, error) {
-	return s.b.solveChain(ctx, c)
-}
-
-// MTTA is a convenience wrapper returning only the mean time to
-// absorption. It solves through a pooled BatchSolver, so repeated calls
-// (the inner loop of every sweep) reuse factorization and scratch
-// storage instead of reallocating; the value is bit-identical to
-// Solver.MTTA.
-func MTTA(c *Chain) (float64, error) {
-	return MTTACtx(context.Background(), c)
-}
-
-// MTTACtx is MTTA carrying the caller's context so an active trace
-// (obs.StartSpan) attributes the solve and its sparse/dense stages as
-// child spans. Results are identical to MTTA at any context.
-func MTTACtx(ctx context.Context, c *Chain) (float64, error) {
+//
+// When the context holds an active span (obs.StartSpan), the solve and
+// its stages — symbolic analysis, numeric refactorization, triangular
+// solve, dense fallback — are attributed as child spans. The context is
+// not a cancellation point (a single solve is far below any useful
+// cancellation granularity).
+func MTTA(ctx context.Context, c *Chain) (float64, error) {
 	b := AcquireBatchSolver()
 	v, err := b.solveChain(ctx, c)
 	ReleaseBatchSolver(b)
@@ -266,7 +224,7 @@ type SparseStats struct {
 	// FillRatio is FactorNNZ/NNZ — 1.0 means a perfect no-fill ordering.
 	FactorNNZ int
 	FillRatio float64
-	// Sparse reports whether Solver.MTTA would use the sparse path.
+	// Sparse reports whether MTTA would use the sparse path.
 	Sparse bool
 }
 

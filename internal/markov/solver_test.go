@@ -1,6 +1,9 @@
 package markov
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // solverTestChain builds a small repairable chain with f failure scale.
 func solverTestChain(f float64) *Chain {
@@ -15,11 +18,12 @@ func solverTestChain(f float64) *Chain {
 	return c
 }
 
-// TestSolverMatchesAbsorption pins the bit-identity contract: a reused
-// Solver and the one-shot Absorption path produce the same MTTA, across
-// chains of different sizes through the same Solver instance.
+// TestSolverMatchesAbsorption pins the bit-identity contract: one-cell
+// solves through a reused BatchSolver, the pooled MTTA and the one-shot
+// Absorption path produce the same MTTA, across chains of different
+// sizes through the same BatchSolver instance.
 func TestSolverMatchesAbsorption(t *testing.T) {
-	s := NewSolver()
+	s := NewBatchSolver()
 	chains := []*Chain{
 		solverTestChain(1),
 		solverTestChain(7.5),
@@ -31,25 +35,25 @@ func TestSolverMatchesAbsorption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chain %d: Absorption: %v", i, err)
 		}
-		got, err := s.MTTA(c)
+		got, err := s.solveChain(context.Background(), c)
 		if err != nil {
-			t.Fatalf("chain %d: Solver.MTTA: %v", i, err)
+			t.Fatalf("chain %d: solveChain: %v", i, err)
 		}
 		if got != res.MeanTimeToAbsorption {
-			t.Errorf("chain %d: Solver.MTTA = %g, Absorption = %g", i, got, res.MeanTimeToAbsorption)
+			t.Errorf("chain %d: solveChain = %g, Absorption = %g", i, got, res.MeanTimeToAbsorption)
 		}
-		pooled, err := MTTA(c)
+		pooled, err := MTTA(context.Background(), c)
 		if err != nil {
 			t.Fatalf("chain %d: MTTA: %v", i, err)
 		}
 		if pooled != got {
-			t.Errorf("chain %d: pooled MTTA = %g, Solver = %g", i, pooled, got)
+			t.Errorf("chain %d: pooled MTTA = %g, solveChain = %g", i, pooled, got)
 		}
 	}
 }
 
 // bigSolverChain is a birth-death chain with n transient states, to
-// exercise Solver buffer growth and shrink across calls.
+// exercise solver buffer growth and shrink across calls.
 func bigSolverChain(n int) *Chain {
 	c := NewChain()
 	name := func(i int) string { return string(rune('a' + i)) }
@@ -73,8 +77,8 @@ func TestSolverAbsorbingInitial(t *testing.T) {
 	c.SetAbsorbing("lost")
 	c.SetInitial("lost")
 	c.AddRate("up", "lost", 1) // make the chain non-trivial
-	s := NewSolver()
-	got, err := s.MTTA(c)
+	s := NewBatchSolver()
+	got, err := s.solveChain(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +94,13 @@ func TestSolverSingular(t *testing.T) {
 	// with positive exit rates — instead check Validate propagation.
 	c := NewChain()
 	c.SetInitial("up")
-	s := NewSolver()
-	if _, err := s.MTTA(c); err == nil {
+	s := NewBatchSolver()
+	if _, err := s.solveChain(context.Background(), c); err == nil {
 		t.Fatal("invalid chain solved")
 	}
 }
 
-// A warm Solver solves a frozen chain without heap allocation, on the
+// A warm BatchSolver solves a frozen chain without heap allocation, on the
 // dense and the sparse route: validation, binding (a topology-cache
 // hit), fill and solve all run in the solver's reused storage.
 func TestSolverWarmZeroAllocs(t *testing.T) {
@@ -111,16 +115,16 @@ func TestSolverWarmZeroAllocs(t *testing.T) {
 			prev := SetSparseMinStates(route.crossover)
 			defer SetSparseMinStates(prev)
 			c := newLadder(24, 1.7)
-			s := NewSolver()
+			s := NewBatchSolver()
 			var solveErr error
 			solve := func() {
-				if _, err := s.MTTA(c); err != nil {
+				if _, err := s.solveChain(context.Background(), c); err != nil {
 					solveErr = err
 				}
 			}
 			solve() // warmup
 			if n := testing.AllocsPerRun(100, solve); n != 0 {
-				t.Errorf("warm Solver.MTTA allocates %v times per run, want 0", n)
+				t.Errorf("warm one-cell solve allocates %v times per run, want 0", n)
 			}
 			if solveErr != nil {
 				t.Fatal(solveErr)
@@ -136,11 +140,11 @@ func TestSolverMutableChainStaysMutable(t *testing.T) {
 		prev := SetSparseMinStates(crossover)
 		c := bigSolverChain(60)
 		twin := bigSolverChain(60).Freeze()
-		got, err := MTTA(c)
+		got, err := MTTA(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := MTTA(twin)
+		want, err := MTTA(context.Background(), twin)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -41,13 +42,13 @@ func sizedRandomAbsorbingChain(rng *rand.Rand, layers, width int) *Chain {
 
 // Property (the tentpole's correctness gate): the sparse solve path and
 // the dense solve path agree within 1e-12 relative on random chains, with
-// both paths forced through one shared Solver so the topology cache is
+// both paths forced through one shared BatchSolver so the topology cache is
 // exercised across wildly mixed patterns.
 func TestRandomChainsSparseMatchesDense(t *testing.T) {
 	prev := SetSparseMinStates(1)
 	defer SetSparseMinStates(prev)
 	rng := rand.New(rand.NewSource(99))
-	s := NewSolver()
+	s := NewBatchSolver()
 	for trial := 0; trial < 1200; trial++ {
 		layers := 2 + rng.Intn(7)
 		width := 1 + rng.Intn(6)
@@ -56,12 +57,12 @@ func TestRandomChainsSparseMatchesDense(t *testing.T) {
 			c.Freeze()
 		}
 		SetSparseMinStates(1 << 30)
-		dense, err := s.MTTA(c)
+		dense, err := s.solveChain(context.Background(), c)
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
 		SetSparseMinStates(1)
-		sp, err := s.MTTA(c)
+		sp, err := s.solveChain(context.Background(), c)
 		if err != nil {
 			t.Fatalf("trial %d: sparse: %v", trial, err)
 		}
@@ -133,11 +134,11 @@ func TestRefillMatchesFreshBuild(t *testing.T) {
 		c.BeginRefill()
 		refillTopology(c, s)
 		c.EndRefill()
-		want, err := MTTA(freshRefillChain(s))
+		want, err := MTTA(context.Background(), freshRefillChain(s))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := MTTA(c)
+		got, err := MTTA(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,8 +149,8 @@ func TestRefillMatchesFreshBuild(t *testing.T) {
 }
 
 // Property: the solver's symbolic cache is invisible — a long-lived
-// Solver alternating between topologies returns bitwise the same values
-// as a fresh Solver per chain, under both orderings of cache warmth.
+// BatchSolver alternating between topologies returns bitwise the same
+// values as a fresh one per chain, under both orderings of cache warmth.
 func TestSolverCacheDeterministic(t *testing.T) {
 	prev := SetSparseMinStates(1)
 	defer SetSparseMinStates(prev)
@@ -158,14 +159,14 @@ func TestSolverCacheDeterministic(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		chains = append(chains, sizedRandomAbsorbingChain(rng, 2+i%5, 1+i%4).Freeze())
 	}
-	warm := NewSolver()
+	warm := NewBatchSolver()
 	for pass := 0; pass < 3; pass++ { // later passes hit the warm cache
 		for i, c := range chains {
-			got, err := warm.MTTA(c)
+			got, err := warm.solveChain(context.Background(), c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := NewSolver().MTTA(c)
+			want, err := NewBatchSolver().solveChain(context.Background(), c)
 			if err != nil {
 				t.Fatal(err)
 			}

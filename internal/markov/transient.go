@@ -16,6 +16,12 @@ type TransientOptions struct {
 	MaxTerms int
 }
 
+// ctxPollInterval is how many uniformization terms run between context
+// polls: frequent enough that cancellation lands within microseconds for
+// the reliability chains, rare enough that the atomic load vanishes
+// against the sparse matrix-vector product each term costs.
+const ctxPollInterval = 64
+
 // TransientDistribution returns the state probability vector at time t
 // (indexed like the chain's states) starting from the initial state,
 // computed by uniformization:
@@ -23,21 +29,11 @@ type TransientOptions struct {
 //	π(t) = Σ_k e^{-Λt} (Λt)^k / k! · π(0)·Pᵏ,  P = I + Q/Λ
 //
 // with Λ ≥ max_i |q_ii|. The series is truncated when the remaining Poisson
-// mass drops below Epsilon.
-func TransientDistribution(c *Chain, t float64, opts TransientOptions) ([]float64, error) {
-	return TransientDistributionCtx(context.Background(), c, t, opts)
-}
+// mass drops below Epsilon. The series loop polls the context every
+// ctxPollInterval terms (stiff chains can need millions), returning
+// ctx.Err() when cancelled.
+func TransientDistribution(ctx context.Context, c *Chain, t float64, opts TransientOptions) ([]float64, error) {
 
-// ctxPollInterval is how many uniformization terms run between context
-// polls: frequent enough that cancellation lands within microseconds for
-// the reliability chains, rare enough that the atomic load vanishes
-// against the sparse matrix-vector product each term costs.
-const ctxPollInterval = 64
-
-// TransientDistributionCtx is TransientDistribution with cancellation:
-// the Poisson series loop polls the context every ctxPollInterval terms
-// (stiff chains can need millions), returning ctx.Err() when cancelled.
-func TransientDistributionCtx(ctx context.Context, c *Chain, t float64, opts TransientOptions) ([]float64, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -147,15 +143,10 @@ func TransientDistributionCtx(ctx context.Context, c *Chain, t float64, opts Tra
 
 // AbsorbedProbabilityByTime returns the probability that the chain has been
 // absorbed (in any absorbing state) by time t — for data-loss models, the
-// unreliability F(t).
-func AbsorbedProbabilityByTime(c *Chain, t float64, opts TransientOptions) (float64, error) {
-	return AbsorbedProbabilityByTimeCtx(context.Background(), c, t, opts)
-}
-
-// AbsorbedProbabilityByTimeCtx is AbsorbedProbabilityByTime with
-// cancellation, threading the context into the uniformization loop.
-func AbsorbedProbabilityByTimeCtx(ctx context.Context, c *Chain, t float64, opts TransientOptions) (float64, error) {
-	pi, err := TransientDistributionCtx(ctx, c, t, opts)
+// unreliability F(t). The context reaches the uniformization loop, so a
+// cancelled call returns ctx.Err().
+func AbsorbedProbabilityByTime(ctx context.Context, c *Chain, t float64, opts TransientOptions) (float64, error) {
+	pi, err := TransientDistribution(ctx, c, t, opts)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ func TestTransientTwoStateExponential(t *testing.T) {
 	lambda := 0.7
 	c := twoState(lambda)
 	for _, tm := range []float64{0, 0.1, 1, 3, 10} {
-		p, err := AbsorbedProbabilityByTime(c, tm, TransientOptions{})
+		p, err := AbsorbedProbabilityByTime(context.Background(), c, tm, TransientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +32,7 @@ func TestTransientErlang2(t *testing.T) {
 	c.AddRate("1", "A", lambda)
 	c.SetAbsorbing("A")
 	for _, tm := range []float64{0.1, 0.5, 1, 2} {
-		p, err := AbsorbedProbabilityByTime(c, tm, TransientOptions{})
+		p, err := AbsorbedProbabilityByTime(context.Background(), c, tm, TransientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func TestTransientErlang2(t *testing.T) {
 func TestTransientDistributionIsDistribution(t *testing.T) {
 	c := repairable(1, 3, 0.5)
 	for _, tm := range []float64{0, 0.5, 2, 20} {
-		pi, err := TransientDistribution(c, tm, TransientOptions{})
+		pi, err := TransientDistribution(context.Background(), c, tm, TransientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestTransientDistributionIsDistribution(t *testing.T) {
 
 func TestTransientZeroTime(t *testing.T) {
 	c := repairable(1, 1, 1)
-	pi, err := TransientDistribution(c, 0, TransientOptions{})
+	pi, err := TransientDistribution(context.Background(), c, 0, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestTransientZeroTime(t *testing.T) {
 }
 
 func TestTransientNegativeTime(t *testing.T) {
-	if _, err := TransientDistribution(repairable(1, 1, 1), -1, TransientOptions{}); err == nil {
+	if _, err := TransientDistribution(context.Background(), repairable(1, 1, 1), -1, TransientOptions{}); err == nil {
 		t.Error("negative time accepted")
 	}
 }
@@ -83,7 +84,7 @@ func TestAbsorbedProbabilityMonotone(t *testing.T) {
 	c := repairable(0.5, 2, 0.3)
 	prev := -1.0
 	for _, tm := range []float64{0, 1, 2, 5, 10, 50} {
-		p, err := AbsorbedProbabilityByTime(c, tm, TransientOptions{})
+		p, err := AbsorbedProbabilityByTime(context.Background(), c, tm, TransientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,11 +100,11 @@ func TestAbsorbedProbabilityMonotone(t *testing.T) {
 // valid when repair is fast); at minimum F(MTTA·5) should be large.
 func TestAbsorbedProbabilityLongHorizon(t *testing.T) {
 	c := repairable(1, 50, 0.5)
-	mtta, err := MTTA(c)
+	mtta, err := MTTA(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := AbsorbedProbabilityByTime(c, 5*mtta, TransientOptions{})
+	p, err := AbsorbedProbabilityByTime(context.Background(), c, 5*mtta, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestTransientMatchesMatrixExponentialSmallCase(t *testing.T) {
 	}
 	pi0 := linalg.Unit(n, c.Initial())
 	want := exp.VecMul(pi0)
-	got, err := TransientDistribution(c, tm, TransientOptions{})
+	got, err := TransientDistribution(context.Background(), c, tm, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestTransientMatchesMatrixExponentialSmallCase(t *testing.T) {
 
 func TestTransientMaxTermsExceeded(t *testing.T) {
 	c := twoState(1e6) // Λt huge with t=10 → needs ~1e7 terms
-	_, err := TransientDistribution(c, 10, TransientOptions{MaxTerms: 100})
+	_, err := TransientDistribution(context.Background(), c, 10, TransientOptions{MaxTerms: 100})
 	if err == nil {
 		t.Error("expected convergence failure with tiny MaxTerms")
 	}

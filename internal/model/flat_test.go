@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/closedform"
@@ -45,11 +46,11 @@ func TestFlatIRChainStructure(t *testing.T) {
 func TestFlatMatchesHierarchicalBaseline(t *testing.T) {
 	for k := 1; k <= 3; k++ {
 		in := baselineFlat(k)
-		flat, err := markov.MTTA(FlatIRChain(in))
+		flat, err := markov.MTTA(context.Background(), FlatIRChain(in))
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		hier, err := markov.MTTA(IRChain(HierarchicalIRInputs(in), k))
+		hier, err := markov.MTTA(context.Background(), IRChain(HierarchicalIRInputs(in), k))
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -69,11 +70,11 @@ func TestFlatVsHierarchicalStressed(t *testing.T) {
 	in := baselineFlat(2)
 	in.LambdaD *= 30   // hot drives: restripes frequent
 	in.MuRestripe /= 5 // and slow
-	flat, err := markov.MTTA(FlatIRChain(in))
+	flat, err := markov.MTTA(context.Background(), FlatIRChain(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := markov.MTTA(IRChain(HierarchicalIRInputs(in), 2))
+	hier, err := markov.MTTA(context.Background(), IRChain(HierarchicalIRInputs(in), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +115,11 @@ func TestNIRLumpsToBirthDeathWhenSymmetric(t *testing.T) {
 	if lumped.NumStates() != 4 { // depths 0..2 + loss
 		t.Errorf("lumped states = %d, want 4", lumped.NumStates())
 	}
-	wantFull, err := markov.MTTA(full)
+	wantFull, err := markov.MTTA(context.Background(), full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLumped, err := markov.MTTA(lumped)
+	gotLumped, err := markov.MTTA(context.Background(), lumped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestNIRLumpsToBirthDeathWhenSymmetric(t *testing.T) {
 		LambdaSector: 0,
 		MuN:          in.MuN,
 	}
-	wantIR, err := markov.MTTA(IRChain(ir, 2))
+	wantIR, err := markov.MTTA(context.Background(), IRChain(ir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +147,12 @@ func TestNIRLumpsToBirthDeathWhenSymmetric(t *testing.T) {
 // Sector errors and array failures can only hurt.
 func TestFlatMonotoneInDriveHazards(t *testing.T) {
 	in := baselineFlat(2)
-	base, err := markov.MTTA(FlatIRChain(in))
+	base, err := markov.MTTA(context.Background(), FlatIRChain(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	in.CHER = 0
-	noUE, err := markov.MTTA(FlatIRChain(in))
+	noUE, err := markov.MTTA(context.Background(), FlatIRChain(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestFlatMonotoneInDriveHazards(t *testing.T) {
 	}
 	in = baselineFlat(2)
 	in.LambdaD *= 10
-	hot, err := markov.MTTA(FlatIRChain(in))
+	hot, err := markov.MTTA(context.Background(), FlatIRChain(in))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,7 +56,7 @@ func baselineNIR(t int) closedform.NIRInputs {
 
 func mtta(t *testing.T, c *markov.Chain) float64 {
 	t.Helper()
-	got, err := markov.MTTA(c)
+	got, err := markov.MTTA(context.Background(), c)
 	if err != nil {
 		t.Fatalf("MTTA: %v", err)
 	}
@@ -252,7 +253,7 @@ func TestGeneralTheoremTracksChainRandom(t *testing.T) {
 }
 
 func mttaOrNaN(c *markov.Chain) float64 {
-	got, err := markov.MTTA(c)
+	got, err := markov.MTTA(context.Background(), c)
 	if err != nil {
 		return math.NaN()
 	}

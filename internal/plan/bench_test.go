@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -53,12 +54,10 @@ func BenchmarkPlanSearch(b *testing.B) {
 	if space.Size() < 10_000 {
 		b.Fatalf("bench space has %d candidates, want >= 10000", space.Size())
 	}
-	core.SetMaxWorkers(1)
-	defer core.SetMaxWorkers(0)
 	run := func(b *testing.B, opt Options) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := Search(base, space, Constraints{}, opt)
+			res, err := SearchCtx(context.Background(), base, space, Constraints{}, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -69,9 +68,9 @@ func BenchmarkPlanSearch(b *testing.B) {
 		}
 	}
 	b.Run("candidates=10800/pruned+batched", func(b *testing.B) {
-		run(b, Options{})
+		run(b, Options{Workers: 1})
 	})
 	b.Run("candidates=10800/exhaustive", func(b *testing.B) {
-		run(b, Options{DisablePrune: true})
+		run(b, Options{DisablePrune: true, Workers: 1})
 	})
 }

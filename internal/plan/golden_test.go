@@ -2,6 +2,7 @@ package plan
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -43,7 +44,7 @@ func TestSearchGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Search(tc.base, DefaultSpace(), tc.cons, Options{})
+			res, err := SearchCtx(context.Background(), tc.base, DefaultSpace(), tc.cons, Options{})
 			if err != nil {
 				t.Fatalf("Search: %v", err)
 			}

@@ -166,8 +166,12 @@ func (c Constraints) Validate() error {
 // Options tune how the search runs; the zero value is the production
 // configuration. DisablePrune exists for benchmarking and for tests
 // that prove the prune changes nothing — results are identical (same
-// frontier, same ranking) with it set.
+// frontier, same ranking) with it set, and at any Workers.
 type Options struct {
+	// Workers sizes the enumeration and confirmation worker pools (0 =
+	// runtime.NumCPU(), 1 = serial; negative is rejected). It never
+	// changes the result, so it is not part of the wire form.
+	Workers int `json:"-"`
 	// DisablePrune confirms every feasible candidate exactly instead of
 	// closed-form filtering first (the exhaustive baseline).
 	DisablePrune bool `json:"disable_prune,omitempty"`

@@ -14,15 +14,6 @@ import (
 	"repro/internal/params"
 )
 
-// withWorkers runs fn under a worker cap, restoring the default (all
-// CPUs) afterwards.
-func withWorkers(t *testing.T, n int, fn func()) {
-	t.Helper()
-	core.SetMaxWorkers(n)
-	defer core.SetMaxWorkers(0)
-	fn()
-}
-
 // testSpace is a moderate slice of the default space: every internal
 // scheme and a real spread of the other knobs, small enough that the
 // exhaustive baseline stays fast in tests.
@@ -38,7 +29,7 @@ func testSpace() Space {
 }
 
 func TestSearchDefaultSpaceSmoke(t *testing.T) {
-	res, err := Search(params.Baseline(), DefaultSpace(), Constraints{}, Options{})
+	res, err := SearchCtx(context.Background(), params.Baseline(), DefaultSpace(), Constraints{}, Options{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -92,6 +83,7 @@ func TestSearchDefaultSpaceSmoke(t *testing.T) {
 // (stripes too narrow for the fault tolerance, budget and capacity-floor
 // violations) with feasible ones throughout enumeration order.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
+	t.Parallel()
 	base := params.Baseline()
 	narrow := testSpace()
 	narrow.RedundancySetSizes = []int{2, 4, 8, 12}
@@ -109,25 +101,23 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	for _, tc := range cases {
 		var ref []byte
 		for _, w := range []int{1, 2, 7, runtime.NumCPU()} {
-			withWorkers(t, w, func() {
-				res, err := Search(base, tc.space, tc.cons, Options{})
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", tc.name, w, err)
-				}
-				if tc.cons != (Constraints{}) && (res.Stats.Infeasible == 0 || res.Stats.Confirmed == 0) {
-					t.Fatalf("%s: infeasible %d, confirmed %d — want both > 0",
-						tc.name, res.Stats.Infeasible, res.Stats.Confirmed)
-				}
-				got, err := json.Marshal(res)
-				if err != nil {
-					t.Fatalf("marshal: %v", err)
-				}
-				if ref == nil {
-					ref = got
-				} else if string(got) != string(ref) {
-					t.Errorf("%s workers=%d: ranked output differs from workers=1", tc.name, w)
-				}
-			})
+			res, err := SearchCtx(context.Background(), base, tc.space, tc.cons, Options{Workers: w})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, w, err)
+			}
+			if tc.cons != (Constraints{}) && (res.Stats.Infeasible == 0 || res.Stats.Confirmed == 0) {
+				t.Fatalf("%s: infeasible %d, confirmed %d — want both > 0",
+					tc.name, res.Stats.Infeasible, res.Stats.Confirmed)
+			}
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
+			if ref == nil {
+				ref = got
+			} else if string(got) != string(ref) {
+				t.Errorf("%s workers=%d: ranked output differs from workers=1", tc.name, w)
+			}
 		}
 	}
 }
@@ -140,11 +130,11 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 func TestSearchPruneMatchesExhaustive(t *testing.T) {
 	base := params.Baseline()
 	space := testSpace()
-	pruned, err := Search(base, space, Constraints{}, Options{})
+	pruned, err := SearchCtx(context.Background(), base, space, Constraints{}, Options{})
 	if err != nil {
 		t.Fatalf("pruned search: %v", err)
 	}
-	exhaustive, err := Search(base, space, Constraints{}, Options{DisablePrune: true})
+	exhaustive, err := SearchCtx(context.Background(), base, space, Constraints{}, Options{DisablePrune: true})
 	if err != nil {
 		t.Fatalf("exhaustive search: %v", err)
 	}
@@ -158,13 +148,13 @@ func TestSearchPruneMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// perCellSearch is the reference for batched confirmation: Search's
+// perCellSearch is the reference for batched confirmation: SearchCtx's
 // pipeline with every survivor confirmed by its own core.AnalyzeCtx.
 func perCellSearch(base params.Parameters, space Space, cons Constraints) (*Result, error) {
 	ctx := context.Background()
 	res := &Result{TargetEventsPerPBYear: cons.target()}
 	st := &res.Stats
-	cands, err := enumerate(ctx, base, space, cons, st)
+	cands, err := enumerate(ctx, base, space, cons, 0, st)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +186,7 @@ func perCellSearch(base params.Parameters, space Space, cons Constraints) (*Resu
 func TestSearchBatchMatchesPerCell(t *testing.T) {
 	base := params.Baseline()
 	space := testSpace()
-	batched, err := Search(base, space, Constraints{}, Options{})
+	batched, err := SearchCtx(context.Background(), base, space, Constraints{}, Options{})
 	if err != nil {
 		t.Fatalf("batched search: %v", err)
 	}
@@ -215,12 +205,12 @@ func TestSearchBatchMatchesPerCell(t *testing.T) {
 func TestSearchConstraints(t *testing.T) {
 	base := params.Baseline()
 	space := testSpace()
-	free, err := Search(base, space, Constraints{}, Options{})
+	free, err := SearchCtx(context.Background(), base, space, Constraints{}, Options{})
 	if err != nil {
 		t.Fatalf("unconstrained: %v", err)
 	}
 	budget := float64(base.NodeSetSize) * float64(base.DrivesPerNode) // spares never fit
-	capped, err := Search(base, space, Constraints{MaxCostDrives: budget}, Options{})
+	capped, err := SearchCtx(context.Background(), base, space, Constraints{MaxCostDrives: budget}, Options{})
 	if err != nil {
 		t.Fatalf("budget: %v", err)
 	}
@@ -236,7 +226,7 @@ func TestSearchConstraints(t *testing.T) {
 			t.Errorf("frontier[%d] has %d spares under a budget that excludes them", i, c.SpareNodes)
 		}
 	}
-	floor, err := Search(base, space, Constraints{MinCapacityPB: 0.10}, Options{})
+	floor, err := SearchCtx(context.Background(), base, space, Constraints{MinCapacityPB: 0.10}, Options{})
 	if err != nil {
 		t.Fatalf("capacity floor: %v", err)
 	}
@@ -246,7 +236,7 @@ func TestSearchConstraints(t *testing.T) {
 		}
 	}
 	// Node cost shifts every candidate's cost but not feasibility.
-	priced, err := Search(base, space, Constraints{NodeCostDrives: 3}, Options{})
+	priced, err := SearchCtx(context.Background(), base, space, Constraints{NodeCostDrives: 3}, Options{})
 	if err != nil {
 		t.Fatalf("node cost: %v", err)
 	}
@@ -262,14 +252,14 @@ func TestSearchConstraints(t *testing.T) {
 func TestSearchTop(t *testing.T) {
 	base := params.Baseline()
 	space := testSpace()
-	full, err := Search(base, space, Constraints{}, Options{})
+	full, err := SearchCtx(context.Background(), base, space, Constraints{}, Options{})
 	if err != nil {
 		t.Fatalf("full: %v", err)
 	}
 	if len(full.Frontier) < 3 {
 		t.Skipf("frontier too small (%d) to exercise Top", len(full.Frontier))
 	}
-	top, err := Search(base, space, Constraints{}, Options{Top: 2})
+	top, err := SearchCtx(context.Background(), base, space, Constraints{}, Options{Top: 2})
 	if err != nil {
 		t.Fatalf("top: %v", err)
 	}
@@ -302,14 +292,14 @@ func TestSearchValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Search(base, tc.space, tc.cons, Options{}); err == nil {
+			if _, err := SearchCtx(context.Background(), base, tc.space, tc.cons, Options{}); err == nil {
 				t.Error("search unexpectedly succeeded")
 			}
 		})
 	}
 	bad := base
 	bad.NodeMTTFHours = -1
-	if _, err := Search(bad, testSpace(), Constraints{}, Options{}); err == nil {
+	if _, err := SearchCtx(context.Background(), bad, testSpace(), Constraints{}, Options{}); err == nil {
 		t.Error("invalid base parameters unexpectedly accepted")
 	}
 }

@@ -20,11 +20,6 @@ import (
 // identical at any value.
 const confirmChunkCells = 256
 
-// Search runs SearchCtx without cancellation.
-func Search(base params.Parameters, space Space, cons Constraints, opt Options) (*Result, error) {
-	return SearchCtx(context.Background(), base, space, cons, opt)
-}
-
 // SearchCtx runs the two-phase design-space search over base overridden
 // by each candidate's knobs:
 //
@@ -42,7 +37,8 @@ func Search(base params.Parameters, space Space, cons Constraints, opt Options) 
 //     (internal, fault tolerance) — the only knobs that shape the chain
 //     topology — so each group batches through one bound
 //     markov.BatchSolver sharing a single symbolic factorization, with
-//     chunks fanned across the deterministic worker pool.
+//     chunks fanned across the deterministic worker pool (opt.Workers
+//     goroutines; 0 = runtime.NumCPU()).
 //  4. Rank the exact Pareto frontier on (cost ↓, capacity ↑, events ↓)
 //     among confirmed candidates that meet the target.
 //
@@ -74,7 +70,7 @@ func SearchCtx(ctx context.Context, base params.Parameters, space Space, cons Co
 	res := &Result{TargetEventsPerPBYear: cons.target()}
 	st := &res.Stats
 
-	cands, err := enumerate(ctx, base, space, cons, st)
+	cands, err := enumerate(ctx, base, space, cons, opt.Workers, st)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +83,7 @@ func SearchCtx(ctx context.Context, base params.Parameters, space Space, cons Co
 	} else {
 		surv = prune(ctx, cands, res.TargetEventsPerPBYear, st)
 	}
-	if err := confirm(ctx, base, cands, surv, res.TargetEventsPerPBYear, st); err != nil {
+	if err := confirm(ctx, base, cands, surv, res.TargetEventsPerPBYear, opt.Workers, st); err != nil {
 		return nil, err
 	}
 
@@ -122,14 +118,14 @@ func SearchCtx(ctx context.Context, base params.Parameters, space Space, cons Co
 // one Size()-long slab addressed by Index, marking infeasible slots with
 // Index -1; a serial in-place compaction then restores enumeration
 // order, so the result is identical at any worker count.
-func enumerate(ctx context.Context, base params.Parameters, space Space, cons Constraints, st *Stats) ([]Candidate, error) {
+func enumerate(ctx context.Context, base params.Parameters, space Space, cons Constraints, workers int, st *Stats) ([]Candidate, error) {
 	ctx, sp := obs.StartSpan(ctx, "plan.enumerate")
 	defer sp.End()
 	slab := make([]Candidate, space.Size())
 	nR := len(space.RedundancySetSizes)
 	blockLen := len(space.SpareNodes) * len(space.Utilizations) * len(space.RebuildBytes)
 	blocks := len(space.Internals) * len(space.FaultTolerances) * nR
-	err := core.RunIndexedCtx(ctx, blocks, func(b int) error {
+	err := core.RunIndexed(ctx, blocks, workers, func(b int) error {
 		ir := space.Internals[b/(len(space.FaultTolerances)*nR)]
 		ft := space.FaultTolerances[b/nR%len(space.FaultTolerances)]
 		cfg := core.Config{Internal: ir, NodeFaultTolerance: ft}
@@ -336,7 +332,7 @@ func dominancePrune(cands []Candidate, kept []int) []bool {
 // split into chunks fanned over the worker pool. Error semantics mirror
 // the sweep engine: the lowest-indexed failing candidate is reported,
 // with the cause core.AnalyzeCtx would give for it.
-func confirm(ctx context.Context, base params.Parameters, cands []Candidate, surv []int, target float64, st *Stats) error {
+func confirm(ctx context.Context, base params.Parameters, cands []Candidate, surv []int, target float64, workers int, st *Stats) error {
 	ctx, sp := obs.StartSpan(ctx, "plan.confirm")
 	defer sp.End()
 	if len(surv) == 0 {
@@ -386,7 +382,7 @@ func confirm(ctx context.Context, base params.Parameters, cands []Candidate, sur
 		mu.Unlock()
 	}
 
-	rerr := core.RunIndexedCtx(ctx, len(chunks), func(k int) error {
+	rerr := core.RunIndexed(ctx, len(chunks), workers, func(k int) error {
 		ch := chunks[k]
 		idx, err := core.AnalyzeChainBatchCtx(ctx, ch.cfg, ps[ch.lo:ch.hi], out[ch.lo:ch.hi])
 		if err != nil {

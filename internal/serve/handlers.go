@@ -238,7 +238,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
 		apply := sweepKnobs[job.Parameter]
-		points, err := core.SweepCtx(ctx, job.Params, job.Configs, job.Method, job.Values, apply)
+		points, err := core.Sweep(ctx, job.Params, job.Configs, job.Method, job.Values, apply, s.opts.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -295,10 +295,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	key := canonicalKey("simulate", job)
 	csp.End()
 	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
-		// Workers 0 = all CPUs. The estimate is bit-identical at any
-		// worker count, so the choice is invisible in the response —
-		// the precondition for caching a Monte Carlo result at all.
-		est, err := sim.EstimateMTTDLParallel(ctx, job.Scenario, job.Seed, job.Trials, job.MaxEvts, 0, sim.Observer{})
+		// The estimate is bit-identical at any worker count, so the
+		// choice is invisible in the response — the precondition for
+		// caching a Monte Carlo result at all.
+		est, err := sim.EstimateMTTDLParallel(ctx, job.Scenario, job.Seed, job.Trials, job.MaxEvts, s.opts.Workers, sim.Observer{})
 		if err != nil {
 			return nil, err
 		}
@@ -329,10 +329,10 @@ func (s *Server) handleSimulateFleet(w http.ResponseWriter, r *http.Request, req
 	key := canonicalKey("simulate-fleet", job)
 	csp.End()
 	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
-		// Workers 0 = all CPUs; the estimate is bit-identical at any
-		// worker count, the precondition for caching it.
+		// The estimate is bit-identical at any worker count, the
+		// precondition for caching it.
 		est, err := sim.EstimateFleet(ctx, job.Scenario, job.Bricks, job.HorizonHours,
-			job.Seed, 0, 0, s.fleetMetrics)
+			job.Seed, s.opts.Workers, 0, s.fleetMetrics)
 		if err != nil {
 			return nil, err
 		}
@@ -393,7 +393,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	key := canonicalKey("plan", job)
 	csp.End()
 	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
-		res, err := plan.SearchCtx(ctx, job.Params, job.Space, job.Cons, plan.Options{Top: job.Top})
+		res, err := plan.SearchCtx(ctx, job.Params, job.Space, job.Cons, plan.Options{Top: job.Top, Workers: s.opts.Workers})
 		if err != nil {
 			return nil, err
 		}

@@ -98,16 +98,9 @@ type ConfigSpec struct {
 
 // resolve maps the spec onto a validated core.Config.
 func (cs ConfigSpec) resolve() (core.Config, error) {
-	var ir core.InternalRedundancy
-	switch cs.Internal {
-	case "none":
-		ir = core.InternalNone
-	case "raid5":
-		ir = core.InternalRAID5
-	case "raid6":
-		ir = core.InternalRAID6
-	default:
-		return core.Config{}, fmt.Errorf("unknown internal redundancy %q (valid: none, raid5, raid6)", cs.Internal)
+	ir, err := core.ParseInternal(cs.Internal)
+	if err != nil {
+		return core.Config{}, err
 	}
 	cfg := core.Config{Internal: ir, NodeFaultTolerance: cs.FT}
 	if err := cfg.Validate(); err != nil {
@@ -119,16 +112,10 @@ func (cs ConfigSpec) resolve() (core.Config, error) {
 // resolveMethod maps the wire method name ("" = closed-form) onto a
 // core.Method.
 func resolveMethod(name string) (core.Method, error) {
-	switch name {
-	case "", "closed-form":
+	if name == "" {
 		return core.MethodClosedForm, nil
-	case "exact-chain":
-		return core.MethodExactChain, nil
-	case "exact-stable":
-		return core.MethodExactStable, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q (valid: closed-form, exact-chain, exact-stable)", name)
 	}
+	return core.ParseMethod(name)
 }
 
 // AnalyzeRequest is the body of POST /v1/analyze.
@@ -404,11 +391,11 @@ func (ps *PlanSpaceSpec) resolve() (plan.Space, error) {
 	if len(ps.Internals) > 0 {
 		irs := make([]core.InternalRedundancy, len(ps.Internals))
 		for i, name := range ps.Internals {
-			cfg, err := (ConfigSpec{Internal: name, FT: 1}).resolve()
+			ir, err := core.ParseInternal(name)
 			if err != nil {
 				return plan.Space{}, fmt.Errorf("space.internals[%d]: %w", i, err)
 			}
-			irs[i] = cfg.Internal
+			irs[i] = ir
 		}
 		space.Internals = irs
 	}

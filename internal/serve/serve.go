@@ -31,17 +31,16 @@
 //	optimization, never a semantic one.
 //
 //	Cancellation. The request context is threaded through the solver hot
-//	loops (core.SweepCtx, sim.EstimateMTTDLParallel, markov
-//	uniformization), so a client disconnect or server drain deadline
+//	loops (core.Sweep, plan.SearchCtx, sim.EstimateMTTDLParallel), so a client disconnect or server drain deadline
 //	stops the grid mid-flight instead of burning CPU on an unwanted
 //	answer. A cancelled solve is never cached; waiters deduplicated onto
 //	it re-elect a new leader.
 //
-//	Bounded concurrency. At most core.MaxWorkers() requests solve
+//	Bounded concurrency. At most Options.Workers requests solve
 //	concurrently (a semaphore); the rest queue, respecting their own
 //	contexts. Each solve may itself fan out across the same worker
-//	ceiling — the inner pools are the process-wide bound set by
-//	core.SetMaxWorkers.
+//	count — the server passes it to every sweep, search and estimator
+//	it runs, so two servers in one process never share a bound.
 //
 // Every request is additionally observable: it gets a request ID (the
 // client's X-Request-ID, or a generated one, echoed back), a structured
@@ -59,11 +58,11 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/markov"
 	"repro/internal/obs"
@@ -74,6 +73,10 @@ import (
 
 // Options configures a Server. The zero value selects the defaults.
 type Options struct {
+	// Workers bounds concurrently solving requests and each solve's own
+	// worker pool (default runtime.NumCPU()). Responses are identical at
+	// any setting.
+	Workers int
 	// CacheEntries caps the result cache (default 256 completed results).
 	CacheEntries int
 	// MaxBodyBytes caps a request body (default 1 MiB).
@@ -106,6 +109,9 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	if o.Workers <= 0 {
+		o.Workers = runtime.NumCPU()
+	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 256
 	}
@@ -211,8 +217,8 @@ type Server struct {
 	// TraceWriter streams so concurrent requests emit whole lines.
 	accessMu sync.Mutex
 	traceMu  sync.Mutex
-	// sem bounds concurrently solving requests at core.MaxWorkers()
-	// (captured at construction); waiters respect their own contexts, so
+	// sem bounds concurrently solving requests at opts.Workers;
+	// waiters respect their own contexts, so
 	// a queued request that disconnects leaves the queue immediately.
 	sem chan struct{}
 	mux *http.ServeMux
@@ -246,7 +252,7 @@ func New(opts Options) *Server {
 			reg.Counter("serve.cache.hits"),
 			reg.Counter("serve.cache.misses"),
 			reg.Counter("serve.cache.evictions")),
-		sem:          make(chan struct{}, core.MaxWorkers()),
+		sem:          make(chan struct{}, opts.Workers),
 		mux:          http.NewServeMux(),
 		cancelBase:   cancel,
 		fleetMetrics: sim.NewFleetMetrics(reg),

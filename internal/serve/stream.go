@@ -123,7 +123,7 @@ func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, key str
 
 	rows := make([]SweepPointResponse, 0, len(job.Values))
 	apply := sweepKnobs[job.Parameter]
-	_, err := core.SweepStreamCtx(ctx, job.Params, job.Configs, job.Method, job.Values, apply,
+	_, err := core.SweepStream(ctx, job.Params, job.Configs, job.Method, job.Values, apply, s.opts.Workers,
 		func(pt core.SweepPoint) error {
 			row := sweepPointResponseFrom(pt)
 			if err := lw.line(row); err != nil {

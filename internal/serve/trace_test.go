@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -128,12 +127,10 @@ func TestSweepSpanTree(t *testing.T) {
 	// One worker ⇒ one pooled solver serves every cell (and one chunk on
 	// the batched path), so the span counts below are deterministic on
 	// any machine.
-	core.SetMaxWorkers(1)
-	defer core.SetMaxWorkers(0)
 
 	t.Run("batched", func(t *testing.T) {
 		var buf bytes.Buffer
-		s := New(Options{MaxGridCells: 65536, TraceWriter: &buf})
+		s := New(Options{Workers: 1, MaxGridCells: 65536, TraceWriter: &buf})
 		h := s.Handler()
 		w := postJSON(t, h, "/v1/sweep", traceSweepBody(4))
 		if w.Code != http.StatusOK {
@@ -167,7 +164,7 @@ func TestSweepSpanTree(t *testing.T) {
 
 		// The same request without a TraceWriter still feeds the stage
 		// histograms on /metrics (fold-only mode).
-		s2 := New(Options{MaxGridCells: 65536})
+		s2 := New(Options{Workers: 1, MaxGridCells: 65536})
 		h2 := s2.Handler()
 		if w := postJSON(t, h2, "/v1/sweep", traceSweepBody(4)); w.Code != http.StatusOK {
 			t.Fatalf("untraced sweep: %d %s", w.Code, w.Body.String())
@@ -186,7 +183,7 @@ func TestSweepSpanTree(t *testing.T) {
 	t.Run("percell", func(t *testing.T) {
 		body := strings.Replace(traceSweepBody(4), "exact-chain", "closed-form", 1)
 		var buf bytes.Buffer
-		s := New(Options{MaxGridCells: 65536, TraceWriter: &buf})
+		s := New(Options{Workers: 1, MaxGridCells: 65536, TraceWriter: &buf})
 		w := postJSON(t, s.Handler(), "/v1/sweep", body)
 		if w.Code != http.StatusOK {
 			t.Fatalf("sweep: %d %s", w.Code, w.Body.String())
@@ -214,7 +211,7 @@ func TestSweepSpanTree(t *testing.T) {
 		}
 
 		// Fold-only mode covers the per-cell stage too.
-		s2 := New(Options{MaxGridCells: 65536})
+		s2 := New(Options{Workers: 1, MaxGridCells: 65536})
 		if w := postJSON(t, s2.Handler(), "/v1/sweep", body); w.Code != http.StatusOK {
 			t.Fatalf("untraced sweep: %d %s", w.Code, w.Body.String())
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -170,7 +171,7 @@ func TestArrayScenarioValidate(t *testing.T) {
 // exact MTTDL.
 func TestArraySimMatchesRAID5Chain(t *testing.T) {
 	sc, in := acceleratedArray(1)
-	want, err := markov.MTTA(model.RAID5Chain(in))
+	want, err := markov.MTTA(context.Background(), model.RAID5Chain(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestArraySimMatchesRAID5Chain(t *testing.T) {
 // ...and the Figure 4 chain for RAID 6.
 func TestArraySimMatchesRAID6Chain(t *testing.T) {
 	sc, in := acceleratedArray(2)
-	want, err := markov.MTTA(model.RAID6Chain(in))
+	want, err := markov.MTTA(context.Background(), model.RAID6Chain(in))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -82,7 +83,7 @@ func TestBiasedMatchesBaselineNIRChain(t *testing.T) {
 		CHER: p.CHER(),
 	}
 	ch := model.NIRChain(in, 2)
-	want, err := markov.MTTA(ch)
+	want, err := markov.MTTA(context.Background(), ch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -93,7 +94,7 @@ func TestScenarioFromConfig(t *testing.T) {
 // regime where the paper's models claim validity.
 func TestDESMatchesChainNIRFaultTolerance1(t *testing.T) {
 	sc, in := acceleratedNIR(1)
-	want, err := markov.MTTA(model.NIRChain(in, 1))
+	want, err := markov.MTTA(context.Background(), model.NIRChain(in, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestDESMatchesChainNIRFaultTolerance1(t *testing.T) {
 // the paper doesn't report. Pin the direction and size of the gap.
 func TestDESChainLIFOConservatismFaultTolerance2(t *testing.T) {
 	sc, in := acceleratedNIR(2)
-	want, err := markov.MTTA(model.NIRChain(in, 2))
+	want, err := markov.MTTA(context.Background(), model.NIRChain(in, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestDESMatchesChainInternalRAID5(t *testing.T) {
 		LambdaSector: closedform.SectorErrorRate(1, arr),
 		MuN:          sc.MuN,
 	}
-	want, err := markov.MTTA(model.IRChain(in, 1))
+	want, err := markov.MTTA(context.Background(), model.IRChain(in, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestDESMatchesChainInternalRAID6(t *testing.T) {
 		LambdaSector: closedform.SectorErrorRate(2, arr),
 		MuN:          sc.MuN,
 	}
-	want, err := markov.MTTA(model.IRChain(in, 1))
+	want, err := markov.MTTA(context.Background(), model.IRChain(in, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestDESNoSectorErrors(t *testing.T) {
 	sc, in := acceleratedNIR(1)
 	sc.CHER = 0
 	in.CHER = 0
-	want, err := markov.MTTA(model.NIRChain(in, 1))
+	want, err := markov.MTTA(context.Background(), model.NIRChain(in, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 // exact chain (fault tolerance 1, where DES and chain agree within ~10%).
 func TestFleetMatchesChainLossRate(t *testing.T) {
 	sc, in := acceleratedNIR(1)
-	mtta, err := markov.MTTA(model.NIRChain(in, 1))
+	mtta, err := markov.MTTA(context.Background(), model.NIRChain(in, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"io"
 	"math"
 	"math/rand"
@@ -176,7 +177,7 @@ func TestEstimateMTTABiasedParallelDeterministic(t *testing.T) {
 // estimate with the exact dense solution.
 func TestEstimateMTTABiasedParallelAccuracy(t *testing.T) {
 	ch := biasedParallelTestChain()
-	want, err := markov.MTTA(ch)
+	want, err := markov.MTTA(context.Background(), ch)
 	if err != nil {
 		t.Fatal(err)
 	}

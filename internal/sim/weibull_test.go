@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,7 +51,7 @@ func TestWeibullShapeOneMatchesChain(t *testing.T) {
 	sc, in := acceleratedNIR(1)
 	sc.NodeFailureShape = 1
 	sc.DriveFailureShape = 1
-	want, err := markov.MTTA(model.NIRChain(in, 1))
+	want, err := markov.MTTA(context.Background(), model.NIRChain(in, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

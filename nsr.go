@@ -28,6 +28,7 @@
 package nsr
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/params"
@@ -84,7 +85,7 @@ func Analyze(p Parameters, cfg Config, m Method) (Result, error) {
 
 // AnalyzeAll analyzes several configurations in order.
 func AnalyzeAll(p Parameters, cfgs []Config, m Method) ([]Result, error) {
-	return core.AnalyzeAll(p, cfgs, m)
+	return core.AnalyzeAll(context.Background(), p, cfgs, m, 0)
 }
 
 // BaselineConfigs returns the paper's nine Figure 13 configurations.
@@ -97,13 +98,13 @@ func SensitivityConfigs() []Config { return core.SensitivityConfigs() }
 func PaperTarget() Target { return core.PaperTarget() }
 
 // AllFigures regenerates every evaluation figure at the given parameters.
-func AllFigures(p Parameters) ([]*Table, error) { return experiments.All(p) }
+func AllFigures(p Parameters) ([]*Table, error) { return experiments.All(p, 0) }
 
 // Ablations regenerates the extension studies (model-assumption DES
 // comparison, elasticities, rebuild bottleneck, scrubbing, mission
 // reliability, spares plan). trials sizes the simulation table.
 func Ablations(p Parameters, trials int, seed int64) ([]*Table, error) {
-	return experiments.Ablations(p, trials, seed)
+	return experiments.Ablations(p, trials, seed, 0)
 }
 
 // DegradedExposure is a configuration's degraded-mode lifetime profile.
@@ -121,7 +122,7 @@ type Elasticity = core.Elasticity
 // Elasticities computes d log(events)/d log(θ) for every tunable
 // parameter. step is the relative perturbation (0 selects 1%).
 func Elasticities(p Parameters, cfg Config, m Method, step float64) ([]Elasticity, error) {
-	return core.Elasticities(p, cfg, m, step)
+	return core.Elasticities(context.Background(), p, cfg, m, step, 0)
 }
 
 // Advice is a single-parameter path to (or headroom against) a target.
@@ -130,7 +131,7 @@ type Advice = core.Advice
 // Advise finds, for each tunable parameter, the factor by which it alone
 // must change to put the configuration exactly on the target.
 func Advise(p Parameters, cfg Config, target Target, m Method) ([]Advice, error) {
-	return core.Advise(p, cfg, target, m)
+	return core.Advise(context.Background(), p, cfg, target, m, 0)
 }
 
 // MissionResult is a finite-horizon reliability computation.
