@@ -538,8 +538,8 @@ func BenchmarkAbsorptionDense(b *testing.B) {
 
 // BenchmarkSweepSparseReuse measures a Section 7 style sweep at r=48,
 // ft=7 (255 transient states per cell, well past the crossover): every
-// grid cell reuses the pooled chain topology and the cached symbolic
-// factorization, refilling numeric values only.
+// grid cell reuses a pooled refiller's chain topology and the cached
+// symbolic factorization; only numeric values change.
 func BenchmarkSweepSparseReuse(b *testing.B) {
 	p := params.Baseline()
 	p.RedundancySetSize = 48

@@ -90,7 +90,7 @@ func Analyze(p params.Parameters, cfg Config, method Method) (Result, error) {
 
 // AnalyzeCtx is Analyze carrying the caller's context for tracing: when
 // the context holds an active span (obs.StartSpan), chain acquisition
-// ("chain.freeze" — a fresh build+freeze or a pooled refill) and the
+// ("chain.freeze" — a pooled refiller's refill, or its first build) and the
 // exact solve with its sparse stages are attributed as child spans.
 // The context is not a cancellation point — one analysis is a single
 // closed-form evaluation or one chain solve; results are identical to
@@ -105,10 +105,18 @@ func AnalyzeCtx(ctx context.Context, p params.Parameters, cfg Config, method Met
 	switch {
 	case method == MethodExactChain:
 		_, fsp := obs.StartSpan(ctx, "chain.freeze")
-		ch := pr.chain()
+		var ch *markov.Chain
+		if nir {
+			r := model.AcquireNIRRefiller(pr.nir, k)
+			defer r.Release()
+			ch = r.Chain()
+		} else {
+			r := model.AcquireIRRefiller(pr.ir, k)
+			defer r.Release()
+			ch = r.Chain()
+		}
 		fsp.End()
 		mttdl, err = markov.MTTA(ctx, ch)
-		model.ReleaseChain(ch)
 		if err != nil {
 			return Result{}, chainSolveError(nir, err)
 		}
@@ -199,14 +207,6 @@ func analyzePrep(p params.Parameters, cfg Config, method Method) (analysisPrep, 
 		}
 	}
 	return pr, nil
-}
-
-// chain builds the prepared configuration's exact chain.
-func (pr *analysisPrep) chain() *markov.Chain {
-	if pr.res.Config.Internal == InternalNone {
-		return model.NIRChain(pr.nir, pr.k)
-	}
-	return model.IRChain(pr.ir, pr.k)
 }
 
 // chainSolveError wraps a chain-solve failure in AnalyzeCtx's wording.

@@ -48,8 +48,11 @@ func Exposure(p params.Parameters, cfg Config) (DegradedExposure, error) {
 		FractionByDepth: make([]float64, k+1),
 		MTTDLHours:      res.MeanTimeToAbsorption,
 	}
-	for name, tau := range res.TimeInState {
-		exp.FractionByDepth[stateDepth(name)] += tau / res.MeanTimeToAbsorption
+	// Sum in transient-state order, not map order, so the float
+	// additions — and the result's bits — repeat from call to call.
+	for _, s := range chain.TransientStates() {
+		name := chain.StateName(s)
+		exp.FractionByDepth[stateDepth(name)] += res.TimeInState[name] / res.MeanTimeToAbsorption
 	}
 	return exp, nil
 }

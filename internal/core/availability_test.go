@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/markov"
 	"repro/internal/params"
 )
 
@@ -54,6 +55,57 @@ func TestExposureStringAndDepths(t *testing.T) {
 	s := exp.String()
 	if !strings.Contains(s, "depth0=") || !strings.Contains(s, "depth2=") {
 		t.Errorf("String() = %q", s)
+	}
+}
+
+// Exposure sums τ/MTTA per depth; the sum must not depend on map
+// iteration order, so repeated calls return the same bits.
+func TestExposureDeterministic(t *testing.T) {
+	p := params.Baseline()
+	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 3}
+	first, err := Exposure(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 1; call < 50; call++ {
+		exp, err := Exposure(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for depth, f := range exp.FractionByDepth {
+			if math.Float64bits(f) != math.Float64bits(first.FractionByDepth[depth]) {
+				t.Fatalf("call %d depth %d: fraction %v, first call %v", call, depth, f, first.FractionByDepth[depth])
+			}
+		}
+	}
+}
+
+// Every exact-chain quantity reads off one factorization: the MTTA
+// Absorption reports (and Exposure, nsr-chains and the sensitivities
+// with it) is MTTA's, bit for bit, also on the deep chains that take
+// the sparse route.
+func TestAbsorptionMatchesMTTA(t *testing.T) {
+	for _, driveMTTF := range []float64{200_000, 40_000} {
+		for k := 5; k <= 7; k++ {
+			p := params.Baseline()
+			p.RedundancySetSize = 48
+			p.DriveMTTFHours = driveMTTF
+			chain, err := Chain(p, Config{Internal: InternalNone, NodeFaultTolerance: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mtta, err := markov.MTTA(context.Background(), chain)
+			if err != nil {
+				t.Fatalf("drive MTTF %g, ft %d: MTTA: %v", driveMTTF, k, err)
+			}
+			res, err := markov.Absorption(chain)
+			if err != nil {
+				t.Fatalf("drive MTTF %g, ft %d: Absorption: %v", driveMTTF, k, err)
+			}
+			if res.MeanTimeToAbsorption != mtta {
+				t.Errorf("drive MTTF %g, ft %d: Absorption MTTA %v, MTTA %v", driveMTTF, k, res.MeanTimeToAbsorption, mtta)
+			}
+		}
 	}
 }
 

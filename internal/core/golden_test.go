@@ -142,7 +142,6 @@ func TestMTTAGolden(t *testing.T) {
 						ch = model.IRChain(pr.ir, k)
 					}
 					v, err := markov.MTTA(context.Background(), ch)
-					model.ReleaseChain(ch)
 					line(fmt.Sprintf("%s/%s/%s/k=%d", route.name, rs.name, internal, k), v, err)
 				}
 			}

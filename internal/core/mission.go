@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/markov"
+	"repro/internal/model"
 	"repro/internal/params"
 )
 
@@ -76,5 +77,8 @@ func Chain(p params.Parameters, cfg Config) (*markov.Chain, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pr.chain(), nil
+	if cfg.Internal == InternalNone {
+		return model.NIRChain(pr.nir, pr.k), nil
+	}
+	return model.IRChain(pr.ir, pr.k), nil
 }

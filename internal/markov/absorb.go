@@ -1,7 +1,7 @@
 package markov
 
 import (
-	"fmt"
+	"context"
 
 	"repro/internal/linalg"
 )
@@ -28,14 +28,19 @@ type AbsorptionResult struct {
 //	τ_B = π_B(0)·R⁻¹,   MTTA = τ_B·⟨1,…,1⟩ᵀ.
 //
 // Absorption probabilities are p_a = Σ_i τ_i · rate(i→a).
+// τ comes from the one-cell solve behind MTTA (a pooled BatchSolver:
+// same validation, routing and factorization), so MeanTimeToAbsorption
+// is bit-identical to MTTA on every chain.
 // It returns an error if the chain fails Validate or the absorption matrix
 // is singular (absorption not almost-sure).
 func Absorption(c *Chain) (*AbsorptionResult, error) {
-	if err := c.Validate(); err != nil {
+	b := AcquireBatchSolver()
+	defer ReleaseBatchSolver(b)
+	mtta, err := b.solveChain(context.Background(), c)
+	if err != nil {
 		return nil, err
 	}
-	r, trans, initRow := c.AbsorptionMatrix()
-	if initRow < 0 {
+	if b.initRow < 0 {
 		// Initial state is absorbing: zero time to absorption.
 		res := &AbsorptionResult{
 			TimeInState:           map[string]float64{},
@@ -43,28 +48,16 @@ func Absorption(c *Chain) (*AbsorptionResult, error) {
 		}
 		return res, nil
 	}
-	timer := absorptionTimer(c.NumStates())
-	f, err := linalg.Factorize(r)
-	if err != nil {
-		return nil, fmt.Errorf("markov: absorption matrix: %w", err)
-	}
-	// τ_B = π_B(0)·R⁻¹ means Rᵀ·τ = π_B(0).
-	tau := f.SolveTranspose(linalg.Unit(len(trans), initRow))
-	if timer != nil {
-		timer(absorptionResidual(r, tau, initRow))
-	}
 	res := &AbsorptionResult{
-		MeanTimeToAbsorption: linalg.Sum(tau),
-		TimeInState:          make(map[string]float64, len(trans)),
+		MeanTimeToAbsorption:  mtta,
+		TimeInState:           make(map[string]float64, len(b.trans)),
+		AbsorptionProbability: make(map[string]float64),
 	}
-	for row, s := range trans {
-		res.TimeInState[c.StateName(s)] = tau[row]
-	}
-	res.AbsorptionProbability = make(map[string]float64)
-	for row, s := range trans {
+	for row, s := range b.trans {
+		res.TimeInState[c.StateName(s)] = b.tau[row]
 		for _, e := range c.Successors(s) {
 			if c.absorbing[e.To] {
-				res.AbsorptionProbability[c.StateName(e.To)] += tau[row] * e.Rate
+				res.AbsorptionProbability[c.StateName(e.To)] += b.tau[row] * e.Rate
 			}
 		}
 	}

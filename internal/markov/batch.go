@@ -25,7 +25,8 @@ import (
 // Routing: dense partial-pivot LU below the SetSparseMinStates crossover
 // or above the density guard (sparseRoute); otherwise sparse static-pivot
 // LU with the τ-nonnegativity certificate and a dense fallback. A
-// per-call solve (MTTA) is the same machinery on a single cell.
+// per-call solve (MTTA, Absorption, RateSensitivities) is the same
+// machinery on a single cell.
 //
 // A BatchSolver is not safe for concurrent use; each worker owns one
 // (see AcquireBatchSolver).
@@ -341,6 +342,18 @@ func (b *BatchSolver) cellSolved(dense bool) float64 {
 	return linalg.Sum(b.tau)
 }
 
+// solveOnes returns y = R⁻¹·1 (y_i = MTTA from transient row i) from
+// the factors of the latest solved cell, on the route that cell took.
+// Only valid while lastOK.
+func (b *BatchSolver) solveOnes() []float64 {
+	m := len(b.trans)
+	y := make([]float64, m)
+	if b.lastDense {
+		return b.f.SolveInto(y, linalg.Ones(m))
+	}
+	return b.num.SolveInto(y, linalg.Ones(m))
+}
+
 // SolveCell solves the filled cell for its mean time to absorption,
 // reusing all solver storage (0 allocs after warmup): sparse
 // Refactor+SolveTranspose with the τ certificate and dense partial-pivot
@@ -401,7 +414,8 @@ func (b *BatchSolver) solveCell(ctx context.Context, cell int) (float64, error) 
 	return b.cellSolved(true), nil
 }
 
-// solveChain is the one-cell solve behind MTTA:
+// solveChain is the one-cell solve behind MTTA, Absorption and
+// RateSensitivities:
 // validate c (Chain.Validate's checks and messages, in reused scratch),
 // then bind, fill and solve it as cell 0 under a "markov.solve" span,
 // accounted per call in markov.absorption.*. A mutable chain is bound

@@ -35,10 +35,20 @@ func newLadder(k int, theta float64) *Chain {
 	return c.Freeze()
 }
 
+// refillLadder refills c, a frozen k-rung ladder, with θ's rates.
 func refillLadder(c *Chain, k int, theta float64) {
-	c.BeginRefill()
-	ladderEdges(c, k, theta)
-	c.EndRefill()
+	copyRates(c, newLadder(k, theta))
+}
+
+// copyRates refills dst with src's rates through ApplyRates, edge for
+// edge; both must come from one builder, so their edge arrays align.
+func copyRates(dst, src *Chain) {
+	program := make([]int, len(src.edges))
+	rates := make([]float64, len(src.edges))
+	for i, e := range src.edges {
+		program[i], rates[i] = i, e.Rate
+	}
+	dst.ApplyRates(program, rates)
 }
 
 // The batch acceptance gate: a batched cell is bit-identical to the same
@@ -159,9 +169,9 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 	}
 }
 
-// ApplyRates is the string-free equivalent of a BeginRefill/AddEdge/
-// EndRefill pass: same edges, same accumulation order, bit-identical
-// rates and exit sums.
+// ApplyRates with a program compiled from the builder's emission order
+// reproduces a fresh build: same edges, same accumulation order,
+// bit-identical rates and exit sums.
 func TestApplyRatesMatchesStringRefill(t *testing.T) {
 	const k = 11
 	c := newLadder(k, 0.9)
@@ -203,23 +213,17 @@ func TestApplyRatesMatchesStringRefill(t *testing.T) {
 	record(st(k), "loss")
 
 	for _, theta := range []float64{0.01, 1.0, 37.5} {
-		refillLadder(c, k, theta)
-		wantRates := make([]float64, len(c.edges))
-		for i, e := range c.edges {
-			wantRates[i] = e.Rate
-		}
-		wantExit := append([]float64(nil), c.exit...)
-
-		refillLadder(c, k, 999) // scribble
+		want := newLadder(k, theta)
+		c.ApplyRates(program, emit(999)) // scribble
 		c.ApplyRates(program, emit(theta))
 		for i, e := range c.edges {
-			if e.Rate != wantRates[i] {
-				t.Fatalf("θ=%v edge %d: ApplyRates %v != refill %v", theta, i, e.Rate, wantRates[i])
+			if e.Rate != want.edges[i].Rate {
+				t.Fatalf("θ=%v edge %d: ApplyRates %v != fresh %v", theta, i, e.Rate, want.edges[i].Rate)
 			}
 		}
 		for i, x := range c.exit {
-			if x != wantExit[i] {
-				t.Fatalf("θ=%v exit %d: ApplyRates %v != refill %v", theta, i, x, wantExit[i])
+			if x != want.exit[i] {
+				t.Fatalf("θ=%v exit %d: ApplyRates %v != fresh %v", theta, i, x, want.exit[i])
 			}
 		}
 	}

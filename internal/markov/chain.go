@@ -12,7 +12,10 @@
 // package computes generator and absorption matrices on demand. A built
 // chain can be frozen into an immutable CSR adjacency (sorted edges,
 // allocation-free iteration) and, for sweeps, refilled with new rates
-// over the identical topology.
+// over the identical topology by a compiled program (ApplyRates). Every
+// absorption quantity — MTTA, τ, absorption probabilities, rate
+// sensitivities — is read off one factorization of R = -Q_B, made by
+// BatchSolver.
 package markov
 
 import (
@@ -34,7 +37,7 @@ import (
 // so iteration — and therefore every accumulated floating-point sum — is
 // bit-identical before and after freezing, but frozen iteration is an
 // allocation-free slice view. Model builders freeze once at construction;
-// analysis sweeps refill the frozen topology via BeginRefill/EndRefill.
+// analysis sweeps refill the frozen topology via ApplyRates.
 type Chain struct {
 	names     []string
 	index     map[string]int
@@ -51,12 +54,8 @@ type Chain struct {
 	edges []Edge
 	exit  []float64
 
-	// refilling marks a frozen chain accepting new rates into its
-	// existing edge set (zeroed by BeginRefill, finalized by EndRefill).
-	refilling bool
-
 	// label is optional caller metadata (model builders tag chains with
-	// their topology family so pools can recycle them).
+	// their topology family, which BatchSolver checks on Fill).
 	label string
 }
 
@@ -113,13 +112,11 @@ func (c *Chain) Label() string { return c.label }
 // across repeated calls for the same edge; zero rates are dropped (no
 // edge is recorded). It panics on negative rates, self-loops, and
 // transitions out of absorbing states — all of which are modelling bugs,
-// not runtime conditions — and on mutating a frozen chain outside a
-// refill.
+// not runtime conditions — and on mutating a frozen chain.
 func (c *Chain) AddRate(from, to string, rate float64) {
-	if rate == 0 && !c.refilling {
-		return
+	if rate != 0 {
+		c.AddEdge(from, to, rate)
 	}
-	c.addEdge(from, to, rate)
 }
 
 // AddEdge is AddRate keeping zero-rate edges: the transition becomes part
@@ -129,10 +126,6 @@ func (c *Chain) AddRate(from, to string, rate float64) {
 // failure rate) keep the edge, and every chain of the same family shares
 // one CSR pattern that sweeps can refill and solvers can cache.
 func (c *Chain) AddEdge(from, to string, rate float64) {
-	c.addEdge(from, to, rate)
-}
-
-func (c *Chain) addEdge(from, to string, rate float64) {
 	if rate < 0 {
 		panic(fmt.Sprintf("markov: negative rate %v on %s→%s", rate, from, to))
 	}
@@ -145,15 +138,7 @@ func (c *Chain) addEdge(from, to string, rate float64) {
 		panic(fmt.Sprintf("markov: transition out of absorbing state %s", from))
 	}
 	if c.Frozen() {
-		if !c.refilling {
-			panic(fmt.Sprintf("markov: rate added to frozen chain (%s→%s); use BeginRefill", from, to))
-		}
-		e := c.findEdge(f, t)
-		if e < 0 {
-			panic(fmt.Sprintf("markov: refill edge %s→%s not in frozen topology", from, to))
-		}
-		c.edges[e].Rate += rate
-		return
+		panic(fmt.Sprintf("markov: rate added to frozen chain (%s→%s); use ApplyRates", from, to))
 	}
 	c.rates[f][t] += rate
 }
@@ -180,13 +165,12 @@ func (c *Chain) EdgeIndex(from, to string) int {
 
 // ApplyRates refills a frozen chain in one call: every edge rate is
 // zeroed, rates[i] accumulates onto edges[program[i]] in program order,
-// and exit sums are recomputed. That is exactly the
-// BeginRefill/AddEdge…/EndRefill sequence a program was compiled from —
-// same per-edge addition order, same sorted exit summation — so a
-// program refill is bit-identical to the string-keyed one while touching
-// no strings or maps. Negative rates panic as AddRate would; a
-// program/rates length mismatch panics (the program encodes the
-// builder's exact emission sequence).
+// and exit sums are recomputed in the sorted order Freeze uses. When the
+// program lists the edges in the order the chain's AddEdge calls added
+// them (EdgeIndex of each), the refilled chain is bit-identical to a
+// fresh build with those rates, while touching no strings or maps.
+// Negative rates panic as AddRate would; a program/rates length mismatch
+// panics (the program encodes the builder's exact emission sequence).
 func (c *Chain) ApplyRates(program []int, rates []float64) {
 	if !c.Frozen() {
 		panic("markov: ApplyRates on unfrozen chain")
@@ -223,7 +207,8 @@ func (c *Chain) findEdge(f, t int) int {
 // the exit-rate summation order are identical to the mutable form, so
 // every downstream result is bit-identical; frozen iteration is an
 // allocation-free slice view. Freeze is idempotent. After freezing, new
-// states and rates panic (refills excepted) — the topology is sealed.
+// states and rates panic — the topology is sealed; only ApplyRates
+// changes rates.
 func (c *Chain) Freeze() *Chain {
 	if c.Frozen() {
 		return c
@@ -263,33 +248,6 @@ func (c *Chain) csrInto(ptr []int, edges []Edge) ([]int, []Edge) {
 
 // Frozen reports whether the chain has been frozen.
 func (c *Chain) Frozen() bool { return c.ptr != nil }
-
-// BeginRefill prepares a frozen chain to receive a new set of rates over
-// its existing topology: every edge rate is zeroed, and AddRate/AddEdge
-// accumulate into the frozen edges until EndRefill. Rates for edges
-// outside the topology panic — refills are for chains of one structural
-// family (same states, same edges), which is what model builders emit
-// for a fixed fault tolerance. It panics on an unfrozen chain.
-func (c *Chain) BeginRefill() {
-	if !c.Frozen() {
-		panic("markov: BeginRefill on unfrozen chain")
-	}
-	for i := range c.edges {
-		c.edges[i].Rate = 0
-	}
-	c.refilling = true
-}
-
-// EndRefill finalizes a refill: exit rates are recomputed (summing the
-// sorted edges, the same order Freeze used, so a refilled chain is
-// bit-identical to a freshly built one) and the chain is sealed again.
-func (c *Chain) EndRefill() {
-	if !c.refilling {
-		panic("markov: EndRefill without BeginRefill")
-	}
-	c.refilling = false
-	c.recomputeExits()
-}
 
 func (c *Chain) recomputeExits() {
 	for i := range c.exit {

@@ -2,7 +2,6 @@ package markov
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,31 +11,8 @@ import (
 // layered structure where every state has some forward (toward-absorbing)
 // rate, plus random back edges.
 func randomAbsorbingChain(rng *rand.Rand) *Chain {
-	c := NewChain()
 	layers := 2 + rng.Intn(3)
-	width := 1 + rng.Intn(3)
-	name := func(l, w int) string { return fmt.Sprintf("s%d_%d", l, w) }
-	c.SetInitial(name(0, 0))
-	c.SetAbsorbing("A")
-	for l := 0; l < layers; l++ {
-		for w := 0; w < width; w++ {
-			from := name(l, w)
-			// Forward edge: next layer or absorption from the last.
-			if l == layers-1 {
-				c.AddRate(from, "A", 0.05+rng.Float64())
-			} else {
-				c.AddRate(from, name(l+1, rng.Intn(width)), 0.05+rng.Float64())
-			}
-			// Optional lateral and backward edges.
-			if w+1 < width && rng.Intn(2) == 0 {
-				c.AddRate(from, name(l, w+1), rng.Float64())
-			}
-			if l > 0 && rng.Intn(2) == 0 {
-				c.AddRate(from, name(l-1, rng.Intn(width)), rng.Float64()*3)
-			}
-		}
-	}
-	return c
+	return sizedRandomAbsorbingChain(rng, layers, 1+rng.Intn(3))
 }
 
 // Property: on arbitrary absorbing chains, Monte Carlo simulation agrees
@@ -108,10 +84,18 @@ func TestRandomChainsTransientConsistency(t *testing.T) {
 
 // Property: rate sensitivities on random chains predict the effect of a
 // small uniform rescaling: Σ elasticities = -1 exactly (time rescaling).
+// The last trial is a 60-state chain on the sparse route, so y = R⁻¹·1
+// from the sparse factors is checked too.
 func TestRandomChainsElasticitySumRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 12; trial++ {
+	for trial := 0; trial <= 12; trial++ {
 		c := randomAbsorbingChain(rng)
+		if trial == 12 {
+			c = sizedRandomAbsorbingChain(rng, 20, 3)
+			if st, err := AbsorptionSparseStats(c); err != nil || !st.Sparse {
+				t.Fatalf("trial %d: want a sparse-route chain, got %+v, %v", trial, st, err)
+			}
+		}
 		if err := c.Validate(); err != nil {
 			continue
 		}

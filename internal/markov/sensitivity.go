@@ -1,10 +1,9 @@
 package markov
 
 import (
+	"context"
 	"fmt"
 	"sort"
-
-	"repro/internal/linalg"
 )
 
 // RateSensitivity is the exact partial derivative of the mean time to
@@ -30,36 +29,30 @@ type RateSensitivity struct {
 //
 // Perturbing the rate of i→j changes R_ii by +dr and (for transient j)
 // R_ij by −dr, so ∂MTTA/∂r = −τ_i·(y_i − y_j), with y_j = 0 when j is
-// absorbing. Results are sorted by |Elasticity| descending.
+// absorbing. Both solves run on the one factorization behind MTTA (a
+// pooled BatchSolver's one-cell solve, on whichever route it took), so
+// the MTTA the elasticities normalize by is bit-identical to MTTA's.
+// Results are sorted by |Elasticity| descending.
 func RateSensitivities(c *Chain) ([]RateSensitivity, error) {
-	if err := c.Validate(); err != nil {
+	b := AcquireBatchSolver()
+	defer ReleaseBatchSolver(b)
+	mtta, err := b.solveChain(context.Background(), c)
+	if err != nil {
 		return nil, err
 	}
-	r, trans, initRow := c.AbsorptionMatrix()
-	if initRow < 0 {
+	if b.initRow < 0 {
 		return nil, fmt.Errorf("markov: initial state is absorbing")
 	}
-	f, err := linalg.Factorize(r)
-	if err != nil {
-		return nil, fmt.Errorf("markov: absorption matrix: %w", err)
-	}
-	y := f.Solve(linalg.Ones(len(trans)))
-	tau := f.SolveTranspose(linalg.Unit(len(trans), initRow))
-	mtta := linalg.Sum(tau)
 	if mtta == 0 {
 		return nil, fmt.Errorf("markov: zero mean time to absorption")
 	}
+	tau, y := b.tau, b.solveOnes()
 
-	row := make(map[int]int, len(trans))
-	for i, s := range trans {
-		row[s] = i
-	}
 	var out []RateSensitivity
-	for _, s := range trans {
-		i := row[s]
+	for i, s := range b.trans {
 		for _, e := range c.Successors(s) {
 			yj := 0.0
-			if j, ok := row[e.To]; ok {
+			if j := b.pos[e.To]; j >= 0 {
 				yj = y[j]
 			}
 			d := -tau[i] * (y[i] - yj)

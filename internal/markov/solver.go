@@ -151,9 +151,10 @@ func resizeFloats(v []float64, n int) []float64 {
 // fails Validate or the absorption matrix is singular. Chains whose
 // transient count reaches the sparse crossover (SetSparseMinStates)
 // solve through the sparse symbolic/numeric path, agreeing with dense to
-// ≤1e-12 relative error; smaller chains are bit-identical to
-// Absorption's MeanTimeToAbsorption via dense LU. A mutable chain is
-// solved as its frozen equivalent without being frozen.
+// ≤1e-12 relative error. Absorption and RateSensitivities solve through
+// the same one-cell path, so their MTTA is bit-identical to this one on
+// every chain. A mutable chain is solved as its frozen equivalent
+// without being frozen.
 //
 // When the context holds an active span (obs.StartSpan), the solve and
 // its stages — symbolic analysis, numeric refactorization, triangular

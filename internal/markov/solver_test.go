@@ -2,6 +2,7 @@ package markov
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 )
 
@@ -21,7 +22,8 @@ func solverTestChain(f float64) *Chain {
 // TestSolverMatchesAbsorption pins the bit-identity contract: one-cell
 // solves through a reused BatchSolver, the pooled MTTA and the one-shot
 // Absorption path produce the same MTTA, across chains of different
-// sizes through the same BatchSolver instance.
+// sizes through the same BatchSolver instance, on the dense and the
+// sparse route.
 func TestSolverMatchesAbsorption(t *testing.T) {
 	s := NewBatchSolver()
 	chains := []*Chain{
@@ -29,6 +31,10 @@ func TestSolverMatchesAbsorption(t *testing.T) {
 		solverTestChain(7.5),
 		bigSolverChain(12),
 		solverTestChain(0.2),
+		sizedRandomAbsorbingChain(rand.New(rand.NewSource(5)), 20, 3), // sparse route
+	}
+	if st, err := AbsorptionSparseStats(chains[4]); err != nil || !st.Sparse {
+		t.Fatalf("chain 4: want the sparse route, got %+v, %v", st, err)
 	}
 	for i, c := range chains {
 		res, err := Absorption(c)

@@ -126,15 +126,15 @@ func freshRefillChain(s float64) *Chain {
 	return c.Freeze()
 }
 
-// Property: a refilled chain is bit-identical to a freshly built one —
-// the recycling model builders use is invisible in results.
+// Property: a chain refilled through ApplyRates solves bit-identically
+// to a freshly built one — structural zero edges (s == 2) included — so
+// the recycling model refillers use is invisible in results.
 func TestRefillMatchesFreshBuild(t *testing.T) {
 	c := freshRefillChain(1)
 	for _, s := range []float64{0.5, 2, 1, 7.25} {
-		c.BeginRefill()
-		refillTopology(c, s)
-		c.EndRefill()
-		want, err := MTTA(context.Background(), freshRefillChain(s))
+		fresh := freshRefillChain(s)
+		copyRates(c, fresh)
+		want, err := MTTA(context.Background(), fresh)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,9 +188,8 @@ func TestFrozenChainSealed(t *testing.T) {
 		f()
 	}
 	mustPanic("new state", func() { c.State("zz") })
-	mustPanic("rate outside refill", func() { c.AddRate("a", "b", 1) })
-	c.BeginRefill()
-	mustPanic("edge outside topology", func() { c.AddEdge("a", "c", 1) })
+	mustPanic("rate on frozen chain", func() { c.AddRate("a", "b", 1) })
+	mustPanic("edge on frozen chain", func() { c.AddEdge("a", "c", 1) })
 }
 
 func TestFrozenSuccessorsViewNoAlloc(t *testing.T) {

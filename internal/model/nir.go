@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -28,101 +29,112 @@ import (
 //   - the most recent failure repairs at μ_N or μ_d (back to its parent
 //     state), matching the appendix's structure.
 func NIRChain(in closedform.NIRInputs, k int) *markov.Chain {
+	e := nirEmitter{k: k}
+	return e.build(in)
+}
+
+// nirEmitter is the one home of the NIR rate expressions. fill emits
+// every edge of the chain for in, depth first: a state's repair edge,
+// then its failure edges, then its N child's subtree, then its d
+// child's. States are named by the heap
+// index 1<<j | word of their j-letter failure stack (word: the letters
+// as bits, first failure most significant, 1 = drive), so a child is
+// id<<1 or id<<1|1 and the parent id>>1; nirName renders the labels.
+// Edges are emitted even at a rate of exactly zero (e.g. h clamped to 1),
+// so the chain's topology is a function of k alone.
+type nirEmitter struct {
+	emission
+	k  int
+	in closedform.NIRInputs
+	hs []float64 // h_α table for in, indexed by word bits (hAt)
+}
+
+// build fills the emitter for in, recording endpoints, and lays the
+// chain out.
+func (e *nirEmitter) build(in closedform.NIRInputs) *markov.Chain {
+	e.record = true
+	e.fill(in)
+	return e.layout("nir/"+strconv.Itoa(e.k), nirName(e.k), 1)
+}
+
+// fill validates in against the emitter's fault tolerance and emits its
+// rates. The h_α table is evaluated once per fill into reused storage.
+func (e *nirEmitter) fill(in closedform.NIRInputs) {
+	k := e.k
 	if k < 1 {
 		panic(fmt.Sprintf("model: fault tolerance %d must be >= 1", k))
 	}
 	if in.N <= k+1 || in.R <= k || in.R > in.N || in.D < 1 {
 		panic(fmt.Sprintf("model: invalid NIR geometry N=%d R=%d d=%d k=%d", in.N, in.R, in.D, k))
 	}
-	label := "nir/" + strconv.Itoa(k)
-	if c := acquireChain(label); c != nil {
-		c.BeginRefill()
-		buildNIR(c, in, k, "")
-		c.EndRefill()
-		return c
-	}
-	c := markov.NewChain()
-	c.SetLabel(label)
-	c.SetInitial(padLabel("", k))
-	c.SetAbsorbing("loss")
-	buildNIR(c, in, k, "")
-	return c.Freeze()
+	e.in = in
+	e.rates = e.rates[:0]
+	e.hs = combinat.AppendHSet(e.hs[:0], in.N, in.R, in.D, in.CHER, k)
+	e.emit(0, 0)
 }
 
-// padLabel renders a failure stack as the paper's fixed-width label,
-// e.g. "N" with k=3 → "N00".
-func padLabel(stack string, k int) string {
-	return stack + strings.Repeat("0", k-len(stack))
-}
-
-// buildNIR adds the transitions out of the state with the given failure
-// stack, then recurses into its children. Edges are added with AddEdge —
-// kept even at a rate of exactly zero (e.g. h clamped to 1) — so the
-// chain's topology is a function of k alone and refills of a recycled
-// chain always land on existing edges. The sink is either the chain
-// itself or an edgeRecorder compiling the sweep refill program; both see
-// the identical emission order. The h_α table is evaluated once per
-// build (see hAt).
-func buildNIR(c edgeSink, in closedform.NIRInputs, k int, stack string) {
-	b := nirBuilder{c: c, in: in, k: k, hs: combinat.HSet(in.N, in.R, in.D, in.CHER, k)}
-	word := 0
-	for i := 0; i < len(stack); i++ {
-		word <<= 1
-		if stack[i] == 'd' {
-			word |= 1
-		}
-	}
-	b.emit(stack, word)
-}
-
-// nirBuilder carries buildNIR's per-build constants through the
-// recursion.
-type nirBuilder struct {
-	c  edgeSink
-	in closedform.NIRInputs
-	k  int
-	hs []float64
-}
-
-// emit is buildNIR for one state; word is the stack's letters as bits
-// (see hAt).
-func (b *nirBuilder) emit(stack string, word int) {
-	in, k := b.in, b.k
-	j := len(stack)
-	label := padLabel(stack, k)
+// emit emits the edges out of the state with j outstanding failures
+// whose stack is word, then recurses into its children.
+func (e *nirEmitter) emit(j, word int) {
+	in := &e.in
+	id := 1<<j | word
 	n := float64(in.N) - float64(j)
 	d := float64(in.D)
 
 	// Repair of the most recent failure.
 	if j > 0 {
 		mu := in.MuN
-		if stack[j-1] == 'd' {
+		if word&1 == 1 {
 			mu = in.MuD
 		}
-		b.c.AddEdge(label, padLabel(stack[:j-1], k), mu)
+		e.add(id, id>>1, mu)
 	}
 
-	if j == k {
+	if j == e.k {
 		// Fully degraded: any further failure loses data.
-		b.c.AddEdge(label, "loss", n*(in.LambdaN+d*in.LambdaD))
+		e.add(id, lossState, n*(in.LambdaN+d*in.LambdaD))
 		return
 	}
 
 	nodeRate := n * in.LambdaN
 	driveRate := n * d * in.LambdaD
-	if j == k-1 {
+	if j == e.k-1 {
 		// The next rebuild is critical: sector errors can lose data.
-		hN := hAt(b.hs, word<<1)
-		hD := hAt(b.hs, word<<1|1)
-		b.c.AddEdge(label, padLabel(stack+"N", k), nodeRate*(1-hN))
-		b.c.AddEdge(label, padLabel(stack+"d", k), driveRate*(1-hD))
-		b.c.AddEdge(label, "loss", nodeRate*hN+driveRate*hD)
+		hN := hAt(e.hs, word<<1)
+		hD := hAt(e.hs, word<<1|1)
+		e.add(id, id<<1, nodeRate*(1-hN))
+		e.add(id, id<<1|1, driveRate*(1-hD))
+		e.add(id, lossState, nodeRate*hN+driveRate*hD)
 	} else {
-		b.c.AddEdge(label, padLabel(stack+"N", k), nodeRate)
-		b.c.AddEdge(label, padLabel(stack+"d", k), driveRate)
+		e.add(id, id<<1, nodeRate)
+		e.add(id, id<<1|1, driveRate)
 	}
-	b.emit(stack+"N", word<<1)
-	b.emit(stack+"d", word<<1|1)
+	e.emit(j+1, word<<1)
+	e.emit(j+1, word<<1|1)
+}
+
+// nirName renders nirEmitter state ids as the paper's fixed-width
+// labels, e.g. the stack "N" with k = 3 → "N00"; id 1 (no failures) is
+// the initial state. Each label is rendered once, up front.
+func nirName(k int) func(id int) string {
+	names := make([]string, 2<<k)
+	for id := 1; id < len(names); id++ {
+		j := bits.Len(uint(id)) - 1
+		b := []byte(strings.Repeat("0", k))
+		for i := 0; i < j; i++ {
+			b[i] = 'N'
+			if id>>(j-1-i)&1 == 1 {
+				b[i] = 'd'
+			}
+		}
+		names[id] = string(b)
+	}
+	return func(id int) string {
+		if id == lossState {
+			return "loss"
+		}
+		return names[id]
+	}
 }
 
 // hAt returns h_α from hs = combinat.HSet(N, R, d, C·HER, k) for the

@@ -1,49 +1,84 @@
 package model
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/closedform"
-	"repro/internal/combinat"
 	"repro/internal/markov"
 )
 
-// String-free chain refills for batched sweeps.
+// One rate emitter per chain family.
 //
-// Profiling the exact-chain sweep shows the per-cell cost dominated not
-// by the linear solve but by chain construction: buildNIR/buildIR spend
-// their time concatenating state labels, padding them, and looking the
-// strings up in the chain's name map — allocation-heavy work that
-// repeats identically for every cell of a sweep. A refiller runs the
-// builder ONCE through an edgeRecorder to compile the label arithmetic
-// down to a program of frozen-chain edge indices, then refills each cell
-// by evaluating only the rate expressions (in the builder's exact
-// emission order) and replaying them through markov.Chain.ApplyRates.
-// Accumulation order and exit-sum order match the string path addition
-// for addition, so a refilled chain is bit-identical to a freshly built
-// one — a batched sweep cell reproduces a solve of the string-built
-// chain exactly.
+// Each §5.2 rate expression is written once, in a string-free emitter
+// (nirEmitter, irEmitter) that appends a chain's rates in a fixed
+// emission order and names states by small integers. A topology build
+// (NIRChain, IRChain) runs the emitter with endpoint recording on and
+// renders the state labels once, while laying the chain out. A refiller
+// compiles the recorded endpoints to frozen-chain edge indices once, then
+// refills each cell by re-running the emitter with recording off and
+// handing the rates to markov.Chain.ApplyRates: no strings, no maps, no
+// allocation and no per-edge interface or closure call. Fresh build and
+// refill see the same rates in the same order and sum exits in the same
+// sorted order, so a refilled chain is bit-identical to a fresh one — a
+// batched sweep cell reproduces a solve of the freshly built chain
+// exactly.
 
-// edgeSink receives the builders' emissions: the chain itself on the
-// build/refill string path, or an edgeRecorder when compiling a program.
-type edgeSink interface {
-	AddEdge(from, to string, rate float64)
+// lossState is the emitters' id of the absorbing data-loss state.
+const lossState = -1
+
+// edgeEnds is one emitted edge's endpoints as emitter state ids.
+type edgeEnds struct{ from, to int }
+
+// emission collects one emitter pass: the rates in emission order and,
+// when record is set (topology builds only), their endpoints.
+type emission struct {
+	rates  []float64
+	ends   []edgeEnds
+	record bool
 }
 
-// edgeRecorder resolves each emitted (from, to) label pair against a
-// frozen chain once, recording the edge index; rates are ignored.
-type edgeRecorder struct {
-	c       *markov.Chain
-	program []int
-}
-
-func (r *edgeRecorder) AddEdge(from, to string, rate float64) {
-	idx := r.c.EdgeIndex(from, to)
-	if idx < 0 {
-		panic(fmt.Sprintf("model: recorded edge %s→%s not in frozen topology %q", from, to, r.c.Label()))
+func (e *emission) add(from, to int, rate float64) {
+	e.rates = append(e.rates, rate)
+	if e.record {
+		e.ends = append(e.ends, edgeEnds{from, to})
 	}
-	r.program = append(r.program, idx)
+}
+
+// layout lays a recorded emission out as a frozen chain with the given
+// topology label, naming states through name. States are created in
+// emission order after the initial and loss states; every edge is added
+// with AddEdge, so zero-rate edges stay structural.
+func (e *emission) layout(label string, name func(int) string, initial int) *markov.Chain {
+	c := markov.NewChain()
+	c.SetLabel(label)
+	c.SetInitial(name(initial))
+	c.SetAbsorbing(name(lossState))
+	for i, ee := range e.ends {
+		c.AddEdge(name(ee.from), name(ee.to), e.rates[i])
+	}
+	return c.Freeze()
+}
+
+// compile resolves the recorded endpoints against c, the chain laid out
+// from them, to a refill program of frozen edge indices, and turns
+// recording off.
+func (e *emission) compile(c *markov.Chain, name func(int) string) []int {
+	program := make([]int, len(e.ends))
+	for i, ee := range e.ends {
+		program[i] = c.EdgeIndex(name(ee.from), name(ee.to))
+	}
+	e.ends, e.record = nil, false
+	return program
+}
+
+// loadPool returns the refiller pool for key in m, creating it on the
+// first miss only, so a warm Release allocates nothing.
+func loadPool(m *sync.Map, key int) *sync.Pool {
+	if p, ok := m.Load(key); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := m.LoadOrStore(key, &sync.Pool{})
+	return p.(*sync.Pool)
 }
 
 // NIRRefiller refills a no-internal-RAID chain of fixed fault tolerance
@@ -52,11 +87,8 @@ func (r *edgeRecorder) AddEdge(from, to string, rate float64) {
 // AcquireNIRRefiller).
 type NIRRefiller struct {
 	c       *markov.Chain
-	k       int
 	program []int
-	rates   []float64
-	hs      []float64 // h_α table for in, indexed by word bits (hAt)
-	in      closedform.NIRInputs
+	e       nirEmitter
 }
 
 var nirRefillers sync.Map // k → *sync.Pool of *NIRRefiller
@@ -65,92 +97,35 @@ var nirRefillers sync.Map // k → *sync.Pool of *NIRRefiller
 // chain filled for in — recycled when the pool has one, compiled fresh
 // otherwise. Panics on invalid geometry, exactly like NIRChain.
 func AcquireNIRRefiller(in closedform.NIRInputs, k int) *NIRRefiller {
-	if p, ok := nirRefillers.Load(k); ok {
-		if r, _ := p.(*sync.Pool).Get().(*NIRRefiller); r != nil {
-			r.Refill(in)
-			return r
-		}
+	if r, _ := loadPool(&nirRefillers, k).Get().(*NIRRefiller); r != nil {
+		r.Refill(in)
+		return r
 	}
-	c := NIRChain(in, k) // validates, builds (or refills) with in's rates
-	rec := edgeRecorder{c: c}
-	buildNIR(&rec, in, k, "")
-	return &NIRRefiller{
-		c:       c,
-		k:       k,
-		program: rec.program,
-		rates:   make([]float64, 0, len(rec.program)),
-		hs:      make([]float64, 0, 1<<k),
-	}
+	r := &NIRRefiller{e: nirEmitter{k: k}}
+	r.c = r.e.build(in)
+	r.program = r.e.compile(r.c, nirName(k))
+	return r
 }
 
 // Release hands the refiller (and its captive chain) back for recycling.
 // The caller must not use it, or its chain, afterwards.
-func (r *NIRRefiller) Release() {
-	p, _ := nirRefillers.LoadOrStore(r.k, &sync.Pool{})
-	p.(*sync.Pool).Put(r)
-}
+func (r *NIRRefiller) Release() { loadPool(&nirRefillers, r.e.k).Put(r) }
 
 // Chain returns the refiller's chain, filled by the last Refill.
 func (r *NIRRefiller) Chain() *markov.Chain { return r.c }
 
-// Refill loads in's rates into the chain and returns it. The rate
-// expressions and their emission order mirror buildNIR exactly.
+// Refill loads in's rates into the chain and returns it.
 func (r *NIRRefiller) Refill(in closedform.NIRInputs) *markov.Chain {
-	if in.N <= r.k+1 || in.R <= r.k || in.R > in.N || in.D < 1 {
-		panic(fmt.Sprintf("model: invalid NIR geometry N=%d R=%d d=%d k=%d", in.N, in.R, in.D, r.k))
-	}
-	r.in = in
-	r.rates = r.rates[:0]
-	r.hs = combinat.AppendHSet(r.hs[:0], in.N, in.R, in.D, in.CHER, r.k)
-	r.emitNIR(0, 0)
-	r.c.ApplyRates(r.program, r.rates)
+	r.e.fill(in)
+	r.c.ApplyRates(r.program, r.e.rates)
 	return r.c
-}
-
-// emitNIR is buildNIR with the label arithmetic deleted: same recursion,
-// same float expressions, same order, rates only. word holds the j
-// outstanding failures as bits, most recent lowest (see hAt).
-func (r *NIRRefiller) emitNIR(j, word int) {
-	in := r.in
-	n := float64(in.N) - float64(j)
-	d := float64(in.D)
-
-	if j > 0 {
-		mu := in.MuN
-		if word&1 == 1 {
-			mu = in.MuD
-		}
-		r.rates = append(r.rates, mu)
-	}
-
-	if j == r.k {
-		r.rates = append(r.rates, n*(in.LambdaN+d*in.LambdaD))
-		return
-	}
-
-	nodeRate := n * in.LambdaN
-	driveRate := n * d * in.LambdaD
-	if j == r.k-1 {
-		hN := hAt(r.hs, word<<1)
-		hD := hAt(r.hs, word<<1|1)
-		r.rates = append(r.rates, nodeRate*(1-hN))
-		r.rates = append(r.rates, driveRate*(1-hD))
-		r.rates = append(r.rates, nodeRate*hN+driveRate*hD)
-	} else {
-		r.rates = append(r.rates, nodeRate)
-		r.rates = append(r.rates, driveRate)
-	}
-	r.emitNIR(j+1, word<<1)
-	r.emitNIR(j+1, word<<1|1)
 }
 
 // IRRefiller is the internal-RAID counterpart of NIRRefiller.
 type IRRefiller struct {
 	c       *markov.Chain
-	k       int
 	program []int
-	rates   []float64
-	in      closedform.IRInputs
+	e       irEmitter
 }
 
 var irRefillers sync.Map // k → *sync.Pool of *IRRefiller
@@ -158,57 +133,25 @@ var irRefillers sync.Map // k → *sync.Pool of *IRRefiller
 // AcquireIRRefiller returns a refiller for fault tolerance k with its
 // chain filled for in. Panics on invalid geometry, exactly like IRChain.
 func AcquireIRRefiller(in closedform.IRInputs, k int) *IRRefiller {
-	if p, ok := irRefillers.Load(k); ok {
-		if r, _ := p.(*sync.Pool).Get().(*IRRefiller); r != nil {
-			r.Refill(in)
-			return r
-		}
+	if r, _ := loadPool(&irRefillers, k).Get().(*IRRefiller); r != nil {
+		r.Refill(in)
+		return r
 	}
-	c := IRChain(in, k)
-	rec := edgeRecorder{c: c}
-	buildIR(&rec, in, k)
-	return &IRRefiller{
-		c:       c,
-		k:       k,
-		program: rec.program,
-		rates:   make([]float64, 0, len(rec.program)),
-	}
+	r := &IRRefiller{e: irEmitter{k: k}}
+	r.c = r.e.build(in)
+	r.program = r.e.compile(r.c, irName)
+	return r
 }
 
 // Release hands the refiller (and its captive chain) back for recycling.
-func (r *IRRefiller) Release() {
-	p, _ := irRefillers.LoadOrStore(r.k, &sync.Pool{})
-	p.(*sync.Pool).Put(r)
-}
+func (r *IRRefiller) Release() { loadPool(&irRefillers, r.e.k).Put(r) }
 
 // Chain returns the refiller's chain, filled by the last Refill.
 func (r *IRRefiller) Chain() *markov.Chain { return r.c }
 
-// Refill loads in's rates into the chain and returns it, mirroring
-// buildIR's expressions and order.
+// Refill loads in's rates into the chain and returns it.
 func (r *IRRefiller) Refill(in closedform.IRInputs) *markov.Chain {
-	if in.N <= r.k+1 || in.R < r.k+1 || in.R > in.N {
-		panic(fmt.Sprintf("model: invalid IR geometry N=%d R=%d k=%d", in.N, in.R, r.k))
-	}
-	r.in = in
-	r.rates = r.rates[:0]
-	r.emitIR()
-	r.c.ApplyRates(r.program, r.rates)
+	r.e.fill(in)
+	r.c.ApplyRates(r.program, r.e.rates)
 	return r.c
-}
-
-// emitIR is buildIR with the labels deleted.
-func (r *IRRefiller) emitIR() {
-	in := r.in
-	n := float64(in.N)
-	lambda := in.LambdaN + in.LambdaArray
-	kk := combinat.CriticalFraction(in.N, in.R, r.k)
-	for i := 0; i < r.k; i++ {
-		r.rates = append(r.rates, (n-float64(i))*lambda)
-		if i > 0 {
-			r.rates = append(r.rates, in.MuN)
-		}
-	}
-	r.rates = append(r.rates, in.MuN)
-	r.rates = append(r.rates, (n-float64(r.k))*(lambda+kk*in.LambdaSector))
 }

@@ -67,18 +67,7 @@ func randomIRInputs(rng *rand.Rand, k int) closedform.IRInputs {
 	}
 }
 
-// freshNIR builds the k-tolerant NIR chain for in through the string
-// builder into a new chain labelled like the refiller's.
-func freshNIR(label string, in closedform.NIRInputs, k int) *markov.Chain {
-	c := markov.NewChain()
-	c.SetLabel(label)
-	c.SetInitial(padLabel("", k))
-	c.SetAbsorbing("loss")
-	buildNIR(c, in, k, "")
-	return c.Freeze()
-}
-
-// The refill program must track the string builder in lockstep: for any
+// The refill program must track the topology build in lockstep: for any
 // valid inputs, Refill produces a chain bit-identical to a fresh
 // NIRChain build — every rate and every exit sum — up to k = 7, the
 // deepest chains the exact-chain sweeps serve.
@@ -88,14 +77,7 @@ func TestNIRRefillerLockstep(t *testing.T) {
 		r := AcquireNIRRefiller(randomNIRInputs(rng, k), k)
 		for trial := 0; trial < 25; trial++ {
 			in := randomNIRInputs(rng, k)
-			got := r.Refill(in)
-			want := markov.NewChain()
-			want.SetLabel(got.Label())
-			want.SetInitial(padLabel("", k))
-			want.SetAbsorbing("loss")
-			buildNIR(want, in, k, "")
-			want.Freeze()
-			chainsBitwiseEqual(t, got, want)
+			chainsBitwiseEqual(t, r.Refill(in), NIRChain(in, k))
 		}
 		r.Release()
 	}
@@ -107,22 +89,15 @@ func TestIRRefillerLockstep(t *testing.T) {
 		r := AcquireIRRefiller(randomIRInputs(rng, k), k)
 		for trial := 0; trial < 25; trial++ {
 			in := randomIRInputs(rng, k)
-			got := r.Refill(in)
-			want := markov.NewChain()
-			want.SetLabel(got.Label())
-			want.SetInitial("0")
-			want.SetAbsorbing("loss")
-			buildIR(want, in, k)
-			want.Freeze()
-			chainsBitwiseEqual(t, got, want)
+			chainsBitwiseEqual(t, r.Refill(in), IRChain(in, k))
 		}
 		r.Release()
 	}
 }
 
 // With a large C·HER, d = 12 and R close to N, h_α exceeds 1 for
-// node-heavy words: the refill must clamp exactly where the string
-// builder does, leaving the clamped critical edges at rate zero.
+// node-heavy words: the refill must clamp exactly where the topology
+// build does, leaving the clamped critical edges at rate zero.
 func TestNIRRefillerClampsH(t *testing.T) {
 	const k = 3
 	in := closedform.NIRInputs{
@@ -141,7 +116,7 @@ func TestNIRRefillerClampsH(t *testing.T) {
 	r := AcquireNIRRefiller(randomNIRInputs(rand.New(rand.NewSource(29)), k), k)
 	defer r.Release()
 	got := r.Refill(in)
-	chainsBitwiseEqual(t, got, freshNIR(got.Label(), in, k))
+	chainsBitwiseEqual(t, got, NIRChain(in, k))
 	from, _ := got.StateIndex("NN0")
 	to, _ := got.StateIndex("NNN")
 	for _, e := range got.Successors(from) {
@@ -169,7 +144,7 @@ func TestNIRRefillerGeometryChanges(t *testing.T) {
 		in.LambdaN, in.LambdaD = 1e-5*float64(i+1), 4e-6
 		in.MuN, in.MuD = 0.1, 0.5/float64(i+1)
 		got := r.Refill(in)
-		chainsBitwiseEqual(t, got, freshNIR(got.Label(), in, k))
+		chainsBitwiseEqual(t, got, NIRChain(in, k))
 	}
 }
 
@@ -180,12 +155,7 @@ func TestRefillerPoolRoundTrip(t *testing.T) {
 	const k = 3
 	in := randomNIRInputs(rng, k)
 	r1 := AcquireNIRRefiller(in, k)
-	fresh := markov.NewChain()
-	fresh.SetLabel(r1.Chain().Label())
-	fresh.SetInitial(padLabel("", k))
-	fresh.SetAbsorbing("loss")
-	buildNIR(fresh, in, k, "")
-	fresh.Freeze()
+	fresh := NIRChain(in, k)
 	chainsBitwiseEqual(t, r1.Chain(), fresh)
 	r1.Release()
 	r2 := AcquireNIRRefiller(in, k)
@@ -193,8 +163,9 @@ func TestRefillerPoolRoundTrip(t *testing.T) {
 	r2.Release()
 }
 
-// Refill is the batch sweep's per-cell chain cost; it must not allocate
-// after the first call.
+// Refill is the batch sweep's per-cell chain cost, and a warm
+// Acquire→Refill→Release round trip is every exact-chain AnalyzeCtx's;
+// neither may allocate.
 func TestRefillAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	nirIn := randomNIRInputs(rng, 4)
@@ -210,6 +181,23 @@ func TestRefillAllocs(t *testing.T) {
 	ir.Refill(irIn)
 	if n := testing.AllocsPerRun(100, func() { ir.Refill(irIn) }); n != 0 {
 		t.Errorf("IRRefiller.Refill allocates %v times per run, want 0", n)
+	}
+	if raceEnabled {
+		return // sync.Pool drops Puts at random under the race detector
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r := AcquireNIRRefiller(nirIn, 4)
+		r.Refill(nirIn)
+		r.Release()
+	}); n != 0 {
+		t.Errorf("warm NIR Acquire→Refill→Release allocates %v times per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r := AcquireIRRefiller(irIn, 4)
+		r.Refill(irIn)
+		r.Release()
+	}); n != 0 {
+		t.Errorf("warm IR Acquire→Refill→Release allocates %v times per run, want 0", n)
 	}
 }
 
