@@ -9,6 +9,7 @@ package nsr
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -596,6 +597,42 @@ func BenchmarkSweepBatch(b *testing.B) {
 		{"cells=10240/batched", 10_240},
 	} {
 		b.Run(c.name, func(b *testing.B) { benchSweepGrid(b, c.nx) })
+	}
+}
+
+// BenchmarkSweepBatchDeep runs the cold exact-chain sweep grid of
+// perfbench's sweep-deep workload in process: 5 configurations (no
+// internal RAID at ft 5, 6 and 7; internal RAID 5 and 6 at ft 5) × 512
+// geometric drive MTTFs from 20k to 200k hours at r = 48, through
+// core.Sweep at 1 and 2 workers. Every cell is a refill, fill, sparse
+// refactor and solve on one of five frozen topologies, so the per-cell
+// cost of that path shows here without perfbench's HTTP layers.
+func BenchmarkSweepBatchDeep(b *testing.B) {
+	p := params.Baseline()
+	p.RedundancySetSize = 48
+	p.NodeMTTFHours = 1.5e5
+	p.HardErrorRate = 1e-13
+	cfgs := []core.Config{
+		{Internal: core.InternalNone, NodeFaultTolerance: 5},
+		{Internal: core.InternalNone, NodeFaultTolerance: 6},
+		{Internal: core.InternalNone, NodeFaultTolerance: 7},
+		{Internal: core.InternalRAID5, NodeFaultTolerance: 5},
+		{Internal: core.InternalRAID6, NodeFaultTolerance: 5},
+	}
+	xs := make([]float64, 512)
+	for i := range xs {
+		xs[i] = 2e4 * math.Pow(10, float64(i)/float64(len(xs)-1))
+	}
+	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Sweep(context.Background(), p, cfgs, core.MethodExactChain, xs, apply, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(xs)*len(cfgs)), "us/cell")
+		})
 	}
 }
 

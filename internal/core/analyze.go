@@ -96,8 +96,8 @@ func Analyze(p params.Parameters, cfg Config, method Method) (Result, error) {
 // closed-form evaluation or one chain solve; results are identical to
 // Analyze.
 func AnalyzeCtx(ctx context.Context, p params.Parameters, cfg Config, method Method) (Result, error) {
-	pr, err := analyzePrep(p, cfg, method)
-	if err != nil {
+	var pr analysisPrep
+	if err := analyzePrep(&pr, p, cfg, method); err != nil {
 		return Result{}, err
 	}
 	k, nir := pr.k, cfg.Internal == InternalNone
@@ -116,8 +116,8 @@ func AnalyzeCtx(ctx context.Context, p params.Parameters, cfg Config, method Met
 			ch = r.Chain()
 		}
 		fsp.End()
-		mttdl, err = markov.MTTA(ctx, ch)
-		if err != nil {
+		var err error
+		if mttdl, err = markov.MTTA(ctx, ch); err != nil {
 			return Result{}, chainSolveError(nir, err)
 		}
 	case method == MethodClosedForm && nir:
@@ -147,24 +147,25 @@ type analysisPrep struct {
 }
 
 // analyzePrep validates (p, cfg) and computes everything upstream of the
-// MTTDL solve, in the exact order AnalyzeCtx always has, so error
-// messages and float results are unchanged.
-func analyzePrep(p params.Parameters, cfg Config, method Method) (analysisPrep, error) {
-	var pr analysisPrep
+// MTTDL solve into pr, in the exact order AnalyzeCtx always has, so error
+// messages and float results are unchanged. It fills pr in place (the
+// batched engine's chunk slots are reused cell after cell), setting the
+// inputs of cfg's chain family only; on error pr is unspecified.
+func analyzePrep(pr *analysisPrep, p params.Parameters, cfg Config, method Method) error {
 	if err := p.Validate(); err != nil {
-		return pr, err
+		return err
 	}
 	if err := cfg.Validate(); err != nil {
-		return pr, err
+		return err
 	}
 	k := cfg.NodeFaultTolerance
 	switch {
 	case p.NodeSetSize <= k+1:
-		return pr, fmt.Errorf("core: node set size %d too small for fault tolerance %d", p.NodeSetSize, k)
+		return fmt.Errorf("core: node set size %d too small for fault tolerance %d", p.NodeSetSize, k)
 	case p.RedundancySetSize <= k:
-		return pr, fmt.Errorf("core: redundancy set size %d too small for fault tolerance %d", p.RedundancySetSize, k)
+		return fmt.Errorf("core: redundancy set size %d too small for fault tolerance %d", p.RedundancySetSize, k)
 	case cfg.Internal != InternalNone && p.DrivesPerNode <= cfg.Internal.ParityDrives():
-		return pr, fmt.Errorf("core: %d drives per node cannot form %s", p.DrivesPerNode, cfg.Internal)
+		return fmt.Errorf("core: %d drives per node cannot form %s", p.DrivesPerNode, cfg.Internal)
 	}
 
 	rates := rebuild.Compute(p, k)
@@ -206,7 +207,7 @@ func analyzePrep(p params.Parameters, cfg Config, method Method) (analysisPrep, 
 			MuN:          rates.NodeRebuild,
 		}
 	}
-	return pr, nil
+	return nil
 }
 
 // chainSolveError wraps a chain-solve failure in AnalyzeCtx's wording.

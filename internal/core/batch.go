@@ -19,10 +19,11 @@ import (
 // share one frozen topology (the model builders' state/edge sets are
 // functions of the fault tolerance alone, never of the swept
 // parameters). Each chunk binds that topology into a structure-of-arrays
-// markov.BatchSolver once, refills rates per cell through the compiled
-// string-free model refillers, scatters them into the solver's value
-// slab, and runs Refactor+Solve per cell — zero per-cell allocation,
-// with spans and metric observations amortized to one per chunk.
+// markov.BatchSolver once, emits rates per cell through the compiled
+// string-free model refillers straight into the solver's value slab
+// (one validating fill pass, no chain in between), and runs
+// Refactor+Solve per cell — zero per-cell allocation, with spans and
+// metric observations amortized to one per chunk.
 //
 // Results are bitwise identical to AnalyzeCtx on each cell at any
 // worker count and any chunk size: refills, matrix assembly, routing and
@@ -76,10 +77,10 @@ func AnalyzeChainBatchCtx(ctx context.Context, cfg Config, ps []params.Parameter
 	return bc.analyze(ctx, cfg, ps, out)
 }
 
-// analyze is the one chunk body: prep + string-free refill + rate
-// validation + slab scatter per cell, stopping at the first failing
-// fill, then one Refactor+Solve+finish pass over the filled cells. A
-// solve failure at cell i < the failing fill outranks the fill failure
+// analyze is the one chunk body: per cell, prep into the chunk's slot
+// and the refiller's emitted rates straight into the solver's slab
+// (FillRates validates them), stopping at the first failing fill; then
+// one Refactor+Solve+finish pass over the filled cells. A solve failure at cell i < the failing fill outranks the fill failure
 // — it is the earlier cell, which is what a serial per-cell loop would
 // have reported. A chunk with no filled cell opens no chunk span and
 // records no chunk.
@@ -112,39 +113,42 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, ps []params.Param
 		if err := ctx.Err(); err != nil {
 			return -1, err
 		}
-		pr, err := analyzePrep(ps[i], cfg, MethodExactChain)
-		if err != nil {
+		pr := &bc.preps[i]
+		if err := analyzePrep(pr, ps[i], cfg, MethodExactChain); err != nil {
 			fillFail, fillErr = i, err
 			break
 		}
-		var ch *markov.Chain
+		var (
+			rates   []float64
+			ch      *markov.Chain
+			program []int
+		)
 		if isNIR {
 			if nir == nil {
 				nir = model.AcquireNIRRefiller(pr.nir, pr.k)
-				ch = nir.Chain()
-			} else {
-				ch = nir.Refill(pr.nir)
+				ch, program = nir.Chain(), nir.Program()
 			}
+			rates = nir.Emit(pr.nir)
 		} else {
 			if ir == nil {
 				ir = model.AcquireIRRefiller(pr.ir, pr.k)
-				ch = ir.Chain()
-			} else {
-				ch = ir.Refill(pr.ir)
+				ch, program = ir.Chain(), ir.Program()
 			}
+			rates = ir.Emit(pr.ir)
 		}
 		if i == 0 {
 			if err := bs.Bind(ctx, ch); err != nil {
 				return 0, chainSolveError(isNIR, err)
 			}
 			bs.Cells(len(ps))
+			if err := bs.BindProgram(program); err != nil {
+				return 0, chainSolveError(isNIR, err)
+			}
 		}
-		if err := bs.ValidateRates(ch); err != nil {
+		if err := bs.FillRates(i, rates); err != nil {
 			fillFail, fillErr = i, chainSolveError(isNIR, err)
 			break
 		}
-		bs.Fill(i, ch)
-		bc.preps[i] = pr
 		filled++
 	}
 
@@ -288,9 +292,8 @@ func runBatchChunk(ctx context.Context, base params.Parameters, cfg Config, xs [
 	defer chunkPool.Put(bc)
 	bc.ps = bc.ps[:0]
 	for _, x := range xs {
-		p := base
-		apply(&p, x)
-		bc.ps = append(bc.ps, p)
+		bc.ps = append(bc.ps, base)
+		apply(&bc.ps[len(bc.ps)-1], x)
 	}
 	if cap(bc.res) < len(xs) {
 		bc.res = make([]Result, len(xs))
@@ -302,8 +305,8 @@ func runBatchChunk(ctx context.Context, base params.Parameters, cfg Config, xs [
 		}
 		return cell, err
 	}
-	for i, r := range res {
-		pts[i].Results[ci] = r
+	for i := range res {
+		pts[i].Results[ci] = res[i]
 	}
 	return -1, nil
 }

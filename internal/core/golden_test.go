@@ -131,8 +131,8 @@ func TestMTTAGolden(t *testing.T) {
 			for k := 1; k <= 7; k++ {
 				for _, internal := range []InternalRedundancy{InternalNone, InternalRAID5} {
 					cfg := Config{Internal: internal, NodeFaultTolerance: k}
-					pr, err := analyzePrep(rs.p, cfg, MethodExactChain)
-					if err != nil {
+					var pr analysisPrep
+					if err := analyzePrep(&pr, rs.p, cfg, MethodExactChain); err != nil {
 						t.Fatalf("%v: %v", cfg, err)
 					}
 					var ch *markov.Chain

@@ -73,8 +73,8 @@ func MissionSurvival(p params.Parameters, cfg Config, hours float64, fleetSize i
 // the redundancy set cannot hold). The exposure and mission paths and
 // the chain-inspecting CLIs all build through it.
 func Chain(p params.Parameters, cfg Config) (*markov.Chain, error) {
-	pr, err := analyzePrep(p, cfg, MethodExactChain)
-	if err != nil {
+	var pr analysisPrep
+	if err := analyzePrep(&pr, p, cfg, MethodExactChain); err != nil {
 		return nil, err
 	}
 	if cfg.Internal == InternalNone {

@@ -9,11 +9,14 @@
 // The factorization follows the classic SuiteSparse-style split:
 //
 //   - Analyze computes a fill-reducing ordering and the exact nonzero
-//     pattern of L and U once, from the pattern alone (Symbolic);
-//   - Refactor fills numeric values into that fixed pattern with no
-//     allocation, so sweeps that solve thousands of chains sharing one
-//     topology pay the symbolic cost once and a near-optimal numeric
-//     cost per grid cell;
+//     pattern of L and U once, from the pattern alone, and compiles the
+//     numeric elimination into a program over one factor slot array
+//     (Symbolic);
+//   - Refactor scatters a matrix of that exact pattern into the factor
+//     slots and replays the program, with no allocation and no
+//     permutation lookups, so sweeps that solve thousands of chains
+//     sharing one topology pay the symbolic cost once and a
+//     near-optimal numeric cost per grid cell;
 //   - SolveInto / SolveTransposeInto mirror the dense linalg *Into API
 //     (same aliasing rules, caller-owned outputs, 0 allocs/op).
 //

@@ -1,0 +1,5 @@
+package sparse
+
+// CheckAgainstOracle exposes checkAgainstOracle to the external test
+// package, which builds the reliability chains this package serves.
+var CheckAgainstOracle = checkAgainstOracle

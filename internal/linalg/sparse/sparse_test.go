@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -193,14 +194,199 @@ func TestRefactorMatchesFreshFactorizeBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range nu.lval {
-		if nu.lval[i] != fresh.lval[i] {
-			t.Fatalf("refactored L differs from fresh factorization at %d", i)
+	for i := range nu.val {
+		if nu.val[i] != fresh.val[i] {
+			t.Fatalf("refactored factors differ from fresh factorization at slot %d", i)
 		}
 	}
-	for i := range nu.uval {
-		if nu.uval[i] != fresh.uval[i] {
-			t.Fatalf("refactored U differs from fresh factorization at %d", i)
+}
+
+// oracleRefactor is the scatter/gather Doolittle loop the compiled
+// elimination program replaces: B = P·A·Pᵀ row by row through a dense
+// workspace, eliminating along L's pattern in ascending column order
+// (ikj). It returns fresh L and U value arrays over s's pattern.
+func oracleRefactor(s *Symbolic, a *CSR) (lval, uval []float64, err error) {
+	lval = make([]float64, len(s.li))
+	uval = make([]float64, len(s.ui))
+	w := make([]float64, s.n)
+	for i := 0; i < s.n; i++ {
+		orig := s.perm[i]
+		for p := a.RowPtr[orig]; p < a.RowPtr[orig+1]; p++ {
+			w[s.inv[a.Col[p]]] = a.Val[p]
+		}
+		for p := s.lp[i]; p < s.lp[i+1]; p++ {
+			k := s.li[p]
+			m := w[k] / uval[s.up[k]]
+			lval[p] = m
+			w[k] = 0
+			if m == 0 {
+				continue
+			}
+			for q := s.up[k] + 1; q < s.up[k+1]; q++ {
+				w[s.ui[q]] -= m * uval[q]
+			}
+		}
+		for p := s.up[i]; p < s.up[i+1]; p++ {
+			j := s.ui[p]
+			uval[p] = w[j]
+			w[j] = 0
+		}
+		if uval[s.up[i]] == 0 {
+			return nil, nil, fmt.Errorf("%w: zero pivot at elimination step %d (original row %d)", linalg.ErrSingular, i, orig)
+		}
+	}
+	return lval, uval, nil
+}
+
+// checkAgainstOracle refactors a and compares the compiled program with
+// oracleRefactor: bit-identical L and U values, and bit-identical
+// SolveInto and SolveTransposeInto results against a Numeric holding
+// the oracle's factors. It returns the number of fill slots.
+func checkAgainstOracle(t *testing.T, name string, a *CSR, rng *rand.Rand) int {
+	t.Helper()
+	s, err := Analyze(a)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	nu := NewNumeric(s)
+	if err := nu.Refactor(a); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	lval, uval, err := oracleRefactor(s, a)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	oracle := NewNumeric(s)
+	copy(oracle.lval, lval)
+	copy(oracle.uval, uval)
+	for i := range nu.val {
+		if math.Float64bits(nu.val[i]) != math.Float64bits(oracle.val[i]) {
+			t.Fatalf("%s: factor slot %d = %v, oracle %v", name, i, nu.val[i], oracle.val[i])
+		}
+	}
+	n := s.N()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	x, xo := nu.SolveInto(make([]float64, n), b), oracle.SolveInto(make([]float64, n), b)
+	xt := nu.SolveTransposeInto(make([]float64, n), b, make([]float64, n))
+	xto := oracle.SolveTransposeInto(make([]float64, n), b, make([]float64, n))
+	for i := 0; i < n; i++ {
+		if math.Float64bits(x[i]) != math.Float64bits(xo[i]) || math.Float64bits(xt[i]) != math.Float64bits(xto[i]) {
+			t.Fatalf("%s: solve %d differs from the oracle's factors", name, i)
+		}
+	}
+	return len(s.fill)
+}
+
+// The compiled elimination program performs the scatter/gather loop's
+// float operations in the same order: bit-identical factors and solves
+// on random diagonally dominant patterns, most of which fill in.
+func TestCompiledRefactorMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	filled := 0
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(70)
+		a := FromDense(randDiagDominant(rng, n, 0.02+0.2*rng.Float64()))
+		if checkAgainstOracle(t, fmt.Sprintf("trial %d n=%d", trial, n), a, rng) > 0 {
+			filled++
+		}
+	}
+	if filled < 100 {
+		t.Fatalf("only %d of 200 random patterns filled in; the test needs fill", filled)
+	}
+}
+
+// A zero pivot stops the compiled program at the step, and with the
+// message, the oracle reports.
+func TestCompiledRefactorZeroPivotMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	singular := 0
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.Intn(30)
+		a := FromDense(randDiagDominant(rng, n, 0.2))
+		s, err := Analyze(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cancel the pivot at a random step: subtract the pivot value
+		// the oracle computes there from the diagonal entry.
+		step := rng.Intn(n)
+		_, uval, err := oracleRefactor(s, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig := s.perm[step]
+		for p := a.RowPtr[orig]; p < a.RowPtr[orig+1]; p++ {
+			if a.Col[p] == orig {
+				a.Val[p] -= uval[s.up[step]]
+			}
+		}
+		_, _, want := oracleRefactor(s, a)
+		got := NewNumeric(s).Refactor(a)
+		if (want == nil) != (got == nil) || want != nil && want.Error() != got.Error() {
+			t.Fatalf("trial %d: Refactor error %v, oracle %v", trial, got, want)
+		}
+		if got != nil {
+			if !errors.Is(got, linalg.ErrSingular) {
+				t.Fatalf("trial %d: %v is not ErrSingular", trial, got)
+			}
+			singular++
+		}
+	}
+	if singular < 10 {
+		t.Fatalf("only %d of 50 trials hit a zero pivot", singular)
+	}
+}
+
+// A matrix with the analyzed dimensions and stored count but another
+// pattern must not be factored against the analyzed program: the
+// compiled slot map would silently mis-factor it.
+func TestRefactorRejectsOtherPattern(t *testing.T) {
+	analyzed := linalg.New(3, 3)
+	analyzed.Set(0, 0, 4)
+	analyzed.Set(0, 1, -1)
+	analyzed.Set(1, 1, 4)
+	analyzed.Set(2, 2, 4)
+	nu, err := Factorize(FromDense(analyzed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := linalg.New(3, 3)
+	other.Set(0, 0, 4)
+	other.Set(0, 2, -1) // (0,2) stored instead of (0,1): same nnz
+	other.Set(1, 1, 4)
+	other.Set(2, 2, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Refactor accepted a matrix with a different pattern")
+		}
+	}()
+	nu.Refactor(FromDense(other)) //nolint:errcheck // must panic
+}
+
+// A matrix viewing the Symbolic's own pattern refactors like any other
+// matrix with that pattern.
+func TestRefactorOwnPatternView(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := FromDense(randDiagDominant(rng, 30, 0.1))
+	nu, err := Factorize(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]float64(nil), nu.val...)
+	rowptr, col := nu.Symbolic().Pattern()
+	if &rowptr[0] == &a.RowPtr[0] || &col[0] == &a.Col[0] {
+		t.Fatal("Symbolic shares the analyzed matrix's pattern slices; want its own copy")
+	}
+	view := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: rowptr, Col: col, Val: a.Val}
+	if err := nu.Refactor(view); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if nu.val[i] != want[i] {
+			t.Fatalf("slot %d: %v via the pattern view, %v via the matrix", i, nu.val[i], want[i])
 		}
 	}
 }

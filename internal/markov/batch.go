@@ -14,13 +14,16 @@ import (
 // many absorption problems that share one frozen chain topology,
 // structure-of-arrays style. Bind captures the topology once — transient
 // indexing, the CSR pattern of R = -Q_B, the dense/sparse routing
-// decision and (on the sparse route) the symbolic factorization; Fill
-// scatters one refilled chain's numeric values into its row of a reused
-// value slab; SolveCell runs Refactor+Solve against that row. After the
-// first chunk every per-cell step is allocation-free: the per-cell cost
-// is a value refill plus the numeric factorization, with all pattern
-// work, span bookkeeping and metric timers amortized to one per chunk
-// (StartChunk).
+// decision and (on the sparse route) the symbolic factorization with
+// its compiled elimination program. Each cell's rates then go straight
+// into its row of a reused value slab in one fill pass: FillRates takes
+// a refill program's emitted rate vector (compiled once by BindProgram),
+// Fill a chain's edge rates. The pass validates the rates with
+// Chain.Validate's rate checks and writes R's diagonal exit sums and
+// negated off-diagonals. SolveCell then runs Refactor+Solve against that
+// row. After the first chunk every per-cell step is allocation-free: all
+// pattern work, span bookkeeping and metric timers are amortized to one
+// per chunk (StartChunk).
 //
 // Routing: dense partial-pivot LU below the SetSparseMinStates crossover
 // or above the density guard (sparseRoute); otherwise sparse static-pivot
@@ -34,22 +37,37 @@ type BatchSolver struct {
 	// Bound topology: n chain states, m = len(trans) transient rows.
 	n       int
 	label   string
+	names   []string
 	nedges  int
 	initial int
 	initRow int
 	trans   []int
 	pos     []int
 	// CSR pattern of R shared by every cell: rowptr/col, with diagSlot
-	// locating row i's diagonal and (edgeIdx, edgeSlot) pairing each
-	// transient-target chain edge with its value slot. Absorbing-target
-	// edges have no slot — they reach R only through the diagonal's exit
-	// sum, which Fill reads from the chain's precomputed exits.
+	// locating row i's diagonal. The transient rows' chain edges, in
+	// sorted edge order, are the row edges: row i's are
+	// erow[i]:erow[i+1], and row edge k is chain edge redge[k]. Row edge
+	// k targets transient row eto[k] and fills value slot eslot[k]; both
+	// are -1 for an edge into an absorbing state, which reaches R only
+	// through its row's diagonal exit sum.
 	rowptr   []int
 	col      []int
 	diagSlot []int
-	edgeIdx  []int
-	edgeSlot []int
+	erow     []int
+	redge    []int
+	eto      []int
+	eslot    []int
 	nnz      int
+
+	// Emission orders. The fill reads row edge k's rate from the rate
+	// vector at em[k]. For Fill the vector is the chain's edge rates
+	// (copied to edgeRates) and em is redge; for FillRates it is the
+	// refill program's emission and em is progEm, compiled by
+	// BindProgram (via the edge → emission map progOf).
+	edgeRates    []float64
+	progEm       []int
+	progOf       []int
+	programBound bool
 
 	// Routing captured at Bind: sparseRoute selects the sparse path; num
 	// is the shared numeric factorization (nil if symbolic analysis
@@ -128,8 +146,8 @@ func ReleaseBatchSolver(b *BatchSolver) {
 // the symbolic factorization (reused across Binds of the same pattern
 // via the solver's MRU cache; a fresh analysis is traced as
 // "sparse.symbolic"). The chain must be frozen; its current rates are
-// irrelevant. Binding does not validate rates — ValidateRates does, per
-// cell.
+// irrelevant. Binding does not validate rates — the fill does, per
+// cell. Bind forgets any program compiled by BindProgram.
 func (b *BatchSolver) Bind(ctx context.Context, c *Chain) error {
 	if !c.Frozen() {
 		return fmt.Errorf("markov: BatchSolver requires a frozen chain")
@@ -148,6 +166,11 @@ func (b *BatchSolver) Bind(ctx context.Context, c *Chain) error {
 		// A failed analysis leaves num nil: SolveCell then falls back
 		// to dense per cell — counted, never silent.
 		b.num, _ = b.cache.lookup(ctx, &b.view)
+		if b.num != nil {
+			// View the Symbolic's own pattern, so Refactor's pattern
+			// check is a slice-identity test.
+			b.view.RowPtr, b.view.Col = b.num.Symbolic().Pattern()
+		}
 	}
 	return nil
 }
@@ -155,16 +178,14 @@ func (b *BatchSolver) Bind(ctx context.Context, c *Chain) error {
 // bindPattern is Bind's assembly half: transient indexing, the CSR
 // pattern of R (transient successors ascending — already target-sorted,
 // and the state→row map is monotone — with the diagonal merged in
-// place), the solve vectors and the route. It leaves num unset.
+// place), the row edges, the solve vectors and the route.
+// It leaves num unset.
 func (b *BatchSolver) bindPattern(c *Chain) {
 	b.n = c.NumStates()
 	b.label = c.Label()
+	b.names = c.names
 	b.nedges = len(c.edges)
-	if cap(b.pos) < b.n {
-		b.pos = make([]int, b.n)
-	} else {
-		b.pos = b.pos[:b.n]
-	}
+	b.pos = resizeInts(b.pos, b.n)
 	b.trans = b.trans[:0]
 	for i := 0; i < b.n; i++ {
 		if c.absorbing[i] {
@@ -178,25 +199,20 @@ func (b *BatchSolver) bindPattern(c *Chain) {
 	b.initRow = b.pos[c.initial]
 	m := len(b.trans)
 
-	if cap(b.rowptr) < m+1 {
-		b.rowptr = make([]int, m+1)
-	} else {
-		b.rowptr = b.rowptr[:m+1]
-	}
+	b.rowptr = resizeInts(b.rowptr, m+1)
 	b.rowptr[0] = 0
-	if cap(b.diagSlot) < m {
-		b.diagSlot = make([]int, m)
-	} else {
-		b.diagSlot = b.diagSlot[:m]
-	}
-	b.col = b.col[:0]
-	b.edgeIdx = b.edgeIdx[:0]
-	b.edgeSlot = b.edgeSlot[:0]
+	b.diagSlot = resizeInts(b.diagSlot, m)
+	b.erow = resizeInts(b.erow, m+1)
+	b.col, b.redge, b.eto, b.eslot = b.col[:0], b.redge[:0], b.eto[:0], b.eslot[:0]
 	for row, st := range b.trans {
+		b.erow[row] = len(b.redge)
 		diagDone := false
 		for p := c.ptr[st]; p < c.ptr[st+1]; p++ {
 			col := b.pos[c.edges[p].To]
+			b.redge = append(b.redge, p)
+			b.eto = append(b.eto, col)
 			if col < 0 {
+				b.eslot = append(b.eslot, -1)
 				continue
 			}
 			if !diagDone && col > row {
@@ -204,8 +220,7 @@ func (b *BatchSolver) bindPattern(c *Chain) {
 				b.col = append(b.col, row)
 				diagDone = true
 			}
-			b.edgeIdx = append(b.edgeIdx, p)
-			b.edgeSlot = append(b.edgeSlot, len(b.col))
+			b.eslot = append(b.eslot, len(b.col))
 			b.col = append(b.col, col)
 		}
 		if !diagDone {
@@ -214,11 +229,14 @@ func (b *BatchSolver) bindPattern(c *Chain) {
 		}
 		b.rowptr[row+1] = len(b.col)
 	}
+	b.erow[m] = len(b.redge)
 	b.nnz = len(b.col)
+	b.programBound = false
 
 	b.rhs = resizeFloats(b.rhs, m)
 	b.tau = resizeFloats(b.tau, m)
 	b.work = resizeFloats(b.work, m)
+	b.edgeRates = resizeFloats(b.edgeRates, b.nedges)
 	for i := range b.rhs {
 		b.rhs[i] = 0
 	}
@@ -244,56 +262,163 @@ func (b *BatchSolver) Cells(n int) {
 	}
 }
 
-// ValidateRates runs Chain.Validate's checks on c against the bound
-// topology: identical checks, identical order, identical messages, no
-// allocation. The structural checks were settled at Bind, so only the
-// rate-dependent ones run — every transient row has an edge and a
-// non-zero exit rate, and some absorbing state is reachable over
-// positive-rate edges — with the bound state→row map standing in for
-// the chain's absorbing-state set. A chain that does not match the
-// bound topology gets the full Chain.Validate.
-func (b *BatchSolver) ValidateRates(c *Chain) error {
-	if !b.bound(c) {
-		return c.validate(&b.vs)
+// BindProgram compiles a refill program against the bound topology for
+// FillRates: program[i] is the edge index (Chain.EdgeIndex) that
+// emission i fills, as in Chain.ApplyRates. The fused fill needs every
+// edge to carry exactly one emission; any other program is refused with
+// an error.
+func (b *BatchSolver) BindProgram(program []int) error {
+	b.programBound = false
+	if len(program) != b.nedges {
+		return fmt.Errorf("markov: refill program has %d emissions for %d edges; want exactly one per edge", len(program), b.nedges)
 	}
-	for _, st := range b.trans {
-		if c.ptr[st+1] == c.ptr[st] || c.exit[st] == 0 {
-			return fmt.Errorf("markov: transient state %q has no outgoing transitions", c.names[st])
+	b.progOf = resizeInts(b.progOf, b.nedges)
+	for e := range b.progOf {
+		b.progOf[e] = -1
+	}
+	for i, e := range program {
+		if e < 0 || e >= b.nedges || b.progOf[e] >= 0 {
+			return fmt.Errorf("markov: refill program emission %d targets edge %d, which is out of range or already emitted", i, e)
 		}
+		b.progOf[e] = i
 	}
-	if !c.absorptionReachable(&b.vs, b.pos) {
-		return fmt.Errorf("markov: no absorbing state is reachable from the initial state")
+	b.progEm = resizeInts(b.progEm, len(b.redge))
+	for k, e := range b.redge {
+		b.progEm[k] = b.progOf[e]
 	}
+	b.programBound = true
 	return nil
+}
+
+// FillRates writes one cell of the slab from rates, the emitted rate
+// vector of the program compiled by BindProgram — what Chain.ApplyRates
+// followed by Fill would write for it, bit for bit, without touching a
+// chain. It returns Chain.Validate's error for the refilled chain, if
+// any.
+func (b *BatchSolver) FillRates(cell int, rates []float64) error {
+	if !b.programBound {
+		panic("markov: FillRates without a program compiled by BindProgram since the last Bind")
+	}
+	if len(rates) != b.nedges {
+		panic(fmt.Sprintf("markov: FillRates got %d rates for a %d-emission program", len(rates), b.nedges))
+	}
+	return b.fill(cell, b.progEm, rates)
+}
+
+// Fill writes c's current rates into cell's row of the value slab and
+// validates them like FillRates. c must be a chain of the bound topology
+// (any refill of the chain Bind saw, or a pooled sibling of the same
+// family) — any other chain panics; cell must be below the Cells bound.
+func (b *BatchSolver) Fill(cell int, c *Chain) error {
+	if !b.bound(c) {
+		panic(fmt.Sprintf("markov: Fill chain (%d states, %d edges, label %q) does not match bound topology (%d, %d, %q)",
+			c.NumStates(), len(c.edges), c.Label(), b.n, b.nedges, b.label))
+	}
+	for i, e := range c.edges {
+		b.edgeRates[i] = e.Rate
+	}
+	return b.fill(cell, b.redge, b.edgeRates)
 }
 
 // bound reports whether c has the bound topology's shape: frozen, with
 // the same state and edge counts, label, initial state and number of
-// absorbing states. Fill relies on the same identity.
+// absorbing states.
 func (b *BatchSolver) bound(c *Chain) bool {
 	return c.Frozen() && len(c.names) == b.n && len(c.edges) == b.nedges &&
 		c.label == b.label && c.initial == b.initial &&
 		len(c.absorbing) == b.n-len(b.trans)
 }
 
-// Fill scatters c's current rates into cell's row of the value slab.
-// c must be a chain of the bound topology (any refill of the chain Bind
-// saw, or a pooled sibling of the same family); cell must be below the
-// Cells bound. The scattered row is R = -Q_B on the bound pattern:
-// diagonal = the chain's precomputed exit sum (sorted summation order),
-// off-diagonals = -rate.
-func (b *BatchSolver) Fill(cell int, c *Chain) {
-	if c.NumStates() != b.n || len(c.edges) != b.nedges || c.Label() != b.label {
-		panic(fmt.Sprintf("markov: Fill chain (%d states, %d edges, label %q) does not match bound topology (%d, %d, %q)",
-			c.NumStates(), len(c.edges), c.Label(), b.n, b.nedges, b.label))
+// fill is the one fill pass behind Fill and FillRates: row edge k's
+// rate is rates[em[k]]. It runs Chain.ApplyRates' and Chain.Validate's rate
+// checks in their order and with their messages — a negative rate panics
+// (the first in emission order); the first transient row whose exit sum
+// is zero, then an unreachable absorbing set, are errors — while writing
+// R = -Q_B: each off-diagonal as the negated edge rate 0 + r, each
+// diagonal as the row's edge sum from 0 in sorted edge order. Those are
+// the float operations of ApplyRates' accumulation and exit
+// recomputation, so the row is bit-identical to refilling a chain and
+// filling from it.
+func (b *BatchSolver) fill(cell int, em []int, rates []float64) error {
+	if len(b.redge) < b.nedges {
+		// Edges out of absorbing states are never read below.
+		panicNegative(rates)
 	}
 	v := b.vals[cell*b.nnz : (cell+1)*b.nnz]
-	for row, st := range b.trans {
-		v[b.diagSlot[row]] = c.exit[st]
+	eslot, diagSlot := b.eslot, b.diagSlot
+	k := 0
+	for row, end := range b.erow[1:] {
+		var exit float64
+		for ; k < end; k++ {
+			r := rates[em[k]]
+			if r < 0 {
+				panicNegative(rates)
+			}
+			exit += r
+			if s := eslot[k]; s >= 0 {
+				v[s] = -(0 + r)
+			}
+		}
+		if exit == 0 {
+			panicNegative(rates) // ApplyRates would have panicked first
+			return fmt.Errorf("markov: transient state %q has no outgoing transitions", b.names[b.trans[row]])
+		}
+		v[diagSlot[row]] = exit
 	}
-	for i, e := range b.edgeIdx {
-		v[b.edgeSlot[i]] = -c.edges[e].Rate
+	if !b.absorptionReachable(em, rates) {
+		return fmt.Errorf("markov: no absorbing state is reachable from the initial state")
 	}
+	return nil
+}
+
+// panicNegative panics as Chain.ApplyRates does on the first negative
+// rate in emission order, if there is one.
+func panicNegative(rates []float64) {
+	for _, r := range rates {
+		if r < 0 {
+			panic(fmt.Sprintf("markov: negative rate %v in ApplyRates", r))
+		}
+	}
+}
+
+// absorptionReachable is Chain.absorptionReachable over the bound
+// topology and an emitted rate vector: whether a depth-first search
+// from the initial row over positive-rate edges reaches an absorbing
+// state.
+func (b *BatchSolver) absorptionReachable(em []int, rates []float64) bool {
+	if b.initRow < 0 {
+		return true
+	}
+	m := len(b.trans)
+	vs := &b.vs
+	if cap(vs.seen) < m {
+		vs.seen = make([]bool, m)
+	}
+	seen := vs.seen[:m]
+	clear(seen)
+	stack := append(vs.stack[:0], b.initRow)
+	seen[b.initRow] = true
+	reached := false
+	for len(stack) > 0 && !reached {
+		row := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for k := b.erow[row]; k < b.erow[row+1]; k++ {
+			if !(rates[em[k]] > 0) { // NaN is not a positive rate either
+				continue
+			}
+			to := b.eto[k]
+			if to < 0 {
+				reached = true
+				break
+			}
+			if !seen[to] {
+				seen[to] = true
+				stack = append(stack, to)
+			}
+		}
+	}
+	vs.stack = stack[:0]
+	return reached
 }
 
 // StartChunk opens one "markov.batch" span and one chunk timer covering
@@ -440,7 +565,9 @@ func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error)
 	if b.initRow < 0 {
 		return 0, nil // initial state is absorbing
 	}
-	b.Fill(0, c)
+	if err := b.Fill(0, c); err != nil {
+		return 0, err
+	}
 	mtta, err := b.solveCell(ctx, 0)
 	if err == nil && timer != nil {
 		timer(b.lastResidual())

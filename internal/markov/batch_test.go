@@ -3,6 +3,7 @@ package markov
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -92,10 +93,9 @@ func TestBatchSolverMatchesPerCellBitwise(t *testing.T) {
 				b.Cells(cells)
 				for i, th := range thetas {
 					refillLadder(c, k, th)
-					if err := b.ValidateRates(c); err != nil {
-						t.Fatalf("k=%d ValidateRates %d: %v", k, i, err)
+					if err := b.Fill(i, c); err != nil {
+						t.Fatalf("k=%d Fill %d: %v", k, i, err)
 					}
-					b.Fill(i, c)
 				}
 				end := b.StartChunk(context.Background(), cells)
 				for i := range thetas {
@@ -113,11 +113,11 @@ func TestBatchSolverMatchesPerCellBitwise(t *testing.T) {
 	}
 }
 
-// The batch hot path must be allocation-free per cell after warmup:
-// refill (ApplyRates), validation, fill and solve all run in reused
-// storage. This is the per-cell half of the "zero per-cell allocation"
-// tentpole contract (chunk setup — Bind, StartChunk — is amortized and
-// may allocate).
+// The batch hot path must be allocation-free per cell after warmup: the
+// fused fill of an emitted rate vector (FillRates, with its validation)
+// and the solve run in reused storage. This is the per-cell half of the
+// "zero per-cell allocation" contract (chunk setup — Bind, BindProgram,
+// StartChunk — is amortized and may allocate).
 func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 	for _, route := range []struct {
 		name      string
@@ -131,7 +131,7 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 			defer SetSparseMinStates(prev)
 			const k = 24
 			c := newLadder(k, 1.7)
-			// Compile a refill program covering every edge once.
+			// A refill program covering every edge once.
 			program := make([]int, len(c.edges))
 			rates := make([]float64, len(c.edges))
 			for i := range program {
@@ -142,15 +142,16 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 			if err := b.Bind(context.Background(), c); err != nil {
 				t.Fatalf("Bind: %v", err)
 			}
+			if err := b.BindProgram(program); err != nil {
+				t.Fatalf("BindProgram: %v", err)
+			}
 			b.Cells(1)
 			var solveErr error
 			cell := func() {
-				c.ApplyRates(program, rates)
-				if err := b.ValidateRates(c); err != nil {
+				if err := b.FillRates(0, rates); err != nil {
 					solveErr = err
 					return
 				}
-				b.Fill(0, c)
 				if _, err := b.SolveCell(0); err != nil {
 					solveErr = err
 				}
@@ -169,14 +170,11 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 	}
 }
 
-// ApplyRates with a program compiled from the builder's emission order
-// reproduces a fresh build: same edges, same accumulation order,
-// bit-identical rates and exit sums.
-func TestApplyRatesMatchesStringRefill(t *testing.T) {
-	const k = 11
-	c := newLadder(k, 0.9)
-	// Record the builder's emission order as (edge index) program.
-	var program []int
+// ladderProgram records the ladder builder's emission order as a refill
+// program (emission i fills edge program[i]), and emit returns θ's rates
+// in that order.
+func ladderProgram(t *testing.T, c *Chain, k int) (program []int, emit func(theta float64) []float64) {
+	t.Helper()
 	st := strconv.Itoa
 	record := func(from, to string) {
 		e := c.EdgeIndex(from, to)
@@ -185,7 +183,18 @@ func TestApplyRatesMatchesStringRefill(t *testing.T) {
 		}
 		program = append(program, e)
 	}
-	emit := func(theta float64) []float64 {
+	for i := 0; i < k; i++ {
+		record(st(i), st(i+1))
+		if i > 0 {
+			record(st(i), st(i-1))
+		}
+		if i%3 == 0 && i+2 <= k {
+			record(st(i), st(i+2))
+		}
+	}
+	record(st(k), st(k-1))
+	record(st(k), "loss")
+	emit = func(theta float64) []float64 {
 		var out []float64
 		for i := 0; i < k; i++ {
 			out = append(out, theta*float64(i+1))
@@ -200,18 +209,113 @@ func TestApplyRatesMatchesStringRefill(t *testing.T) {
 		out = append(out, theta*0.5)
 		return out
 	}
-	for i := 0; i < k; i++ {
-		record(st(i), st(i+1))
-		if i > 0 {
-			record(st(i), st(i-1))
+	return program, emit
+}
+
+// FillRates writes, bit for bit, what ApplyRates followed by Fill
+// writes — including for zero and negative-zero emissions — and fails
+// with the same validation error.
+func TestFillRatesMatchesApplyRatesFill(t *testing.T) {
+	const k = 11
+	c := newLadder(k, 0.9)
+	program, emit := ladderProgram(t, c, k)
+	b := NewBatchSolver()
+	if err := b.Bind(context.Background(), c); err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	if err := b.BindProgram(program); err != nil {
+		t.Fatalf("BindProgram: %v", err)
+	}
+	b.Cells(2)
+	for _, theta := range []float64{0.01, 1.0, 37.5, 0} {
+		rates := emit(theta)
+		if theta == 1 {
+			rates[2] = math.Copysign(0, -1) // a skip edge at -0
 		}
-		if i%3 == 0 && i+2 <= k {
-			record(st(i), st(i+2))
+		c.ApplyRates(program, rates)
+		want := b.Fill(0, c)
+		got := b.FillRates(1, rates)
+		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+			t.Fatalf("θ=%v: FillRates error %v, Fill error %v", theta, got, want)
+		}
+		if want != nil {
+			continue
+		}
+		for i := 0; i < b.nnz; i++ {
+			if math.Float64bits(b.vals[i]) != math.Float64bits(b.vals[b.nnz+i]) {
+				t.Fatalf("θ=%v slot %d: FillRates %v, Fill %v", theta, i, b.vals[b.nnz+i], b.vals[i])
+			}
 		}
 	}
-	record(st(k), st(k-1))
-	record(st(k), "loss")
+}
 
+// BindProgram refuses a program that does not give every bound edge
+// exactly one emission; FillRates without a compiled program panics.
+func TestBindProgramRefusesNonPermutations(t *testing.T) {
+	c := newLadder(5, 1)
+	b := NewBatchSolver()
+	if err := b.Bind(context.Background(), c); err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	identity := make([]int, len(c.edges))
+	for i := range identity {
+		identity[i] = i
+	}
+	dup := append([]int(nil), identity...)
+	dup[1] = dup[0]
+	out := append([]int(nil), identity...)
+	out[0] = len(identity)
+	for name, program := range map[string][]int{
+		"short":        identity[1:],
+		"long":         append(append([]int(nil), identity...), 0),
+		"duplicate":    dup,
+		"out of range": out,
+	} {
+		if err := b.BindProgram(program); err == nil {
+			t.Errorf("%s: BindProgram accepted %v", name, program)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FillRates after a refused program did not panic")
+		}
+	}()
+	b.FillRates(0, make([]float64, len(identity))) //nolint:errcheck // must panic
+}
+
+// A negative emitted rate panics with ApplyRates' message.
+func TestFillRatesNegativeRatePanics(t *testing.T) {
+	const k = 4
+	c := newLadder(k, 1)
+	program, emit := ladderProgram(t, c, k)
+	rates := emit(1)
+	rates[3] = -2
+	panicOf := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	b := NewBatchSolver()
+	if err := b.Bind(context.Background(), c); err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	if err := b.BindProgram(program); err != nil {
+		t.Fatalf("BindProgram: %v", err)
+	}
+	want := panicOf(func() { c.ApplyRates(program, rates) })
+	got := panicOf(func() { b.FillRates(0, rates) }) //nolint:errcheck // must panic
+	if want == nil || got != want {
+		t.Fatalf("FillRates panic %v, ApplyRates panic %v", got, want)
+	}
+}
+
+// ApplyRates with a program compiled from the builder's emission order
+// reproduces a fresh build: same edges, same accumulation order,
+// bit-identical rates and exit sums.
+func TestApplyRatesMatchesStringRefill(t *testing.T) {
+	const k = 11
+	c := newLadder(k, 0.9)
+	program, emit := ladderProgram(t, c, k)
 	for _, theta := range []float64{0.01, 1.0, 37.5} {
 		want := newLadder(k, theta)
 		c.ApplyRates(program, emit(999)) // scribble
@@ -227,6 +331,41 @@ func TestApplyRatesMatchesStringRefill(t *testing.T) {
 			}
 		}
 	}
+}
+
+// An edge out of a state marked absorbing after the edge was added is
+// no part of R: the fill skips it, as the chain's own absorption matrix
+// does.
+func TestFillSkipsEdgesOutOfAbsorbingStates(t *testing.T) {
+	c := NewChain()
+	c.SetInitial("a")
+	c.AddEdge("a", "x", 1)
+	c.AddEdge("x", "b", 2)
+	c.AddEdge("b", "a", 3)
+	c.AddEdge("b", "x", 0.5)
+	c.SetAbsorbing("x")
+	c.Freeze()
+	got, err := MTTA(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 {
+		t.Fatalf("MTTA = %v, want 1 (a leaves at rate 1 straight into x)", got)
+	}
+	b := NewBatchSolver()
+	if err := b.Bind(context.Background(), c); err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	if err := b.BindProgram([]int{0, 1, 2, 3}); err != nil {
+		t.Fatalf("BindProgram: %v", err)
+	}
+	rates := []float64{1, -2, 3, 0.5} // x→b is emission 1: never read, still checked
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FillRates accepted a negative rate on an edge out of an absorbing state")
+		}
+	}()
+	b.FillRates(0, rates) //nolint:errcheck // must panic
 }
 
 // A chain whose initial state is absorbing batches to MTTA 0, matching

@@ -367,8 +367,8 @@ func (c *Chain) Validate() error {
 }
 
 // validateScratch holds the reachability buffers so repeated validations
-// (batched sweeps validate one refilled chain per grid cell) run without
-// allocating. The zero value is ready to use.
+// (a BatchSolver validates every cell it fills) run without allocating.
+// The zero value is ready to use.
 type validateScratch struct {
 	seen  []bool
 	stack []int
@@ -393,7 +393,7 @@ func (c *Chain) validate(vs *validateScratch) error {
 			return fmt.Errorf("markov: transient state %q has no outgoing transitions", c.names[i])
 		}
 	}
-	if !c.absorptionReachable(vs, nil) {
+	if !c.absorptionReachable(vs) {
 		return fmt.Errorf("markov: no absorbing state is reachable from the initial state")
 	}
 	return nil
@@ -401,9 +401,7 @@ func (c *Chain) validate(vs *validateScratch) error {
 
 // absorptionReachable reports whether a depth-first search from the
 // initial state over positive-rate edges reaches an absorbing state.
-// When pos is non-nil, pos[s] < 0 marks the absorbing states (a bound
-// BatchSolver's state→row map, cheaper than the absorbing-set lookup).
-func (c *Chain) absorptionReachable(vs *validateScratch, pos []int) bool {
+func (c *Chain) absorptionReachable(vs *validateScratch) bool {
 	n := len(c.names)
 	if cap(vs.seen) < n {
 		vs.seen = make([]bool, n)
@@ -418,7 +416,7 @@ func (c *Chain) absorptionReachable(vs *validateScratch, pos []int) bool {
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if pos != nil && pos[s] < 0 || pos == nil && c.absorbing[s] {
+		if c.absorbing[s] {
 			reached = true
 			break
 		}

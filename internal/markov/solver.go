@@ -3,6 +3,7 @@ package markov
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/linalg/sparse"
@@ -14,14 +15,6 @@ import (
 // tolerance and redundancy family), so a short MRU list captures
 // effectively all reuse without growing with grid size.
 const topoCacheSize = 8
-
-// topoEntry pairs one CSR pattern with its symbolic+numeric
-// factorization. The pattern slices are private copies — the solver's
-// pattern buffers are overwritten by every Bind.
-type topoEntry struct {
-	rowptr, col []int
-	num         *sparse.Numeric
-}
 
 // defaultSparseMinStates is the dense→sparse crossover measured on the
 // reliability chains (see BENCH_sparse.json): below ~48 transient states
@@ -70,9 +63,9 @@ func sparseRoute(m, nnz int) bool {
 	return m >= sparseMinStates() && float64(nnz) <= maxSparseDensity*float64(m)*float64(m)
 }
 
-// topoCache is a BatchSolver's MRU list of pattern→factorization
-// entries.
-type topoCache []*topoEntry
+// topoCache is a BatchSolver's MRU list of factorizations, each
+// matched by its Symbolic's own copy of the pattern it analyzed.
+type topoCache []*sparse.Numeric
 
 // lookup returns the cached factorization whose pattern matches a,
 // building (and caching) a new symbolic analysis on miss. Hits move to
@@ -80,20 +73,21 @@ type topoCache []*topoEntry
 // the results: the ordering is a pure function of the pattern, so a
 // cached and a fresh analysis factor identically. A miss's ordering +
 // symbolic analysis is traced as "sparse.symbolic"; hits skip that work
-// and so carry no span. a is only read; the cached pattern slices are
-// private copies.
+// and so carry no span. a is only read; the Symbolic keeps its own copy
+// of the pattern.
 func (tc *topoCache) lookup(ctx context.Context, a *sparse.CSR) (*sparse.Numeric, error) {
 	cache := *tc
-	for i, e := range cache {
-		if !patternEqual(e.rowptr, e.col, a.RowPtr, a.Col) {
+	for i, num := range cache {
+		rowptr, col := num.Symbolic().Pattern()
+		if !slices.Equal(rowptr, a.RowPtr) || !slices.Equal(col, a.Col) {
 			continue
 		}
 		if i > 0 {
 			copy(cache[1:i+1], cache[:i])
-			cache[0] = e
+			cache[0] = num
 		}
 		sparseReuseHit()
-		return e.num, nil
+		return num, nil
 	}
 	_, sp := obs.StartSpan(ctx, "sparse.symbolic")
 	sym, err := sparse.Analyze(a)
@@ -104,36 +98,22 @@ func (tc *topoCache) lookup(ctx context.Context, a *sparse.CSR) (*sparse.Numeric
 	if err != nil {
 		return nil, err
 	}
-	e := &topoEntry{
-		rowptr: append([]int(nil), a.RowPtr...),
-		col:    append([]int(nil), a.Col...),
-		num:    sparse.NewNumeric(sym),
-	}
+	num := sparse.NewNumeric(sym)
 	if len(cache) < topoCacheSize {
 		cache = append(cache, nil)
 	}
 	copy(cache[1:], cache)
-	cache[0] = e
+	cache[0] = num
 	*tc = cache
 	sparseSymbolicBuilt(sym)
-	return e.num, nil
+	return num, nil
 }
 
-func patternEqual(ap, ac, bp, bc []int) bool {
-	if len(ap) != len(bp) || len(ac) != len(bc) {
-		return false
+func resizeInts(v []int, n int) []int {
+	if cap(v) < n {
+		return make([]int, n)
 	}
-	for i, v := range ap {
-		if bp[i] != v {
-			return false
-		}
-	}
-	for i, v := range ac {
-		if bc[i] != v {
-			return false
-		}
-	}
-	return true
+	return v[:n]
 }
 
 func resizeFloats(v []float64, n int) []float64 {

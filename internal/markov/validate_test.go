@@ -2,6 +2,7 @@ package markov_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/closedform"
@@ -35,32 +36,53 @@ func nirInputs(clamp bool) closedform.NIRInputs {
 	return in
 }
 
-// ValidateRates reports exactly what Validate reports — the same error
-// message, or nil — whether the chain is validated against the bound
-// topology or (when it does not match) through the full Validate.
+// threeStatesProgram is threeStates' refill program: its AddEdge order.
+func threeStatesProgram(c *markov.Chain) []int {
+	return []int{c.EdgeIndex("a", "b"), c.EdgeIndex("b", "a"), c.EdgeIndex("b", "loss")}
+}
+
+// The fused fill reports exactly what Validate reports for the filled
+// chain — the same error message, or nil — whether it fills from the
+// chain (Fill) or from the emitted rate vector (FillRates). A chain that
+// does not match the bound topology is a programming error: Fill panics.
 func TestBatchValidateRatesParity(t *testing.T) {
 	cases := []struct {
 		name string
 		// bind returns the chain to bind; check returns the chain to
-		// validate after binding (often the same chain, refilled).
+		// fill after binding (often the same chain, refilled), and its
+		// emitted rates and program when it has them.
 		bind, check func() *markov.Chain
+		emit        func() (rates []float64, program []int)
 		wantErr     bool
+		wantPanic   bool
 	}{
 		{
 			name:  "valid",
 			bind:  func() *markov.Chain { return threeStates(1, 2, 3) },
 			check: func() *markov.Chain { return threeStates(4, 5, 6) },
+			emit:  func() ([]float64, []int) { return []float64{4, 5, 6}, threeStatesProgram(threeStates(1, 2, 3)) },
 		},
 		{
 			name:    "zero exit rate",
 			bind:    func() *markov.Chain { return threeStates(1, 2, 3) },
 			check:   func() *markov.Chain { return threeStates(1, 0, 0) },
+			emit:    func() ([]float64, []int) { return []float64{1, 0, 0}, threeStatesProgram(threeStates(1, 2, 3)) },
 			wantErr: true,
 		},
 		{
 			name:    "loss unreachable",
 			bind:    func() *markov.Chain { return threeStates(1, 2, 3) },
 			check:   func() *markov.Chain { return threeStates(1, 2, 0) },
+			emit:    func() ([]float64, []int) { return []float64{1, 2, 0}, threeStatesProgram(threeStates(1, 2, 3)) },
+			wantErr: true,
+		},
+		{
+			name:  "NaN rate on the only path to loss",
+			bind:  func() *markov.Chain { return threeStates(1, 2, 3) },
+			check: func() *markov.Chain { return threeStates(1, 2, math.NaN()) },
+			emit: func() ([]float64, []int) {
+				return []float64{1, 2, math.NaN()}, threeStatesProgram(threeStates(1, 2, 3))
+			},
 			wantErr: true,
 		},
 		{
@@ -72,6 +94,10 @@ func TestBatchValidateRatesParity(t *testing.T) {
 			check: func() *markov.Chain {
 				r := model.AcquireNIRRefiller(nirInputs(false), 3)
 				return r.Refill(nirInputs(true))
+			},
+			emit: func() ([]float64, []int) {
+				r := model.AcquireNIRRefiller(nirInputs(false), 3)
+				return r.Emit(nirInputs(true)), r.Program()
 			},
 		},
 		{
@@ -86,7 +112,8 @@ func TestBatchValidateRatesParity(t *testing.T) {
 				c.State("z") // dangling: only the full Validate sees it
 				return c.Freeze()
 			},
-			wantErr: true,
+			wantErr:   true,
+			wantPanic: true,
 		},
 	}
 	for _, tc := range cases {
@@ -97,18 +124,35 @@ func TestBatchValidateRatesParity(t *testing.T) {
 			}
 			c := tc.check()
 			want := c.Validate()
-			got := b.ValidateRates(c)
 			if (want != nil) != tc.wantErr {
 				t.Fatalf("Validate = %v, want error %v", want, tc.wantErr)
 			}
-			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
-				t.Fatalf("ValidateRates = %v, Validate = %v; want identical", got, want)
+			if tc.wantPanic {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("Fill accepted a chain of another topology")
+					}
+				}()
+				b.Fill(0, c) //nolint:errcheck // must panic
+				return
 			}
+			same := func(fn string, got error) {
+				if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+					t.Fatalf("%s = %v, Validate = %v; want identical", fn, got, want)
+				}
+			}
+			same("Fill", b.Fill(0, c))
+			rates, program := tc.emit()
+			if err := b.BindProgram(program); err != nil {
+				t.Fatalf("BindProgram: %v", err)
+			}
+			same("FillRates", b.FillRates(0, rates))
 		})
 	}
 }
 
-// ValidateRates runs once per batched cell: it must not allocate.
+// The fused fill runs once per batched cell, validation included: it
+// must not allocate.
 func TestBatchValidateRatesZeroAllocs(t *testing.T) {
 	in := nirInputs(false)
 	r := model.AcquireNIRRefiller(in, 5)
@@ -117,10 +161,17 @@ func TestBatchValidateRatesZeroAllocs(t *testing.T) {
 	if err := b.Bind(context.Background(), r.Chain()); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	if err := b.ValidateRates(r.Chain()); err != nil {
-		t.Fatalf("ValidateRates: %v", err)
+	if err := b.BindProgram(r.Program()); err != nil {
+		t.Fatalf("BindProgram: %v", err)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = b.ValidateRates(r.Chain()) }); n != 0 {
-		t.Errorf("ValidateRates allocates %v times per run, want 0", n)
+	rates := r.Emit(in)
+	if err := b.FillRates(0, rates); err != nil {
+		t.Fatalf("FillRates: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = b.FillRates(0, rates) }); n != 0 {
+		t.Errorf("FillRates allocates %v times per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = b.Fill(0, r.Chain()) }); n != 0 {
+		t.Errorf("Fill allocates %v times per run, want 0", n)
 	}
 }

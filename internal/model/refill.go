@@ -21,7 +21,9 @@ import (
 // refill see the same rates in the same order and sum exits in the same
 // sorted order, so a refilled chain is bit-identical to a fresh one — a
 // batched sweep cell reproduces a solve of the freshly built chain
-// exactly.
+// exactly. A batched sweep skips the chain altogether: Emit hands the
+// rate vector straight to markov.BatchSolver.FillRates, which performs
+// the same float operations into its value slab.
 
 // lossState is the emitters' id of the absorbing data-loss state.
 const lossState = -1
@@ -116,10 +118,23 @@ func (r *NIRRefiller) Chain() *markov.Chain { return r.c }
 
 // Refill loads in's rates into the chain and returns it.
 func (r *NIRRefiller) Refill(in closedform.NIRInputs) *markov.Chain {
-	r.e.fill(in)
-	r.c.ApplyRates(r.program, r.e.rates)
+	r.c.ApplyRates(r.program, r.Emit(in))
 	return r.c
 }
+
+// Emit returns in's rates in emission order without touching the
+// chain, for a markov.BatchSolver that compiled Program
+// (BindProgram/FillRates). The slice is reused by the next Emit or
+// Refill.
+func (r *NIRRefiller) Emit(in closedform.NIRInputs) []float64 {
+	r.e.fill(in)
+	return r.e.rates
+}
+
+// Program returns the refill program: emission i fills the chain's edge
+// Program()[i]. It gives every edge exactly one emission. The caller
+// must not modify it.
+func (r *NIRRefiller) Program() []int { return r.program }
 
 // IRRefiller is the internal-RAID counterpart of NIRRefiller.
 type IRRefiller struct {
@@ -151,7 +166,16 @@ func (r *IRRefiller) Chain() *markov.Chain { return r.c }
 
 // Refill loads in's rates into the chain and returns it.
 func (r *IRRefiller) Refill(in closedform.IRInputs) *markov.Chain {
-	r.e.fill(in)
-	r.c.ApplyRates(r.program, r.e.rates)
+	r.c.ApplyRates(r.program, r.Emit(in))
 	return r.c
 }
+
+// Emit returns in's rates in emission order without touching the
+// chain; see NIRRefiller.Emit.
+func (r *IRRefiller) Emit(in closedform.IRInputs) []float64 {
+	r.e.fill(in)
+	return r.e.rates
+}
+
+// Program returns the refill program; see NIRRefiller.Program.
+func (r *IRRefiller) Program() []int { return r.program }

@@ -247,22 +247,35 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			Method:    job.Method.String(),
 			Points:    make([]SweepPointResponse, len(points)),
 		}
+		labels := configLabels(job.Configs)
 		for i, pt := range points {
-			resp.Points[i] = sweepPointResponseFrom(pt)
+			resp.Points[i] = sweepPointResponseFrom(pt, labels)
 		}
 		return json.Marshal(resp)
 	})
 }
 
-// sweepPointResponseFrom renders one solved sweep point as its wire row.
-// Both the buffered body and the NDJSON stream build rows here, which is
-// what makes a streamed sweep reassemble byte-for-byte into the buffered
-// response.
-func sweepPointResponseFrom(pt core.SweepPoint) SweepPointResponse {
+// configLabels renders each sweep configuration's wire label once per
+// sweep; a point's result j is configuration j's.
+func configLabels(cfgs []core.Config) []string {
+	labels := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		labels[i] = cfg.String()
+	}
+	return labels
+}
+
+// sweepPointResponseFrom renders one solved sweep point as its wire row,
+// labelling result j with labels[j] (configLabels of the sweep's
+// configurations). Both the buffered body and the NDJSON stream build
+// rows here, which is what makes a streamed sweep reassemble
+// byte-for-byte into the buffered response.
+func sweepPointResponseFrom(pt core.SweepPoint, labels []string) SweepPointResponse {
 	results := make([]SweepResult, len(pt.Results))
-	for j, res := range pt.Results {
+	for j := range pt.Results {
+		res := &pt.Results[j]
 		results[j] = SweepResult{
-			Configuration:   res.Config.String(),
+			Configuration:   labels[j],
 			MTTDLHours:      res.MTTDLHours,
 			EventsPerPBYear: res.EventsPerPBYear,
 		}

@@ -122,10 +122,11 @@ func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, key str
 	}
 
 	rows := make([]SweepPointResponse, 0, len(job.Values))
+	labels := configLabels(job.Configs)
 	apply := sweepKnobs[job.Parameter]
 	_, err := core.SweepStream(ctx, job.Params, job.Configs, job.Method, job.Values, apply, s.opts.Workers,
 		func(pt core.SweepPoint) error {
-			row := sweepPointResponseFrom(pt)
+			row := sweepPointResponseFrom(pt, labels)
 			if err := lw.line(row); err != nil {
 				return err
 			}
