@@ -117,7 +117,7 @@ func BenchmarkSimulatorValidation(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		est, err := sim.EstimateMTTDL(sc, rng, 200, 1_000_000, sim.Observer{})
+		est, err := sim.EstimateMTTDL(b.Context(), sc, rng, 200, 1_000_000, sim.Observer{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,8 +128,8 @@ func BenchmarkSimulatorValidation(b *testing.B) {
 
 // BenchmarkDESBaseline and BenchmarkDESInstrumented bound the cost of the
 // observability layer on the DES hot loop: baseline runs with no metrics
-// attached (the nil-guard path), instrumented attaches a live registry and
-// event hook. The ratio of their ns/op is the telemetry overhead.
+// attached (the nil-guard path), instrumented attaches a live registry.
+// The ratio of their ns/op is the telemetry overhead.
 func desOverheadScenario() sim.Scenario {
 	return sim.Scenario{
 		N: 8, R: 4, D: 3, T: 1,
@@ -143,7 +143,7 @@ func BenchmarkDESBaseline(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.EstimateMTTDL(sc, rng, 100, 1_000_000, sim.Observer{}); err != nil {
+		if _, err := sim.EstimateMTTDL(b.Context(), sc, rng, 100, 1_000_000, sim.Observer{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func BenchmarkDESInstrumented(b *testing.B) {
 	ob := sim.Observer{Metrics: sim.NewMetrics(reg)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.EstimateMTTDL(sc, rng, 100, 1_000_000, ob); err != nil {
+		if _, err := sim.EstimateMTTDL(b.Context(), sc, rng, 100, 1_000_000, ob); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -377,7 +377,7 @@ func BenchmarkTraceGenerateReplay(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := trace.Replay(tr, sys, trace.Policy{
+		if _, err := trace.Replay(b.Context(), tr, sys, trace.Policy{
 			RebuildAfterEachFailure: true, ScrubEveryHours: 720,
 		}); err != nil {
 			b.Fatal(err)

@@ -171,7 +171,6 @@ func runDES(ctx context.Context, stdout io.Writer, trials int, seed int64, worke
 	progress := sess.Progress("missions", int64(trials*len(scenarios)), status)
 	ob := sim.Observer{
 		Metrics: m,
-		Hook:    sess.Hook(),
 		OnMission: func(int, sim.LossResult) {
 			obs.ProgressAdd(progress, 1)
 		},
@@ -184,7 +183,7 @@ func runDES(ctx context.Context, stdout io.Writer, trials int, seed int64, worke
 		}
 		var est sim.Estimate
 		if workers == 1 {
-			est, err = sim.EstimateMTTDL(s.sc, rng, trials, 10_000_000, ob)
+			est, err = sim.EstimateMTTDL(ctx, s.sc, rng, trials, 10_000_000, ob)
 		} else {
 			// Each scenario gets its own base seed from the stream, so
 			// any scenario's run can be reproduced in isolation.

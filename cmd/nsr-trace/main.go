@@ -10,13 +10,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -100,6 +99,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if sess.Registry != nil {
 		sess.Registry.SetLabel("seed", strconv.FormatInt(a.seed, 10))
 	}
+	ctx, root := sess.Trace(context.Background(), "nsr-trace")
 	var runErr error
 	switch {
 	case a.gen:
@@ -107,13 +107,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case a.statsFile != "":
 		runErr = a.runStats(a.statsFile)
 	case a.replayFile != "":
-		runErr = a.runReplay(a.replayFile, sess)
+		runErr = a.runReplay(ctx, a.replayFile, sess)
 	case a.monte > 0:
-		runErr = a.runMonteCarlo(a.monte, sess)
+		runErr = a.runMonteCarlo(ctx, a.monte, sess)
 	default:
 		fs.Usage()
 		runErr = fmt.Errorf("pick one of -gen, -stats, -replay, -montecarlo")
 	}
+	root.End()
 	if err := sess.Finish(); runErr == nil {
 		runErr = err
 	}
@@ -145,6 +146,19 @@ func (a *app) newStore() (*storage.System, error) {
 		}
 	}
 	return sys, nil
+}
+
+// replay runs tr against a fresh store under the flags' policy.
+func (a *app) replay(ctx context.Context, tr *trace.Trace, reg *obs.Registry) (trace.Report, error) {
+	sys, err := a.newStore()
+	if err != nil {
+		return trace.Report{}, err
+	}
+	return trace.Replay(ctx, tr, sys, trace.Policy{
+		RebuildAfterEachFailure: a.rebuild,
+		ScrubEveryHours:         a.scrubH,
+		Obs:                     reg,
+	})
 }
 
 func (a *app) runGen() error {
@@ -189,22 +203,13 @@ func (a *app) runStats(path string) error {
 	return nil
 }
 
-func (a *app) runReplay(path string, sess *obs.Session) error {
+func (a *app) runReplay(ctx context.Context, path string, sess *obs.Session) error {
 	tr, err := readTrace(path)
 	if err != nil {
 		return err
 	}
 	a.nodes, a.drives = tr.Nodes, tr.DrivesPerNode
-	sys, err := a.newStore()
-	if err != nil {
-		return err
-	}
-	rep, err := trace.Replay(tr, sys, trace.Policy{
-		RebuildAfterEachFailure: a.rebuild,
-		ScrubEveryHours:         a.scrubH,
-		Obs:                     sess.Registry,
-		Hook:                    sess.Hook(),
-	})
+	rep, err := a.replay(ctx, tr, sess.Registry)
 	if err != nil {
 		return err
 	}
@@ -214,7 +219,7 @@ func (a *app) runReplay(path string, sess *obs.Session) error {
 	return nil
 }
 
-func (a *app) runMonteCarlo(n int, sess *obs.Session) error {
+func (a *app) runMonteCarlo(ctx context.Context, n int, sess *obs.Session) error {
 	// The status closure runs on the progress goroutine, so the tally is
 	// atomic.
 	var lossTraces, totalEvents atomic.Int64
@@ -223,26 +228,21 @@ func (a *app) runMonteCarlo(n int, sess *obs.Session) error {
 	})
 	// Trace s is generated from seedstream.Derive(seed, s): a pure
 	// function of the base seed and the index, so each trace can be
-	// regenerated in isolation and the aggregate tallies are identical at
-	// any worker count. The registry, JSONL sink and progress counter are
-	// all concurrency-safe.
-	runTrace := func(s int) error {
+	// regenerated in isolation, and the tallies and the reported error
+	// (RunIndexed's lowest failing trace) are identical at any worker
+	// count. The registry and progress counter are concurrency-safe; each
+	// replay's events land under its own nsr-trace.trace span.
+	err := core.RunIndexed(ctx, n, a.workers, func(s int) error {
+		tctx, tsp := obs.StartSpan(ctx, "nsr-trace.trace")
+		tsp.SetAttr("trace", s)
+		defer tsp.End()
+		var rep trace.Report
 		tr, err := trace.Generate(a.options(seedstream.Derive(a.seed, uint64(s))))
-		if err != nil {
-			return err
+		if err == nil {
+			rep, err = a.replay(tctx, tr, sess.Registry)
 		}
-		sys, err := a.newStore()
 		if err != nil {
-			return err
-		}
-		rep, err := trace.Replay(tr, sys, trace.Policy{
-			RebuildAfterEachFailure: a.rebuild,
-			ScrubEveryHours:         a.scrubH,
-			Obs:                     sess.Registry,
-			Hook:                    sess.Hook(),
-		})
-		if err != nil {
-			return err
+			return fmt.Errorf("trace %d: %w", s, err)
 		}
 		totalEvents.Add(int64(rep.EventsApplied))
 		if rep.UnreadableAtEnd > 0 || rep.ObjectsLost > 0 {
@@ -250,64 +250,7 @@ func (a *app) runMonteCarlo(n int, sess *obs.Session) error {
 		}
 		obs.ProgressAdd(progress, 1)
 		return nil
-	}
-	w := a.workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	if w > n {
-		w = n
-	}
-	var err error
-	if w <= 1 {
-		for s := 0; s < n && err == nil; s++ {
-			if e := runTrace(s); e != nil {
-				err = fmt.Errorf("trace %d: %w", s, e)
-			}
-		}
-	} else {
-		// Bounded pool reporting the error of the lowest failing trace,
-		// so failures too are deterministic across worker counts.
-		var (
-			next     atomic.Int64
-			failed   atomic.Bool
-			mu       sync.Mutex
-			firstErr error
-			firstIdx = n
-		)
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(next.Add(1)) - 1
-					if s >= n {
-						return
-					}
-					if failed.Load() {
-						mu.Lock()
-						skip := s > firstIdx
-						mu.Unlock()
-						if skip {
-							continue
-						}
-					}
-					if err := runTrace(s); err != nil {
-						mu.Lock()
-						if s < firstIdx {
-							firstIdx = s
-							firstErr = fmt.Errorf("trace %d: %w", s, err)
-						}
-						mu.Unlock()
-						failed.Store(true)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		err = firstErr
-	}
+	})
 	obs.ProgressStop(progress)
 	if err != nil {
 		return err

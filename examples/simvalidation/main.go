@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := sim.EstimateMTTDL(sc, rng, 3000, 1_000_000, sim.Observer{})
+	est, err := sim.EstimateMTTDL(context.Background(), sc, rng, 3000, 1_000_000, sim.Observer{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestWholeStackMissionLossProbability(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rep, err := trace.Replay(tr, sys, trace.Policy{
+		rep, err := trace.Replay(t.Context(), tr, sys, trace.Policy{
 			RebuildWindowHours: window,
 			ReplenishNodes:     true, // the analytic models' constant-N assumption
 		})

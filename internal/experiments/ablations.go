@@ -62,7 +62,7 @@ func AblationModelAssumptions(trials int, seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		est, err := sim.EstimateMTTDL(sc, rng, trials, 10_000_000, sim.Observer{})
+		est, err := sim.EstimateMTTDL(context.TODO(), sc, rng, trials, 10_000_000, sim.Observer{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -37,7 +38,7 @@ func AblationCorrelatedFailures(trials int, seed int64) (*Table, error) {
 			sc.ShockRate = share * budget / 2
 			sc.LambdaN = (1 - share) * budget / float64(sc.N)
 		}
-		est, err := sim.EstimateMTTDL(sc, rng, trials, 10_000_000, sim.Observer{})
+		est, err := sim.EstimateMTTDL(context.TODO(), sc, rng, trials, 10_000_000, sim.Observer{})
 		if err != nil {
 			return nil, err
 		}

@@ -9,48 +9,37 @@ import (
 )
 
 // Flags is the shared observability CLI surface: every long-running
-// command registers the same three flags so instrumentation is uniform
-// across the binaries.
+// command registers the same flags so instrumentation is uniform across
+// the binaries.
 type Flags struct {
 	// Metrics is a path to write the final JSON metrics snapshot to
-	// ("-" for stdout). Empty disables metrics collection entirely —
-	// commands should only build a Registry when Enabled reports true.
+	// ("-" for stdout). Empty disables metrics collection entirely.
 	Metrics string
 	// Progress is the interval between progress reports (0 = silent).
 	Progress time.Duration
 	// PProf is an address to serve live pprof on, or a file path for a
 	// whole-run CPU profile (see StartPProf).
 	PProf string
-	// Events is a path for the JSONL structured-event stream (optional).
-	Events string
-	// TraceOut is a path to write the run's span tree to as JSONL
-	// (optional). Empty disables tracing — StartSpan stays on its
-	// zero-allocation no-op path.
+	// TraceOut is a path for the run's span tree, written at exit as
+	// JSONL with each span's structured events (optional). Empty disables
+	// tracing — StartSpan stays on its zero-allocation no-op path.
 	TraceOut string
 }
 
-// AddFlags registers -metrics, -progress, -pprof, -events and -trace-out
-// on fs.
+// AddFlags registers -metrics, -progress, -pprof and -trace-out on fs.
 func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Metrics, "metrics", "", "write a JSON metrics snapshot to this file on exit (\"-\" = stdout)")
 	fs.DurationVar(&f.Progress, "progress", 0, "report progress at this interval (e.g. 5s; 0 = silent)")
 	fs.StringVar(&f.PProf, "pprof", "", "serve live pprof on host:port, or capture a CPU profile to this file")
-	fs.StringVar(&f.Events, "events", "", "append structured JSONL events to this file")
-	fs.StringVar(&f.TraceOut, "trace-out", "", "write the run's span tree to this file as JSONL (\"-\" = stdout)")
+	fs.StringVar(&f.TraceOut, "trace-out", "", "write the run's span tree and its events to this file as JSONL (\"-\" = stdout)")
 	return f
 }
-
-// Enabled reports whether any metrics consumer was requested, i.e.
-// whether the command should pay for instrumentation at all.
-func (f *Flags) Enabled() bool { return f.Metrics != "" || f.Events != "" }
 
 // Session is the live observability state of one command run.
 type Session struct {
 	// Registry is non-nil when metrics were requested.
 	Registry *Registry
-	// Sink is non-nil when -events was given; it implements Hook.
-	Sink *JSONLSink
 	// Tracer is non-nil when -trace-out was given; it retains span
 	// records for the final JSONL dump, and folds span durations into
 	// Registry (as trace.<name>.seconds histograms) when metrics are
@@ -61,17 +50,8 @@ type Session struct {
 	stopProf func() error
 }
 
-// Hook returns the session's event hook, nil when events are disabled —
-// callers pass it straight into instrumented code, which nil-guards.
-func (s *Session) Hook() Hook {
-	if s == nil || s.Sink == nil {
-		return nil
-	}
-	return s.Sink
-}
-
-// Start opens the session: begins pprof capture and creates the event
-// sink and registry as requested. Always returns a usable session (all
+// Start opens the session: begins pprof capture and creates the registry
+// and tracer as requested. Always returns a usable session (all
 // fields nil when nothing was requested).
 func (f *Flags) Start() (*Session, error) {
 	s := &Session{flags: f}
@@ -84,16 +64,6 @@ func (f *Flags) Start() (*Session, error) {
 			return nil, err
 		}
 		s.stopProf = stop
-	}
-	if f.Events != "" {
-		sink, err := CreateJSONLSink(f.Events)
-		if err != nil {
-			if s.stopProf != nil {
-				s.stopProf() //nolint:errcheck // the create error wins
-			}
-			return nil, err
-		}
-		s.Sink = sink
 	}
 	if f.TraceOut != "" {
 		s.Tracer = NewTracer()
@@ -125,8 +95,8 @@ func (s *Session) Progress(label string, total int64, status func() string) *Pro
 	return StartProgress(os.Stderr, label, total, s.flags.Progress, status)
 }
 
-// Finish stops profiling, flushes the event sink, and writes the metrics
-// snapshot. It returns the first error.
+// Finish stops profiling, writes the retained trace, and writes the
+// metrics snapshot. It returns the first error.
 func (s *Session) Finish() error {
 	if s == nil {
 		return nil
@@ -135,11 +105,6 @@ func (s *Session) Finish() error {
 	if s.stopProf != nil {
 		first = s.stopProf()
 		s.stopProf = nil
-	}
-	if s.Sink != nil {
-		if err := s.Sink.Close(); first == nil {
-			first = err
-		}
 	}
 	if s.Tracer != nil && s.flags.TraceOut != "" {
 		var err error

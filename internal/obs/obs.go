@@ -1,10 +1,10 @@
 // Package obs is the repo's dependency-free observability layer: an
-// atomic metrics registry (counters, gauges, fixed-bucket histograms), a
-// structured-event hook with a nil fast path, a JSONL event sink, a
-// periodic progress reporter, and pprof capture helpers.
+// atomic metrics registry (counters, gauges, fixed-bucket histograms),
+// context-propagated spans that also carry the structured events (one
+// JSONL stream), a periodic progress reporter, and pprof capture helpers.
 //
 // The design contract is zero overhead when disabled: every instrumented
-// layer holds a nilable pointer (a *Metrics bundle, an obs.Hook, or a
+// layer holds a nilable pointer (a *Metrics bundle, a *Span, or a
 // registered *Registry) and guards each observation with a nil check, so
 // a run without -metrics pays a single predictable branch per
 // observation point — no allocation, no atomic traffic, no call. The

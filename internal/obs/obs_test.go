@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -215,17 +216,26 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestNilHookZeroAlloc proves the zero-overhead contract: the disabled
-// instrumentation path — a nil Hook guard plus enabled-path primitives —
-// allocates nothing.
+// TestNilHookZeroAlloc proves the zero-overhead contract at an event
+// hook point: a Recording-guarded Event on a nil span and on a span of a
+// fold-only tracer allocates nothing, and neither do the enabled metric
+// primitives.
 func TestNilHookZeroAlloc(t *testing.T) {
-	var h Hook
-	if allocs := testing.AllocsPerRun(1000, func() {
-		if h != nil {
-			h.Emit(Event{T: 1, Name: "never"})
+	tr := NewTracer()
+	tr.SetRetain(false)
+	_, folded := tr.Start(context.Background(), "fold-only")
+	defer folded.End()
+	for name, sp := range map[string]*Span{"nil span": nil, "fold-only span": folded} {
+		if sp.Recording() {
+			t.Fatalf("%s reports Recording", name)
 		}
-	}); allocs != 0 {
-		t.Errorf("nil-hook guard allocated %v bytes/op", allocs)
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if sp.Recording() {
+				sp.Event("never", 1, map[string]any{"k": 1})
+			}
+		}); allocs != 0 {
+			t.Errorf("guarded event on a %s allocated %v/op", name, allocs)
+		}
 	}
 	r := NewRegistry()
 	c := r.Counter("c")

@@ -30,6 +30,15 @@ import (
 // context); completed spans fold into duration histograms via the
 // tracer's fold callback and are optionally retained as SpanRecords for
 // JSONL export.
+//
+// Spans are also the one structured-event stream: Event appends a named,
+// timestamped entry (a DES mission's data loss, a replay's rebuild) to
+// the span that produced it, and only while the span is Recording — on a
+// retaining tracer. Call sites build attribute maps inside the guard:
+//
+//	if sp.Recording() {
+//		sp.Event("data_loss", hours, map[string]any{"cause": c})
+//	}
 
 // SpanRecord is one completed span, as retained and exported. Start is
 // the offset from the tracer's epoch (its creation time), so records
@@ -46,13 +55,25 @@ type SpanRecord struct {
 	StartSeconds float64        `json:"start"`
 	Seconds      float64        `json:"seconds"`
 	Attrs        map[string]any `json:"attrs,omitempty"`
+	// Events are the span's structured events in emission order; a span
+	// without events encodes with no "events" key.
+	Events []SpanEvent `json:"events,omitempty"`
+}
+
+// SpanEvent is one structured occurrence recorded on a span. T is in the
+// emitter's own unit (simulated hours for the DES and trace replays),
+// not wall time.
+type SpanEvent struct {
+	Name  string         `json:"event"`
+	T     float64        `json:"t"`
+	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
 // Span is a live (unfinished) span handle. The zero of usefulness is the
 // nil *Span: every method no-ops, which is how the disabled path costs
-// nothing. A Span is owned by the goroutine that started it; SetAttr and
-// End must not race each other for one span, but distinct spans of one
-// tracer may run on distinct goroutines concurrently.
+// nothing. A Span is owned by the goroutine that started it; SetAttr,
+// Event and End must not race each other for one span, but distinct
+// spans of one tracer may run on distinct goroutines concurrently.
 type Span struct {
 	tr     *Tracer
 	id     int64
@@ -60,6 +81,8 @@ type Span struct {
 	name   string
 	start  time.Time
 	attrs  map[string]any
+	events []SpanEvent
+	retain bool // the tracer retained spans when this one started
 }
 
 // SetAttr attaches a key/value annotation. Nil-safe; on a nil span the
@@ -73,6 +96,20 @@ func (s *Span) SetAttr(key string, value any) {
 		s.attrs = make(map[string]any, 4)
 	}
 	s.attrs[key] = value
+}
+
+// Recording reports whether Event keeps what it is given: false for a nil
+// span and for a span of a non-retaining tracer, whose records nobody
+// will read. Guard attribute construction with it.
+func (s *Span) Recording() bool { return s != nil && s.retain }
+
+// Event appends a structured event at time t (in the emitter's unit) to
+// a recording span; otherwise it discards its arguments.
+func (s *Span) Event(name string, t float64, attrs map[string]any) {
+	if !s.Recording() {
+		return
+	}
+	s.events = append(s.events, SpanEvent{Name: name, T: t, Attrs: attrs})
 }
 
 // End completes the span: its duration is folded into the tracer's
@@ -112,7 +149,8 @@ func (t *Tracer) SetFold(fold func(name string, seconds float64)) { t.fold = fol
 // SetRetain controls whether completed spans are kept for Spans /
 // WriteJSONL. A non-retaining tracer still folds durations — the serve
 // path runs one per request so /metrics sees stage histograms without
-// buffering sweep-sized span sets nobody will read.
+// buffering sweep-sized span sets nobody will read — but its spans record
+// no events. Set it before starting spans: each span samples it once.
 func (t *Tracer) SetRetain(retain bool) {
 	t.mu.Lock()
 	t.retain = retain
@@ -152,9 +190,9 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 func (t *Tracer) newSpan(name string, parent int64) *Span {
 	t.mu.Lock()
 	t.nextID++
-	id := t.nextID
+	id, retain := t.nextID, t.retain
 	t.mu.Unlock()
-	return &Span{tr: t, id: id, parent: parent, name: name, start: time.Now()}
+	return &Span{tr: t, id: id, parent: parent, name: name, start: time.Now(), retain: retain}
 }
 
 func (t *Tracer) end(s *Span) {
@@ -168,6 +206,7 @@ func (t *Tracer) end(s *Span) {
 			StartSeconds: s.start.Sub(t.epoch).Seconds(),
 			Seconds:      seconds,
 			Attrs:        s.attrs,
+			Events:       s.events,
 		})
 	}
 	t.mu.Unlock()

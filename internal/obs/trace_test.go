@@ -135,6 +135,71 @@ func TestTracerNoRetainStillFolds(t *testing.T) {
 	}
 }
 
+// TestSpanEventsEncoding pins the event stream's wire shape: a span
+// without events encodes with no "events" key (byte for byte the span
+// record without events), and a recording span's events come back in
+// emission order with their timestamps and attrs.
+func TestSpanEventsEncoding(t *testing.T) {
+	tr := NewTracer()
+	ctx, root := tr.Start(context.Background(), "run")
+	_, plain := StartSpan(ctx, "plain")
+	plain.SetAttr("k", 1)
+	plain.End()
+	_, loud := StartSpan(ctx, "loud")
+	if !loud.Recording() {
+		t.Fatal("span of a retaining tracer is not recording")
+	}
+	loud.Event("rebuild", 1.5, map[string]any{"shards": 3})
+	loud.Event("data_loss", 2.5, nil)
+	loud.End()
+	root.End()
+
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("JSONL lines = %d, want 3:\n%s", len(lines), buf.String())
+	}
+	var withEvents int
+	for _, line := range lines {
+		var rec SpanRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad line %q: %v", line, err)
+		}
+		if rec.Name != "loud" {
+			if strings.Contains(line, `"events"`) {
+				t.Errorf("span %q without events encodes an events key: %s", rec.Name, line)
+			}
+			continue
+		}
+		withEvents++
+		if len(rec.Events) != 2 || rec.Events[0].Name != "rebuild" || rec.Events[0].T != 1.5 ||
+			rec.Events[0].Attrs["shards"] != 3.0 || rec.Events[1].Name != "data_loss" ||
+			rec.Events[1].T != 2.5 || rec.Events[1].Attrs != nil {
+			t.Errorf("events did not round-trip: %+v", rec.Events)
+		}
+	}
+	if withEvents != 1 {
+		t.Errorf("found %d spans with events, want 1", withEvents)
+	}
+	if want := `{"id":2,"parent":1,"span":"plain","start":`; !strings.HasPrefix(lines[1], want) {
+		t.Errorf("plain span line = %s, want prefix %s", lines[1], want)
+	}
+
+	quiet := NewTracer()
+	quiet.SetRetain(false)
+	_, sp := quiet.Start(context.Background(), "fold-only")
+	if sp.Recording() {
+		t.Error("span of a non-retaining tracer is recording")
+	}
+	sp.Event("dropped", 1, nil)
+	sp.End()
+	var nilSpan *Span
+	nilSpan.Event("dropped", 1, nil)
+}
+
 // TestConcurrentSpanHammer drives one tracer from many goroutines — the
 // sweep-cell shape — and is the -race probe for span emission.
 func TestConcurrentSpanHammer(t *testing.T) {

@@ -302,8 +302,10 @@ func (m missionStats) estimate(trials int) Estimate {
 
 // EstimateMTTDL runs independent trajectories off one shared RNG and
 // aggregates the observed times to data loss, with per-mission telemetry
-// through ob (the zero Observer disables it). Trial i's sample depends on
-// trials 0..i-1; EstimateMTTDLParallel draws per-trial streams instead.
-func EstimateMTTDL(sc Scenario, rng *rand.Rand, trials, maxEventsPerTrial int, ob Observer) (Estimate, error) {
-	return estimateMTTDL(context.TODO(), sc, rng, 0, trials, maxEventsPerTrial, 1, ob)
+// through ob (the zero Observer disables it) and, under a retaining
+// tracer on ctx, data_loss events on its sim.chunk spans. Trial i's
+// sample depends on trials 0..i-1; EstimateMTTDLParallel draws per-trial
+// streams instead.
+func EstimateMTTDL(ctx context.Context, sc Scenario, rng *rand.Rand, trials, maxEventsPerTrial int, ob Observer) (Estimate, error) {
+	return estimateMTTDL(ctx, sc, rng, 0, trials, maxEventsPerTrial, 1, ob)
 }

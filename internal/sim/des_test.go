@@ -98,7 +98,7 @@ func TestDESMatchesChainNIRFaultTolerance1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(11)), 4000, 1_000_000, Observer{})
+	est, err := EstimateMTTDL(t.Context(), sc, rand.New(rand.NewSource(11)), 4000, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDESChainLIFOConservatismFaultTolerance2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(12)), 1500, 5_000_000, Observer{})
+	est, err := EstimateMTTDL(t.Context(), sc, rand.New(rand.NewSource(12)), 1500, 5_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestDESMatchesChainInternalRAID5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(13)), 1200, 10_000_000, Observer{})
+	est, err := EstimateMTTDL(t.Context(), sc, rand.New(rand.NewSource(13)), 1200, 10_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestDESMatchesChainInternalRAID6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(20)), 800, 10_000_000, Observer{})
+	est, err := EstimateMTTDL(t.Context(), sc, rand.New(rand.NewSource(20)), 800, 10_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,11 @@ func TestDESRepairDistributionAblation(t *testing.T) {
 	scExp, _ := acceleratedNIR(1)
 	scDet := scExp
 	scDet.Repair = RepairDeterministic
-	expEst, err := EstimateMTTDL(scExp, rand.New(rand.NewSource(14)), 2500, 1_000_000, Observer{})
+	expEst, err := EstimateMTTDL(t.Context(), scExp, rand.New(rand.NewSource(14)), 2500, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	detEst, err := EstimateMTTDL(scDet, rand.New(rand.NewSource(15)), 2500, 1_000_000, Observer{})
+	detEst, err := EstimateMTTDL(t.Context(), scDet, rand.New(rand.NewSource(15)), 2500, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +227,12 @@ func TestRunUntilLossTooReliable(t *testing.T) {
 
 func TestEstimateMTTDLValidation(t *testing.T) {
 	sc, _ := acceleratedNIR(1)
-	if _, err := EstimateMTTDL(sc, rand.New(rand.NewSource(1)), 1, 100, Observer{}); err == nil {
+	if _, err := EstimateMTTDL(t.Context(), sc, rand.New(rand.NewSource(1)), 1, 100, Observer{}); err == nil {
 		t.Error("trials=1 accepted")
 	}
 	bad := sc
 	bad.T = 0
-	if _, err := EstimateMTTDL(bad, rand.New(rand.NewSource(1)), 10, 100, Observer{}); err == nil {
+	if _, err := EstimateMTTDL(t.Context(), bad, rand.New(rand.NewSource(1)), 10, 100, Observer{}); err == nil {
 		t.Error("invalid scenario accepted")
 	}
 }
@@ -248,7 +248,7 @@ func TestDESNoSectorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(17)), 2000, 2_000_000, Observer{})
+	est, err := EstimateMTTDL(t.Context(), sc, rand.New(rand.NewSource(17)), 2000, 2_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +261,11 @@ func TestDESNoSectorErrors(t *testing.T) {
 func TestDESMonotoneInFaultTolerance(t *testing.T) {
 	sc1, _ := acceleratedNIR(1)
 	sc2, _ := acceleratedNIR(2)
-	est1, err := EstimateMTTDL(sc1, rand.New(rand.NewSource(18)), 1000, 1_000_000, Observer{})
+	est1, err := EstimateMTTDL(t.Context(), sc1, rand.New(rand.NewSource(18)), 1000, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	est2, err := EstimateMTTDL(sc2, rand.New(rand.NewSource(19)), 1000, 5_000_000, Observer{})
+	est2, err := EstimateMTTDL(t.Context(), sc2, rand.New(rand.NewSource(19)), 1000, 5_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}

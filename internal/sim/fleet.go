@@ -344,7 +344,8 @@ func runFleetShard(sc Scenario, sets int, horizonHours float64, rng *rand.Rand, 
 // Workers poll ctx before claiming each shard, so a cancelled estimate
 // stops within one shard and returns ctx.Err(). Shard k is seeded from
 // seedstream.Derive(baseSeed, k) and results fold in ascending shard
-// order, so the estimate is bit-identical at any worker count.
+// order, so the estimate is bit-identical at any worker count. workers:
+// 0 = all CPUs; negative rejected.
 func EstimateFleet(ctx context.Context, sc Scenario, bricks int, horizonHours float64, baseSeed int64, workers int, maxEventsPerShard int64, m *FleetMetrics) (FleetEstimate, error) {
 	return estimateFleet(ctx, sc, bricks, horizonHours, baseSeed, workers, maxEventsPerShard, m,
 		func() scheduler { return newCalendarQueue() })

@@ -197,7 +197,7 @@ func TestEstimatorGolden(t *testing.T) {
 		fmt.Fprintf(&buf, "%s %s\n", name, out)
 	}
 	for i, c := range goldenEstimatorScenarios() {
-		est, err := EstimateMTTDL(c.sc, rand.New(rand.NewSource(int64(300+i))), 150, 1_000_000, Observer{})
+		est, err := EstimateMTTDL(t.Context(), c.sc, rand.New(rand.NewSource(int64(300+i))), 150, 1_000_000, Observer{})
 		line("mttdl/serial/"+c.name, formatEstimate(est), err)
 		for _, workers := range []int{1, 4} {
 			est, err := EstimateMTTDLParallel(t.Context(), c.sc, int64(400+i), 150, 1_000_000, workers, Observer{})

@@ -50,9 +50,6 @@ type Observer struct {
 	// Metrics receives event counts, repair-duration samples and
 	// loss-cause tallies (nil = off).
 	Metrics *Metrics
-	// Hook receives one structured "data_loss" event per mission
-	// (nil = off).
-	Hook obs.Hook
 	// OnMission, when non-nil, runs after every completed mission —
 	// progress reporting for long Monte Carlo runs.
 	OnMission func(i int, r LossResult)

@@ -20,12 +20,13 @@ package sim
 //     floating-point rounding sequence is fixed no matter how chunks
 //     were scheduled.
 //
-// Observer callbacks and hook emissions are serialized under a mutex so
-// JSONL event streams stay well-formed; per-worker obs recorders keep
-// the shared registry to a handful of atomic adds per chunk. Mission
-// *completion order* (and therefore event order in a JSONL stream and
-// the OnMission call order) is scheduling-dependent; every event carries
-// its mission index so streams can be re-sorted offline.
+// Each mission's data_loss event lands on its chunk's sim.chunk span, in
+// mission order, so a retained trace holds the same per-chunk events at
+// any worker count; the span belongs to the worker running the chunk, so
+// recording takes no lock. OnMission callbacks are serialized under a
+// mutex and arrive in a scheduling-dependent order; per-worker obs
+// recorders keep the shared registry to a handful of atomic adds per
+// chunk.
 //
 // One chunk runner serves every estimator — missions, biased cycles and
 // fleet shards; the serial estimators run on it too, as one worker drawing
@@ -43,6 +44,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/markov"
 	"repro/internal/obs"
 	"repro/internal/seedstream"
@@ -61,15 +63,19 @@ const missionChunk = 64
 // arithmetic ops) and the scheduling handshake.
 const cycleChunk = 1024
 
-// runChunks runs chunks [0, chunks) on a pool of workers goroutines (<= 0
-// selects runtime.NumCPU(); never more than chunks). Each goroutine calls
-// newWorker once for its chunk function, so per-worker state lives in that
-// closure. Workers claim chunks through one shared index and poll ctx
+// runChunks runs chunks [0, chunks) on a pool of workers goroutines (0
+// selects runtime.NumCPU(), never more than chunks; a negative count is
+// rejected by core.ValidateWorkers before any chunk runs). Each goroutine
+// calls newWorker once for its chunk function, so per-worker state lives
+// in that closure. Workers claim chunks through one shared index and poll ctx
 // before each claim. After a failure, chunks above the lowest failing one
 // are skipped, and that chunk's error is returned; otherwise a cancelled
 // run returns ctx.Err().
 func runChunks(ctx context.Context, chunks, workers int, newWorker func() func(c int) error) error {
-	if workers <= 0 {
+	if err := core.ValidateWorkers(workers); err != nil {
+		return err
+	}
+	if workers == 0 {
 		workers = runtime.NumCPU()
 	}
 	workers = max(min(workers, chunks), 1)
@@ -129,14 +135,15 @@ func runChunks(ctx context.Context, chunks, workers int, newWorker func() func(c
 // RNG makes trial i depend on trials 0..i-1 — each trial's RNG is seeded
 // from seedstream.Derive(baseSeed, trialIndex), so the returned Estimate
 // is bit-identical for every workers value (including 1) at a fixed
-// baseSeed. workers <= 0 selects runtime.NumCPU().
+// baseSeed. workers: 0 = all CPUs; negative rejected.
 //
 // Workers poll ctx before claiming each chunk (missionChunk missions), so
 // a cancelled estimate stops within one chunk and returns ctx.Err() (a
-// genuine trial error observed before cancellation wins). Hook emissions
-// and OnMission callbacks are serialized (one at a time, from pool
-// goroutines); metrics use per-worker recorders and the lock-free
-// registry.
+// genuine trial error observed before cancellation wins). Under a
+// retaining tracer each chunk's sim.chunk span carries its missions'
+// data_loss events; OnMission callbacks are serialized (one at a time,
+// from pool goroutines); metrics use per-worker recorders and the
+// lock-free registry.
 func EstimateMTTDLParallel(ctx context.Context, sc Scenario, baseSeed int64, trials, maxEventsPerTrial, workers int, ob Observer) (Estimate, error) {
 	return estimateMTTDL(ctx, sc, nil, baseSeed, trials, maxEventsPerTrial, workers, ob)
 }
@@ -158,8 +165,7 @@ func estimateMTTDL(ctx context.Context, sc Scenario, shared *rand.Rand, baseSeed
 	}
 	numChunks := (trials + missionChunk - 1) / missionChunk
 	chunkStats := make([]missionStats, numChunks)
-	// mu serializes the per-mission callbacks, so JSONL events stay
-	// well-formed and OnMission never runs concurrently.
+	// mu serializes OnMission, which never runs concurrently.
 	var mu sync.Mutex
 	err := runChunks(ctx, numChunks, workers, func() func(int) error {
 		// One mission shard and one RNG per worker, reused across all its
@@ -181,6 +187,7 @@ func estimateMTTDL(ctx context.Context, sc Scenario, shared *rand.Rand, baseSeed
 				csp.SetAttr("hi", hi)
 			}
 			defer csp.End()
+			recording := csp.Recording()
 			defer s.flushMetrics()
 			st := &chunkStats[c]
 			if shared != nil {
@@ -194,18 +201,16 @@ func estimateMTTDL(ctx context.Context, sc Scenario, shared *rand.Rand, baseSeed
 				if err != nil {
 					return fmt.Errorf("trial %d: %w", i, err)
 				}
-				if ob.Hook != nil || ob.OnMission != nil {
+				if recording {
+					csp.Event("data_loss", r.Time, map[string]any{
+						"mission": i,
+						"cause":   r.Cause.String(),
+						"events":  r.Events,
+					})
+				}
+				if ob.OnMission != nil {
 					mu.Lock()
-					if ob.Hook != nil {
-						ob.Hook.Emit(obs.Event{T: r.Time, Name: "data_loss", Fields: map[string]any{
-							"mission": i,
-							"cause":   r.Cause.String(),
-							"events":  r.Events,
-						}})
-					}
-					if ob.OnMission != nil {
-						ob.OnMission(i, r)
-					}
+					ob.OnMission(i, r)
 					mu.Unlock()
 				}
 				st.add(r)
@@ -228,8 +233,8 @@ func estimateMTTDL(ctx context.Context, sc Scenario, shared *rand.Rand, baseSeed
 // Cycles are partitioned into fixed chunks of cycleChunk; chunk k runs
 // off an RNG seeded from seedstream.Derive(baseSeed, k), and chunk moment
 // sums fold in chunk order, so the result is bit-identical for every
-// workers value at a fixed baseSeed. workers <= 0 selects
-// runtime.NumCPU(). Workers poll ctx before claiming each chunk, so a
+// workers value at a fixed baseSeed. workers: 0 = all CPUs; negative
+// rejected. Workers poll ctx before claiming each chunk, so a
 // cancelled estimate stops within one chunk and returns ctx.Err().
 func EstimateMTTABiasedParallel(ctx context.Context, c *markov.Chain, baseSeed int64, cycles int, delta, repairThreshold float64, workers int) (BiasedEstimate, error) {
 	return estimateMTTABiased(ctx, c, nil, baseSeed, cycles, delta, repairThreshold, workers)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -59,7 +60,7 @@ func TestEstimateMTTDLParallelDeterministic(t *testing.T) {
 func TestEstimateMTTDLParallelStatisticallyConsistent(t *testing.T) {
 	sc := parallelTestScenario()
 	const trials = 2000
-	serial, err := EstimateMTTDL(sc, rand.New(rand.NewSource(7)), trials, 1_000_000, Observer{})
+	serial, err := EstimateMTTDL(t.Context(), sc, rand.New(rand.NewSource(7)), trials, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,44 +78,88 @@ func TestEstimateMTTDLParallelStatisticallyConsistent(t *testing.T) {
 }
 
 // TestEstimateMTTDLParallelStress hammers the parallel estimator with
-// metrics, hook, and progress all enabled — the -race target. It also
-// re-checks determinism of the estimate under full instrumentation.
+// metrics, a retaining tracer and progress all enabled — the -race
+// target. It re-checks determinism of the estimate under full
+// instrumentation, and that every sim.chunk span holds exactly its
+// missions' data_loss events, in mission order, the same at any worker
+// count.
 func TestEstimateMTTDLParallelStress(t *testing.T) {
 	sc := parallelTestScenario()
 	const trials = 256
-	run := func(workers int) (Estimate, *Metrics, *obs.JSONLSink, int64) {
+	run := func(workers int) (Estimate, *Metrics, map[int][]obs.SpanEvent, int64) {
 		reg := obs.NewRegistry()
 		m := NewMetrics(reg)
-		sink := obs.NewJSONLSink(io.Discard)
+		tr := obs.NewTracer()
+		ctx, root := tr.Start(t.Context(), "stress")
 		progress := obs.StartProgress(io.Discard, "missions", trials, time.Millisecond, nil)
 		defer progress.Stop()
 		ob := Observer{
 			Metrics:   m,
-			Hook:      sink,
 			OnMission: func(int, LossResult) { progress.Add(1) },
 		}
-		est, err := EstimateMTTDLParallel(t.Context(), sc, 99, trials, 1_000_000, workers, ob)
+		est, err := EstimateMTTDLParallel(ctx, sc, 99, trials, 1_000_000, workers, ob)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return est, m, sink, progress.Done()
+		root.End()
+		byChunk := make(map[int][]obs.SpanEvent)
+		for _, sp := range tr.Spans() {
+			if sp.Name != "sim.chunk" {
+				continue
+			}
+			lo, hi := sp.Attrs["lo"].(int), sp.Attrs["hi"].(int)
+			if len(sp.Events) != hi-lo {
+				t.Errorf("workers=%d: chunk [%d,%d) holds %d events", workers, lo, hi, len(sp.Events))
+			}
+			for k, ev := range sp.Events {
+				if ev.Name != "data_loss" || ev.Attrs["mission"] != lo+k {
+					t.Errorf("workers=%d: chunk [%d,%d) event %d = %s mission %v, want data_loss mission %d",
+						workers, lo, hi, k, ev.Name, ev.Attrs["mission"], lo+k)
+				}
+			}
+			byChunk[lo] = sp.Events
+		}
+		return est, m, byChunk, progress.Done()
 	}
-	est1, _, _, _ := run(1)
-	est8, m, sink, done := run(8)
+	est1, _, events1, _ := run(1)
+	est8, m, events8, done := run(8)
 	if est1 != est8 {
 		t.Errorf("instrumented estimates differ: workers=1 %+v vs workers=8 %+v", est1, est8)
 	}
+	if !reflect.DeepEqual(events1, events8) {
+		t.Error("per-chunk data_loss events differ between workers=1 and workers=8")
+	}
+	var total int
+	for _, evs := range events8 {
+		total += len(evs)
+	}
+	if total != trials {
+		t.Errorf("chunk spans hold %d data_loss events, want %d", total, trials)
+	}
 	if got := m.Missions.Value(); got != trials {
 		t.Errorf("missions counter %d, want %d", got, trials)
-	}
-	if got := sink.Events(); got != trials {
-		t.Errorf("hook saw %d events, want %d", got, trials)
 	}
 	if done != trials {
 		t.Errorf("progress saw %d missions, want %d", done, trials)
 	}
 	if lh := m.LossHours.Count(); lh != trials {
 		t.Errorf("loss-hours histogram has %d samples, want %d", lh, trials)
+	}
+}
+
+// TestChunkRunnerRejectsNegativeWorkers pins the worker-count contract
+// of every estimator on the chunk runner: 0 means all CPUs, and a
+// negative count is an error, not an all-CPUs run.
+func TestChunkRunnerRejectsNegativeWorkers(t *testing.T) {
+	ch := biasedParallelTestChain()
+	errs := map[string]error{}
+	_, errs["EstimateMTTDLParallel"] = EstimateMTTDLParallel(t.Context(), parallelTestScenario(), 1, 100, 1_000_000, -4, Observer{})
+	_, errs["EstimateMTTABiasedParallel"] = EstimateMTTABiasedParallel(t.Context(), ch, 1, 2048, 0.5, RepairThreshold(ch), -4)
+	_, errs["EstimateFleet"] = EstimateFleet(t.Context(), parallelTestScenario(), 64, 100, 1, -4, 0, nil)
+	for name, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%s with workers=-4: err = %v, want a negative-workers error", name, err)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func TestShockBeyondToleranceDominates(t *testing.T) {
 	sc.CHER = 0
 	sc.ShockRate = 0.01
 	sc.ShockSize = 3 // > t = 2
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(81)), 3000, 1_000_000, Observer{})
+	est, err := EstimateMTTDL(t.Context(), sc, rand.New(rand.NewSource(81)), 3000, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +52,14 @@ func TestShockBeyondToleranceDominates(t *testing.T) {
 func TestShockAtToleranceErodes(t *testing.T) {
 	base, _ := acceleratedNIR(2)
 	base.CHER = 0
-	noShock, err := EstimateMTTDL(base, rand.New(rand.NewSource(82)), 1200, 5_000_000, Observer{})
+	noShock, err := EstimateMTTDL(t.Context(), base, rand.New(rand.NewSource(82)), 1200, 5_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	shocked := base
 	shocked.ShockRate = 0.002
 	shocked.ShockSize = 2 // == t
-	withShock, err := EstimateMTTDL(shocked, rand.New(rand.NewSource(83)), 1200, 5_000_000, Observer{})
+	withShock, err := EstimateMTTDL(t.Context(), shocked, rand.New(rand.NewSource(83)), 1200, 5_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ func TestShockCorrelationCostsAtFixedBudget(t *testing.T) {
 	correlated.ShockRate = 0.2 * nf / 2                   // 20% of failures arrive in pairs
 	correlated.LambdaN = 0.8 * nf / float64(correlated.N) // the rest stay independent
 
-	a, err := EstimateMTTDL(indep, rand.New(rand.NewSource(84)), 1200, 5_000_000, Observer{})
+	a, err := EstimateMTTDL(t.Context(), indep, rand.New(rand.NewSource(84)), 1200, 5_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateMTTDL(correlated, rand.New(rand.NewSource(85)), 1200, 5_000_000, Observer{})
+	b, err := EstimateMTTDL(t.Context(), correlated, rand.New(rand.NewSource(85)), 1200, 5_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}

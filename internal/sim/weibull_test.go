@@ -55,7 +55,7 @@ func TestWeibullShapeOneMatchesChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTDL(sc, rand.New(rand.NewSource(32)), 3000, 1_000_000, Observer{})
+	est, err := EstimateMTTDL(t.Context(), sc, rand.New(rand.NewSource(32)), 3000, 1_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestWeibullWearOutNearExponential(t *testing.T) {
 	scW := scExp
 	scW.NodeFailureShape = 3
 	scW.DriveFailureShape = 3
-	expEst, err := EstimateMTTDL(scExp, rand.New(rand.NewSource(33)), 2500, 2_000_000, Observer{})
+	expEst, err := EstimateMTTDL(t.Context(), scExp, rand.New(rand.NewSource(33)), 2500, 2_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wEst, err := EstimateMTTDL(scW, rand.New(rand.NewSource(34)), 2500, 2_000_000, Observer{})
+	wEst, err := EstimateMTTDL(t.Context(), scW, rand.New(rand.NewSource(34)), 2500, 2_000_000, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/obs"
@@ -31,9 +32,6 @@ type Policy struct {
 	// by kind under "trace.", plus the storage substrate's rebuild/scrub
 	// metrics (the registry is attached to the system for the replay).
 	Obs *obs.Registry
-	// Hook, when non-nil, receives one structured event per maintenance
-	// pass and per object-losing moment of the replay.
-	Hook obs.Hook
 }
 
 // Report summarizes a replay.
@@ -52,8 +50,11 @@ type Report struct {
 
 // Replay applies the trace to the storage system in time order under the
 // given policy and reports what was lost. The system must match the
-// trace's geometry.
-func Replay(t *Trace, sys *storage.System, policy Policy) (Report, error) {
+// trace's geometry. It runs under one trace.replay span, which on a
+// retaining tracer records a rebuild event per rebuild pass, a scrub
+// event per scrub pass and, if anything was lost, a final data_loss
+// event, each stamped in trace hours.
+func Replay(ctx context.Context, t *Trace, sys *storage.System, policy Policy) (Report, error) {
 	if err := t.Validate(); err != nil {
 		return Report{}, err
 	}
@@ -62,6 +63,9 @@ func Replay(t *Trace, sys *storage.System, policy Policy) (Report, error) {
 		return Report{}, fmt.Errorf("trace: system geometry %dx%d does not match trace %dx%d",
 			cfg.Nodes, cfg.DrivesPerNode, t.Nodes, t.DrivesPerNode)
 	}
+	_, sp := obs.StartSpan(ctx, "trace.replay")
+	defer sp.End()
+	recording := sp.Recording()
 	var rep Report
 	var applied [EventLatentFault + 1]*obs.Counter
 	if policy.Obs != nil {
@@ -92,12 +96,12 @@ func Replay(t *Trace, sys *storage.System, policy Policy) (Report, error) {
 		rep.Rebuilds++
 		rep.ShardsRebuilt += st.ShardsRebuilt
 		rep.ObjectsLost += st.ObjectsLost
-		if policy.Hook != nil {
-			policy.Hook.Emit(obs.Event{T: now, Name: "rebuild", Fields: map[string]any{
+		if recording {
+			sp.Event("rebuild", now, map[string]any{
 				"shards_rebuilt": st.ShardsRebuilt,
 				"bytes_moved":    st.BytesMoved,
 				"objects_lost":   st.ObjectsLost,
-			}})
+			})
 		}
 		return nil
 	}
@@ -117,12 +121,12 @@ func Replay(t *Trace, sys *storage.System, policy Policy) (Report, error) {
 			rep.Scrubs++
 			rep.LatentRepaired += st.FaultsRepaired
 			rep.ObjectsLost += st.ObjectsLost
-			if policy.Hook != nil {
-				policy.Hook.Emit(obs.Event{T: nextScrub, Name: "scrub", Fields: map[string]any{
+			if recording {
+				sp.Event("scrub", nextScrub, map[string]any{
 					"shards_checked":  st.ShardsChecked,
 					"faults_repaired": st.FaultsRepaired,
 					"objects_lost":    st.ObjectsLost,
-				}})
+				})
 			}
 			nextScrub += policy.ScrubEveryHours
 		}
@@ -165,11 +169,11 @@ func Replay(t *Trace, sys *storage.System, policy Policy) (Report, error) {
 		}
 	}
 	rep.UnreadableAtEnd = len(sys.CheckAll())
-	if policy.Hook != nil && (rep.ObjectsLost > 0 || rep.UnreadableAtEnd > 0) {
-		policy.Hook.Emit(obs.Event{T: t.HorizonHours, Name: "data_loss", Fields: map[string]any{
+	if recording && (rep.ObjectsLost > 0 || rep.UnreadableAtEnd > 0) {
+		sp.Event("data_loss", t.HorizonHours, map[string]any{
 			"objects_lost":      rep.ObjectsLost,
 			"unreadable_at_end": rep.UnreadableAtEnd,
-		}})
+		})
 	}
 	return rep, nil
 }

@@ -33,7 +33,7 @@ func TestReplayWithRebuildsLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := replaySystem(t, 40)
-	rep, err := Replay(tr, sys, Policy{RebuildAfterEachFailure: true})
+	rep, err := Replay(t.Context(), tr, sys, Policy{RebuildAfterEachFailure: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestReplayWithoutRebuildsLoses(t *testing.T) {
 		t.Skip("trace too quiet for this seed")
 	}
 	sys := replaySystem(t, 40)
-	rep, err := Replay(tr, sys, Policy{})
+	rep, err := Replay(t.Context(), tr, sys, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestReplayScrubbingRepairsLatentFaults(t *testing.T) {
 		t.Fatal("trace has no latent faults; raise the rate")
 	}
 	sys := replaySystem(t, 40)
-	rep, err := Replay(tr, sys, Policy{
+	rep, err := Replay(t.Context(), tr, sys, Policy{
 		RebuildAfterEachFailure: true,
 		ScrubEveryHours:         720, // monthly
 	})
@@ -115,7 +115,7 @@ func TestReplayGeometryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(tr, sys, Policy{}); err == nil {
+	if _, err := Replay(t.Context(), tr, sys, Policy{}); err == nil {
 		t.Error("geometry mismatch accepted")
 	}
 }
@@ -124,7 +124,7 @@ func TestReplayInvalidTrace(t *testing.T) {
 	bad := &Trace{Nodes: 16, DrivesPerNode: 4, HorizonHours: 10,
 		Events: []Event{{Hours: 99, Kind: EventNodeFailure, Node: 0}}}
 	sys := replaySystem(t, 1)
-	if _, err := Replay(bad, sys, Policy{}); err == nil {
+	if _, err := Replay(t.Context(), bad, sys, Policy{}); err == nil {
 		t.Error("invalid trace accepted")
 	}
 }
