@@ -96,9 +96,29 @@ func Analyze(p params.Parameters, cfg Config, method Method) (Result, error) {
 // closed-form evaluation or one chain solve; results are identical to
 // Analyze.
 func AnalyzeCtx(ctx context.Context, p params.Parameters, cfg Config, method Method) (Result, error) {
-	var pr analysisPrep
-	if err := analyzePrep(&pr, p, cfg, method); err != nil {
+	var (
+		pr  analysisPrep
+		tl  rebuild.Tally
+		est Estimate
+		err error
+	)
+	if method == MethodClosedForm {
+		est, err = pr.closedForm(&p, cfg, &tl)
+	} else {
+		est, err = pr.solve(ctx, &p, cfg, method, &tl)
+	}
+	tl.Flush()
+	if err != nil {
 		return Result{}, err
+	}
+	return pr.result(&p, cfg, method, est), nil
+}
+
+// solve is AnalyzeCtx for the exact methods: prep, then one chain solve
+// or one exact recurrence, then the usability guard.
+func (pr *analysisPrep) solve(ctx context.Context, p *params.Parameters, cfg Config, method Method, tl *rebuild.Tally) (Estimate, error) {
+	if err := analyzePrep(pr, p, cfg, tl); err != nil {
+		return Estimate{}, err
 	}
 	k, nir := pr.k, cfg.Internal == InternalNone
 	var mttdl float64
@@ -118,40 +138,75 @@ func AnalyzeCtx(ctx context.Context, p params.Parameters, cfg Config, method Met
 		fsp.End()
 		var err error
 		if mttdl, err = markov.MTTA(ctx, ch); err != nil {
-			return Result{}, chainSolveError(nir, err)
+			return Estimate{}, chainSolveError(nir, err)
 		}
-	case method == MethodClosedForm && nir:
-		mttdl = closedform.NIRMTTDLGeneral(pr.nir, k)
-	case method == MethodClosedForm:
-		mttdl = closedform.IRMTTDL(pr.ir, k)
 	case method == MethodExactStable && nir:
 		mttdl = closedform.NIRMTTDLRecursive(pr.nir, k)
 	case method == MethodExactStable:
 		mttdl = closedform.IRMTTDLExact(pr.ir, k)
 	default:
-		return Result{}, fmt.Errorf("core: unknown method %d", int(method))
+		return Estimate{}, fmt.Errorf("core: unknown method %d", int(method))
 	}
-	return pr.finish(mttdl)
+	return estimate(p, cfg, mttdl)
 }
 
-// analysisPrep is the solver-independent half of one analysis: validated
-// inputs, computed repair and internal-array rates, and the partially
-// populated Result. AnalyzeCtx pairs it with one chain build or closed
-// form; the batched sweep engine prepares a whole chunk of these, then
-// solves the chunk through one markov.BatchSolver.
+// Estimate is one analysis's headline figures: what the design-space
+// search needs of a candidate, and what Result reports.
+type Estimate struct {
+	MTTDLHours        float64
+	EventsPerPBYear   float64
+	LogicalCapacityPB float64
+}
+
+// ClosedForm is the paper's closed-form evaluation of (p, cfg) — the
+// one the MethodClosedForm branch of AnalyzeCtx runs, with the same
+// validation, the same geometry checks and error messages, and the same
+// floats — without building a Result: p is read through a pointer and
+// nothing is copied but the model inputs. Its rate computation is held
+// in tl (rebuild.Tally) for the caller to flush, so a caller evaluating
+// a block of candidates records the block once. Up to fault tolerance
+// 6 it does not allocate unless it fails.
+func ClosedForm(p *params.Parameters, cfg Config, tl *rebuild.Tally) (Estimate, error) {
+	var pr analysisPrep
+	return pr.closedForm(p, cfg, tl)
+}
+
+// closedForm is ClosedForm leaving the prepared inputs in pr for
+// AnalyzeCtx's Result.
+func (pr *analysisPrep) closedForm(p *params.Parameters, cfg Config, tl *rebuild.Tally) (Estimate, error) {
+	if err := analyzePrep(pr, p, cfg, tl); err != nil {
+		return Estimate{}, err
+	}
+	var mttdl float64
+	if cfg.Internal == InternalNone {
+		mttdl = closedform.NIRMTTDLGeneral(pr.nir, pr.k)
+	} else {
+		mttdl = closedform.IRMTTDL(pr.ir, pr.k)
+	}
+	return estimate(p, cfg, mttdl)
+}
+
+// analysisPrep is the solver-independent half of one analysis: the
+// computed repair and internal-array rates and the model inputs of the
+// configuration's chain family. AnalyzeCtx pairs it with one closed
+// form, chain build or recurrence; the batched sweep engine prepares a
+// whole chunk of these, then solves the chunk through one
+// markov.BatchSolver.
 type analysisPrep struct {
-	res Result
-	k   int
-	nir closedform.NIRInputs
-	ir  closedform.IRInputs
+	k                                 int
+	rates                             rebuild.Rates
+	arrayFailureRate, sectorErrorRate float64
+	nir                               closedform.NIRInputs
+	ir                                closedform.IRInputs
 }
 
 // analyzePrep validates (p, cfg) and computes everything upstream of the
 // MTTDL solve into pr, in the exact order AnalyzeCtx always has, so error
 // messages and float results are unchanged. It fills pr in place (the
 // batched engine's chunk slots are reused cell after cell), setting the
-// inputs of cfg's chain family only; on error pr is unspecified.
-func analyzePrep(pr *analysisPrep, p params.Parameters, cfg Config, method Method) error {
+// inputs of cfg's chain family only; on error pr is unspecified. The
+// rate computation is tallied in tl.
+func analyzePrep(pr *analysisPrep, p *params.Parameters, cfg Config, tl *rebuild.Tally) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
@@ -168,14 +223,9 @@ func analyzePrep(pr *analysisPrep, p params.Parameters, cfg Config, method Metho
 		return fmt.Errorf("core: %d drives per node cannot form %s", p.DrivesPerNode, cfg.Internal)
 	}
 
-	rates := rebuild.Compute(p, k)
+	rates := tl.Compute(p, k)
 	pr.k = k
-	pr.res = Result{
-		Config: cfg,
-		Params: p,
-		Method: method,
-		Rates:  rates,
-	}
+	pr.rates = rates
 	if cfg.Internal == InternalNone {
 		pr.nir = closedform.NIRInputs{
 			N:       p.NodeSetSize,
@@ -187,7 +237,8 @@ func analyzePrep(pr *analysisPrep, p params.Parameters, cfg Config, method Metho
 			MuD:     rates.DriveRebuild,
 			CHER:    p.CHER(),
 		}
-		pr.res.ArrayFailureRate = float64(p.DrivesPerNode) * p.DriveFailureRate()
+		pr.arrayFailureRate = float64(p.DrivesPerNode) * p.DriveFailureRate()
+		pr.sectorErrorRate = 0
 	} else {
 		m := cfg.Internal.ParityDrives()
 		arr := closedform.ArrayInputs{
@@ -196,14 +247,14 @@ func analyzePrep(pr *analysisPrep, p params.Parameters, cfg Config, method Metho
 			MuD:     rates.Restripe,
 			CHER:    p.CHER(),
 		}
-		pr.res.ArrayFailureRate = closedform.ArrayFailureRate(m, arr)
-		pr.res.SectorErrorRate = closedform.SectorErrorRate(m, arr)
+		pr.arrayFailureRate = closedform.ArrayFailureRate(m, arr)
+		pr.sectorErrorRate = closedform.SectorErrorRate(m, arr)
 		pr.ir = closedform.IRInputs{
 			N:            p.NodeSetSize,
 			R:            p.RedundancySetSize,
 			LambdaN:      p.NodeFailureRate(),
-			LambdaArray:  pr.res.ArrayFailureRate,
-			LambdaSector: pr.res.SectorErrorRate,
+			LambdaArray:  pr.arrayFailureRate,
+			LambdaSector: pr.sectorErrorRate,
 			MuN:          rates.NodeRebuild,
 		}
 	}
@@ -218,17 +269,33 @@ func chainSolveError(nir bool, err error) error {
 	return fmt.Errorf("core: solving IR chain: %w", err)
 }
 
-// finish turns a solved MTTDL into the final Result, applying the
-// usability guard and the capacity normalization.
-func (pr *analysisPrep) finish(mttdl float64) (Result, error) {
+// estimate applies the usability guard and the capacity normalization
+// to a solved MTTDL.
+func estimate(p *params.Parameters, cfg Config, mttdl float64) (Estimate, error) {
 	if mttdl <= 0 || math.IsNaN(mttdl) || math.IsInf(mttdl, 0) {
-		return Result{}, fmt.Errorf("core: %v MTTDL %g is numerically unusable (float64 exhausted for this configuration; use MethodClosedForm)", pr.res.Config, mttdl)
+		return Estimate{}, fmt.Errorf("core: %v MTTDL %g is numerically unusable (float64 exhausted for this configuration; use MethodClosedForm)", cfg, mttdl)
 	}
-	res := pr.res
-	res.MTTDLHours = mttdl
-	res.LogicalCapacityPB = LogicalCapacityPB(res.Params, res.Config)
-	res.EventsPerPBYear = params.HoursPerYear / mttdl / res.LogicalCapacityPB
-	return res, nil
+	c := logicalCapacityPB(p, cfg)
+	return Estimate{
+		MTTDLHours:        mttdl,
+		EventsPerPBYear:   params.HoursPerYear / mttdl / c,
+		LogicalCapacityPB: c,
+	}, nil
+}
+
+// result assembles the Result of one successful analysis.
+func (pr *analysisPrep) result(p *params.Parameters, cfg Config, method Method, est Estimate) Result {
+	return Result{
+		Config:            cfg,
+		Params:            *p,
+		Method:            method,
+		MTTDLHours:        est.MTTDLHours,
+		EventsPerPBYear:   est.EventsPerPBYear,
+		LogicalCapacityPB: est.LogicalCapacityPB,
+		Rates:             pr.rates,
+		ArrayFailureRate:  pr.arrayFailureRate,
+		SectorErrorRate:   pr.sectorErrorRate,
+	}
 }
 
 // LogicalCapacityPB returns the user-visible capacity of the system in
@@ -236,6 +303,11 @@ func (pr *analysisPrep) finish(mttdl float64) (Result, error) {
 // array data fraction (d-m)/d × capacity utilization (the rest is
 // fail-in-place spare).
 func LogicalCapacityPB(p params.Parameters, cfg Config) float64 {
+	return logicalCapacityPB(&p, cfg)
+}
+
+// logicalCapacityPB is LogicalCapacityPB reading p through a pointer.
+func logicalCapacityPB(p *params.Parameters, cfg Config) float64 {
 	r := float64(p.RedundancySetSize)
 	t := float64(cfg.NodeFaultTolerance)
 	d := float64(p.DrivesPerNode)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/markov"
 	"repro/internal/model"
 	"repro/internal/params"
+	"repro/internal/rebuild"
 )
 
 // Batched exact-chain sweeps. Profiling a MethodExactChain grid shows
@@ -80,7 +81,7 @@ func AnalyzeChainBatchCtx(ctx context.Context, cfg Config, ps []params.Parameter
 // analyze is the one chunk body: per cell, prep into the chunk's slot
 // and the refiller's emitted rates straight into the solver's slab
 // (FillRates validates them), stopping at the first failing fill; then
-// one Refactor+Solve+finish pass over the filled cells. A solve failure at cell i < the failing fill outranks the fill failure
+// one Refactor+Solve+estimate pass over the filled cells. A solve failure at cell i < the failing fill outranks the fill failure
 // — it is the earlier cell, which is what a serial per-cell loop would
 // have reported. A chunk with no filled cell opens no chunk span and
 // records no chunk.
@@ -106,6 +107,8 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, ps []params.Param
 		}
 	}()
 
+	var tl rebuild.Tally
+	defer tl.Flush()
 	filled := 0
 	fillFail := -1
 	var fillErr error
@@ -114,7 +117,7 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, ps []params.Param
 			return -1, err
 		}
 		pr := &bc.preps[i]
-		if err := analyzePrep(pr, ps[i], cfg, MethodExactChain); err != nil {
+		if err := analyzePrep(pr, &ps[i], cfg, &tl); err != nil {
 			fillFail, fillErr = i, err
 			break
 		}
@@ -164,11 +167,11 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, ps []params.Param
 		if err != nil {
 			return i, chainSolveError(isNIR, err)
 		}
-		r, err := bc.preps[i].finish(mtta)
+		est, err := estimate(&ps[i], cfg, mtta)
 		if err != nil {
 			return i, err
 		}
-		out[i] = r
+		out[i] = bc.preps[i].result(&ps[i], cfg, MethodExactChain, est)
 	}
 	if fillErr != nil {
 		return fillFail, fillErr

@@ -9,9 +9,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/markov"
 	"repro/internal/obs"
 	"repro/internal/params"
+	"repro/internal/rebuild"
 )
 
 // sweepChunked runs a buffered exact-chain sweep on workers goroutines
@@ -290,6 +292,55 @@ func TestSweepBatchAbsorptionMetrics(t *testing.T) {
 		}
 		if want := ref.Gauge("markov.absorption.last_residual").Value(); res != want {
 			t.Errorf("%v: batched last_residual = %v, per-cell solver reports %v", last, res, want)
+		}
+	}
+}
+
+// Batched cells account their rate computations and dense
+// factorizations per chunk, not per cell, and the totals still count
+// every cell: rebuild.computes once per prepared cell, and
+// linalg.factorizations and the linalg.dimension histogram once per
+// dense factorization — every cell the sparse path did not solve —
+// with no linalg.factorize_seconds observation, batched factorizations
+// not being timed one by one.
+func TestSweepBatchPerChunkAccounting(t *testing.T) {
+	p := deepBase()
+	xs := make([]float64, 11)
+	for i := range xs {
+		xs[i] = 20_000 + 18_000*float64(i)
+	}
+	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
+	for _, workers := range []int{1, 3} {
+		reg := obs.NewRegistry()
+		markov.Instrument(reg)
+		linalg.Instrument(reg)
+		rebuild.Instrument(reg)
+		_, err := sweepChunked(p, mixedConfigs(), xs, apply, workers, 3)
+		markov.Instrument(nil)
+		linalg.Instrument(nil)
+		rebuild.Instrument(nil)
+		if err != nil {
+			t.Fatalf("sweep: %v", err)
+		}
+		cells := int64(len(xs) * len(mixedConfigs()))
+		if got := reg.Counter("rebuild.computes").Value(); got != cells {
+			t.Errorf("workers %d: rebuild.computes = %d, want %d (one per cell)", workers, got, cells)
+		}
+		dense := reg.Counter("markov.absorption.solves").Value() - reg.Counter("markov.sparse.solves").Value()
+		if dense == 0 || dense == cells {
+			t.Fatalf("workers %d: %d of %d cells dense; the grid must mix both routes", workers, dense, cells)
+		}
+		if got := reg.Counter("linalg.factorizations").Value(); got != dense {
+			t.Errorf("workers %d: linalg.factorizations = %d, want %d (one per dense cell)", workers, got, dense)
+		}
+		if got := reg.Histogram("linalg.dimension", nil).Count(); got != dense {
+			t.Errorf("workers %d: linalg.dimension observed %d times, want %d", workers, got, dense)
+		}
+		if got := reg.Histogram("linalg.factorize_seconds", nil).Count(); got != 0 {
+			t.Errorf("workers %d: linalg.factorize_seconds observed %d batched factorizations, want 0", workers, got)
+		}
+		if piv := reg.Gauge("linalg.last_min_pivot").Value(); !(piv > 0) {
+			t.Errorf("workers %d: linalg.last_min_pivot = %v, want positive", workers, piv)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/markov"
-	"repro/internal/model"
 	"repro/internal/params"
 )
 
@@ -131,15 +130,9 @@ func TestMTTAGolden(t *testing.T) {
 			for k := 1; k <= 7; k++ {
 				for _, internal := range []InternalRedundancy{InternalNone, InternalRAID5} {
 					cfg := Config{Internal: internal, NodeFaultTolerance: k}
-					var pr analysisPrep
-					if err := analyzePrep(&pr, rs.p, cfg, MethodExactChain); err != nil {
+					ch, err := Chain(rs.p, cfg)
+					if err != nil {
 						t.Fatalf("%v: %v", cfg, err)
-					}
-					var ch *markov.Chain
-					if internal == InternalNone {
-						ch = model.NIRChain(pr.nir, k)
-					} else {
-						ch = model.IRChain(pr.ir, k)
 					}
 					v, err := markov.MTTA(context.Background(), ch)
 					line(fmt.Sprintf("%s/%s/%s/k=%d", route.name, rs.name, internal, k), v, err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/markov"
 	"repro/internal/model"
 	"repro/internal/params"
+	"repro/internal/rebuild"
 )
 
 // MissionResult reports transient (finite-horizon) reliability — the
@@ -73,8 +74,13 @@ func MissionSurvival(p params.Parameters, cfg Config, hours float64, fleetSize i
 // the redundancy set cannot hold). The exposure and mission paths and
 // the chain-inspecting CLIs all build through it.
 func Chain(p params.Parameters, cfg Config) (*markov.Chain, error) {
-	var pr analysisPrep
-	if err := analyzePrep(&pr, p, cfg, MethodExactChain); err != nil {
+	var (
+		pr analysisPrep
+		tl rebuild.Tally
+	)
+	err := analyzePrep(&pr, &p, cfg, &tl)
+	tl.Flush()
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Internal == InternalNone {

@@ -38,10 +38,10 @@ func TestAblationDriveClass(t *testing.T) {
 }
 
 func TestEnterprisePresetValid(t *testing.T) {
-	if err := params.Enterprise().Validate(); err != nil {
+	p := params.Enterprise()
+	if err := p.Validate(); err != nil {
 		t.Fatalf("Enterprise preset invalid: %v", err)
 	}
-	p := params.Enterprise()
 	if p.DriveMTTFHours <= params.Baseline().DriveMTTFHours {
 		t.Error("enterprise MTTF should exceed baseline")
 	}

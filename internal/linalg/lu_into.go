@@ -13,12 +13,13 @@ import "fmt"
 // reusing f's internal storage when it has capacity. f must be non-nil;
 // its previous contents are overwritten (the zero LU is a valid empty
 // target). Passing f's own matrix (from a previous factorization) as a
-// factorizes in place. Results are bit-identical to Factorize.
+// factorizes in place. Results are bit-identical to Factorize. It
+// records no telemetry: the caller accounts its factorizations with
+// FactorizationsDone, once per batch (see Instrument).
 func FactorizeInto(f *LU, a *Matrix) error {
 	if a.rows != a.cols {
 		panic(fmt.Sprintf("linalg: FactorizeInto requires a square matrix, got %dx%d", a.rows, a.cols))
 	}
-	start := factorizeStart()
 	n := a.rows
 	if f.lu == nil || cap(f.lu.data) < n*n {
 		f.lu = New(n, n)
@@ -34,11 +35,7 @@ func FactorizeInto(f *LU, a *Matrix) error {
 	} else {
 		f.piv = f.piv[:n]
 	}
-	if err := f.eliminate(); err != nil {
-		return err
-	}
-	factorizeDone(start, f)
-	return nil
+	return f.eliminate()
 }
 
 // SolveInto solves A·x = b, writing x into dst and returning it. It is

@@ -92,8 +92,9 @@ type BatchSolver struct {
 	own Chain
 
 	// Chunk accounting since StartChunk: cells solved, whether the
-	// latest SolveCell succeeded, and on which route.
-	solved            int
+	// latest SolveCell succeeded, and on which route, and the dense
+	// factorizations made (linalg.FactorizationsDone).
+	solved, factored  int
 	lastOK, lastDense bool
 }
 
@@ -430,7 +431,8 @@ func (b *BatchSolver) absorptionReachable(em []int, rates []float64) bool {
 // failed sets no residual. One span and one set of metric updates cover
 // the whole chunk — that is the amortization the batch path exists for;
 // the chunk's time is markov.batch.chunk_seconds, never
-// markov.absorption.seconds.
+// markov.absorption.seconds. The chunk's dense factorizations are
+// accounted to linalg in the same stop function, in one call.
 func (b *BatchSolver) StartChunk(ctx context.Context, cells int) func() {
 	_, sp := obs.StartSpan(ctx, "markov.batch")
 	if sp != nil {
@@ -438,10 +440,11 @@ func (b *BatchSolver) StartChunk(ctx context.Context, cells int) func() {
 		sp.SetAttr("states", b.n)
 		sp.SetAttr("sparse", b.sparseRoute)
 	}
-	b.solved, b.lastOK = 0, false
+	b.solved, b.factored, b.lastOK = 0, 0, false
 	stop := batchChunkTimer(cells)
 	return func() {
 		sp.End()
+		linalg.FactorizationsDone(b.factored, &b.f)
 		if stop != nil {
 			stop()
 			batchSolvesDone(b.solved, b.n, b.lastOK, b.lastResidual)
@@ -535,6 +538,7 @@ func (b *BatchSolver) solveCell(ctx context.Context, cell int) (float64, error) 
 	if err := linalg.FactorizeInto(&b.f, b.r); err != nil {
 		return 0, fmt.Errorf("markov: absorption matrix: %w", err)
 	}
+	b.factored++
 	b.f.SolveTransposeInto(b.tau, b.rhs, b.work)
 	return b.cellSolved(true), nil
 }
@@ -559,6 +563,8 @@ func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error)
 		c = b.frozenCopy(c)
 	}
 	timer := absorptionTimer(c.NumStates())
+	b.factored = 0
+	defer func() { linalg.FactorizationsDone(b.factored, &b.f) }()
 	if err := b.Bind(ctx, c); err != nil {
 		return 0, err
 	}

@@ -133,7 +133,7 @@ func Baseline() Parameters {
 }
 
 // Validate reports the first problem that would make the models meaningless.
-func (p Parameters) Validate() error {
+func (p *Parameters) Validate() error {
 	switch {
 	case p.NodeMTTFHours <= 0:
 		return errors.New("params: NodeMTTFHours must be positive")
@@ -172,41 +172,41 @@ func (p Parameters) Validate() error {
 }
 
 // NodeFailureRate returns λ_N in failures per hour.
-func (p Parameters) NodeFailureRate() float64 { return 1 / p.NodeMTTFHours }
+func (p *Parameters) NodeFailureRate() float64 { return 1 / p.NodeMTTFHours }
 
 // DriveFailureRate returns λ_d in failures per hour.
-func (p Parameters) DriveFailureRate() float64 { return 1 / p.DriveMTTFHours }
+func (p *Parameters) DriveFailureRate() float64 { return 1 / p.DriveMTTFHours }
 
 // CHER returns C·HER: the expected number of hard errors incurred by
 // reading one full drive (capacity in bytes × 8 bits × rate per bit).
-func (p Parameters) CHER() float64 {
+func (p *Parameters) CHER() float64 {
 	return p.DriveCapacityBytes * 8 * p.HardErrorRate
 }
 
 // DriveDataBytes returns the amount of data stored on one drive
 // (capacity × utilization).
-func (p Parameters) DriveDataBytes() float64 {
+func (p *Parameters) DriveDataBytes() float64 {
 	return p.DriveCapacityBytes * p.CapacityUtilization
 }
 
 // NodeDataBytes returns one node's worth of stored data.
-func (p Parameters) NodeDataBytes() float64 {
+func (p *Parameters) NodeDataBytes() float64 {
 	return float64(p.DrivesPerNode) * p.DriveDataBytes()
 }
 
 // RawSystemBytes returns the total raw capacity of the node set.
-func (p Parameters) RawSystemBytes() float64 {
+func (p *Parameters) RawSystemBytes() float64 {
 	return float64(p.NodeSetSize) * float64(p.DrivesPerNode) * p.DriveCapacityBytes
 }
 
 // LinkSustainedBytesPerSec returns the sustained payload rate of one link.
-func (p Parameters) LinkSustainedBytesPerSec() float64 {
+func (p *Parameters) LinkSustainedBytesPerSec() float64 {
 	return p.LinkSpeedGbps * LinkBytesPerSecPerGbps
 }
 
 // NodeNetworkBytesPerSec returns the total sustained rate at which data can
 // move in or out of one node across its effective links, before the rebuild
 // bandwidth allocation is applied.
-func (p Parameters) NodeNetworkBytesPerSec() float64 {
+func (p *Parameters) NodeNetworkBytesPerSec() float64 {
 	return p.LinkSustainedBytesPerSec() * p.EffectiveLinks
 }

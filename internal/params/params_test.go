@@ -7,7 +7,8 @@ import (
 )
 
 func TestBaselineValid(t *testing.T) {
-	if err := Baseline().Validate(); err != nil {
+	p := Baseline()
+	if err := p.Validate(); err != nil {
 		t.Fatalf("Baseline().Validate() = %v", err)
 	}
 }

@@ -2,10 +2,16 @@ package plan
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/linalg"
+	"repro/internal/markov"
+	"repro/internal/obs"
 	"repro/internal/params"
+	"repro/internal/rebuild"
 )
 
 // benchSpace is the headline design space: 10800 candidates at deep
@@ -73,4 +79,57 @@ func BenchmarkPlanSearch(b *testing.B) {
 	b.Run("candidates=10800/exhaustive", func(b *testing.B) {
 		run(b, Options{DisablePrune: true, Workers: 1})
 	})
+}
+
+// stockBases returns n parameter sets drawn like the plan-stock
+// benchmark workload's requests: the paper's baseline with node and
+// drive MTTF each scaled by a uniform factor in [0.5, 1.5].
+func stockBases(n int) []params.Parameters {
+	rng := rand.New(rand.NewSource(1))
+	out := make([]params.Parameters, n)
+	for i := range out {
+		p := params.Baseline()
+		p.NodeMTTFHours *= 1 + 0.5*(2*rng.Float64()-1)
+		p.DriveMTTFHours *= 1 + 0.5*(2*rng.Float64()-1)
+		out[i] = p
+	}
+	return out
+}
+
+// instrumentLikeServe wires the solver packages into one registry the
+// way nsr-serve does, so a benchmark pays the production telemetry, and
+// returns the function that unwires them.
+func instrumentLikeServe() func() {
+	reg := obs.NewRegistry()
+	markov.Instrument(reg)
+	linalg.Instrument(reg)
+	rebuild.Instrument(reg)
+	Instrument(reg)
+	return func() {
+		markov.Instrument(nil)
+		linalg.Instrument(nil)
+		rebuild.Instrument(nil)
+		Instrument(nil)
+	}
+}
+
+// BenchmarkPlanSearchStock is the search a plan-stock request runs: the
+// stock 10800-candidate space at jittered paper baselines, with the
+// service's telemetry on, at one and two workers. Stock searches are
+// dominated by enumeration, pruning and ranking, not by the exact
+// solves.
+func BenchmarkPlanSearchStock(b *testing.B) {
+	defer instrumentLikeServe()()
+	bases := stockBases(16)
+	space := DefaultSpace()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SearchCtx(context.Background(), bases[i%len(bases)], space, Constraints{}, Options{Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

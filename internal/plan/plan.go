@@ -215,21 +215,6 @@ type Candidate struct {
 	Confirmed bool `json:"confirmed"`
 }
 
-// resolve returns the parameter set the candidate analyzes: base with
-// the knobs the space varies.
-func (c *Candidate) resolve(base params.Parameters) params.Parameters {
-	base.NodeSetSize = c.NodeSetSize
-	base.RedundancySetSize = c.RedundancySetSize
-	base.CapacityUtilization = c.Utilization
-	base.RebuildCommandBytes = c.RebuildCommandBytes
-	return base
-}
-
-// Config returns the candidate's redundancy configuration.
-func (c Candidate) Config() core.Config {
-	return core.Config{Internal: c.Internal, NodeFaultTolerance: c.FaultTolerance}
-}
-
 // Stats counts what happened to the enumerated candidates. Pruning
 // categories are disjoint; Enumerated = Infeasible + PrunedTarget +
 // PrunedDominated + Confirmed.

@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/params"
+	"repro/internal/rebuild"
 )
 
 // testSpace is a moderate slice of the default space: every internal
@@ -154,26 +156,26 @@ func perCellSearch(base params.Parameters, space Space, cons Constraints) (*Resu
 	ctx := context.Background()
 	res := &Result{TargetEventsPerPBYear: cons.target()}
 	st := &res.Stats
-	cands, err := enumerate(ctx, base, space, cons, 0, st)
+	keys, err := enumerate(ctx, &base, &space, cons, 0, st)
 	if err != nil {
 		return nil, err
 	}
-	surv := prune(ctx, cands, res.TargetEventsPerPBYear, st)
-	for i, ci := range surv {
-		c := &cands[ci]
-		if i == 0 || cands[surv[i-1]].Config() != c.Config() {
+	surv := prune(ctx, keys, res.TargetEventsPerPBYear, st)
+	for i, ki := range surv {
+		k := &keys[ki]
+		cfg := space.config(k.index)
+		if i == 0 || space.config(keys[surv[i-1]].index) != cfg {
 			st.TopologyGroups++
 		}
-		r, err := core.AnalyzeCtx(ctx, c.resolve(base), c.Config(), core.MethodExactChain)
+		r, err := core.AnalyzeCtx(ctx, space.resolve(&base, k.index), cfg, core.MethodExactChain)
 		if err != nil {
 			return nil, err
 		}
-		c.ExactEventsPerPBYear = r.EventsPerPBYear
-		c.MarginVsTarget = res.TargetEventsPerPBYear / r.EventsPerPBYear
-		c.Confirmed = true
+		k.exact = r.EventsPerPBYear
+		k.confirmed = true
 		st.Confirmed++
 	}
-	res.Frontier = buildFrontier(cands, surv, res.TargetEventsPerPBYear)
+	res.Frontier = rankFrontier(&base, &space, keys, buildFrontier(keys, surv, res.TargetEventsPerPBYear), res.TargetEventsPerPBYear)
 	st.FrontierSize = len(res.Frontier)
 	if st.Enumerated > 0 {
 		st.PruneRatio = 1 - float64(st.Confirmed)/float64(st.Enumerated)
@@ -323,7 +325,7 @@ func TestDominancePruneMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	check := func(trial int, cands []Candidate, kept []int) {
 		t.Helper()
-		got := dominancePrune(cands, kept)
+		got := dominancePrune(keysOf(cands), kept)
 		for pb, b := range kept {
 			want := false
 			for _, a := range kept {
@@ -374,6 +376,121 @@ func TestDominancePruneMatchesBruteForce(t *testing.T) {
 		}
 		check(trial, cands, kept)
 	}
+	// Stock-shaped rows: runs of consecutive candidates with equal cost
+	// and capacity and different bounds (the rebuild-size axis), with
+	// the same (cost, capacity) pair recurring in separate runs, and a
+	// kept subset that splits some runs.
+	for trial := 26; trial < 32; trial++ {
+		var cands []Candidate
+		var kept []int
+		for len(cands) < 1500+rng.Intn(1500) {
+			cost := 768 + 96*float64(rng.Intn(4))
+			capacity := float64(1+rng.Intn(30)) / 100
+			for j, n := 0, 1+rng.Intn(6); j < n; j++ {
+				i := len(cands)
+				cands = append(cands, Candidate{
+					Index:                i,
+					CostDrives:           cost,
+					CapacityPB:           capacity,
+					BoundEventsPerPBYear: math.Exp(float64(rng.Intn(60))/3 - 10),
+				})
+				if rng.Intn(8) != 0 {
+					kept = append(kept, i)
+				}
+			}
+		}
+		check(trial, cands, kept)
+	}
+}
+
+// keysOf lays candidates out as search keys, position for position,
+// ranking their costs as enumeration does.
+func keysOf(cands []Candidate) []key {
+	var levels []float64
+	for _, c := range cands {
+		levels = append(levels, c.CostDrives)
+	}
+	slices.Sort(levels)
+	levels = slices.Compact(levels)
+	keys := make([]key, len(cands))
+	for i, c := range cands {
+		r, _ := slices.BinarySearch(levels, c.CostDrives)
+		keys[i] = key{index: c.Index, cost: c.CostDrives, capacity: c.CapacityPB,
+			bound: c.BoundEventsPerPBYear, exact: c.ExactEventsPerPBYear, costRank: int32(r), confirmed: c.Confirmed}
+	}
+	return keys
+}
+
+// buildFrontier against the O(n²) strict-Pareto definition on
+// randomized survivors: few distinct costs, capacities and events, so
+// identical (cost, capacity, events) triples, unconfirmed survivors and
+// survivors missing the target all occur. The frontier is the same set,
+// in (capacity ↓, cost ↑, events ↑, index ↑) order.
+func TestBuildFrontierMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const target = 4
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(300)
+		if trial%8 == 7 {
+			n = 2000 + rng.Intn(2000)
+		}
+		keys := make([]key, n)
+		var surv []int
+		for i := range keys {
+			rank := rng.Intn(5)
+			keys[i] = key{
+				index:     i,
+				cost:      float64(1 + rank),
+				capacity:  float64(1+rng.Intn(6)) / 4,
+				exact:     float64(1 + rng.Intn(5)),
+				costRank:  int32(rank),
+				confirmed: rng.Intn(6) != 0,
+			}
+			if rng.Intn(5) != 0 {
+				surv = append(surv, i)
+			}
+		}
+		got := buildFrontier(keys, surv, target)
+
+		var want []int
+		for _, b := range surv {
+			kb := &keys[b]
+			if !kb.confirmed || !(kb.exact < target) {
+				continue
+			}
+			dominated := false
+			for _, a := range surv {
+				ka := &keys[a]
+				if !ka.confirmed || !(ka.exact < target) {
+					continue
+				}
+				if ka.cost <= kb.cost && ka.capacity >= kb.capacity && ka.exact <= kb.exact &&
+					(ka.cost < kb.cost || ka.capacity > kb.capacity || ka.exact < kb.exact) {
+					dominated = true
+					break
+				}
+			}
+			if !dominated {
+				want = append(want, b)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := &keys[want[i]], &keys[want[j]]
+			if a.capacity != b.capacity {
+				return a.capacity > b.capacity
+			}
+			if a.cost != b.cost {
+				return a.cost < b.cost
+			}
+			if a.exact != b.exact {
+				return a.exact < b.exact
+			}
+			return a.index < b.index
+		})
+		if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
+			t.Fatalf("trial %d (%d survivors): frontier %v, brute force %v", trial, len(surv), got, want)
+		}
+	}
 }
 
 // rankCandidates is a total order: shuffled input always lands in the
@@ -404,6 +521,144 @@ func TestRankCandidatesTotalOrder(t *testing.T) {
 		for i := 1; i < len(ref); i++ {
 			if ref[i-1].ExactEventsPerPBYear > ref[i].ExactEventsPerPBYear {
 				t.Fatal("ranking violates the primary key")
+			}
+		}
+	}
+}
+
+// The enumeration kernel is core.ClosedForm, the evaluation behind
+// core.AnalyzeCtx's closed-form branch: over every stock candidate, at
+// three jittered bases and under a budget and a capacity floor with a
+// node cost, it returns the same MTTDL, events and capacity bit for bit
+// (or the same error), and enumerate keeps exactly the candidates a
+// per-candidate core.AnalyzeCtx walk would, with the same keys.
+func TestEnumerateMatchesAnalyze(t *testing.T) {
+	base := params.Baseline()
+	cases := []struct {
+		name string
+		base params.Parameters
+		cons Constraints
+	}{
+		{"jitter_a", jittered(0.62, 1.37), Constraints{}},
+		{"jitter_b", jittered(1.41, 0.71), Constraints{}},
+		{"jitter_c", jittered(0.93, 0.58), Constraints{}},
+		{"budget", base, Constraints{MaxCostDrives: float64(base.NodeSetSize+8) * float64(base.DrivesPerNode)}},
+		{"floor_nodecost", base, Constraints{MinCapacityPB: 0.2, NodeCostDrives: 2.5}},
+		// Ten nodes: without spares the wide stripes exceed the node set,
+		// so the kernel itself rejects candidates.
+		{"small_node_set", func() params.Parameters { p := base; p.NodeSetSize = 10; return p }(), Constraints{}},
+	}
+	ctx := context.Background()
+	space := DefaultSpace()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	kernelErrs := 0
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var st Stats
+			got, err := enumerate(ctx, &tc.base, &space, tc.cons, 2, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				want       []key
+				infeasible int
+				tl         rebuild.Tally
+			)
+			for i := 0; i < space.Size(); i++ {
+				cfg, p := space.config(i), space.resolve(&tc.base, i)
+				est, kerr := core.ClosedForm(&p, cfg, &tl)
+				res, aerr := core.AnalyzeCtx(ctx, p, cfg, core.MethodClosedForm)
+				if (kerr == nil) != (aerr == nil) || (kerr != nil && kerr.Error() != aerr.Error()) {
+					t.Fatalf("candidate %d: kernel error %v, AnalyzeCtx error %v", i, kerr, aerr)
+				}
+				if kerr != nil {
+					kernelErrs++
+				}
+				if aerr == nil && !(same(est.MTTDLHours, res.MTTDLHours) && same(est.EventsPerPBYear, res.EventsPerPBYear) &&
+					same(est.LogicalCapacityPB, res.LogicalCapacityPB)) {
+					t.Fatalf("candidate %d: kernel %+v, AnalyzeCtx %v/%v/%v", i, est,
+						res.MTTDLHours, res.EventsPerPBYear, res.LogicalCapacityPB)
+				}
+				cost := float64(p.NodeSetSize) * (float64(p.DrivesPerNode) + tc.cons.NodeCostDrives)
+				if aerr != nil || (tc.cons.MaxCostDrives > 0 && cost > tc.cons.MaxCostDrives) ||
+					(tc.cons.MinCapacityPB > 0 && res.LogicalCapacityPB < tc.cons.MinCapacityPB) {
+					infeasible++
+					continue
+				}
+				// The stock spare levels are distinct and ascending, so a
+				// candidate's cost rank is its spare level's position.
+				rank := slices.Index(space.SpareNodes, p.NodeSetSize-tc.base.NodeSetSize)
+				want = append(want, key{index: i, cost: cost, capacity: res.LogicalCapacityPB, bound: res.EventsPerPBYear,
+					costRank: int32(rank)})
+			}
+			tl.Flush()
+			if st.Enumerated != space.Size() || st.Infeasible != infeasible {
+				t.Errorf("enumerated %d, infeasible %d; want %d, %d", st.Enumerated, st.Infeasible, space.Size(), infeasible)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("enumerate keeps %d candidates, the per-candidate walk %d, or their keys differ", len(got), len(want))
+			}
+			if tc.cons != (Constraints{}) && infeasible == 0 {
+				t.Error("no infeasible candidate: the constraints do not bind")
+			}
+		})
+	}
+	if kernelErrs == 0 {
+		t.Error("no candidate failed the kernel: its feasibility decisions went unexercised")
+	}
+}
+
+// stockSearchBytes bounds the bytes one workers-1 search of the stock
+// space allocates. It was 2.5 MB while the enumeration slab held a full
+// Candidate per slot; with the pointer-free key slab, pooled
+// confirmation scratch and Candidates built for frontier members only,
+// a search allocates about 0.85 MB.
+const stockSearchBytes = 1 << 20
+
+// The search's allocation volume is a noise-free performance gate: it
+// does not depend on the machine's speed or load, only on the code.
+func TestSearchStockAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	space := DefaultSpace()
+	bases := stockBases(8)
+	search := func(p params.Parameters) {
+		if _, err := SearchCtx(context.Background(), p, space, Constraints{}, Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search(bases[0]) // warm the solver pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range bases {
+		search(p)
+	}
+	runtime.ReadMemStats(&after)
+	perSearch := (after.TotalAlloc - before.TotalAlloc) / uint64(len(bases))
+	t.Logf("%d bytes per stock search", perSearch)
+	if perSearch > stockSearchBytes {
+		t.Errorf("a stock search allocates %d bytes, want at most %d", perSearch, stockSearchBytes)
+	}
+}
+
+// Cost ranks order costs whatever order the spare levels are spelled
+// in, repeats included: equal costs share a rank and a cheaper
+// candidate has a lower rank, as the prune and the frontier assume.
+func TestEnumerateCostRanks(t *testing.T) {
+	base := params.Baseline()
+	space := testSpace()
+	space.SpareNodes = []int{16, 0, 16, 8}
+	var st Stats
+	keys, err := enumerate(context.Background(), &base, &space, Constraints{NodeCostDrives: 1.5}, 1, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		for j := range keys {
+			a, b := &keys[i], &keys[j]
+			if (a.cost < b.cost) != (a.costRank < b.costRank) || (a.cost == b.cost) != (a.costRank == b.costRank) {
+				t.Fatalf("costs %v, %v have ranks %d, %d", a.cost, b.cost, a.costRank, b.costRank)
 			}
 		}
 	}

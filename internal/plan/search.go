@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/params"
+	"repro/internal/rebuild"
 )
 
 // confirmChunkCells caps the cells per confirmation work unit, so a
@@ -70,25 +70,25 @@ func SearchCtx(ctx context.Context, base params.Parameters, space Space, cons Co
 	res := &Result{TargetEventsPerPBYear: cons.target()}
 	st := &res.Stats
 
-	cands, err := enumerate(ctx, base, space, cons, opt.Workers, st)
+	keys, err := enumerate(ctx, &base, &space, cons, opt.Workers, st)
 	if err != nil {
 		return nil, err
 	}
 	var surv []int
 	if opt.DisablePrune {
-		surv = make([]int, len(cands))
-		for i := range cands {
+		surv = make([]int, len(keys))
+		for i := range keys {
 			surv[i] = i
 		}
 	} else {
-		surv = prune(ctx, cands, res.TargetEventsPerPBYear, st)
+		surv = prune(ctx, keys, res.TargetEventsPerPBYear, st)
 	}
-	if err := confirm(ctx, base, cands, surv, res.TargetEventsPerPBYear, opt.Workers, st); err != nil {
+	if err := confirm(ctx, &base, &space, keys, surv, opt.Workers, st); err != nil {
 		return nil, err
 	}
 
 	_, rsp := obs.StartSpan(ctx, "plan.rank")
-	res.Frontier = buildFrontier(cands, surv, res.TargetEventsPerPBYear)
+	res.Frontier = rankFrontier(&base, &space, keys, buildFrontier(keys, surv, res.TargetEventsPerPBYear), res.TargetEventsPerPBYear)
 	st.FrontierSize = len(res.Frontier)
 	if opt.Top > 0 && len(res.Frontier) > opt.Top {
 		res.Frontier = res.Frontier[:opt.Top]
@@ -107,68 +107,149 @@ func SearchCtx(ctx context.Context, base params.Parameters, space Space, cons Co
 	return res, nil
 }
 
+// key is one feasible candidate's search coordinates: its Index, cost,
+// capacity, closed-form bound and, once confirmed, exact events/PB-year.
+// It holds no pointer, so the Size()-long enumeration slab is neither
+// scanned by the garbage collector nor costly to clear; the knobs are
+// decoded from the index (Space.knobs) for the few candidates that
+// need them — survivors being confirmed and frontier members.
+//
+// costRank orders the costs: equal costs share a rank and a lower rank
+// is a lower cost. Cost is a function of the spare count alone, so
+// enumeration ranks the few spare levels once and the prune and the
+// frontier index their Fenwick trees by it without sorting costs.
+type key struct {
+	index                        int
+	cost, capacity, bound, exact float64
+	costRank                     int32
+	confirmed                    bool
+}
+
+// knobs decodes a candidate index into the values of the six dimensions,
+// inverting the nested enumeration order (internal scheme outermost,
+// rebuild size innermost).
+func (s *Space) knobs(i int) (ir core.InternalRedundancy, ft, r, spares int, util, rb float64) {
+	rb = s.RebuildBytes[i%len(s.RebuildBytes)]
+	i /= len(s.RebuildBytes)
+	util = s.Utilizations[i%len(s.Utilizations)]
+	i /= len(s.Utilizations)
+	spares = s.SpareNodes[i%len(s.SpareNodes)]
+	i /= len(s.SpareNodes)
+	r = s.RedundancySetSizes[i%len(s.RedundancySetSizes)]
+	i /= len(s.RedundancySetSizes)
+	ft = s.FaultTolerances[i%len(s.FaultTolerances)]
+	ir = s.Internals[i/len(s.FaultTolerances)]
+	return ir, ft, r, spares, util, rb
+}
+
+// config returns candidate i's redundancy configuration — the knobs
+// that fix its chain topology.
+func (s *Space) config(i int) core.Config {
+	ir, ft, _, _, _, _ := s.knobs(i)
+	return core.Config{Internal: ir, NodeFaultTolerance: ft}
+}
+
+// resolve returns the parameter set candidate i analyzes: base with the
+// knobs the space varies.
+func (s *Space) resolve(base *params.Parameters, i int) params.Parameters {
+	_, _, r, spares, util, rb := s.knobs(i)
+	p := *base
+	p.NodeSetSize = base.NodeSetSize + spares
+	p.RedundancySetSize = r
+	p.CapacityUtilization = util
+	p.RebuildCommandBytes = rb
+	return p
+}
+
+// candidate builds the output form of the candidate behind k.
+func (s *Space) candidate(base *params.Parameters, k *key, target float64) Candidate {
+	ir, ft, r, spares, util, rb := s.knobs(k.index)
+	c := Candidate{
+		Index:                k.index,
+		Internal:             ir,
+		InternalName:         ir.String(),
+		FaultTolerance:       ft,
+		RedundancySetSize:    r,
+		SpareNodes:           spares,
+		NodeSetSize:          base.NodeSetSize + spares,
+		Utilization:          util,
+		RebuildCommandBytes:  rb,
+		CostDrives:           k.cost,
+		CapacityPB:           k.capacity,
+		BoundEventsPerPBYear: k.bound,
+	}
+	if k.confirmed {
+		c.ExactEventsPerPBYear = k.exact
+		c.MarginVsTarget = target / k.exact
+		c.Confirmed = true
+	}
+	return c
+}
+
 // enumerate walks the space in its fixed nested order and returns the
-// feasible candidates with cost, capacity and closed-form bound filled
-// in; infeasible candidates (geometry the models reject, budget or
-// capacity-floor violations, closed forms beyond float64) are only
-// counted.
+// keys of the feasible candidates with cost, capacity and closed-form
+// bound filled in; infeasible candidates (geometry the models reject,
+// budget or capacity-floor violations, closed forms beyond float64) are
+// only counted.
 //
 // The walk fans out over the worker pool in (internal, fault tolerance,
 // stripe width) blocks. Every block writes its candidates into slots of
 // one Size()-long slab addressed by Index, marking infeasible slots with
-// Index -1; a serial in-place compaction then restores enumeration
-// order, so the result is identical at any worker count.
-func enumerate(ctx context.Context, base params.Parameters, space Space, cons Constraints, workers int, st *Stats) ([]Candidate, error) {
+// index -1; a serial in-place compaction then restores enumeration
+// order, so the result is identical at any worker count. Each candidate
+// is one core.ClosedForm evaluation reading the block's parameter set
+// through a pointer; the block's rebuild-rate telemetry is flushed once
+// when the block ends. The context is polled once per (spares,
+// utilization) row of the block.
+func enumerate(ctx context.Context, base *params.Parameters, space *Space, cons Constraints, workers int, st *Stats) ([]key, error) {
 	ctx, sp := obs.StartSpan(ctx, "plan.enumerate")
 	defer sp.End()
-	slab := make([]Candidate, space.Size())
-	nR := len(space.RedundancySetSizes)
+	slab := make([]key, space.Size())
+	costs := make([]float64, len(space.SpareNodes))
+	for j, spn := range space.SpareNodes {
+		costs[j] = float64(base.NodeSetSize+spn) * (float64(base.DrivesPerNode) + cons.NodeCostDrives)
+	}
+	levels := slices.Clone(costs)
+	slices.Sort(levels)
+	levels = slices.Compact(levels)
+	ranks := make([]int32, len(costs))
+	for j, c := range costs {
+		r, _ := slices.BinarySearch(levels, c)
+		ranks[j] = int32(r)
+	}
 	blockLen := len(space.SpareNodes) * len(space.Utilizations) * len(space.RebuildBytes)
-	blocks := len(space.Internals) * len(space.FaultTolerances) * nR
+	blocks := len(space.Internals) * len(space.FaultTolerances) * len(space.RedundancySetSizes)
 	err := core.RunIndexed(ctx, blocks, workers, func(b int) error {
-		ir := space.Internals[b/(len(space.FaultTolerances)*nR)]
-		ft := space.FaultTolerances[b/nR%len(space.FaultTolerances)]
-		cfg := core.Config{Internal: ir, NodeFaultTolerance: ft}
-		p := base
-		p.RedundancySetSize = space.RedundancySetSizes[b%nR]
-		idx := b * blockLen
-		for _, spn := range space.SpareNodes {
+		cfg := space.config(b * blockLen)
+		p := space.resolve(base, b*blockLen)
+		var tl rebuild.Tally
+		defer tl.Flush()
+		i := b * blockLen
+		for j, spn := range space.SpareNodes {
+			p.NodeSetSize = base.NodeSetSize + spn
+			cost := costs[j]
 			for _, util := range space.Utilizations {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				p.CapacityUtilization = util
 				for _, rb := range space.RebuildBytes {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					i := idx
-					idx++
-					slab[i].Index = -1 // overwritten below if feasible
-					p.NodeSetSize = base.NodeSetSize + spn
-					p.CapacityUtilization = util
-					p.RebuildCommandBytes = rb
-					cost := float64(p.NodeSetSize) * (float64(p.DrivesPerNode) + cons.NodeCostDrives)
+					idx := i
+					i++
+					slab[idx].index = -1 // overwritten below if feasible
 					if cons.MaxCostDrives > 0 && cost > cons.MaxCostDrives {
 						continue
 					}
-					cf, err := core.AnalyzeCtx(ctx, p, cfg, core.MethodClosedForm)
+					p.RebuildCommandBytes = rb
+					est, err := core.ClosedForm(&p, cfg, &tl)
 					if err != nil {
 						continue
 					}
-					if cons.MinCapacityPB > 0 && cf.LogicalCapacityPB < cons.MinCapacityPB {
+					if cons.MinCapacityPB > 0 && est.LogicalCapacityPB < cons.MinCapacityPB {
 						continue
 					}
-					slab[i] = Candidate{
-						Index:                i,
-						Internal:             ir,
-						InternalName:         ir.String(),
-						FaultTolerance:       ft,
-						RedundancySetSize:    p.RedundancySetSize,
-						SpareNodes:           spn,
-						NodeSetSize:          p.NodeSetSize,
-						Utilization:          util,
-						RebuildCommandBytes:  rb,
-						CostDrives:           cost,
-						CapacityPB:           cf.LogicalCapacityPB,
-						BoundEventsPerPBYear: cf.EventsPerPBYear,
-					}
+					slab[idx] = key{index: idx, cost: cost, capacity: est.LogicalCapacityPB,
+						bound: est.EventsPerPBYear, costRank: ranks[j]}
 				}
 			}
 		}
@@ -179,7 +260,7 @@ func enumerate(ctx context.Context, base params.Parameters, space Space, cons Co
 	}
 	n := 0
 	for i := range slab {
-		if slab[i].Index < 0 {
+		if slab[i].index < 0 {
 			st.Infeasible++
 			continue
 		}
@@ -193,21 +274,21 @@ func enumerate(ctx context.Context, base params.Parameters, space Space, cons Co
 }
 
 // prune applies the two admissible filters and returns the surviving
-// indices into cands, in enumeration order.
-func prune(ctx context.Context, cands []Candidate, target float64, st *Stats) []int {
+// positions in keys, in enumeration order.
+func prune(ctx context.Context, keys []key, target float64, st *Stats) []int {
 	_, sp := obs.StartSpan(ctx, "plan.prune")
 	defer sp.End()
 	// Target filter: discard only candidates whose optimistic edge
 	// (bound/GuardBand) already misses the target.
-	kept := make([]int, 0, len(cands))
-	for i := range cands {
-		if cands[i].BoundEventsPerPBYear/GuardBand > target {
+	kept := make([]int, 0, len(keys))
+	for i := range keys {
+		if keys[i].bound/GuardBand > target {
 			st.PrunedTarget++
 			continue
 		}
 		kept = append(kept, i)
 	}
-	dominated := dominancePrune(cands, kept)
+	dominated := dominancePrune(keys, kept)
 	surv := kept[:0]
 	for j, i := range kept {
 		if dominated[j] {
@@ -219,12 +300,12 @@ func prune(ctx context.Context, cands []Candidate, target float64, st *Stats) []
 	return surv
 }
 
-// domKey is one kept candidate's dominance coordinates: capRank orders
-// capacities descending (equal ranks are equal capacities), and pos is
-// the position in kept, which is enumeration (Index) order.
-type domKey struct {
-	cost, bound  float64
-	capRank, pos int32
+// domRow is a run of consecutive kept candidates with equal cost and
+// capacity — kept[lo:hi] — and the minimum pessimistic edge among them.
+type domRow struct {
+	capacity, minHi float64
+	costRank        int32
+	lo, hi          int
 }
 
 // dominancePrune marks the kept candidates that are provably
@@ -232,91 +313,88 @@ type domKey struct {
 // costs no more, holds no less capacity, and A's pessimistic edge
 // (bound·GuardBand) is strictly below B's optimistic edge
 // (bound/GuardBand) — so A's exact result beats B's wherever both land
-// inside their envelopes. The strict inequality makes self-domination
-// impossible, and the relation is transitive (lo < hi always), so
-// letting dominated candidates act as dominators is sound: their own
+// inside their envelopes. The relation is transitive (lo < hi always),
+// so letting dominated candidates act as dominators is sound: their own
 // dominator dominates the victim too.
 //
-// The scan sorts the keys once under (cost ↑, capacity ↓, bound ↑,
-// Index ↑) and walks them in equal-cost groups. A member of a group is
-// checked against (a) strictly cheaper candidates with capacity ≥ its
-// own — a Fenwick tree of minimum pessimistic edges over descending
-// capacity ranks, fed each group after the group is checked — and (b)
-// the running minimum over the group members before it, which in this
-// order are the only members that can dominate it. O(n log n) overall.
-func dominancePrune(cands []Candidate, kept []int) []bool {
-	caps := make([]float64, len(kept))
-	for pos, i := range kept {
-		caps[pos] = cands[i].CapacityPB
+// The scan works on rows, runs of consecutive kept candidates with
+// equal cost and capacity (the stock space's innermost axis, the
+// rebuild size, moves neither). It visits the rows once in descending
+// capacity, in groups of equal capacity, feeding a Fenwick tree of
+// minimum pessimistic edges over cost ranks: a group is inserted before
+// it is queried, so a row's prefix query covers every row as large as
+// it and no more costly — itself and its own group included. A
+// candidate is dominated when that minimum is below its optimistic
+// edge. A candidate cannot dominate itself (its own pessimistic edge is
+// never below its optimistic one, bounds being positive), so no order
+// within a group is needed. O(n + r log r) for r rows.
+func dominancePrune(keys []key, kept []int) []bool {
+	n, levels := 0, int32(0)
+	for pos, ki := range kept {
+		if pos == 0 || !sameRow(&keys[kept[pos-1]], &keys[ki]) {
+			n++
+		}
+		levels = max(levels, keys[ki].costRank+1)
 	}
-	slices.Sort(caps)
-	caps = slices.Compact(caps)
-	keys := make([]domKey, len(kept))
-	for pos, i := range kept {
-		c := &cands[i]
-		r, _ := slices.BinarySearch(caps, c.CapacityPB)
-		keys[pos] = domKey{cost: c.CostDrives, bound: c.BoundEventsPerPBYear,
-			capRank: int32(len(caps) - 1 - r), pos: int32(pos)}
+	rows := make([]domRow, 0, n)
+	for pos := 0; pos < len(kept); {
+		k := &keys[kept[pos]]
+		row := domRow{capacity: k.capacity, minHi: math.Inf(1), costRank: k.costRank, lo: pos}
+		for ; pos < len(kept); pos++ {
+			m := &keys[kept[pos]]
+			if !sameRow(k, m) {
+				break
+			}
+			if hi := m.bound * GuardBand; hi < row.minHi {
+				row.minHi = hi
+			}
+		}
+		row.hi = pos
+		rows = append(rows, row)
 	}
-	// Plain comparisons, not cmp.Compare: the keys hold no NaN (closed
-	// forms beyond float64 are infeasible), and skipping its NaN checks
-	// made the whole prune phase ~15% faster on the stock space.
-	slices.SortFunc(keys, func(a, b domKey) int {
+	// Plain comparisons, not cmp.Compare: capacities hold no NaN
+	// (closed forms beyond float64 are infeasible). Equal capacities
+	// may land in any order; the decisions do not depend on it.
+	slices.SortFunc(rows, func(a, b domRow) int {
 		switch {
-		case a.cost != b.cost:
-			if a.cost < b.cost {
-				return -1
-			}
-			return 1
-		case a.capRank != b.capRank:
-			return int(a.capRank - b.capRank)
-		case a.bound != b.bound:
-			if a.bound < b.bound {
-				return -1
-			}
+		case a.capacity > b.capacity:
+			return -1
+		case a.capacity < b.capacity:
 			return 1
 		}
-		return int(a.pos - b.pos)
+		return 0
 	})
 
-	// tree is a Fenwick tree over capacity ranks: the prefix [0, r] —
-	// capacities at least rank r's — yields the minimum pessimistic edge
-	// among the strictly cheaper groups inserted so far.
-	tree := make([]float64, len(caps))
+	// tree is a Fenwick tree over cost ranks: the prefix [0, r] — costs
+	// at most rank r's — yields the minimum pessimistic edge among the
+	// rows inserted so far.
+	tree := make([]float64, levels)
 	for i := range tree {
 		tree[i] = math.Inf(1)
 	}
-	cheaperMin := func(r int32) float64 {
-		m := math.Inf(1)
-		for i := r + 1; i > 0; i -= i & -i {
-			if tree[i-1] < m {
-				m = tree[i-1]
-			}
-		}
-		return m
-	}
-
 	dominated := make([]bool, len(kept))
-	for g := 0; g < len(keys); {
+	for g := 0; g < len(rows); {
 		h := g
-		for h < len(keys) && keys[h].cost == keys[g].cost {
+		for h < len(rows) && rows[h].capacity == rows[g].capacity {
 			h++
 		}
-		running := math.Inf(1)
-		for _, k := range keys[g:h] {
-			lo := k.bound / GuardBand
-			if math.Min(running, cheaperMin(k.capRank)) < lo {
-				dominated[k.pos] = true
-			}
-			if hi := k.bound * GuardBand; hi < running {
-				running = hi
+		for _, row := range rows[g:h] {
+			for i := row.costRank + 1; i <= levels; i += i & -i {
+				if row.minHi < tree[i-1] {
+					tree[i-1] = row.minHi
+				}
 			}
 		}
-		for _, k := range keys[g:h] {
-			hi := k.bound * GuardBand
-			for i := int(k.capRank) + 1; i <= len(tree); i += i & -i {
-				if hi < tree[i-1] {
-					tree[i-1] = hi
+		for _, row := range rows[g:h] {
+			m := math.Inf(1)
+			for i := row.costRank + 1; i > 0; i -= i & -i {
+				if tree[i-1] < m {
+					m = tree[i-1]
+				}
+			}
+			for pos := row.lo; pos < row.hi; pos++ {
+				if m < keys[kept[pos]].bound/GuardBand {
+					dominated[pos] = true
 				}
 			}
 		}
@@ -325,34 +403,44 @@ func dominancePrune(cands []Candidate, kept []int) []bool {
 	return dominated
 }
 
-// confirm solves every survivor exactly, writing results back into
-// cands. Survivors are in enumeration order, so candidates sharing a
-// chain topology — a function of (internal, fault tolerance) alone —
-// are contiguous; each such group batches through one bound solver,
-// split into chunks fanned over the worker pool. Error semantics mirror
-// the sweep engine: the lowest-indexed failing candidate is reported,
-// with the cause core.AnalyzeCtx would give for it.
-func confirm(ctx context.Context, base params.Parameters, cands []Candidate, surv []int, target float64, workers int, st *Stats) error {
+// sameRow reports whether two candidates share cost and capacity.
+func sameRow(a, b *key) bool {
+	return a.cost == b.cost && a.capacity == b.capacity
+}
+
+// confirmBuf is one confirmation chunk's scratch: the cells' parameter
+// sets and results, grown to the largest chunk it has served. Chunks
+// take it from confirmBufs, so a search allocates one per worker at
+// most, not one pair of slices per survivor.
+type confirmBuf struct {
+	ps  []params.Parameters
+	out []core.Result
+}
+
+var confirmBufs = sync.Pool{New: func() any { return new(confirmBuf) }}
+
+// confirm solves every survivor exactly, writing the results into keys.
+// Survivors are in enumeration order, so candidates sharing a chain
+// topology — a function of (internal, fault tolerance) alone — are
+// contiguous; each such group batches through one bound solver, split
+// into chunks fanned over the worker pool. Error semantics mirror the
+// sweep engine: the lowest-indexed failing candidate is reported, with
+// the cause core.AnalyzeCtx would give for it.
+func confirm(ctx context.Context, base *params.Parameters, space *Space, keys []key, surv []int, workers int, st *Stats) error {
 	ctx, sp := obs.StartSpan(ctx, "plan.confirm")
 	defer sp.End()
 	if len(surv) == 0 {
 		return nil
 	}
-	ps := make([]params.Parameters, len(surv))
-	for i, ci := range surv {
-		ps[i] = cands[ci].resolve(base)
-	}
-	out := make([]core.Result, len(surv))
-
 	type chunkSpec struct {
 		cfg    core.Config
 		lo, hi int
 	}
 	var chunks []chunkSpec
 	for lo := 0; lo < len(surv); {
-		cfg := cands[surv[lo]].Config()
+		cfg := space.config(keys[surv[lo]].index)
 		hi := lo
-		for hi < len(surv) && cands[surv[hi]].Config() == cfg {
+		for hi < len(surv) && space.config(keys[surv[hi]].index) == cfg {
 			hi++
 		}
 		st.TopologyGroups++
@@ -384,12 +472,29 @@ func confirm(ctx context.Context, base params.Parameters, cands []Candidate, sur
 
 	rerr := core.RunIndexed(ctx, len(chunks), workers, func(k int) error {
 		ch := chunks[k]
-		idx, err := core.AnalyzeChainBatchCtx(ctx, ch.cfg, ps[ch.lo:ch.hi], out[ch.lo:ch.hi])
+		buf := confirmBufs.Get().(*confirmBuf)
+		defer confirmBufs.Put(buf)
+		n := ch.hi - ch.lo
+		if cap(buf.ps) < n {
+			buf.ps, buf.out = make([]params.Parameters, n), make([]core.Result, n)
+		}
+		ps, out := buf.ps[:n], buf.out[:n]
+		for i := range ps {
+			ps[i] = space.resolve(base, keys[surv[ch.lo+i]].index)
+		}
+		idx, err := core.AnalyzeChainBatchCtx(ctx, ch.cfg, ps, out)
 		if err != nil {
 			if idx < 0 {
 				return err // cancellation: propagate as-is
 			}
 			record(ch.lo+idx, err)
+			return nil
+		}
+		// Each chunk writes only its own survivors' keys.
+		for i := range out {
+			k := &keys[surv[ch.lo+i]]
+			k.exact = out[i].EventsPerPBYear
+			k.confirmed = true
 		}
 		return nil
 	})
@@ -397,72 +502,108 @@ func confirm(ctx context.Context, base params.Parameters, cands []Candidate, sur
 	idx, err := firstIdx, firstErr
 	mu.Unlock()
 	if err != nil {
-		c := &cands[surv[idx]]
-		return fmt.Errorf("plan: confirming candidate %d (%v): %w", c.Index, c.Config(), err)
+		i := keys[surv[idx]].index
+		return fmt.Errorf("plan: confirming candidate %d (%v): %w", i, space.config(i), err)
 	}
 	if rerr != nil {
 		return rerr
 	}
-	for i, ci := range surv {
-		c := &cands[ci]
-		c.ExactEventsPerPBYear = out[i].EventsPerPBYear
-		c.MarginVsTarget = target / out[i].EventsPerPBYear
-		c.Confirmed = true
-		st.Confirmed++
-	}
+	st.Confirmed += len(surv)
 	return nil
 }
 
-// buildFrontier returns the exact Pareto frontier — confirmed
-// candidates meeting the target that no other such candidate weakly
-// beats on all of (cost, capacity, events) with at least one strict
-// improvement — ranked by rankCandidates. Strict dominance is a strict
-// partial order whose maximal elements (the frontier) dominate every
-// dominated candidate transitively, and any dominator sorts strictly
-// earlier under (cost ↑, capacity ↓, events ↑, index), so one forward
-// sweep comparing only against the frontier built so far is complete.
-// The sweep orders indices into cands; only the frontier is copied.
-func buildFrontier(cands []Candidate, surv []int, target float64) []Candidate {
-	meets := make([]int, 0, len(surv))
-	for _, ci := range surv {
-		if cands[ci].Confirmed && cands[ci].ExactEventsPerPBYear < target {
-			meets = append(meets, ci)
+// buildFrontier returns the positions in keys of the exact Pareto
+// frontier — confirmed survivors meeting the target that no other such
+// candidate weakly beats on all of (cost, capacity, events) with at
+// least one strict improvement — in (capacity ↓, cost ↑, events ↑,
+// index ↑) order.
+//
+// Any strict dominator sorts strictly earlier in that order, and every
+// earlier candidate holds at least as much capacity, so B is dominated
+// exactly when some earlier candidate with a different (cost, capacity,
+// events) triple costs no more with at most B's events. One forward
+// sweep finds them: a Fenwick tree of minimum exact events over cost
+// ranks holds every candidate passed so far, and each run of identical
+// triples is queried before it is inserted, so its members — which do
+// not dominate each other — stand or fall together. O(n log n).
+func buildFrontier(keys []key, surv []int, target float64) []int {
+	// meets holds the candidates' coordinates by value, so the sort
+	// compares without chasing positions into keys. Keys are in
+	// enumeration order, so position order is Index order.
+	type point struct {
+		capacity, exact float64
+		costRank        int32
+		pos             int
+	}
+	meets := make([]point, 0, len(surv))
+	levels := int32(0)
+	for _, ki := range surv {
+		if k := &keys[ki]; k.confirmed && k.exact < target {
+			meets = append(meets, point{capacity: k.capacity, exact: k.exact, costRank: k.costRank, pos: ki})
+			levels = max(levels, k.costRank+1)
 		}
 	}
-	slices.SortFunc(meets, func(i, j int) int {
-		a, b := &cands[i], &cands[j]
-		if c := cmp.Compare(a.CostDrives, b.CostDrives); c != 0 {
-			return c
+	// Plain comparisons, not cmp.Compare: exact results are never NaN
+	// (core rejects unusable MTTDLs).
+	slices.SortFunc(meets, func(a, b point) int {
+		switch {
+		case a.capacity != b.capacity:
+			if a.capacity > b.capacity {
+				return -1
+			}
+			return 1
+		case a.costRank != b.costRank:
+			return int(a.costRank - b.costRank)
+		case a.exact != b.exact:
+			if a.exact < b.exact {
+				return -1
+			}
+			return 1
 		}
-		if c := cmp.Compare(b.CapacityPB, a.CapacityPB); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.ExactEventsPerPBYear, b.ExactEventsPerPBYear); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Index, b.Index)
+		return a.pos - b.pos
 	})
+
+	// tree is a Fenwick tree over cost ranks: the prefix [0, r] — costs
+	// at most rank r's — yields the minimum exact events among the
+	// candidates inserted so far.
+	tree := make([]float64, levels)
+	for i := range tree {
+		tree[i] = math.Inf(1)
+	}
 	var front []int
-	for _, bi := range meets {
-		b := &cands[bi]
-		dom := false
-		for _, ai := range front {
-			a := &cands[ai]
-			if a.CostDrives <= b.CostDrives && a.CapacityPB >= b.CapacityPB &&
-				a.ExactEventsPerPBYear <= b.ExactEventsPerPBYear &&
-				(a.CostDrives < b.CostDrives || a.CapacityPB > b.CapacityPB ||
-					a.ExactEventsPerPBYear < b.ExactEventsPerPBYear) {
-				dom = true
-				break
+	for g := 0; g < len(meets); {
+		a := &meets[g]
+		h := g + 1
+		for h < len(meets) && meets[h].capacity == a.capacity && meets[h].costRank == a.costRank && meets[h].exact == a.exact {
+			h++
+		}
+		m := math.Inf(1)
+		for i := a.costRank + 1; i > 0; i -= i & -i {
+			if tree[i-1] < m {
+				m = tree[i-1]
 			}
 		}
-		if !dom {
-			front = append(front, bi)
+		if !(m <= a.exact) {
+			for _, p := range meets[g:h] {
+				front = append(front, p.pos)
+			}
 		}
+		for i := a.costRank + 1; i <= levels; i += i & -i {
+			if a.exact < tree[i-1] {
+				tree[i-1] = a.exact
+			}
+		}
+		g = h
 	}
+	return front
+}
+
+// rankFrontier builds the frontier members' Candidates and ranks them
+// with rankCandidates.
+func rankFrontier(base *params.Parameters, space *Space, keys []key, front []int, target float64) []Candidate {
 	frontier := make([]Candidate, len(front))
-	for i, ci := range front {
-		frontier[i] = cands[ci]
+	for i, ki := range front {
+		frontier[i] = space.candidate(base, &keys[ki], target)
 	}
 	rankCandidates(frontier)
 	return frontier

@@ -28,6 +28,13 @@ var instr atomic.Pointer[rebuildMetrics]
 // computations ran, how often each rebuild path was network- vs
 // disk-limited (the Figure 17 decision), and the latest computed rates.
 // Pass nil to disable again.
+//
+// Compute records each call. Callers that compute many rate sets in one
+// unit of work compute them through a Tally and flush it once: the
+// design-space search once per (internal, fault tolerance, stripe
+// width) block, the batched sweep engine once per chunk. The counters
+// reach the same totals; the gauges hold the last set of the latest
+// flush.
 func Instrument(reg *obs.Registry) {
 	if reg == nil {
 		instr.Store(nil)
@@ -45,22 +52,22 @@ func Instrument(reg *obs.Registry) {
 	})
 }
 
-// record folds one computed rate set into the registry.
-func (m *rebuildMetrics) record(r Rates) {
-	m.computes.Inc()
-	switch r.NodeBottleneck {
-	case BottleneckDisk:
-		m.nodeDisk.Inc()
-	case BottleneckNetwork:
-		m.nodeNetwork.Inc()
+// record folds one flushed tally into the registry.
+func (m *rebuildMetrics) record(tl *Tally) {
+	add(m.computes, tl.computes)
+	add(m.nodeDisk, tl.nodeDisk)
+	add(m.nodeNetwork, tl.nodeNetwork)
+	add(m.driveDisk, tl.driveDisk)
+	add(m.driveNetwork, tl.driveNetwork)
+	m.lastNodeRate.Set(tl.last.NodeRebuild)
+	m.lastDriveRate.Set(tl.last.DriveRebuild)
+	m.lastRestripeRat.Set(tl.last.Restripe)
+}
+
+// add adds n to c unless n is zero: an atomic add of zero still takes
+// the counter's cache line from the other workers.
+func add(c *obs.Counter, n int64) {
+	if n != 0 {
+		c.Add(n)
 	}
-	switch r.DriveBottleneck {
-	case BottleneckDisk:
-		m.driveDisk.Inc()
-	case BottleneckNetwork:
-		m.driveNetwork.Inc()
-	}
-	m.lastNodeRate.Set(r.NodeRebuild)
-	m.lastDriveRate.Set(r.DriveRebuild)
-	m.lastRestripeRat.Set(r.Restripe)
 }

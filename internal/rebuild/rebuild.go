@@ -136,34 +136,85 @@ func DriveRebuildTimeHours(p params.Parameters, t int) (float64, Bottleneck) {
 // once and written once at the restripe command size, entirely inside the
 // node (no network involvement).
 func RestripeTimeHours(p params.Parameters) float64 {
+	return restripeTimeHours(&p)
+}
+
+// restripeTimeHours is RestripeTimeHours reading p through a pointer,
+// with DriveThroughput spelled out in the same association.
+func restripeTimeHours(p *params.Parameters) float64 {
 	survivors := float64(p.DrivesPerNode - 1)
 	if survivors <= 0 {
 		return math.Inf(1)
 	}
 	dataBytes := survivors * p.DriveDataBytes()
-	rate := survivors * DriveThroughput(p, p.RestripeCommandBytes)
+	rate := survivors * (math.Min(p.DriveMaxIOPS*p.RestripeCommandBytes, p.DriveTransferBytesPerSec) * p.RebuildBandwidthFraction)
 	return 2 * dataBytes / rate / 3600
 }
 
-// Compute derives all repair rates for inter-node fault tolerance t.
+// Compute derives all repair rates for inter-node fault tolerance t and
+// records the computation (see Instrument).
 // It panics if t < 1 or t >= R (the redundancy set must contain data).
 func Compute(p params.Parameters, t int) Rates {
+	var tl Tally
+	r := tl.Compute(&p, t)
+	tl.Flush()
+	return r
+}
+
+// Tally computes rates for a caller that computes many of them and
+// holds their telemetry until Flush, so a block of computations costs
+// one registry update instead of one per rate set. The zero value is
+// ready to use.
+type Tally struct {
+	computes, nodeDisk, nodeNetwork, driveDisk, driveNetwork int64
+	last                                                     Rates
+}
+
+// Compute is the package-level Compute reading p through a pointer —
+// the same floats, no Parameters copy — with the computation held in
+// the tally until Flush.
+func (tl *Tally) Compute(p *params.Parameters, t int) Rates {
 	if t < 1 || t >= p.RedundancySetSize {
 		panic(fmt.Sprintf("rebuild: fault tolerance %d out of range [1, R-1] with R=%d", t, p.RedundancySetSize))
 	}
-	nodeT, nodeB := NodeRebuildTimeHours(p, t)
-	driveT, driveB := DriveRebuildTimeHours(p, t)
+	nodeT, nodeB := distributedRebuildTime(p, p.NodeDataBytes(), t)
+	driveT, driveB := distributedRebuildTime(p, p.DriveDataBytes(), t)
 	r := Rates{
 		NodeRebuild:     1 / nodeT,
 		DriveRebuild:    1 / driveT,
-		Restripe:        1 / RestripeTimeHours(p),
+		Restripe:        1 / restripeTimeHours(p),
 		NodeBottleneck:  nodeB,
 		DriveBottleneck: driveB,
 	}
-	if m := instr.Load(); m != nil {
-		m.record(r)
+	tl.computes++
+	switch nodeB {
+	case BottleneckDisk:
+		tl.nodeDisk++
+	case BottleneckNetwork:
+		tl.nodeNetwork++
 	}
+	switch driveB {
+	case BottleneckDisk:
+		tl.driveDisk++
+	case BottleneckNetwork:
+		tl.driveNetwork++
+	}
+	tl.last = r
 	return r
+}
+
+// Flush records the tallied computations into the registry, if
+// instrumented — the counters by their totals, the rate gauges by the
+// last computed set — and empties the tally. An empty tally records
+// nothing.
+func (tl *Tally) Flush() {
+	if tl.computes == 0 {
+		return
+	}
+	if m := instr.Load(); m != nil {
+		m.record(tl)
+	}
+	*tl = Tally{}
 }
 
 // CrossoverLinkSpeedGbps returns the link speed at which the node rebuild

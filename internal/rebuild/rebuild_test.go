@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/params"
 )
 
@@ -240,6 +241,63 @@ func TestDistributedRebuildMatchesThroughputHelpers(t *testing.T) {
 						link, cmd, ft, gotT, gotB, wantT, wantB)
 				}
 			}
+		}
+	}
+}
+
+// A Tally flushed once records what per-call Compute records over the
+// same rate sets: the same counter totals and the last set's gauges,
+// and rates bit-identical to Compute's.
+func TestTallyMatchesPerCallCompute(t *testing.T) {
+	var ps []params.Parameters
+	for _, link := range []float64{1, 2, 10, 40} {
+		for _, block := range []float64{16 * params.KiB, 1 * params.MiB} {
+			p := params.Baseline()
+			p.LinkSpeedGbps = link
+			p.RebuildCommandBytes = block
+			ps = append(ps, p)
+		}
+	}
+	names := []string{"rebuild.computes", "rebuild.node_bottleneck.disk", "rebuild.node_bottleneck.network",
+		"rebuild.drive_bottleneck.disk", "rebuild.drive_bottleneck.network"}
+	gauges := []string{"rebuild.last_node_rebuild_per_hour", "rebuild.last_drive_rebuild_per_hour", "rebuild.last_restripe_per_hour"}
+
+	perCall := obs.NewRegistry()
+	Instrument(perCall)
+	want := make([]Rates, len(ps))
+	for i, p := range ps {
+		want[i] = Compute(p, 2)
+	}
+	tallied := obs.NewRegistry()
+	Instrument(tallied)
+	var tl Tally
+	for i := range ps {
+		if got := tl.Compute(&ps[i], 2); got != want[i] {
+			t.Errorf("set %d: Tally.Compute %+v, Compute %+v", i, got, want[i])
+		}
+	}
+	if got := tallied.Counter("rebuild.computes").Value(); got != 0 {
+		t.Errorf("rebuild.computes = %d before Flush, want 0", got)
+	}
+	tl.Flush()
+	tl.Flush() // an empty tally records nothing
+	Instrument(nil)
+	network := 0
+	for _, name := range names {
+		a, b := perCall.Counter(name).Value(), tallied.Counter(name).Value()
+		if a != b {
+			t.Errorf("%s: per-call %d, tally %d", name, a, b)
+		}
+		if name == "rebuild.node_bottleneck.network" {
+			network = int(b)
+		}
+	}
+	if network == 0 || network == len(ps) {
+		t.Fatalf("%d of %d node rebuilds network-limited; the sets must mix both paths", network, len(ps))
+	}
+	for _, name := range gauges {
+		if a, b := perCall.Gauge(name).Value(), tallied.Gauge(name).Value(); a != b {
+			t.Errorf("%s: per-call %v, tally %v", name, a, b)
 		}
 	}
 }

@@ -22,6 +22,7 @@ func FuzzAnalyzeDecode(f *testing.F) {
 	f.Add(`{"params":{"node_mttf_hours":-1e308},"config":{"internal":"none","ft":2}}`)
 	f.Add(`{"params":{"node_set_size":-9223372036854775808},"config":{"internal":"none","ft":2}}`)
 	f.Add(strings.Repeat("[", 1000))
+	f.Add(`{"config":{"internal":"none","ft":40}}`)
 
 	f.Fuzz(func(t *testing.T, body string) {
 		var req AnalyzeRequest
@@ -37,6 +38,9 @@ func FuzzAnalyzeDecode(f *testing.F) {
 				t.Fatalf("validation rejection with empty message for %q", body)
 			}
 			return
+		}
+		if ft := job.Config.NodeFaultTolerance; ft > maxFaultTolerance {
+			t.Fatalf("fault tolerance %d past the limit accepted for %q", ft, body)
 		}
 		// A request that survives validation must canonicalize without
 		// panicking — the key is what the cache and solver trust.

@@ -70,6 +70,40 @@ func TestHandlerValidation(t *testing.T) {
 	}
 }
 
+// Every endpoint that takes a fault tolerance refuses one above
+// maxFaultTolerance with a 400 before any solve starts, and accepts the
+// limit itself.
+func TestFaultToleranceBounded(t *testing.T) {
+	s := New(Options{})
+	h := s.Handler()
+	cases := []struct {
+		name, path, body string
+	}{
+		{"analyze", "/v1/analyze", `{"config":{"internal":"none","ft":%d},"params":{"redundancy_set_size":16}}`},
+		{"sweep", "/v1/sweep", `{"parameter":"drive_mttf_hours","values":[1e5],"configs":[{"internal":"raid5","ft":2},{"internal":"none","ft":%d}],"params":{"redundancy_set_size":16}}`},
+		{"simulate", "/v1/simulate", `{"config":{"internal":"none","ft":%d},"trials":2,"params":{"redundancy_set_size":16}}`},
+		{"simulate fleet", "/v1/simulate", `{"config":{"internal":"none","ft":%d},"fleet":{"bricks":10,"years":1},"params":{"redundancy_set_size":16}}`},
+		{"plan", "/v1/plan", `{"space":{"internals":["none"],"fault_tolerances":[2,%d],"redundancy_set_sizes":[16],"spare_nodes":[0],"utilizations":[0.9],"rebuild_bytes":[262144]}}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, ft := range []int{maxFaultTolerance + 1, 40} {
+				w := postJSON(t, h, tc.path, fmt.Sprintf(tc.body, ft))
+				if w.Code != http.StatusBadRequest {
+					t.Fatalf("ft %d: status %d, want 400; body %s", ft, w.Code, w.Body.String())
+				}
+				if want := fmt.Sprintf("fault tolerance %d exceeds the limit of %d", ft, maxFaultTolerance); !strings.Contains(w.Body.String(), want) {
+					t.Errorf("ft %d: error %s does not say %q", ft, w.Body.String(), want)
+				}
+			}
+		})
+	}
+	// The limit itself is accepted (a closed-form analyze answers at once).
+	if w := postJSON(t, h, "/v1/analyze", fmt.Sprintf(cases[0].body, maxFaultTolerance)); w.Code != http.StatusOK {
+		t.Errorf("ft %d analyze: status %d; body %s", maxFaultTolerance, w.Code, w.Body.String())
+	}
+}
+
 func manyValues(n int) string {
 	vals := make([]string, n)
 	for i := range vals {

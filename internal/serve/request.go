@@ -88,12 +88,27 @@ func resolveParams(preset string, patch *ParamsPatch) (params.Parameters, error)
 	return p, nil
 }
 
+// maxFaultTolerance bounds the inter-node fault tolerance a request may
+// name. A closed-form evaluation takes time and memory growing as 2^ft
+// (one analyze at N=100, R=64 takes ~40 ms and ~40 MB at ft 20, so ft 30
+// would need ~40 GB) and the exact chain has 2^(ft+1)−1 states, so an
+// unbounded ft lets one request exhaust the server.
+const maxFaultTolerance = 10
+
 // ConfigSpec is the wire form of a redundancy configuration.
 type ConfigSpec struct {
 	// Internal is "none", "raid5" or "raid6".
 	Internal string `json:"internal"`
-	// FT is the inter-node fault tolerance (>= 1).
+	// FT is the inter-node fault tolerance (1 to maxFaultTolerance).
 	FT int `json:"ft"`
+}
+
+// checkFaultTolerance rejects a fault tolerance above maxFaultTolerance.
+func checkFaultTolerance(ft int) error {
+	if ft > maxFaultTolerance {
+		return fmt.Errorf("fault tolerance %d exceeds the limit of %d", ft, maxFaultTolerance)
+	}
+	return nil
 }
 
 // resolve maps the spec onto a validated core.Config.
@@ -104,6 +119,9 @@ func (cs ConfigSpec) resolve() (core.Config, error) {
 	}
 	cfg := core.Config{Internal: ir, NodeFaultTolerance: cs.FT}
 	if err := cfg.Validate(); err != nil {
+		return core.Config{}, err
+	}
+	if err := checkFaultTolerance(cs.FT); err != nil {
 		return core.Config{}, err
 	}
 	return cfg, nil
@@ -400,6 +418,11 @@ func (ps *PlanSpaceSpec) resolve() (plan.Space, error) {
 		space.Internals = irs
 	}
 	if len(ps.FaultTolerances) > 0 {
+		for i, ft := range ps.FaultTolerances {
+			if err := checkFaultTolerance(ft); err != nil {
+				return plan.Space{}, fmt.Errorf("space.fault_tolerances[%d]: %w", i, err)
+			}
+		}
 		space.FaultTolerances = ps.FaultTolerances
 	}
 	if len(ps.RedundancySetSizes) > 0 {
