@@ -12,8 +12,10 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -75,10 +77,34 @@ func DefaultSpace() Space {
 	}
 }
 
-// Size returns the number of candidates the space enumerates.
+// Size returns the number of candidates the space enumerates,
+// saturating at math.MaxInt (which Validate rejects) instead of wrapping.
 func (s Space) Size() int {
-	return len(s.Internals) * len(s.FaultTolerances) * len(s.RedundancySetSizes) *
-		len(s.SpareNodes) * len(s.Utilizations) * len(s.RebuildBytes)
+	lens := [...]int{len(s.Internals), len(s.FaultTolerances), len(s.RedundancySetSizes),
+		len(s.SpareNodes), len(s.Utilizations), len(s.RebuildBytes)}
+	if slices.Contains(lens[:], 0) {
+		return 0
+	}
+	n := 1
+	for _, l := range lens {
+		if n > math.MaxInt/l {
+			return math.MaxInt
+		}
+		n *= l
+	}
+	return n
+}
+
+// noDuplicates reports a value listed twice, which enumerates twice.
+func noDuplicates[T comparable](dim string, vs []T) error {
+	seen := make(map[T]bool, len(vs))
+	for _, v := range vs {
+		if seen[v] {
+			return fmt.Errorf("plan: %s %v listed twice", dim, v)
+		}
+		seen[v] = true
+	}
+	return nil
 }
 
 // Validate reports the first structural problem with the space. Values
@@ -87,8 +113,11 @@ func (s Space) Size() int {
 // errors — those candidates are counted and skipped — but values no
 // candidate could ever use are.
 func (s Space) Validate() error {
-	if s.Size() == 0 {
+	switch s.Size() {
+	case 0:
 		return fmt.Errorf("plan: empty design space (every dimension needs at least one value)")
+	case math.MaxInt:
+		return fmt.Errorf("plan: design space of %d or more candidates cannot be enumerated", math.MaxInt)
 	}
 	for _, ir := range s.Internals {
 		if err := (core.Config{Internal: ir, NodeFaultTolerance: 1}).Validate(); err != nil {
@@ -120,7 +149,9 @@ func (s Space) Validate() error {
 			return fmt.Errorf("plan: rebuild command size %v must be positive", b)
 		}
 	}
-	return nil
+	return cmp.Or(noDuplicates("internal redundancy", s.Internals), noDuplicates("fault tolerance", s.FaultTolerances),
+		noDuplicates("redundancy set size", s.RedundancySetSizes), noDuplicates("spare node count", s.SpareNodes),
+		noDuplicates("utilization", s.Utilizations), noDuplicates("rebuild command size", s.RebuildBytes))
 }
 
 // Constraints bound the search: a reliability target plus optional

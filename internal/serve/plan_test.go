@@ -106,6 +106,8 @@ func TestPlanValidation(t *testing.T) {
 		{"negative target", `{"target_events_per_pb_year":-1,"space":{"internals":["raid5"],"fault_tolerances":[1],"redundancy_set_sizes":[8],"spare_nodes":[0],"utilizations":[0.9],"rebuild_bytes":[262144]}}`, "target"},
 		{"negative top", `{"space":{"fault_tolerances":[1],"redundancy_set_sizes":[8],"spare_nodes":[0],"utilizations":[0.9],"rebuild_bytes":[262144]},"top":-2}`, "top"},
 		{"space too large", `{}`, "exceeds the limit"},
+		{"space overflows int", overflowPlanBody(), "cannot be enumerated"},
+		{"duplicate value", `{"space":{"fault_tolerances":[1,2,1],"redundancy_set_sizes":[8]}}`, "fault tolerance 1 listed twice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
