@@ -121,17 +121,6 @@ func FromDense(a *linalg.Matrix) *CSR {
 	return m
 }
 
-// Dense expands the matrix to dense form (tests and diagnostics).
-func (m *CSR) Dense() *linalg.Matrix {
-	out := linalg.New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			out.Set(i, m.Col[p], m.Val[p])
-		}
-	}
-	return out
-}
-
 // MulVecInto computes dst = m·x and returns dst. dst must not alias x;
 // both lengths must match the matrix shape. 0 allocs/op.
 func (m *CSR) MulVecInto(dst, x []float64) []float64 {

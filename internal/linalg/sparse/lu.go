@@ -32,7 +32,7 @@ type Symbolic struct {
 	rowptr, col []int
 
 	// The compiled elimination program. A Numeric keeps L and U values
-	// in one slot array: L entry p at slot p, U entry q at LNNZ()+q.
+	// in one slot array: L entry p at slot p, U entry q at len(li)+q.
 	// Refactor replays, with no permutation lookups:
 	//   - aslot[p]: the factor slot of the analyzed matrix's stored
 	//     position p (CSR order), where a.Val[p] is scattered;
@@ -191,14 +191,6 @@ func sameInts(a, b []int) bool {
 
 // N returns the dimension of the analyzed pattern.
 func (s *Symbolic) N() int { return s.n }
-
-// LNNZ returns the number of stored entries in L (excluding the unit
-// diagonal).
-func (s *Symbolic) LNNZ() int { return len(s.li) }
-
-// UNNZ returns the number of stored entries in U (including the
-// diagonal).
-func (s *Symbolic) UNNZ() int { return len(s.ui) }
 
 // FactorNNZ returns the total stored entries of the factors, counting
 // L's implicit unit diagonal.

@@ -47,7 +47,7 @@ func TestFromDenseRoundTrip(t *testing.T) {
 	if err := m.Valid(); err != nil {
 		t.Fatal(err)
 	}
-	back := m.Dense()
+	back := dense(m)
 	for i := 0; i < 12; i++ {
 		for j := 0; j < 12; j++ {
 			if back.At(i, j) != a.At(i, j) {
@@ -463,4 +463,15 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { a.MulVecInto(x, b) }); n != 0 {
 		t.Errorf("MulVecInto allocates %v per run", n)
 	}
+}
+
+// dense expands m to dense form.
+func dense(m *CSR) *linalg.Matrix {
+	out := linalg.New(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+			out.Set(i, m.Col[p], m.Val[p])
+		}
+	}
+	return out
 }

@@ -431,26 +431,6 @@ func (c *Chain) absorptionReachable(vs *validateScratch) bool {
 	return reached
 }
 
-// Generator returns the infinitesimal generator matrix Q over all states:
-// off-diagonal entries are transition rates; diagonal entries make row sums
-// zero.
-func (c *Chain) Generator() *linalg.Matrix {
-	n := len(c.names)
-	q := linalg.New(n, n)
-	for i := 0; i < n; i++ {
-		// Successors iterates edges in target order: the exit-rate sum
-		// (and so the whole matrix) is bit-reproducible across runs,
-		// which the deterministic parallel layer depends on.
-		var exit float64
-		for _, e := range c.Successors(i) {
-			q.Set(i, e.To, e.Rate)
-			exit += e.Rate
-		}
-		q.Set(i, i, -exit)
-	}
-	return q
-}
-
 // AbsorptionMatrix returns R = -Q_B, the paper's "absorption matrix": Q
 // restricted to transient states, negated so the diagonal is positive.
 // The second result maps rows of R to state indices of the chain; the

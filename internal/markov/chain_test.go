@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/linalg"
 )
 
 func TestStateCreationAndLookup(t *testing.T) {
@@ -174,7 +176,7 @@ func TestGeneratorRowSumsZero(t *testing.T) {
 	c.AddRate("1", "0", 0.5)
 	c.AddRate("1", "2", 1.5)
 	c.SetAbsorbing("2")
-	q := c.Generator()
+	q := generator(c)
 	for i := 0; i < q.Rows(); i++ {
 		var sum float64
 		for j := 0; j < q.Cols(); j++ {
@@ -203,4 +205,24 @@ func TestAbsorptionMatrixStructure(t *testing.T) {
 	if r.At(0, 0) != 2 || r.At(0, 1) != -2 || r.At(1, 0) != -5 || r.At(1, 1) != 8 {
 		t.Errorf("R =\n%v", r)
 	}
+}
+
+// generator returns the infinitesimal generator matrix Q over all states:
+// off-diagonal entries are transition rates; diagonal entries make row sums
+// zero.
+func generator(c *Chain) *linalg.Matrix {
+	n := len(c.names)
+	q := linalg.New(n, n)
+	for i := 0; i < n; i++ {
+		// Successors iterates edges in target order: the exit-rate sum
+		// (and so the whole matrix) is bit-reproducible across runs,
+		// which the deterministic parallel layer depends on.
+		var exit float64
+		for _, e := range c.Successors(i) {
+			q.Set(i, e.To, e.Rate)
+			exit += e.Rate
+		}
+		q.Set(i, i, -exit)
+	}
+	return q
 }

@@ -117,7 +117,7 @@ func TestTransientMatchesMatrixExponentialSmallCase(t *testing.T) {
 	// Cross-check uniformization against a brute-force truncated Taylor
 	// series of e^{Qt} for a small, well-scaled chain.
 	c := repairable(1.2, 0.8, 0.4)
-	q := c.Generator()
+	q := generator(c)
 	tm := 1.7
 	// e^{Qt} by scaling-and-squaring-free Taylor (fine for ‖Qt‖ ~ 4).
 	n := q.Rows()
