@@ -8,14 +8,22 @@ import (
 	"repro/internal/obs"
 )
 
+// result is one cached response. A sweep's also carries its row offsets:
+// row i is body[rows[i] : rows[i+1]-1] (a separator follows each row),
+// so an NDJSON replay writes the rows without decoding the body.
+type result struct {
+	body []byte
+	rows []int
+}
+
 // cacheEntry is one cache slot. While the leading request is solving,
-// done is open and body/err are unset; when the leader finishes it fills
+// done is open and res/err are unset; when the leader finishes it fills
 // them and closes done. Entries are immutable after done closes, so
 // waiters (and late readers of an evicted entry) can use them without
 // the cache lock.
 type cacheEntry struct {
 	done chan struct{}
-	body []byte
+	res  result
 	err  error
 	key  string
 	elem *list.Element // LRU position; nil while in-flight
@@ -58,13 +66,13 @@ func newResultCache(max int, hits, misses, evictions *obs.Counter) *resultCache 
 	}
 }
 
-// do returns the cached body for key, deduplicating concurrent callers:
+// do returns the cached result for key, deduplicating concurrent callers:
 // at most one caller at a time runs solve for a key, everyone else waits
 // on its result. The bool reports whether the body was served without
 // running solve (a cache hit or a successful dedup). ctx cancels only
 // this caller's wait (and, via the solve closure's own context, its
 // solve); other waiters are unaffected.
-func (c *resultCache) do(ctx context.Context, key string, solve func() ([]byte, error)) ([]byte, bool, error) {
+func (c *resultCache) do(ctx context.Context, key string, solve func() (result, error)) (result, bool, error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -74,7 +82,7 @@ func (c *resultCache) do(ctx context.Context, key string, solve func() ([]byte, 
 					c.lru.MoveToFront(e.elem)
 					c.mu.Unlock()
 					c.hits.Inc()
-					return e.body, true, nil
+					return e.res, true, nil
 				}
 				// A completed-with-error entry is removed by its leader
 				// before done closes; seeing one here means we raced the
@@ -90,11 +98,11 @@ func (c *resultCache) do(ctx context.Context, key string, solve func() ([]byte, 
 			select {
 			case <-e.done:
 			case <-ctx.Done():
-				return nil, false, ctx.Err()
+				return result{}, false, ctx.Err()
 			}
 			if e.err == nil {
 				c.hits.Inc()
-				return e.body, true, nil
+				return e.res, true, nil
 			}
 			// Leader failed (its error, or its cancellation). Re-run the
 			// election; a waiter with a live context becomes the new
@@ -108,20 +116,20 @@ func (c *resultCache) do(ctx context.Context, key string, solve func() ([]byte, 
 		c.mu.Unlock()
 		c.misses.Inc()
 
-		body, err := solve()
+		res, err := solve()
 
 		c.mu.Lock()
 		if err != nil {
 			delete(c.entries, key) // failures are never cached
 		} else {
-			e.body = body
+			e.res = res
 			e.elem = c.lru.PushFront(e)
 			c.evictOver()
 		}
 		e.err = err
 		c.mu.Unlock()
 		close(e.done)
-		return body, false, err
+		return res, false, err
 	}
 }
 
@@ -136,22 +144,22 @@ func (c *resultCache) evictOver() {
 	}
 }
 
-// peek returns the completed cached body for key without solving or
+// peek returns the completed cached result for key without solving or
 // waiting: in-flight entries report a miss (streaming callers must not
 // block on a buffered leader — they re-solve and stream). A hit counts
 // as a cache hit and refreshes the entry's LRU position.
-func (c *resultCache) peek(key string) ([]byte, bool) {
+func (c *resultCache) peek(key string) (result, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok || e.elem == nil { // absent, or in flight (elem set only on completed success)
 		c.mu.Unlock()
-		return nil, false
+		return result{}, false
 	}
 	c.lru.MoveToFront(e.elem)
-	body := e.body
+	res := e.res
 	c.mu.Unlock()
 	c.hits.Inc()
-	return body, true
+	return res, true
 }
 
 // missed counts one solve that bypassed do's election (a streaming
@@ -163,7 +171,7 @@ func (c *resultCache) missed() { c.misses.Inc() }
 // for the key already exists (a concurrent buffered solve in flight, or
 // a completed body) the call is a no-op: the existing entry's bytes stay
 // authoritative, and an in-flight leader's waiters keep their contract.
-func (c *resultCache) put(key string, body []byte) {
+func (c *resultCache) put(key string, res result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
@@ -171,7 +179,7 @@ func (c *resultCache) put(key string, body []byte) {
 	}
 	done := make(chan struct{})
 	close(done)
-	e := &cacheEntry{done: done, body: body, key: key}
+	e := &cacheEntry{done: done, res: res, key: key}
 	c.entries[key] = e
 	e.elem = c.lru.PushFront(e)
 	c.evictOver()

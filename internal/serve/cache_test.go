@@ -28,16 +28,16 @@ func TestCacheSolvesOnceUnderConcurrency(t *testing.T) {
 	var solves atomic.Int64
 	release := make(chan struct{})
 	var wg sync.WaitGroup
-	bodies := make([][]byte, goroutines)
+	bodies := make([]result, goroutines)
 	errs := make([]error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			bodies[g], _, errs[g] = c.do(context.Background(), "k", func() ([]byte, error) {
+			bodies[g], _, errs[g] = c.do(context.Background(), "k", func() (result, error) {
 				<-release // hold every waiter in the dedup path
 				solves.Add(1)
-				return []byte("result"), nil
+				return result{body: []byte("result")}, nil
 			})
 		}(g)
 	}
@@ -51,7 +51,7 @@ func TestCacheSolvesOnceUnderConcurrency(t *testing.T) {
 		if errs[g] != nil {
 			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
-		if !bytes.Equal(bodies[g], []byte("result")) {
+		if !bytes.Equal(bodies[g].body, []byte("result")) {
 			t.Errorf("goroutine %d got %q", g, bodies[g])
 		}
 	}
@@ -72,11 +72,11 @@ func TestCacheDistinctKeysSolveIndependently(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", g%8)
-			body, _, err := c.do(context.Background(), key, func() ([]byte, error) {
+			res, _, err := c.do(context.Background(), key, func() (result, error) {
 				solves.Add(1)
-				return []byte(key), nil
+				return result{body: []byte(key)}, nil
 			})
-			if err != nil || string(body) != key {
+			if body := res.body; err != nil || string(body) != key {
 				t.Errorf("key %s: body %q err %v", key, body, err)
 			}
 		}(g)
@@ -95,16 +95,16 @@ func TestCacheLeaderFailureDoesNotPoison(t *testing.T) {
 	leaderStarted := make(chan struct{})
 	leaderFail := make(chan struct{})
 
-	var waiterBody []byte
+	var waiter result
 	var waiterErr error
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.do(context.Background(), "k", func() ([]byte, error) {
+		_, _, err := c.do(context.Background(), "k", func() (result, error) {
 			close(leaderStarted)
 			<-leaderFail
-			return nil, context.Canceled // the leader's own request died
+			return result{}, context.Canceled // the leader's own request died
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("leader err = %v, want context.Canceled", err)
@@ -113,8 +113,8 @@ func TestCacheLeaderFailureDoesNotPoison(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-leaderStarted // guarantee we dedup onto the failing leader
-		waiterBody, _, waiterErr = c.do(context.Background(), "k", func() ([]byte, error) {
-			return []byte("recovered"), nil
+		waiter, _, waiterErr = c.do(context.Background(), "k", func() (result, error) {
+			return result{body: []byte("recovered")}, nil
 		})
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -123,19 +123,19 @@ func TestCacheLeaderFailureDoesNotPoison(t *testing.T) {
 	if waiterErr != nil {
 		t.Fatalf("waiter err after leader failure: %v", waiterErr)
 	}
-	if string(waiterBody) != "recovered" {
-		t.Fatalf("waiter body %q, want re-elected solve result", waiterBody)
+	if string(waiter.body) != "recovered" {
+		t.Fatalf("waiter body %q, want re-elected solve result", waiter.body)
 	}
 	if c.len() != 1 {
 		t.Errorf("cache holds %d entries, want 1 (the recovered result)", c.len())
 	}
 	// The key must now be a plain cache hit.
-	body, hit, err := c.do(context.Background(), "k", func() ([]byte, error) {
+	res, hit, err := c.do(context.Background(), "k", func() (result, error) {
 		t.Error("cached key re-solved")
-		return nil, nil
+		return result{}, nil
 	})
-	if err != nil || !hit || string(body) != "recovered" {
-		t.Errorf("post-recovery lookup: body %q hit %v err %v", body, hit, err)
+	if err != nil || !hit || string(res.body) != "recovered" {
+		t.Errorf("post-recovery lookup: body %q hit %v err %v", res.body, hit, err)
 	}
 }
 
@@ -146,21 +146,21 @@ func TestCacheWaiterCancellationLeavesLeaderAlone(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		body, _, err := c.do(context.Background(), "k", func() ([]byte, error) {
+		res, _, err := c.do(context.Background(), "k", func() (result, error) {
 			close(started)
 			<-release
-			return []byte("slow"), nil
+			return result{body: []byte("slow")}, nil
 		})
-		if err != nil || string(body) != "slow" {
-			t.Errorf("leader: body %q err %v", body, err)
+		if err != nil || string(res.body) != "slow" {
+			t.Errorf("leader: body %q err %v", res.body, err)
 		}
 	}()
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.do(ctx, "k", func() ([]byte, error) {
+	_, _, err := c.do(ctx, "k", func() (result, error) {
 		t.Error("cancelled waiter must not solve")
-		return nil, nil
+		return result{}, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter err = %v, want context.Canceled", err)
@@ -173,8 +173,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	c, reg := newTestCache(2)
 	put := func(key string) {
 		t.Helper()
-		if _, _, err := c.do(context.Background(), key, func() ([]byte, error) {
-			return []byte(key), nil
+		if _, _, err := c.do(context.Background(), key, func() (result, error) {
+			return result{body: []byte(key)}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -190,9 +190,9 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatalf("cache len %d, want 2", c.len())
 	}
 	var resolved atomic.Bool
-	if _, hit, _ := c.do(context.Background(), "b", func() ([]byte, error) {
+	if _, hit, _ := c.do(context.Background(), "b", func() (result, error) {
 		resolved.Store(true)
-		return []byte("b2"), nil
+		return result{body: []byte("b2")}, nil
 	}); hit || !resolved.Load() {
 		t.Error("evicted key b should re-solve")
 	}

@@ -111,11 +111,11 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 // is the "cancelled request frees its worker slot" contract. The actual
 // computation runs under a "serve.compute" span, so queueing time is the
 // visible gap between the cache span and the compute span.
-func (s *Server) solve(ctx context.Context, compute func(context.Context) ([]byte, error)) ([]byte, error) {
+func (s *Server) solve(ctx context.Context, compute func(context.Context) (result, error)) (result, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return result{}, ctx.Err()
 	}
 	defer func() { <-s.sem }()
 	s.metrics.inflight.Add(1)
@@ -129,9 +129,9 @@ func (s *Server) solve(ctx context.Context, compute func(context.Context) ([]byt
 // serveCached is the shared compute-endpoint path: cache lookup with
 // single-flight dedup, bounded solve on miss, error mapping. Latency and
 // status metrics are recorded by the instrument middleware.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, compute func(context.Context) ([]byte, error)) {
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, compute func(context.Context) (result, error)) {
 	ctx, csp := obs.StartSpan(r.Context(), "serve.cache")
-	body, cached, err := s.cache.do(ctx, key, func() ([]byte, error) {
+	res, cached, err := s.cache.do(ctx, key, func() (result, error) {
 		return s.solve(ctx, compute)
 	})
 	if csp != nil {
@@ -151,7 +151,13 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 		s.writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, res.body)
+}
+
+// marshalResult encodes v as a cache result.
+func marshalResult(v any) (result, error) {
+	b, err := json.Marshal(v)
+	return result{body: b}, err
 }
 
 // requirePost guards a compute endpoint's method (request counting lives
@@ -184,15 +190,15 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	key := canonicalKey("analyze", job)
 	csp.End()
-	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
+	s.serveCached(w, r, key, func(ctx context.Context) (result, error) {
 		// A single analysis is one closed-form evaluation or one small
 		// dense solve — there is no loop worth a cancellation point; the
 		// context carries the request's trace.
 		res, err := core.AnalyzeCtx(ctx, job.Params, job.Config, job.Method)
 		if err != nil {
-			return nil, err
+			return result{}, err
 		}
-		return json.Marshal(analyzeResponseFrom(res))
+		return marshalResult(analyzeResponseFrom(res))
 	})
 }
 
@@ -236,51 +242,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.streamSweep(w, r, key, job)
 		return
 	}
-	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
-		apply := sweepKnobs[job.Parameter]
-		points, err := core.Sweep(ctx, job.Params, job.Configs, job.Method, job.Values, apply, s.opts.Workers)
-		if err != nil {
-			return nil, err
-		}
-		resp := SweepResponse{
-			Parameter: job.Parameter,
-			Method:    job.Method.String(),
-			Points:    make([]SweepPointResponse, len(points)),
-		}
-		labels := configLabels(job.Configs)
-		for i, pt := range points {
-			resp.Points[i] = sweepPointResponseFrom(pt, labels)
-		}
-		return json.Marshal(resp)
+	s.serveCached(w, r, key, func(ctx context.Context) (result, error) {
+		return s.buildSweep(ctx, job, nil)
 	})
-}
-
-// configLabels renders each sweep configuration's wire label once per
-// sweep; a point's result j is configuration j's.
-func configLabels(cfgs []core.Config) []string {
-	labels := make([]string, len(cfgs))
-	for i, cfg := range cfgs {
-		labels[i] = cfg.String()
-	}
-	return labels
-}
-
-// sweepPointResponseFrom renders one solved sweep point as its wire row,
-// labelling result j with labels[j] (configLabels of the sweep's
-// configurations). Both the buffered body and the NDJSON stream build
-// rows here, which is what makes a streamed sweep reassemble
-// byte-for-byte into the buffered response.
-func sweepPointResponseFrom(pt core.SweepPoint, labels []string) SweepPointResponse {
-	results := make([]SweepResult, len(pt.Results))
-	for j := range pt.Results {
-		res := &pt.Results[j]
-		results[j] = SweepResult{
-			Configuration:   labels[j],
-			MTTDLHours:      res.MTTDLHours,
-			EventsPerPBYear: res.EventsPerPBYear,
-		}
-	}
-	return SweepPointResponse{X: pt.X, Results: results}
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -307,16 +271,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	config := req.Config
 	key := canonicalKey("simulate", job)
 	csp.End()
-	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
+	s.serveCached(w, r, key, func(ctx context.Context) (result, error) {
 		// The estimate is bit-identical at any worker count, so the
 		// choice is invisible in the response — the precondition for
 		// caching a Monte Carlo result at all.
 		est, err := sim.EstimateMTTDLParallel(ctx, job.Scenario, job.Seed, job.Trials, job.MaxEvts, s.opts.Workers, sim.Observer{})
 		if err != nil {
-			return nil, err
+			return result{}, err
 		}
 		cfg, _ := config.resolve() // already validated during resolve
-		return json.Marshal(SimulateResponse{
+		return marshalResult(SimulateResponse{
 			Configuration: cfg.String(),
 			Seed:          job.Seed,
 			Trials:        est.Trials,
@@ -341,13 +305,13 @@ func (s *Server) handleSimulateFleet(w http.ResponseWriter, r *http.Request, req
 	config := req.Config
 	key := canonicalKey("simulate-fleet", job)
 	csp.End()
-	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
+	s.serveCached(w, r, key, func(ctx context.Context) (result, error) {
 		// The estimate is bit-identical at any worker count, the
 		// precondition for caching it.
 		est, err := sim.EstimateFleet(ctx, job.Scenario, job.Bricks, job.HorizonHours,
 			job.Seed, s.opts.Workers, 0, s.fleetMetrics)
 		if err != nil {
-			return nil, err
+			return result{}, err
 		}
 		cfg, _ := config.resolve() // already validated during resolve
 		resp := FleetSimulateResponse{
@@ -375,7 +339,7 @@ func (s *Server) handleSimulateFleet(w http.ResponseWriter, r *http.Request, req
 				}
 			}
 		}
-		return json.Marshal(resp)
+		return marshalResult(resp)
 	})
 }
 
@@ -405,12 +369,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	key := canonicalKey("plan", job)
 	csp.End()
-	s.serveCached(w, r, key, func(ctx context.Context) ([]byte, error) {
+	s.serveCached(w, r, key, func(ctx context.Context) (result, error) {
 		res, err := plan.SearchCtx(ctx, job.Params, job.Space, job.Cons, plan.Options{Top: job.Top, Workers: s.opts.Workers})
 		if err != nil {
-			return nil, err
+			return result{}, err
 		}
-		return json.Marshal(res)
+		return marshalResult(res)
 	})
 }
 

@@ -2,15 +2,20 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // streamRequest POSTs a sweep negotiated to NDJSON and returns the
@@ -266,4 +271,165 @@ func readAll(t *testing.T, r io.Reader) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// jsonFloatSeeds are the float64s where encoding/json's format changes:
+// signed zeros, both sides of the 'f'/'e' switches at 1e-6 and 1e21,
+// subnormals and the extremes.
+func jsonFloatSeeds() []float64 {
+	seeds := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e-7, 1e-10, 1e20, 1e22, 123456789e-15,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072014e-308 / 3,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, edge := range []float64{1e-6, 1e21} {
+		for _, v := range []float64{math.Nextafter(edge, 0), edge, math.Nextafter(edge, math.Inf(1))} {
+			seeds = append(seeds, v, -v)
+		}
+	}
+	return seeds
+}
+
+// FuzzJSONFloat: appendJSONFloat writes json.Marshal's bytes for every
+// finite float64 and json.Marshal's error for the rest.
+func FuzzJSONFloat(f *testing.F) {
+	for _, v := range jsonFloatSeeds() {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		got, gerr := appendJSONFloat([]byte("x"), v)
+		want, werr := json.Marshal(v)
+		if werr != nil {
+			if gerr == nil || gerr.Error() != werr.Error() || string(got) != "x" {
+				t.Fatalf("%v: appended %q, err %v; json.Marshal err %v", v, got, gerr, werr)
+			}
+			return
+		}
+		if gerr != nil || string(got) != "x"+string(want) {
+			t.Fatalf("%v: appended %q, err %v; json.Marshal %q", v, got, gerr, want)
+		}
+	})
+}
+
+// TestSweepRowMatchesMarshal: a row from appendSweepRow, and a whole body
+// from sweepBody, are the bytes json.Marshal writes for the same
+// SweepPointResponse and SweepResponse, and the recorded row offsets
+// cut the body's points array into those rows.
+func TestSweepRowMatchesMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var floats []float64
+	for _, v := range jsonFloatSeeds() {
+		if !math.IsInf(v, 0) && !math.IsNaN(v) {
+			floats = append(floats, v)
+		}
+	}
+	value := func() float64 {
+		if rng.Intn(3) == 0 {
+			return floats[rng.Intn(len(floats))]
+		}
+		return math.Ldexp(rng.Float64(), rng.Intn(160)-80)
+	}
+	job := sweepJob{
+		Configs:   []core.Config{{Internal: core.InternalRAID5, NodeFaultTolerance: 2}, {Internal: core.InternalNone, NodeFaultTolerance: 3}},
+		Method:    core.MethodExactChain,
+		Parameter: "drive_mttf_hours",
+		Values:    make([]float64, 40),
+	}
+	b := newSweepBody(job)
+	labels := []string{job.Configs[0].String(), job.Configs[1].String(),
+		`<a & "b">` + "\u2028\xff"} // HTML characters, quotes, U+2028 and invalid UTF-8 all escape
+	b.labels = append(b.labels, quoteJSON(labels[2]))
+	want := SweepResponse{Parameter: job.Parameter, Method: job.Method.String()}
+	for i := range job.Values {
+		pt := core.SweepPoint{X: value(), Results: make([]core.Result, len(b.labels))}
+		row := SweepPointResponse{X: pt.X, Results: make([]SweepResult, len(b.labels))}
+		for j := range pt.Results {
+			pt.Results[j] = core.Result{MTTDLHours: value(), EventsPerPBYear: value()}
+			row.Results[j] = SweepResult{Configuration: labels[j], MTTDLHours: pt.Results[j].MTTDLHours, EventsPerPBYear: pt.Results[j].EventsPerPBYear}
+		}
+		got := b.add(pt)
+		if b.err != nil {
+			t.Fatalf("row %d: %v", i, b.err)
+		}
+		wantRow, _ := json.Marshal(row)
+		if !bytes.Equal(got, wantRow) {
+			t.Fatalf("row %d:\n got %s\nwant %s", i, got, wantRow)
+		}
+		want.Points = append(want.Points, row)
+	}
+	res := b.finish()
+	wantBody, _ := json.Marshal(want)
+	if !bytes.Equal(res.body, wantBody) {
+		t.Fatalf("body differs from json.Marshal(SweepResponse):\n got %s\nwant %s", res.body, wantBody)
+	}
+	if len(res.rows) != len(want.Points)+1 {
+		t.Fatalf("%d row offsets for %d rows", len(res.rows), len(want.Points))
+	}
+	for i, row := range want.Points {
+		wantRow, _ := json.Marshal(row)
+		if got := res.body[res.rows[i] : res.rows[i+1]-1]; !bytes.Equal(got, wantRow) {
+			t.Fatalf("row %d at offsets %d..%d is %s, want %s", i, res.rows[i], res.rows[i+1]-1, got, wantRow)
+		}
+	}
+
+	// A value JSON cannot encode fails the row with json.Marshal's error.
+	_, err := appendSweepRow(nil, core.SweepPoint{X: 1, Results: []core.Result{{MTTDLHours: 1, EventsPerPBYear: math.Inf(1)}}}, b.labels)
+	_, werr := json.Marshal(SweepPointResponse{X: 1, Results: []SweepResult{{MTTDLHours: 1, EventsPerPBYear: math.Inf(1)}}})
+	if err == nil || err.Error() != werr.Error() {
+		t.Errorf("+Inf row: err %v, want %v", err, werr)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w discardWriter) WriteHeader(int)             {}
+func (w discardWriter) Flush()                      {}
+
+// TestSweepReplayDecodesNothing pins the cache-hit NDJSON replay: it
+// writes slices of the cached body, so its allocations (the stream's
+// header and trailer) do not grow with the number of rows.
+func TestSweepReplayDecodesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled encoder state at random")
+	}
+	s := New(Options{})
+	job := sweepJob{Configs: []core.Config{{Internal: core.InternalNone, NodeFaultTolerance: 2}}, Method: core.MethodClosedForm, Parameter: "drive_mttf_hours"}
+	allocs := func(points int) float64 {
+		b := newSweepBody(job)
+		for i := 0; i < points; i++ {
+			b.add(core.SweepPoint{X: float64(i + 1), Results: []core.Result{{MTTDLHours: 1e6, EventsPerPBYear: 1e-3}}})
+		}
+		res := b.finish()
+		w := discardWriter{h: http.Header{}}
+		return testing.AllocsPerRun(50, func() { s.replayStream(w, job, res) })
+	}
+	few, many := allocs(4), allocs(512)
+	if many != few || many > 8 {
+		t.Errorf("replay allocations: %v for 4 rows, %v for 512, want equal and at most 8", few, many)
+	}
+}
+
+// TestCachedSweepBodiesExact: sweep bodies enter the cache in
+// allocations of exactly their length, from the buffered and the NDJSON
+// path alike.
+func TestCachedSweepBodiesExact(t *testing.T) {
+	for _, ndjson := range []bool{false, true} {
+		s := New(Options{})
+		req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(slowSweepBody(64)))
+		if ndjson {
+			req.Header.Set("Accept", "application/x-ndjson")
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK || s.CacheLen() != 1 {
+			t.Fatalf("ndjson=%v: status %d, %d cache entries", ndjson, w.Code, s.CacheLen())
+		}
+		for _, e := range s.cache.entries {
+			if cap(e.res.body) != len(e.res.body) || cap(e.res.rows) != len(e.res.rows) {
+				t.Errorf("ndjson=%v: cached body len %d cap %d, rows len %d cap %d",
+					ndjson, len(e.res.body), cap(e.res.body), len(e.res.rows), cap(e.res.rows))
+			}
+		}
+	}
 }
