@@ -32,7 +32,7 @@ func BenchmarkFig13Baseline(b *testing.B) {
 	p := params.Baseline()
 	var ft2ir5 float64
 	for i := 0; i < b.N; i++ {
-		_, results, err := experiments.Fig13Baseline(p, 0)
+		_, results, err := experiments.Fig13Baseline(context.Background(), p, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,12 +41,12 @@ func BenchmarkFig13Baseline(b *testing.B) {
 	b.ReportMetric(ft2ir5, "FT2-IR5-events/PB-yr")
 }
 
-func benchSweep(b *testing.B, gen func(params.Parameters, int) (*experiments.Table, []core.SweepPoint, error)) {
+func benchSweep(b *testing.B, gen func(context.Context, params.Parameters, int) (*experiments.Table, []core.SweepPoint, error)) {
 	b.Helper()
 	p := params.Baseline()
 	var rows int
 	for i := 0; i < b.N; i++ {
-		t, _, err := gen(p, 0)
+		t, _, err := gen(context.Background(), p, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func BenchmarkFig14DriveMTTF(b *testing.B) {
 	p := params.Baseline()
 	var tables int
 	for i := 0; i < b.N; i++ {
-		ts, err := experiments.Fig14DriveMTTF(p, 0)
+		ts, err := experiments.Fig14DriveMTTF(context.Background(), p, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func BenchmarkFig14DriveMTTF(b *testing.B) {
 func BenchmarkFig15NodeMTTF(b *testing.B) {
 	p := params.Baseline()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig15NodeMTTF(p, 0); err != nil {
+		if _, err := experiments.Fig15NodeMTTF(context.Background(), p, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

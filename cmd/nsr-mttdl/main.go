@@ -17,11 +17,8 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/linalg"
-	"repro/internal/markov"
 	"repro/internal/obs"
 	"repro/internal/params"
-	"repro/internal/rebuild"
 	"repro/internal/version"
 )
 
@@ -70,11 +67,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	sess, err := oflags.Start()
 	if err != nil {
 		return err
-	}
-	if sess.Registry != nil {
-		markov.Instrument(sess.Registry)
-		linalg.Instrument(sess.Registry)
-		rebuild.Instrument(sess.Registry)
 	}
 
 	ir, err := core.ParseInternal(*internal)

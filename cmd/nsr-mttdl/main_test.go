@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -81,5 +83,34 @@ func TestUsageGoesToStderr(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("usage leaked to stdout: %q", stdout.String())
+	}
+}
+
+// TestRunMetrics: one exact-chain analysis under -metrics records one
+// absorption solve, one rebuild-rate computation and one markov.solve
+// span fold — the solver layers find the snapshot's registry through the
+// run's root span.
+func TestRunMetrics(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-method", "exact-chain", "-internal", "none", "-ft", "4", "-metrics", path}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v (stderr %q)", err, stderr.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatalf("metrics snapshot: %v", err)
+	}
+	if got := snap.Counters["markov.absorption.solves"]; got != 1 {
+		t.Errorf("markov.absorption.solves = %d, want 1", got)
+	}
+	if got := snap.Counters["rebuild.computes"]; got != 1 {
+		t.Errorf("rebuild.computes = %d, want 1", got)
+	}
+	if got := snap.Histograms["trace.markov.solve.seconds"].Count; got != 1 {
+		t.Errorf("trace.markov.solve.seconds count = %d, want 1", got)
 	}
 }

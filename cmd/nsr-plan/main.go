@@ -26,12 +26,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/linalg"
-	"repro/internal/markov"
 	"repro/internal/obs"
 	"repro/internal/params"
 	"repro/internal/plan"
-	"repro/internal/rebuild"
 	"repro/internal/spares"
 	"repro/internal/version"
 )
@@ -124,13 +121,9 @@ func runOptimize(stdout io.Writer, cons plan.Constraints, opt plan.Options, ofla
 	if err != nil {
 		return err
 	}
-	if sess.Registry != nil {
-		plan.Instrument(sess.Registry)
-		markov.Instrument(sess.Registry)
-		linalg.Instrument(sess.Registry)
-		rebuild.Instrument(sess.Registry)
-	}
-	res, runErr := plan.SearchCtx(context.Background(), params.Baseline(), plan.DefaultSpace(), cons, opt)
+	ctx, root := sess.Trace(context.Background(), "nsr-plan")
+	res, runErr := plan.SearchCtx(ctx, params.Baseline(), plan.DefaultSpace(), cons, opt)
+	root.End()
 	if runErr == nil {
 		if jsonOut {
 			enc := json.NewEncoder(stdout)

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -100,5 +103,53 @@ func TestRunOptimizeJSONDeterministic(t *testing.T) {
 	}
 	if res.Stats.Enumerated != plan.DefaultSpace().Size() {
 		t.Errorf("enumerated %d, want %d", res.Stats.Enumerated, plan.DefaultSpace().Size())
+	}
+}
+
+// TestRunOptimizeTraceAndMetrics: -optimize roots its search in the
+// run's trace — the JSONL holds the nsr-plan root with one plan.search
+// child — and the search's metrics reach the -metrics snapshot through
+// that root's context.
+func TestRunOptimizeTraceAndMetrics(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "metrics.json")
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-optimize", "-top", "1", "-trace-out", tracePath, "-metrics", metricsPath}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v (stderr %q)", err, stderr.String())
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root obs.SpanRecord
+	var searches []obs.SpanRecord
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var sp obs.SpanRecord
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		switch sp.Name {
+		case "nsr-plan":
+			root = sp
+		case "plan.search":
+			searches = append(searches, sp)
+		}
+	}
+	if root.ID == 0 || root.Parent != 0 {
+		t.Fatalf("trace has no nsr-plan root span:\n%s", raw)
+	}
+	if len(searches) != 1 || searches[0].Parent != root.ID {
+		t.Errorf("plan.search spans %+v, want one child of the root (id %d)", searches, root.ID)
+	}
+	var snap obs.Snapshot
+	if raw, err = os.ReadFile(metricsPath); err == nil {
+		err = json.Unmarshal(raw, &snap)
+	}
+	if err != nil {
+		t.Fatalf("metrics snapshot: %v", err)
+	}
+	if snap.Counters["plan.searches"] != 1 || snap.Counters["plan.candidates.enumerated"] != 10800 {
+		t.Errorf("plan.searches = %d, plan.candidates.enumerated = %d; want 1, 10800",
+			snap.Counters["plan.searches"], snap.Counters["plan.candidates.enumerated"])
 	}
 }

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -41,13 +42,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	p := params.Baseline()
+	ctx := context.Background()
 
 	if *asJSON || *csvDir != "" {
-		tables, err := experiments.All(p, *workers)
+		tables, err := experiments.All(ctx, p, *workers)
 		if err != nil {
 			return err
 		}
-		ablations, err := experiments.Ablations(p, *trials, 1, *workers)
+		ablations, err := experiments.Ablations(ctx, p, *trials, 1, *workers)
 		if err != nil {
 			return err
 		}
@@ -82,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "link-speed crossover: %.2f Gb/s (paper: ~3 Gb/s)\n", rebuild.CrossoverLinkSpeedGbps(p, 2))
 	fmt.Fprintln(stdout)
 
-	tables, err := experiments.All(p, *workers)
+	tables, err := experiments.All(ctx, p, *workers)
 	if err != nil {
 		return err
 	}
@@ -92,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	fmt.Fprintln(stdout, "--- ablations beyond the paper ---")
 	fmt.Fprintln(stdout)
-	ablations, err := experiments.Ablations(p, *trials, 1, *workers)
+	ablations, err := experiments.Ablations(ctx, p, *trials, 1, *workers)
 	if err != nil {
 		return err
 	}
@@ -110,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout)
 
-	claims, err := experiments.ClaimsTable(p, *workers)
+	claims, err := experiments.ClaimsTable(ctx, p, *workers)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -15,11 +16,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/linalg"
-	"repro/internal/markov"
 	"repro/internal/obs"
 	"repro/internal/params"
-	"repro/internal/rebuild"
 	"repro/internal/version"
 )
 
@@ -51,11 +49,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if sess.Registry != nil {
-		markov.Instrument(sess.Registry)
-		linalg.Instrument(sess.Registry)
-		rebuild.Instrument(sess.Registry)
-	}
+	ctx, root := sess.Trace(context.Background(), "nsr-sensitivity")
 	p := params.Baseline()
 
 	print2 := func(tables []*experiments.Table, err error) error {
@@ -76,19 +70,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	run := map[int]func() error{
-		14: func() error { t, err := experiments.Fig14DriveMTTF(p, *workers); return print2(t, err) },
-		15: func() error { t, err := experiments.Fig15NodeMTTF(p, *workers); return print2(t, err) },
+		14: func() error { t, err := experiments.Fig14DriveMTTF(ctx, p, *workers); return print2(t, err) },
+		15: func() error { t, err := experiments.Fig15NodeMTTF(ctx, p, *workers); return print2(t, err) },
 		16: func() error {
-			t, pts, err := experiments.Fig16RebuildBlockSize(p, *workers)
+			t, pts, err := experiments.Fig16RebuildBlockSize(ctx, p, *workers)
 			return print1(t, pts, err)
 		},
-		17: func() error { t, pts, err := experiments.Fig17LinkSpeed(p, *workers); return print1(t, pts, err) },
-		18: func() error { t, pts, err := experiments.Fig18NodeSetSize(p, *workers); return print1(t, pts, err) },
+		17: func() error { t, pts, err := experiments.Fig17LinkSpeed(ctx, p, *workers); return print1(t, pts, err) },
+		18: func() error {
+			t, pts, err := experiments.Fig18NodeSetSize(ctx, p, *workers)
+			return print1(t, pts, err)
+		},
 		19: func() error {
-			t, pts, err := experiments.Fig19RedundancySetSize(p, *workers)
+			t, pts, err := experiments.Fig19RedundancySetSize(ctx, p, *workers)
 			return print1(t, pts, err)
 		},
-		20: func() error { t, pts, err := experiments.Fig20DrivesPerNode(p, *workers); return print1(t, pts, err) },
+		20: func() error {
+			t, pts, err := experiments.Fig20DrivesPerNode(ctx, p, *workers)
+			return print1(t, pts, err)
+		},
 	}
 	var runErr error
 	if *fig != 0 {
@@ -106,6 +106,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		obs.ProgressStop(progress)
 	}
+	root.End()
 	if err := sess.Finish(); runErr == nil {
 		runErr = err
 	}

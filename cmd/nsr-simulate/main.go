@@ -26,12 +26,10 @@ import (
 
 	"repro/internal/closedform"
 	"repro/internal/core"
-	"repro/internal/linalg"
 	"repro/internal/markov"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/params"
-	"repro/internal/rebuild"
 	"repro/internal/seedstream"
 	"repro/internal/sim"
 	"repro/internal/version"
@@ -73,9 +71,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if sess.Registry != nil {
-		markov.Instrument(sess.Registry)
-		linalg.Instrument(sess.Registry)
-		rebuild.Instrument(sess.Registry)
 		sess.Registry.SetLabel("seed", strconv.FormatInt(*seed, 10))
 		sess.Registry.SetLabel("mode", *mode)
 	}

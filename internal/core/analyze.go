@@ -107,7 +107,7 @@ func AnalyzeCtx(ctx context.Context, p params.Parameters, cfg Config, method Met
 	} else {
 		est, err = pr.solve(ctx, &p, cfg, method, &tl)
 	}
-	tl.Flush()
+	tl.Flush(ctx)
 	if err != nil {
 		return Result{}, err
 	}

@@ -108,7 +108,7 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, ps []params.Param
 	}()
 
 	var tl rebuild.Tally
-	defer tl.Flush()
+	defer tl.Flush(ctx)
 	filled := 0
 	fillFail := -1
 	var fillErr error

@@ -9,17 +9,23 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/linalg"
-	"repro/internal/markov"
 	"repro/internal/obs"
 	"repro/internal/params"
-	"repro/internal/rebuild"
 )
 
 // sweepChunked runs a buffered exact-chain sweep on workers goroutines
 // in chunks of at most chunk cells.
 func sweepChunked(p params.Parameters, cfgs []Config, xs []float64, apply func(*params.Parameters, float64), workers, chunk int) ([]SweepPoint, error) {
 	return sweep(context.Background(), p, cfgs, MethodExactChain, xs, apply, workers, nil, chunk)
+}
+
+// meteredCtx returns a context whose span folds into reg — the shape a
+// request or a CLI run hands the solver stack — and the span's end.
+func meteredCtx(reg *obs.Registry) (context.Context, func()) {
+	tr := obs.NewTracer()
+	tr.SetFold(obs.NewSpanFolder(reg))
+	ctx, root := tr.Start(context.Background(), "test")
+	return ctx, root.End
 }
 
 // perCellSweep is the reference the batch engine must reproduce: a
@@ -238,15 +244,16 @@ func TestSweepErrorMixedConfigsClaimOrder(t *testing.T) {
 	}
 }
 
-// Batched cells are accounted once per chunk: after an instrumented
-// batched sweep, markov.absorption.solves and the chain-size histogram
-// have counted every cell, and markov.absorption.seconds — the per-cell
-// solver's timer — saw none of them. With one worker the last chunk to
-// finish is the last one claimed, and the residual gauge must hold
-// exactly what the per-cell solver reports for that chunk's last cell:
-// on the dense route (mixed list, cheapest config claimed last) and on
-// the sparse route (ft 7 alone).
+// Batched cells are accounted once per chunk: after a metered batched
+// sweep, markov.absorption.solves and the chain-size histogram have
+// counted every cell, and no cell opened a per-call "markov.solve" span
+// — the chunks' "markov.batch" spans fold one observation each. With
+// one worker the last chunk to finish is the last one claimed, and the
+// residual gauge must hold exactly what the per-cell solver reports for
+// that chunk's last cell: on the dense route (mixed list, cheapest
+// config claimed last) and on the sparse route (ft 7 alone).
 func TestSweepBatchAbsorptionMetrics(t *testing.T) {
+	t.Parallel()
 	p := deepBase()
 	xs := make([]float64, 11)
 	for i := range xs {
@@ -256,11 +263,12 @@ func TestSweepBatchAbsorptionMetrics(t *testing.T) {
 	const chunk = 3
 	for _, cfgs := range [][]Config{mixedConfigs(), {{Internal: InternalNone, NodeFaultTolerance: 7}}} {
 		reg := obs.NewRegistry()
-		markov.Instrument(reg)
-		if _, err := sweepChunked(p, cfgs, xs, apply, 1, chunk); err != nil {
+		ctx, end := meteredCtx(reg)
+		_, err := sweep(ctx, p, cfgs, MethodExactChain, xs, apply, 1, nil, chunk)
+		end()
+		if err != nil {
 			t.Fatalf("sweep: %v", err)
 		}
-		markov.Instrument(nil)
 		cells := int64(len(xs) * len(cfgs))
 		if got := reg.Counter("markov.absorption.solves").Value(); got != cells {
 			t.Errorf("markov.absorption.solves = %d, want %d (one per cell)", got, cells)
@@ -271,8 +279,11 @@ func TestSweepBatchAbsorptionMetrics(t *testing.T) {
 		if got := reg.Histogram("markov.absorption.states", nil).Count(); got != cells {
 			t.Errorf("markov.absorption.states observed %d times, want %d", got, cells)
 		}
-		if got := reg.Histogram("markov.absorption.seconds", nil).Count(); got != 0 {
-			t.Errorf("markov.absorption.seconds observed %d batched cells, want 0", got)
+		if got := reg.Snapshot().Histograms["trace.markov.solve.seconds"].Count; got != 0 {
+			t.Errorf("trace.markov.solve.seconds observed %d batched cells, want 0", got)
+		}
+		if got, want := reg.Histogram("trace.markov.batch.seconds", nil).Count(), reg.Counter("markov.batch.chunks").Value(); got != want {
+			t.Errorf("trace.markov.batch.seconds observed %d chunks, markov.batch.chunks = %d", got, want)
 		}
 		res := reg.Gauge("markov.absorption.last_residual").Value()
 		if math.IsNaN(res) || math.IsInf(res, 0) || res < 0 || res > 1e-3 {
@@ -282,11 +293,11 @@ func TestSweepBatchAbsorptionMetrics(t *testing.T) {
 		specs := chunkSpecs(cfgs, len(xs), chunk)
 		last := cfgs[specs[len(specs)-1].ci]
 		ref := obs.NewRegistry()
-		markov.Instrument(ref)
+		refCtx, end := meteredCtx(ref)
 		q := p
 		apply(&q, xs[len(xs)-1])
-		_, err := AnalyzeCtx(context.Background(), q, last, MethodExactChain)
-		markov.Instrument(nil)
+		_, err = AnalyzeCtx(refCtx, q, last, MethodExactChain)
+		end()
 		if err != nil {
 			t.Fatalf("per-cell analyze: %v", err)
 		}
@@ -296,14 +307,13 @@ func TestSweepBatchAbsorptionMetrics(t *testing.T) {
 	}
 }
 
-// Batched cells account their rate computations and dense
-// factorizations per chunk, not per cell, and the totals still count
-// every cell: rebuild.computes once per prepared cell, and
-// linalg.factorizations and the linalg.dimension histogram once per
-// dense factorization — every cell the sparse path did not solve —
-// with no linalg.factorize_seconds observation, batched factorizations
-// not being timed one by one.
+// Batched cells account their rate computations and sparse solves per
+// chunk, not per cell, and the totals still count every cell:
+// rebuild.computes once per prepared cell, markov.sparse.solves and
+// the markov.sparse.nnz histogram once per sparse-route cell, and the
+// grid mixes both routes.
 func TestSweepBatchPerChunkAccounting(t *testing.T) {
+	t.Parallel()
 	p := deepBase()
 	xs := make([]float64, 11)
 	for i := range xs {
@@ -312,13 +322,9 @@ func TestSweepBatchPerChunkAccounting(t *testing.T) {
 	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
 	for _, workers := range []int{1, 3} {
 		reg := obs.NewRegistry()
-		markov.Instrument(reg)
-		linalg.Instrument(reg)
-		rebuild.Instrument(reg)
-		_, err := sweepChunked(p, mixedConfigs(), xs, apply, workers, 3)
-		markov.Instrument(nil)
-		linalg.Instrument(nil)
-		rebuild.Instrument(nil)
+		ctx, end := meteredCtx(reg)
+		_, err := sweep(ctx, p, mixedConfigs(), MethodExactChain, xs, apply, workers, nil, 3)
+		end()
 		if err != nil {
 			t.Fatalf("sweep: %v", err)
 		}
@@ -326,21 +332,12 @@ func TestSweepBatchPerChunkAccounting(t *testing.T) {
 		if got := reg.Counter("rebuild.computes").Value(); got != cells {
 			t.Errorf("workers %d: rebuild.computes = %d, want %d (one per cell)", workers, got, cells)
 		}
-		dense := reg.Counter("markov.absorption.solves").Value() - reg.Counter("markov.sparse.solves").Value()
-		if dense == 0 || dense == cells {
+		sparse := reg.Counter("markov.sparse.solves").Value()
+		if dense := reg.Counter("markov.absorption.solves").Value() - sparse; dense == 0 || dense == cells {
 			t.Fatalf("workers %d: %d of %d cells dense; the grid must mix both routes", workers, dense, cells)
 		}
-		if got := reg.Counter("linalg.factorizations").Value(); got != dense {
-			t.Errorf("workers %d: linalg.factorizations = %d, want %d (one per dense cell)", workers, got, dense)
-		}
-		if got := reg.Histogram("linalg.dimension", nil).Count(); got != dense {
-			t.Errorf("workers %d: linalg.dimension observed %d times, want %d", workers, got, dense)
-		}
-		if got := reg.Histogram("linalg.factorize_seconds", nil).Count(); got != 0 {
-			t.Errorf("workers %d: linalg.factorize_seconds observed %d batched factorizations, want 0", workers, got)
-		}
-		if piv := reg.Gauge("linalg.last_min_pivot").Value(); !(piv > 0) {
-			t.Errorf("workers %d: linalg.last_min_pivot = %v, want positive", workers, piv)
+		if got := reg.Histogram("markov.sparse.nnz", nil).Count(); got != sparse {
+			t.Errorf("workers %d: markov.sparse.nnz observed %d times, want %d (one per sparse cell)", workers, got, sparse)
 		}
 	}
 }
@@ -349,6 +346,7 @@ func TestSweepBatchPerChunkAccounting(t *testing.T) {
 // no markov.batch span and record no chunk, and the sweep still reports
 // that cell's error.
 func TestSweepEmptyChunkRecordsNothing(t *testing.T) {
+	t.Parallel()
 	p := params.Baseline()
 	cfgs := []Config{{Internal: InternalNone, NodeFaultTolerance: 2}}
 	xs := []float64{64, 48, 2, 64}
@@ -359,9 +357,8 @@ func TestSweepEmptyChunkRecordsNothing(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	markov.Instrument(reg)
-	defer markov.Instrument(nil)
 	tr := obs.NewTracer()
+	tr.SetFold(obs.NewSpanFolder(reg))
 	ctx, root := tr.Start(context.Background(), "test")
 	// Chunks of two: [64 48] solves, [2 64] fails at its first cell.
 	_, err := sweep(ctx, p, cfgs, MethodExactChain, xs, apply, 1, nil, 2)

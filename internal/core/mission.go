@@ -72,15 +72,14 @@ func MissionSurvival(p params.Parameters, cfg Config, hours float64, fleetSize i
 // AnalyzeCtx solves, after the same parameter, configuration and
 // geometry checks (the model constructors panic on a fault tolerance
 // the redundancy set cannot hold). The exposure and mission paths and
-// the chain-inspecting CLIs all build through it.
+// the chain-inspecting CLIs all build through it. It has no context, so
+// its rate computation records no telemetry.
 func Chain(p params.Parameters, cfg Config) (*markov.Chain, error) {
 	var (
 		pr analysisPrep
 		tl rebuild.Tally
 	)
-	err := analyzePrep(&pr, &p, cfg, &tl)
-	tl.Flush()
-	if err != nil {
+	if err := analyzePrep(&pr, &p, cfg, &tl); err != nil {
 		return nil, err
 	}
 	if cfg.Internal == InternalNone {

@@ -25,7 +25,7 @@ import (
 // full-system DES under three variations in a failure-accelerated regime:
 // exponential repairs (the chain's own assumption plus concurrent repair),
 // deterministic repairs, and Weibull wear-out lifetimes.
-func AblationModelAssumptions(trials int, seed int64) (*Table, error) {
+func AblationModelAssumptions(ctx context.Context, trials int, seed int64) (*Table, error) {
 	if trials < 2 {
 		return nil, fmt.Errorf("experiments: trials %d must be >= 2", trials)
 	}
@@ -58,11 +58,11 @@ func AblationModelAssumptions(trials int, seed int64) (*Table, error) {
 			LambdaN: sc.LambdaN, LambdaD: sc.LambdaD,
 			MuN: sc.MuN, MuD: sc.MuD, CHER: sc.CHER,
 		}
-		chainMTTDL, err := markov.MTTA(context.TODO(), model.NIRChain(in, sc.T))
+		chainMTTDL, err := markov.MTTA(ctx, model.NIRChain(in, sc.T))
 		if err != nil {
 			return nil, err
 		}
-		est, err := sim.EstimateMTTDL(context.TODO(), sc, rng, trials, 10_000_000, sim.Observer{})
+		est, err := sim.EstimateMTTDL(ctx, sc, rng, trials, 10_000_000, sim.Observer{})
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +80,7 @@ func AblationModelAssumptions(trials int, seed int64) (*Table, error) {
 // AblationElasticities tabulates d log(events/PB-yr)/d log(θ) for each
 // tunable parameter across the paper's three sensitivity configurations —
 // the quantitative summary behind Figures 14–20.
-func AblationElasticities(p params.Parameters, workers int) (*Table, error) {
+func AblationElasticities(ctx context.Context, p params.Parameters, workers int) (*Table, error) {
 	cfgs := core.SensitivityConfigs()
 	t := &Table{
 		ID:      "ablation-elasticity",
@@ -92,7 +92,7 @@ func AblationElasticities(p params.Parameters, workers int) (*Table, error) {
 	}
 	all := make([][]core.Elasticity, len(cfgs))
 	for i, cfg := range cfgs {
-		es, err := core.Elasticities(context.TODO(), p, cfg, core.MethodClosedForm, 0, workers)
+		es, err := core.Elasticities(ctx, p, cfg, core.MethodClosedForm, 0, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -173,21 +173,21 @@ func SparesPlan(p params.Parameters) (*Table, error) {
 
 // Ablations regenerates the full ablation suite. The simulation table uses
 // the given trial count and seed.
-func Ablations(p params.Parameters, trials int, seed int64, workers int) ([]*Table, error) {
+func Ablations(ctx context.Context, p params.Parameters, trials int, seed int64, workers int) ([]*Table, error) {
 	var out []*Table
-	t1, err := AblationModelAssumptions(trials, seed)
+	t1, err := AblationModelAssumptions(ctx, trials, seed)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, t1)
-	t2, err := AblationCorrelatedFailures(trials, seed+1)
+	t2, err := AblationCorrelatedFailures(ctx, trials, seed+1)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, t2)
 	for _, gen := range []func(params.Parameters) (*Table, error){
 		func(p params.Parameters) (*Table, error) {
-			return AblationElasticities(p, workers)
+			return AblationElasticities(ctx, p, workers)
 		},
 		AblationBottleneck,
 		func(p params.Parameters) (*Table, error) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestAblationModelAssumptions(t *testing.T) {
-	table, err := AblationModelAssumptions(400, 1)
+	table, err := AblationModelAssumptions(context.Background(), 400, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +31,13 @@ func TestAblationModelAssumptions(t *testing.T) {
 			t.Errorf("%s: DES/chain = %v, wildly off", row[0], ratio)
 		}
 	}
-	if _, err := AblationModelAssumptions(1, 1); err == nil {
+	if _, err := AblationModelAssumptions(context.Background(), 1, 1); err == nil {
 		t.Error("trials=1 accepted")
 	}
 }
 
 func TestAblationCorrelatedFailuresShape(t *testing.T) {
-	table, err := AblationCorrelatedFailures(500, 3)
+	table, err := AblationCorrelatedFailures(context.Background(), 500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +56,13 @@ func TestAblationCorrelatedFailuresShape(t *testing.T) {
 		}
 		prev = v
 	}
-	if _, err := AblationCorrelatedFailures(1, 1); err == nil {
+	if _, err := AblationCorrelatedFailures(context.Background(), 1, 1); err == nil {
 		t.Error("trials=1 accepted")
 	}
 }
 
 func TestAblationElasticities(t *testing.T) {
-	table, err := AblationElasticities(params.Baseline(), 0)
+	table, err := AblationElasticities(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestSparesPlanTable(t *testing.T) {
 }
 
 func TestAblationsSuite(t *testing.T) {
-	tables, err := Ablations(params.Baseline(), 300, 2, 0)
+	tables, err := Ablations(context.Background(), params.Baseline(), 300, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

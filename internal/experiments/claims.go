@@ -26,9 +26,9 @@ type Claim struct {
 // parameters and reports which hold. This is the executable form of the
 // EXPERIMENTS.md claims record: `nsr-report` prints it, and the test suite
 // requires every claim to hold at baseline.
-func CheckClaims(p params.Parameters, workers int) ([]Claim, error) {
+func CheckClaims(ctx context.Context, p params.Parameters, workers int) ([]Claim, error) {
 	target := core.PaperTarget()
-	results, err := core.AnalyzeAll(context.TODO(), p, core.BaselineConfigs(), core.MethodClosedForm, workers)
+	results, err := core.AnalyzeAll(ctx, p, core.BaselineConfigs(), core.MethodClosedForm, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +85,7 @@ func CheckClaims(p params.Parameters, workers int) ([]Claim, error) {
 		m > 0.2 && m < 5, "margin %.3g (marginal band 0.2..5)", m)
 
 	// Figure 16: block size monotone; survivors meet target at >= 64 KiB.
-	_, pts16, err := Fig16RebuildBlockSize(p, workers)
+	_, pts16, err := Fig16RebuildBlockSize(ctx, p, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func CheckClaims(p params.Parameters, workers int) ([]Claim, error) {
 		mono && meets64, "monotone=%v, >=64KiB target=%v", mono, meets64)
 
 	// Figure 17: 5 and 10 Gb/s identical; 1 Gb/s worse; crossover in (1,5).
-	_, pts17, err := Fig17LinkSpeed(p, workers)
+	_, pts17, err := Fig17LinkSpeed(ctx, p, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func CheckClaims(p params.Parameters, workers int) ([]Claim, error) {
 		"crossover %.2f Gb/s, 5==10 Gb/s: %v, 1 Gb/s worse: %v", cross, flat, worse1)
 
 	// Figure 19: monotone degradation with R.
-	_, pts19, err := Fig19RedundancySetSize(p, workers)
+	_, pts19, err := Fig19RedundancySetSize(ctx, p, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func CheckClaims(p params.Parameters, workers int) ([]Claim, error) {
 		mono19, "monotone over R grid: %v", mono19)
 
 	// Figure 20: little sensitivity to drives per node.
-	_, pts20, err := Fig20DrivesPerNode(p, workers)
+	_, pts20, err := Fig20DrivesPerNode(ctx, p, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -187,8 +187,8 @@ func CheckClaims(p params.Parameters, workers int) ([]Claim, error) {
 }
 
 // ClaimsTable renders the claim check.
-func ClaimsTable(p params.Parameters, workers int) (*Table, error) {
-	claims, err := CheckClaims(p, workers)
+func ClaimsTable(ctx context.Context, p params.Parameters, workers int) (*Table, error) {
+	claims, err := CheckClaims(ctx, p, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/params"
@@ -8,7 +9,7 @@ import (
 
 // Every enumerated paper claim must hold at the paper's own baseline.
 func TestAllClaimsHoldAtBaseline(t *testing.T) {
-	claims, err := CheckClaims(params.Baseline(), 0)
+	claims, err := CheckClaims(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestAllClaimsHoldAtBaseline(t *testing.T) {
 func TestClaimsDetectBrokenPremises(t *testing.T) {
 	p := params.Baseline()
 	p.RebuildBandwidthFraction = 0.001
-	claims, err := CheckClaims(p, 0)
+	claims, err := CheckClaims(context.Background(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestClaimsDetectBrokenPremises(t *testing.T) {
 }
 
 func TestClaimsTable(t *testing.T) {
-	table, err := ClaimsTable(params.Baseline(), 0)
+	table, err := ClaimsTable(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

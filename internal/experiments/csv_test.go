@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"os"
 	"path/filepath"
@@ -12,7 +13,7 @@ import (
 )
 
 func TestTableCSV(t *testing.T) {
-	table, _, err := Fig13Baseline(params.Baseline(), 0)
+	table, _, err := Fig13Baseline(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +40,11 @@ func TestTableCSV(t *testing.T) {
 
 func TestWriteCSVDir(t *testing.T) {
 	dir := t.TempDir()
-	t13, _, err := Fig13Baseline(params.Baseline(), 0)
+	t13, _, err := Fig13Baseline(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t17, _, err := Fig17LinkSpeed(params.Baseline(), 0)
+	t17, _, err := Fig17LinkSpeed(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

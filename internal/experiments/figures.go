@@ -31,8 +31,8 @@ var (
 
 // Fig13Baseline regenerates Figure 13: data-loss events per PB-year for the
 // nine redundancy configurations at baseline parameters.
-func Fig13Baseline(p params.Parameters, workers int) (*Table, []core.Result, error) {
-	results, err := core.AnalyzeAll(context.TODO(), p, core.BaselineConfigs(), core.MethodClosedForm, workers)
+func Fig13Baseline(ctx context.Context, p params.Parameters, workers int) (*Table, []core.Result, error) {
+	results, err := core.AnalyzeAll(ctx, p, core.BaselineConfigs(), core.MethodClosedForm, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -55,9 +55,9 @@ func Fig13Baseline(p params.Parameters, workers int) (*Table, []core.Result, err
 
 // sensitivitySweep renders a one-parameter sweep over the paper's three
 // sensitivity configurations.
-func sensitivitySweep(p params.Parameters, workers int, id, title, xLabel string, xs []float64, fmtX func(float64) string, apply func(*params.Parameters, float64)) (*Table, []core.SweepPoint, error) {
+func sensitivitySweep(ctx context.Context, p params.Parameters, workers int, id, title, xLabel string, xs []float64, fmtX func(float64) string, apply func(*params.Parameters, float64)) (*Table, []core.SweepPoint, error) {
 	cfgs := core.SensitivityConfigs()
-	pts, err := core.Sweep(context.TODO(), p, cfgs, core.MethodClosedForm, xs, apply, workers)
+	pts, err := core.Sweep(ctx, p, cfgs, core.MethodClosedForm, xs, apply, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -78,13 +78,13 @@ func sensitivitySweep(p params.Parameters, workers int, id, title, xLabel string
 
 // Fig14DriveMTTF regenerates Figure 14: sensitivity to drive MTTF, shown at
 // the low and high ends of the node-MTTF range.
-func Fig14DriveMTTF(p params.Parameters, workers int) ([]*Table, error) {
+func Fig14DriveMTTF(ctx context.Context, p params.Parameters, workers int) ([]*Table, error) {
 	var out []*Table
 	for _, nodeMTTF := range []float64{100_000, 1_000_000} {
 		base := p
 		base.NodeMTTFHours = nodeMTTF
 		id := fmt.Sprintf("fig14-node%dk", int(nodeMTTF/1000))
-		t, _, err := sensitivitySweep(base, workers, id,
+		t, _, err := sensitivitySweep(ctx, base, workers, id,
 			fmt.Sprintf("Sensitivity to drive MTTF (node MTTF = %.0f h)", nodeMTTF),
 			"drive MTTF (h)", DriveMTTFGrid,
 			func(x float64) string { return fmt.Sprintf("%.0f", x) },
@@ -103,13 +103,13 @@ func Fig14DriveMTTF(p params.Parameters, workers int) ([]*Table, error) {
 
 // Fig15NodeMTTF regenerates Figure 15: sensitivity to node MTTF, shown at
 // the low and high ends of the drive-MTTF range.
-func Fig15NodeMTTF(p params.Parameters, workers int) ([]*Table, error) {
+func Fig15NodeMTTF(ctx context.Context, p params.Parameters, workers int) ([]*Table, error) {
 	var out []*Table
 	for _, driveMTTF := range []float64{100_000, 750_000} {
 		base := p
 		base.DriveMTTFHours = driveMTTF
 		id := fmt.Sprintf("fig15-drive%dk", int(driveMTTF/1000))
-		t, _, err := sensitivitySweep(base, workers, id,
+		t, _, err := sensitivitySweep(ctx, base, workers, id,
 			fmt.Sprintf("Sensitivity to node MTTF (drive MTTF = %.0f h)", driveMTTF),
 			"node MTTF (h)", NodeMTTFGrid,
 			func(x float64) string { return fmt.Sprintf("%.0f", x) },
@@ -128,8 +128,8 @@ func Fig15NodeMTTF(p params.Parameters, workers int) ([]*Table, error) {
 
 // Fig16RebuildBlockSize regenerates Figure 16: sensitivity to the rebuild
 // command (block) size.
-func Fig16RebuildBlockSize(p params.Parameters, workers int) (*Table, []core.SweepPoint, error) {
-	t, pts, err := sensitivitySweep(p, workers, "fig16",
+func Fig16RebuildBlockSize(ctx context.Context, p params.Parameters, workers int) (*Table, []core.SweepPoint, error) {
+	t, pts, err := sensitivitySweep(ctx, p, workers, "fig16",
 		"Sensitivity to rebuild block size",
 		"block (KiB)", RebuildBlockGrid,
 		func(x float64) string { return fmt.Sprintf("%.0f", x/params.KiB) },
@@ -146,8 +146,8 @@ func Fig16RebuildBlockSize(p params.Parameters, workers int) (*Table, []core.Swe
 
 // Fig17LinkSpeed regenerates Figure 17: sensitivity to link speed at 1, 5
 // and 10 Gb/s.
-func Fig17LinkSpeed(p params.Parameters, workers int) (*Table, []core.SweepPoint, error) {
-	t, pts, err := sensitivitySweep(p, workers, "fig17",
+func Fig17LinkSpeed(ctx context.Context, p params.Parameters, workers int) (*Table, []core.SweepPoint, error) {
+	t, pts, err := sensitivitySweep(ctx, p, workers, "fig17",
 		"Sensitivity to link speed",
 		"link (Gb/s)", LinkSpeedGrid,
 		func(x float64) string { return fmt.Sprintf("%.0f", x) },
@@ -162,8 +162,8 @@ func Fig17LinkSpeed(p params.Parameters, workers int) (*Table, []core.SweepPoint
 }
 
 // Fig18NodeSetSize regenerates Figure 18: sensitivity to the node set size.
-func Fig18NodeSetSize(p params.Parameters, workers int) (*Table, []core.SweepPoint, error) {
-	t, pts, err := sensitivitySweep(p, workers, "fig18",
+func Fig18NodeSetSize(ctx context.Context, p params.Parameters, workers int) (*Table, []core.SweepPoint, error) {
+	t, pts, err := sensitivitySweep(ctx, p, workers, "fig18",
 		"Sensitivity to node set size",
 		"N (nodes)", NodeSetGrid,
 		func(x float64) string { return fmt.Sprintf("%.0f", x) },
@@ -179,8 +179,8 @@ func Fig18NodeSetSize(p params.Parameters, workers int) (*Table, []core.SweepPoi
 
 // Fig19RedundancySetSize regenerates Figure 19: sensitivity to the
 // redundancy set size.
-func Fig19RedundancySetSize(p params.Parameters, workers int) (*Table, []core.SweepPoint, error) {
-	t, pts, err := sensitivitySweep(p, workers, "fig19",
+func Fig19RedundancySetSize(ctx context.Context, p params.Parameters, workers int) (*Table, []core.SweepPoint, error) {
+	t, pts, err := sensitivitySweep(ctx, p, workers, "fig19",
 		"Sensitivity to redundancy set size",
 		"R (nodes)", RedundancySetGrid,
 		func(x float64) string { return fmt.Sprintf("%.0f", x) },
@@ -195,8 +195,8 @@ func Fig19RedundancySetSize(p params.Parameters, workers int) (*Table, []core.Sw
 }
 
 // Fig20DrivesPerNode regenerates Figure 20: sensitivity to drives per node.
-func Fig20DrivesPerNode(p params.Parameters, workers int) (*Table, []core.SweepPoint, error) {
-	t, pts, err := sensitivitySweep(p, workers, "fig20",
+func Fig20DrivesPerNode(ctx context.Context, p params.Parameters, workers int) (*Table, []core.SweepPoint, error) {
+	t, pts, err := sensitivitySweep(ctx, p, workers, "fig20",
 		"Sensitivity to drives per node",
 		"d (drives)", DrivesPerNodeGrid,
 		func(x float64) string { return fmt.Sprintf("%.0f", x) },
@@ -245,28 +245,28 @@ func AppendixGeneralK(p params.Parameters, maxK int) (*Table, error) {
 }
 
 // All regenerates every figure at the given parameters, in paper order.
-func All(p params.Parameters, workers int) ([]*Table, error) {
+func All(ctx context.Context, p params.Parameters, workers int) ([]*Table, error) {
 	var out []*Table
-	t13, _, err := Fig13Baseline(p, workers)
+	t13, _, err := Fig13Baseline(ctx, p, workers)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, t13)
-	t14, err := Fig14DriveMTTF(p, workers)
+	t14, err := Fig14DriveMTTF(ctx, p, workers)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, t14...)
-	t15, err := Fig15NodeMTTF(p, workers)
+	t15, err := Fig15NodeMTTF(ctx, p, workers)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, t15...)
-	for _, fn := range []func(params.Parameters, int) (*Table, []core.SweepPoint, error){
+	for _, fn := range []func(context.Context, params.Parameters, int) (*Table, []core.SweepPoint, error){
 		Fig16RebuildBlockSize, Fig17LinkSpeed, Fig18NodeSetSize,
 		Fig19RedundancySetSize, Fig20DrivesPerNode,
 	} {
-		t, _, err := fn(p, workers)
+		t, _, err := fn(ctx, p, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestFig13Shape(t *testing.T) {
-	table, results, err := Fig13Baseline(params.Baseline(), 0)
+	table, results, err := Fig13Baseline(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig14Shapes(t *testing.T) {
-	tables, err := Fig14DriveMTTF(params.Baseline(), 0)
+	tables, err := Fig14DriveMTTF(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFig15IR5MostSensitiveToNodeMTTF(t *testing.T) {
 // Figure 16: reliability improves monotonically with block size and the
 // surviving configurations meet the target at >= 64 KiB.
 func TestFig16Monotone(t *testing.T) {
-	_, pts, err := Fig16RebuildBlockSize(params.Baseline(), 0)
+	_, pts, err := Fig16RebuildBlockSize(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFig16Monotone(t *testing.T) {
 
 // Figure 17: no difference between 5 and 10 Gb/s; 1 Gb/s strictly worse.
 func TestFig17Knee(t *testing.T) {
-	_, pts, err := Fig17LinkSpeed(params.Baseline(), 0)
+	_, pts, err := Fig17LinkSpeed(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestFig17Knee(t *testing.T) {
 // Figure 18: relative insensitivity to node set size for the internal-RAID
 // configuration (within roughly an order of magnitude across the range).
 func TestFig18Insensitive(t *testing.T) {
-	_, pts, err := Fig18NodeSetSize(params.Baseline(), 0)
+	_, pts, err := Fig18NodeSetSize(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFig18Insensitive(t *testing.T) {
 
 // Figure 19: every configuration degrades as the redundancy set size grows.
 func TestFig19MonotoneInR(t *testing.T) {
-	_, pts, err := Fig19RedundancySetSize(params.Baseline(), 0)
+	_, pts, err := Fig19RedundancySetSize(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFig19MonotoneInR(t *testing.T) {
 // Figure 20: very little sensitivity to drives per node (per-PB
 // normalization cancels).
 func TestFig20Flat(t *testing.T) {
-	_, pts, err := Fig20DrivesPerNode(params.Baseline(), 0)
+	_, pts, err := Fig20DrivesPerNode(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestAppendixTable(t *testing.T) {
 }
 
 func TestAllFigures(t *testing.T) {
-	tables, err := All(params.Baseline(), 0)
+	tables, err := All(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"strconv"
 	"strings"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestJSONRoundTrip(t *testing.T) {
-	orig, _, err := Fig13Baseline(params.Baseline(), 0)
+	orig, _, err := Fig13Baseline(context.Background(), params.Baseline(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // rack events). Fault tolerance 2 has zero margin against a pair, so the
 // correlated share erodes MTTDL far faster than the raw failure count
 // suggests. Simulated in an accelerated regime.
-func AblationCorrelatedFailures(trials int, seed int64) (*Table, error) {
+func AblationCorrelatedFailures(ctx context.Context, trials int, seed int64) (*Table, error) {
 	if trials < 2 {
 		return nil, fmt.Errorf("experiments: trials %d must be >= 2", trials)
 	}
@@ -38,7 +38,7 @@ func AblationCorrelatedFailures(trials int, seed int64) (*Table, error) {
 			sc.ShockRate = share * budget / 2
 			sc.LambdaN = (1 - share) * budget / float64(sc.N)
 		}
-		est, err := sim.EstimateMTTDL(context.TODO(), sc, rng, trials, 10_000_000, sim.Observer{})
+		est, err := sim.EstimateMTTDL(ctx, sc, rng, trials, 10_000_000, sim.Observer{})
 		if err != nil {
 			return nil, err
 		}

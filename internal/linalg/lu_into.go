@@ -13,9 +13,7 @@ import "fmt"
 // reusing f's internal storage when it has capacity. f must be non-nil;
 // its previous contents are overwritten (the zero LU is a valid empty
 // target). Passing f's own matrix (from a previous factorization) as a
-// factorizes in place. Results are bit-identical to Factorize. It
-// records no telemetry: the caller accounts its factorizations with
-// FactorizationsDone, once per batch (see Instrument).
+// factorizes in place. Results are bit-identical to Factorize.
 func FactorizeInto(f *LU, a *Matrix) error {
 	if a.rows != a.cols {
 		panic(fmt.Sprintf("linalg: FactorizeInto requires a square matrix, got %dx%d", a.rows, a.cols))

@@ -22,7 +22,7 @@ import (
 // Chain.Validate's rate checks and writes R's diagonal exit sums and
 // negated off-diagonals. SolveCell then runs Refactor+Solve against that
 // row. After the first chunk every per-cell step is allocation-free: all
-// pattern work, span bookkeeping and metric timers are amortized to one
+// pattern work, span bookkeeping and metric updates are amortized to one
 // per chunk (StartChunk).
 //
 // Routing: dense partial-pivot LU below the SetSparseMinStates crossover
@@ -91,12 +91,23 @@ type BatchSolver struct {
 	// binds a mutable chain, leaving the caller's chain unsealed.
 	own Chain
 
-	// Chunk accounting since StartChunk: cells solved, whether the
-	// latest SolveCell succeeded, and on which route, and the dense
-	// factorizations made (linalg.FactorizationsDone).
-	solved, factored  int
-	lastOK, lastDense bool
+	// Accounting since the last flush (account): the latest Bind's
+	// symbolic analysis, cells solved, of them on the sparse route, dense
+	// fallbacks from it, and whether the latest SolveCell succeeded, and
+	// on which route.
+	symbolic                       symbolicEvent
+	solved, sparseSolved, fellBack int
+	lastOK, lastDense              bool
 }
+
+// symbolicEvent is what a Bind's topology-cache lookup did.
+type symbolicEvent uint8
+
+const (
+	symbolicNone   symbolicEvent = iota // dense route, or a failed analysis
+	symbolicBuilt                       // a fresh ordering + symbolic analysis
+	symbolicReused                      // a cache hit
+)
 
 // NewBatchSolver returns an empty BatchSolver; buffers are sized by Bind
 // and Cells.
@@ -166,11 +177,16 @@ func (b *BatchSolver) Bind(ctx context.Context, c *Chain) error {
 	if b.sparseRoute {
 		// A failed analysis leaves num nil: SolveCell then falls back
 		// to dense per cell — counted, never silent.
-		b.num, _ = b.cache.lookup(ctx, &b.view)
+		var hit bool
+		b.num, hit, _ = b.cache.lookup(ctx, &b.view)
 		if b.num != nil {
 			// View the Symbolic's own pattern, so Refactor's pattern
 			// check is a slice-identity test.
 			b.view.RowPtr, b.view.Col = b.num.Symbolic().Pattern()
+			b.symbolic = symbolicBuilt
+			if hit {
+				b.symbolic = symbolicReused
+			}
 		}
 	}
 	return nil
@@ -245,7 +261,7 @@ func (b *BatchSolver) bindPattern(c *Chain) {
 		b.rhs[b.initRow] = 1
 	}
 
-	b.num = nil
+	b.num, b.symbolic = nil, symbolicNone
 	b.sparseRoute = sparseRoute(m, b.nnz)
 	b.Cells(1) // the pattern views need a full-length value row
 	b.view = sparse.CSR{Rows: m, Cols: m, RowPtr: b.rowptr, Col: b.col, Val: b.vals[:b.nnz]}
@@ -422,17 +438,18 @@ func (b *BatchSolver) absorptionReachable(em []int, rates []float64) bool {
 	return reached
 }
 
-// StartChunk opens one "markov.batch" span and one chunk timer covering
-// the SolveCell calls that follow; the returned stop function closes
-// both and accounts the chunk's absorption solves: the solved-cell count
-// onto markov.absorption.solves and markov.absorption.states, and the
-// residual of the chunk's last cell, computed on the route that cell
-// took, into markov.absorption.last_residual. A chunk whose last cell
-// failed sets no residual. One span and one set of metric updates cover
-// the whole chunk — that is the amortization the batch path exists for;
-// the chunk's time is markov.batch.chunk_seconds, never
-// markov.absorption.seconds. The chunk's dense factorizations are
-// accounted to linalg in the same stop function, in one call.
+// StartChunk opens one "markov.batch" span covering the SolveCell calls
+// that follow, and resolves the metric handles of ctx's registry once;
+// the returned stop function closes the span and accounts the chunk on
+// that registry: one chunk of cells in markov.batch.*, the Bind's
+// symbolic analysis, the solved cells in markov.absorption.solves and
+// markov.absorption.states, the sparse-route cells in
+// markov.sparse.solves and markov.sparse.nnz, the dense fallbacks, and
+// the residual of the chunk's last cell, computed on the route that cell
+// took, in markov.absorption.last_residual (a chunk whose last cell
+// failed sets none). One span and one set of metric updates cover the
+// whole chunk — that is the amortization the batch path exists for; the
+// chunk's time is the span's fold, trace.markov.batch.seconds.
 func (b *BatchSolver) StartChunk(ctx context.Context, cells int) func() {
 	_, sp := obs.StartSpan(ctx, "markov.batch")
 	if sp != nil {
@@ -440,15 +457,16 @@ func (b *BatchSolver) StartChunk(ctx context.Context, cells int) func() {
 		sp.SetAttr("states", b.n)
 		sp.SetAttr("sparse", b.sparseRoute)
 	}
-	b.solved, b.factored, b.lastOK = 0, 0, false
-	stop := batchChunkTimer(cells)
+	b.solved, b.sparseSolved, b.fellBack, b.lastOK = 0, 0, 0, false
+	m := metricsFrom(ctx)
 	return func() {
 		sp.End()
-		linalg.FactorizationsDone(b.factored, &b.f)
-		if stop != nil {
-			stop()
-			batchSolvesDone(b.solved, b.n, b.lastOK, b.lastResidual)
+		if m != nil {
+			m.batchChunks.Inc()
+			m.batchCells.Add(int64(cells))
+			m.batchSize.Observe(float64(cells))
 		}
+		b.account(m)
 	}
 }
 
@@ -515,14 +533,14 @@ func (b *BatchSolver) solveCell(ctx context.Context, cell int) (float64, error) 
 				b.num.SolveTransposeInto(b.tau, b.rhs, b.work)
 				ssp.End()
 				if tauPlausible(b.tau) {
-					sparseSolveDone(&b.view)
+					b.sparseSolved++
 					return b.cellSolved(false), nil
 				}
 			}
 		}
 		// Zero pivot, implausible τ, or no symbolic analysis: redo with
 		// dense partial pivoting, the authoritative fallback.
-		sparseFellBack()
+		b.fellBack++
 	}
 	_, dsp := obs.StartSpan(ctx, "dense.solve")
 	if dsp != nil && b.sparseRoute {
@@ -538,7 +556,6 @@ func (b *BatchSolver) solveCell(ctx context.Context, cell int) (float64, error) 
 	if err := linalg.FactorizeInto(&b.f, b.r); err != nil {
 		return 0, fmt.Errorf("markov: absorption matrix: %w", err)
 	}
-	b.factored++
 	b.f.SolveTransposeInto(b.tau, b.rhs, b.work)
 	return b.cellSolved(true), nil
 }
@@ -547,7 +564,7 @@ func (b *BatchSolver) solveCell(ctx context.Context, cell int) (float64, error) 
 // RateSensitivities:
 // validate c (Chain.Validate's checks and messages, in reused scratch),
 // then bind, fill and solve it as cell 0 under a "markov.solve" span,
-// accounted per call in markov.absorption.*. A mutable chain is bound
+// accounted per call on ctx's registry (account). A mutable chain is bound
 // through the solver's private frozen copy; the caller's chain stays
 // mutable.
 func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error) {
@@ -562,23 +579,18 @@ func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error)
 	if !c.Frozen() {
 		c = b.frozenCopy(c)
 	}
-	timer := absorptionTimer(c.NumStates())
-	b.factored = 0
-	defer func() { linalg.FactorizationsDone(b.factored, &b.f) }()
 	if err := b.Bind(ctx, c); err != nil {
 		return 0, err
 	}
+	b.solved, b.sparseSolved, b.fellBack, b.lastOK = 0, 0, 0, false
+	defer b.account(metricsFrom(ctx))
 	if b.initRow < 0 {
 		return 0, nil // initial state is absorbing
 	}
 	if err := b.Fill(0, c); err != nil {
 		return 0, err
 	}
-	mtta, err := b.solveCell(ctx, 0)
-	if err == nil && timer != nil {
-		timer(b.lastResidual())
-	}
-	return mtta, err
+	return b.solveCell(ctx, 0)
 }
 
 // frozenCopy lays the mutable chain c out in the solver's private

@@ -67,15 +67,15 @@ func sparseRoute(m, nnz int) bool {
 // matched by its Symbolic's own copy of the pattern it analyzed.
 type topoCache []*sparse.Numeric
 
-// lookup returns the cached factorization whose pattern matches a,
-// building (and caching) a new symbolic analysis on miss. Hits move to
-// the front; the cache evicts from the back. Hit or miss is invisible in
-// the results: the ordering is a pure function of the pattern, so a
-// cached and a fresh analysis factor identically. A miss's ordering +
-// symbolic analysis is traced as "sparse.symbolic"; hits skip that work
-// and so carry no span. a is only read; the Symbolic keeps its own copy
-// of the pattern.
-func (tc *topoCache) lookup(ctx context.Context, a *sparse.CSR) (*sparse.Numeric, error) {
+// lookup returns the cached factorization whose pattern matches a, and
+// whether it was a cache hit, building (and caching) a new symbolic
+// analysis on miss. Hits move to the front; the cache evicts from the
+// back. Hit or miss is invisible in the results: the ordering is a pure
+// function of the pattern, so a cached and a fresh analysis factor
+// identically. A miss's ordering + symbolic analysis is traced as
+// "sparse.symbolic"; hits skip that work and so carry no span. a is only
+// read; the Symbolic keeps its own copy of the pattern.
+func (tc *topoCache) lookup(ctx context.Context, a *sparse.CSR) (*sparse.Numeric, bool, error) {
 	cache := *tc
 	for i, num := range cache {
 		rowptr, col := num.Symbolic().Pattern()
@@ -86,8 +86,7 @@ func (tc *topoCache) lookup(ctx context.Context, a *sparse.CSR) (*sparse.Numeric
 			copy(cache[1:i+1], cache[:i])
 			cache[0] = num
 		}
-		sparseReuseHit()
-		return num, nil
+		return num, true, nil
 	}
 	_, sp := obs.StartSpan(ctx, "sparse.symbolic")
 	sym, err := sparse.Analyze(a)
@@ -96,7 +95,7 @@ func (tc *topoCache) lookup(ctx context.Context, a *sparse.CSR) (*sparse.Numeric
 		sp.End()
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	num := sparse.NewNumeric(sym)
 	if len(cache) < topoCacheSize {
@@ -105,8 +104,7 @@ func (tc *topoCache) lookup(ctx context.Context, a *sparse.CSR) (*sparse.Numeric
 	copy(cache[1:], cache)
 	cache[0] = num
 	*tc = cache
-	sparseSymbolicBuilt(sym)
-	return num, nil
+	return num, false, nil
 }
 
 func resizeInts(v []int, n int) []int {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 )
 
 // TransientOptions tunes the uniformization computation.
@@ -100,7 +101,11 @@ func TransientDistribution(ctx context.Context, c *Chain, t float64, opts Transi
 	// tail bound (the mass check alone can be defeated by accumulated
 	// floating-point drift in the log-weight recursion at large Λt —
 	// the tail beyond Λt+12√Λt carries < 1e-25 of the mass).
-	start := transientStart()
+	m := metricsFrom(ctx)
+	var start time.Time
+	if m != nil {
+		start = time.Now()
+	}
 	logW := -lt // log of e^{-Λt}·(Λt)^0/0!
 	sumW := 0.0
 	acc := make([]float64, n)
@@ -137,7 +142,9 @@ func TransientDistribution(ctx context.Context, c *Chain, t float64, opts Transi
 			acc[i] /= sumW
 		}
 	}
-	transientDone(start, terms, 1-sumW)
+	if m != nil {
+		m.transientDone(start, terms, 1-sumW)
+	}
 	return acc, nil
 }
 

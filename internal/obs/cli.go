@@ -21,8 +21,8 @@ type Flags struct {
 	// whole-run CPU profile (see StartPProf).
 	PProf string
 	// TraceOut is a path for the run's span tree, written at exit as
-	// JSONL with each span's structured events (optional). Empty disables
-	// tracing — StartSpan stays on its zero-allocation no-op path.
+	// JSONL with each span's structured events (optional). With Metrics
+	// also empty, StartSpan stays on its zero-allocation no-op path.
 	TraceOut string
 }
 
@@ -40,10 +40,11 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 type Session struct {
 	// Registry is non-nil when metrics were requested.
 	Registry *Registry
-	// Tracer is non-nil when -trace-out was given; it retains span
-	// records for the final JSONL dump, and folds span durations into
-	// Registry (as trace.<name>.seconds histograms) when metrics are
-	// also on.
+	// Tracer is non-nil when -metrics or -trace-out was given. With
+	// -trace-out it retains span records for the final JSONL dump; with
+	// -metrics it folds span durations into Registry (as
+	// trace.<name>.seconds histograms) and carries Registry to the
+	// solver layers under the run's root span (see Trace).
 	Tracer *Tracer
 
 	flags    *Flags
@@ -65,19 +66,21 @@ func (f *Flags) Start() (*Session, error) {
 		}
 		s.stopProf = stop
 	}
-	if f.TraceOut != "" {
+	if f.Metrics != "" || f.TraceOut != "" {
 		s.Tracer = NewTracer()
+		s.Tracer.SetRetain(f.TraceOut != "")
 		if s.Registry != nil {
-			s.Tracer.SetFold(NewSpanFolder(s.Registry).Fold)
+			s.Tracer.SetFold(NewSpanFolder(s.Registry))
 		}
 	}
 	return s, nil
 }
 
-// Trace roots the run's trace: when -trace-out was given it returns a
-// context carrying the root span (named root) and the span itself;
-// otherwise it returns ctx unchanged and a nil (no-op) span. Callers
-// must End the returned span before Finish.
+// Trace roots the run's trace: when -metrics or -trace-out was given it
+// returns a context carrying the root span (named root) and the span
+// itself; otherwise it returns ctx unchanged and a nil (no-op) span.
+// Metrics recorded below the run's layers reach Registry only through
+// this context. Callers must End the returned span before Finish.
 func (s *Session) Trace(ctx context.Context, root string) (context.Context, *Span) {
 	if s == nil || s.Tracer == nil {
 		return ctx, nil
@@ -106,7 +109,7 @@ func (s *Session) Finish() error {
 		first = s.stopProf()
 		s.stopProf = nil
 	}
-	if s.Tracer != nil && s.flags.TraceOut != "" {
+	if s.flags.TraceOut != "" {
 		var err error
 		if s.flags.TraceOut == "-" {
 			err = s.Tracer.WriteJSONL(os.Stdout)

@@ -4,16 +4,17 @@
 // JSONL stream), a periodic progress reporter, and pprof capture helpers.
 //
 // The design contract is zero overhead when disabled: every instrumented
-// layer holds a nilable pointer (a *Metrics bundle, a *Span, or a
-// registered *Registry) and guards each observation with a nil check, so
-// a run without -metrics pays a single predictable branch per
-// observation point — no allocation, no atomic traffic, no call. The
-// registry handles themselves are lock-free once created: Counter and
-// Gauge are single atomic words, Histogram.Observe is one atomic add per
-// observation plus a CAS loop for the sum.
+// layer holds a nilable pointer (a *Metrics bundle, a *Span, or a handle
+// bundle resolved from the context by Bundle) and guards each
+// observation with a nil check, so a run without -metrics pays a single
+// predictable branch per observation point — no allocation, no atomic
+// traffic, no call. The registry handles themselves are lock-free once
+// created: Counter and Gauge are single atomic words, Histogram.Observe
+// is one atomic add per observation plus a CAS loop for the sum.
 package obs
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -243,6 +244,9 @@ type Registry struct {
 	mu     sync.Mutex
 	names  map[string]any // *Counter | *Gauge | *Histogram
 	labels map[string]string
+	// bundles holds each package's handle bundle (see Bundle), keyed by
+	// a nil pointer of the bundle's type.
+	bundles sync.Map
 }
 
 // NewRegistry returns an empty registry.
@@ -302,6 +306,25 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	}
 	r.names[name] = h
 	return h
+}
+
+// Bundle returns a package's bundle of metric handles on the registry
+// of ctx's span (RegistryFrom), or nil when there is none. The first
+// request for a *T on a registry builds the bundle with build; later
+// ones return that same bundle from one map load, without the registry
+// lock. Callers resolve once per unit of work — a solve, a chunk, a
+// search — and never per cell.
+func Bundle[T any](ctx context.Context, build func(*Registry) *T) *T {
+	reg := RegistryFrom(ctx)
+	if reg == nil {
+		return nil
+	}
+	key := (*T)(nil)
+	if b, ok := reg.bundles.Load(key); ok {
+		return b.(*T)
+	}
+	b, _ := reg.bundles.LoadOrStore(key, build(reg))
+	return b.(*T)
 }
 
 // SetLabel attaches a free-form string annotation (e.g. the effective

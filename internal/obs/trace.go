@@ -28,8 +28,14 @@ import (
 //
 // Enabled, a span is two small allocations (the Span and the derived
 // context); completed spans fold into duration histograms via the
-// tracer's fold callback and are optionally retained as SpanRecords for
+// tracer's SpanFolder and are optionally retained as SpanRecords for
 // JSONL export.
+//
+// The folder's registry is also where every layer under the span
+// records its metrics: RegistryFrom and Bundle resolve it from the
+// context, so two tracers folding into two registries — two servers in
+// one process — never mix their counts, and code running under no span
+// records nothing.
 //
 // Spans are also the one structured-event stream: Event appends a named,
 // timestamped entry (a DES mission's data loss, a replay's rebuild) to
@@ -127,8 +133,8 @@ func (s *Span) End() {
 // multiple goroutines (sweep cells and DES chunks trace from worker
 // pools). Create with NewTracer.
 type Tracer struct {
-	epoch time.Time
-	fold  func(name string, seconds float64)
+	epoch  time.Time
+	folder *SpanFolder
 
 	mu     sync.Mutex
 	nextID int64
@@ -141,10 +147,11 @@ func NewTracer() *Tracer {
 	return &Tracer{epoch: time.Now(), retain: true}
 }
 
-// SetFold installs a callback invoked (outside the tracer's lock) with
-// every completed span's name and duration — the hook that folds spans
-// into per-stage duration histograms (see SpanFolder).
-func (t *Tracer) SetFold(fold func(name string, seconds float64)) { t.fold = fold }
+// SetFold folds every completed span's duration into f's per-stage
+// histograms (outside the tracer's lock) and makes f's registry the one
+// that code running under this tracer's spans records into
+// (RegistryFrom). Set it before starting spans.
+func (t *Tracer) SetFold(f *SpanFolder) { t.folder = f }
 
 // SetRetain controls whether completed spans are kept for Spans /
 // WriteJSONL. A non-retaining tracer still folds durations — the serve
@@ -187,6 +194,18 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanCtxKey{}, s), s
 }
 
+// RegistryFrom returns the registry ctx's span folds into — that of
+// its tracer's SpanFolder — or nil when ctx carries no span or the
+// tracer folds nowhere. Like StartSpan, the nil case is one
+// context.Value lookup with no allocation.
+func RegistryFrom(ctx context.Context) *Registry {
+	cur, _ := ctx.Value(spanCtxKey{}).(*Span)
+	if cur == nil || cur.tr.folder == nil {
+		return nil
+	}
+	return cur.tr.folder.reg
+}
+
 func (t *Tracer) newSpan(name string, parent int64) *Span {
 	t.mu.Lock()
 	t.nextID++
@@ -210,8 +229,8 @@ func (t *Tracer) end(s *Span) {
 		})
 	}
 	t.mu.Unlock()
-	if t.fold != nil {
-		t.fold(s.name, seconds)
+	if t.folder != nil {
+		t.folder.Fold(s.name, seconds)
 	}
 }
 
@@ -266,7 +285,7 @@ func NewSpanFolder(reg *Registry) *SpanFolder {
 // solver-seconds histograms, wide enough for whole-request roots.
 func spanBuckets() []float64 { return ExpBuckets(1e-6, 4, 13) }
 
-// Fold records one completed span; pass it to Tracer.SetFold.
+// Fold records one completed span.
 func (f *SpanFolder) Fold(name string, seconds float64) {
 	f.mu.Lock()
 	h := f.hists[name]

@@ -87,7 +87,7 @@ func TestTracerJSONLAndFold(t *testing.T) {
 	reg := NewRegistry()
 	folder := NewSpanFolder(reg)
 	tr := NewTracer()
-	tr.SetFold(folder.Fold)
+	tr.SetFold(folder)
 	ctx, root := tr.Start(context.Background(), "req")
 	_, a := StartSpan(ctx, "stage.a")
 	a.End()
@@ -118,16 +118,67 @@ func TestTracerJSONLAndFold(t *testing.T) {
 	}
 }
 
+type testBundle struct{ c *Counter }
+
+func newTestBundle(reg *Registry) *testBundle { return &testBundle{c: reg.Counter("bundle.c")} }
+
+// TestBundleRidesTheSpan: a span's context resolves its tracer's folding
+// registry and one bundle per registry; two tracers folding into two
+// registries keep separate bundles, and a context with no span — or a
+// span of a tracer that folds nowhere — resolves nil without
+// allocating.
+func TestBundleRidesTheSpan(t *testing.T) {
+	regA, regB := NewRegistry(), NewRegistry()
+	ctxs := make([]context.Context, 2)
+	for i, reg := range []*Registry{regA, regB} {
+		tr := NewTracer()
+		tr.SetFold(NewSpanFolder(reg))
+		var root *Span
+		ctxs[i], root = tr.Start(context.Background(), "req")
+		defer root.End()
+	}
+	child, sp := StartSpan(ctxs[0], "stage")
+	defer sp.End()
+	if RegistryFrom(child) != regA || RegistryFrom(ctxs[1]) != regB {
+		t.Fatal("RegistryFrom does not return the span's folding registry")
+	}
+	a := Bundle(child, newTestBundle)
+	if a == nil || Bundle(ctxs[0], newTestBundle) != a {
+		t.Fatal("Bundle built a second bundle on one registry")
+	}
+	a.c.Inc()
+	Bundle(ctxs[1], newTestBundle).c.Add(2)
+	if regA.Counter("bundle.c").Value() != 1 || regB.Counter("bundle.c").Value() != 2 {
+		t.Errorf("bundle counts mixed: A %d, B %d", regA.Counter("bundle.c").Value(), regB.Counter("bundle.c").Value())
+	}
+
+	unfolded, usp := NewTracer().Start(context.Background(), "req")
+	defer usp.End()
+	for name, ctx := range map[string]context.Context{"no span": context.Background(), "unfolded span": unfolded} {
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if Bundle(ctx, newTestBundle) != nil {
+				t.Fatalf("%s resolved a bundle", name)
+			}
+		}); allocs != 0 {
+			t.Errorf("Bundle on %s allocated %v/op", name, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { Bundle(child, newTestBundle).c.Inc() }); allocs != 0 {
+		t.Errorf("Bundle on a folding span allocated %v/op", allocs)
+	}
+}
+
 func TestTracerNoRetainStillFolds(t *testing.T) {
-	var folded int
+	reg := NewRegistry()
 	tr := NewTracer()
 	tr.SetRetain(false)
-	tr.SetFold(func(string, float64) { folded++ })
+	tr.SetFold(NewSpanFolder(reg))
 	ctx, root := tr.Start(context.Background(), "req")
 	_, sp := StartSpan(ctx, "stage")
 	sp.End()
 	root.End()
-	if folded != 2 {
+	snap := reg.Snapshot()
+	if folded := snap.Histograms["trace.req.seconds"].Count + snap.Histograms["trace.stage.seconds"].Count; folded != 2 {
 		t.Errorf("folded %d spans, want 2", folded)
 	}
 	if got := tr.Spans(); len(got) != 0 {
@@ -206,7 +257,7 @@ func TestConcurrentSpanHammer(t *testing.T) {
 	reg := NewRegistry()
 	folder := NewSpanFolder(reg)
 	tr := NewTracer()
-	tr.SetFold(folder.Fold)
+	tr.SetFold(folder)
 	ctx, root := tr.Start(context.Background(), "sweep")
 
 	const workers = 16

@@ -7,11 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/linalg"
-	"repro/internal/markov"
 	"repro/internal/obs"
 	"repro/internal/params"
-	"repro/internal/rebuild"
 )
 
 // benchSpace is the headline design space: 10800 candidates at deep
@@ -96,21 +93,14 @@ func stockBases(n int) []params.Parameters {
 	return out
 }
 
-// instrumentLikeServe wires the solver packages into one registry the
-// way nsr-serve does, so a benchmark pays the production telemetry, and
-// returns the function that unwires them.
-func instrumentLikeServe() func() {
-	reg := obs.NewRegistry()
-	markov.Instrument(reg)
-	linalg.Instrument(reg)
-	rebuild.Instrument(reg)
-	Instrument(reg)
-	return func() {
-		markov.Instrument(nil)
-		linalg.Instrument(nil)
-		rebuild.Instrument(nil)
-		Instrument(nil)
-	}
+// requestCtx is the context nsr-serve hands a plan request: the root
+// span of a non-retaining tracer folding into the server's registry, so
+// a benchmark pays the production telemetry.
+func requestCtx(folder *obs.SpanFolder) (context.Context, *obs.Span) {
+	tr := obs.NewTracer()
+	tr.SetRetain(false)
+	tr.SetFold(folder)
+	return tr.Start(context.Background(), "serve.request")
 }
 
 // BenchmarkPlanSearchStock is the search a plan-stock request runs: the
@@ -119,16 +109,18 @@ func instrumentLikeServe() func() {
 // dominated by enumeration, pruning and ranking, not by the exact
 // solves.
 func BenchmarkPlanSearchStock(b *testing.B) {
-	defer instrumentLikeServe()()
+	folder := obs.NewSpanFolder(obs.NewRegistry())
 	bases := stockBases(16)
 	space := DefaultSpace()
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SearchCtx(context.Background(), bases[i%len(bases)], space, Constraints{}, Options{Workers: workers}); err != nil {
+				ctx, root := requestCtx(folder)
+				if _, err := SearchCtx(ctx, bases[i%len(bases)], space, Constraints{}, Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
+				root.End()
 			}
 		})
 	}

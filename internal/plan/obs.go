@@ -1,18 +1,17 @@
 package plan
 
-import (
-	"sync/atomic"
-	"time"
+import "repro/internal/obs"
 
-	"repro/internal/obs"
-)
-
-// Package-level search instrumentation, nil (one atomic load) by
-// default, following the solver packages' pattern: Instrument once in
-// the command or server, read the registry snapshot at the end.
+// searchMetrics is the package's bundle of metric handles on one
+// registry — the registry of the span a search runs under (obs.Bundle),
+// resolved once per search: the candidate accounting (enumerated /
+// infeasible / pruned by target / pruned by dominance / exactly
+// confirmed), the topology-group batching (group count and cells per
+// group — the factorization reuse the batch solver gets), and the most
+// recent search's prune ratio and frontier size. A search's wall time is
+// its span's fold, trace.plan.search.seconds.
 type searchMetrics struct {
 	searches *obs.Counter
-	seconds  *obs.Histogram
 
 	enumerated      *obs.Counter
 	infeasible      *obs.Counter
@@ -27,22 +26,9 @@ type searchMetrics struct {
 	frontierSize *obs.Gauge
 }
 
-var instr atomic.Pointer[searchMetrics]
-
-// Instrument routes optimizer telemetry into reg: per-search wall time,
-// the candidate accounting (enumerated / infeasible / pruned by target /
-// pruned by dominance / exactly confirmed), the topology-group batching
-// (group count and cells per group — the factorization reuse the batch
-// solver gets), and the most recent search's prune ratio and frontier
-// size. Pass nil to disable again.
-func Instrument(reg *obs.Registry) {
-	if reg == nil {
-		instr.Store(nil)
-		return
-	}
-	instr.Store(&searchMetrics{
+func newSearchMetrics(reg *obs.Registry) *searchMetrics {
+	return &searchMetrics{
 		searches: reg.Counter("plan.searches"),
-		seconds:  reg.Histogram("plan.search_seconds", obs.ExpBuckets(1e-4, 4, 12)),
 
 		enumerated:      reg.Counter("plan.candidates.enumerated"),
 		infeasible:      reg.Counter("plan.candidates.infeasible"),
@@ -55,35 +41,29 @@ func Instrument(reg *obs.Registry) {
 
 		pruneRatio:   reg.Gauge("plan.last_prune_ratio"),
 		frontierSize: reg.Gauge("plan.last_frontier_size"),
-	})
+	}
 }
 
-// searchTimer returns a stop function recording one completed search,
-// or nil when instrumentation is off.
-func searchTimer() func(st Stats) {
-	m := instr.Load()
+// searchDone records one completed search. Nil-safe.
+func (m *searchMetrics) searchDone(st *Stats) {
 	if m == nil {
-		return nil
+		return
 	}
-	start := time.Now()
-	return func(st Stats) {
-		m.searches.Inc()
-		m.seconds.Observe(time.Since(start).Seconds())
-		m.enumerated.Add(int64(st.Enumerated))
-		m.infeasible.Add(int64(st.Infeasible))
-		m.prunedTarget.Add(int64(st.PrunedTarget))
-		m.prunedDominated.Add(int64(st.PrunedDominated))
-		m.confirmed.Add(int64(st.Confirmed))
-		m.groups.Add(int64(st.TopologyGroups))
-		m.pruneRatio.Set(st.PruneRatio)
-		m.frontierSize.Set(float64(st.FrontierSize))
-	}
+	m.searches.Inc()
+	m.enumerated.Add(int64(st.Enumerated))
+	m.infeasible.Add(int64(st.Infeasible))
+	m.prunedTarget.Add(int64(st.PrunedTarget))
+	m.prunedDominated.Add(int64(st.PrunedDominated))
+	m.confirmed.Add(int64(st.Confirmed))
+	m.groups.Add(int64(st.TopologyGroups))
+	m.pruneRatio.Set(st.PruneRatio)
+	m.frontierSize.Set(float64(st.FrontierSize))
 }
 
 // observeGroupCells records the size of one topology group — the number
-// of cells that shared a single symbolic factorization.
-func observeGroupCells(n int) {
-	if m := instr.Load(); m != nil {
+// of cells that shared a single symbolic factorization. Nil-safe.
+func (m *searchMetrics) observeGroupCells(n int) {
+	if m != nil {
 		m.groupCells.Observe(float64(n))
 	}
 }

@@ -591,7 +591,7 @@ func TestEnumerateMatchesAnalyze(t *testing.T) {
 				want = append(want, key{index: i, cost: cost, capacity: res.LogicalCapacityPB, bound: res.EventsPerPBYear,
 					costRank: int32(rank)})
 			}
-			tl.Flush()
+			tl.Flush(context.Background())
 			if st.Enumerated != space.Size() || st.Infeasible != infeasible {
 				t.Errorf("enumerated %d, infeasible %d; want %d, %d", st.Enumerated, st.Infeasible, space.Size(), infeasible)
 			}

@@ -65,7 +65,7 @@ func SearchCtx(ctx context.Context, base params.Parameters, space Space, cons Co
 	}
 	ctx, span := obs.StartSpan(ctx, "plan.search")
 	defer span.End()
-	done := searchTimer()
+	m := obs.Bundle(ctx, newSearchMetrics)
 
 	res := &Result{TargetEventsPerPBYear: cons.target()}
 	st := &res.Stats
@@ -83,7 +83,7 @@ func SearchCtx(ctx context.Context, base params.Parameters, space Space, cons Co
 	} else {
 		surv = prune(ctx, keys, res.TargetEventsPerPBYear, st)
 	}
-	if err := confirm(ctx, &base, &space, keys, surv, opt.Workers, st); err != nil {
+	if err := confirm(ctx, &base, &space, keys, surv, opt.Workers, st, m); err != nil {
 		return nil, err
 	}
 
@@ -101,9 +101,7 @@ func SearchCtx(ctx context.Context, base params.Parameters, space Space, cons Co
 	span.SetAttr("enumerated", st.Enumerated)
 	span.SetAttr("confirmed", st.Confirmed)
 	span.SetAttr("frontier", st.FrontierSize)
-	if done != nil {
-		done(*st)
-	}
+	m.searchDone(st)
 	return res, nil
 }
 
@@ -223,7 +221,7 @@ func enumerate(ctx context.Context, base *params.Parameters, space *Space, cons 
 		cfg := space.config(b * blockLen)
 		p := space.resolve(base, b*blockLen)
 		var tl rebuild.Tally
-		defer tl.Flush()
+		defer tl.Flush(ctx)
 		i := b * blockLen
 		for j, spn := range space.SpareNodes {
 			p.NodeSetSize = base.NodeSetSize + spn
@@ -426,7 +424,7 @@ var confirmBufs = sync.Pool{New: func() any { return new(confirmBuf) }}
 // into chunks fanned over the worker pool. Error semantics mirror the
 // sweep engine: the lowest-indexed failing candidate is reported, with
 // the cause core.AnalyzeCtx would give for it.
-func confirm(ctx context.Context, base *params.Parameters, space *Space, keys []key, surv []int, workers int, st *Stats) error {
+func confirm(ctx context.Context, base *params.Parameters, space *Space, keys []key, surv []int, workers int, st *Stats, m *searchMetrics) error {
 	ctx, sp := obs.StartSpan(ctx, "plan.confirm")
 	defer sp.End()
 	if len(surv) == 0 {
@@ -444,7 +442,7 @@ func confirm(ctx context.Context, base *params.Parameters, space *Space, keys []
 			hi++
 		}
 		st.TopologyGroups++
-		observeGroupCells(hi - lo)
+		m.observeGroupCells(hi - lo)
 		for a := lo; a < hi; a += confirmChunkCells {
 			b := a + confirmChunkCells
 			if b > hi {

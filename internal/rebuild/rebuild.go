@@ -151,14 +151,14 @@ func restripeTimeHours(p *params.Parameters) float64 {
 	return 2 * dataBytes / rate / 3600
 }
 
-// Compute derives all repair rates for inter-node fault tolerance t and
-// records the computation (see Instrument).
-// It panics if t < 1 or t >= R (the redundancy set must contain data).
+// Compute derives all repair rates for inter-node fault tolerance t. It
+// has no context and so records no telemetry; callers that want the
+// rebuild.* metrics compute through a Tally and Flush it under their
+// span. It panics if t < 1 or t >= R (the redundancy set must contain
+// data).
 func Compute(p params.Parameters, t int) Rates {
 	var tl Tally
-	r := tl.Compute(&p, t)
-	tl.Flush()
-	return r
+	return tl.Compute(&p, t)
 }
 
 // Tally computes rates for a caller that computes many of them and
@@ -201,20 +201,6 @@ func (tl *Tally) Compute(p *params.Parameters, t int) Rates {
 	}
 	tl.last = r
 	return r
-}
-
-// Flush records the tallied computations into the registry, if
-// instrumented — the counters by their totals, the rate gauges by the
-// last computed set — and empties the tally. An empty tally records
-// nothing.
-func (tl *Tally) Flush() {
-	if tl.computes == 0 {
-		return
-	}
-	if m := instr.Load(); m != nil {
-		m.record(tl)
-	}
-	*tl = Tally{}
 }
 
 // CrossoverLinkSpeedGbps returns the link speed at which the node rebuild

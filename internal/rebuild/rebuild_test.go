@@ -1,6 +1,7 @@
 package rebuild
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -245,10 +246,20 @@ func TestDistributedRebuildMatchesThroughputHelpers(t *testing.T) {
 	}
 }
 
-// A Tally flushed once records what per-call Compute records over the
-// same rate sets: the same counter totals and the last set's gauges,
-// and rates bit-identical to Compute's.
+// meteredCtx returns a context whose span folds into reg — the shape a
+// request or a CLI run gives the solver layers — and the span's end.
+func meteredCtx(reg *obs.Registry) (context.Context, func()) {
+	tr := obs.NewTracer()
+	tr.SetFold(obs.NewSpanFolder(reg))
+	ctx, root := tr.Start(context.Background(), "test")
+	return ctx, root.End
+}
+
+// A Tally flushed once records what one flush per rate set records over
+// the same sets: the same counter totals and the last set's gauges, and
+// rates bit-identical to Compute's.
 func TestTallyMatchesPerCallCompute(t *testing.T) {
+	t.Parallel()
 	var ps []params.Parameters
 	for _, link := range []float64{1, 2, 10, 40} {
 		for _, block := range []float64{16 * params.KiB, 1 * params.MiB} {
@@ -263,13 +274,20 @@ func TestTallyMatchesPerCallCompute(t *testing.T) {
 	gauges := []string{"rebuild.last_node_rebuild_per_hour", "rebuild.last_drive_rebuild_per_hour", "rebuild.last_restripe_per_hour"}
 
 	perCall := obs.NewRegistry()
-	Instrument(perCall)
+	perCallCtx, end := meteredCtx(perCall)
+	defer end()
 	want := make([]Rates, len(ps))
 	for i, p := range ps {
 		want[i] = Compute(p, 2)
+		var one Tally
+		if got := one.Compute(&p, 2); got != want[i] {
+			t.Errorf("set %d: Tally.Compute %+v, Compute %+v", i, got, want[i])
+		}
+		one.Flush(perCallCtx)
 	}
 	tallied := obs.NewRegistry()
-	Instrument(tallied)
+	talliedCtx, end := meteredCtx(tallied)
+	defer end()
 	var tl Tally
 	for i := range ps {
 		if got := tl.Compute(&ps[i], 2); got != want[i] {
@@ -279,9 +297,8 @@ func TestTallyMatchesPerCallCompute(t *testing.T) {
 	if got := tallied.Counter("rebuild.computes").Value(); got != 0 {
 		t.Errorf("rebuild.computes = %d before Flush, want 0", got)
 	}
-	tl.Flush()
-	tl.Flush() // an empty tally records nothing
-	Instrument(nil)
+	tl.Flush(talliedCtx)
+	tl.Flush(talliedCtx) // an empty tally records nothing
 	network := 0
 	for _, name := range names {
 		a, b := perCall.Counter(name).Value(), tallied.Counter(name).Value()

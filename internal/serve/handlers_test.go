@@ -367,8 +367,8 @@ func TestSparseCountersSurfaceInMetrics(t *testing.T) {
 		t.Fatalf("metrics not JSON: %v", err)
 	}
 	c := snap.Counters
-	if c["markov.sparse.solves"] < 64 {
-		t.Errorf("markov.sparse.solves = %d, want >= 64 (one per sweep cell)", c["markov.sparse.solves"])
+	if c["markov.sparse.solves"] != 64 {
+		t.Errorf("markov.sparse.solves = %d, want 64 (one per sweep cell)", c["markov.sparse.solves"])
 	}
 	// The batched engine binds the shared topology once per chunk, so
 	// the symbolic cache sees one lookup per chunk, not one per cell.
@@ -390,5 +390,53 @@ func TestSparseCountersSurfaceInMetrics(t *testing.T) {
 	}
 	if c["markov.sparse.dense_fallbacks"] != 0 {
 		t.Errorf("markov.sparse.dense_fallbacks = %d, want 0 on this well-conditioned grid", c["markov.sparse.dense_fallbacks"])
+	}
+}
+
+// TestServersKeepSeparateMetrics: two servers in one process each see
+// only their own solver telemetry. Analyze, sweep and plan requests to A
+// move A's markov.*, rebuild.* and plan.* counters; B's stay at zero —
+// the solver layers record on the registry of the request's span, not
+// on a process-wide one.
+func TestServersKeepSeparateMetrics(t *testing.T) {
+	t.Parallel()
+	a, b := New(Options{}), New(Options{})
+	for _, req := range []struct{ path, body string }{
+		{"/v1/analyze", `{"config":{"internal":"none","ft":4},"method":"exact-chain"}`},
+		{"/v1/sweep", `{"parameter":"drive_mttf_hours","values":[200000,300000],"configs":[{"internal":"raid5","ft":2}],"method":"exact-chain"}`},
+		{"/v1/plan", smallPlanBody},
+	} {
+		if w := postJSON(t, a.Handler(), req.path, req.body); w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", req.path, w.Code, w.Body.String())
+		}
+	}
+	solver := func(s *Server) map[string]int64 {
+		out := map[string]int64{}
+		for name, v := range s.Registry().Snapshot().Counters {
+			if strings.HasPrefix(name, "markov.") || strings.HasPrefix(name, "rebuild.") || strings.HasPrefix(name, "plan.") {
+				out[name] = v
+			}
+		}
+		return out
+	}
+	ca := solver(a)
+	for name, want := range map[string]int64{
+		"markov.absorption.solves":   1 + 2 + ca["plan.candidates.confirmed"],
+		"markov.batch.cells":         2 + ca["plan.candidates.confirmed"],
+		"plan.searches":              1,
+		"plan.candidates.enumerated": 16,
+	} {
+		if ca[name] != want {
+			t.Errorf("server A: %s = %d, want %d", name, ca[name], want)
+		}
+	}
+	if ca["rebuild.computes"] == 0 || ca["plan.candidates.confirmed"] == 0 {
+		t.Errorf("server A: rebuild.computes = %d, plan.candidates.confirmed = %d, want both > 0",
+			ca["rebuild.computes"], ca["plan.candidates.confirmed"])
+	}
+	for name, v := range solver(b) {
+		if v != 0 {
+			t.Errorf("server B: %s = %d, want 0 (it served no request)", name, v)
+		}
 	}
 }

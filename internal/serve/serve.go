@@ -63,11 +63,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/linalg"
-	"repro/internal/markov"
 	"repro/internal/obs"
-	"repro/internal/plan"
-	"repro/internal/rebuild"
 	"repro/internal/sim"
 )
 
@@ -92,8 +88,9 @@ type Options struct {
 	// 20000 — comfortably above the stock 10800-candidate space).
 	MaxPlanCandidates int
 	// Registry receives the server's metrics; nil creates a fresh one.
-	// The solver substrates (markov, linalg, rebuild) are instrumented on
-	// it too, so /metrics exposes the full stack.
+	// Each compute request's spans fold into it, and the solver layers
+	// under them (markov, rebuild, plan) record on it through the request
+	// context, so /metrics exposes the full stack of this server alone.
 	Registry *obs.Registry
 	// AccessLog receives one JSON object per completed request (nil
 	// disables logging). Writes are serialized by the server.
@@ -209,7 +206,8 @@ type Server struct {
 	metrics *metrics
 	cache   *resultCache
 	// folder routes completed request spans into trace.*.seconds
-	// histograms on the registry; one folder serves every request tracer.
+	// histograms on the registry, and carries the registry to the solver
+	// layers under them; one folder serves every request tracer.
 	folder *obs.SpanFolder
 	// nextReqID generates request IDs when the client sent none.
 	nextReqID atomic.Int64
@@ -237,10 +235,6 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	reg := opts.Registry
-	markov.Instrument(reg)
-	linalg.Instrument(reg)
-	rebuild.Instrument(reg)
-	plan.Instrument(reg)
 	m := newMetrics(reg)
 	baseCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -341,7 +335,7 @@ func (s *Server) instrument(endpoint string, traced bool, h http.HandlerFunc) ht
 		var root *obs.Span
 		if traced {
 			tr = obs.NewTracer()
-			tr.SetFold(s.folder.Fold)
+			tr.SetFold(s.folder)
 			// Span records are only buffered when someone will read them;
 			// the fold above feeds the histograms either way.
 			tr.SetRetain(s.opts.TraceWriter != nil)

@@ -98,13 +98,13 @@ func SensitivityConfigs() []Config { return core.SensitivityConfigs() }
 func PaperTarget() Target { return core.PaperTarget() }
 
 // AllFigures regenerates every evaluation figure at the given parameters.
-func AllFigures(p Parameters) ([]*Table, error) { return experiments.All(p, 0) }
+func AllFigures(p Parameters) ([]*Table, error) { return experiments.All(context.Background(), p, 0) }
 
 // Ablations regenerates the extension studies (model-assumption DES
 // comparison, elasticities, rebuild bottleneck, scrubbing, mission
 // reliability, spares plan). trials sizes the simulation table.
 func Ablations(p Parameters, trials int, seed int64) ([]*Table, error) {
-	return experiments.Ablations(p, trials, seed, 0)
+	return experiments.Ablations(context.Background(), p, trials, seed, 0)
 }
 
 // DegradedExposure is a configuration's degraded-mode lifetime profile.
