@@ -177,7 +177,7 @@ func BenchmarkBiasedRareEvent(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.EstimateMTTABiased(ch, rng, 2000, 0.5, th); err != nil {
+		if _, err := sim.EstimateMTTABiased(context.Background(), ch, rng, 2000, 0.5, th); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -87,9 +87,9 @@ func TestUsageGoesToStderr(t *testing.T) {
 }
 
 // TestRunMetrics: one exact-chain analysis under -metrics records one
-// absorption solve, one rebuild-rate computation and one markov.solve
-// span fold — the solver layers find the snapshot's registry through the
-// run's root span.
+// absorption solve, one rebuild-rate computation and one markov.batch
+// span fold (the analysis is a one-cell chunk) — the solver layers find
+// the snapshot's registry through the run's root span.
 func TestRunMetrics(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var stdout, stderr bytes.Buffer
@@ -110,7 +110,7 @@ func TestRunMetrics(t *testing.T) {
 	if got := snap.Counters["rebuild.computes"]; got != 1 {
 		t.Errorf("rebuild.computes = %d, want 1", got)
 	}
-	if got := snap.Histograms["trace.markov.solve.seconds"].Count; got != 1 {
-		t.Errorf("trace.markov.solve.seconds count = %d, want 1", got)
+	if got := snap.Histograms["trace.markov.batch.seconds"].Count; got != 1 {
+		t.Errorf("trace.markov.batch.seconds count = %d, want 1", got)
 	}
 }

@@ -222,7 +222,7 @@ func runBiased(ctx context.Context, stdout io.Writer, cycles int, seed int64, wo
 		}
 		var est sim.BiasedEstimate
 		if workers == 1 {
-			est, err = sim.EstimateMTTABiased(ch, rng, cycles, 0.5, sim.RepairThreshold(ch))
+			est, err = sim.EstimateMTTABiased(ctx, ch, rng, cycles, 0.5, sim.RepairThreshold(ch))
 		} else {
 			est, err = sim.EstimateMTTABiasedParallel(
 				ctx, ch, seedstream.Derive(seed, uint64(ci)), cycles, 0.5, sim.RepairThreshold(ch), workers)

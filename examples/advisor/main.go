@@ -30,7 +30,7 @@ func main() {
 		}
 		fmt.Printf("%s: %.3g events/PB-yr (target %.2g, margin %.2f×)\n",
 			cfg, r.EventsPerPBYear, target.EventsPerPBYear, target.Margin(r))
-		advice, err := core.Advise(context.Background(), p, cfg, target, core.MethodClosedForm, 0)
+		advice, err := core.Advise(context.Background(), p, cfg, target, core.MethodClosedForm)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	biased, err := sim.EstimateMTTABiased(rareChain, rng, 50_000, 0.5, sim.RepairThreshold(rareChain))
+	biased, err := sim.EstimateMTTABiased(context.Background(), rareChain, rng, 50_000, 0.5, sim.RepairThreshold(rareChain))
 	if err != nil {
 		log.Fatal(err)
 	}

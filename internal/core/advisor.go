@@ -29,15 +29,14 @@ type Advice struct {
 // change that would bring the configuration exactly to the target. For
 // configurations already meeting the target, the factors describe how far
 // each parameter could degrade before the target is lost. Every analysis
-// carries ctx; the elasticities fan out on a pool of workers goroutines
-// (0 = runtime.NumCPU()), and the context is polled between knobs and
+// carries ctx, and the context is polled before every analysis and
 // between bisection steps, so a cancelled call returns ctx.Err().
-func Advise(ctx context.Context, p params.Parameters, cfg Config, target Target, method Method, workers int) ([]Advice, error) {
+func Advise(ctx context.Context, p params.Parameters, cfg Config, target Target, method Method) ([]Advice, error) {
 	base, err := AnalyzeCtx(ctx, p, cfg, method)
 	if err != nil {
 		return nil, err
 	}
-	elasticities, err := Elasticities(ctx, p, cfg, method, 0, workers)
+	elasticities, err := Elasticities(ctx, p, cfg, method, 0)
 	if err != nil {
 		return nil, err
 	}

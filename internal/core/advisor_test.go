@@ -23,7 +23,7 @@ func TestAdviseFixesMarginalConfig(t *testing.T) {
 	p := params.Baseline()
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
 	target := PaperTarget()
-	advice, err := Advise(context.Background(), p, cfg, target, MethodClosedForm, 0)
+	advice, err := Advise(context.Background(), p, cfg, target, MethodClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestAdviseFixesMarginalConfig(t *testing.T) {
 func TestAdviseHERDirection(t *testing.T) {
 	p := params.Baseline()
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
-	advice, err := Advise(context.Background(), p, cfg, PaperTarget(), MethodClosedForm, 0)
+	advice, err := Advise(context.Background(), p, cfg, PaperTarget(), MethodClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestAdviseHERDirection(t *testing.T) {
 func TestAdviseHeadroomForPassingConfig(t *testing.T) {
 	p := params.Baseline()
 	cfg := Config{Internal: InternalRAID5, NodeFaultTolerance: 2}
-	advice, err := Advise(context.Background(), p, cfg, PaperTarget(), MethodClosedForm, 0)
+	advice, err := Advise(context.Background(), p, cfg, PaperTarget(), MethodClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestAdviseHeadroomForPassingConfig(t *testing.T) {
 func TestAdviseZeroElasticityKnob(t *testing.T) {
 	p := params.Baseline()
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
-	advice, err := Advise(context.Background(), p, cfg, PaperTarget(), MethodClosedForm, 0)
+	advice, err := Advise(context.Background(), p, cfg, PaperTarget(), MethodClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestAdviseZeroElasticityKnob(t *testing.T) {
 func TestAdviseInvalidInputs(t *testing.T) {
 	p := params.Baseline()
 	p.NodeMTTFHours = 0
-	if _, err := Advise(context.Background(), p, Config{Internal: InternalNone, NodeFaultTolerance: 2}, PaperTarget(), MethodClosedForm, 0); err == nil {
+	if _, err := Advise(context.Background(), p, Config{Internal: InternalNone, NodeFaultTolerance: 2}, PaperTarget(), MethodClosedForm); err == nil {
 		t.Error("invalid params accepted")
 	}
 }

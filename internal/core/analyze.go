@@ -6,9 +6,6 @@ import (
 	"math"
 
 	"repro/internal/closedform"
-	"repro/internal/markov"
-	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/params"
 	"repro/internal/rebuild"
 )
@@ -88,66 +85,26 @@ func Analyze(p params.Parameters, cfg Config, method Method) (Result, error) {
 	return AnalyzeCtx(context.Background(), p, cfg, method)
 }
 
-// AnalyzeCtx is Analyze carrying the caller's context for tracing: when
-// the context holds an active span (obs.StartSpan), chain acquisition
-// ("chain.freeze" — a pooled refiller's refill, or its first build) and the
-// exact solve with its sparse stages are attributed as child spans.
-// The context is not a cancellation point — one analysis is a single
-// closed-form evaluation or one chain solve; results are identical to
-// Analyze.
+// AnalyzeCtx is Analyze carrying the caller's context: it runs the
+// analysis as a one-cell chunk of the engine (AnalyzeRanges), so when
+// the context holds an active span (obs.StartSpan) an exact-chain solve
+// is attributed as one "markov.batch" child with cells=1, and its
+// metrics land on the span's registry. A cancelled context returns
+// ctx.Err(); otherwise results are identical to Analyze.
 func AnalyzeCtx(ctx context.Context, p params.Parameters, cfg Config, method Method) (Result, error) {
-	var (
-		pr  analysisPrep
-		tl  rebuild.Tally
-		est Estimate
-		err error
-	)
-	if method == MethodClosedForm {
-		est, err = pr.closedForm(&p, cfg, &tl)
+	ps, out := []params.Parameters{p}, []Result{{}}
+	var err error
+	if method == MethodExactChain {
+		bc := chunkPool.Get().(*batchChunk)
+		_, err = bc.analyze(ctx, cfg, method, ps, out)
+		chunkPool.Put(bc)
 	} else {
-		est, err = pr.solve(ctx, &p, cfg, method, &tl)
+		_, err = evaluateCells(ctx, cfg, method, ps, out)
 	}
-	tl.Flush(ctx)
 	if err != nil {
 		return Result{}, err
 	}
-	return pr.result(&p, cfg, method, est), nil
-}
-
-// solve is AnalyzeCtx for the exact methods: prep, then one chain solve
-// or one exact recurrence, then the usability guard.
-func (pr *analysisPrep) solve(ctx context.Context, p *params.Parameters, cfg Config, method Method, tl *rebuild.Tally) (Estimate, error) {
-	if err := analyzePrep(pr, p, cfg, tl); err != nil {
-		return Estimate{}, err
-	}
-	k, nir := pr.k, cfg.Internal == InternalNone
-	var mttdl float64
-	switch {
-	case method == MethodExactChain:
-		_, fsp := obs.StartSpan(ctx, "chain.freeze")
-		var ch *markov.Chain
-		if nir {
-			r := model.AcquireNIRRefiller(pr.nir, k)
-			defer r.Release()
-			ch = r.Chain()
-		} else {
-			r := model.AcquireIRRefiller(pr.ir, k)
-			defer r.Release()
-			ch = r.Chain()
-		}
-		fsp.End()
-		var err error
-		if mttdl, err = markov.MTTA(ctx, ch); err != nil {
-			return Estimate{}, chainSolveError(nir, err)
-		}
-	case method == MethodExactStable && nir:
-		mttdl = closedform.NIRMTTDLRecursive(pr.nir, k)
-	case method == MethodExactStable:
-		mttdl = closedform.IRMTTDLExact(pr.ir, k)
-	default:
-		return Estimate{}, fmt.Errorf("core: unknown method %d", int(method))
-	}
-	return estimate(p, cfg, mttdl)
+	return out[0], nil
 }
 
 // Estimate is one analysis's headline figures: what the design-space
@@ -159,39 +116,47 @@ type Estimate struct {
 }
 
 // ClosedForm is the paper's closed-form evaluation of (p, cfg) — the
-// one the MethodClosedForm branch of AnalyzeCtx runs, with the same
-// validation, the same geometry checks and error messages, and the same
-// floats — without building a Result: p is read through a pointer and
-// nothing is copied but the model inputs. Its rate computation is held
-// in tl (rebuild.Tally) for the caller to flush, so a caller evaluating
-// a block of candidates records the block once. Up to fault tolerance
-// 6 it does not allocate unless it fails.
+// one a MethodClosedForm analysis runs, with the same validation, the
+// same geometry checks and error messages, and the same floats —
+// without building a Result: p is read through a pointer and nothing is
+// copied but the model inputs. Its rate computation is held in tl
+// (rebuild.Tally) for the caller to flush, so a caller evaluating a
+// block of candidates records the block once. Up to fault tolerance 6
+// it does not allocate unless it fails.
 func ClosedForm(p *params.Parameters, cfg Config, tl *rebuild.Tally) (Estimate, error) {
 	var pr analysisPrep
-	return pr.closedForm(p, cfg, tl)
+	return pr.evaluate(p, cfg, MethodClosedForm, tl)
 }
 
-// closedForm is ClosedForm leaving the prepared inputs in pr for
-// AnalyzeCtx's Result.
-func (pr *analysisPrep) closedForm(p *params.Parameters, cfg Config, tl *rebuild.Tally) (Estimate, error) {
+// evaluate is one analysis by a method without a chain: prep, then the
+// closed form or the cancellation-free recursion, then the usability
+// guard, leaving the prepared inputs in pr for the Result.
+func (pr *analysisPrep) evaluate(p *params.Parameters, cfg Config, method Method, tl *rebuild.Tally) (Estimate, error) {
 	if err := analyzePrep(pr, p, cfg, tl); err != nil {
 		return Estimate{}, err
 	}
+	nir := cfg.Internal == InternalNone
 	var mttdl float64
-	if cfg.Internal == InternalNone {
+	switch {
+	case method == MethodClosedForm && nir:
 		mttdl = closedform.NIRMTTDLGeneral(pr.nir, pr.k)
-	} else {
+	case method == MethodClosedForm:
 		mttdl = closedform.IRMTTDL(pr.ir, pr.k)
+	case method == MethodExactStable && nir:
+		mttdl = closedform.NIRMTTDLRecursive(pr.nir, pr.k)
+	case method == MethodExactStable:
+		mttdl = closedform.IRMTTDLExact(pr.ir, pr.k)
+	default:
+		return Estimate{}, fmt.Errorf("core: unknown method %d", int(method))
 	}
 	return estimate(p, cfg, mttdl)
 }
 
 // analysisPrep is the solver-independent half of one analysis: the
 // computed repair and internal-array rates and the model inputs of the
-// configuration's chain family. AnalyzeCtx pairs it with one closed
-// form, chain build or recurrence; the batched sweep engine prepares a
-// whole chunk of these, then solves the chunk through one
-// markov.BatchSolver.
+// configuration's chain family. A closed-form or exact-stable cell pairs
+// it with one closed form or recurrence; an exact-chain chunk prepares
+// one per cell, then solves the chunk through one markov.BatchSolver.
 type analysisPrep struct {
 	k                                 int
 	rates                             rebuild.Rates
@@ -201,9 +166,9 @@ type analysisPrep struct {
 }
 
 // analyzePrep validates (p, cfg) and computes everything upstream of the
-// MTTDL solve into pr, in the exact order AnalyzeCtx always has, so error
-// messages and float results are unchanged. It fills pr in place (the
-// batched engine's chunk slots are reused cell after cell), setting the
+// MTTDL solve into pr, in one fixed order, so error messages and float
+// results are the same on every route. It fills pr in place (the
+// engine's chunk slots are reused cell after cell), setting the
 // inputs of cfg's chain family only; on error pr is unspecified. The
 // rate computation is tallied in tl.
 func analyzePrep(pr *analysisPrep, p *params.Parameters, cfg Config, tl *rebuild.Tally) error {
@@ -315,23 +280,21 @@ func logicalCapacityPB(p *params.Parameters, cfg Config) float64 {
 	return p.RawSystemBytes() * (r - t) / r * (d - m) / d * p.CapacityUtilization / params.PB
 }
 
-// AnalyzeAll runs AnalyzeCtx for each configuration, preserving order.
-// The configurations are analyzed on a pool of workers goroutines (0 =
-// runtime.NumCPU(); see RunIndexed); results and first-error semantics
-// are identical to the serial loop at any worker count. The context is
-// polled between configurations, so a cancelled call stops within one
-// analysis and returns ctx.Err().
+// AnalyzeAll analyzes p under each configuration, preserving order: one
+// engine chunk per configuration (AnalyzeRanges), fanned over a pool of
+// workers goroutines (0 = runtime.NumCPU()); results and first-error
+// semantics are identical to the serial loop at any worker count. The
+// context is polled between configurations, so a cancelled call stops
+// within one analysis and returns ctx.Err().
 func AnalyzeAll(ctx context.Context, p params.Parameters, cfgs []Config, method Method, workers int) ([]Result, error) {
 	out := make([]Result, len(cfgs))
-	err := RunIndexed(ctx, len(cfgs), workers, func(i int) error {
-		r, err := AnalyzeCtx(ctx, p, cfgs[i], method)
-		if err != nil {
-			return fmt.Errorf("core: %v: %w", cfgs[i], err)
-		}
-		out[i] = r
-		return nil
-	})
+	_, col, err := AnalyzeRanges(ctx, method, columns(cfgs, 1), workers,
+		func(_, _ int, q *params.Parameters) { *q = p },
+		func(ch CellRange, res []Result) { out[ch.Col] = res[0] })
 	if err != nil {
+		if col >= 0 {
+			err = fmt.Errorf("core: %v: %w", cfgs[col], err)
+		}
 		return nil, err
 	}
 	return out, nil

@@ -140,7 +140,7 @@ func TestExposureErrors(t *testing.T) {
 func TestElasticitiesBaselineFT2IR5(t *testing.T) {
 	p := params.Baseline()
 	cfg := Config{Internal: InternalRAID5, NodeFaultTolerance: 2}
-	es, err := Elasticities(context.Background(), p, cfg, MethodClosedForm, 0, 0)
+	es, err := Elasticities(context.Background(), p, cfg, MethodClosedForm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestElasticitiesBaselineFT2IR5(t *testing.T) {
 
 func TestElasticitiesNIRDriveMTTFMatters(t *testing.T) {
 	p := params.Baseline()
-	es, err := Elasticities(context.Background(), p, Config{Internal: InternalNone, NodeFaultTolerance: 2}, MethodClosedForm, 0, 0)
+	es, err := Elasticities(context.Background(), p, Config{Internal: InternalNone, NodeFaultTolerance: 2}, MethodClosedForm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestElasticitiesStepValidation(t *testing.T) {
 	p := params.Baseline()
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
 	for _, step := range []float64{-0.1, 0.5, 0.9} {
-		if _, err := Elasticities(context.Background(), p, cfg, MethodClosedForm, step, 0); err == nil {
+		if _, err := Elasticities(context.Background(), p, cfg, MethodClosedForm, step); err == nil {
 			t.Errorf("step %v accepted", step)
 		}
 	}
@@ -206,11 +206,11 @@ func TestElasticitiesSymmetricStepsAgree(t *testing.T) {
 	// regions: 0.5% and 2% steps must agree closely.
 	p := params.Baseline()
 	cfg := Config{Internal: InternalRAID5, NodeFaultTolerance: 2}
-	a, err := Elasticities(context.Background(), p, cfg, MethodClosedForm, 0.005, 0)
+	a, err := Elasticities(context.Background(), p, cfg, MethodClosedForm, 0.005)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Elasticities(context.Background(), p, cfg, MethodClosedForm, 0.02, 0)
+	b, err := Elasticities(context.Background(), p, cfg, MethodClosedForm, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/markov"
@@ -12,86 +13,201 @@ import (
 	"repro/internal/rebuild"
 )
 
-// Batched exact-chain sweeps. Profiling a MethodExactChain grid shows
-// the per-cell cost dominated by chain construction — label strings,
-// name-map lookups, allocation — not by the linear solve. The batch
-// engine removes all of it from the cell loop: a sweep chunk is a
-// run of consecutive x values for ONE configuration, whose chains all
+// The analysis engine. Every analysis — one AnalyzeCtx call, a
+// configuration list, a sweep grid, an elasticity stencil, the
+// optimizer's confirmation of its survivors — is a grid of cells, each
+// a parameter set under a configuration, and runs here in chunks: runs
+// of cells that share ONE configuration. On the exact chain such cells
 // share one frozen topology (the model builders' state/edge sets are
-// functions of the fault tolerance alone, never of the swept
-// parameters). Each chunk binds that topology into a structure-of-arrays
+// functions of the fault tolerance alone, never of the parameters), so
+// a chunk binds that topology into a structure-of-arrays
 // markov.BatchSolver once, emits rates per cell through the compiled
 // string-free model refillers straight into the solver's value slab
 // (one validating fill pass, no chain in between), and runs
 // Refactor+Solve per cell — zero per-cell allocation, with spans and
-// metric observations amortized to one per chunk.
+// metric observations amortized to one per chunk. Closed-form and
+// exact-stable cells have no chain to amortize: a chunk evaluates them
+// one after another and binds no solver.
 //
-// Results are bitwise identical to AnalyzeCtx on each cell at any
-// worker count and any chunk size: refills, matrix assembly, routing and
-// the solves themselves reproduce the per-call float operations exactly
-// (enforced by tests at every layer). Methods other than
-// MethodExactChain never batch — their per-cell cost has no chain to
-// amortize.
+// Results do not depend on the chunk size or the worker count: every
+// cell is a pure function of its inputs written to its caller's slot,
+// and a failure is reported for the lowest failing cell, with the error
+// the cell reports on its own.
 
-// chunkCells is the sweep chunk size: big enough to amortize binding
-// and span bookkeeping to noise, small enough that streaming sweeps
-// produce their first points promptly and cancellation lands within a
-// fraction of a second.
+// chunkCells is the chunk size: big enough to amortize binding and span
+// bookkeeping to noise, small enough that streaming sweeps produce
+// their first points promptly and cancellation lands within a fraction
+// of a second.
 const chunkCells = 256
 
-// batchChunk is one worker's reusable chunk state: a bound batch solver
-// (whose symbolic-factorization cache survives across chunks), the prep
-// slots for up to one chunk of cells, and a sweep chunk's parameter and
-// result slots.
+// CellRange is rows [Lo, Hi) of column Col of a caller's cell grid,
+// every cell analyzed under configuration Cfg. Cells are ordered by
+// row, then column: that order decides which failure is reported.
+type CellRange struct {
+	Cfg         Config
+	Col, Lo, Hi int
+}
+
+// columns returns one range of rows cells per configuration: column ci
+// under cfgs[ci].
+func columns(cfgs []Config, rows int) []CellRange {
+	ranges := make([]CellRange, len(cfgs))
+	for ci, cfg := range cfgs {
+		ranges[ci] = CellRange{Cfg: cfg, Col: ci, Hi: rows}
+	}
+	return ranges
+}
+
+// AnalyzeRanges is the analysis engine's entry: it analyzes every cell
+// of ranges with method, split into chunks of at most chunkCells rows
+// fanned over a pool of workers goroutines (0 = runtime.NumCPU(); see
+// RunIndexed). Per chunk, cell(row, col, p) sets each cell's parameters
+// into p, and when every cell of the chunk succeeded done receives the
+// chunk's range and its results in row order; done runs concurrently
+// for distinct chunks and must write only that chunk's slots.
+//
+// On failure it returns the lowest failing cell's row and column and
+// exactly the error AnalyzeCtx reports for that cell; chunks lying
+// wholly past a recorded failure are skipped. On cancellation it
+// returns (-1, -1, ctx.Err()) unless a cell failed first.
+func AnalyzeRanges(ctx context.Context, method Method, ranges []CellRange, workers int, cell func(row, col int, p *params.Parameters), done func(chunk CellRange, res []Result)) (row, col int, err error) {
+	return analyzeRanges(ctx, method, ranges, workers, chunkCells, cell, done)
+}
+
+// analyzeRanges is AnalyzeRanges with chunks of at most size rows.
+func analyzeRanges(ctx context.Context, method Method, ranges []CellRange, workers, size int, cell func(row, col int, p *params.Parameters), done func(CellRange, []Result)) (int, int, error) {
+	chunks := splitRanges(ranges, workers, size)
+	var (
+		mu                 sync.Mutex
+		firstRow, firstCol int
+		firstErr           error
+	)
+	// past reports whether cell (row, col) lies after the recorded first
+	// failure. Caller holds mu.
+	past := func(row, col int) bool {
+		return firstErr != nil && (row > firstRow || row == firstRow && col > firstCol)
+	}
+	err := RunIndexed(ctx, len(chunks), workers, func(k int) error {
+		ch := chunks[k]
+		mu.Lock()
+		skip := past(ch.Lo, ch.Col)
+		mu.Unlock()
+		if skip {
+			// Nothing this chunk could do would change the outcome.
+			return nil
+		}
+		bc := chunkPool.Get().(*batchChunk)
+		defer chunkPool.Put(bc)
+		ps, res := bc.slots(ch.Hi - ch.Lo)
+		for i := range ps {
+			cell(ch.Lo+i, ch.Col, &ps[i])
+		}
+		i, err := bc.analyze(ctx, ch.Cfg, method, ps, res)
+		switch {
+		case err == nil:
+			done(ch, res)
+		case i < 0:
+			return err // cancellation: propagate as-is
+		default:
+			mu.Lock()
+			if row := ch.Lo + i; !past(row, ch.Col) {
+				firstRow, firstCol, firstErr = row, ch.Col, err
+			}
+			mu.Unlock()
+		}
+		return nil
+	})
+	if firstErr != nil {
+		return firstRow, firstCol, firstErr
+	}
+	return -1, -1, err
+}
+
+// splitRanges splits ranges into chunks of at most size rows, in claim
+// order: by first row, then by descending chain size (chainStates),
+// ties in range order. Rows first lets a streaming sweep's emission
+// frontier advance as fast as possible; heaviest first within a block
+// of rows starts the longest chunks early, so the short ones fill in
+// around them instead of a long one running alone at the end. When
+// there are fewer ranges than workers, chunks shrink until every worker
+// gets one.
+func splitRanges(ranges []CellRange, workers, size int) []CellRange {
+	if len(ranges) == 0 {
+		return nil
+	}
+	want := (poolSize(workers) + len(ranges) - 1) / len(ranges)
+	var chunks []CellRange
+	for _, r := range ranges {
+		n := max(1, min(size, (r.Hi-r.Lo+want-1)/want))
+		for lo := r.Lo; lo < r.Hi; lo += n {
+			chunks = append(chunks, CellRange{Cfg: r.Cfg, Col: r.Col, Lo: lo, Hi: min(lo+n, r.Hi)})
+		}
+	}
+	slices.SortStableFunc(chunks, func(a, b CellRange) int {
+		if c := cmp.Compare(a.Lo, b.Lo); c != 0 {
+			return c
+		}
+		return cmp.Compare(chainStates(b.Cfg), chainStates(a.Cfg))
+	})
+	return chunks
+}
+
+// chainStates is the size of cfg's exact chain, the measure of a
+// chunk's cost: 2^(k+1) states without internal RAID, k+2 with it.
+func chainStates(cfg Config) float64 {
+	k := cfg.NodeFaultTolerance
+	if cfg.Internal == InternalNone {
+		return math.Ldexp(1, k+1)
+	}
+	return float64(k + 2)
+}
+
+// batchChunk is one chunk's reusable state: the cells' parameter and
+// result slots and the prep slots of an exact-chain chunk.
 type batchChunk struct {
-	bs    *markov.BatchSolver
 	preps []analysisPrep
 	ps    []params.Parameters
 	res   []Result
 }
 
-var chunkPool = sync.Pool{
-	New: func() any { return &batchChunk{bs: markov.AcquireBatchSolver()} },
-}
+var chunkPool = sync.Pool{New: func() any { return new(batchChunk) }}
 
-// AnalyzeChainBatchCtx analyzes every parameter set in ps under one
-// fixed configuration with MethodExactChain, batching all cells through
-// a single bound markov.BatchSolver: the cells share one frozen chain
-// topology (guaranteed structurally — the model builders' state/edge
-// sets are functions of the fault tolerance alone, never of the
-// parameters), one CSR pattern and one symbolic factorization. This is
-// the sweep engine's chunk body exposed for callers whose cells vary
-// many parameters at once (the design-space optimizer in internal/plan)
-// instead of one swept knob.
-//
-// out[i] receives ps[i]'s Result; every result is bit-identical to
-// AnalyzeCtx(ctx, ps[i], cfg, MethodExactChain). On failure the return
-// is the index of the lowest failing cell and exactly the error
-// AnalyzeCtx would have reported for it; on cancellation it is
-// (-1, ctx.Err()). len(out) must be at least len(ps).
-func AnalyzeChainBatchCtx(ctx context.Context, cfg Config, ps []params.Parameters, out []Result) (int, error) {
-	if len(ps) == 0 {
-		return -1, nil
+// slots returns n parameter and result slots, grown to the largest
+// chunk the state has served.
+func (bc *batchChunk) slots(n int) ([]params.Parameters, []Result) {
+	if cap(bc.ps) < n {
+		bc.ps, bc.res = make([]params.Parameters, n), make([]Result, n)
 	}
-	bc := chunkPool.Get().(*batchChunk)
-	defer chunkPool.Put(bc)
-	return bc.analyze(ctx, cfg, ps, out)
+	return bc.ps[:n], bc.res[:n]
 }
 
-// analyze is the one chunk body: per cell, prep into the chunk's slot
-// and the refiller's emitted rates straight into the solver's slab
-// (FillRates validates them), stopping at the first failing fill; then
-// one Refactor+Solve+estimate pass over the filled cells. A solve failure at cell i < the failing fill outranks the fill failure
-// — it is the earlier cell, which is what a serial per-cell loop would
-// have reported. A chunk with no filled cell opens no chunk span and
+// analyze is the one chunk body: it analyzes ps under cfg with method
+// into out. On failure it returns the index of the lowest failing cell
+// and exactly the error that cell reports on its own; on cancellation
+// (-1, ctx.Err()).
+//
+// Exact-chain cells: bind the chunk's topology into a pooled solver,
+// then per cell, prep into the chunk's slot and the refiller's emitted
+// rates straight into the solver's slab (FillRates
+// validates them), stopping at the first failing fill; then one
+// Refactor+Solve+estimate pass over the filled cells. A solve failure
+// at cell i < the failing fill outranks the fill failure — it is the
+// earlier cell. A chunk with no filled cell opens no chunk span and
 // records no chunk.
-func (bc *batchChunk) analyze(ctx context.Context, cfg Config, ps []params.Parameters, out []Result) (int, error) {
+func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps []params.Parameters, out []Result) (int, error) {
+	if method != MethodExactChain {
+		return evaluateCells(ctx, cfg, method, ps, out)
+	}
 	if cap(bc.preps) < len(ps) {
 		bc.preps = make([]analysisPrep, len(ps))
 	} else {
 		bc.preps = bc.preps[:len(ps)]
 	}
-	bs := bc.bs
+	// The solver comes from markov's free list, which hands out the most
+	// recently released solver — the one whose symbolic-factorization
+	// cache is warmest — on any goroutine, and survives collection.
+	bs := markov.AcquireBatchSolver()
+	defer markov.ReleaseBatchSolver(bs)
 	isNIR := cfg.Internal == InternalNone
 
 	var (
@@ -179,137 +295,25 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, ps []params.Param
 	return -1, nil
 }
 
-// sweepBatch runs a MethodExactChain grid through batch solves of at
-// most chunk cells. Chunks are (configuration, x-range) slices of the
-// grid, fanned across the bounded worker pool; chunk claiming is
-// ordered by x block first so a streaming sweep's emission frontier
-// advances as fast as possible, and within an x block by descending
-// chain size (chunkSpecs), so the longest chunks start first and the
-// short ones fill in around them instead of a long one running alone at
-// the end of the block. The reported error is that of the lowest
-// failing grid cell (x order, then configuration order) — the one a
-// serial loop over AnalyzeCtx would report — with the same message.
-func sweepBatch(ctx context.Context, base params.Parameters, cfgs []Config, xs []float64, apply func(*params.Parameters, float64), workers int, out []SweepPoint, tr *pointTracker, chunk int) error {
-	nx, ncfg := len(xs), len(cfgs)
-	// When the worker pool would otherwise idle (few, long chunks),
-	// shrink chunks so every worker gets one; chunk size never affects
-	// results, only scheduling.
-	if want := (poolSize(workers) + ncfg - 1) / ncfg; want > 1 {
-		if spread := (nx + want - 1) / want; spread < chunk {
-			chunk = spread
-		}
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-
-	specs := chunkSpecs(cfgs, nx, chunk)
-
-	// First-error reduction across chunks, by global grid-cell index
-	// (xi*ncfg + ci), mirroring RunIndexed's lowest-index guarantee.
+// evaluateCells is the chunk body of the methods without a chain: per
+// cell, prep, then the closed form or the recursion, then the usability
+// guard, stopping at the first failing cell. It binds no solver, so it
+// needs no chunk state, and it allocates nothing unless a cell fails.
+func evaluateCells(ctx context.Context, cfg Config, method Method, ps []params.Parameters, out []Result) (int, error) {
 	var (
-		mu        sync.Mutex
-		firstCell = nx * ncfg
-		firstErr  error
+		pr analysisPrep
+		tl rebuild.Tally
 	)
-	record := func(cell int, err error) {
-		mu.Lock()
-		if cell < firstCell {
-			firstCell = cell
-			firstErr = err
+	defer tl.Flush(ctx)
+	for i := range ps {
+		if err := ctx.Err(); err != nil {
+			return -1, err
 		}
-		mu.Unlock()
-	}
-
-	rerr := RunIndexed(ctx, len(specs), workers, func(si int) error {
-		sp := specs[si]
-		mu.Lock()
-		skip := sp.lo*ncfg+sp.ci > firstCell
-		mu.Unlock()
-		if skip {
-			// Every cell in this chunk is past the recorded first
-			// failure; nothing it could do would change the outcome.
-			return nil
-		}
-		cell, err := runBatchChunk(ctx, base, cfgs[sp.ci], xs[sp.lo:sp.hi], apply, out[sp.lo:sp.hi], sp.ci)
+		est, err := pr.evaluate(&ps[i], cfg, method, &tl)
 		if err != nil {
-			if cell < 0 {
-				return err // context cancellation: propagate as-is
-			}
-			record((sp.lo+cell)*ncfg+sp.ci, err)
-			return nil
+			return i, err
 		}
-		tr.chunkDone(sp.lo, sp.hi)
-		return nil
-	})
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return rerr
-}
-
-// chunkSpec is one sweep chunk: configuration ci over points [lo, hi).
-type chunkSpec struct{ ci, lo, hi int }
-
-// chunkSpecs splits an nx-point sweep over cfgs into chunks of at most
-// chunk points, in claim order: x block by x block, and within a block
-// by descending chainStates, ties in configuration order.
-func chunkSpecs(cfgs []Config, nx, chunk int) []chunkSpec {
-	claim := make([]int, len(cfgs))
-	for ci := range claim {
-		claim[ci] = ci
-	}
-	sort.SliceStable(claim, func(a, b int) bool {
-		return chainStates(cfgs[claim[a]]) > chainStates(cfgs[claim[b]])
-	})
-	specs := make([]chunkSpec, 0, len(cfgs)*((nx+chunk-1)/chunk))
-	for lo := 0; lo < nx; lo += chunk {
-		hi := min(lo+chunk, nx)
-		for _, ci := range claim {
-			specs = append(specs, chunkSpec{ci: ci, lo: lo, hi: hi})
-		}
-	}
-	return specs
-}
-
-// chainStates is the size of cfg's exact chain, the measure of a sweep
-// chunk's cost: 2^(k+1) states without internal RAID, k+2 with it.
-func chainStates(cfg Config) float64 {
-	k := cfg.NodeFaultTolerance
-	if cfg.Internal == InternalNone {
-		return math.Ldexp(1, k+1)
-	}
-	return float64(k + 2)
-}
-
-// runBatchChunk analyzes one configuration across a run of consecutive
-// sweep points through the shared chunk body, wrapping a failing cell's
-// error with its sweep position. On a cell failure it returns that
-// cell's chunk-local index; on cancellation (-1, ctx.Err()). Results
-// land in pts[i].Results[ci] only when the whole chunk succeeds.
-func runBatchChunk(ctx context.Context, base params.Parameters, cfg Config, xs []float64, apply func(*params.Parameters, float64), pts []SweepPoint, ci int) (int, error) {
-	bc := chunkPool.Get().(*batchChunk)
-	defer chunkPool.Put(bc)
-	bc.ps = bc.ps[:0]
-	for _, x := range xs {
-		bc.ps = append(bc.ps, base)
-		apply(&bc.ps[len(bc.ps)-1], x)
-	}
-	if cap(bc.res) < len(xs) {
-		bc.res = make([]Result, len(xs))
-	}
-	res := bc.res[:len(xs)]
-	if cell, err := bc.analyze(ctx, cfg, bc.ps, res); err != nil {
-		if cell >= 0 {
-			err = sweepCellError(xs[cell], cfg, err)
-		}
-		return cell, err
-	}
-	for i := range res {
-		pts[i].Results[ci] = res[i]
+		out[i] = pr.result(&ps[i], cfg, method, est)
 	}
 	return -1, nil
 }

@@ -9,14 +9,17 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/closedform"
+	"repro/internal/markov"
 	"repro/internal/obs"
 	"repro/internal/params"
+	"repro/internal/rebuild"
 )
 
-// sweepChunked runs a buffered exact-chain sweep on workers goroutines
-// in chunks of at most chunk cells.
-func sweepChunked(p params.Parameters, cfgs []Config, xs []float64, apply func(*params.Parameters, float64), workers, chunk int) ([]SweepPoint, error) {
-	return sweep(context.Background(), p, cfgs, MethodExactChain, xs, apply, workers, nil, chunk)
+// sweepChunked runs a buffered sweep on workers goroutines in chunks of
+// at most chunk cells.
+func sweepChunked(p params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers, chunk int) ([]SweepPoint, error) {
+	return sweep(context.Background(), p, cfgs, method, xs, apply, workers, nil, chunk)
 }
 
 // meteredCtx returns a context whose span folds into reg — the shape a
@@ -28,18 +31,60 @@ func meteredCtx(reg *obs.Registry) (context.Context, func()) {
 	return ctx, root.End
 }
 
-// perCellSweep is the reference the batch engine must reproduce: a
-// serial loop of AnalyzeCtx over the grid in sweep order (x, then
-// configuration), reporting the first failing cell's error with its
-// sweep position.
-func perCellSweep(p params.Parameters, cfgs []Config, xs []float64, apply func(*params.Parameters, float64)) ([]SweepPoint, error) {
+// referenceAnalyze is the reference the engine must reproduce, built
+// without it: the shared prep, then a freshly built chain solved by the
+// per-call markov.MTTA for the exact chain, or a direct closedform call
+// for the other methods, then the usability guard.
+func referenceAnalyze(p params.Parameters, cfg Config, method Method) (Result, error) {
+	var (
+		pr analysisPrep
+		tl rebuild.Tally
+	)
+	if err := analyzePrep(&pr, &p, cfg, &tl); err != nil {
+		return Result{}, err
+	}
+	nir := cfg.Internal == InternalNone
+	var mttdl float64
+	switch {
+	case method == MethodExactChain:
+		ch, err := Chain(p, cfg)
+		if err != nil {
+			return Result{}, err
+		}
+		if mttdl, err = markov.MTTA(context.Background(), ch); err != nil {
+			family := "IR"
+			if nir {
+				family = "NIR"
+			}
+			return Result{}, fmt.Errorf("core: solving %s chain: %w", family, err)
+		}
+	case method == MethodClosedForm && nir:
+		mttdl = closedform.NIRMTTDLGeneral(pr.nir, pr.k)
+	case method == MethodClosedForm:
+		mttdl = closedform.IRMTTDL(pr.ir, pr.k)
+	case method == MethodExactStable && nir:
+		mttdl = closedform.NIRMTTDLRecursive(pr.nir, pr.k)
+	default:
+		mttdl = closedform.IRMTTDLExact(pr.ir, pr.k)
+	}
+	est, err := estimate(&p, cfg, mttdl)
+	if err != nil {
+		return Result{}, err
+	}
+	return pr.result(&p, cfg, method, est), nil
+}
+
+// perCellSweep is the reference sweep: a serial loop of referenceAnalyze
+// over the grid in sweep order (x, then configuration), reporting the
+// first failing cell's error with its sweep position.
+func perCellSweep(p params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64)) ([]SweepPoint, error) {
 	out := make([]SweepPoint, len(xs))
 	for i, x := range xs {
 		out[i] = SweepPoint{X: x, Results: make([]Result, len(cfgs))}
 		q := p
 		apply(&q, x)
 		for ci, cfg := range cfgs {
-			r, err := AnalyzeCtx(context.Background(), q, cfg, MethodExactChain)
+			r, err := referenceAnalyze(q, cfg, method)
 			if err != nil {
 				return nil, sweepCellError(x, cfg, err)
 			}
@@ -49,8 +94,8 @@ func perCellSweep(p params.Parameters, cfgs []Config, xs []float64, apply func(*
 	return out, nil
 }
 
-// The batch engine's acceptance gate: an exact-chain sweep through the
-// batched path is bitwise identical to per-cell analysis, at every
+// The engine's acceptance gate: a sweep through the engine's chunks is
+// bitwise identical to the per-cell reference for every method, at every
 // worker count and chunk size.
 func TestSweepBatchMatchesPerCellBitwise(t *testing.T) {
 	p := params.Baseline()
@@ -61,18 +106,20 @@ func TestSweepBatchMatchesPerCellBitwise(t *testing.T) {
 	}
 	apply := func(p *params.Parameters, x float64) { p.NodeMTTFHours = x }
 
-	ref, err := perCellSweep(p, cfgs, xs, apply)
-	if err != nil {
-		t.Fatalf("per-cell sweep: %v", err)
-	}
-	for _, w := range []int{1, 3, runtime.NumCPU()} {
-		for _, bc := range []int{chunkCells, 1, 5, 1024} {
-			got, err := sweepChunked(p, cfgs, xs, apply, w, bc)
-			if err != nil {
-				t.Fatalf("workers=%d batch=%d sweep: %v", w, bc, err)
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("workers=%d batch=%d sweep differs from per-cell path", w, bc)
+	for _, m := range []Method{MethodExactChain, MethodClosedForm, MethodExactStable} {
+		ref, err := perCellSweep(p, cfgs, m, xs, apply)
+		if err != nil {
+			t.Fatalf("%v per-cell sweep: %v", m, err)
+		}
+		for _, w := range []int{1, 3, runtime.NumCPU()} {
+			for _, bc := range []int{chunkCells, 1, 5, 1024} {
+				got, err := sweepChunked(p, cfgs, m, xs, apply, w, bc)
+				if err != nil {
+					t.Fatalf("%v workers=%d batch=%d sweep: %v", m, w, bc, err)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%v workers=%d batch=%d sweep differs from per-cell path", m, w, bc)
+				}
 			}
 		}
 	}
@@ -89,12 +136,12 @@ func TestSweepErrorShapeBatchAndPerCell(t *testing.T) {
 	apply := func(p *params.Parameters, x float64) { p.NodeSetSize = int(x) }
 
 	var perCell, batch string
-	_, err := perCellSweep(p, cfgs, xs, apply)
+	_, err := perCellSweep(p, cfgs, MethodExactChain, xs, apply)
 	if err == nil {
 		t.Fatal("per-cell sweep unexpectedly succeeded")
 	}
 	perCell = err.Error()
-	_, err = sweepChunked(p, cfgs, xs, apply, 1, 2)
+	_, err = sweepChunked(p, cfgs, MethodExactChain, xs, apply, 1, 2)
 	if err == nil {
 		t.Fatal("batched sweep unexpectedly succeeded")
 	}
@@ -108,7 +155,7 @@ func TestSweepErrorShapeBatchAndPerCell(t *testing.T) {
 	// single package prefix.
 	bad := p
 	bad.NodeSetSize = 2
-	_, leaf := Analyze(bad, cfgs[0], MethodExactChain)
+	_, leaf := referenceAnalyze(bad, cfgs[0], MethodExactChain)
 	if leaf == nil {
 		t.Fatal("analysis of invalid geometry unexpectedly succeeded")
 	}
@@ -181,13 +228,13 @@ func TestSweepBatchMixedConfigsMatchesPerCellBitwise(t *testing.T) {
 	}
 	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
 
-	ref, err := perCellSweep(p, cfgs, xs, apply)
+	ref, err := perCellSweep(p, cfgs, MethodExactChain, xs, apply)
 	if err != nil {
 		t.Fatalf("per-cell sweep: %v", err)
 	}
 	for _, w := range []int{1, 2, 7} {
 		for _, bc := range []int{1, 3, 256} {
-			got, err := sweepChunked(p, cfgs, xs, apply, w, bc)
+			got, err := sweepChunked(p, cfgs, MethodExactChain, xs, apply, w, bc)
 			if err != nil {
 				t.Fatalf("workers=%d batch=%d sweep: %v", w, bc, err)
 			}
@@ -199,19 +246,34 @@ func TestSweepBatchMixedConfigsMatchesPerCellBitwise(t *testing.T) {
 }
 
 // Within each x block, chunks are claimed heaviest chain first, with
-// equal sizes in configuration order; blocks stay in x order.
+// equal sizes in configuration order; blocks stay in x order. Ranges at
+// different rows — the optimizer's topology groups — keep row order,
+// and fewer ranges than workers split finer.
 func TestChunkSpecsClaimOrder(t *testing.T) {
 	// mixedConfigs: 0 RAID5/ft1 (3 states), 1 RAID6/ft2 (4), 2 NIR/ft1
 	// (4), 3..8 NIR/ft2..ft7 (8..256).
+	cfgs := mixedConfigs()
 	order := []int{8, 7, 6, 5, 4, 3, 1, 2, 0}
-	var want []chunkSpec
+	var want []CellRange
 	for _, blk := range [][2]int{{0, 3}, {3, 5}} {
 		for _, ci := range order {
-			want = append(want, chunkSpec{ci: ci, lo: blk[0], hi: blk[1]})
+			want = append(want, CellRange{Cfg: cfgs[ci], Col: ci, Lo: blk[0], Hi: blk[1]})
 		}
 	}
-	if got := chunkSpecs(mixedConfigs(), 5, 3); !reflect.DeepEqual(got, want) {
-		t.Errorf("chunkSpecs = %v, want %v", got, want)
+	if got := splitRanges(columns(cfgs, 5), 1, 3); !reflect.DeepEqual(got, want) {
+		t.Errorf("splitRanges = %v, want %v", got, want)
+	}
+
+	light, heavy := cfgs[0], cfgs[8]
+	groups := []CellRange{{Cfg: light, Hi: 5}, {Cfg: heavy, Lo: 5, Hi: 7}}
+	want = []CellRange{{Cfg: light, Hi: 3}, {Cfg: light, Lo: 3, Hi: 5}, {Cfg: heavy, Lo: 5, Hi: 7}}
+	if got := splitRanges(groups, 1, 3); !reflect.DeepEqual(got, want) {
+		t.Errorf("splitRanges(groups) = %v, want %v", got, want)
+	}
+	// Four workers over two ranges: each range splits in two.
+	want = []CellRange{{Cfg: light, Hi: 3}, {Cfg: light, Lo: 3, Hi: 5}, {Cfg: heavy, Lo: 5, Hi: 6}, {Cfg: heavy, Lo: 6, Hi: 7}}
+	if got := splitRanges(groups, 4, 256); !reflect.DeepEqual(got, want) {
+		t.Errorf("splitRanges(groups, 4 workers) = %v, want %v", got, want)
 	}
 }
 
@@ -225,7 +287,7 @@ func TestSweepErrorMixedConfigsClaimOrder(t *testing.T) {
 	xs := []float64{12, 6, 2, 1, 4}
 	apply := func(p *params.Parameters, x float64) { p.DrivesPerNode = int(x) }
 
-	_, err := perCellSweep(p, cfgs, xs, apply)
+	_, err := perCellSweep(p, cfgs, MethodExactChain, xs, apply)
 	if err == nil {
 		t.Fatal("per-cell sweep unexpectedly succeeded")
 	}
@@ -236,7 +298,7 @@ func TestSweepErrorMixedConfigsClaimOrder(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, 7} {
 		for _, bc := range []int{1, 3, 256} {
-			_, err := sweepChunked(p, cfgs, xs, apply, w, bc)
+			_, err := sweepChunked(p, cfgs, MethodExactChain, xs, apply, w, bc)
 			if err == nil || err.Error() != perCell {
 				t.Errorf("workers=%d batch=%d error = %v, want %q", w, bc, err, perCell)
 			}
@@ -290,16 +352,20 @@ func TestSweepBatchAbsorptionMetrics(t *testing.T) {
 			t.Errorf("markov.absorption.last_residual = %v, want finite and small", res)
 		}
 
-		specs := chunkSpecs(cfgs, len(xs), chunk)
-		last := cfgs[specs[len(specs)-1].ci]
+		chunks := splitRanges(columns(cfgs, len(xs)), 1, chunk)
+		last := chunks[len(chunks)-1].Cfg
 		ref := obs.NewRegistry()
 		refCtx, end := meteredCtx(ref)
 		q := p
 		apply(&q, xs[len(xs)-1])
-		_, err = AnalyzeCtx(refCtx, q, last, MethodExactChain)
+		ch, err := Chain(q, last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = markov.MTTA(refCtx, ch)
 		end()
 		if err != nil {
-			t.Fatalf("per-cell analyze: %v", err)
+			t.Fatalf("per-call solve: %v", err)
 		}
 		if want := ref.Gauge("markov.absorption.last_residual").Value(); res != want {
 			t.Errorf("%v: batched last_residual = %v, per-cell solver reports %v", last, res, want)
@@ -351,7 +417,7 @@ func TestSweepEmptyChunkRecordsNothing(t *testing.T) {
 	cfgs := []Config{{Internal: InternalNone, NodeFaultTolerance: 2}}
 	xs := []float64{64, 48, 2, 64}
 	apply := func(p *params.Parameters, x float64) { p.NodeSetSize = int(x) }
-	_, want := perCellSweep(p, cfgs, xs, apply)
+	_, want := perCellSweep(p, cfgs, MethodExactChain, xs, apply)
 	if want == nil {
 		t.Fatal("per-cell sweep unexpectedly succeeded")
 	}
@@ -481,10 +547,20 @@ func TestSweepStreamNilEmit(t *testing.T) {
 	}
 }
 
-// AnalyzeChainBatchCtx is the optimizer's confirmation kernel: a slab of
-// parameter sets under one configuration must come back bit-identical to
-// the per-cell exact-chain path, for NIR and internal-RAID configs alike,
-// even when every parameter (not just one swept knob) varies per cell.
+// slabRanges runs ps under cfg through the engine as one range of rows
+// on workers goroutines in chunks of at most size cells, writing the
+// results of successful chunks into out.
+func slabRanges(ctx context.Context, cfg Config, method Method, ps []params.Parameters, out []Result, workers, size int) (int, int, error) {
+	return analyzeRanges(ctx, method, []CellRange{{Cfg: cfg, Hi: len(ps)}}, workers, size,
+		func(row, _ int, p *params.Parameters) { *p = ps[row] },
+		func(ch CellRange, res []Result) { copy(out[ch.Lo:ch.Hi], res) })
+}
+
+// The engine is the optimizer's confirmation kernel: a slab of
+// parameter sets under one configuration must come back bit-identical
+// to the per-cell reference, for NIR and internal-RAID configs and every
+// method alike, even when every parameter (not just one swept knob)
+// varies per cell.
 func TestAnalyzeChainBatchMatchesPerCellBitwise(t *testing.T) {
 	cfgs := []Config{
 		{Internal: InternalNone, NodeFaultTolerance: 2},
@@ -507,31 +583,33 @@ func TestAnalyzeChainBatchMatchesPerCellBitwise(t *testing.T) {
 					}
 				}
 			}
-			ref := make([]Result, len(ps))
-			for i, p := range ps {
-				r, err := AnalyzeCtx(context.Background(), p, cfg, MethodExactChain)
-				if err != nil {
-					t.Fatalf("per-cell analyze[%d]: %v", i, err)
+			for _, m := range []Method{MethodExactChain, MethodClosedForm, MethodExactStable} {
+				ref := make([]Result, len(ps))
+				for i, p := range ps {
+					r, err := referenceAnalyze(p, cfg, m)
+					if err != nil {
+						t.Fatalf("%v per-cell analyze[%d]: %v", m, i, err)
+					}
+					ref[i] = r
 				}
-				ref[i] = r
-			}
-			got := make([]Result, len(ps))
-			idx, err := AnalyzeChainBatchCtx(context.Background(), cfg, ps, got)
-			if err != nil {
-				t.Fatalf("batch analyze: cell %d: %v", idx, err)
-			}
-			if idx != -1 {
-				t.Fatalf("successful batch returned index %d, want -1", idx)
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Error("batched results differ from per-cell path")
+				got := make([]Result, len(ps))
+				row, col, err := slabRanges(context.Background(), cfg, m, ps, got, 2, 7)
+				if err != nil {
+					t.Fatalf("%v batch analyze: cell %d: %v", m, row, err)
+				}
+				if row != -1 || col != -1 {
+					t.Fatalf("%v successful batch returned cell (%d, %d), want (-1, -1)", m, row, col)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%v batched results differ from per-cell path", m)
+				}
 			}
 		})
 	}
 }
 
 // A bad cell mid-slab is reported with the per-cell path's exact error
-// and its index; earlier cells' results are already written.
+// and its row; the chunks before it have delivered their results.
 func TestAnalyzeChainBatchErrorMatchesPerCell(t *testing.T) {
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
 	ps := make([]params.Parameters, 5)
@@ -539,36 +617,57 @@ func TestAnalyzeChainBatchErrorMatchesPerCell(t *testing.T) {
 		ps[i] = params.Baseline()
 	}
 	ps[3].NodeSetSize = 2 // too small for ft 2
-	_, want := AnalyzeCtx(context.Background(), ps[3], cfg, MethodExactChain)
-	if want == nil {
-		t.Fatal("per-cell analysis of invalid geometry unexpectedly succeeded")
-	}
-	out := make([]Result, len(ps))
-	idx, err := AnalyzeChainBatchCtx(context.Background(), cfg, ps, out)
-	if idx != 3 {
-		t.Errorf("failing index = %d, want 3", idx)
-	}
-	if err == nil || err.Error() != want.Error() {
-		t.Errorf("batch error = %v, want %v", err, want)
-	}
-	ref, _ := AnalyzeCtx(context.Background(), ps[0], cfg, MethodExactChain)
-	if out[0] != ref {
-		t.Error("cell 0 result not written before the failing cell")
+	for _, m := range []Method{MethodExactChain, MethodClosedForm, MethodExactStable} {
+		_, want := referenceAnalyze(ps[3], cfg, m)
+		if want == nil {
+			t.Fatal("per-cell analysis of invalid geometry unexpectedly succeeded")
+		}
+		out := make([]Result, len(ps))
+		row, _, err := slabRanges(context.Background(), cfg, m, ps, out, 1, 2)
+		if row != 3 {
+			t.Errorf("%v failing row = %d, want 3", m, row)
+		}
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%v batch error = %v, want %v", m, err, want)
+		}
+		ref, _ := referenceAnalyze(ps[0], cfg, m)
+		if out[0] != ref {
+			t.Errorf("%v cell 0 result not delivered before the failing chunk", m)
+		}
 	}
 }
 
 // Empty input and cancelled contexts take the documented early exits.
 func TestAnalyzeChainBatchEdges(t *testing.T) {
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 1}
-	if idx, err := AnalyzeChainBatchCtx(context.Background(), cfg, nil, nil); idx != -1 || err != nil {
-		t.Errorf("empty batch = (%d, %v), want (-1, nil)", idx, err)
+	if row, col, err := slabRanges(context.Background(), cfg, MethodExactChain, nil, nil, 0, chunkCells); row != -1 || col != -1 || err != nil {
+		t.Errorf("empty batch = (%d, %d, %v), want (-1, -1, nil)", row, col, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ps := []params.Parameters{params.Baseline()}
 	out := make([]Result, 1)
-	if idx, err := AnalyzeChainBatchCtx(ctx, cfg, ps, out); idx != -1 || err != context.Canceled {
-		t.Errorf("cancelled batch = (%d, %v), want (-1, context.Canceled)", idx, err)
+	if row, col, err := slabRanges(ctx, cfg, MethodExactChain, ps, out, 0, chunkCells); row != -1 || col != -1 || err != context.Canceled {
+		t.Errorf("cancelled batch = (%d, %d, %v), want (-1, -1, context.Canceled)", row, col, err)
+	}
+}
+
+// A sweep over no configurations is an error for every method, buffered
+// or streamed — not a division by zero in the chunk split, nor a grid
+// whose points are never emitted.
+func TestSweepWithoutConfigs(t *testing.T) {
+	apply := func(p *params.Parameters, x float64) { p.NodeMTTFHours = x }
+	xs := []float64{1e5, 2e5}
+	for _, m := range []Method{MethodExactChain, MethodClosedForm, MethodExactStable} {
+		if pts, err := Sweep(context.Background(), params.Baseline(), nil, m, xs, apply, 0); err == nil {
+			t.Errorf("%v sweep without configurations = %d points, want an error", m, len(pts))
+		}
+		emitted := 0
+		_, err := SweepStream(context.Background(), params.Baseline(), nil, m, xs, apply, 0,
+			func(SweepPoint) error { emitted++; return nil })
+		if err == nil {
+			t.Errorf("%v stream without configurations succeeded after %d of %d emits, want an error", m, emitted, len(xs))
+		}
 	}
 }
 

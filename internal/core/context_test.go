@@ -81,7 +81,7 @@ func TestElasticitiesCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := Config{Internal: InternalRAID5, NodeFaultTolerance: 2}
-	_, err := Elasticities(ctx, params.Baseline(), cfg, MethodClosedForm, 0, 0)
+	_, err := Elasticities(ctx, params.Baseline(), cfg, MethodClosedForm, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Elasticities with cancelled context: err = %v, want context.Canceled", err)
 	}
@@ -93,7 +93,7 @@ func TestAdviseCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
-	advice, err := Advise(ctx, params.Baseline(), cfg, PaperTarget(), MethodClosedForm, 0)
+	advice, err := Advise(ctx, params.Baseline(), cfg, PaperTarget(), MethodClosedForm)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Advise with cancelled context: err = %v, want context.Canceled", err)
 	}
@@ -102,14 +102,15 @@ func TestAdviseCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// A traced exact-chain Elasticities call attributes every solve to the
-// caller's span: the base analysis plus two perturbed analyses for each
-// of the seven knobs is 15 "markov.solve" spans.
+// A traced exact-chain Elasticities call solves the base analysis and
+// the two perturbed analyses of each of the seven knobs as one chunk:
+// one "markov.batch" span of 15 cells under the caller's span, and no
+// per-call solve span.
 func TestElasticitiesTracesEverySolve(t *testing.T) {
 	tr := obs.NewTracer()
 	ctx, root := tr.Start(context.Background(), "caller")
 	cfg := Config{Internal: InternalRAID5, NodeFaultTolerance: 2}
-	if _, err := Elasticities(ctx, params.Baseline(), cfg, MethodExactChain, 0, 2); err != nil {
+	if _, err := Elasticities(ctx, params.Baseline(), cfg, MethodExactChain, 0); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -120,17 +121,22 @@ func TestElasticitiesTracesEverySolve(t *testing.T) {
 			rootID = sp.ID
 		}
 	}
-	var solves int
+	var batches int
 	for _, sp := range spans {
-		if sp.Name != "markov.solve" {
-			continue
-		}
-		solves++
-		if sp.Parent != rootID {
-			t.Errorf("markov.solve span %d has parent %d, want the caller's span %d", sp.ID, sp.Parent, rootID)
+		switch sp.Name {
+		case "markov.solve":
+			t.Errorf("per-call markov.solve span %d in a chunked Elasticities call", sp.ID)
+		case "markov.batch":
+			batches++
+			if sp.Parent != rootID {
+				t.Errorf("markov.batch span %d has parent %d, want the caller's span %d", sp.ID, sp.Parent, rootID)
+			}
+			if want := 1 + 2*len(elasticityKnobs()); sp.Attrs["cells"] != want {
+				t.Errorf("markov.batch cells = %v, want %d", sp.Attrs["cells"], want)
+			}
 		}
 	}
-	if want := 1 + 2*len(elasticityKnobs()); solves != want {
-		t.Errorf("markov.solve spans = %d, want %d", solves, want)
+	if batches != 1 {
+		t.Errorf("markov.batch spans = %d, want 1", batches)
 	}
 }

@@ -42,50 +42,48 @@ func elasticityKnobs() []elasticityKnob {
 // Elasticities computes central-difference log-log sensitivities of
 // events/PB-year to each continuously scalable parameter, holding the
 // configuration fixed. step is the relative perturbation (0 selects 1%).
-// The base analysis and the two perturbed analyses per knob all carry
-// ctx, so a traced call attributes every solve to the caller's span;
-// the knobs fan out on a pool of workers goroutines (0 =
-// runtime.NumCPU()) and the context is polled between knobs, so a
-// cancelled call stops within two analyses and returns ctx.Err().
-func Elasticities(ctx context.Context, p params.Parameters, cfg Config, method Method, step float64, workers int) ([]Elasticity, error) {
+// The base analysis and the two perturbed analyses per knob share the
+// configuration, so they run as one engine chunk on the calling
+// goroutine: a traced exact-chain call opens one "markov.batch" span
+// with cells=15 under the caller's span. The context is polled before
+// each analysis, so a cancelled call returns ctx.Err().
+func Elasticities(ctx context.Context, p params.Parameters, cfg Config, method Method, step float64) ([]Elasticity, error) {
 	if step == 0 {
 		step = 0.01
 	}
 	if step <= 0 || step >= 0.5 {
 		return nil, fmt.Errorf("core: elasticity step %v out of (0, 0.5)", step)
 	}
-	base, err := AnalyzeCtx(ctx, p, cfg, method)
+	// Row 0 is the base; rows 2i+1 and 2i+2 scale knob i up and down.
+	knobs := elasticityKnobs()
+	sign := [2]string{"-", "+"}
+	res := make([]Result, 1+2*len(knobs))
+	row, _, err := AnalyzeRanges(ctx, method, []CellRange{{Cfg: cfg, Hi: len(res)}}, 1,
+		func(row, _ int, q *params.Parameters) {
+			*q = p
+			switch {
+			case row == 0:
+			case row%2 == 1:
+				knobs[(row-1)/2].scale(q, 1+step)
+			default:
+				knobs[(row-1)/2].scale(q, 1-step)
+			}
+		},
+		func(_ CellRange, r []Result) { copy(res, r) })
 	if err != nil {
+		if row > 0 {
+			err = fmt.Errorf("core: elasticity of %s (%s): %w", knobs[(row-1)/2].name, sign[row%2], err)
+		}
 		return nil, err
 	}
-	if base.EventsPerPBYear <= 0 {
+	if res[0].EventsPerPBYear <= 0 {
 		return nil, fmt.Errorf("core: non-positive base metric")
 	}
-	// Each knob needs two independent analyses; fan the knobs across the
-	// worker pool (order-preserving, first-error by knob index).
-	knobs := elasticityKnobs()
 	out := make([]Elasticity, len(knobs))
-	err = RunIndexed(ctx, len(knobs), workers, func(i int) error {
-		knob := knobs[i]
-		up := p
-		knob.scale(&up, 1+step)
-		down := p
-		knob.scale(&down, 1-step)
-		rUp, err := AnalyzeCtx(ctx, up, cfg, method)
-		if err != nil {
-			return fmt.Errorf("core: elasticity of %s (+): %w", knob.name, err)
-		}
-		rDown, err := AnalyzeCtx(ctx, down, cfg, method)
-		if err != nil {
-			return fmt.Errorf("core: elasticity of %s (-): %w", knob.name, err)
-		}
-		e := (math.Log(rUp.EventsPerPBYear) - math.Log(rDown.EventsPerPBYear)) /
+	for i, knob := range knobs {
+		e := (math.Log(res[2*i+1].EventsPerPBYear) - math.Log(res[2*i+2].EventsPerPBYear)) /
 			(math.Log(1+step) - math.Log(1-step))
 		out[i] = Elasticity{Parameter: knob.name, Value: e}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

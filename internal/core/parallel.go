@@ -45,13 +45,14 @@ func ValidateWorkers(n int) error {
 
 // RunIndexed evaluates fn(0), …, fn(n-1) on a pool of workers goroutines
 // (0 = runtime.NumCPU(), never more than n) and returns the error of the
-// lowest failing index (nil if all succeed). It is the analysis layer's
-// one fan-out; internal/plan rides it for design-space searches. fn must
-// be safe to call concurrently and should write its result into a
-// caller-owned slot for index i; slots for indices at or above a failing
-// index may be left unwritten. Results are then identical at any worker
-// count. With one worker (or one item) it degenerates to the plain
-// serial loop, returning on the first error.
+// lowest failing index (nil if all succeed). It is the repository's one
+// worker pool: the analysis engine, the design-space enumeration and the
+// simulators' chunks all ride it. fn must be safe to call concurrently
+// and should write its result into a caller-owned slot for index i;
+// slots for indices at or above a failing index may be left unwritten.
+// Results are then identical at any worker count. With one worker (or
+// one item) it degenerates to the plain serial loop on the calling
+// goroutine, returning on the first error.
 //
 // The context is polled before each index is claimed (serial and
 // parallel paths alike), so work stops within one fn call of
@@ -61,11 +62,25 @@ func ValidateWorkers(n int) error {
 // never attempted. A negative worker count is rejected before any fn
 // call.
 func RunIndexed(ctx context.Context, n, workers int, fn func(i int) error) error {
+	return RunWorkers(ctx, n, workers, func() func(int) error { return fn })
+}
+
+// RunWorkers is RunIndexed with per-worker state: each pool goroutine
+// (the caller's own on the serial path) calls newWorker once, before
+// its first index, and runs every index it claims through the function
+// newWorker returned — so state built there, such as a simulator's RNG
+// or event queue, is reused across that worker's indices and never
+// shared. newWorker is not called when n is 0.
+func RunWorkers(ctx context.Context, n, workers int, newWorker func() func(i int) error) error {
 	if err := ValidateWorkers(workers); err != nil {
 		return err
 	}
+	if n == 0 {
+		return nil
+	}
 	workers = min(poolSize(workers), n)
 	if workers <= 1 {
+		fn := newWorker()
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -88,6 +103,7 @@ func RunIndexed(ctx context.Context, n, workers int, fn func(i int) error) error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			fn := newWorker()
 			for {
 				if ctx.Err() != nil {
 					return

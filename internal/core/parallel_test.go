@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -122,24 +123,35 @@ func TestAnalyzeAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestElasticitiesDeterministicAcrossWorkers(t *testing.T) {
+// Elasticities' one chunk reproduces the central differences of
+// independent per-cell analyses bit for bit.
+func TestElasticitiesMatchPerCellAnalyses(t *testing.T) {
 	t.Parallel()
 	p := params.Baseline()
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
-
-	var ref []Elasticity
-	var err error
-	ref, err = Elasticities(context.Background(), p, cfg, MethodExactChain, 0, 1)
-	if err != nil {
-		t.Fatalf("serial Elasticities: %v", err)
-	}
-	for _, w := range []int{2, 7} {
-		got, err := Elasticities(context.Background(), p, cfg, MethodExactChain, 0, w)
+	const step = 0.01
+	for _, m := range []Method{MethodExactChain, MethodClosedForm, MethodExactStable} {
+		got, err := Elasticities(context.Background(), p, cfg, m, step)
 		if err != nil {
-			t.Fatalf("workers=%d Elasticities: %v", w, err)
+			t.Fatalf("%v Elasticities: %v", m, err)
 		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("workers=%d Elasticities differ from serial", w)
+		for i, knob := range elasticityKnobs() {
+			up, down := p, p
+			knob.scale(&up, 1+step)
+			knob.scale(&down, 1-step)
+			rUp, err := referenceAnalyze(up, cfg, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rDown, err := referenceAnalyze(down, cfg, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := (math.Log(rUp.EventsPerPBYear) - math.Log(rDown.EventsPerPBYear)) /
+				(math.Log(1+step) - math.Log(1-step))
+			if got[i] != (Elasticity{Parameter: knob.name, Value: want}) {
+				t.Errorf("%v %s: elasticity %v, want %v", m, knob.name, got[i].Value, want)
+			}
 		}
 	}
 }

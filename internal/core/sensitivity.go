@@ -25,23 +25,22 @@ type SweepPoint struct {
 // of the paper's Section 7 sensitivity analyses. apply installs a value
 // into a copy of the base parameters.
 //
-// The (point, configuration) grid is analyzed on a pool of workers
-// goroutines (0 = runtime.NumCPU(); see RunIndexed). Each analysis is a
-// pure function written into its own output slot, so output order and
-// values are identical to the serial loop at any worker count; on
-// failure the error of the earliest grid cell (sweep order, then
-// configuration order) is returned, exactly as the serial loop would
-// have reported it. The context is polled before each grid cell, so a
-// cancelled sweep stops within one analysis and returns ctx.Err()
-// instead of a partial grid.
+// The (point, configuration) grid runs on the analysis engine
+// (AnalyzeRanges): each configuration's column of points is split into
+// chunks fanned over a pool of workers goroutines (0 = runtime.NumCPU();
+// see RunIndexed). Each analysis is a pure function written into its
+// own output slot, so output order and values are identical to a serial
+// loop at any worker count; on failure the error of the earliest grid
+// cell (sweep order, then configuration order) is returned, exactly as
+// the serial loop would have reported it. The context is polled before
+// each grid cell, so a cancelled sweep stops within one analysis and
+// returns ctx.Err() instead of a partial grid.
 //
-// When the context carries an active span (obs.StartSpan), the grid is
-// traced: one "core.sweep" span brackets the whole grid. Closed-form and
-// stable-recurrence grids run each cell's analysis under a "core.cell"
-// child carrying the swept x value and configuration index; exact-chain
-// grids instead emit one "markov.batch" child per solved chunk — cells
-// and chunks run on worker goroutines, so their spans interleave but
-// parent correctly.
+// When the context carries an active span (obs.StartSpan), one
+// "core.sweep" span brackets the whole grid, and an exact-chain grid
+// emits one "markov.batch" child per solved chunk; chunks run on worker
+// goroutines, so their spans interleave but parent correctly. Closed-form
+// and exact-stable cells open no spans of their own.
 func Sweep(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers int) ([]SweepPoint, error) {
 	return sweep(ctx, base, cfgs, method, xs, apply, workers, nil, chunkCells)
 }
@@ -72,12 +71,13 @@ func sweepCellError(x float64, cfg Config, err error) error {
 }
 
 // sweep runs the grid for Sweep and SweepStream (emit == nil means
-// buffered). MethodExactChain grids route through the batched
-// engine in batch.go in chunks of at most chunk cells; every other
-// method analyzes cell by cell.
+// buffered) on the engine, in chunks of at most chunk cells.
 func sweep(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers int, emit func(SweepPoint) error, chunk int) ([]SweepPoint, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("core: empty sweep")
+	}
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("core: sweep without configurations")
 	}
 	if apply == nil {
 		return nil, fmt.Errorf("core: nil apply function")
@@ -100,31 +100,19 @@ func sweep(ctx context.Context, base params.Parameters, cfgs []Config, method Me
 		tr = newPointTracker(out, len(cfgs), emit, cancel)
 	}
 
-	var err error
-	if method == MethodExactChain {
-		err = sweepBatch(ctx, base, cfgs, xs, apply, workers, out, tr, chunk)
-	} else {
-		// Flatten to (point, configuration) cells: finer-grained than
-		// fanning out whole points, and it avoids nested pools.
-		err = RunIndexed(ctx, len(xs)*len(cfgs), workers, func(cell int) error {
-			xi, ci := cell/len(cfgs), cell%len(cfgs)
-			cctx, csp := obs.StartSpan(ctx, "core.cell")
-			if csp != nil {
-				csp.SetAttr("x", xs[xi])
-				csp.SetAttr("config", ci)
+	// Rows are sweep points and columns configurations, so the engine's
+	// lowest failing cell is the serial loop's first.
+	row, col, err := analyzeRanges(ctx, method, columns(cfgs, len(xs)), workers, chunk,
+		func(row, _ int, p *params.Parameters) {
+			*p = base
+			apply(p, xs[row])
+		},
+		func(ch CellRange, res []Result) {
+			for i := range res {
+				out[ch.Lo+i].Results[ch.Col] = res[i]
 			}
-			p := base
-			apply(&p, xs[xi])
-			r, aerr := AnalyzeCtx(cctx, p, cfgs[ci], method)
-			csp.End()
-			if aerr != nil {
-				return sweepCellError(xs[xi], cfgs[ci], aerr)
-			}
-			out[xi].Results[ci] = r
-			tr.cellDone(xi)
-			return nil
+			tr.chunkDone(ch.Lo, ch.Hi)
 		})
-	}
 	if tr != nil {
 		// An emit failure cancelled the run; it outranks the ctx.Err it
 		// provoked.
@@ -133,6 +121,9 @@ func sweep(ctx context.Context, base params.Parameters, cfgs []Config, method Me
 		}
 	}
 	if err != nil {
+		if row >= 0 {
+			err = sweepCellError(xs[row], cfgs[col], err)
+		}
 		return nil, err
 	}
 	return out, nil
@@ -140,7 +131,7 @@ func sweep(ctx context.Context, base params.Parameters, cfgs []Config, method Me
 
 // pointTracker watches per-point completion counts for a streaming sweep
 // and emits the finished frontier in ascending x order. All methods are
-// nil-safe no-ops so the buffered path pays one pointer test per cell.
+// nil-safe no-ops so the buffered path pays one pointer test per chunk.
 type pointTracker struct {
 	mu        sync.Mutex
 	remaining []int
@@ -157,17 +148,6 @@ func newPointTracker(points []SweepPoint, ncfg int, emit func(SweepPoint) error,
 		rem[i] = ncfg
 	}
 	return &pointTracker{remaining: rem, points: points, emit: emit, cancel: cancel}
-}
-
-// cellDone records one completed configuration cell at point xi.
-func (t *pointTracker) cellDone(xi int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.remaining[xi]--
-	t.advance()
 }
 
 // chunkDone records one completed configuration across points [lo, hi).

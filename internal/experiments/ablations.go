@@ -79,7 +79,8 @@ func AblationModelAssumptions(ctx context.Context, trials int, seed int64) (*Tab
 
 // AblationElasticities tabulates d log(events/PB-yr)/d log(θ) for each
 // tunable parameter across the paper's three sensitivity configurations —
-// the quantitative summary behind Figures 14–20.
+// the quantitative summary behind Figures 14–20. The configurations fan
+// out on a pool of workers goroutines (0 = runtime.NumCPU()).
 func AblationElasticities(ctx context.Context, p params.Parameters, workers int) (*Table, error) {
 	cfgs := core.SensitivityConfigs()
 	t := &Table{
@@ -91,12 +92,13 @@ func AblationElasticities(ctx context.Context, p params.Parameters, workers int)
 		t.Columns = append(t.Columns, c.String())
 	}
 	all := make([][]core.Elasticity, len(cfgs))
-	for i, cfg := range cfgs {
-		es, err := core.Elasticities(ctx, p, cfg, core.MethodClosedForm, 0, workers)
-		if err != nil {
-			return nil, err
-		}
+	err := core.RunIndexed(ctx, len(cfgs), workers, func(i int) error {
+		es, err := core.Elasticities(ctx, p, cfgs[i], core.MethodClosedForm, 0)
 		all[i] = es
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	for row := range all[0] {
 		cells := []string{all[0][row].Parameter}

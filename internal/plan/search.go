@@ -5,20 +5,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/params"
 	"repro/internal/rebuild"
 )
-
-// confirmChunkCells caps the cells per confirmation work unit, so a
-// handful of large topology groups still spreads across the worker
-// pool. Like the sweep engine's chunk size it is purely a scheduling
-// knob: every chunk writes caller-indexed slots, so results are
-// identical at any value.
-const confirmChunkCells = 256
 
 // SearchCtx runs the two-phase design-space search over base overridden
 // by each candidate's knobs:
@@ -37,8 +29,8 @@ const confirmChunkCells = 256
 //     (internal, fault tolerance) — the only knobs that shape the chain
 //     topology — so each group batches through one bound
 //     markov.BatchSolver sharing a single symbolic factorization, with
-//     chunks fanned across the deterministic worker pool (opt.Workers
-//     goroutines; 0 = runtime.NumCPU()).
+//     the analysis engine's chunks fanned across the deterministic
+//     worker pool (opt.Workers goroutines; 0 = runtime.NumCPU()).
 //  4. Rank the exact Pareto frontier on (cost ↓, capacity ↑, events ↓)
 //     among confirmed candidates that meet the target.
 //
@@ -406,35 +398,18 @@ func sameRow(a, b *key) bool {
 	return a.cost == b.cost && a.capacity == b.capacity
 }
 
-// confirmBuf is one confirmation chunk's scratch: the cells' parameter
-// sets and results, grown to the largest chunk it has served. Chunks
-// take it from confirmBufs, so a search allocates one per worker at
-// most, not one pair of slices per survivor.
-type confirmBuf struct {
-	ps  []params.Parameters
-	out []core.Result
-}
-
-var confirmBufs = sync.Pool{New: func() any { return new(confirmBuf) }}
-
 // confirm solves every survivor exactly, writing the results into keys.
 // Survivors are in enumeration order, so candidates sharing a chain
 // topology — a function of (internal, fault tolerance) alone — are
-// contiguous; each such group batches through one bound solver, split
-// into chunks fanned over the worker pool. Error semantics mirror the
-// sweep engine: the lowest-indexed failing candidate is reported, with
-// the cause core.AnalyzeCtx would give for it.
+// contiguous; each such group is one range of the analysis engine
+// (core.AnalyzeRanges), which splits it into chunks batched through one
+// bound solver each and fans them over the worker pool. Error semantics
+// mirror the sweep: the lowest-indexed failing candidate is reported,
+// with the cause core.AnalyzeCtx would give for it.
 func confirm(ctx context.Context, base *params.Parameters, space *Space, keys []key, surv []int, workers int, st *Stats, m *searchMetrics) error {
 	ctx, sp := obs.StartSpan(ctx, "plan.confirm")
 	defer sp.End()
-	if len(surv) == 0 {
-		return nil
-	}
-	type chunkSpec struct {
-		cfg    core.Config
-		lo, hi int
-	}
-	var chunks []chunkSpec
+	var groups []core.CellRange
 	for lo := 0; lo < len(surv); {
 		cfg := space.config(keys[surv[lo]].index)
 		hi := lo
@@ -443,68 +418,24 @@ func confirm(ctx context.Context, base *params.Parameters, space *Space, keys []
 		}
 		st.TopologyGroups++
 		m.observeGroupCells(hi - lo)
-		for a := lo; a < hi; a += confirmChunkCells {
-			b := a + confirmChunkCells
-			if b > hi {
-				b = hi
-			}
-			chunks = append(chunks, chunkSpec{cfg: cfg, lo: a, hi: b})
-		}
+		groups = append(groups, core.CellRange{Cfg: cfg, Lo: lo, Hi: hi})
 		lo = hi
 	}
-
-	// First-error reduction by survivor index, mirroring the sweep
-	// engine's lowest-failing-cell guarantee.
-	var (
-		mu       sync.Mutex
-		firstIdx = len(surv)
-		firstErr error
-	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if i < firstIdx {
-			firstIdx, firstErr = i, err
-		}
-		mu.Unlock()
-	}
-
-	rerr := core.RunIndexed(ctx, len(chunks), workers, func(k int) error {
-		ch := chunks[k]
-		buf := confirmBufs.Get().(*confirmBuf)
-		defer confirmBufs.Put(buf)
-		n := ch.hi - ch.lo
-		if cap(buf.ps) < n {
-			buf.ps, buf.out = make([]params.Parameters, n), make([]core.Result, n)
-		}
-		ps, out := buf.ps[:n], buf.out[:n]
-		for i := range ps {
-			ps[i] = space.resolve(base, keys[surv[ch.lo+i]].index)
-		}
-		idx, err := core.AnalyzeChainBatchCtx(ctx, ch.cfg, ps, out)
-		if err != nil {
-			if idx < 0 {
-				return err // cancellation: propagate as-is
+	row, _, err := core.AnalyzeRanges(ctx, core.MethodExactChain, groups, workers,
+		func(row, _ int, p *params.Parameters) { *p = space.resolve(base, keys[surv[row]].index) },
+		func(ch core.CellRange, res []core.Result) {
+			// Each chunk writes only its own survivors' keys.
+			for i := range res {
+				k := &keys[surv[ch.Lo+i]]
+				k.exact, k.confirmed = res[i].EventsPerPBYear, true
 			}
-			record(ch.lo+idx, err)
-			return nil
-		}
-		// Each chunk writes only its own survivors' keys.
-		for i := range out {
-			k := &keys[surv[ch.lo+i]]
-			k.exact = out[i].EventsPerPBYear
-			k.confirmed = true
-		}
-		return nil
-	})
-	mu.Lock()
-	idx, err := firstIdx, firstErr
-	mu.Unlock()
+		})
 	if err != nil {
-		i := keys[surv[idx]].index
+		if row < 0 {
+			return err // cancellation: propagate as-is
+		}
+		i := keys[surv[row]].index
 		return fmt.Errorf("plan: confirming candidate %d (%v): %w", i, space.config(i), err)
-	}
-	if rerr != nil {
-		return rerr
 	}
 	st.Confirmed += len(surv)
 	return nil

@@ -422,7 +422,7 @@ func TestServersKeepSeparateMetrics(t *testing.T) {
 	ca := solver(a)
 	for name, want := range map[string]int64{
 		"markov.absorption.solves":   1 + 2 + ca["plan.candidates.confirmed"],
-		"markov.batch.cells":         2 + ca["plan.candidates.confirmed"],
+		"markov.batch.cells":         1 + 2 + ca["plan.candidates.confirmed"],
 		"plan.searches":              1,
 		"plan.candidates.enumerated": 16,
 	} {

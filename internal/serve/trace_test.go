@@ -65,7 +65,7 @@ func hasAncestor(spans []obs.SpanRecord, s obs.SpanRecord, want string) bool {
 
 // TestAnalyzeSpanTree posts an exact-chain analyze request with tracing
 // on and asserts the exported span tree covers the full request path:
-// root → canonicalize/cache → compute → chain acquisition → solve.
+// root → canonicalize/cache → compute → one one-cell chunk solve.
 func TestAnalyzeSpanTree(t *testing.T) {
 	var buf bytes.Buffer
 	s := New(Options{TraceWriter: &buf})
@@ -78,16 +78,28 @@ func TestAnalyzeSpanTree(t *testing.T) {
 	idx := spanIndex(spans)
 	for _, name := range []string{
 		"serve.request", "serve.canonicalize", "serve.cache",
-		"serve.compute", "chain.freeze", "markov.solve",
+		"serve.compute", "markov.batch",
 	} {
 		if len(idx[name]) == 0 {
 			t.Errorf("trace missing %q span; have %v", name, names(spans))
 		}
 	}
-	// The solve must hang off the request root through the compute span.
-	for _, solve := range idx["markov.solve"] {
-		if !hasAncestor(spans, solve, "serve.compute") || !hasAncestor(spans, solve, "serve.request") {
-			t.Errorf("markov.solve span %d not rooted under serve.compute/serve.request", solve.ID)
+	// The analysis is one chunk of one cell, a direct child of the
+	// compute span under the request root.
+	if got := len(idx["markov.batch"]); got != 1 {
+		t.Errorf("markov.batch spans = %d, want 1", got)
+	}
+	for _, b := range idx["markov.batch"] {
+		if b.Attrs["cells"] != float64(1) {
+			t.Errorf("markov.batch cells = %v, want 1", b.Attrs["cells"])
+		}
+		if len(idx["serve.compute"]) == 0 || b.Parent != idx["serve.compute"][0].ID || !hasAncestor(spans, b, "serve.request") {
+			t.Errorf("markov.batch span %d not a child of serve.compute under serve.request", b.ID)
+		}
+	}
+	for _, name := range []string{"chain.freeze", "markov.solve"} {
+		if got := len(idx[name]); got != 0 {
+			t.Errorf("%s spans = %d, want 0 (analyze solves as a chunk)", name, got)
 		}
 	}
 	// Roots carry the request identity.
@@ -118,11 +130,11 @@ func traceSweepBody(n int) string {
 		"values":[` + strings.Join(vals, ",") + `]}`
 }
 
-// TestSweepSpanTree pins the span-tree shape of both sweep engines. An
-// exact-chain sweep onto the sparse CTMC path (wide chains at r=48,
-// ft=8) takes the batched engine, which amortizes per-cell bookkeeping
-// into one "markov.batch" span per chunk (DESIGN.md §11); a closed-form
-// sweep of the same grid runs cell by cell, one "core.cell" span each.
+// TestSweepSpanTree pins the span-tree shape of sweeps. An exact-chain
+// sweep onto the sparse CTMC path (wide chains at r=48, ft=8) amortizes
+// per-cell bookkeeping into one "markov.batch" span per chunk
+// (DESIGN.md §11); the closed-form sweep of the same grid ("percell")
+// runs on the same chunks and opens no span below core.sweep at all.
 func TestSweepSpanTree(t *testing.T) {
 	// One worker ⇒ one pooled solver serves every cell (and one chunk on
 	// the batched path), so the span counts below are deterministic on
@@ -191,35 +203,34 @@ func TestSweepSpanTree(t *testing.T) {
 		spans := readSpans(t, &buf)
 		idx := spanIndex(spans)
 		for _, name := range []string{
-			"serve.request", "serve.cache", "serve.compute", "core.sweep", "core.cell",
+			"serve.request", "serve.cache", "serve.compute", "core.sweep",
 		} {
 			if len(idx[name]) == 0 {
 				t.Errorf("sweep trace missing %q span; have %v", name, names(spans))
 			}
 		}
-		// One cell span per grid cell; every cell under the sweep span.
-		if got := len(idx["core.cell"]); got != 4 {
-			t.Errorf("core.cell spans = %d, want 4", got)
-		}
-		for _, cell := range idx["core.cell"] {
-			if !hasAncestor(spans, cell, "core.sweep") {
-				t.Errorf("core.cell span %d not under core.sweep", cell.ID)
+		// No span below the sweep: closed-form cells bind no solver and
+		// open no per-cell span.
+		sweepID := idx["core.sweep"][0].ID
+		for _, sp := range spans {
+			if hasAncestor(spans, sp, "core.sweep") {
+				t.Errorf("%s span %d under core.sweep (parent %d, sweep %d) on a closed-form sweep", sp.Name, sp.ID, sp.Parent, sweepID)
 			}
 		}
-		if got := len(idx["markov.batch"]); got != 0 {
-			t.Errorf("markov.batch spans = %d on a closed-form sweep, want 0", got)
-		}
 
-		// Fold-only mode covers the per-cell stage too.
+		// Fold-only mode still times the sweep.
 		s2 := New(Options{Workers: 1, MaxGridCells: 65536})
 		if w := postJSON(t, s2.Handler(), "/v1/sweep", body); w.Code != http.StatusOK {
 			t.Fatalf("untraced sweep: %d %s", w.Code, w.Body.String())
 		}
 		snap := s2.Registry().Snapshot()
-		for _, hist := range []string{"trace.serve.request.seconds", "trace.core.cell.seconds"} {
+		for _, hist := range []string{"trace.serve.request.seconds", "trace.core.sweep.seconds"} {
 			if _, ok := snap.Histograms[hist]; !ok {
 				t.Errorf("fold-only server missing %q histogram", hist)
 			}
+		}
+		if _, ok := snap.Histograms["trace.core.cell.seconds"]; ok {
+			t.Error("fold-only server has a trace.core.cell.seconds histogram; closed-form cells open no span")
 		}
 	})
 }
@@ -232,11 +243,11 @@ func sparseAnalyzeBody(x int) string {
 		"config":{"internal":"none","ft":8},"method":"exact-chain"}`, x)
 }
 
-// TestAnalyzeSparseSpanTree pins the per-call solve's span tree on the
-// sparse route: the refactor and triangular solve hang off markov.solve,
-// a second request of the same topology reuses the pooled solver's
-// symbolic analysis (no sparse.symbolic span), and a server without a
-// TraceWriter still folds the solve and chain stages into /metrics.
+// TestAnalyzeSparseSpanTree pins the analyze request's span tree on the
+// sparse route: the solve is one markov.batch chunk of one cell under
+// serve.compute, a second request of the same topology reuses the
+// pooled solver's symbolic analysis (no sparse.symbolic span), and a
+// server without a TraceWriter still folds the chunk into /metrics.
 func TestAnalyzeSparseSpanTree(t *testing.T) {
 	var buf bytes.Buffer
 	s := New(Options{TraceWriter: &buf})
@@ -246,28 +257,21 @@ func TestAnalyzeSparseSpanTree(t *testing.T) {
 	}
 	spans := readSpans(t, &buf)
 	idx := spanIndex(spans)
-	for _, name := range []string{
-		"serve.request", "serve.compute", "chain.freeze", "markov.solve",
-		"sparse.refactor", "sparse.solve",
-	} {
+	for _, name := range []string{"serve.request", "serve.compute", "markov.batch"} {
 		if len(idx[name]) == 0 {
 			t.Errorf("analyze trace missing %q span; have %v", name, names(spans))
 		}
 	}
-	for _, name := range []string{"sparse.refactor", "sparse.solve"} {
-		for _, sp := range idx[name] {
-			if !hasAncestor(spans, sp, "markov.solve") {
-				t.Errorf("%s span %d not under markov.solve", name, sp.ID)
-			}
+	for _, b := range idx["markov.batch"] {
+		if b.Attrs["cells"] != float64(1) || b.Attrs["sparse"] != true {
+			t.Errorf("markov.batch attrs = %v, want cells=1 on the sparse route", b.Attrs)
 		}
-	}
-	for _, solve := range idx["markov.solve"] {
-		if !hasAncestor(spans, solve, "serve.compute") {
-			t.Errorf("markov.solve span %d not under serve.compute", solve.ID)
+		if !hasAncestor(spans, b, "serve.compute") {
+			t.Errorf("markov.batch span %d not under serve.compute", b.ID)
 		}
 	}
 
-	// Same topology, different rates: the solve refactors on the cached
+	// Same topology, different rates: the chunk refactors on the cached
 	// symbolic analysis.
 	buf.Reset()
 	if w := postJSON(t, h, "/v1/analyze", sparseAnalyzeBody(200_001)); w.Code != http.StatusOK {
@@ -275,23 +279,21 @@ func TestAnalyzeSparseSpanTree(t *testing.T) {
 	}
 	spans = readSpans(t, &buf)
 	idx = spanIndex(spans)
-	if len(idx["sparse.refactor"]) != 1 {
-		t.Errorf("second analyze: sparse.refactor spans = %d, want 1", len(idx["sparse.refactor"]))
+	if got := len(idx["markov.batch"]); got != 1 {
+		t.Errorf("second analyze: markov.batch spans = %d, want 1", got)
 	}
 	if got := len(idx["sparse.symbolic"]); got != 0 {
 		t.Errorf("second analyze of the same topology ran %d symbolic analyses, want 0", got)
 	}
 
-	// Fold-only mode covers the per-call stages.
+	// Fold-only mode covers the chunk.
 	s2 := New(Options{})
 	if w := postJSON(t, s2.Handler(), "/v1/analyze", sparseAnalyzeBody(200_002)); w.Code != http.StatusOK {
 		t.Fatalf("untraced analyze: %d %s", w.Code, w.Body.String())
 	}
 	snap := s2.Registry().Snapshot()
-	for _, hist := range []string{"trace.sparse.solve.seconds", "trace.chain.freeze.seconds"} {
-		if _, ok := snap.Histograms[hist]; !ok {
-			t.Errorf("fold-only server missing %q histogram", hist)
-		}
+	if _, ok := snap.Histograms["trace.markov.batch.seconds"]; !ok {
+		t.Error("fold-only server missing \"trace.markov.batch.seconds\" histogram")
 	}
 }
 

@@ -85,8 +85,10 @@ func RepairThreshold(c *markov.Chain) float64 {
 // repairThreshold classifies transitions: rates at or above it are repairs.
 // Pass RepairThreshold(c) for the automatic choice; a zero threshold
 // disables biasing (every transition sampled at its true probability).
-func EstimateMTTABiased(c *markov.Chain, rng *rand.Rand, cycles int, delta, repairThreshold float64) (BiasedEstimate, error) {
-	return estimateMTTABiased(context.TODO(), c, rng, 0, cycles, delta, repairThreshold, 1)
+// ctx is polled before each chunk of cycleChunk cycles, so a cancelled
+// estimate returns ctx.Err().
+func EstimateMTTABiased(ctx context.Context, c *markov.Chain, rng *rand.Rand, cycles int, delta, repairThreshold float64) (BiasedEstimate, error) {
+	return estimateMTTABiased(ctx, c, rng, 0, cycles, delta, repairThreshold, 1)
 }
 
 // buildBiasPlans precomputes the per-state sampling plans. The plans are

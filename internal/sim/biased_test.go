@@ -44,7 +44,7 @@ func TestBiasedMatchesAnalyticRareChain(t *testing.T) {
 	a, b, c := 1e-4, 1.0, 1e-5
 	ch := rareRepairable(a, b, c)
 	want := (a + b + c) / (a * c) // ≈ 1e9 hours: hopeless for naive simulation
-	est, err := EstimateMTTABiased(ch, rand.New(rand.NewSource(21)), 20_000, 0.5, RepairThreshold(ch))
+	est, err := EstimateMTTABiased(context.Background(), ch, rand.New(rand.NewSource(21)), 20_000, 0.5, RepairThreshold(ch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestBiasedUnbiasedModeMatchesOnFastChain(t *testing.T) {
 	a, b, c := 1.0, 2.0, 0.5
 	ch := rareRepairable(a, b, c)
 	want := (a + b + c) / (a * c)
-	est, err := EstimateMTTABiased(ch, rand.New(rand.NewSource(22)), 50_000, 0.5, 0)
+	est, err := EstimateMTTABiased(context.Background(), ch, rand.New(rand.NewSource(22)), 50_000, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBiasedMatchesBaselineNIRChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateMTTABiased(ch, rand.New(rand.NewSource(23)), 40_000, 0.5, RepairThreshold(ch))
+	est, err := EstimateMTTABiased(context.Background(), ch, rand.New(rand.NewSource(23)), 40_000, 0.5, RepairThreshold(ch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,18 +105,18 @@ func TestBiasedMatchesBaselineNIRChain(t *testing.T) {
 func TestBiasedValidation(t *testing.T) {
 	ch := rareRepairable(1e-4, 1, 1e-5)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := EstimateMTTABiased(ch, rng, 1, 0.5, 0.01); err == nil {
+	if _, err := EstimateMTTABiased(context.Background(), ch, rng, 1, 0.5, 0.01); err == nil {
 		t.Error("cycles=1 accepted")
 	}
 	for _, delta := range []float64{0, 1, -0.1, 1.5} {
-		if _, err := EstimateMTTABiased(ch, rng, 100, delta, 0.01); err == nil {
+		if _, err := EstimateMTTABiased(context.Background(), ch, rng, 100, delta, 0.01); err == nil {
 			t.Errorf("delta=%v accepted", delta)
 		}
 	}
 	bad := markov.NewChain()
 	bad.AddRate("x", "y", 1)
 	bad.AddRate("y", "x", 1)
-	if _, err := EstimateMTTABiased(bad, rng, 100, 0.5, 0); err == nil {
+	if _, err := EstimateMTTABiased(context.Background(), bad, rng, 100, 0.5, 0); err == nil {
 		t.Error("chain without absorbing state accepted")
 	}
 }
@@ -126,7 +126,7 @@ func TestBiasedNoAbsorptionsError(t *testing.T) {
 	// essentially never observed — the estimator must say so rather than
 	// return garbage.
 	ch := rareRepairable(1e-4, 1, 1e-9)
-	_, err := EstimateMTTABiased(ch, rand.New(rand.NewSource(24)), 200, 0.5, 0)
+	_, err := EstimateMTTABiased(context.Background(), ch, rand.New(rand.NewSource(24)), 200, 0.5, 0)
 	if err == nil {
 		t.Error("expected a no-absorbing-cycles error")
 	}
@@ -138,7 +138,7 @@ func TestBiasedInitialAbsorbing(t *testing.T) {
 	ch.SetInitial("A")
 	ch.AddRate("x", "A", 1)
 	ch.SetInitial("A")
-	est, err := EstimateMTTABiased(ch, rand.New(rand.NewSource(25)), 10, 0.5, 0)
+	est, err := EstimateMTTABiased(context.Background(), ch, rand.New(rand.NewSource(25)), 10, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestBiasedVarianceReduction(t *testing.T) {
 	a, b, c := 1e-3, 1.0, 1e-3
 	ch := rareRepairable(a, b, c)
 	cycles := 20_000
-	plain, err := EstimateMTTABiased(ch, rand.New(rand.NewSource(26)), cycles, 0.5, 0)
+	plain, err := EstimateMTTABiased(context.Background(), ch, rand.New(rand.NewSource(26)), cycles, 0.5, 0)
 	if err != nil {
 		t.Skipf("plain estimator saw no absorptions (expected occasionally): %v", err)
 	}
-	biased, err := EstimateMTTABiased(ch, rand.New(rand.NewSource(27)), cycles, 0.5, RepairThreshold(ch))
+	biased, err := EstimateMTTABiased(context.Background(), ch, rand.New(rand.NewSource(27)), cycles, 0.5, RepairThreshold(ch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -46,6 +47,18 @@ func TestEstimateMTTABiasedParallelCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := EstimateMTTABiasedParallel(ctx, ch, 1, 10_000, 0.5, RepairThreshold(ch), 4)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// The serial biased estimator honours its context like the others: a
+// cancelled run returns the cancellation instead of an estimate.
+func TestEstimateMTTABiasedCtxPreCancelled(t *testing.T) {
+	ch := biasedParallelTestChain()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := EstimateMTTABiased(ctx, ch, rand.New(rand.NewSource(1)), 10_000, 0.5, RepairThreshold(ch))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

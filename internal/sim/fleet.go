@@ -51,6 +51,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/seedstream"
 )
@@ -363,7 +364,7 @@ func estimateFleet(ctx context.Context, sc Scenario, bricks int, horizonHours fl
 	sets := (bricks + sc.N - 1) / sc.N
 	numShards := (sets + fleetShardSets - 1) / fleetShardSets
 	results := make([]shardTally, numShards)
-	err := runChunks(ctx, numShards, workers, func() func(int) error {
+	err := core.RunWorkers(ctx, numShards, workers, func() func(int) error {
 		// One queue per worker, reset between shards: its bucket slabs
 		// and calibrated width carry over, and pop order never depends
 		// on either.

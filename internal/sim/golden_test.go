@@ -10,6 +10,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -216,7 +217,7 @@ func TestEstimatorGolden(t *testing.T) {
 	}
 	for i, c := range chains {
 		th := RepairThreshold(c.c)
-		est, err := EstimateMTTABiased(c.c, rand.New(rand.NewSource(int64(500+i))), 5000, 0.5, th)
+		est, err := EstimateMTTABiased(context.Background(), c.c, rand.New(rand.NewSource(int64(500+i))), 5000, 0.5, th)
 		line("biased/serial/"+c.name, formatBiased(est), err)
 		for _, workers := range []int{1, 4} {
 			est, err := EstimateMTTABiasedParallel(t.Context(), c.c, int64(600+i), 5000, 0.5, th, workers)

@@ -28,21 +28,20 @@ package sim
 // recorders keep the shared registry to a handful of atomic adds per
 // chunk.
 //
-// One chunk runner serves every estimator — missions, biased cycles and
-// fleet shards; the serial estimators run on it too, as one worker drawing
-// every sample from the caller's RNG. On error it stops early and reports
-// the error of the lowest-numbered failing chunk it observed; errors are
-// deterministic in content (chunks are pure functions of the seed) but a
-// lower-indexed chunk that was never started under one schedule may win
-// under another.
+// Every estimator — missions, biased cycles and fleet shards — runs its
+// chunks on the repository's one worker pool, core.RunWorkers, which
+// builds per-worker state (a mission shard and its RNG, a fleet event
+// queue) once per pool goroutine; the serial estimators run on it too,
+// as one worker drawing every sample from the caller's RNG. On error it stops early and reports the error of the
+// lowest-numbered failing chunk it observed; errors are deterministic in
+// content (chunks are pure functions of the seed) but a lower-indexed
+// chunk that was never started under one schedule may win under another.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/markov"
@@ -63,73 +62,6 @@ const missionChunk = 64
 // arithmetic ops) and the scheduling handshake.
 const cycleChunk = 1024
 
-// runChunks runs chunks [0, chunks) on a pool of workers goroutines (0
-// selects runtime.NumCPU(), never more than chunks; a negative count is
-// rejected by core.ValidateWorkers before any chunk runs). Each goroutine
-// calls newWorker once for its chunk function, so per-worker state lives
-// in that closure. Workers claim chunks through one shared index and poll ctx
-// before each claim. After a failure, chunks above the lowest failing one
-// are skipped, and that chunk's error is returned; otherwise a cancelled
-// run returns ctx.Err().
-func runChunks(ctx context.Context, chunks, workers int, newWorker func() func(c int) error) error {
-	if err := core.ValidateWorkers(workers); err != nil {
-		return err
-	}
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	workers = max(min(workers, chunks), 1)
-	var (
-		next     atomic.Int64 // next chunk to claim
-		failed   atomic.Bool
-		mu       sync.Mutex // guards firstErr/firstIdx
-		firstErr error
-		firstIdx = chunks
-	)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run := newWorker()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				// After a failure, chunks above the current first failing
-				// chunk are moot; chunks below it must still run so the
-				// reported error is the lowest failing chunk's, not a
-				// schedule accident.
-				if failed.Load() {
-					mu.Lock()
-					skip := c > firstIdx
-					mu.Unlock()
-					if skip {
-						continue
-					}
-				}
-				if err := run(c); err != nil {
-					mu.Lock()
-					if c < firstIdx {
-						firstIdx, firstErr = c, err
-					}
-					mu.Unlock()
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
-}
-
 // EstimateMTTDLParallel estimates MTTDL like EstimateMTTDL, but runs
 // trials on a pool of workers. Unlike the serial estimator — whose shared
 // RNG makes trial i depend on trials 0..i-1 — each trial's RNG is seeded
@@ -148,7 +80,7 @@ func EstimateMTTDLParallel(ctx context.Context, sc Scenario, baseSeed int64, tri
 	return estimateMTTDL(ctx, sc, nil, baseSeed, trials, maxEventsPerTrial, workers, ob)
 }
 
-// estimateMTTDL runs both MTTDL estimators on the chunk runner. A non-nil
+// estimateMTTDL runs both MTTDL estimators on the worker pool. A non-nil
 // shared RNG is the serial estimator: one worker, every trial drawing
 // from shared in trial order into one running accumulator. Otherwise
 // trial i draws from seedstream.Derive(baseSeed, i) and the chunk
@@ -167,7 +99,7 @@ func estimateMTTDL(ctx context.Context, sc Scenario, shared *rand.Rand, baseSeed
 	chunkStats := make([]missionStats, numChunks)
 	// mu serializes OnMission, which never runs concurrently.
 	var mu sync.Mutex
-	err := runChunks(ctx, numChunks, workers, func() func(int) error {
+	err := core.RunWorkers(ctx, numChunks, workers, func() func(int) error {
 		// One mission shard and one RNG per worker, reused across all its
 		// missions: reseeding reproduces a fresh rand.New stream exactly.
 		s := newMissionShard(sc, newCalendarQueue(), ob.Metrics)
@@ -240,7 +172,7 @@ func EstimateMTTABiasedParallel(ctx context.Context, c *markov.Chain, baseSeed i
 	return estimateMTTABiased(ctx, c, nil, baseSeed, cycles, delta, repairThreshold, workers)
 }
 
-// estimateMTTABiased runs both biased estimators on the chunk runner; a
+// estimateMTTABiased runs both biased estimators on the worker pool; a
 // non-nil shared RNG is the serial estimator, as in estimateMTTDL.
 func estimateMTTABiased(ctx context.Context, c *markov.Chain, shared *rand.Rand, baseSeed int64, cycles int, delta, repairThreshold float64, workers int) (BiasedEstimate, error) {
 	if err := c.Validate(); err != nil {
@@ -263,7 +195,7 @@ func estimateMTTABiased(ctx context.Context, c *markov.Chain, shared *rand.Rand,
 	plans := buildBiasPlans(c, delta, repairThreshold)
 	numChunks := (cycles + cycleChunk - 1) / cycleChunk
 	chunkSums := make([]biasedSums, numChunks)
-	err := runChunks(ctx, numChunks, workers, func() func(int) error {
+	err := core.RunWorkers(ctx, numChunks, workers, func() func(int) error {
 		return func(k int) error {
 			rng, sums := shared, &chunkSums[0]
 			if shared == nil {

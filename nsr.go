@@ -122,7 +122,7 @@ type Elasticity = core.Elasticity
 // Elasticities computes d log(events)/d log(θ) for every tunable
 // parameter. step is the relative perturbation (0 selects 1%).
 func Elasticities(p Parameters, cfg Config, m Method, step float64) ([]Elasticity, error) {
-	return core.Elasticities(context.Background(), p, cfg, m, step, 0)
+	return core.Elasticities(context.Background(), p, cfg, m, step)
 }
 
 // Advice is a single-parameter path to (or headroom against) a target.
@@ -131,7 +131,7 @@ type Advice = core.Advice
 // Advise finds, for each tunable parameter, the factor by which it alone
 // must change to put the configuration exactly on the target.
 func Advise(p Parameters, cfg Config, target Target, m Method) ([]Advice, error) {
-	return core.Advise(context.Background(), p, cfg, target, m, 0)
+	return core.Advise(context.Background(), p, cfg, target, m)
 }
 
 // MissionResult is a finite-horizon reliability computation.
