@@ -32,21 +32,19 @@ type Advice struct {
 // carries ctx, and the context is polled before every analysis and
 // between bisection steps, so a cancelled call returns ctx.Err().
 func Advise(ctx context.Context, p params.Parameters, cfg Config, target Target, method Method) ([]Advice, error) {
-	base, err := AnalyzeCtx(ctx, p, cfg, method)
-	if err != nil {
-		return nil, err
-	}
-	elasticities, err := Elasticities(ctx, p, cfg, method, 0)
+	// The bisections start from the stencil's base row, so the base is
+	// analyzed once.
+	els, base, err := elasticities(ctx, p, cfg, method, 0)
 	if err != nil {
 		return nil, err
 	}
 	knobs := elasticityKnobs()
-	if len(knobs) != len(elasticities) {
+	if len(knobs) != len(els) {
 		return nil, fmt.Errorf("core: knob/elasticity mismatch")
 	}
 	out := make([]Advice, 0, len(knobs))
 	for i, knob := range knobs {
-		adv := Advice{Parameter: knob.name, Elasticity: elasticities[i].Value}
+		adv := Advice{Parameter: knob.name, Elasticity: els[i].Value}
 		if math.Abs(adv.Elasticity) > 1e-9 {
 			factor, ok := solveFactor(ctx, p, cfg, target, method, knob.scale, base.EventsPerPBYear)
 			if err := ctx.Err(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/params"
 )
 
@@ -123,5 +124,53 @@ func TestAdviseInvalidInputs(t *testing.T) {
 	p.NodeMTTFHours = 0
 	if _, err := Advise(context.Background(), p, Config{Internal: InternalNone, NodeFaultTolerance: 2}, PaperTarget(), MethodClosedForm); err == nil {
 		t.Error("invalid params accepted")
+	}
+}
+
+// Advise analyzes its base parameters once, as row 0 of the elasticity
+// stencil: one call's analyses (rebuild.computes counts one per
+// analysis) are the stencil's cells plus the bisection steps, and its
+// advice is bit-identical to advice composed from a separate base
+// analysis, Elasticities and the bisections.
+func TestAdviseAnalyzesBaseOnce(t *testing.T) {
+	p := params.Baseline()
+	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
+	target := PaperTarget()
+	knobs := elasticityKnobs()
+	stencil := int64(1 + 2*len(knobs))
+	for _, method := range []Method{MethodClosedForm, MethodExactChain} {
+		reg := obs.NewRegistry()
+		ctx, end := meteredCtx(reg)
+		advice, err := Advise(ctx, p, cfg, target, method)
+		end()
+		if err != nil {
+			t.Fatalf("%v: %v", method, err)
+		}
+
+		base, err := Analyze(p, cfg, method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		els, err := Elasticities(context.Background(), p, cfg, method, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bisect := obs.NewRegistry()
+		bctx, bend := meteredCtx(bisect)
+		for i, knob := range knobs {
+			want := Advice{Parameter: knob.name, Elasticity: els[i].Value}
+			if math.Abs(want.Elasticity) > 1e-9 {
+				want.RequiredFactor, want.Achievable = solveFactor(bctx, p, cfg, target, method, knob.scale, base.EventsPerPBYear)
+			}
+			if advice[i] != want {
+				t.Errorf("%v: advice %+v, composed reference %+v", method, advice[i], want)
+			}
+		}
+		bend()
+		steps := bisect.Counter("rebuild.computes").Value()
+		if got := reg.Counter("rebuild.computes").Value(); got != stencil+steps {
+			t.Errorf("%v: Advise ran %d analyses, want %d: the %d-cell stencil, base included, and %d bisection steps",
+				method, got, stencil+steps, stencil, steps)
+		}
 	}
 }

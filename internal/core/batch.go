@@ -225,12 +225,13 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps
 
 	var tl rebuild.Tally
 	defer tl.Flush(ctx)
+	done := ctx.Done()
 	filled := 0
 	fillFail := -1
 	var fillErr error
 	for i := range ps {
-		if err := ctx.Err(); err != nil {
-			return -1, err
+		if cancelled(done) {
+			return -1, ctx.Err()
 		}
 		pr := &bc.preps[i]
 		if err := analyzePrep(pr, &ps[i], cfg, &tl); err != nil {
@@ -276,8 +277,8 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps
 		defer endChunk()
 	}
 	for i := 0; i < filled; i++ {
-		if err := ctx.Err(); err != nil {
-			return -1, err
+		if cancelled(done) {
+			return -1, ctx.Err()
 		}
 		mtta, err := bs.SolveCell(i)
 		if err != nil {
@@ -305,9 +306,10 @@ func evaluateCells(ctx context.Context, cfg Config, method Method, ps []params.P
 		tl rebuild.Tally
 	)
 	defer tl.Flush(ctx)
+	done := ctx.Done()
 	for i := range ps {
-		if err := ctx.Err(); err != nil {
-			return -1, err
+		if cancelled(done) {
+			return -1, ctx.Err()
 		}
 		est, err := pr.evaluate(&ps[i], cfg, method, &tl)
 		if err != nil {
@@ -316,4 +318,17 @@ func evaluateCells(ctx context.Context, cfg Config, method Method, ps []params.P
 		out[i] = pr.result(&ps[i], cfg, method, est)
 	}
 	return -1, nil
+}
+
+// cancelled polls a context's Done channel without blocking. The chunk
+// bodies poll once or twice per cell; ctx.Err on a cancelable context
+// takes its mutex, which every worker of one request shares, while a
+// receive on the already-fetched channel takes no lock.
+func cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }

@@ -48,11 +48,19 @@ func elasticityKnobs() []elasticityKnob {
 // with cells=15 under the caller's span. The context is polled before
 // each analysis, so a cancelled call returns ctx.Err().
 func Elasticities(ctx context.Context, p params.Parameters, cfg Config, method Method, step float64) ([]Elasticity, error) {
+	out, _, err := elasticities(ctx, p, cfg, method, step)
+	return out, err
+}
+
+// elasticities is Elasticities that also returns the stencil's base
+// analysis, row 0, so a caller that needs the base result too does not
+// analyze it again. A failing base is reported with its error unwrapped.
+func elasticities(ctx context.Context, p params.Parameters, cfg Config, method Method, step float64) ([]Elasticity, Result, error) {
 	if step == 0 {
 		step = 0.01
 	}
 	if step <= 0 || step >= 0.5 {
-		return nil, fmt.Errorf("core: elasticity step %v out of (0, 0.5)", step)
+		return nil, Result{}, fmt.Errorf("core: elasticity step %v out of (0, 0.5)", step)
 	}
 	// Row 0 is the base; rows 2i+1 and 2i+2 scale knob i up and down.
 	knobs := elasticityKnobs()
@@ -74,10 +82,10 @@ func Elasticities(ctx context.Context, p params.Parameters, cfg Config, method M
 		if row > 0 {
 			err = fmt.Errorf("core: elasticity of %s (%s): %w", knobs[(row-1)/2].name, sign[row%2], err)
 		}
-		return nil, err
+		return nil, Result{}, err
 	}
 	if res[0].EventsPerPBYear <= 0 {
-		return nil, fmt.Errorf("core: non-positive base metric")
+		return nil, Result{}, fmt.Errorf("core: non-positive base metric")
 	}
 	out := make([]Elasticity, len(knobs))
 	for i, knob := range knobs {
@@ -85,5 +93,5 @@ func Elasticities(ctx context.Context, p params.Parameters, cfg Config, method M
 			(math.Log(1+step) - math.Log(1-step))
 		out[i] = Elasticity{Parameter: knob.name, Value: e}
 	}
-	return out, nil
+	return out, res[0], nil
 }

@@ -18,7 +18,10 @@ package sim
 //     superposition of c independent healthy sets — and costs one pending
 //     event regardless of c.
 //   - When a class arrival fires, one set splits off into an individual
-//     record and the sampled failure is applied to it. Split sets are
+//     record and the sampled failure is applied to it. The splitting set
+//     is fully healthy, so its failing component is found by division
+//     in O(1), picking exactly what the walk over its components would
+//     (healthyPick; see sampleFailure). Split sets are
 //     simulated exactly, with competing-risks arrivals: one pending
 //     failure-arrival event per set (category and component chosen by a
 //     discrete draw over the live rates) plus its pending repairs, rather
@@ -265,10 +268,11 @@ func (s *shard) rescheduleArrival(b *brickSet) {
 }
 
 // sampleFailure picks WHICH component fails, proportionally to the live
-// rates, and applies it. The walk order (shock, then nodes in index
-// order, each node's drives in index order) is part of the deterministic
-// contract. Float roundoff that walks off the end charges the last live
-// component.
+// rates, and applies it. The order the rates are laid out in (shock,
+// then nodes in index order, each node's drives in index order) is part
+// of the deterministic contract: walkPick defines the pick, and on a
+// fully healthy set — every split — healthyPick finds the same one in
+// O(1) wherever rounding cannot make the two differ.
 func (b *brickSet) sampleFailure() (bool, LossCause) {
 	sc := &b.sh.sc
 	rate := b.rate()
@@ -282,6 +286,31 @@ func (b *brickSet) sampleFailure() (bool, LossCause) {
 		}
 		u -= sc.ShockRate
 	}
+	node, drive, ok := 0, 0, false
+	if b.downNodes == 0 && b.downDrivesUp == 0 {
+		node, drive, ok = healthyPick(sc, rate, u)
+	}
+	if !ok {
+		node, drive = b.walkPick(u)
+	}
+	switch {
+	case node >= 0 && drive >= 0:
+		return b.driveFailure(node, drive)
+	case node >= 0:
+		return b.nodeFailure(node)
+	case sc.ShockRate > 0:
+		return b.shock()
+	}
+	return false, LossNone
+}
+
+// walkPick is the reference pick: it walks the live components in
+// order, subtracting each one's rate from u until u falls inside one. It
+// returns (node, -1) for a node failure, (node, drive) for a drive
+// failure and (-1, -1) when no component is live. Float roundoff that
+// walks off the end charges the last live component.
+func (b *brickSet) walkPick(u float64) (node, drive int) {
+	sc := &b.sh.sc
 	lastNode, lastDriveNode, lastDrive := -1, -1, -1
 	for i := range b.nodes {
 		n := &b.nodes[i]
@@ -289,7 +318,7 @@ func (b *brickSet) sampleFailure() (bool, LossCause) {
 			continue
 		}
 		if u < sc.LambdaN {
-			return b.nodeFailure(i)
+			return i, -1
 		}
 		u -= sc.LambdaN
 		lastNode = i
@@ -298,22 +327,51 @@ func (b *brickSet) sampleFailure() (bool, LossCause) {
 				continue
 			}
 			if u < sc.LambdaD {
-				return b.driveFailure(i, j)
+				return i, j
 			}
 			u -= sc.LambdaD
 			lastDriveNode, lastDrive = i, j
 		}
 	}
 	if lastDrive >= 0 {
-		return b.driveFailure(lastDriveNode, lastDrive)
+		return lastDriveNode, lastDrive
 	}
-	if lastNode >= 0 {
-		return b.nodeFailure(lastNode)
+	return lastNode, -1
+}
+
+// healthyPick is walkPick on a fully healthy set, in O(1): the live
+// rates repeat in blocks of one node and its D drives, so u's block and
+// its slot in the block follow by division. The pick is accepted only
+// when u lies more than slack = (N·(1+D)+16)·2⁻⁵²·rate inside the picked
+// component's interval. The walk's running u takes at most N·(1+D)
+// subtractions, each rounding by at most 2⁻⁵³·rate, and the edges
+// computed here carry a few roundings more, so outside that band no
+// comparison the walk makes can come out the other way. ok is false
+// inside the band, when a rate is not positive, and when slack is
+// subnormal (where rounding is no longer relative); the caller walks
+// then.
+func healthyPick(sc *Scenario, rate, u float64) (node, drive int, ok bool) {
+	n, d, lN, lD := sc.N, sc.D, sc.LambdaN, sc.LambdaD
+	slack := float64(n*(1+d)+16) * 0x1p-52 * rate
+	if !(lN > 0 && lD > 0 && slack >= 0x1p-1022) {
+		return 0, 0, false
 	}
-	if sc.ShockRate > 0 {
-		return b.shock()
+	block := lN + float64(d)*lD
+	node = n - 1
+	if f := u / block; f < float64(n-1) {
+		node = int(f)
 	}
-	return false, LossNone
+	w := u - float64(node)*block
+	if w < lN {
+		return node, -1, w > slack && lN-w > slack
+	}
+	w -= lN
+	drive = d - 1
+	if f := w / lD; f < float64(d-1) {
+		drive = int(f)
+	}
+	lo := float64(drive) * lD
+	return node, drive, w-lo > slack && lo+lD-w > slack
 }
 
 // split peels one node set off the aggregate class and applies its

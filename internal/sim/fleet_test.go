@@ -305,3 +305,118 @@ func TestFleetSingleBrickIRAndShock(t *testing.T) {
 		t.Errorf("IR+shock shard degenerate: %+v", res)
 	}
 }
+
+// healthySet is a fully healthy record of sc's geometry, outside any
+// shard run, for driving the pick functions directly.
+func healthySet(sc Scenario) *brickSet {
+	b := newBrickSet(&shard{sc: sc}, 0)
+	return &b
+}
+
+// pickEdge is the k-th interval edge of a healthy set's post-shock
+// draw, k in [0, N·(1+D)]: edge k opens component k in walk order
+// (node i, then its D drives) and edge N·(1+D) closes the last one.
+func pickEdge(sc *Scenario, k int) float64 {
+	i, r := k/(1+sc.D), k%(1+sc.D)
+	edge := float64(i) * (sc.LambdaN + float64(sc.D)*sc.LambdaD)
+	if r > 0 {
+		edge += sc.LambdaN + float64(r-1)*sc.LambdaD
+	}
+	return edge
+}
+
+// checkHealthyPick asserts that healthyPick, wherever it accepts u,
+// picks what the walk picks, and reports whether it accepted.
+func checkHealthyPick(t *testing.T, b *brickSet, rate, u float64) bool {
+	t.Helper()
+	sc := &b.sh.sc
+	node, drive, ok := healthyPick(sc, rate, u)
+	if !ok {
+		return false
+	}
+	if wn, wd := b.walkPick(u); node != wn || drive != wd {
+		t.Fatalf("N=%d D=%d λN=%g λD=%g shock=%g rate=%g u=%g (bits %#x): fast pick (%d, %d), walk (%d, %d)",
+			sc.N, sc.D, sc.LambdaN, sc.LambdaD, sc.ShockRate, rate, u, math.Float64bits(u), node, drive, wn, wd)
+	}
+	return true
+}
+
+// TestHealthyPickMatchesWalk pins the O(1) first-failure pick of a
+// healthy set to the sequential walk it replaces, over random
+// geometries and rates spanning many decades, with and without shocks.
+// Random draws, draws within ±40 ulps of every interval edge, draws
+// just outside the guard band, and the largest possible draw must agree
+// wherever the fast pick accepts; draws on an edge and the largest draw
+// must be refused, so the walk fallback is exercised.
+func TestHealthyPickMatchesWalk(t *testing.T) {
+	t.Parallel()
+	scenarios, draws := 100, 2000
+	if testing.Short() {
+		scenarios, draws = 30, 500
+	}
+	rng := rand.New(rand.NewSource(24))
+	decade := func(lo, hi float64) float64 { return math.Pow(10, lo+(hi-lo)*rng.Float64()) }
+	var random, randomFallbacks, nearEdge, edgeFallbacks int
+	for s := 0; s < scenarios; s++ {
+		sc := Scenario{N: 3 + rng.Intn(253), D: 1 + rng.Intn(24), LambdaN: decade(-12, 2)}
+		sc.LambdaD = sc.LambdaN * decade(-4, 4)
+		if s%2 == 1 {
+			sc.ShockRate = sc.LambdaN * decade(-3, 5)
+		}
+		b := healthySet(sc)
+		rate := b.rate()
+		// post maps a pre-shock draw to sampleFailure's post-shock u;
+		// ok is false when the draw is a shock.
+		post := func(u float64) (float64, bool) {
+			if sc.ShockRate > 0 {
+				if u < sc.ShockRate {
+					return 0, false
+				}
+				u -= sc.ShockRate
+			}
+			return u, true
+		}
+		top, _ := post(math.Nextafter(rate, 0))
+
+		for i := 0; i < draws; i++ {
+			u, ok := post(rng.Float64() * rate)
+			if !ok {
+				continue
+			}
+			random++
+			if !checkHealthyPick(t, b, rate, u) {
+				randomFallbacks++
+			}
+		}
+		slack := float64(sc.N*(1+sc.D)+16) * 0x1p-52 * rate
+		for k := 0; k <= sc.N*(1+sc.D); k++ {
+			edge := pickEdge(&sc, k)
+			for off := -40; off <= 40; off++ {
+				u := math.Float64frombits(uint64(int64(math.Float64bits(edge)) + int64(off)))
+				if edge == 0 && off < 0 || u > top {
+					continue
+				}
+				if checkHealthyPick(t, b, rate, u) {
+					if off >= -1 && off <= 1 {
+						t.Fatalf("N=%d D=%d: draw %d ulps from edge %d (%g) accepted; it must fall back", sc.N, sc.D, off, k, edge)
+					}
+				} else {
+					edgeFallbacks++
+				}
+			}
+			for _, m := range []float64{-3, -1.25, 1.25, 3} {
+				if u := edge + m*slack; u >= 0 && u <= top && checkHealthyPick(t, b, rate, u) {
+					nearEdge++
+				}
+			}
+		}
+		if checkHealthyPick(t, b, rate, top) {
+			t.Fatalf("N=%d D=%d: the largest draw %g was accepted; it must fall back", sc.N, sc.D, top)
+		}
+	}
+	if nearEdge == 0 || edgeFallbacks == 0 {
+		t.Fatalf("degenerate edge coverage: %d accepted draws just outside the guard band, %d edge fallbacks", nearEdge, edgeFallbacks)
+	}
+	t.Logf("%d scenarios: %d/%d random draws fell back; %d edge draws fell back, %d accepted just outside the guard band",
+		scenarios, randomFallbacks, random, edgeFallbacks, nearEdge)
+}

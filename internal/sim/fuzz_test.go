@@ -10,6 +10,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"math"
 	"sort"
 	"testing"
 )
@@ -134,5 +135,55 @@ func FuzzEventSchedule(f *testing.F) {
 				t.Fatalf("drain %d: calendar %+v, want %+v", i, got, want)
 			}
 		}
+	})
+}
+
+// FuzzHealthyPick drives the O(1) first-failure pick of a healthy node
+// set against the sequential walk over fuzzer-chosen geometries, rates
+// and draws. edge == 0 draws u = frac(x)·rate; otherwise u sits ulps
+// away from interval edge edge-1 (mod the edge count), the band where
+// the two picks could disagree. Wherever the fast pick accepts, it must
+// equal the walk.
+func FuzzHealthyPick(f *testing.F) {
+	// Baseline 64×12 set, a random-looking draw and the largest draw.
+	f.Add(uint8(61), uint8(11), 1e-5, 2e-6, 0.0, 0.5, uint16(0), int8(0))
+	f.Add(uint8(61), uint8(11), 1e-5, 2e-6, 0.0, math.Nextafter(1, 0), uint16(0), int8(0))
+	// On an edge, ±1 and ±40 ulps off it, with and without shocks.
+	f.Add(uint8(61), uint8(11), 1e-5, 2e-6, 0.0, 0.0, uint16(400), int8(0))
+	f.Add(uint8(61), uint8(11), 1e-5, 2e-6, 1e-4, 0.0, uint16(13), int8(1))
+	f.Add(uint8(0), uint8(0), 3e-2, 7e-9, 0.0, 0.0, uint16(2), int8(-1))
+	f.Add(uint8(252), uint8(23), 1e-12, 1e-8, 1e3, 0.0, uint16(6375), int8(40))
+	f.Add(uint8(5), uint8(3), 1.0, 1.0, 0.0, 0.0, uint16(33), int8(-40))
+
+	f.Fuzz(func(t *testing.T, n, d uint8, lambdaN, lambdaD, shock, x float64, edge uint16, ulps int8) {
+		sc := Scenario{N: 3 + int(n)%253, D: 1 + int(d)%24,
+			LambdaN: math.Abs(lambdaN), LambdaD: math.Abs(lambdaD), ShockRate: math.Abs(shock)}
+		if !(sc.LambdaN > 0 && sc.LambdaD > 0) || math.IsInf(sc.LambdaN+sc.LambdaD, 0) ||
+			math.IsNaN(sc.ShockRate) || math.IsInf(sc.ShockRate, 0) {
+			t.Skip()
+		}
+		b := healthySet(sc)
+		rate := b.rate()
+		if !(rate > 0) || math.IsInf(rate, 0) {
+			t.Skip()
+		}
+		var u float64
+		if edge == 0 {
+			if x = math.Abs(x); math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Skip()
+			}
+			u = (x - math.Floor(x)) * rate
+			if u < sc.ShockRate {
+				t.Skip() // a shock: no component is picked
+			}
+			u -= sc.ShockRate
+		} else {
+			e := pickEdge(&sc, int(edge-1)%(sc.N*(1+sc.D)+1))
+			u = math.Float64frombits(uint64(int64(math.Float64bits(e)) + int64(ulps)))
+			if e == 0 && ulps < 0 {
+				t.Skip()
+			}
+		}
+		checkHealthyPick(t, b, rate, u)
 	})
 }
