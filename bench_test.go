@@ -334,7 +334,7 @@ func BenchmarkMissionTransient(b *testing.B) {
 	p := params.Baseline()
 	cfg := core.Config{Internal: core.InternalNone, NodeFaultTolerance: 2}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.MissionSurvival(p, cfg, 5*params.HoursPerYear, 100); err != nil {
+		if _, err := core.MissionSurvival(context.Background(), p, cfg, 5*params.HoursPerYear, 100); err != nil {
 			b.Fatal(err)
 		}
 	}

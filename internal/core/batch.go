@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/linalg/sparse"
 	"repro/internal/markov"
 	"repro/internal/model"
 	"repro/internal/params"
@@ -20,12 +21,16 @@ import (
 // of cells that share ONE configuration. On the exact chain such cells
 // share one frozen topology (the model builders' state/edge sets are
 // functions of the fault tolerance alone, never of the parameters), so
-// a chunk binds that topology into a structure-of-arrays
-// markov.BatchSolver once, emits rates per cell through the compiled
-// string-free model refillers straight into the solver's value slab
-// (one validating fill pass, no chain in between), and runs
-// Refactor+Solve per cell — zero per-cell allocation, with spans and
-// metric observations amortized to one per chunk. Closed-form and
+// a chunk binds that topology into a markov.BatchSolver once, emits
+// rates per cell through the compiled string-free model refillers
+// straight into the solver's value slab (one validating fill pass, no
+// chain in between), and runs Refactor+Solve per cell — zero per-cell
+// allocation, with spans and metric observations amortized to one per
+// chunk. On the sparse route the fill and the solve take four-cell lane
+// blocks (markov.BatchSolver.FillBlock and SolveBlock): four cells per
+// pass through the compiled sparse program, bit for bit the one-cell
+// path, which still takes a chunk's last one to three cells and any
+// block a cell fails. Closed-form and
 // exact-stable cells have no chain to amortize: a chunk evaluates them
 // one after another and binds no solver.
 //
@@ -163,11 +168,13 @@ func chainStates(cfg Config) float64 {
 }
 
 // batchChunk is one chunk's reusable state: the cells' parameter and
-// result slots and the prep slots of an exact-chain chunk.
+// result slots, and the prep slots and lane rate vectors of an
+// exact-chain chunk.
 type batchChunk struct {
 	preps []analysisPrep
 	ps    []params.Parameters
 	res   []Result
+	rates [sparse.Lanes][]float64
 }
 
 var chunkPool = sync.Pool{New: func() any { return new(batchChunk) }}
@@ -187,13 +194,19 @@ func (bc *batchChunk) slots(n int) ([]params.Parameters, []Result) {
 // (-1, ctx.Err()).
 //
 // Exact-chain cells: bind the chunk's topology into a pooled solver,
-// then per cell, prep into the chunk's slot and the refiller's emitted
-// rates straight into the solver's slab (FillRates
-// validates them), stopping at the first failing fill; then one
+// then prep each cell into the chunk's slot and fill the refiller's
+// emitted rates straight into the solver's slab (the fill validates
+// them), stopping at the first failing cell; then one
 // Refactor+Solve+estimate pass over the filled cells. A solve failure
 // at cell i < the failing fill outranks the fill failure — it is the
 // earlier cell. A chunk with no filled cell opens no chunk span and
 // records no chunk.
+//
+// On the sparse route both passes run in blocks of sparse.Lanes cells
+// (FillBlock, SolveBlock); a block that any cell fails, and the last
+// cells that fill no block, take the one-cell path (FillRates,
+// SolveCell) cell by cell, which reports that cell's error and
+// accounting exactly.
 func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps []params.Parameters, out []Result) (int, error) {
 	if method != MethodExactChain {
 		return evaluateCells(ctx, cfg, method, ps, out)
@@ -206,94 +219,163 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps
 	// The solver comes from markov's free list, which hands out the most
 	// recently released solver — the one whose symbolic-factorization
 	// cache is warmest — on any goroutine, and survives collection.
-	bs := markov.AcquireBatchSolver()
-	defer markov.ReleaseBatchSolver(bs)
-	isNIR := cfg.Internal == InternalNone
-
-	var (
-		nir *model.NIRRefiller
-		ir  *model.IRRefiller
-	)
-	defer func() {
-		if nir != nil {
-			nir.Release()
-		}
-		if ir != nil {
-			ir.Release()
-		}
-	}()
-
-	var tl rebuild.Tally
-	defer tl.Flush(ctx)
+	ch := chainChunk{bc: bc, cfg: cfg, isNIR: cfg.Internal == InternalNone, bs: markov.AcquireBatchSolver()}
+	defer ch.release()
+	defer ch.tl.Flush(ctx)
+	bs := ch.bs
 	done := ctx.Done()
+
 	filled := 0
-	fillFail := -1
 	var fillErr error
-	for i := range ps {
+	for filled < len(ps) && fillErr == nil {
 		if cancelled(done) {
 			return -1, ctx.Err()
 		}
-		pr := &bc.preps[i]
-		if err := analyzePrep(pr, &ps[i], cfg, &tl); err != nil {
-			fillFail, fillErr = i, err
-			break
+		if ch.fillBlock(ctx, ps, filled) {
+			filled += sparse.Lanes
+		} else if fillErr = ch.fillCell(ctx, ps, filled); fillErr == nil {
+			filled++
 		}
-		var (
-			rates   []float64
-			ch      *markov.Chain
-			program []int
-		)
-		if isNIR {
-			if nir == nil {
-				nir = model.AcquireNIRRefiller(pr.nir, pr.k)
-				ch, program = nir.Chain(), nir.Program()
-			}
-			rates = nir.Emit(pr.nir)
-		} else {
-			if ir == nil {
-				ir = model.AcquireIRRefiller(pr.ir, pr.k)
-				ch, program = ir.Chain(), ir.Program()
-			}
-			rates = ir.Emit(pr.ir)
-		}
-		if i == 0 {
-			if err := bs.Bind(ctx, ch); err != nil {
-				return 0, chainSolveError(isNIR, err)
-			}
-			bs.Cells(len(ps))
-			if err := bs.BindProgram(program); err != nil {
-				return 0, chainSolveError(isNIR, err)
-			}
-		}
-		if err := bs.FillRates(i, rates); err != nil {
-			fillFail, fillErr = i, chainSolveError(isNIR, err)
-			break
-		}
-		filled++
 	}
 
 	if filled > 0 {
 		endChunk := bs.StartChunk(ctx, filled)
 		defer endChunk()
 	}
-	for i := 0; i < filled; i++ {
+	var mtta [sparse.Lanes]float64
+	for i := 0; i < filled; {
 		if cancelled(done) {
 			return -1, ctx.Err()
 		}
-		mtta, err := bs.SolveCell(i)
-		if err != nil {
-			return i, chainSolveError(isNIR, err)
+		end, lanes := i+1, 0
+		if bs.LaneBlocks() && filled-i >= sparse.Lanes {
+			end, lanes = i+sparse.Lanes, bs.SolveBlock(i, &mtta)
 		}
-		est, err := estimate(&ps[i], cfg, mtta)
-		if err != nil {
-			return i, err
+		for j := i; j < end; j++ {
+			v := mtta[j-i]
+			if j >= i+lanes {
+				var err error
+				if v, err = bs.SolveCell(j); err != nil {
+					return j, chainSolveError(ch.isNIR, err)
+				}
+			}
+			est, err := estimate(&ps[j], cfg, v)
+			if err != nil {
+				return j, err
+			}
+			out[j] = bc.preps[j].result(&ps[j], cfg, MethodExactChain, est)
 		}
-		out[i] = bc.preps[i].result(&ps[i], cfg, MethodExactChain, est)
+		i = end
 	}
 	if fillErr != nil {
-		return fillFail, fillErr
+		return filled, fillErr
 	}
 	return -1, nil
+}
+
+// chainChunk is the fill state of one exact-chain chunk: its solver,
+// its refiller (acquired by the first cell's emission), whether that
+// emission has bound the topology, and the chunk's rate tally.
+type chainChunk struct {
+	bc    *batchChunk
+	cfg   Config
+	isNIR bool
+	bs    *markov.BatchSolver
+	nir   *model.NIRRefiller
+	ir    *model.IRRefiller
+	bound bool
+	tl    rebuild.Tally
+}
+
+// release hands the solver and the refiller back for recycling.
+func (ch *chainChunk) release() {
+	if ch.nir != nil {
+		ch.nir.Release()
+	}
+	if ch.ir != nil {
+		ch.ir.Release()
+	}
+	markov.ReleaseBatchSolver(ch.bs)
+}
+
+// fillBlock fills the sparse.Lanes cells of ps from i on in one
+// FillBlock pass and reports true, when the route solves in lane
+// blocks, the chunk has a whole block left and every cell of the block
+// preps and fills cleanly. Otherwise it leaves the rate tally as it
+// found it and the block's rows without a result, so the one-cell path
+// that follows preps, counts and reports as if no block was tried.
+func (ch *chainChunk) fillBlock(ctx context.Context, ps []params.Parameters, i int) bool {
+	if !ch.bound || !ch.bs.LaneBlocks() || len(ps)-i < sparse.Lanes {
+		return false
+	}
+	tl := ch.tl
+	rates := &ch.bc.rates
+	for l := range rates {
+		r, err := ch.emit(ctx, ps, i+l)
+		if err != nil {
+			ch.tl = tl
+			return false
+		}
+		rates[l] = append(rates[l][:0], r...)
+	}
+	if !ch.bs.FillBlock(i, rates) {
+		ch.tl = tl
+		return false
+	}
+	return true
+}
+
+// fillCell preps, emits and fills cell i of ps, returning the cell's
+// error, if any.
+func (ch *chainChunk) fillCell(ctx context.Context, ps []params.Parameters, i int) error {
+	rates, err := ch.emit(ctx, ps, i)
+	if err != nil {
+		return err
+	}
+	if err := ch.bs.FillRates(i, rates); err != nil {
+		return chainSolveError(ch.isNIR, err)
+	}
+	return nil
+}
+
+// emit preps cell i of ps into its prep slot and returns the refiller's
+// emitted rates for it (valid until the next emission). The chunk's
+// first emission acquires the refiller and binds its topology and
+// program into the solver.
+func (ch *chainChunk) emit(ctx context.Context, ps []params.Parameters, i int) ([]float64, error) {
+	pr := &ch.bc.preps[i]
+	if err := analyzePrep(pr, &ps[i], ch.cfg, &ch.tl); err != nil {
+		return nil, err
+	}
+	var (
+		rates   []float64
+		c       *markov.Chain
+		program []int
+	)
+	if ch.isNIR {
+		if ch.nir == nil {
+			ch.nir = model.AcquireNIRRefiller(pr.nir, pr.k)
+			c, program = ch.nir.Chain(), ch.nir.Program()
+		}
+		rates = ch.nir.Emit(pr.nir)
+	} else {
+		if ch.ir == nil {
+			ch.ir = model.AcquireIRRefiller(pr.ir, pr.k)
+			c, program = ch.ir.Chain(), ch.ir.Program()
+		}
+		rates = ch.ir.Emit(pr.ir)
+	}
+	if !ch.bound {
+		if err := ch.bs.Bind(ctx, c); err != nil {
+			return nil, chainSolveError(ch.isNIR, err)
+		}
+		ch.bs.Cells(len(ps))
+		if err := ch.bs.BindProgram(program); err != nil {
+			return nil, chainSolveError(ch.isNIR, err)
+		}
+		ch.bound = true
+	}
+	return rates, nil
 }
 
 // evaluateCells is the chunk body of the methods without a chain: per

@@ -32,8 +32,11 @@ type MissionResult struct {
 
 // MissionSurvival solves the configuration's exact chain for the
 // probability of surviving a mission of the given hours, and the fleet
-// version for fleetSize independent systems.
-func MissionSurvival(p params.Parameters, cfg Config, hours float64, fleetSize int) (MissionResult, error) {
+// version for fleetSize independent systems. The context reaches both
+// solves: under an active span (obs.StartSpan) they are attributed as
+// its children and their metrics land on the span's registry, and a
+// cancelled context returns ctx.Err().
+func MissionSurvival(ctx context.Context, p params.Parameters, cfg Config, hours float64, fleetSize int) (MissionResult, error) {
 	if hours <= 0 {
 		return MissionResult{}, fmt.Errorf("core: mission hours %v must be positive", hours)
 	}
@@ -50,11 +53,14 @@ func MissionSurvival(p params.Parameters, cfg Config, hours float64, fleetSize i
 	if err != nil {
 		return MissionResult{}, err
 	}
-	loss, err := markov.AbsorbedProbabilityByTime(context.TODO(), chain, hours, markov.TransientOptions{})
+	loss, err := markov.AbsorbedProbabilityByTime(ctx, chain, hours, markov.TransientOptions{})
 	if err != nil {
+		if ctx.Err() != nil {
+			return MissionResult{}, ctx.Err()
+		}
 		return MissionResult{}, fmt.Errorf("core: mission transient for %v: %w", cfg, err)
 	}
-	mttdl, err := markov.MTTA(context.TODO(), chain)
+	mttdl, err := markov.MTTA(ctx, chain)
 	if err != nil {
 		return MissionResult{}, err
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/params"
 )
 
@@ -11,7 +14,7 @@ func TestMissionSurvivalBaselineFiveYears(t *testing.T) {
 	p := params.Baseline()
 	mission := 5 * params.HoursPerYear
 	for _, cfg := range SensitivityConfigs() {
-		r, err := MissionSurvival(p, cfg, mission, 100)
+		r, err := MissionSurvival(context.Background(), p, cfg, mission, 100)
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
@@ -38,14 +41,14 @@ func TestMissionSurvivalBaselineFiveYears(t *testing.T) {
 func TestMissionFleetTargetStory(t *testing.T) {
 	p := params.Baseline()
 	mission := 5 * params.HoursPerYear
-	safe, err := MissionSurvival(p, Config{Internal: InternalRAID5, NodeFaultTolerance: 2}, mission, 100)
+	safe, err := MissionSurvival(context.Background(), p, Config{Internal: InternalRAID5, NodeFaultTolerance: 2}, mission, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if safe.FleetLossProbability > 0.01 {
 		t.Errorf("FT2+RAID5 fleet risk = %v, want < 1%%", safe.FleetLossProbability)
 	}
-	marginal, err := MissionSurvival(p, Config{Internal: InternalNone, NodeFaultTolerance: 2}, mission, 100)
+	marginal, err := MissionSurvival(context.Background(), p, Config{Internal: InternalNone, NodeFaultTolerance: 2}, mission, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func TestMissionSurvivalMonotoneInHorizon(t *testing.T) {
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
 	prev := -1.0
 	for _, years := range []float64{1, 2, 5, 10} {
-		r, err := MissionSurvival(p, cfg, years*params.HoursPerYear, 1)
+		r, err := MissionSurvival(context.Background(), p, cfg, years*params.HoursPerYear, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,18 +76,56 @@ func TestMissionSurvivalMonotoneInHorizon(t *testing.T) {
 func TestMissionSurvivalValidation(t *testing.T) {
 	p := params.Baseline()
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
-	if _, err := MissionSurvival(p, cfg, 0, 1); err == nil {
+	if _, err := MissionSurvival(context.Background(), p, cfg, 0, 1); err == nil {
 		t.Error("zero mission accepted")
 	}
-	if _, err := MissionSurvival(p, cfg, 100, 0); err == nil {
+	if _, err := MissionSurvival(context.Background(), p, cfg, 100, 0); err == nil {
 		t.Error("zero fleet accepted")
 	}
 	bad := p
 	bad.DriveMTTFHours = -1
-	if _, err := MissionSurvival(bad, cfg, 100, 1); err == nil {
+	if _, err := MissionSurvival(context.Background(), bad, cfg, 100, 1); err == nil {
 		t.Error("invalid params accepted")
 	}
-	if _, err := MissionSurvival(p, Config{NodeFaultTolerance: 1}, 100, 1); err == nil {
+	if _, err := MissionSurvival(context.Background(), p, Config{NodeFaultTolerance: 1}, 100, 1); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// The context reaches both solves: a pre-cancelled one returns
+// ctx.Err(), and a call under a span parents the mean-time solve's
+// "markov.solve" span to it.
+func TestMissionSurvivalContext(t *testing.T) {
+	p := params.Baseline()
+	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 2}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := MissionSurvival(ctx, p, cfg, params.HoursPerYear, 1); !errors.Is(err, context.Canceled) || err != ctx.Err() {
+		t.Errorf("pre-cancelled MissionSurvival error = %v, want %v", err, ctx.Err())
+	}
+
+	tr := obs.NewTracer()
+	ctx, root := tr.Start(context.Background(), "caller")
+	if _, err := MissionSurvival(ctx, p, cfg, params.HoursPerYear, 1); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	var rootID int64
+	for _, sp := range tr.Spans() {
+		if sp.Name == "caller" {
+			rootID = sp.ID
+		}
+	}
+	solves := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name == "markov.solve" {
+			solves++
+			if sp.Parent != rootID {
+				t.Errorf("markov.solve span %d has parent %d, want the caller's span %d", sp.ID, sp.Parent, rootID)
+			}
+		}
+	}
+	if solves != 1 {
+		t.Errorf("markov.solve spans = %d, want 1", solves)
 	}
 }

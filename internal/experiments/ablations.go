@@ -197,7 +197,9 @@ func Ablations(ctx context.Context, p params.Parameters, trials int, seed int64,
 		},
 		AblationMeshTopology,
 		AblationDriveClass,
-		MissionTable,
+		func(p params.Parameters) (*Table, error) {
+			return MissionTable(ctx, p)
+		},
 		PerfTable,
 		SparesPlan,
 	} {

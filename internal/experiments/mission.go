@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -11,8 +12,8 @@ import (
 // of data loss for one system and for a 100-system fleet over a five-year
 // mission, from the exact chains' transient solutions (uniformization) —
 // alongside the exponential approximation implicit in the
-// events-per-PB-year metric.
-func MissionTable(p params.Parameters) (*Table, error) {
+// events-per-PB-year metric. The context reaches every solve.
+func MissionTable(ctx context.Context, p params.Parameters) (*Table, error) {
 	mission := 5 * params.HoursPerYear
 	const fleet = 100
 	t := &Table{
@@ -23,7 +24,7 @@ func MissionTable(p params.Parameters) (*Table, error) {
 		},
 	}
 	for _, cfg := range core.SensitivityConfigs() {
-		r, err := core.MissionSurvival(p, cfg, mission, fleet)
+		r, err := core.MissionSurvival(ctx, p, cfg, mission, fleet)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: mission for %v: %w", cfg, err)
 		}

@@ -34,3 +34,36 @@ func TestCompiledRefactorMatchesOracleOnChains(t *testing.T) {
 		sparse.CheckAgainstOracle(t, fmt.Sprintf("IR ft %d", k), sparse.FromDense(r), rng)
 	}
 }
+
+// The lane kernels reproduce the scalar kernels bit for bit on the
+// absorption solves they serve: four NIR chains of one fault tolerance
+// with different drive MTTFs, solved against the initial state's unit
+// vector, at every fault tolerance the service accepts.
+func TestLanesMatchScalarOnChains(t *testing.T) {
+	for k := 1; k <= 10; k++ {
+		var (
+			a    *sparse.CSR
+			vals [sparse.Lanes][]float64
+			rhs  [sparse.Lanes][]float64
+		)
+		for l := range vals {
+			nir := closedform.NIRInputs{
+				N: 64, R: 48, D: 12,
+				LambdaN: 1 / 4e5, LambdaD: 1 / (2e4 * float64(1+3*l)), MuN: 0.05, MuD: 0.2,
+				CHER: 1e-4,
+			}
+			r, _, init := model.NIRChain(nir, k).AbsorptionMatrix()
+			m := sparse.FromDense(r)
+			if a == nil {
+				a = m
+			}
+			vals[l] = m.Val
+			rhs[l] = make([]float64, m.Rows)
+			rhs[l][init] = 1
+		}
+		ok := sparse.CheckLanes(t, fmt.Sprintf("NIR ft %d", k), a, vals, rhs)
+		if ok != [sparse.Lanes]bool{true, true, true, true} {
+			t.Errorf("NIR ft %d: lanes judged singular: %v", k, ok)
+		}
+	}
+}

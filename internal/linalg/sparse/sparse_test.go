@@ -413,8 +413,11 @@ func TestAnalyzeRejectsZeroDiagonal(t *testing.T) {
 	}
 }
 
+// Aliased or mis-sized vectors, and a lane solve before any lane
+// factorization, are caller bugs and panic.
 func TestSolveAliasPanics(t *testing.T) {
-	nu, err := Factorize(FromDense(randDiagDominant(rand.New(rand.NewSource(7)), 5, 0.5)))
+	a := FromDense(randDiagDominant(rand.New(rand.NewSource(7)), 5, 0.5))
+	nu, err := Factorize(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,10 +433,21 @@ func TestSolveAliasPanics(t *testing.T) {
 	mustPanic("SolveInto alias", func() { nu.SolveInto(b, b) })
 	mustPanic("SolveTransposeInto alias", func() { nu.SolveTransposeInto(b, b, b) })
 	mustPanic("SolveInto length", func() { nu.SolveInto(make([]float64, 4), b) })
+
+	lanes := [Lanes][]float64{b, b, b, b}
+	mustPanic("SolveTranspose4Into before Refactor4", func() { nu.SolveTranspose4Into(&lanes, &lanes) })
+	vals := [Lanes][]float64{a.Val, a.Val, a.Val, a.Val[1:]}
+	mustPanic("Refactor4 lane length", func() { nu.Refactor4(&vals) })
+	vals[3] = a.Val
+	nu.Refactor4(&vals)
+	short := lanes
+	short[1] = b[1:]
+	mustPanic("SolveTranspose4Into lane length", func() { nu.SolveTranspose4Into(&short, &lanes) })
 }
 
 // TestSteadyStateAllocFree pins the sweep-hot operations at zero
-// allocations: numeric refactorization and both solves.
+// allocations: numeric refactorization and both solves, and the lane
+// kernels once their storage exists.
 func TestSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := FromDense(randDiagDominant(rng, 80, 0.08))
@@ -462,6 +476,18 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { a.MulVecInto(x, b) }); n != 0 {
 		t.Errorf("MulVecInto allocates %v per run", n)
+	}
+	vals, rhs := laneValues(rng, a), laneRHS(rng, 80)
+	var tau [Lanes][]float64
+	for l := range tau {
+		tau[l] = make([]float64, 80)
+	}
+	nu.Refactor4(&vals)
+	if n := testing.AllocsPerRun(100, func() {
+		nu.Refactor4(&vals)
+		nu.SolveTranspose4Into(&tau, &rhs)
+	}); n != 0 {
+		t.Errorf("lane kernels allocate %v per run", n)
 	}
 }
 

@@ -3,6 +3,8 @@ package markov
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/linalg"
@@ -11,19 +13,27 @@ import (
 )
 
 // BatchSolver is the package's one absorbing-chain solver. It solves
-// many absorption problems that share one frozen chain topology,
-// structure-of-arrays style. Bind captures the topology once — transient
-// indexing, the CSR pattern of R = -Q_B, the dense/sparse routing
-// decision and (on the sparse route) the symbolic factorization with
-// its compiled elimination program. Each cell's rates then go straight
-// into its row of a reused value slab in one fill pass: FillRates takes
-// a refill program's emitted rate vector (compiled once by BindProgram),
-// Fill a chain's edge rates. The pass validates the rates with
-// Chain.Validate's rate checks and writes R's diagonal exit sums and
-// negated off-diagonals. SolveCell then runs Refactor+Solve against that
-// row. After the first chunk every per-cell step is allocation-free: all
-// pattern work, span bookkeeping and metric updates are amortized to one
-// per chunk (StartChunk).
+// many absorption problems that share one frozen chain topology. Bind
+// captures the topology once — transient indexing, the CSR pattern of
+// R = -Q_B, the dense/sparse routing decision and (on the sparse route)
+// the symbolic factorization with its compiled elimination program.
+// Each cell's rates then go straight into its row of a reused value
+// slab in one fill pass: FillRates takes a refill program's emitted rate
+// vector (compiled once by BindProgram), Fill a chain's edge rates. The
+// pass validates the rates with Chain.Validate's rate checks and writes
+// R's diagonal exit sums and negated off-diagonals. SolveCell then runs
+// Refactor+Solve against that row. After the first chunk every per-cell
+// step is allocation-free: all pattern work, span bookkeeping and metric
+// updates are amortized to one per chunk (StartChunk).
+//
+// Four-cell lanes: on the sparse route (LaneBlocks) a caller fills and
+// solves blocks of sparse.Lanes consecutive cells in one pass each —
+// FillBlock over the row edges, SolveBlock through the lane kernels
+// sparse.Numeric.Refactor4 and SolveTranspose4Into — so every step of
+// the compiled program and of the fill is applied to four independent
+// cells at once. Each lane does exactly the float operations of the
+// one-cell path, so its bits are the same; a lane that fails any check
+// is left to FillRates or SolveCell, which report it exactly.
 //
 // Routing: dense partial-pivot LU below the SetSparseMinStates crossover
 // or above the density guard (sparseRoute); otherwise sparse static-pivot
@@ -86,6 +96,10 @@ type BatchSolver struct {
 	r              *linalg.Matrix
 	f              linalg.LU
 	vs             validateScratch
+
+	// Lane blocks (SolveBlock): the value rows of the block's cells,
+	// their τ vectors and the right-hand side rhs, once per lane.
+	laneVals, laneTau, laneRHS [sparse.Lanes][]float64
 
 	// own is the private frozen copy through which a one-cell solve
 	// binds a mutable chain, leaving the caller's chain unsealed.
@@ -591,6 +605,121 @@ func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error)
 		return 0, err
 	}
 	return b.solveCell(ctx, 0)
+}
+
+// LaneBlocks reports whether the bound topology solves in lane blocks:
+// on the sparse route, with a symbolic analysis and a transient initial
+// state. Elsewhere SolveBlock commits no cell, and a caller keeps to
+// FillRates and SolveCell.
+func (b *BatchSolver) LaneBlocks() bool { return b.sparseRoute && b.num != nil && b.initRow >= 0 }
+
+// FillBlock writes the Lanes cells from cell on from rates[l], the
+// emitted rate vectors of the program compiled by BindProgram, in one
+// pass over the row edges: cell cell+l's row is what
+// FillRates(cell+l, rates[l]) writes, bit for bit. It reports whether
+// every lane passed FillRates' validation. When one did not, the rows
+// hold no result and the caller must refill them; FillRates reports the
+// first failing cell's error (or panic) exactly.
+func (b *BatchSolver) FillBlock(cell int, rates *[sparse.Lanes][]float64) bool {
+	if !b.programBound {
+		panic("markov: FillBlock without a program compiled by BindProgram since the last Bind")
+	}
+	var v [sparse.Lanes][]float64
+	for l, r := range rates {
+		if len(r) != b.nedges {
+			panic(fmt.Sprintf("markov: FillBlock got %d rates in lane %d for a %d-emission program", len(r), l, b.nedges))
+		}
+		if len(b.redge) < b.nedges && slices.ContainsFunc(r, func(r float64) bool { return r < 0 }) {
+			return false // FillRates panics on a rate no row edge reads
+		}
+		v[l] = b.vals[(cell+l)*b.nnz : (cell+l+1)*b.nnz]
+	}
+	r0, r1, r2, r3 := rates[0], rates[1], rates[2], rates[3]
+	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
+	em, eslot, diagSlot := b.progEm, b.eslot, b.diagSlot
+	k := 0
+	for row, end := range b.erow[1:] {
+		var x0, x1, x2, x3 float64
+		for ; k < end; k++ {
+			e := em[k]
+			q0, q1, q2, q3 := r0[e], r1[e], r2[e], r3[e]
+			if q0 < 0 || q1 < 0 || q2 < 0 || q3 < 0 {
+				return false
+			}
+			x0 += q0
+			x1 += q1
+			x2 += q2
+			x3 += q3
+			if s := eslot[k]; s >= 0 {
+				v0[s], v1[s], v2[s], v3[s] = -(0 + q0), -(0 + q1), -(0 + q2), -(0 + q3)
+			}
+		}
+		if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
+			return false
+		}
+		d := diagSlot[row]
+		v0[d], v1[d], v2[d], v3[d] = x0, x1, x2, x3
+	}
+	for _, r := range rates {
+		if !b.absorptionReachable(em, r) {
+			return false
+		}
+	}
+	return true
+}
+
+// SolveBlock solves the Lanes filled cells from cell on in one pass of
+// the sparse lane kernels (Refactor4, SolveTranspose4Into). It commits
+// the leading lanes that pass every check SolveCell makes on the sparse
+// route — nonzero pivots, a plausible τ — and whose MTTA is positive and
+// finite, the only MTTA a caller can use: it writes their MTTAs, bit for
+// bit SolveCell's, into mtta and accounts them as SolveCell would. It
+// returns the number of committed lanes; the caller solves the block's
+// other cells with SolveCell, which reproduces the first rejected lane's
+// dense fallback, error or unusable MTTA exactly, and counts no lane past
+// it. Where LaneBlocks is false it commits nothing.
+func (b *BatchSolver) SolveBlock(cell int, mtta *[sparse.Lanes]float64) int {
+	if !b.LaneBlocks() {
+		return 0
+	}
+	m := len(b.trans)
+	for l := range b.laneVals {
+		b.laneVals[l] = b.vals[(cell+l)*b.nnz : (cell+l+1)*b.nnz]
+		b.laneTau[l] = resizeFloats(b.laneTau[l], m)
+		b.laneRHS[l] = b.rhs
+	}
+	ok := b.num.Refactor4(&b.laneVals)
+	b.num.SolveTranspose4Into(&b.laneTau, &b.laneRHS)
+	// tauPlausible and linalg.Sum of every lane in one pass, the lanes'
+	// running sums overlapping.
+	var w0, w1, w2, w3, c0, c1, c2, c3, s0, s1, s2, s3 float64
+	t0, t1, t2, t3 := b.laneTau[0], b.laneTau[1][:m], b.laneTau[2][:m], b.laneTau[3][:m]
+	for j, v := range t0 {
+		w0, c0, s0 = tauStep(v, w0, c0, s0)
+		w1, c1, s1 = tauStep(t1[j], w1, c1, s1)
+		w2, c2, s2 = tauStep(t2[j], w2, c2, s2)
+		w3, c3, s3 = tauStep(t3[j], w3, c3, s3)
+	}
+	good := [sparse.Lanes]bool{plausible(w0, c0), plausible(w1, c1), plausible(w2, c2), plausible(w3, c3)}
+	sum := [sparse.Lanes]float64{s0, s1, s2, s3}
+	n := 0
+	for ; n < sparse.Lanes; n++ {
+		v := sum[n]
+		if !ok[n] || !good[n] || !(v > 0 && v < math.Inf(1)) {
+			break
+		}
+		mtta[n] = v
+	}
+	if n > 0 {
+		// The last committed lane is the latest solved cell: its matrix
+		// and τ stay in place for the chunk's residual.
+		b.solved += n
+		b.sparseSolved += n
+		b.lastOK, b.lastDense = true, false
+		b.view.Val = b.laneVals[n-1]
+		b.tau, b.laneTau[n-1] = b.laneTau[n-1], b.tau
+	}
+	return n
 }
 
 // frozenCopy lays the mutable chain c out in the solver's private

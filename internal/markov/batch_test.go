@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
+
+	"repro/internal/linalg/sparse"
 )
 
 // ladderEdges emits a refillable test family: a birth-death ladder of k
@@ -115,9 +117,11 @@ func TestBatchSolverMatchesPerCellBitwise(t *testing.T) {
 
 // The batch hot path must be allocation-free per cell after warmup: the
 // fused fill of an emitted rate vector (FillRates, with its validation)
-// and the solve run in reused storage. This is the per-cell half of the
-// "zero per-cell allocation" contract (chunk setup — Bind, BindProgram,
-// StartChunk — is amortized and may allocate).
+// and the solve run in reused storage, and so do a four-cell block's
+// fill and solve (FillBlock, SolveBlock, and SolveCell for the lanes it
+// leaves). This is the per-cell half of the "zero per-cell allocation"
+// contract (chunk setup — Bind, BindProgram, StartChunk — is amortized
+// and may allocate).
 func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 	for _, route := range []struct {
 		name      string
@@ -145,7 +149,7 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 			if err := b.BindProgram(program); err != nil {
 				t.Fatalf("BindProgram: %v", err)
 			}
-			b.Cells(1)
+			b.Cells(sparse.Lanes)
 			var solveErr error
 			cell := func() {
 				if err := b.FillRates(0, rates); err != nil {
@@ -156,15 +160,30 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 					solveErr = err
 				}
 			}
-			cell() // warmup
-			if solveErr != nil {
-				t.Fatalf("warmup: %v", solveErr)
+			lanes := [sparse.Lanes][]float64{rates, rates, rates, rates}
+			var mtta [sparse.Lanes]float64
+			block := func() {
+				if !b.FillBlock(0, &lanes) {
+					solveErr = fmt.Errorf("FillBlock refused valid rates")
+					return
+				}
+				for l := b.SolveBlock(0, &mtta); l < sparse.Lanes; l++ {
+					if _, err := b.SolveCell(l); err != nil {
+						solveErr = err
+					}
+				}
 			}
-			if n := testing.AllocsPerRun(200, cell); n != 0 {
-				t.Errorf("batch cell allocates %v times per run, want 0", n)
-			}
-			if solveErr != nil {
-				t.Fatalf("solve: %v", solveErr)
+			for name, f := range map[string]func(){"batch cell": cell, "four-cell block": block} {
+				f() // warmup
+				if solveErr != nil {
+					t.Fatalf("%s warmup: %v", name, solveErr)
+				}
+				if n := testing.AllocsPerRun(200, f); n != 0 {
+					t.Errorf("%s allocates %v times per run, want 0", name, n)
+				}
+				if solveErr != nil {
+					t.Fatalf("%s: %v", name, solveErr)
+				}
 			}
 		})
 	}

@@ -159,17 +159,29 @@ func MTTA(ctx context.Context, c *Chain) (float64, error) {
 func tauPlausible(tau []float64) bool {
 	var worst, scale float64
 	for _, v := range tau {
-		if v < worst {
-			worst = v
-		}
-		if v > scale {
-			scale = v
-		} else if -v > scale {
-			scale = -v
-		}
+		worst, scale, _ = tauStep(v, worst, scale, 0)
 	}
-	return worst >= -1e-9*scale
+	return plausible(worst, scale)
 }
+
+// tauStep folds the τ entry v into tauPlausible's most negative entry
+// and largest magnitude (a NaN moves neither) and into a linalg.Sum
+// running sum.
+func tauStep(v, worst, scale, sum float64) (float64, float64, float64) {
+	if v < worst {
+		worst = v
+	}
+	if v > scale {
+		scale = v
+	} else if -v > scale {
+		scale = -v
+	}
+	return worst, scale, sum + v
+}
+
+// plausible is tauPlausible's verdict on a τ vector's most negative
+// entry and largest magnitude.
+func plausible(worst, scale float64) bool { return worst >= -1e-9*scale }
 
 // sparseResidual computes ‖Rᵀτ − e_init‖∞ through the CSR matrix,
 // using scratch (length ≥ n) for the product — instrumented solves only.

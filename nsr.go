@@ -140,5 +140,5 @@ type MissionResult = core.MissionResult
 // MissionSurvival computes the probability of data loss within a mission
 // for one system and a fleet, from the exact chain's transient solution.
 func MissionSurvival(p Parameters, cfg Config, hours float64, fleetSize int) (MissionResult, error) {
-	return core.MissionSurvival(p, cfg, hours, fleetSize)
+	return core.MissionSurvival(context.Background(), p, cfg, hours, fleetSize)
 }

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Runs every fuzz target of the packages that decode untrusted input
-# (serve, sim, trace, erasure) for a fixed time each. Plain `go test`
-# runs only the seed corpora; this mutates past them. A failing input
-# is written under the package's testdata/fuzz/ and fails the script.
+# (serve, sim, trace, erasure) and of the sparse LU, whose four-cell
+# lane kernels must stay bit for bit its scalar kernels on any pattern
+# and any values, Inf and NaN included (linalg/sparse), for a fixed time
+# each. Plain `go test` runs only the seed corpora; this mutates past
+# them. A failing input is written under the package's testdata/fuzz/
+# and fails the script.
 #
 # Run from anywhere: ./scripts/fuzz_smoke.sh [seconds-per-target]
 # (default 10).
@@ -11,7 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fuzztime=${1:-10}s
-for pkg in serve sim trace erasure; do
+for pkg in serve sim trace erasure linalg/sparse; do
     for target in $(grep -ho '^func Fuzz[A-Za-z0-9_]*' "internal/$pkg"/*_test.go | cut -d' ' -f2); do
         echo "fuzz  $pkg.$target for $fuzztime"
         go test -run '^$' -fuzz "^$target\$" -fuzztime "$fuzztime" -parallel 2 "./internal/$pkg"
