@@ -70,3 +70,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		t.Error("run accepted ft 99")
 	}
 }
+
+// RAID 6 at ft 5 exhausts float64 on the paper's baseline: the solve's
+// MTTA comes out negative, so the run must fail instead of printing it
+// and its sensitivities.
+func TestRunRefusesUnusableMTTA(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-internal", "raid6", "-ft", "5", "-sens"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "not positive and finite") {
+		t.Fatalf("run = %v, want the unusable-MTTA error", err)
+	}
+	if strings.Contains(stdout.String(), "exact MTTDL") {
+		t.Errorf("printed an MTTDL:\n%s", stdout.String())
+	}
+}

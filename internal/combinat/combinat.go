@@ -187,14 +187,23 @@ func AppendHSet(dst []float64, n, r, d int, cher float64, k int) []float64 {
 	if k < 0 {
 		panic(fmt.Sprintf("combinat: HSet with negative k = %d", k))
 	}
-	h := BaseH(n, r, k, cher)
-	var powBuf [16]float64
-	powD := powBuf[:0]
-	for j := 0; j <= k; j++ {
-		powD = append(powD, math.Pow(float64(d), float64(1-j)))
-	}
+	var buf [16]float64
+	byDrives := AppendHByDrives(buf[:0], n, r, d, cher, k)
 	for i := 0; i < 1<<k; i++ {
-		dst = append(dst, h*powD[bits.OnesCount(uint(i))])
+		dst = append(dst, byDrives[bits.OnesCount(uint(i))])
+	}
+	return dst
+}
+
+// AppendHByDrives appends the k+1 distinct values of h^(k) to dst, the
+// p-th being h_α = BaseH · d^(1-p) for every word α of length k with p
+// drive letters, and returns the extended slice. h_α depends on α only
+// through #d(α), so AppendHSet's entry i is the popcount(i)-th of these,
+// bit for bit. It panics unless 1 <= k < R <= N.
+func AppendHByDrives(dst []float64, n, r, d int, cher float64, k int) []float64 {
+	h := BaseH(n, r, k, cher)
+	for p := 0; p <= k; p++ {
+		dst = append(dst, h*math.Pow(float64(d), float64(1-p)))
 	}
 	return dst
 }

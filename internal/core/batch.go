@@ -21,9 +21,10 @@ import (
 // of cells that share ONE configuration. On the exact chain such cells
 // share one frozen topology (the model builders' state/edge sets are
 // functions of the fault tolerance alone, never of the parameters), so
-// a chunk binds that topology into a markov.BatchSolver once, emits
-// rates per cell through the compiled string-free model refillers
-// straight into the solver's value slab (one validating fill pass, no
+// a chunk binds that topology and its refill program into a
+// markov.BatchSolver once, emits each cell's O(k) rate-class values
+// through the compiled string-free model refillers into a lane buffer,
+// fills the solver's value slab from them (one validating fill pass, no
 // chain in between), and runs Refactor+Solve per cell — zero per-cell
 // allocation, with spans and metric observations amortized to one per
 // chunk. On the sparse route the fill and the solve take four-cell lane
@@ -168,13 +169,13 @@ func chainStates(cfg Config) float64 {
 }
 
 // batchChunk is one chunk's reusable state: the cells' parameter and
-// result slots, and the prep slots and lane rate vectors of an
-// exact-chain chunk.
+// result slots, and the prep slots and per-lane class-value buffers of
+// an exact-chain chunk (the one-cell path fills from lane 0's).
 type batchChunk struct {
 	preps []analysisPrep
 	ps    []params.Parameters
 	res   []Result
-	rates [sparse.Lanes][]float64
+	vals  [sparse.Lanes][]float64
 }
 
 var chunkPool = sync.Pool{New: func() any { return new(batchChunk) }}
@@ -194,9 +195,9 @@ func (bc *batchChunk) slots(n int) ([]params.Parameters, []Result) {
 // (-1, ctx.Err()).
 //
 // Exact-chain cells: bind the chunk's topology into a pooled solver,
-// then prep each cell into the chunk's slot and fill the refiller's
-// emitted rates straight into the solver's slab (the fill validates
-// them), stopping at the first failing cell; then one
+// then prep each cell into the chunk's slot and fill the solver's slab
+// from the refiller's emitted class values (the fill validates them),
+// stopping at the first failing cell; then one
 // Refactor+Solve+estimate pass over the filled cells. A solve failure
 // at cell i < the failing fill outranks the fill failure — it is the
 // earlier cell. A chunk with no filled cell opens no chunk span and
@@ -301,24 +302,23 @@ func (ch *chainChunk) release() {
 // fillBlock fills the sparse.Lanes cells of ps from i on in one
 // FillBlock pass and reports true, when the route solves in lane
 // blocks, the chunk has a whole block left and every cell of the block
-// preps and fills cleanly. Otherwise it leaves the rate tally as it
-// found it and the block's rows without a result, so the one-cell path
-// that follows preps, counts and reports as if no block was tried.
+// preps and fills cleanly. Each lane's refiller emission writes its
+// class values into that lane's buffer. Otherwise it leaves the rate
+// tally as it found it and the block's rows without a result, so the
+// one-cell path that follows preps, counts and reports as if no block
+// was tried.
 func (ch *chainChunk) fillBlock(ctx context.Context, ps []params.Parameters, i int) bool {
 	if !ch.bound || !ch.bs.LaneBlocks() || len(ps)-i < sparse.Lanes {
 		return false
 	}
 	tl := ch.tl
-	rates := &ch.bc.rates
-	for l := range rates {
-		r, err := ch.emit(ctx, ps, i+l)
-		if err != nil {
+	for l := range ch.bc.vals {
+		if err := ch.emit(ctx, ps, i+l, l); err != nil {
 			ch.tl = tl
 			return false
 		}
-		rates[l] = append(rates[l][:0], r...)
 	}
-	if !ch.bs.FillBlock(i, rates) {
+	if !ch.bs.FillBlock(i, &ch.bc.vals) {
 		ch.tl = tl
 		return false
 	}
@@ -328,54 +328,53 @@ func (ch *chainChunk) fillBlock(ctx context.Context, ps []params.Parameters, i i
 // fillCell preps, emits and fills cell i of ps, returning the cell's
 // error, if any.
 func (ch *chainChunk) fillCell(ctx context.Context, ps []params.Parameters, i int) error {
-	rates, err := ch.emit(ctx, ps, i)
-	if err != nil {
+	if err := ch.emit(ctx, ps, i, 0); err != nil {
 		return err
 	}
-	if err := ch.bs.FillRates(i, rates); err != nil {
+	if err := ch.bs.FillRates(i, ch.bc.vals[0]); err != nil {
 		return chainSolveError(ch.isNIR, err)
 	}
 	return nil
 }
 
-// emit preps cell i of ps into its prep slot and returns the refiller's
-// emitted rates for it (valid until the next emission). The chunk's
-// first emission acquires the refiller and binds its topology and
-// program into the solver.
-func (ch *chainChunk) emit(ctx context.Context, ps []params.Parameters, i int) ([]float64, error) {
+// emit preps cell i of ps into its prep slot and writes the refiller's
+// class values for it into lane's buffer. The chunk's first emission
+// acquires the refiller and binds its topology, program and class map
+// into the solver.
+func (ch *chainChunk) emit(ctx context.Context, ps []params.Parameters, i, lane int) error {
 	pr := &ch.bc.preps[i]
 	if err := analyzePrep(pr, &ps[i], ch.cfg, &ch.tl); err != nil {
-		return nil, err
+		return err
 	}
 	var (
-		rates   []float64
-		c       *markov.Chain
-		program []int
+		c              *markov.Chain
+		program, class []int
 	)
+	vals := &ch.bc.vals[lane]
 	if ch.isNIR {
 		if ch.nir == nil {
 			ch.nir = model.AcquireNIRRefiller(pr.nir, pr.k)
-			c, program = ch.nir.Chain(), ch.nir.Program()
+			c, program, class = ch.nir.Chain(), ch.nir.Program(), ch.nir.Classes()
 		}
-		rates = ch.nir.Emit(pr.nir)
+		*vals = ch.nir.Emit(*vals, pr.nir)
 	} else {
 		if ch.ir == nil {
 			ch.ir = model.AcquireIRRefiller(pr.ir, pr.k)
-			c, program = ch.ir.Chain(), ch.ir.Program()
+			c, program, class = ch.ir.Chain(), ch.ir.Program(), ch.ir.Classes()
 		}
-		rates = ch.ir.Emit(pr.ir)
+		*vals = ch.ir.Emit(*vals, pr.ir)
 	}
 	if !ch.bound {
 		if err := ch.bs.Bind(ctx, c); err != nil {
-			return nil, chainSolveError(ch.isNIR, err)
+			return chainSolveError(ch.isNIR, err)
 		}
 		ch.bs.Cells(len(ps))
-		if err := ch.bs.BindProgram(program); err != nil {
-			return nil, chainSolveError(ch.isNIR, err)
+		if err := ch.bs.BindProgram(program, class); err != nil {
+			return chainSolveError(ch.isNIR, err)
 		}
 		ch.bound = true
 	}
-	return rates, nil
+	return nil
 }
 
 // evaluateCells is the chunk body of the methods without a chain: per

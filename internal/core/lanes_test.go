@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/linalg/sparse"
 	"repro/internal/markov"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -41,11 +42,11 @@ func scalarChunk(ctx context.Context, cfg Config, ps []params.Parameters, out []
 				return 0, chainSolveError(true, err)
 			}
 			bs.Cells(len(ps))
-			if err := bs.BindProgram(nir.Program()); err != nil {
+			if err := bs.BindProgram(nir.Program(), nir.Classes()); err != nil {
 				return 0, chainSolveError(true, err)
 			}
 		}
-		if err := bs.FillRates(i, nir.Emit(preps[i].nir)); err != nil {
+		if err := bs.FillRates(i, nir.Emit(nil, preps[i].nir)); err != nil {
 			fillFail, fillErr = i, chainSolveError(true, err)
 			break
 		}
@@ -90,7 +91,7 @@ var laneBadCells = []struct {
 	{"zero pivot, dense unusable", 1e40, 1e80, 0, true, true},
 	{"implausible τ, dense usable", 1e40, 1e40, 0, true, false},
 	{"implausible τ, dense unusable", 1e20, 1e20, 0, true, true},
-	{"NaN MTTDL", 1e200, 1e200, 0, false, true},
+	{"NaN τ, dense usable", 1e200, 1e200, 0, true, false},
 	{"no outgoing transitions", math.Inf(1), math.Inf(1), 0, false, true},
 	{"absorption unreachable", math.NaN(), 1e5, 0, false, true},
 	{"prep error", 1.5e5, 5e4, 5, false, true},
@@ -187,6 +188,47 @@ func TestChunkLanesMatchScalarLoop(t *testing.T) {
 		}
 		if failed := want.err != ""; failed != bad.fails {
 			t.Fatalf("%s: reference error %q, want failure %v", c.name, want.err, bad.fails)
+		}
+	}
+}
+
+// A NaN in a sparse solve's τ certifies nothing: NIR ft 5 with node and
+// drive lifetimes of 10^200 hours solves to a NaN τ on the sparse
+// route, and the one-cell path and the lane blocks must both hand every
+// such cell to the dense fallback, whose MTTDL (≈2.15e213 h) they then
+// report bit for bit as the dense route alone does.
+func TestNaNTauFallsBackToDense(t *testing.T) {
+	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 5}
+	p := deepBase()
+	p.NodeMTTFHours, p.DriveMTTFHours = 1e200, 1e200
+	prev := markov.SetSparseMinStates(1 << 30)
+	dense, err := AnalyzeCtx(context.Background(), p, cfg, MethodExactChain)
+	markov.SetSparseMinStates(prev)
+	if err != nil {
+		t.Fatalf("dense route: %v", err)
+	}
+	if r := dense.MTTDLHours / 2.15e213; r < 0.99 || r > 1.01 {
+		t.Fatalf("dense route MTTDL %g, want ≈2.15e213 h", dense.MTTDLHours)
+	}
+	lanes := func(ctx context.Context, cfg Config, ps []params.Parameters, out []Result) (int, error) {
+		return new(batchChunk).analyze(ctx, cfg, MethodExactChain, ps, out)
+	}
+	for _, n := range []int{1, 2 * sparse.Lanes} {
+		ps := make([]params.Parameters, n)
+		for i := range ps {
+			ps[i] = p
+		}
+		o := runChunk(cfg, ps, lanes)
+		if o.err != "" {
+			t.Fatalf("%d cells: %s", n, o.err)
+		}
+		if got := o.counters["markov.sparse.dense_fallbacks"]; got != int64(n) {
+			t.Errorf("%d cells: %d dense fallbacks, want %d", n, got, n)
+		}
+		for i, r := range o.results {
+			if math.Float64bits(r.MTTDLHours) != math.Float64bits(dense.MTTDLHours) {
+				t.Errorf("%d cells: cell %d MTTDL %g, dense route %g", n, i, r.MTTDLHours, dense.MTTDLHours)
+			}
 		}
 	}
 }

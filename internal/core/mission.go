@@ -22,10 +22,14 @@ type MissionResult struct {
 	// computed from the exact chain by uniformization.
 	LossProbability float64
 	// ExponentialApprox is 1 - exp(-T/MTTDL), the memoryless
-	// approximation implicit in the paper's events-per-PB-year metric.
+	// approximation implicit in the paper's events-per-PB-year metric,
+	// evaluated as -expm1(-T/MTTDL) so it keeps its digits where
+	// T/MTTDL is tiny.
 	ExponentialApprox float64
 	// FleetLossProbability is P(at least one loss among FleetSize
-	// independent systems).
+	// independent systems), 1 - (1-p)^n evaluated as
+	// -expm1(n·log1p(-p)), which does not cancel to 0 when p is below
+	// the float64 epsilon.
 	FleetSize            int
 	FleetLossProbability float64
 }
@@ -68,9 +72,9 @@ func MissionSurvival(ctx context.Context, p params.Parameters, cfg Config, hours
 		Config:               cfg,
 		Hours:                hours,
 		LossProbability:      loss,
-		ExponentialApprox:    1 - math.Exp(-hours/mttdl),
+		ExponentialApprox:    -math.Expm1(-hours / mttdl),
 		FleetSize:            fleetSize,
-		FleetLossProbability: 1 - math.Pow(1-loss, float64(fleetSize)),
+		FleetLossProbability: -math.Expm1(float64(fleetSize) * math.Log1p(-loss)),
 	}, nil
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/markov"
 	"repro/internal/obs"
 	"repro/internal/params"
 )
@@ -127,5 +129,81 @@ func TestMissionSurvivalContext(t *testing.T) {
 	}
 	if solves != 1 {
 		t.Errorf("markov.solve spans = %d, want 1", solves)
+	}
+}
+
+// Probabilities below the float64 epsilon keep their digits: at FT 3 +
+// RAID 5 over one hour the loss probability is ~2e-17, where
+// 1 - (1-p)^n rounds to 0, and the fleet probability must stay ≈ n·p;
+// at FT 4 without internal RAID over 36 seconds T/MTTDL is ~2e-17,
+// where 1 - exp(-T/MTTDL) rounds to 0, and the exponential
+// approximation must stay ≈ T/MTTDL.
+func TestMissionSurvivalTinyProbabilities(t *testing.T) {
+	p := params.Baseline()
+	const n = 100
+	fleet, err := MissionSurvival(context.Background(), p, Config{Internal: InternalRAID5, NodeFaultTolerance: 3}, 1, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loss := fleet.LossProbability; !(loss > 0 && loss < 1e-16) {
+		t.Fatalf("P(loss) = %g, want in (0, 1e-16) for this test to bite", loss)
+	}
+	want := n * fleet.LossProbability
+	if got := fleet.FleetLossProbability; !(got > 0) || math.Abs(got-want) > 1e-12*want {
+		t.Errorf("fleet P(loss) = %g, want %g (n·p) within 1e-12", got, want)
+	}
+
+	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 4}
+	const hours = 0.01
+	exact, err := AnalyzeCtx(context.Background(), p, cfg, MethodExactChain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := hours / exact.MTTDLHours
+	if !(x > 0 && x < 1e-16) {
+		t.Fatalf("T/MTTDL = %g, want in (0, 1e-16) for this test to bite", x)
+	}
+	r, err := MissionSurvival(context.Background(), p, cfg, hours, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.ExponentialApprox; !(got > 0) || math.Abs(got-x) > 1e-12*x {
+		t.Errorf("exponential approximation %g, want %g (T/MTTDL) within 1e-12", got, x)
+	}
+}
+
+// No entry point passes an unusable MTTA on: RAID 6 at FT 5 exhausts
+// float64 on the paper's baseline (the solve's MTTA is negative), and
+// markov.MTTA, Absorption, RateSensitivities and ExpectedVisits all
+// refuse it, as does MissionSurvival, which solves through MTTA.
+func TestUnusableMTTAIsAnErrorEverywhere(t *testing.T) {
+	p := params.Baseline()
+	cfg := Config{Internal: InternalRAID6, NodeFaultTolerance: 5}
+	ch, err := Chain(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "not positive and finite"
+	check := func(name string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, want)
+		}
+	}
+	v, err := markov.MTTA(context.Background(), ch)
+	check("MTTA", err)
+	if v != 0 {
+		t.Errorf("MTTA returned %g with its error, want 0", v)
+	}
+	_, err = markov.Absorption(ch)
+	check("Absorption", err)
+	_, err = markov.RateSensitivities(ch)
+	check("RateSensitivities", err)
+	_, err = markov.ExpectedVisits(ch)
+	check("ExpectedVisits", err)
+	_, err = MissionSurvival(context.Background(), p, cfg, 5*params.HoursPerYear, 100)
+	check("MissionSurvival", err)
+	if _, err := AnalyzeCtx(context.Background(), p, cfg, MethodExactChain); err == nil || !strings.Contains(err.Error(), "numerically unusable") {
+		t.Errorf("AnalyzeCtx: error %v, want core's usability wording", err)
 	}
 }

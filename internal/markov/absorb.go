@@ -31,8 +31,9 @@ type AbsorptionResult struct {
 // τ comes from the one-cell solve behind MTTA (a pooled BatchSolver:
 // same validation, routing and factorization), so MeanTimeToAbsorption
 // is bit-identical to MTTA on every chain.
-// It returns an error if the chain fails Validate or the absorption matrix
-// is singular (absorption not almost-sure).
+// It returns an error if the chain fails Validate, the absorption matrix
+// is singular (absorption not almost-sure), or the MTTA is not positive
+// and finite, exactly as MTTA does.
 func Absorption(c *Chain) (*AbsorptionResult, error) {
 	b := AcquireBatchSolver()
 	defer ReleaseBatchSolver(b)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/linalg"
@@ -15,16 +14,18 @@ import (
 // BatchSolver is the package's one absorbing-chain solver. It solves
 // many absorption problems that share one frozen chain topology. Bind
 // captures the topology once — transient indexing, the CSR pattern of
-// R = -Q_B, the dense/sparse routing decision and (on the sparse route)
-// the symbolic factorization with its compiled elimination program.
-// Each cell's rates then go straight into its row of a reused value
-// slab in one fill pass: FillRates takes a refill program's emitted rate
-// vector (compiled once by BindProgram), Fill a chain's edge rates. The
-// pass validates the rates with Chain.Validate's rate checks and writes
-// R's diagonal exit sums and negated off-diagonals. SolveCell then runs
-// Refactor+Solve against that row. After the first chunk every per-cell
-// step is allocation-free: all pattern work, span bookkeeping and metric
-// updates are amortized to one per chunk (StartChunk).
+// R = -Q_B, the dense/sparse routing decision, whether the whole
+// topology reaches absorption, and (on the sparse route) the symbolic
+// factorization with its compiled elimination program. Each cell's
+// rates then go straight into its row of a reused value slab in one
+// fill pass: FillRates takes a refill program's class values (the
+// program and its class map compiled once by BindProgram, so a row edge
+// reads its rate from an O(k) class vector), Fill a chain's edge rates.
+// The pass validates the rates with Chain.Validate's rate checks and
+// writes R's diagonal exit sums and negated off-diagonals. SolveCell
+// then runs Refactor+Solve against that row. After the first chunk every
+// per-cell step is allocation-free: all pattern work, span bookkeeping
+// and metric updates are amortized to one per chunk (StartChunk).
 //
 // Four-cell lanes: on the sparse route (LaneBlocks) a caller fills and
 // solves blocks of sparse.Lanes consecutive cells in one pass each —
@@ -69,14 +70,24 @@ type BatchSolver struct {
 	eslot    []int
 	nnz      int
 
-	// Emission orders. The fill reads row edge k's rate from the rate
-	// vector at em[k]. For Fill the vector is the chain's edge rates
-	// (copied to edgeRates) and em is redge; for FillRates it is the
-	// refill program's emission and em is progEm, compiled by
-	// BindProgram (via the edge → emission map progOf).
+	// reachAll reports whether absorption is reachable from the initial
+	// state over every row edge: the verdict of the reachability search
+	// for any rate vector whose values are all positive.
+	reachAll bool
+
+	// Fill orders. The fill reads row edge k's rate from a value vector
+	// at em[k], and checks the vector's signs in emission order: value
+	// order[i] is emission i's rate. For Fill the vector is the chain's
+	// edge rates (copied to edgeRates), em is redge and the order is the
+	// edges' (nil); for FillRates it is the refill program's class
+	// values, em is progEm — the program's edge → emission map progOf
+	// composed with its class map, by BindProgram — and the order is the
+	// class map, emClass, of nclass classes.
 	edgeRates    []float64
 	progEm       []int
 	progOf       []int
+	emClass      []int
+	nclass       int
 	programBound bool
 
 	// Routing captured at Bind: sparseRoute selects the sparse path; num
@@ -275,6 +286,7 @@ func (b *BatchSolver) bindPattern(c *Chain) {
 		b.rhs[b.initRow] = 1
 	}
 
+	b.reachAll = b.absorptionReachable(nil, nil)
 	b.num, b.symbolic = nil, symbolicNone
 	b.sparseRoute = sparseRoute(m, b.nnz)
 	b.Cells(1) // the pattern views need a full-length value row
@@ -293,15 +305,22 @@ func (b *BatchSolver) Cells(n int) {
 	}
 }
 
-// BindProgram compiles a refill program against the bound topology for
-// FillRates: program[i] is the edge index (Chain.EdgeIndex) that
-// emission i fills, as in Chain.ApplyRates. The fused fill needs every
-// edge to carry exactly one emission; any other program is refused with
-// an error.
-func (b *BatchSolver) BindProgram(program []int) error {
+// BindProgram compiles a refill program and its class map against the
+// bound topology for FillRates and FillBlock: program[i] is the edge
+// index (Chain.EdgeIndex) that emission i fills, as in Chain.ApplyRates,
+// and class[i] the index of emission i's rate in the class vector a
+// cell is filled from (the identity map makes the class vector the
+// emitted rate vector). The fused fill needs every edge to carry
+// exactly one emission and every emission a class; any other program
+// is refused with an error. The class vector has 1 + max(class)
+// values.
+func (b *BatchSolver) BindProgram(program, class []int) error {
 	b.programBound = false
 	if len(program) != b.nedges {
 		return fmt.Errorf("markov: refill program has %d emissions for %d edges; want exactly one per edge", len(program), b.nedges)
+	}
+	if len(class) != len(program) {
+		return fmt.Errorf("markov: refill class map has %d entries for %d emissions", len(class), len(program))
 	}
 	b.progOf = resizeInts(b.progOf, b.nedges)
 	for e := range b.progOf {
@@ -313,27 +332,35 @@ func (b *BatchSolver) BindProgram(program []int) error {
 		}
 		b.progOf[e] = i
 	}
+	b.nclass = 0
+	for i, c := range class {
+		if c < 0 {
+			return fmt.Errorf("markov: refill class map gives emission %d the negative class %d", i, c)
+		}
+		b.nclass = max(b.nclass, c+1)
+	}
+	b.emClass = append(b.emClass[:0], class...)
 	b.progEm = resizeInts(b.progEm, len(b.redge))
 	for k, e := range b.redge {
-		b.progEm[k] = b.progOf[e]
+		b.progEm[k] = class[b.progOf[e]]
 	}
 	b.programBound = true
 	return nil
 }
 
-// FillRates writes one cell of the slab from rates, the emitted rate
-// vector of the program compiled by BindProgram — what Chain.ApplyRates
-// followed by Fill would write for it, bit for bit, without touching a
-// chain. It returns Chain.Validate's error for the refilled chain, if
-// any.
-func (b *BatchSolver) FillRates(cell int, rates []float64) error {
+// FillRates writes one cell of the slab from vals, the class values of
+// the program compiled by BindProgram — what Chain.ApplyRates of the
+// expanded rates (emission i at vals[class[i]]) followed by Fill would
+// write, bit for bit, without touching a chain. It returns
+// Chain.Validate's error for the refilled chain, if any.
+func (b *BatchSolver) FillRates(cell int, vals []float64) error {
 	if !b.programBound {
 		panic("markov: FillRates without a program compiled by BindProgram since the last Bind")
 	}
-	if len(rates) != b.nedges {
-		panic(fmt.Sprintf("markov: FillRates got %d rates for a %d-emission program", len(rates), b.nedges))
+	if len(vals) != b.nclass {
+		panic(fmt.Sprintf("markov: FillRates got %d class values for a %d-class program", len(vals), b.nclass))
 	}
-	return b.fill(cell, b.progEm, rates)
+	return b.fill(cell, b.progEm, b.emClass, vals)
 }
 
 // Fill writes c's current rates into cell's row of the value slab and
@@ -348,7 +375,7 @@ func (b *BatchSolver) Fill(cell int, c *Chain) error {
 	for i, e := range c.edges {
 		b.edgeRates[i] = e.Rate
 	}
-	return b.fill(cell, b.redge, b.edgeRates)
+	return b.fill(cell, b.redge, nil, b.edgeRates)
 }
 
 // bound reports whether c has the bound topology's shape: frozen, with
@@ -361,19 +388,20 @@ func (b *BatchSolver) bound(c *Chain) bool {
 }
 
 // fill is the one fill pass behind Fill and FillRates: row edge k's
-// rate is rates[em[k]]. It runs Chain.ApplyRates' and Chain.Validate's rate
-// checks in their order and with their messages — a negative rate panics
-// (the first in emission order); the first transient row whose exit sum
-// is zero, then an unreachable absorbing set, are errors — while writing
+// rate is vals[em[k]], emission i's is vals[order[i]] (vals[i] for a nil
+// order). It runs Chain.ApplyRates' and Chain.Validate's rate checks in
+// their order and with their messages — a negative rate panics (the
+// first in emission order); the first transient row whose exit sum is
+// zero, then an unreachable absorbing set, are errors — while writing
 // R = -Q_B: each off-diagonal as the negated edge rate 0 + r, each
 // diagonal as the row's edge sum from 0 in sorted edge order. Those are
 // the float operations of ApplyRates' accumulation and exit
 // recomputation, so the row is bit-identical to refilling a chain and
 // filling from it.
-func (b *BatchSolver) fill(cell int, em []int, rates []float64) error {
-	if len(b.redge) < b.nedges {
-		// Edges out of absorbing states are never read below.
-		panicNegative(rates)
+func (b *BatchSolver) fill(cell int, em, order []int, vals []float64) error {
+	neg, pos := signs(vals)
+	if neg {
+		panicNegative(order, vals)
 	}
 	v := b.vals[cell*b.nnz : (cell+1)*b.nnz]
 	eslot, diagSlot := b.eslot, b.diagSlot
@@ -381,42 +409,73 @@ func (b *BatchSolver) fill(cell int, em []int, rates []float64) error {
 	for row, end := range b.erow[1:] {
 		var exit float64
 		for ; k < end; k++ {
-			r := rates[em[k]]
-			if r < 0 {
-				panicNegative(rates)
-			}
+			r := vals[em[k]]
 			exit += r
 			if s := eslot[k]; s >= 0 {
 				v[s] = -(0 + r)
 			}
 		}
 		if exit == 0 {
-			panicNegative(rates) // ApplyRates would have panicked first
 			return fmt.Errorf("markov: transient state %q has no outgoing transitions", b.names[b.trans[row]])
 		}
 		v[diagSlot[row]] = exit
 	}
-	if !b.absorptionReachable(em, rates) {
+	if !b.reachable(em, vals, pos) {
 		return fmt.Errorf("markov: no absorbing state is reachable from the initial state")
 	}
 	return nil
 }
 
-// panicNegative panics as Chain.ApplyRates does on the first negative
-// rate in emission order, if there is one.
-func panicNegative(rates []float64) {
-	for _, r := range rates {
-		if r < 0 {
-			panic(fmt.Sprintf("markov: negative rate %v in ApplyRates", r))
+// signs reports whether any of vals is negative, and whether all of
+// them are positive (NaN is neither).
+func signs(vals []float64) (neg, pos bool) {
+	pos = true
+	for _, v := range vals {
+		if v < 0 {
+			return true, false
 		}
+		pos = pos && v > 0
+	}
+	return false, pos
+}
+
+// panicNegative panics as Chain.ApplyRates does on the first negative
+// rate in emission order — emission i's rate is vals[order[i]], or
+// vals[i] for a nil order — if there is one.
+func panicNegative(order []int, vals []float64) {
+	if order == nil {
+		for _, r := range vals {
+			panicIfNegative(r)
+		}
+		return
+	}
+	for _, c := range order {
+		panicIfNegative(vals[c])
 	}
 }
 
+func panicIfNegative(r float64) {
+	if r < 0 {
+		panic(fmt.Sprintf("markov: negative rate %v in ApplyRates", r))
+	}
+}
+
+// reachable reports whether absorption is reachable from the initial row
+// over the positive-rate row edges, rate vals[em[k]]: when every value
+// is positive (pos), that graph is the whole topology and the answer is
+// the one Bind computed; otherwise a search decides.
+func (b *BatchSolver) reachable(em []int, vals []float64, pos bool) bool {
+	if pos {
+		return b.reachAll
+	}
+	return b.absorptionReachable(em, vals)
+}
+
 // absorptionReachable is Chain.absorptionReachable over the bound
-// topology and an emitted rate vector: whether a depth-first search
-// from the initial row over positive-rate edges reaches an absorbing
-// state.
-func (b *BatchSolver) absorptionReachable(em []int, rates []float64) bool {
+// topology and a value vector: whether a depth-first search from the
+// initial row over row edges of positive rate vals[em[k]] — every row
+// edge when vals is nil — reaches an absorbing state.
+func (b *BatchSolver) absorptionReachable(em []int, vals []float64) bool {
 	if b.initRow < 0 {
 		return true
 	}
@@ -434,7 +493,7 @@ func (b *BatchSolver) absorptionReachable(em []int, rates []float64) bool {
 		row := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for k := b.erow[row]; k < b.erow[row+1]; k++ {
-			if !(rates[em[k]] > 0) { // NaN is not a positive rate either
+			if vals != nil && !(vals[em[k]] > 0) { // NaN is not a positive rate either
 				continue
 			}
 			to := b.eto[k]
@@ -574,13 +633,16 @@ func (b *BatchSolver) solveCell(ctx context.Context, cell int) (float64, error) 
 	return b.cellSolved(true), nil
 }
 
-// solveChain is the one-cell solve behind MTTA, Absorption and
-// RateSensitivities:
+// solveChain is the one-cell solve behind MTTA, Absorption,
+// RateSensitivities and ExpectedVisits:
 // validate c (Chain.Validate's checks and messages, in reused scratch),
 // then bind, fill and solve it as cell 0 under a "markov.solve" span,
 // accounted per call on ctx's registry (account). A mutable chain is bound
 // through the solver's private frozen copy; the caller's chain stays
-// mutable.
+// mutable. A solve whose MTTA is not positive and finite lost all
+// accuracy (an MTTA from a transient initial state is a positive sum of
+// sojourn times): it is an error, so no caller can pass the number on.
+// An absorbing initial state has MTTA exactly 0, with no solve.
 func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error) {
 	if err := c.validate(&b.vs); err != nil {
 		return 0, err
@@ -604,7 +666,11 @@ func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error)
 	if err := b.Fill(0, c); err != nil {
 		return 0, err
 	}
-	return b.solveCell(ctx, 0)
+	v, err := b.solveCell(ctx, 0)
+	if err == nil && !(v > 0 && v < math.Inf(1)) {
+		return 0, fmt.Errorf("markov: mean time to absorption %g is not positive and finite: the solve lost all accuracy", v)
+	}
+	return v, err
 }
 
 // LaneBlocks reports whether the bound topology solves in lane blocks:
@@ -613,28 +679,34 @@ func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error)
 // FillRates and SolveCell.
 func (b *BatchSolver) LaneBlocks() bool { return b.sparseRoute && b.num != nil && b.initRow >= 0 }
 
-// FillBlock writes the Lanes cells from cell on from rates[l], the
-// emitted rate vectors of the program compiled by BindProgram, in one
-// pass over the row edges: cell cell+l's row is what
-// FillRates(cell+l, rates[l]) writes, bit for bit. It reports whether
-// every lane passed FillRates' validation. When one did not, the rows
-// hold no result and the caller must refill them; FillRates reports the
-// first failing cell's error (or panic) exactly.
-func (b *BatchSolver) FillBlock(cell int, rates *[sparse.Lanes][]float64) bool {
+// FillBlock writes the Lanes cells from cell on from vals[l], class
+// vectors of the program compiled by BindProgram, in one pass over the
+// row edges: cell cell+l's row is what FillRates(cell+l, vals[l])
+// writes, bit for bit. It reports whether every lane passed FillRates'
+// validation. When one did not, the rows hold no result and the caller
+// must refill them; FillRates reports the first failing cell's error
+// (or panic) exactly. A lane's signs are checked once on its class
+// values, not per edge, and a lane whose values are all positive takes
+// Bind's reachability verdict instead of a search.
+func (b *BatchSolver) FillBlock(cell int, vals *[sparse.Lanes][]float64) bool {
 	if !b.programBound {
 		panic("markov: FillBlock without a program compiled by BindProgram since the last Bind")
 	}
-	var v [sparse.Lanes][]float64
-	for l, r := range rates {
-		if len(r) != b.nedges {
-			panic(fmt.Sprintf("markov: FillBlock got %d rates in lane %d for a %d-emission program", len(r), l, b.nedges))
+	var (
+		v   [sparse.Lanes][]float64
+		pos [sparse.Lanes]bool
+	)
+	for l, r := range vals {
+		if len(r) != b.nclass {
+			panic(fmt.Sprintf("markov: FillBlock got %d class values in lane %d for a %d-class program", len(r), l, b.nclass))
 		}
-		if len(b.redge) < b.nedges && slices.ContainsFunc(r, func(r float64) bool { return r < 0 }) {
-			return false // FillRates panics on a rate no row edge reads
+		var neg bool
+		if neg, pos[l] = signs(r); neg {
+			return false // FillRates panics, or ignores a class no emission reads
 		}
 		v[l] = b.vals[(cell+l)*b.nnz : (cell+l+1)*b.nnz]
 	}
-	r0, r1, r2, r3 := rates[0], rates[1], rates[2], rates[3]
+	r0, r1, r2, r3 := vals[0], vals[1], vals[2], vals[3]
 	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
 	em, eslot, diagSlot := b.progEm, b.eslot, b.diagSlot
 	k := 0
@@ -643,9 +715,6 @@ func (b *BatchSolver) FillBlock(cell int, rates *[sparse.Lanes][]float64) bool {
 		for ; k < end; k++ {
 			e := em[k]
 			q0, q1, q2, q3 := r0[e], r1[e], r2[e], r3[e]
-			if q0 < 0 || q1 < 0 || q2 < 0 || q3 < 0 {
-				return false
-			}
 			x0 += q0
 			x1 += q1
 			x2 += q2
@@ -660,8 +729,8 @@ func (b *BatchSolver) FillBlock(cell int, rates *[sparse.Lanes][]float64) bool {
 		d := diagSlot[row]
 		v0[d], v1[d], v2[d], v3[d] = x0, x1, x2, x3
 	}
-	for _, r := range rates {
-		if !b.absorptionReachable(em, r) {
+	for l, r := range vals {
+		if !b.reachable(em, r, pos[l]) {
 			return false
 		}
 	}
@@ -700,7 +769,7 @@ func (b *BatchSolver) SolveBlock(cell int, mtta *[sparse.Lanes]float64) int {
 		w2, c2, s2 = tauStep(t2[j], w2, c2, s2)
 		w3, c3, s3 = tauStep(t3[j], w3, c3, s3)
 	}
-	good := [sparse.Lanes]bool{plausible(w0, c0), plausible(w1, c1), plausible(w2, c2), plausible(w3, c3)}
+	good := [sparse.Lanes]bool{plausible(w0, c0, s0), plausible(w1, c1, s1), plausible(w2, c2, s2), plausible(w3, c3, s3)}
 	sum := [sparse.Lanes]float64{s0, s1, s2, s3}
 	n := 0
 	for ; n < sparse.Lanes; n++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 			if err := b.Bind(context.Background(), c); err != nil {
 				t.Fatalf("Bind: %v", err)
 			}
-			if err := b.BindProgram(program); err != nil {
+			if err := b.BindProgram(program, identityClasses(len(program))); err != nil {
 				t.Fatalf("BindProgram: %v", err)
 			}
 			b.Cells(sparse.Lanes)
@@ -187,6 +188,16 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 			}
 		})
 	}
+}
+
+// identityClasses is the identity class map of n emissions: the class vector is
+// the emitted rate vector.
+func identityClasses(n int) []int {
+	class := make([]int, n)
+	for i := range class {
+		class[i] = i
+	}
+	return class
 }
 
 // ladderProgram records the ladder builder's emission order as a refill
@@ -242,7 +253,7 @@ func TestFillRatesMatchesApplyRatesFill(t *testing.T) {
 	if err := b.Bind(context.Background(), c); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	if err := b.BindProgram(program); err != nil {
+	if err := b.BindProgram(program, identityClasses(len(program))); err != nil {
 		t.Fatalf("BindProgram: %v", err)
 	}
 	b.Cells(2)
@@ -290,7 +301,7 @@ func TestBindProgramRefusesNonPermutations(t *testing.T) {
 		"duplicate":    dup,
 		"out of range": out,
 	} {
-		if err := b.BindProgram(program); err == nil {
+		if err := b.BindProgram(program, identityClasses(len(program))); err == nil {
 			t.Errorf("%s: BindProgram accepted %v", name, program)
 		}
 	}
@@ -318,7 +329,7 @@ func TestFillRatesNegativeRatePanics(t *testing.T) {
 	if err := b.Bind(context.Background(), c); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	if err := b.BindProgram(program); err != nil {
+	if err := b.BindProgram(program, identityClasses(len(program))); err != nil {
 		t.Fatalf("BindProgram: %v", err)
 	}
 	want := panicOf(func() { c.ApplyRates(program, rates) })
@@ -375,7 +386,7 @@ func TestFillSkipsEdgesOutOfAbsorbingStates(t *testing.T) {
 	if err := b.Bind(context.Background(), c); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	if err := b.BindProgram([]int{0, 1, 2, 3}); err != nil {
+	if err := b.BindProgram([]int{0, 1, 2, 3}, identityClasses(4)); err != nil {
 		t.Fatalf("BindProgram: %v", err)
 	}
 	rates := []float64{1, -2, 3, 0.5} // x→b is emission 1: never read, still checked
@@ -449,4 +460,163 @@ func ExampleBatchSolver() {
 	// cell 0: MTTA 39.077
 	// cell 1: MTTA 5.956
 	// cell 2: MTTA 1.388
+}
+
+// dedupe turns an emitted rate vector into a class map and class vector:
+// emissions whose rates have the same bits share a class.
+func dedupe(rates []float64) (class []int, vals []float64) {
+	seen := map[uint64]int{}
+	for _, r := range rates {
+		c, ok := seen[math.Float64bits(r)]
+		if !ok {
+			c = len(vals)
+			seen[math.Float64bits(r)] = c
+			vals = append(vals, r)
+		}
+		class = append(class, c)
+	}
+	return class, vals
+}
+
+// A program bound with a class map fills, validates and panics exactly
+// as the same program bound with the identity map fills from the
+// expanded rates: bit-identical slab rows from FillRates and FillBlock,
+// the same error, the same first-negative panic.
+func TestClassMapFillMatchesExpandedRates(t *testing.T) {
+	const k = 11
+	c := newLadder(k, 0.9)
+	program, emit := ladderProgram(t, c, k)
+	bind := func(class []int) *BatchSolver {
+		b := NewBatchSolver()
+		if err := b.Bind(context.Background(), c); err != nil {
+			t.Fatalf("Bind: %v", err)
+		}
+		if err := b.BindProgram(program, class); err != nil {
+			t.Fatalf("BindProgram: %v", err)
+		}
+		b.Cells(sparse.Lanes)
+		return b
+	}
+	panicOf := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	rows := func(b *BatchSolver, cells int) []uint64 {
+		var out []uint64
+		for _, v := range b.vals[:cells*b.nnz] {
+			out = append(out, math.Float64bits(v))
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		edit  func([]float64)
+		fails bool
+	}{
+		{"valid", func([]float64) {}, false},
+		{"zero rates", func(r []float64) { r[0], r[3] = 0, 0 }, false},
+		{"-0 rate", func(r []float64) { r[2] = math.Copysign(0, -1) }, false},
+		{"no exit", func(r []float64) {
+			for i := range r {
+				r[i] = 0
+			}
+		}, true},
+		{"loss unreachable", func(r []float64) { r[len(r)-1] = 0 }, true},
+		{"negative", func(r []float64) { r[5], r[7] = -1, -2 }, true},
+	} {
+		rates := emit(0.3)
+		tc.edit(rates)
+		class, vals := dedupe(rates)
+		if len(vals) >= len(rates) {
+			t.Fatalf("%s: %d classes for %d emissions; the map must share classes", tc.name, len(vals), len(rates))
+		}
+		id, cm := bind(identityClasses(len(program))), bind(class)
+		var wantErr, gotErr error
+		want := panicOf(func() { wantErr = id.FillRates(0, rates) })
+		got := panicOf(func() { gotErr = cm.FillRates(0, vals) })
+		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: class map gives (%v, %v), identity (%v, %v)", tc.name, got, gotErr, want, wantErr)
+		}
+		if (want != nil || wantErr != nil) != tc.fails {
+			t.Fatalf("%s: identity fill gives (%v, %v), want failure %v", tc.name, want, wantErr, tc.fails)
+		}
+		if tc.fails {
+			if cm.FillBlock(0, &[sparse.Lanes][]float64{vals, vals, vals, vals}) {
+				t.Fatalf("%s: FillBlock accepted a failing lane", tc.name)
+			}
+			continue
+		}
+		if w, g := rows(id, 1), rows(cm, 1); !slices.Equal(w, g) {
+			t.Fatalf("%s: class-map row differs from the identity row", tc.name)
+		}
+		for l := 1; l < sparse.Lanes; l++ {
+			id.FillRates(l, rates) //nolint:errcheck // valid above
+		}
+		if !cm.FillBlock(0, &[sparse.Lanes][]float64{vals, vals, vals, vals}) {
+			t.Fatalf("%s: FillBlock refused valid class values", tc.name)
+		}
+		if w, g := rows(id, sparse.Lanes), rows(cm, sparse.Lanes); !slices.Equal(w, g) {
+			t.Fatalf("%s: FillBlock rows differ from FillRates rows", tc.name)
+		}
+	}
+}
+
+// With every value positive the fill takes Bind's reachability verdict
+// instead of a search: on a topology whose absorbing state no path
+// reaches, that verdict is the error Validate reports, from FillRates
+// and from FillBlock alike.
+func TestFillReachabilityShortcut(t *testing.T) {
+	c := NewChain()
+	c.SetInitial("a")
+	c.SetAbsorbing("loss")
+	c.AddEdge("a", "b", 1)
+	c.AddEdge("b", "a", 2)
+	c.AddEdge("c", "loss", 3)
+	c.AddEdge("c", "a", 4)
+	c.Freeze()
+	want := c.Validate()
+	if want == nil {
+		t.Fatal("Validate accepted a chain whose loss state is unreachable")
+	}
+	b := NewBatchSolver()
+	if err := b.Bind(context.Background(), c); err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	if b.reachAll {
+		t.Fatal("Bind: loss reachable over the whole topology")
+	}
+	if err := b.BindProgram([]int{0, 1, 2, 3}, identityClasses(4)); err != nil {
+		t.Fatalf("BindProgram: %v", err)
+	}
+	b.Cells(sparse.Lanes)
+	vals := []float64{1, 2, 3, 4}
+	if got := b.FillRates(0, vals); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("FillRates = %v, Validate = %v", got, want)
+	}
+	if b.FillBlock(0, &[sparse.Lanes][]float64{vals, vals, vals, vals}) {
+		t.Fatal("FillBlock accepted an unreachable loss state")
+	}
+}
+
+// BindProgram refuses a class map that does not give every emission one
+// class: too short, too long, or with a negative class.
+func TestBindProgramRefusesBadClassMaps(t *testing.T) {
+	c := newLadder(5, 1)
+	b := NewBatchSolver()
+	if err := b.Bind(context.Background(), c); err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	program := identityClasses(len(c.edges))
+	negative := identityClasses(len(program))
+	negative[2] = -1
+	for name, class := range map[string][]int{
+		"short":    identityClasses(len(program) - 1),
+		"long":     identityClasses(len(program) + 1),
+		"negative": negative,
+	} {
+		if err := b.BindProgram(program, class); err == nil {
+			t.Errorf("%s: BindProgram accepted class map %v", name, class)
+		}
+	}
 }

@@ -70,7 +70,8 @@ func (c *Chain) Summarize() Summary {
 // times the embedded jump chain visits it before absorption, starting from
 // the initial state. (The expected time in a state is visits × mean
 // holding time; this decomposition is useful for profiling which degraded
-// states dominate.)
+// states dominate.) It solves through Absorption and fails where it
+// fails, a non-positive or non-finite MTTA included.
 func ExpectedVisits(c *Chain) (map[string]float64, error) {
 	res, err := Absorption(c)
 	if err != nil {

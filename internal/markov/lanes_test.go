@@ -56,7 +56,7 @@ func TestFillBlockMatchesFillRates(t *testing.T) {
 		if err := b.Bind(context.Background(), c); err != nil {
 			t.Fatalf("Bind: %v", err)
 		}
-		if err := b.BindProgram(program); err != nil {
+		if err := b.BindProgram(program, identityClasses(len(program))); err != nil {
 			t.Fatalf("BindProgram: %v", err)
 		}
 		b.Cells(sparse.Lanes)
@@ -127,7 +127,7 @@ func TestSolveBlockMatchesSolveCellBitwise(t *testing.T) {
 				if err := b.Bind(ctx, c); err != nil {
 					t.Fatalf("Bind: %v", err)
 				}
-				if err := b.BindProgram(program); err != nil {
+				if err := b.BindProgram(program, identityClasses(len(program))); err != nil {
 					t.Fatalf("BindProgram: %v", err)
 				}
 				b.Cells(cells)

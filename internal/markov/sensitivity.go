@@ -31,8 +31,9 @@ type RateSensitivity struct {
 // R_ij by −dr, so ∂MTTA/∂r = −τ_i·(y_i − y_j), with y_j = 0 when j is
 // absorbing. Both solves run on the one factorization behind MTTA (a
 // pooled BatchSolver's one-cell solve, on whichever route it took), so
-// the MTTA the elasticities normalize by is bit-identical to MTTA's.
-// Results are sorted by |Elasticity| descending.
+// the MTTA the elasticities normalize by is bit-identical to MTTA's, and
+// an MTTA that MTTA refuses (not positive and finite) is the same error
+// here. Results are sorted by |Elasticity| descending.
 func RateSensitivities(c *Chain) ([]RateSensitivity, error) {
 	b := AcquireBatchSolver()
 	defer ReleaseBatchSolver(b)
@@ -42,9 +43,6 @@ func RateSensitivities(c *Chain) ([]RateSensitivity, error) {
 	}
 	if b.initRow < 0 {
 		return nil, fmt.Errorf("markov: initial state is absorbing")
-	}
-	if mtta == 0 {
-		return nil, fmt.Errorf("markov: zero mean time to absorption")
 	}
 	tau, y := b.tau, b.solveOnes()
 

@@ -3,6 +3,7 @@ package markov
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -126,10 +127,11 @@ func resizeFloats(v []float64, n int) []float64 {
 // and topology cache the batched sweeps use — so repeated calls (the
 // inner loop of every per-cell analysis) reuse factorization and scratch
 // storage instead of reallocating. It returns an error if the chain
-// fails Validate or the absorption matrix is singular. Chains whose
-// transient count reaches the sparse crossover (SetSparseMinStates)
-// solve through the sparse symbolic/numeric path, agreeing with dense to
-// ≤1e-12 relative error. Absorption and RateSensitivities solve through
+// fails Validate, the absorption matrix is singular, or the solve's MTTA
+// is not positive and finite (float64 exhausted); an absorbing initial
+// state has MTTA 0. Chains whose transient count reaches the sparse
+// crossover (SetSparseMinStates) solve through the sparse
+// symbolic/numeric path, agreeing with dense to ≤1e-12 relative error. Absorption and RateSensitivities solve through
 // the same one-cell path, so their MTTA is bit-identical to this one on
 // every chain. A mutable chain is solved as its frozen equivalent
 // without being frozen.
@@ -154,19 +156,21 @@ func MTTA(ctx context.Context, c *Chain) (float64, error) {
 // ill-conditioned that static pivoting broke down; near float64
 // exhaustion even partial pivoting returns garbage, but the dense path's
 // garbage is the documented legacy behavior, which core's usability
-// checks then judge). The test is a pure function of the values, so the
-// sparse/dense routing stays deterministic at any worker count.
+// checks then judge). So is a NaN component, which no comparison
+// catches: it shows in the vector's running sum. The test is a pure
+// function of the values, so the sparse/dense routing stays
+// deterministic at any worker count.
 func tauPlausible(tau []float64) bool {
-	var worst, scale float64
+	var worst, scale, sum float64
 	for _, v := range tau {
-		worst, scale, _ = tauStep(v, worst, scale, 0)
+		worst, scale, sum = tauStep(v, worst, scale, sum)
 	}
-	return plausible(worst, scale)
+	return plausible(worst, scale, sum)
 }
 
 // tauStep folds the τ entry v into tauPlausible's most negative entry
 // and largest magnitude (a NaN moves neither) and into a linalg.Sum
-// running sum.
+// running sum (which a NaN makes NaN).
 func tauStep(v, worst, scale, sum float64) (float64, float64, float64) {
 	if v < worst {
 		worst = v
@@ -180,8 +184,11 @@ func tauStep(v, worst, scale, sum float64) (float64, float64, float64) {
 }
 
 // plausible is tauPlausible's verdict on a τ vector's most negative
-// entry and largest magnitude.
-func plausible(worst, scale float64) bool { return worst >= -1e-9*scale }
+// entry, largest magnitude and sum: no entry significantly below zero,
+// and none NaN.
+func plausible(worst, scale, sum float64) bool {
+	return worst >= -1e-9*scale && !math.IsNaN(sum)
+}
 
 // sparseResidual computes ‖Rᵀτ − e_init‖∞ through the CSR matrix,
 // using scratch (length ≥ n) for the product — instrumented solves only.

@@ -2,7 +2,9 @@ package markov
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -23,7 +25,8 @@ func solverTestChain(f float64) *Chain {
 // solves through a reused BatchSolver, the pooled MTTA and the one-shot
 // Absorption path produce the same MTTA, across chains of different
 // sizes through the same BatchSolver instance, on the dense and the
-// sparse route.
+// sparse route. Chain 2's MTTA is beyond float64 (its solve comes out
+// negative): every path refuses it with the same error.
 func TestSolverMatchesAbsorption(t *testing.T) {
 	s := NewBatchSolver()
 	chains := []*Chain{
@@ -33,29 +36,37 @@ func TestSolverMatchesAbsorption(t *testing.T) {
 		solverTestChain(0.2),
 		sizedRandomAbsorbingChain(rand.New(rand.NewSource(5)), 20, 3), // sparse route
 	}
+	const refused = 2
 	if st, err := AbsorptionSparseStats(chains[4]); err != nil || !st.Sparse {
 		t.Fatalf("chain 4: want the sparse route, got %+v, %v", st, err)
 	}
 	for i, c := range chains {
 		res, err := Absorption(c)
-		if err != nil {
+		if (err != nil) != (i == refused) {
 			t.Fatalf("chain %d: Absorption: %v", i, err)
 		}
-		got, err := s.solveChain(context.Background(), c)
-		if err != nil {
-			t.Fatalf("chain %d: solveChain: %v", i, err)
+		var mtta float64
+		if err == nil {
+			mtta = res.MeanTimeToAbsorption
 		}
-		if got != res.MeanTimeToAbsorption {
-			t.Errorf("chain %d: solveChain = %g, Absorption = %g", i, got, res.MeanTimeToAbsorption)
+		want := outcome(mtta, err)
+		if got := outcome(s.solveChain(context.Background(), c)); got != want {
+			t.Errorf("chain %d: solveChain = %s, Absorption = %s", i, got, want)
 		}
-		pooled, err := MTTA(context.Background(), c)
-		if err != nil {
-			t.Fatalf("chain %d: MTTA: %v", i, err)
-		}
-		if pooled != got {
-			t.Errorf("chain %d: pooled MTTA = %g, solveChain = %g", i, pooled, got)
+		if pooled := outcome(MTTA(context.Background(), c)); pooled != want {
+			t.Errorf("chain %d: pooled MTTA = %s, Absorption = %s", i, pooled, want)
 		}
 	}
+}
+
+// outcome renders a solve's result for bitwise comparison: its MTTA in
+// hex, or its error, whose %g of a refused MTTA is the shortest decimal
+// that round-trips the value's bits.
+func outcome(v float64, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return strconv.FormatFloat(v, 'x', -1, 64)
 }
 
 // bigSolverChain is a birth-death chain with n transient states, to
@@ -139,23 +150,18 @@ func TestSolverWarmZeroAllocs(t *testing.T) {
 	}
 }
 
-// MTTA on a mutable chain solves its frozen equivalent bit for bit and
-// leaves the caller's chain mutable.
+// MTTA on a mutable chain solves its frozen equivalent bit for bit — to
+// the same MTTA, or, where float64 cannot hold it (as here), the same
+// refusal — and leaves the caller's chain mutable.
 func TestSolverMutableChainStaysMutable(t *testing.T) {
 	for _, crossover := range []int{1, 1 << 30} {
 		prev := SetSparseMinStates(crossover)
 		c := bigSolverChain(60)
 		twin := bigSolverChain(60).Freeze()
-		got, err := MTTA(context.Background(), c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := MTTA(context.Background(), twin)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := outcome(MTTA(context.Background(), c))
+		want := outcome(MTTA(context.Background(), twin))
 		if got != want {
-			t.Errorf("crossover %d: mutable MTTA %v != frozen twin %v", crossover, got, want)
+			t.Errorf("crossover %d: mutable MTTA %s != frozen twin %s", crossover, got, want)
 		}
 		if c.Frozen() {
 			t.Fatalf("crossover %d: MTTA froze the caller's chain", crossover)
@@ -165,5 +171,33 @@ func TestSolverMutableChainStaysMutable(t *testing.T) {
 			t.Errorf("AddRate after MTTA did not take")
 		}
 		SetSparseMinStates(prev)
+	}
+}
+
+// A NaN anywhere in τ makes it implausible, in the scalar check and in
+// the lanes' fold (whose running sums carry the NaN), so such a solve
+// reaches the dense fallback; a τ whose entries are all finite and
+// nonnegative stays plausible.
+func TestTauPlausibleRejectsNaN(t *testing.T) {
+	for _, tc := range []struct {
+		tau  []float64
+		want bool
+	}{
+		{[]float64{1, 2, 3}, true},
+		{[]float64{0, 0}, true},
+		{[]float64{1, math.NaN(), 3}, false},
+		{[]float64{math.NaN()}, false},
+		{[]float64{1, -1, 3}, false},
+	} {
+		if got := tauPlausible(tc.tau); got != tc.want {
+			t.Errorf("tauPlausible(%v) = %v, want %v", tc.tau, got, tc.want)
+		}
+		var w, c, s float64
+		for _, v := range tc.tau {
+			w, c, s = tauStep(v, w, c, s)
+		}
+		if got := plausible(w, c, s); got != tc.want {
+			t.Errorf("lane fold of %v plausible = %v, want %v", tc.tau, got, tc.want)
+		}
 	}
 }

@@ -41,6 +41,9 @@ func threeStatesProgram(c *markov.Chain) []int {
 	return []int{c.EdgeIndex("a", "b"), c.EdgeIndex("b", "a"), c.EdgeIndex("b", "loss")}
 }
 
+// threeStatesClasses is threeStatesProgram's identity class map.
+var threeStatesClasses = []int{0, 1, 2}
+
 // The fused fill reports exactly what Validate reports for the filled
 // chain — the same error message, or nil — whether it fills from the
 // chain (Fill) or from the emitted rate vector (FillRates). A chain that
@@ -50,9 +53,9 @@ func TestBatchValidateRatesParity(t *testing.T) {
 		name string
 		// bind returns the chain to bind; check returns the chain to
 		// fill after binding (often the same chain, refilled), and its
-		// emitted rates and program when it has them.
+		// emitted class values, program and class map when it has them.
 		bind, check func() *markov.Chain
-		emit        func() (rates []float64, program []int)
+		emit        func() (vals []float64, program, class []int)
 		wantErr     bool
 		wantPanic   bool
 	}{
@@ -60,28 +63,34 @@ func TestBatchValidateRatesParity(t *testing.T) {
 			name:  "valid",
 			bind:  func() *markov.Chain { return threeStates(1, 2, 3) },
 			check: func() *markov.Chain { return threeStates(4, 5, 6) },
-			emit:  func() ([]float64, []int) { return []float64{4, 5, 6}, threeStatesProgram(threeStates(1, 2, 3)) },
+			emit: func() ([]float64, []int, []int) {
+				return []float64{4, 5, 6}, threeStatesProgram(threeStates(1, 2, 3)), threeStatesClasses
+			},
 		},
 		{
-			name:    "zero exit rate",
-			bind:    func() *markov.Chain { return threeStates(1, 2, 3) },
-			check:   func() *markov.Chain { return threeStates(1, 0, 0) },
-			emit:    func() ([]float64, []int) { return []float64{1, 0, 0}, threeStatesProgram(threeStates(1, 2, 3)) },
+			name:  "zero exit rate",
+			bind:  func() *markov.Chain { return threeStates(1, 2, 3) },
+			check: func() *markov.Chain { return threeStates(1, 0, 0) },
+			emit: func() ([]float64, []int, []int) {
+				return []float64{1, 0, 0}, threeStatesProgram(threeStates(1, 2, 3)), threeStatesClasses
+			},
 			wantErr: true,
 		},
 		{
-			name:    "loss unreachable",
-			bind:    func() *markov.Chain { return threeStates(1, 2, 3) },
-			check:   func() *markov.Chain { return threeStates(1, 2, 0) },
-			emit:    func() ([]float64, []int) { return []float64{1, 2, 0}, threeStatesProgram(threeStates(1, 2, 3)) },
+			name:  "loss unreachable",
+			bind:  func() *markov.Chain { return threeStates(1, 2, 3) },
+			check: func() *markov.Chain { return threeStates(1, 2, 0) },
+			emit: func() ([]float64, []int, []int) {
+				return []float64{1, 2, 0}, threeStatesProgram(threeStates(1, 2, 3)), threeStatesClasses
+			},
 			wantErr: true,
 		},
 		{
 			name:  "NaN rate on the only path to loss",
 			bind:  func() *markov.Chain { return threeStates(1, 2, 3) },
 			check: func() *markov.Chain { return threeStates(1, 2, math.NaN()) },
-			emit: func() ([]float64, []int) {
-				return []float64{1, 2, math.NaN()}, threeStatesProgram(threeStates(1, 2, 3))
+			emit: func() ([]float64, []int, []int) {
+				return []float64{1, 2, math.NaN()}, threeStatesProgram(threeStates(1, 2, 3)), threeStatesClasses
 			},
 			wantErr: true,
 		},
@@ -95,9 +104,9 @@ func TestBatchValidateRatesParity(t *testing.T) {
 				r := model.AcquireNIRRefiller(nirInputs(false), 3)
 				return r.Refill(nirInputs(true))
 			},
-			emit: func() ([]float64, []int) {
+			emit: func() ([]float64, []int, []int) {
 				r := model.AcquireNIRRefiller(nirInputs(false), 3)
-				return r.Emit(nirInputs(true)), r.Program()
+				return r.Emit(nil, nirInputs(true)), r.Program(), r.Classes()
 			},
 		},
 		{
@@ -142,8 +151,8 @@ func TestBatchValidateRatesParity(t *testing.T) {
 				}
 			}
 			same("Fill", b.Fill(0, c))
-			rates, program := tc.emit()
-			if err := b.BindProgram(program); err != nil {
+			rates, program, class := tc.emit()
+			if err := b.BindProgram(program, class); err != nil {
 				t.Fatalf("BindProgram: %v", err)
 			}
 			same("FillRates", b.FillRates(0, rates))
@@ -161,10 +170,10 @@ func TestBatchValidateRatesZeroAllocs(t *testing.T) {
 	if err := b.Bind(context.Background(), r.Chain()); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	if err := b.BindProgram(r.Program()); err != nil {
+	if err := b.BindProgram(r.Program(), r.Classes()); err != nil {
 		t.Fatalf("BindProgram: %v", err)
 	}
-	rates := r.Emit(in)
+	rates := r.Emit(nil, in)
 	if err := b.FillRates(0, rates); err != nil {
 		t.Fatalf("FillRates: %v", err)
 	}

@@ -20,29 +20,30 @@ import (
 // rate (N-k)(λ_N+λ_D+k_k·λ_S).
 func IRChain(in closedform.IRInputs, k int) *markov.Chain {
 	e := irEmitter{k: k}
-	return e.build(in)
+	c, _, _ := e.build(in)
+	return c
 }
 
-// irEmitter is the one home of the IR rate expressions: fill emits the
-// birth-death edges for in, state i named by its level i. Like
-// nirEmitter it keeps structural edges at parameter corners, so the
-// topology depends on k alone.
+// irEmitter is the one home of the IR rate expressions: fill evaluates
+// the birth-death rates for in, walk records their edges, state i named
+// by its level i. Every edge is its own rate class (the identity class
+// map), in emission order. Like nirEmitter it keeps structural edges at
+// parameter corners, so the topology depends on k alone.
 type irEmitter struct {
-	emission
 	k int
 }
 
-// build fills the emitter for in, recording endpoints, and lays the
-// chain out.
-func (e *irEmitter) build(in closedform.IRInputs) *markov.Chain {
-	e.record = true
-	e.fill(in)
-	return e.layout("ir/"+strconv.Itoa(e.k), irName, 0)
+// build evaluates in's rates and lays the chain out from a fresh walk.
+func (e *irEmitter) build(in closedform.IRInputs) (*markov.Chain, *topology, []float64) {
+	vals := e.fill(nil, in)
+	t := &topology{}
+	e.walk(t)
+	return t.layout("ir/"+strconv.Itoa(e.k), irName, 0, vals), t, vals
 }
 
-// fill validates in against the emitter's fault tolerance and emits its
-// rates.
-func (e *irEmitter) fill(in closedform.IRInputs) {
+// fill validates in against the emitter's fault tolerance and appends
+// its rates, in emission order, to v[:0].
+func (e *irEmitter) fill(v []float64, in closedform.IRInputs) []float64 {
 	k := e.k
 	if k < 1 {
 		panic(fmt.Sprintf("model: fault tolerance %d must be >= 1", k))
@@ -50,18 +51,29 @@ func (e *irEmitter) fill(in closedform.IRInputs) {
 	if in.N <= k+1 || in.R < k+1 || in.R > in.N {
 		panic(fmt.Sprintf("model: invalid IR geometry N=%d R=%d k=%d", in.N, in.R, k))
 	}
-	e.rates = e.rates[:0]
+	v = v[:0]
 	n := float64(in.N)
 	lambda := in.LambdaN + in.LambdaArray
 	kk := combinat.CriticalFraction(in.N, in.R, k)
 	for i := 0; i < k; i++ {
-		e.add(i, i+1, (n-float64(i))*lambda)
+		v = append(v, (n-float64(i))*lambda)
 		if i > 0 {
-			e.add(i, i-1, in.MuN)
+			v = append(v, in.MuN)
 		}
 	}
-	e.add(k, k-1, in.MuN)
-	e.add(k, lossState, (n-float64(k))*(lambda+kk*in.LambdaSector))
+	return append(v, in.MuN, (n-float64(k))*(lambda+kk*in.LambdaSector))
+}
+
+// walk records fill's edges in its order, each its own class.
+func (e *irEmitter) walk(t *topology) {
+	for i := 0; i < e.k; i++ {
+		t.add(i, i+1, len(t.class))
+		if i > 0 {
+			t.add(i, i-1, len(t.class))
+		}
+	}
+	t.add(e.k, e.k-1, len(t.class))
+	t.add(e.k, lossState, len(t.class))
 }
 
 // irName renders an irEmitter state id as its level, "0" … "k"; level 0

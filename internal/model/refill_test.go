@@ -182,6 +182,25 @@ func TestRefillAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { ir.Refill(irIn) }); n != 0 {
 		t.Errorf("IRRefiller.Refill allocates %v times per run, want 0", n)
 	}
+	// A warm class fill — Emit into the previous cell's buffer — is the
+	// batched sweep's per-cell emission: none either, also when the
+	// cell's h_α inputs change and the table is re-evaluated.
+	nirAlt := nirIn
+	nirAlt.CHER *= 1.5
+	vals := nir.Emit(nil, nirIn)
+	if n := testing.AllocsPerRun(100, func() { vals = nir.Emit(vals, nirIn) }); n != 0 {
+		t.Errorf("warm NIRRefiller.Emit allocates %v times per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		vals = nir.Emit(vals, nirAlt)
+		vals = nir.Emit(vals, nirIn)
+	}); n != 0 {
+		t.Errorf("warm NIRRefiller.Emit with new h_α inputs allocates %v times per run, want 0", n)
+	}
+	irVals := ir.Emit(nil, irIn)
+	if n := testing.AllocsPerRun(100, func() { irVals = ir.Emit(irVals, irIn) }); n != 0 {
+		t.Errorf("warm IRRefiller.Emit allocates %v times per run, want 0", n)
+	}
 	if raceEnabled {
 		return // sync.Pool drops Puts at random under the race detector
 	}
