@@ -22,18 +22,20 @@ import (
 // share one frozen topology (the model builders' state/edge sets are
 // functions of the fault tolerance alone, never of the parameters), so
 // a chunk binds that topology and its refill program into a
-// markov.BatchSolver once, emits each cell's O(k) rate-class values
-// through the compiled string-free model refillers into a lane buffer,
-// fills the solver's value slab from them (one validating fill pass, no
-// chain in between), and runs Refactor+Solve per cell — zero per-cell
-// allocation, with spans and metric observations amortized to one per
-// chunk. On the sparse route the fill and the solve take four-cell lane
-// blocks (markov.BatchSolver.FillBlock and SolveBlock): four cells per
-// pass through the compiled sparse program, bit for bit the one-cell
-// path, which still takes a chunk's last one to three cells and any
-// block a cell fails. Closed-form and
-// exact-stable cells have no chain to amortize: a chunk evaluates them
-// one after another and binds no solver.
+// markov.BatchSolver once and then takes its cells in one pass: each
+// cell's O(k) rate-class values are emitted through the compiled
+// string-free model refillers into a lane buffer, validated and filled
+// into the solver (no chain in between), solved and estimated before
+// the next cell is emitted — zero per-cell allocation, with spans and
+// metric observations amortized to one per chunk. On the sparse route
+// the cells go in four-cell lane blocks (markov.BatchSolver.FillBlock
+// and SolveBlock): one small lane table of class values and exit sums
+// per block, and one pass of the topology's value-numbered lane program
+// over it, bit for bit the one-cell path, which still takes a chunk's
+// last one to three cells and any block a cell fails. The solver's
+// value slab holds one block. Closed-form and exact-stable cells have
+// no chain to amortize: a chunk evaluates them one after another and
+// binds no solver.
 //
 // Results do not depend on the chunk size or the worker count: every
 // cell is a pure function of its inputs written to its caller's slot,
@@ -195,19 +197,18 @@ func (bc *batchChunk) slots(n int) ([]params.Parameters, []Result) {
 // (-1, ctx.Err()).
 //
 // Exact-chain cells: bind the chunk's topology into a pooled solver,
-// then prep each cell into the chunk's slot and fill the solver's slab
-// from the refiller's emitted class values (the fill validates them),
-// stopping at the first failing cell; then one
-// Refactor+Solve+estimate pass over the filled cells. A solve failure
-// at cell i < the failing fill outranks the fill failure — it is the
-// earlier cell. A chunk with no filled cell opens no chunk span and
-// records no chunk.
+// then one pass over the cells — prep each cell into the chunk's slot,
+// fill the solver from the refiller's emitted class values (the fill
+// validates them), solve and estimate — stopping at the first failing
+// cell, so no cell past it is prepped. The chunk span opens at the
+// first filled cell and counts the cells reached; a chunk with no
+// filled cell opens no chunk span and records no chunk.
 //
-// On the sparse route both passes run in blocks of sparse.Lanes cells
-// (FillBlock, SolveBlock); a block that any cell fails, and the last
-// cells that fill no block, take the one-cell path (FillRates,
-// SolveCell) cell by cell, which reports that cell's error and
-// accounting exactly.
+// On the sparse route the pass takes blocks of sparse.Lanes cells
+// (FillBlock, SolveBlock); a block that any cell fails to fill, and the
+// last cells that fill no block, take the one-cell path (FillRates,
+// SolveCell) cell by cell, and a lane the block does not commit takes
+// SolveCell, which reports that cell's error and accounting exactly.
 func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps []params.Parameters, out []Result) (int, error) {
 	if method != MethodExactChain {
 		return evaluateCells(ctx, cfg, method, ps, out)
@@ -223,60 +224,66 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps
 	ch := chainChunk{bc: bc, cfg: cfg, isNIR: cfg.Internal == InternalNone, bs: markov.AcquireBatchSolver()}
 	defer ch.release()
 	defer ch.tl.Flush(ctx)
+	var (
+		endChunk func(int)
+		reached  int
+	)
+	defer func() {
+		if endChunk != nil {
+			endChunk(reached)
+		}
+	}()
 	bs := ch.bs
 	done := ctx.Done()
-
-	filled := 0
-	var fillErr error
-	for filled < len(ps) && fillErr == nil {
-		if cancelled(done) {
-			return -1, ctx.Err()
-		}
-		if ch.fillBlock(ctx, ps, filled) {
-			filled += sparse.Lanes
-		} else if fillErr = ch.fillCell(ctx, ps, filled); fillErr == nil {
-			filled++
-		}
-	}
-
-	if filled > 0 {
-		endChunk := bs.StartChunk(ctx, filled)
-		defer endChunk()
-	}
 	var mtta [sparse.Lanes]float64
-	for i := 0; i < filled; {
+	for i := 0; i < len(ps); {
 		if cancelled(done) {
 			return -1, ctx.Err()
 		}
-		end, lanes := i+1, 0
-		if bs.LaneBlocks() && filled-i >= sparse.Lanes {
-			end, lanes = i+sparse.Lanes, bs.SolveBlock(i, &mtta)
+		cells, solved := 1, 0
+		if ch.fillBlock(ctx, ps, i) {
+			cells = sparse.Lanes
+		} else if err := ch.fillCell(ctx, ps, i); err != nil {
+			return i, err
 		}
-		for j := i; j < end; j++ {
-			v := mtta[j-i]
-			if j >= i+lanes {
+		if endChunk == nil {
+			endChunk = bs.StartChunk(ctx)
+		}
+		if cells > 1 {
+			solved = bs.SolveBlock(0, &mtta)
+		}
+		for l := 0; l < cells; l++ {
+			j := i + l
+			reached = j + 1
+			v := mtta[l]
+			if l >= solved {
+				slot := l
+				if cells == 1 {
+					slot = i % 2
+				}
 				var err error
-				if v, err = bs.SolveCell(j); err != nil {
+				if v, err = bs.SolveCell(slot); err != nil {
+					ch.tl = ch.lanes[l]
 					return j, chainSolveError(ch.isNIR, err)
 				}
 			}
 			est, err := estimate(&ps[j], cfg, v)
 			if err != nil {
+				ch.tl = ch.lanes[l]
 				return j, err
 			}
 			out[j] = bc.preps[j].result(&ps[j], cfg, MethodExactChain, est)
 		}
-		i = end
-	}
-	if fillErr != nil {
-		return filled, fillErr
+		i += cells
 	}
 	return -1, nil
 }
 
 // chainChunk is the fill state of one exact-chain chunk: its solver,
 // its refiller (acquired by the first cell's emission), whether that
-// emission has bound the topology, and the chunk's rate tally.
+// emission has bound the topology, the chunk's rate tally, and the
+// tally after each cell of the latest fill, to which a failure at that
+// cell rewinds it, uncounting the cells of its block past it.
 type chainChunk struct {
 	bc    *batchChunk
 	cfg   Config
@@ -286,6 +293,7 @@ type chainChunk struct {
 	ir    *model.IRRefiller
 	bound bool
 	tl    rebuild.Tally
+	lanes [sparse.Lanes]rebuild.Tally
 }
 
 // release hands the solver and the refiller back for recycling.
@@ -299,14 +307,13 @@ func (ch *chainChunk) release() {
 	markov.ReleaseBatchSolver(ch.bs)
 }
 
-// fillBlock fills the sparse.Lanes cells of ps from i on in one
-// FillBlock pass and reports true, when the route solves in lane
-// blocks, the chunk has a whole block left and every cell of the block
-// preps and fills cleanly. Each lane's refiller emission writes its
-// class values into that lane's buffer. Otherwise it leaves the rate
-// tally as it found it and the block's rows without a result, so the
-// one-cell path that follows preps, counts and reports as if no block
-// was tried.
+// fillBlock preps and emits the sparse.Lanes cells of ps from i on and
+// fills them in one FillBlock pass, and reports true, when the route
+// solves in lane blocks, the chunk has a whole block left and every cell
+// of the block preps and fills cleanly. Each lane's refiller emission
+// writes its class values into that lane's buffer. Otherwise it leaves
+// the rate tally as it found it, so the one-cell path that follows
+// preps, counts and reports as if no block was tried.
 func (ch *chainChunk) fillBlock(ctx context.Context, ps []params.Parameters, i int) bool {
 	if !ch.bound || !ch.bs.LaneBlocks() || len(ps)-i < sparse.Lanes {
 		return false
@@ -317,21 +324,25 @@ func (ch *chainChunk) fillBlock(ctx context.Context, ps []params.Parameters, i i
 			ch.tl = tl
 			return false
 		}
+		ch.lanes[l] = ch.tl
 	}
-	if !ch.bs.FillBlock(i, &ch.bc.vals) {
+	if !ch.bs.FillBlock(&ch.bc.vals) {
 		ch.tl = tl
 		return false
 	}
 	return true
 }
 
-// fillCell preps, emits and fills cell i of ps, returning the cell's
-// error, if any.
+// fillCell preps, emits and fills cell i of ps into the solver's cell
+// i%2, returning the cell's error, if any: a failing fill never
+// overwrites the row of the cell solved before it, whose residual the
+// chunk reports.
 func (ch *chainChunk) fillCell(ctx context.Context, ps []params.Parameters, i int) error {
 	if err := ch.emit(ctx, ps, i, 0); err != nil {
 		return err
 	}
-	if err := ch.bs.FillRates(i, ch.bc.vals[0]); err != nil {
+	ch.lanes[0] = ch.tl
+	if err := ch.bs.FillRates(i%2, ch.bc.vals[0]); err != nil {
 		return chainSolveError(ch.isNIR, err)
 	}
 	return nil
@@ -368,7 +379,7 @@ func (ch *chainChunk) emit(ctx context.Context, ps []params.Parameters, i, lane 
 		if err := ch.bs.Bind(ctx, c); err != nil {
 			return chainSolveError(ch.isNIR, err)
 		}
-		ch.bs.Cells(len(ps))
+		ch.bs.Cells(sparse.Lanes)
 		if err := ch.bs.BindProgram(program, class); err != nil {
 			return chainSolveError(ch.isNIR, err)
 		}

@@ -16,24 +16,29 @@ import (
 )
 
 // scalarChunk is the reference the lane blocks must reproduce: the
-// one-cell chunk loop on a no-internal-RAID configuration. It preps,
-// emits and fills cell after cell up to the first failing cell, then
-// solves and guards each filled cell up to the first failing one, on
-// an unpooled solver, and reports like the chunk body.
+// one-cell chunk loop on a no-internal-RAID configuration. Cell by cell
+// it preps, emits and fills, then solves and guards, up to the first
+// failing cell, on an unpooled solver, and reports like the chunk body:
+// the chunk span opens at the first filled cell and counts the cells
+// reached.
 func scalarChunk(ctx context.Context, cfg Config, ps []params.Parameters, out []Result) (int, error) {
 	preps := make([]analysisPrep, len(ps))
 	bs := markov.NewBatchSolver()
 	var (
-		tl  rebuild.Tally
-		nir *model.NIRRefiller
+		tl      rebuild.Tally
+		nir     *model.NIRRefiller
+		end     func(int)
+		reached int
 	)
 	defer tl.Flush(ctx)
-	filled, fillFail := 0, -1
-	var fillErr error
+	defer func() {
+		if end != nil {
+			end(reached)
+		}
+	}()
 	for i := range ps {
 		if err := analyzePrep(&preps[i], &ps[i], cfg, &tl); err != nil {
-			fillFail, fillErr = i, err
-			break
+			return i, err
 		}
 		if nir == nil {
 			nir = model.AcquireNIRRefiller(preps[i].nir, preps[i].k)
@@ -41,23 +46,21 @@ func scalarChunk(ctx context.Context, cfg Config, ps []params.Parameters, out []
 			if err := bs.Bind(ctx, nir.Chain()); err != nil {
 				return 0, chainSolveError(true, err)
 			}
-			bs.Cells(len(ps))
+			bs.Cells(2)
 			if err := bs.BindProgram(nir.Program(), nir.Classes()); err != nil {
 				return 0, chainSolveError(true, err)
 			}
 		}
-		if err := bs.FillRates(i, nir.Emit(nil, preps[i].nir)); err != nil {
-			fillFail, fillErr = i, chainSolveError(true, err)
-			break
+		// Alternate slab cells, so a failing fill leaves the row of the
+		// cell solved before it to the chunk's residual.
+		if err := bs.FillRates(i%2, nir.Emit(nil, preps[i].nir)); err != nil {
+			return i, chainSolveError(true, err)
 		}
-		filled++
-	}
-	if filled > 0 {
-		end := bs.StartChunk(ctx, filled)
-		defer end()
-	}
-	for i := 0; i < filled; i++ {
-		mtta, err := bs.SolveCell(i)
+		if end == nil {
+			end = bs.StartChunk(ctx)
+		}
+		reached = i + 1
+		mtta, err := bs.SolveCell(i % 2)
 		if err != nil {
 			return i, chainSolveError(true, err)
 		}
@@ -66,9 +69,6 @@ func scalarChunk(ctx context.Context, cfg Config, ps []params.Parameters, out []
 			return i, err
 		}
 		out[i] = preps[i].result(&ps[i], cfg, MethodExactChain, est)
-	}
-	if fillErr != nil {
-		return fillFail, fillErr
 	}
 	return -1, nil
 }

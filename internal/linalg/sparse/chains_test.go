@@ -2,6 +2,7 @@ package sparse_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -35,16 +36,19 @@ func TestCompiledRefactorMatchesOracleOnChains(t *testing.T) {
 	}
 }
 
-// The lane kernels reproduce the scalar kernels bit for bit on the
+// Compiled programs reproduce the scalar kernels bit for bit on the
 // absorption solves they serve: four NIR chains of one fault tolerance
 // with different drive MTTFs, solved against the initial state's unit
-// vector, at every fault tolerance the service accepts.
+// vector, at every fault tolerance the service accepts — with the
+// identity source map, and with the map the values themselves show:
+// two stored values share a source when they are equal in every lane,
+// which is what the NIR chain's rate classes and exit sums give.
 func TestLanesMatchScalarOnChains(t *testing.T) {
 	for k := 1; k <= 10; k++ {
 		var (
 			a    *sparse.CSR
+			init int
 			vals [sparse.Lanes][]float64
-			rhs  [sparse.Lanes][]float64
 		)
 		for l := range vals {
 			nir := closedform.NIRInputs{
@@ -52,18 +56,52 @@ func TestLanesMatchScalarOnChains(t *testing.T) {
 				LambdaN: 1 / 4e5, LambdaD: 1 / (2e4 * float64(1+3*l)), MuN: 0.05, MuD: 0.2,
 				CHER: 1e-4,
 			}
-			r, _, init := model.NIRChain(nir, k).AbsorptionMatrix()
+			r, _, i := model.NIRChain(nir, k).AbsorptionMatrix()
 			m := sparse.FromDense(r)
 			if a == nil {
-				a = m
+				a, init = m, i
 			}
 			vals[l] = m.Val
-			rhs[l] = make([]float64, m.Rows)
-			rhs[l][init] = 1
 		}
-		ok := sparse.CheckLanes(t, fmt.Sprintf("NIR ft %d", k), a, vals, rhs)
-		if ok != [sparse.Lanes]bool{true, true, true, true} {
-			t.Errorf("NIR ft %d: lanes judged singular: %v", k, ok)
+		id := make([]int, a.NNZ())
+		for q := range id {
+			id[q] = q
+		}
+		name := fmt.Sprintf("NIR ft %d", k)
+		if ok := sparse.CheckProgram(t, name, a, id, len(id), init, vals); ok != [sparse.Lanes]bool{true, true, true, true} {
+			t.Errorf("%s: lanes rejected: %v", name, ok)
+		}
+		src, shared := valueSources(vals)
+		if k >= 5 && len(shared[0]) > a.NNZ()/4 {
+			t.Errorf("%s: %d sources for %d stored values; the chain's values must repeat", name, len(shared[0]), a.NNZ())
+		}
+		if ok := sparse.CheckProgram(t, name+" shared", a, src, len(shared[0]), init, shared); ok != [sparse.Lanes]bool{true, true, true, true} {
+			t.Errorf("%s shared: lanes rejected: %v", name, ok)
 		}
 	}
+}
+
+// valueSources maps stored values that are bitwise equal in every lane
+// to one source, in first-seen order, and returns the map and the
+// sources' lane values.
+func valueSources(vals [sparse.Lanes][]float64) ([]int, [sparse.Lanes][]float64) {
+	var shared [sparse.Lanes][]float64
+	src := make([]int, len(vals[0]))
+	seen := map[[sparse.Lanes]uint64]int{}
+	for q := range src {
+		var key [sparse.Lanes]uint64
+		for l := range vals {
+			key[l] = math.Float64bits(vals[l][q])
+		}
+		s, ok := seen[key]
+		if !ok {
+			s = len(shared[0])
+			seen[key] = s
+			for l := range vals {
+				shared[l] = append(shared[l], vals[l][q])
+			}
+		}
+		src[q] = s
+	}
+	return src, shared
 }

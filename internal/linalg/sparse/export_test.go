@@ -4,5 +4,5 @@ package sparse
 // package, which builds the reliability chains this package serves.
 var CheckAgainstOracle = checkAgainstOracle
 
-// CheckLanes exposes checkLanes to the external test package.
-var CheckLanes = checkLanes
+// CheckProgram exposes checkProgram to the external test package.
+var CheckProgram = checkProgram

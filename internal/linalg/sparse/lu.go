@@ -214,10 +214,6 @@ type Numeric struct {
 	val        []float64 // factor slots: L values, then U values
 	lval, uval []float64 // views of val
 	y          []float64 // solve scratch (permuted intermediate)
-
-	// The lane kernels' storage (lanes.go), allocated by the first
-	// Refactor4: factor slots and solve scratch, Lanes values each.
-	lanes, ylanes []lane
 }
 
 // NewNumeric allocates value storage for the pattern. The returned

@@ -413,8 +413,9 @@ func TestAnalyzeRejectsZeroDiagonal(t *testing.T) {
 	}
 }
 
-// Aliased or mis-sized vectors, and a lane solve before any lane
-// factorization, are caller bugs and panic.
+// Aliased or mis-sized vectors, a source map that does not fit the
+// pattern and a program table too short for it are caller bugs and
+// panic.
 func TestSolveAliasPanics(t *testing.T) {
 	a := FromDense(randDiagDominant(rand.New(rand.NewSource(7)), 5, 0.5))
 	nu, err := Factorize(a)
@@ -434,20 +435,19 @@ func TestSolveAliasPanics(t *testing.T) {
 	mustPanic("SolveTransposeInto alias", func() { nu.SolveTransposeInto(b, b, b) })
 	mustPanic("SolveInto length", func() { nu.SolveInto(make([]float64, 4), b) })
 
-	lanes := [Lanes][]float64{b, b, b, b}
-	mustPanic("SolveTranspose4Into before Refactor4", func() { nu.SolveTranspose4Into(&lanes, &lanes) })
-	vals := [Lanes][]float64{a.Val, a.Val, a.Val, a.Val[1:]}
-	mustPanic("Refactor4 lane length", func() { nu.Refactor4(&vals) })
-	vals[3] = a.Val
-	nu.Refactor4(&vals)
-	short := lanes
-	short[1] = b[1:]
-	mustPanic("SolveTranspose4Into lane length", func() { nu.SolveTranspose4Into(&short, &lanes) })
+	s := nu.Symbolic()
+	src := make([]int, a.NNZ())
+	mustPanic("Compile source map length", func() { s.Compile(src[1:], 1, 0) })
+	mustPanic("Compile source out of range", func() { s.Compile(src, 0, 0) })
+	mustPanic("Compile initial row", func() { s.Compile(src, 1, 5) })
+	p := s.Compile(src, 1, 0)
+	mustPanic("Run table length", func() { p.Run(make([]Lane, p.TableLen()-1), make([]Lane, p.SolveLen())) })
+	mustPanic("Run solve length", func() { p.Run(make([]Lane, p.TableLen()), make([]Lane, p.SolveLen()-1)) })
 }
 
 // TestSteadyStateAllocFree pins the sweep-hot operations at zero
-// allocations: numeric refactorization and both solves, and the lane
-// kernels once their storage exists.
+// allocations: numeric refactorization, both solves, and a compiled
+// program's run over caller-owned tables.
 func TestSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := FromDense(randDiagDominant(rng, 80, 0.08))
@@ -477,17 +477,16 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { a.MulVecInto(x, b) }); n != 0 {
 		t.Errorf("MulVecInto allocates %v per run", n)
 	}
-	vals, rhs := laneValues(rng, a), laneRHS(rng, 80)
-	var tau [Lanes][]float64
-	for l := range tau {
-		tau[l] = make([]float64, 80)
+	src, vals := identitySources(rng, a)
+	p := nu.Symbolic().Compile(src, len(src), 3)
+	tab, y := make([]Lane, p.TableLen()), make([]Lane, p.SolveLen())
+	for i := range src {
+		for l := range vals {
+			tab[i][l] = vals[l][i]
+		}
 	}
-	nu.Refactor4(&vals)
-	if n := testing.AllocsPerRun(100, func() {
-		nu.Refactor4(&vals)
-		nu.SolveTranspose4Into(&tau, &rhs)
-	}); n != 0 {
-		t.Errorf("lane kernels allocate %v per run", n)
+	if n := testing.AllocsPerRun(100, func() { p.Run(tab, y) }); n != 0 {
+		t.Errorf("Program.Run allocates %v per run", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/linalg"
@@ -27,14 +28,25 @@ import (
 // per-cell step is allocation-free: all pattern work, span bookkeeping
 // and metric updates are amortized to one per chunk (StartChunk).
 //
-// Four-cell lanes: on the sparse route (LaneBlocks) a caller fills and
-// solves blocks of sparse.Lanes consecutive cells in one pass each —
-// FillBlock over the row edges, SolveBlock through the lane kernels
-// sparse.Numeric.Refactor4 and SolveTranspose4Into — so every step of
-// the compiled program and of the fill is applied to four independent
-// cells at once. Each lane does exactly the float operations of the
-// one-cell path, so its bits are the same; a lane that fails any check
-// is left to FillRates or SolveCell, which report it exactly.
+// Four-cell lanes: on the sparse route BindProgram also compiles the
+// topology's lane program (LaneBlocks), once per topology and class map
+// and cached beside the symbolic analysis: R's stored values name their
+// sources — each off-diagonal its rate class, each diagonal its row's
+// distinct class sequence, whose exit sum every such row shares — and
+// sparse.Symbolic.Compile value-numbers the elimination and the
+// transposed solve over them. A caller then takes blocks of
+// sparse.Lanes cells: FillBlock validates the block's class vectors and
+// writes only the lane table of sources (36 class values and 25 exit
+// sums at fault tolerance 7, against 763 stored values), and SolveBlock
+// runs the program over it. Each lane does exactly the float operations
+// of the one-cell path, so its bits are the same; a lane that fails any
+// check is left to FillRates or SolveCell, which report it exactly, and
+// only its matrix row is written out of the table.
+//
+// Reachability of absorption depends only on which classes are
+// positive: FillRates and FillBlock memoize the verdict by that set
+// (reachMemo) for the bound program, so a cell searches the topology
+// only for a set no earlier cell of its chunk had.
 //
 // Routing: dense partial-pivot LU below the SetSparseMinStates crossover
 // or above the density guard (sparseRoute); otherwise sparse static-pivot
@@ -90,11 +102,16 @@ type BatchSolver struct {
 	nclass       int
 	programBound bool
 
+	// reach holds the reachability verdicts of the bound program's
+	// class vectors by their positive classes, for at most 64 classes.
+	reach reachMemo
+
 	// Routing captured at Bind: sparseRoute selects the sparse path; num
 	// is the shared numeric factorization (nil if symbolic analysis
-	// failed: every cell then falls back to dense).
+	// failed: every cell then falls back to dense), topo its cache entry.
 	sparseRoute bool
 	num         *sparse.Numeric
+	topo        *topoEntry
 	cache       topoCache
 	view        sparse.CSR
 
@@ -108,9 +125,18 @@ type BatchSolver struct {
 	f              linalg.LU
 	vs             validateScratch
 
-	// Lane blocks (SolveBlock): the value rows of the block's cells,
-	// their τ vectors and the right-hand side rhs, once per lane.
-	laneVals, laneTau, laneRHS [sparse.Lanes][]float64
+	// Lane blocks: the bound lane program (nil off the lane route) and
+	// two lane tables with their solve vectors. FillBlock and SolveBlock
+	// use tabs[cur]; a block that commits a lane leaves its table to the
+	// chunk's residual (lastBuf, lane lastLane) and flips cur. resRow is
+	// the residual's matrix row, written out of that table.
+	lp         *laneProgram
+	tabs, ys   [2][]sparse.Lane
+	cur        int
+	lastBuf    int
+	lastLane   int
+	lastInLane bool
+	resRow     []float64
 
 	// own is the private frozen copy through which a one-cell solve
 	// binds a mutable chain, leaving the caller's chain unsealed.
@@ -118,7 +144,7 @@ type BatchSolver struct {
 
 	// Accounting since the last flush (account): the latest Bind's
 	// symbolic analysis, cells solved, of them on the sparse route, dense
-	// fallbacks from it, and whether the latest SolveCell succeeded, and
+	// fallbacks from it, and whether the latest solved cell succeeded, and
 	// on which route.
 	symbolic                       symbolicEvent
 	solved, sparseSolved, fellBack int
@@ -203,8 +229,8 @@ func (b *BatchSolver) Bind(ctx context.Context, c *Chain) error {
 		// A failed analysis leaves num nil: SolveCell then falls back
 		// to dense per cell — counted, never silent.
 		var hit bool
-		b.num, hit, _ = b.cache.lookup(ctx, &b.view)
-		if b.num != nil {
+		if b.topo, hit, _ = b.cache.lookup(ctx, &b.view); b.topo != nil {
+			b.num = b.topo.num
 			// View the Symbolic's own pattern, so Refactor's pattern
 			// check is a slice-identity test.
 			b.view.RowPtr, b.view.Col = b.num.Symbolic().Pattern()
@@ -227,7 +253,7 @@ func (b *BatchSolver) bindPattern(c *Chain) {
 	b.label = c.Label()
 	b.names = c.names
 	b.nedges = len(c.edges)
-	b.pos = resizeInts(b.pos, b.n)
+	b.pos = resize(b.pos, b.n)
 	b.trans = b.trans[:0]
 	for i := 0; i < b.n; i++ {
 		if c.absorbing[i] {
@@ -241,10 +267,10 @@ func (b *BatchSolver) bindPattern(c *Chain) {
 	b.initRow = b.pos[c.initial]
 	m := len(b.trans)
 
-	b.rowptr = resizeInts(b.rowptr, m+1)
+	b.rowptr = resize(b.rowptr, m+1)
 	b.rowptr[0] = 0
-	b.diagSlot = resizeInts(b.diagSlot, m)
-	b.erow = resizeInts(b.erow, m+1)
+	b.diagSlot = resize(b.diagSlot, m)
+	b.erow = resize(b.erow, m+1)
 	b.col, b.redge, b.eto, b.eslot = b.col[:0], b.redge[:0], b.eto[:0], b.eslot[:0]
 	for row, st := range b.trans {
 		b.erow[row] = len(b.redge)
@@ -275,10 +301,10 @@ func (b *BatchSolver) bindPattern(c *Chain) {
 	b.nnz = len(b.col)
 	b.programBound = false
 
-	b.rhs = resizeFloats(b.rhs, m)
-	b.tau = resizeFloats(b.tau, m)
-	b.work = resizeFloats(b.work, m)
-	b.edgeRates = resizeFloats(b.edgeRates, b.nedges)
+	b.rhs = resize(b.rhs, m)
+	b.tau = resize(b.tau, m)
+	b.work = resize(b.work, m)
+	b.edgeRates = resize(b.edgeRates, b.nedges)
 	for i := range b.rhs {
 		b.rhs[i] = 0
 	}
@@ -287,7 +313,7 @@ func (b *BatchSolver) bindPattern(c *Chain) {
 	}
 
 	b.reachAll = b.absorptionReachable(nil, nil)
-	b.num, b.symbolic = nil, symbolicNone
+	b.num, b.topo, b.lp, b.symbolic = nil, nil, nil, symbolicNone
 	b.sparseRoute = sparseRoute(m, b.nnz)
 	b.Cells(1) // the pattern views need a full-length value row
 	b.view = sparse.CSR{Rows: m, Cols: m, RowPtr: b.rowptr, Col: b.col, Val: b.vals[:b.nnz]}
@@ -313,16 +339,19 @@ func (b *BatchSolver) Cells(n int) {
 // emitted rate vector). The fused fill needs every edge to carry
 // exactly one emission and every emission a class; any other program
 // is refused with an error. The class vector has 1 + max(class)
-// values.
+// values. On the sparse route it also binds the topology's lane program
+// (LaneBlocks), compiled on the first BindProgram of this topology and
+// class map and cached with the symbolic analysis: a rebind of a cached
+// topology compiles nothing.
 func (b *BatchSolver) BindProgram(program, class []int) error {
-	b.programBound = false
+	b.programBound, b.lp = false, nil
 	if len(program) != b.nedges {
 		return fmt.Errorf("markov: refill program has %d emissions for %d edges; want exactly one per edge", len(program), b.nedges)
 	}
 	if len(class) != len(program) {
 		return fmt.Errorf("markov: refill class map has %d entries for %d emissions", len(class), len(program))
 	}
-	b.progOf = resizeInts(b.progOf, b.nedges)
+	b.progOf = resize(b.progOf, b.nedges)
 	for e := range b.progOf {
 		b.progOf[e] = -1
 	}
@@ -340,11 +369,14 @@ func (b *BatchSolver) BindProgram(program, class []int) error {
 		b.nclass = max(b.nclass, c+1)
 	}
 	b.emClass = append(b.emClass[:0], class...)
-	b.progEm = resizeInts(b.progEm, len(b.redge))
+	b.progEm = resize(b.progEm, len(b.redge))
 	for k, e := range b.redge {
 		b.progEm[k] = class[b.progOf[e]]
 	}
-	b.programBound = true
+	b.programBound, b.reach = true, reachMemo{}
+	if b.sparseRoute && b.topo != nil && b.initRow >= 0 {
+		b.bindLanes()
+	}
 	return nil
 }
 
@@ -399,7 +431,7 @@ func (b *BatchSolver) bound(c *Chain) bool {
 // recomputation, so the row is bit-identical to refilling a chain and
 // filling from it.
 func (b *BatchSolver) fill(cell int, em, order []int, vals []float64) error {
-	neg, pos := signs(vals)
+	neg, pos, mask := signs(vals)
 	if neg {
 		panicNegative(order, vals)
 	}
@@ -420,23 +452,29 @@ func (b *BatchSolver) fill(cell int, em, order []int, vals []float64) error {
 		}
 		v[diagSlot[row]] = exit
 	}
-	if !b.reachable(em, vals, pos) {
+	// Edge rates (a nil order) are not the bound program's classes.
+	if !b.reachable(em, vals, pos, order != nil, mask) {
 		return fmt.Errorf("markov: no absorbing state is reachable from the initial state")
 	}
 	return nil
 }
 
-// signs reports whether any of vals is negative, and whether all of
-// them are positive (NaN is neither).
-func signs(vals []float64) (neg, pos bool) {
+// signs reports whether any of vals is negative, whether all of them
+// are positive (NaN is neither), and which of the first 64 are: mask
+// bit i for vals[i] > 0.
+func signs(vals []float64) (neg, pos bool, mask uint64) {
 	pos = true
-	for _, v := range vals {
-		if v < 0 {
-			return true, false
+	for i, v := range vals {
+		if v > 0 {
+			if i < 64 {
+				mask |= 1 << uint(i)
+			}
+			continue
 		}
-		pos = pos && v > 0
+		pos = false
+		neg = neg || v < 0
 	}
-	return false, pos
+	return neg, pos, mask
 }
 
 // panicNegative panics as Chain.ApplyRates does on the first negative
@@ -463,12 +501,51 @@ func panicIfNegative(r float64) {
 // reachable reports whether absorption is reachable from the initial row
 // over the positive-rate row edges, rate vals[em[k]]: when every value
 // is positive (pos), that graph is the whole topology and the answer is
-// the one Bind computed; otherwise a search decides.
-func (b *BatchSolver) reachable(em []int, vals []float64, pos bool) bool {
+// the one Bind computed; otherwise, for class values of the bound
+// program (classes), the verdict the memo holds for their positive
+// classes mask, or a search, whose verdict the memo then keeps.
+func (b *BatchSolver) reachable(em []int, vals []float64, pos, classes bool, mask uint64) bool {
 	if pos {
 		return b.reachAll
 	}
-	return b.absorptionReachable(em, vals)
+	if !classes || b.nclass > 64 {
+		return b.absorptionReachable(em, vals)
+	}
+	if ok, found := b.reach.lookup(mask); found {
+		return ok
+	}
+	ok := b.absorptionReachable(em, vals)
+	b.reach.store(mask, ok)
+	return ok
+}
+
+// reachMemoSize bounds a reachMemo: a chunk sees one or two sets of
+// positive classes, never a stream of them.
+const reachMemoSize = 8
+
+// reachMemo holds reachability verdicts by the set of positive classes
+// of a class vector, a bit mask: the search visits exactly the row
+// edges of positive class, so the set decides the verdict. The newest
+// verdict replaces the oldest.
+type reachMemo struct {
+	mask [reachMemoSize]uint64
+	ok   [reachMemoSize]bool
+	n    int // verdicts held; the next store goes to n % reachMemoSize
+}
+
+func (m *reachMemo) lookup(mask uint64) (ok, found bool) {
+	for i := range min(m.n, reachMemoSize) {
+		if m.mask[i] == mask {
+			return m.ok[i], true
+		}
+	}
+	return false, false
+}
+
+func (m *reachMemo) store(mask uint64, ok bool) {
+	i := m.n % reachMemoSize
+	m.mask[i], m.ok[i] = mask, ok
+	m.n++
 }
 
 // absorptionReachable is Chain.absorptionReachable over the bound
@@ -511,28 +588,32 @@ func (b *BatchSolver) absorptionReachable(em []int, vals []float64) bool {
 	return reached
 }
 
-// StartChunk opens one "markov.batch" span covering the SolveCell calls
-// that follow, and resolves the metric handles of ctx's registry once;
-// the returned stop function closes the span and accounts the chunk on
-// that registry: one chunk of cells in markov.batch.*, the Bind's
-// symbolic analysis, the solved cells in markov.absorption.solves and
+// StartChunk opens one "markov.batch" span covering the fills and
+// solves that follow, and resolves the metric handles of ctx's registry
+// once; the returned stop function, given the cells the chunk reached,
+// sets the span's cells, closes it and accounts the chunk on that
+// registry: one chunk of cells in markov.batch.*, the Bind's symbolic
+// analysis, the solved cells in markov.absorption.solves and
 // markov.absorption.states, the sparse-route cells in
 // markov.sparse.solves and markov.sparse.nnz, the dense fallbacks, and
-// the residual of the chunk's last cell, computed on the route that cell
-// took, in markov.absorption.last_residual (a chunk whose last cell
-// failed sets none). One span and one set of metric updates cover the
-// whole chunk — that is the amortization the batch path exists for; the
-// chunk's time is the span's fold, trace.markov.batch.seconds.
-func (b *BatchSolver) StartChunk(ctx context.Context, cells int) func() {
+// the residual of the chunk's last solved cell, computed on the route
+// that cell took, in markov.absorption.last_residual (a chunk whose
+// last cell failed sets none). One span and one set of metric updates
+// cover the whole chunk — that is the amortization the batch path
+// exists for; the chunk's time is the span's fold,
+// trace.markov.batch.seconds.
+func (b *BatchSolver) StartChunk(ctx context.Context) func(cells int) {
 	_, sp := obs.StartSpan(ctx, "markov.batch")
 	if sp != nil {
-		sp.SetAttr("cells", cells)
 		sp.SetAttr("states", b.n)
 		sp.SetAttr("sparse", b.sparseRoute)
 	}
 	b.solved, b.sparseSolved, b.fellBack, b.lastOK = 0, 0, 0, false
 	m := metricsFrom(ctx)
-	return func() {
+	return func(cells int) {
+		if sp != nil {
+			sp.SetAttr("cells", cells)
+		}
 		sp.End()
 		if m != nil {
 			m.batchChunks.Inc()
@@ -545,10 +626,16 @@ func (b *BatchSolver) StartChunk(ctx context.Context, cells int) func() {
 
 // lastResidual is the ∞-norm residual ‖Rᵀτ − e‖ of the latest solved
 // cell on the route that cell took. Only valid while lastOK: the cell's
-// matrix and τ are still in place.
+// matrix and τ are still in place — for a lane, in its lane table, from
+// which they are written out here.
 func (b *BatchSolver) lastResidual() float64 {
-	if b.lastDense {
+	switch {
+	case b.lastDense:
 		return absorptionResidual(b.r, b.tau, b.initRow)
+	case b.lastInLane:
+		prog := b.lp.prog
+		b.view.Val = prog.ValuesInto(b.resRow, b.tabs[b.lastBuf], b.lastLane)
+		prog.TauInto(b.tau, b.ys[b.lastBuf], b.lastLane)
 	}
 	return sparseResidual(&b.view, b.tau, b.initRow, b.work)
 }
@@ -557,7 +644,7 @@ func (b *BatchSolver) lastResidual() float64 {
 // returns its MTTA.
 func (b *BatchSolver) cellSolved(dense bool) float64 {
 	b.solved++
-	b.lastOK, b.lastDense = true, dense
+	b.lastOK, b.lastDense, b.lastInLane = true, dense, false
 	return linalg.Sum(b.tau)
 }
 
@@ -674,100 +761,170 @@ func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error)
 }
 
 // LaneBlocks reports whether the bound topology solves in lane blocks:
-// on the sparse route, with a symbolic analysis and a transient initial
-// state. Elsewhere SolveBlock commits no cell, and a caller keeps to
-// FillRates and SolveCell.
-func (b *BatchSolver) LaneBlocks() bool { return b.sparseRoute && b.num != nil && b.initRow >= 0 }
+// on the sparse route, with a symbolic analysis, a transient initial
+// state and a program bound by BindProgram. Elsewhere FillBlock and
+// SolveBlock do nothing, and a caller keeps to FillRates and SolveCell.
+func (b *BatchSolver) LaneBlocks() bool { return b.lp != nil }
 
-// FillBlock writes the Lanes cells from cell on from vals[l], class
-// vectors of the program compiled by BindProgram, in one pass over the
-// row edges: cell cell+l's row is what FillRates(cell+l, vals[l])
-// writes, bit for bit. It reports whether every lane passed FillRates'
-// validation. When one did not, the rows hold no result and the caller
-// must refill them; FillRates reports the first failing cell's error
-// (or panic) exactly. A lane's signs are checked once on its class
-// values, not per edge, and a lane whose values are all positive takes
-// Bind's reachability verdict instead of a search.
-func (b *BatchSolver) FillBlock(cell int, vals *[sparse.Lanes][]float64) bool {
+// laneProgram is a refill program's lane program on one cached
+// topology: the class of every row edge and its rows' distinct class
+// sequences, and the compiled sparse program over their sources. The
+// row edges, their targets and classes, the class count and the
+// initial row are its key: they decide everything else.
+type laneProgram struct {
+	erow, eto, em   []int
+	nclass, initRow int
+
+	// Sources: class c's negated rate -(0 + r) is source c; sequence s,
+	// classes seqcls[seqptr[s]:seqptr[s+1]], is source nclass+s, the exit
+	// sum of every row whose row edges carry it.
+	seqptr, seqcls []int
+	prog           *sparse.Program
+}
+
+// bindLanes binds the lane program of the bound topology and program —
+// the cached one with the same key, or a fresh compilation, cached
+// first — and sizes its tables.
+func (b *BatchSolver) bindLanes() {
+	te := b.topo
+	i := slices.IndexFunc(te.progs, func(lp *laneProgram) bool {
+		return lp.initRow == b.initRow && lp.nclass == b.nclass &&
+			slices.Equal(lp.em, b.progEm) && slices.Equal(lp.erow, b.erow) && slices.Equal(lp.eto, b.eto)
+	})
+	if i < 0 {
+		if len(te.progs) < topoCacheSize {
+			te.progs = append(te.progs, nil)
+		}
+		i = len(te.progs) - 1
+		te.progs[i] = b.compileLanes()
+	}
+	lp := te.progs[i]
+	copy(te.progs[1:i+1], te.progs[:i])
+	te.progs[0] = lp
+	b.lp, b.cur, b.lastInLane = lp, 0, false
+	for i := range b.tabs {
+		b.tabs[i] = resize(b.tabs[i], lp.prog.TableLen())
+		b.ys[i] = resize(b.ys[i], lp.prog.SolveLen())
+	}
+	b.resRow = resize(b.resRow, b.nnz)
+}
+
+// compileLanes derives the source map of R's stored values — each
+// off-diagonal its edge's class, each diagonal its row's class sequence
+// — and compiles the lane program over it.
+func (b *BatchSolver) compileLanes() *laneProgram {
+	lp := &laneProgram{
+		erow: slices.Clone(b.erow), eto: slices.Clone(b.eto), em: slices.Clone(b.progEm),
+		initRow: b.initRow, nclass: b.nclass, seqptr: []int{0},
+	}
+	src := make([]int, b.nnz)
+	for row, end := range b.erow[1:] {
+		cls := b.progEm[b.erow[row]:end]
+		seq := 0
+		for seq < len(lp.seqptr)-1 && !slices.Equal(lp.seqcls[lp.seqptr[seq]:lp.seqptr[seq+1]], cls) {
+			seq++
+		}
+		if seq == len(lp.seqptr)-1 {
+			lp.seqcls = append(lp.seqcls, cls...)
+			lp.seqptr = append(lp.seqptr, len(lp.seqcls))
+		}
+		src[b.diagSlot[row]] = b.nclass + seq
+		for k := b.erow[row]; k < end; k++ {
+			if sl := b.eslot[k]; sl >= 0 {
+				src[sl] = b.progEm[k]
+			}
+		}
+	}
+	lp.prog = b.num.Symbolic().Compile(src, b.nclass+len(lp.seqptr)-1, b.initRow)
+	return lp
+}
+
+// FillBlock validates the class vectors vals[l] of the program compiled
+// by BindProgram for the Lanes cells of one block and writes the lane
+// table SolveBlock runs: every class's negated rate and every distinct
+// class sequence's exit sum, added from 0 in sorted edge order as
+// FillRates adds a row's. It writes no slab row. It reports whether
+// every lane passed FillRates' validation — signs checked once on its
+// class values, zero exits once per distinct sequence, reachability by
+// its positive classes; when one did not, the table holds no result, and
+// FillRates reports the first failing cell's error (or panic) exactly.
+// Where LaneBlocks is false it reports false.
+func (b *BatchSolver) FillBlock(vals *[sparse.Lanes][]float64) bool {
 	if !b.programBound {
 		panic("markov: FillBlock without a program compiled by BindProgram since the last Bind")
 	}
+	lp := b.lp
+	if lp == nil {
+		return false
+	}
+	tab := b.tabs[b.cur]
 	var (
-		v   [sparse.Lanes][]float64
-		pos [sparse.Lanes]bool
+		pos  [sparse.Lanes]bool
+		mask [sparse.Lanes]uint64
 	)
 	for l, r := range vals {
 		if len(r) != b.nclass {
 			panic(fmt.Sprintf("markov: FillBlock got %d class values in lane %d for a %d-class program", len(r), l, b.nclass))
 		}
 		var neg bool
-		if neg, pos[l] = signs(r); neg {
+		if neg, pos[l], mask[l] = signs(r); neg {
 			return false // FillRates panics, or ignores a class no emission reads
 		}
-		v[l] = b.vals[(cell+l)*b.nnz : (cell+l+1)*b.nnz]
 	}
-	r0, r1, r2, r3 := vals[0], vals[1], vals[2], vals[3]
-	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
-	em, eslot, diagSlot := b.progEm, b.eslot, b.diagSlot
-	k := 0
-	for row, end := range b.erow[1:] {
+	r0, r1, r2, r3 := vals[0], vals[1][:b.nclass], vals[2][:b.nclass], vals[3][:b.nclass]
+	for c, v := range r0 {
+		tab[c] = sparse.Lane{-(0 + v), -(0 + r1[c]), -(0 + r2[c]), -(0 + r3[c])}
+	}
+	exits := tab[b.nclass : b.nclass+len(lp.seqptr)-1]
+	for s := range exits {
 		var x0, x1, x2, x3 float64
-		for ; k < end; k++ {
-			e := em[k]
-			q0, q1, q2, q3 := r0[e], r1[e], r2[e], r3[e]
-			x0 += q0
-			x1 += q1
-			x2 += q2
-			x3 += q3
-			if s := eslot[k]; s >= 0 {
-				v0[s], v1[s], v2[s], v3[s] = -(0 + q0), -(0 + q1), -(0 + q2), -(0 + q3)
-			}
+		for _, c := range lp.seqcls[lp.seqptr[s]:lp.seqptr[s+1]] {
+			x0 += r0[c]
+			x1 += r1[c]
+			x2 += r2[c]
+			x3 += r3[c]
 		}
 		if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
 			return false
 		}
-		d := diagSlot[row]
-		v0[d], v1[d], v2[d], v3[d] = x0, x1, x2, x3
+		exits[s] = sparse.Lane{x0, x1, x2, x3}
 	}
 	for l, r := range vals {
-		if !b.reachable(em, r, pos[l]) {
+		if !b.reachable(lp.em, r, pos[l], true, mask[l]) {
 			return false
 		}
 	}
 	return true
 }
 
-// SolveBlock solves the Lanes filled cells from cell on in one pass of
-// the sparse lane kernels (Refactor4, SolveTranspose4Into). It commits
-// the leading lanes that pass every check SolveCell makes on the sparse
-// route — nonzero pivots, a plausible τ — and whose MTTA is positive and
-// finite, the only MTTA a caller can use: it writes their MTTAs, bit for
-// bit SolveCell's, into mtta and accounts them as SolveCell would. It
-// returns the number of committed lanes; the caller solves the block's
-// other cells with SolveCell, which reproduces the first rejected lane's
-// dense fallback, error or unusable MTTA exactly, and counts no lane past
-// it. Where LaneBlocks is false it commits nothing.
+// SolveBlock runs the lane program over the table of the latest
+// FillBlock. It commits the leading lanes that pass every check
+// SolveCell makes on the sparse route — nonzero pivots, a plausible τ —
+// and whose MTTA is positive and finite, the only MTTA a caller can use:
+// it writes their MTTAs, bit for bit SolveCell's, into mtta and accounts
+// them as SolveCell would. A lane with a NaN pivot is not committed
+// either: its scalar τ is NaN, so SolveCell falls back to dense. It
+// writes every other lane l's matrix into the slab's cell cell+l and
+// returns the number of committed lanes; the caller solves those cells
+// with SolveCell, which reproduces the first rejected lane's dense
+// fallback, error or unusable MTTA exactly, and counts no lane past it.
+// Where LaneBlocks is false it commits nothing and writes nothing.
 func (b *BatchSolver) SolveBlock(cell int, mtta *[sparse.Lanes]float64) int {
-	if !b.LaneBlocks() {
+	lp := b.lp
+	if lp == nil {
 		return 0
 	}
-	m := len(b.trans)
-	for l := range b.laneVals {
-		b.laneVals[l] = b.vals[(cell+l)*b.nnz : (cell+l+1)*b.nnz]
-		b.laneTau[l] = resizeFloats(b.laneTau[l], m)
-		b.laneRHS[l] = b.rhs
-	}
-	ok := b.num.Refactor4(&b.laneVals)
-	b.num.SolveTranspose4Into(&b.laneTau, &b.laneRHS)
-	// tauPlausible and linalg.Sum of every lane in one pass, the lanes'
-	// running sums overlapping.
+	tab, y := b.tabs[b.cur], b.ys[b.cur]
+	ok := lp.prog.Run(tab, y)
+	// tauPlausible and linalg.Sum of every lane in one pass over the
+	// entries that can be nonzero, in τ's order; the zeros change
+	// neither.
 	var w0, w1, w2, w3, c0, c1, c2, c3, s0, s1, s2, s3 float64
-	t0, t1, t2, t3 := b.laneTau[0], b.laneTau[1][:m], b.laneTau[2][:m], b.laneTau[3][:m]
-	for j, v := range t0 {
-		w0, c0, s0 = tauStep(v, w0, c0, s0)
-		w1, c1, s1 = tauStep(t1[j], w1, c1, s1)
-		w2, c2, s2 = tauStep(t2[j], w2, c2, s2)
-		w3, c3, s3 = tauStep(t3[j], w3, c3, s3)
+	for _, v := range y {
+		w0, c0, s0 = tauStep(v[0], w0, c0, s0)
+		w1, c1, s1 = tauStep(v[1], w1, c1, s1)
+		w2, c2, s2 = tauStep(v[2], w2, c2, s2)
+		w3, c3, s3 = tauStep(v[3], w3, c3, s3)
 	}
 	good := [sparse.Lanes]bool{plausible(w0, c0, s0), plausible(w1, c1, s1), plausible(w2, c2, s2), plausible(w3, c3, s3)}
 	sum := [sparse.Lanes]float64{s0, s1, s2, s3}
@@ -780,13 +937,16 @@ func (b *BatchSolver) SolveBlock(cell int, mtta *[sparse.Lanes]float64) int {
 		mtta[n] = v
 	}
 	if n > 0 {
-		// The last committed lane is the latest solved cell: its matrix
-		// and τ stay in place for the chunk's residual.
+		// The last committed lane is the latest solved cell: its table
+		// stays in place for the chunk's residual.
 		b.solved += n
 		b.sparseSolved += n
-		b.lastOK, b.lastDense = true, false
-		b.view.Val = b.laneVals[n-1]
-		b.tau, b.laneTau[n-1] = b.laneTau[n-1], b.tau
+		b.lastOK, b.lastDense, b.lastInLane = true, false, true
+		b.lastBuf, b.lastLane = b.cur, n-1
+		b.cur ^= 1
+	}
+	for l := n; l < sparse.Lanes; l++ {
+		lp.prog.ValuesInto(b.vals[(cell+l)*b.nnz:(cell+l+1)*b.nnz], tab, l)
 	}
 	return n
 }
@@ -799,7 +959,7 @@ func (b *BatchSolver) frozenCopy(c *Chain) *Chain {
 	f := &b.own
 	f.names, f.absorbing, f.initial, f.label = c.names, c.absorbing, c.initial, c.label
 	f.ptr, f.edges = c.csrInto(f.ptr, f.edges)
-	f.exit = resizeFloats(f.exit, len(c.names))
+	f.exit = resize(f.exit, len(c.names))
 	f.recomputeExits()
 	return f
 }

@@ -100,7 +100,7 @@ func TestBatchSolverMatchesPerCellBitwise(t *testing.T) {
 						t.Fatalf("k=%d Fill %d: %v", k, i, err)
 					}
 				}
-				end := b.StartChunk(context.Background(), cells)
+				end := b.StartChunk(context.Background())
 				for i := range thetas {
 					got, err := b.SolveCell(i)
 					if err != nil {
@@ -110,7 +110,7 @@ func TestBatchSolverMatchesPerCellBitwise(t *testing.T) {
 						t.Fatalf("k=%d cell %d: batch %v != per-cell %v", k, i, got, want[i])
 					}
 				}
-				end()
+				end(cells)
 			}
 		})
 	}
@@ -118,37 +118,38 @@ func TestBatchSolverMatchesPerCellBitwise(t *testing.T) {
 
 // The batch hot path must be allocation-free per cell after warmup: the
 // fused fill of an emitted rate vector (FillRates, with its validation)
-// and the solve run in reused storage, and so do a four-cell block's
-// fill and solve (FillBlock, SolveBlock, and SolveCell for the lanes it
-// leaves). This is the per-cell half of the "zero per-cell allocation"
-// contract (chunk setup — Bind, BindProgram, StartChunk — is amortized
-// and may allocate).
+// and the solve run in reused storage, and so does a four-cell block's
+// emission into the lane buffers, fill and solve (FillBlock, SolveBlock,
+// and SolveCell for the lanes it leaves). A rebind of a cached topology
+// (Bind, BindProgram) allocates nothing either, and compiles nothing:
+// it binds the cached lane program. This is the per-cell half of the
+// "zero per-cell allocation" contract (a chunk's first setup — Bind,
+// BindProgram, StartChunk — is amortized and may allocate).
 func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 	for _, route := range []struct {
 		name      string
 		crossover int
+		lanes     bool
 	}{
-		{"sparse", 1},
-		{"dense", 1 << 30},
+		{"sparse", 1, true},
+		{"dense", 1 << 30, false},
 	} {
 		t.Run(route.name, func(t *testing.T) {
 			prev := SetSparseMinStates(route.crossover)
 			defer SetSparseMinStates(prev)
 			const k = 24
 			c := newLadder(k, 1.7)
-			// A refill program covering every edge once.
-			program := make([]int, len(c.edges))
-			rates := make([]float64, len(c.edges))
-			for i := range program {
-				program[i] = i
-				rates[i] = c.edges[i].Rate
-			}
+			program, emitRates := ladderProgram(t, c, k)
+			rates := emitRates(1.7)
 			b := NewBatchSolver()
 			if err := b.Bind(context.Background(), c); err != nil {
 				t.Fatalf("Bind: %v", err)
 			}
 			if err := b.BindProgram(program, identityClasses(len(program))); err != nil {
 				t.Fatalf("BindProgram: %v", err)
+			}
+			if b.LaneBlocks() != route.lanes {
+				t.Fatalf("LaneBlocks = %v, want %v", b.LaneBlocks(), route.lanes)
 			}
 			b.Cells(sparse.Lanes)
 			var solveErr error
@@ -161,10 +162,22 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 					solveErr = err
 				}
 			}
-			lanes := [sparse.Lanes][]float64{rates, rates, rates, rates}
-			var mtta [sparse.Lanes]float64
+			var (
+				lanes [sparse.Lanes][]float64
+				mtta  [sparse.Lanes]float64
+			)
+			for l := range lanes {
+				lanes[l] = make([]float64, len(rates))
+			}
+			theta := 1.0
 			block := func() {
-				if !b.FillBlock(0, &lanes) {
+				for l := range lanes { // the emission: class values into the lane buffers
+					theta += 0.25
+					for i, r := range rates {
+						lanes[l][i] = r * theta
+					}
+				}
+				if !b.FillBlock(&lanes) {
 					solveErr = fmt.Errorf("FillBlock refused valid rates")
 					return
 				}
@@ -174,7 +187,21 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 					}
 				}
 			}
-			for name, f := range map[string]func(){"batch cell": cell, "four-cell block": block} {
+			lp, class := b.lp, identityClasses(len(program))
+			rebind := func() {
+				if err := b.Bind(context.Background(), c); err != nil {
+					solveErr = err
+					return
+				}
+				if err := b.BindProgram(program, class); err != nil {
+					solveErr = err
+				}
+			}
+			runs := map[string]func(){"batch cell": cell, "rebind": rebind}
+			if route.lanes {
+				runs["four-cell block"] = block
+			}
+			for name, f := range runs {
 				f() // warmup
 				if solveErr != nil {
 					t.Fatalf("%s warmup: %v", name, solveErr)
@@ -185,6 +212,9 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 				if solveErr != nil {
 					t.Fatalf("%s: %v", name, solveErr)
 				}
+			}
+			if b.lp != lp {
+				t.Errorf("a rebind of the cached topology compiled a new lane program")
 			}
 		})
 	}
@@ -480,10 +510,12 @@ func dedupe(rates []float64) (class []int, vals []float64) {
 
 // A program bound with a class map fills, validates and panics exactly
 // as the same program bound with the identity map fills from the
-// expanded rates: bit-identical slab rows from FillRates and FillBlock,
-// the same error, the same first-negative panic.
+// expanded rates: bit-identical slab rows from FillRates and rows
+// written out of FillBlock's lane table, the same error, the same
+// first-negative panic.
 func TestClassMapFillMatchesExpandedRates(t *testing.T) {
-	const k = 11
+	defer SetSparseMinStates(SetSparseMinStates(1))
+	const k = 20 // 21 transient rows: the sparse route at crossover 1
 	c := newLadder(k, 0.9)
 	program, emit := ladderProgram(t, c, k)
 	bind := func(class []int) *BatchSolver {
@@ -506,6 +538,16 @@ func TestClassMapFillMatchesExpandedRates(t *testing.T) {
 		var out []uint64
 		for _, v := range b.vals[:cells*b.nnz] {
 			out = append(out, math.Float64bits(v))
+		}
+		return out
+	}
+	tableRows := func(b *BatchSolver) []uint64 {
+		var out []uint64
+		row := make([]float64, b.nnz)
+		for l := 0; l < sparse.Lanes; l++ {
+			for _, v := range b.lp.prog.ValuesInto(row, b.tabs[b.cur], l) {
+				out = append(out, math.Float64bits(v))
+			}
 		}
 		return out
 	}
@@ -542,7 +584,7 @@ func TestClassMapFillMatchesExpandedRates(t *testing.T) {
 			t.Fatalf("%s: identity fill gives (%v, %v), want failure %v", tc.name, want, wantErr, tc.fails)
 		}
 		if tc.fails {
-			if cm.FillBlock(0, &[sparse.Lanes][]float64{vals, vals, vals, vals}) {
+			if cm.FillBlock(&[sparse.Lanes][]float64{vals, vals, vals, vals}) {
 				t.Fatalf("%s: FillBlock accepted a failing lane", tc.name)
 			}
 			continue
@@ -553,10 +595,10 @@ func TestClassMapFillMatchesExpandedRates(t *testing.T) {
 		for l := 1; l < sparse.Lanes; l++ {
 			id.FillRates(l, rates) //nolint:errcheck // valid above
 		}
-		if !cm.FillBlock(0, &[sparse.Lanes][]float64{vals, vals, vals, vals}) {
+		if !cm.FillBlock(&[sparse.Lanes][]float64{vals, vals, vals, vals}) {
 			t.Fatalf("%s: FillBlock refused valid class values", tc.name)
 		}
-		if w, g := rows(id, sparse.Lanes), rows(cm, sparse.Lanes); !slices.Equal(w, g) {
+		if w, g := rows(id, sparse.Lanes), tableRows(cm); !slices.Equal(w, g) {
 			t.Fatalf("%s: FillBlock rows differ from FillRates rows", tc.name)
 		}
 	}
@@ -565,8 +607,10 @@ func TestClassMapFillMatchesExpandedRates(t *testing.T) {
 // With every value positive the fill takes Bind's reachability verdict
 // instead of a search: on a topology whose absorbing state no path
 // reaches, that verdict is the error Validate reports, from FillRates
-// and from FillBlock alike.
+// and from FillBlock alike. Eight feeder states put the chain on the
+// sparse route, where FillBlock runs.
 func TestFillReachabilityShortcut(t *testing.T) {
+	defer SetSparseMinStates(SetSparseMinStates(1))
 	c := NewChain()
 	c.SetInitial("a")
 	c.SetAbsorbing("loss")
@@ -574,6 +618,9 @@ func TestFillReachabilityShortcut(t *testing.T) {
 	c.AddEdge("b", "a", 2)
 	c.AddEdge("c", "loss", 3)
 	c.AddEdge("c", "a", 4)
+	for i := 0; i < 8; i++ {
+		c.AddEdge(fmt.Sprintf("d%d", i), "a", 1)
+	}
 	c.Freeze()
 	want := c.Validate()
 	if want == nil {
@@ -586,15 +633,18 @@ func TestFillReachabilityShortcut(t *testing.T) {
 	if b.reachAll {
 		t.Fatal("Bind: loss reachable over the whole topology")
 	}
-	if err := b.BindProgram([]int{0, 1, 2, 3}, identityClasses(4)); err != nil {
+	vals := []float64{1, 2, 3, 4, 1, 1, 1, 1, 1, 1, 1, 1}
+	if err := b.BindProgram(identityClasses(len(vals)), identityClasses(len(vals))); err != nil {
 		t.Fatalf("BindProgram: %v", err)
 	}
+	if !b.LaneBlocks() {
+		t.Fatal("the chain does not solve in lane blocks")
+	}
 	b.Cells(sparse.Lanes)
-	vals := []float64{1, 2, 3, 4}
 	if got := b.FillRates(0, vals); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("FillRates = %v, Validate = %v", got, want)
 	}
-	if b.FillBlock(0, &[sparse.Lanes][]float64{vals, vals, vals, vals}) {
+	if b.FillBlock(&[sparse.Lanes][]float64{vals, vals, vals, vals}) {
 		t.Fatal("FillBlock accepted an unreachable loss state")
 	}
 }

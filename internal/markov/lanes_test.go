@@ -23,13 +23,15 @@ func fillOutcome(b *BatchSolver, cell int, rates []float64) (failed string) {
 	return ""
 }
 
-// FillBlock writes every lane's row bit for bit as FillRates writes it,
-// and passes a block exactly when FillRates accepts every lane's rates:
+// FillBlock's lane table holds every lane's row bit for bit as
+// FillRates writes it (written out by the lane program), and FillBlock
+// passes a block exactly when FillRates accepts every lane's rates:
 // with a negative rate (FillRates panics), a transient row with no
 // outgoing rate, an unreachable absorbing state, a NaN rate or a
 // negative-zero rate in one lane, at every lane position.
 func TestFillBlockMatchesFillRates(t *testing.T) {
-	const k = 11
+	defer SetSparseMinStates(SetSparseMinStates(1))
+	const k = 20 // 21 transient rows: the sparse route at crossover 1
 	c := newLadder(k, 0.9)
 	program, emit := ladderProgram(t, c, k)
 	mid, _ := c.StateIndex("4")
@@ -78,15 +80,19 @@ func TestFillBlockMatchesFillRates(t *testing.T) {
 			if ok == v.fails {
 				t.Fatalf("%s: FillRates accepts every lane: %v", name, ok)
 			}
-			if got := block.FillBlock(0, &rates); got != ok {
+			if got := block.FillBlock(&rates); got != ok {
 				t.Fatalf("%s: FillBlock %v, FillRates accepts every lane: %v", name, got, ok)
 			}
 			if !ok {
 				continue
 			}
-			for i, x := range ref.vals {
-				if math.Float64bits(block.vals[i]) != math.Float64bits(x) {
-					t.Fatalf("%s: slab slot %d = %v, FillRates %v", name, i, block.vals[i], x)
+			row := make([]float64, block.nnz)
+			for l := range rates {
+				block.lp.prog.ValuesInto(row, block.tabs[block.cur], l)
+				for i, x := range ref.vals[l*ref.nnz : (l+1)*ref.nnz] {
+					if math.Float64bits(row[i]) != math.Float64bits(x) {
+						t.Fatalf("%s: lane %d slot %d = %v, FillRates %v", name, l, i, row[i], x)
+					}
 				}
 			}
 		}
@@ -96,8 +102,8 @@ func TestFillBlockMatchesFillRates(t *testing.T) {
 // SolveBlock commits every lane of well-conditioned blocks with
 // SolveCell's bits, and a chunk solved in blocks accounts exactly as
 // one solved cell by cell: solves, sparse solves, fallbacks and the
-// last residual, here the last block's last lane's. Off the sparse
-// route it commits nothing.
+// last residual, here the last block's last lane's, written out of its
+// lane table. Off the sparse route FillBlock and SolveBlock do nothing.
 func TestSolveBlockMatchesSolveCellBitwise(t *testing.T) {
 	for _, route := range []struct {
 		name      string
@@ -130,29 +136,35 @@ func TestSolveBlockMatchesSolveCellBitwise(t *testing.T) {
 				if err := b.BindProgram(program, identityClasses(len(program))); err != nil {
 					t.Fatalf("BindProgram: %v", err)
 				}
-				b.Cells(cells)
-				for i := 0; i < cells; i++ {
-					if err := b.FillRates(i, emit(0.05+1.7*float64(i))); err != nil {
-						t.Fatalf("FillRates %d: %v", i, err)
-					}
-				}
+				b.Cells(sparse.Lanes)
 				if got := b.LaneBlocks(); got != route.lanes {
 					t.Fatalf("LaneBlocks = %v, want %v", got, route.lanes)
 				}
+				rates := func(i int) []float64 { return emit(0.05 + 1.7*float64(i)) }
 				var o outcome
-				end := b.StartChunk(ctx, cells)
+				end := b.StartChunk(ctx)
 				for i := 0; i < cells; {
 					n := 0
-					if blocks && cells-i >= sparse.Lanes {
+					if blocks {
+						var vals [sparse.Lanes][]float64
+						for l := range vals {
+							vals[l] = rates(i + l)
+						}
+						if b.FillBlock(&vals) != route.lanes {
+							t.Fatalf("FillBlock(%d) = %v", i, !route.lanes)
+						}
 						var block [sparse.Lanes]float64
-						n = b.SolveBlock(i, &block)
+						n = b.SolveBlock(0, &block)
 						if route.lanes != (n == sparse.Lanes) || !route.lanes && n != 0 {
 							t.Fatalf("SolveBlock(%d) committed %d lanes", i, n)
 						}
 						copy(o.mtta[i:], block[:n])
 					}
 					if n == 0 {
-						v, err := b.SolveCell(i)
+						if err := b.FillRates(0, rates(i)); err != nil {
+							t.Fatalf("FillRates %d: %v", i, err)
+						}
+						v, err := b.SolveCell(0)
 						if err != nil {
 							t.Fatalf("SolveCell %d: %v", i, err)
 						}
@@ -160,7 +172,7 @@ func TestSolveBlockMatchesSolveCellBitwise(t *testing.T) {
 					}
 					i += n
 				}
-				end()
+				end(cells)
 				root.End()
 				for j, name := range []string{"markov.absorption.solves", "markov.sparse.solves", "markov.sparse.dense_fallbacks"} {
 					o.counters[j] = reg.Counter(name).Value()

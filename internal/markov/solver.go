@@ -64,11 +64,19 @@ func sparseRoute(m, nnz int) bool {
 	return m >= sparseMinStates() && float64(nnz) <= maxSparseDensity*float64(m)*float64(m)
 }
 
-// topoCache is a BatchSolver's MRU list of factorizations, each
-// matched by its Symbolic's own copy of the pattern it analyzed.
-type topoCache []*sparse.Numeric
+// topoCache is a BatchSolver's MRU list of topologies, each matched by
+// its Symbolic's own copy of the pattern it analyzed.
+type topoCache []*topoEntry
 
-// lookup returns the cached factorization whose pattern matches a, and
+// topoEntry is one cached topology: its symbolic factorization, held by
+// the Numeric that factors against it, and the lane programs compiled
+// over it (BindProgram), most recent first.
+type topoEntry struct {
+	num   *sparse.Numeric
+	progs []*laneProgram
+}
+
+// lookup returns the cached topology whose pattern matches a, and
 // whether it was a cache hit, building (and caching) a new symbolic
 // analysis on miss. Hits move to the front; the cache evicts from the
 // back. Hit or miss is invisible in the results: the ordering is a pure
@@ -76,18 +84,18 @@ type topoCache []*sparse.Numeric
 // identically. A miss's ordering + symbolic analysis is traced as
 // "sparse.symbolic"; hits skip that work and so carry no span. a is only
 // read; the Symbolic keeps its own copy of the pattern.
-func (tc *topoCache) lookup(ctx context.Context, a *sparse.CSR) (*sparse.Numeric, bool, error) {
+func (tc *topoCache) lookup(ctx context.Context, a *sparse.CSR) (*topoEntry, bool, error) {
 	cache := *tc
-	for i, num := range cache {
-		rowptr, col := num.Symbolic().Pattern()
+	for i, te := range cache {
+		rowptr, col := te.num.Symbolic().Pattern()
 		if !slices.Equal(rowptr, a.RowPtr) || !slices.Equal(col, a.Col) {
 			continue
 		}
 		if i > 0 {
 			copy(cache[1:i+1], cache[:i])
-			cache[0] = num
+			cache[0] = te
 		}
-		return num, true, nil
+		return te, true, nil
 	}
 	_, sp := obs.StartSpan(ctx, "sparse.symbolic")
 	sym, err := sparse.Analyze(a)
@@ -98,26 +106,21 @@ func (tc *topoCache) lookup(ctx context.Context, a *sparse.CSR) (*sparse.Numeric
 	if err != nil {
 		return nil, false, err
 	}
-	num := sparse.NewNumeric(sym)
+	te := &topoEntry{num: sparse.NewNumeric(sym)}
 	if len(cache) < topoCacheSize {
 		cache = append(cache, nil)
 	}
 	copy(cache[1:], cache)
-	cache[0] = num
+	cache[0] = te
 	*tc = cache
-	return num, false, nil
+	return te, false, nil
 }
 
-func resizeInts(v []int, n int) []int {
+// resize returns v with length n, reusing its storage when it is big
+// enough; the contents are unspecified.
+func resize[T any](v []T, n int) []T {
 	if cap(v) < n {
-		return make([]int, n)
-	}
-	return v[:n]
-}
-
-func resizeFloats(v []float64, n int) []float64 {
-	if cap(v) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return v[:n]
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs every fuzz target of the packages that decode untrusted input
-# (serve, sim, trace, erasure), of the sparse LU, whose four-cell lane
-# kernels must stay bit for bit its scalar kernels on any pattern and
-# any values, Inf and NaN included (linalg/sparse), and of the chain
+# (serve, sim, trace, erasure), of the sparse LU, whose value-numbered
+# four-lane programs must stay bit for bit its scalar kernels on any
+# pattern, any source map and any values, Inf and NaN included
+# (linalg/sparse), and of the chain
 # models, whose rate-class emitter must stay bit for bit the per-edge
 # recursion on any inputs (model), for a fixed time each. Plain `go test` runs only the seed corpora; this mutates past
 # them. A failing input is written under the package's testdata/fuzz/
