@@ -32,10 +32,11 @@ import (
 // and SolveBlock): one small lane table of class values and exit sums
 // per block, and one pass of the topology's value-numbered lane program
 // over it, bit for bit the one-cell path, which still takes a chunk's
-// last one to three cells and any block a cell fails. The solver's
-// value slab holds one block. Closed-form and exact-stable cells have
-// no chain to amortize: a chunk evaluates them one after another and
-// binds no solver.
+// last one to three cells and any block a cell fails; a chunk's first
+// block binds the topology, so a whole chunk can run as blocks. The
+// solver's value slab holds one block. Closed-form and exact-stable
+// cells have no chain to amortize: a chunk evaluates them one after
+// another and binds no solver.
 //
 // Results do not depend on the chunk size or the worker count: every
 // cell is a pure function of its inputs written to its caller's slot,
@@ -178,6 +179,9 @@ type batchChunk struct {
 	ps    []params.Parameters
 	res   []Result
 	vals  [sparse.Lanes][]float64
+	// cellSolves counts the one-cell solves (SolveCell) of the latest
+	// exact-chain chunk; lane blocks that commit every lane take none.
+	cellSolves int
 }
 
 var chunkPool = sync.Pool{New: func() any { return new(batchChunk) }}
@@ -234,6 +238,7 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps
 		}
 	}()
 	bs := ch.bs
+	bc.cellSolves = 0
 	done := ctx.Done()
 	var mtta [sparse.Lanes]float64
 	for i := 0; i < len(ps); {
@@ -261,6 +266,7 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps
 				if cells == 1 {
 					slot = i % 2
 				}
+				bc.cellSolves++
 				var err error
 				if v, err = bs.SolveCell(slot); err != nil {
 					ch.tl = ch.lanes[l]
@@ -311,16 +317,20 @@ func (ch *chainChunk) release() {
 // fills them in one FillBlock pass, and reports true, when the route
 // solves in lane blocks, the chunk has a whole block left and every cell
 // of the block preps and fills cleanly. Each lane's refiller emission
-// writes its class values into that lane's buffer. Otherwise it leaves
-// the rate tally as it found it, so the one-cell path that follows
-// preps, counts and reports as if no block was tried.
+// writes its class values into that lane's buffer; the first emission
+// of a chunk's first block binds the topology, so a whole chunk can run
+// as blocks. Otherwise it leaves the rate tally as it found it, so the
+// one-cell path that follows preps, counts and reports as if no block
+// was tried.
 func (ch *chainChunk) fillBlock(ctx context.Context, ps []params.Parameters, i int) bool {
-	if !ch.bound || !ch.bs.LaneBlocks() || len(ps)-i < sparse.Lanes {
+	if ch.bound && !ch.bs.LaneBlocks() || len(ps)-i < sparse.Lanes {
 		return false
 	}
 	tl := ch.tl
 	for l := range ch.bc.vals {
-		if err := ch.emit(ctx, ps, i+l, l); err != nil {
+		// The chunk's first block binds with its first emission; on the
+		// dense route it then leaves the cell to the one-cell path.
+		if err := ch.emit(ctx, ps, i+l, l); err != nil || !ch.bs.LaneBlocks() {
 			ch.tl = tl
 			return false
 		}
@@ -365,15 +375,15 @@ func (ch *chainChunk) emit(ctx context.Context, ps []params.Parameters, i, lane 
 	if ch.isNIR {
 		if ch.nir == nil {
 			ch.nir = model.AcquireNIRRefiller(pr.nir, pr.k)
-			c, program, class = ch.nir.Chain(), ch.nir.Program(), ch.nir.Classes()
 		}
 		*vals = ch.nir.Emit(*vals, pr.nir)
+		c, program, class = ch.nir.Chain(), ch.nir.Program(), ch.nir.Classes()
 	} else {
 		if ch.ir == nil {
 			ch.ir = model.AcquireIRRefiller(pr.ir, pr.k)
-			c, program, class = ch.ir.Chain(), ch.ir.Program(), ch.ir.Classes()
 		}
 		*vals = ch.ir.Emit(*vals, pr.ir)
+		c, program, class = ch.ir.Chain(), ch.ir.Program(), ch.ir.Classes()
 	}
 	if !ch.bound {
 		if err := ch.bs.Bind(ctx, c); err != nil {

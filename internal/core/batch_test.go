@@ -19,7 +19,7 @@ import (
 // sweepChunked runs a buffered sweep on workers goroutines in chunks of
 // at most chunk cells.
 func sweepChunked(p params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers, chunk int) ([]SweepPoint, error) {
-	return sweep(context.Background(), p, cfgs, method, xs, apply, workers, nil, chunk)
+	return sweepGrid(context.Background(), p, cfgs, method, xs, apply, workers, chunk)
 }
 
 // meteredCtx returns a context whose span folds into reg — the shape a
@@ -326,7 +326,7 @@ func TestSweepBatchAbsorptionMetrics(t *testing.T) {
 	for _, cfgs := range [][]Config{mixedConfigs(), {{Internal: InternalNone, NodeFaultTolerance: 7}}} {
 		reg := obs.NewRegistry()
 		ctx, end := meteredCtx(reg)
-		_, err := sweep(ctx, p, cfgs, MethodExactChain, xs, apply, 1, nil, chunk)
+		_, err := sweepGrid(ctx, p, cfgs, MethodExactChain, xs, apply, 1, chunk)
 		end()
 		if err != nil {
 			t.Fatalf("sweep: %v", err)
@@ -389,7 +389,7 @@ func TestSweepBatchPerChunkAccounting(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		reg := obs.NewRegistry()
 		ctx, end := meteredCtx(reg)
-		_, err := sweep(ctx, p, mixedConfigs(), MethodExactChain, xs, apply, workers, nil, 3)
+		_, err := sweepGrid(ctx, p, mixedConfigs(), MethodExactChain, xs, apply, workers, 3)
 		end()
 		if err != nil {
 			t.Fatalf("sweep: %v", err)
@@ -427,7 +427,7 @@ func TestSweepEmptyChunkRecordsNothing(t *testing.T) {
 	tr.SetFold(obs.NewSpanFolder(reg))
 	ctx, root := tr.Start(context.Background(), "test")
 	// Chunks of two: [64 48] solves, [2 64] fails at its first cell.
-	_, err := sweep(ctx, p, cfgs, MethodExactChain, xs, apply, 1, nil, 2)
+	_, err := sweepGrid(ctx, p, cfgs, MethodExactChain, xs, apply, 1, 2)
 	if err == nil || err.Error() != want.Error() {
 		t.Errorf("sweep error = %v, want %v", err, want)
 	}
@@ -454,10 +454,46 @@ func TestSweepEmptyChunkRecordsNothing(t *testing.T) {
 	}
 }
 
-// Streaming: emit sees every point exactly once, in ascending x order,
-// with results identical to the buffered sweep — at any worker count and
-// chunk size on the batched exact-chain engine, and on the per-cell
-// engine the other methods use.
+// streamGrid runs sweep with a frontier: cells writes each chunk's
+// results into a grid, and rows appends the points it covers to the
+// returned slice and reports a call that does not continue where the
+// previous one stopped. fail, if non-nil, is the rows error of a call
+// covering points [lo, hi).
+func streamGrid(t *testing.T, p params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers, chunk int, fail func(lo, hi int) error) ([]SweepPoint, int, error) {
+	grid := make([][]Result, len(xs))
+	for i := range grid {
+		grid[i] = make([]Result, len(cfgs))
+	}
+	var (
+		streamed []SweepPoint
+		calls    int
+	)
+	err := sweep(context.Background(), p, cfgs, method, xs, apply, workers,
+		func(col, lo int, res []Result) {
+			for i := range res {
+				grid[lo+i][col] = res[i]
+			}
+		},
+		func(lo, hi int) error {
+			calls++
+			if lo != len(streamed) || hi <= lo || hi > len(xs) {
+				t.Errorf("rows(%d, %d) after %d streamed points", lo, hi, len(streamed))
+			}
+			for i := lo; i < hi; i++ {
+				streamed = append(streamed, SweepPoint{X: xs[i], Results: grid[i]})
+			}
+			if fail != nil {
+				return fail(lo, hi)
+			}
+			return nil
+		}, chunk)
+	return streamed, calls, err
+}
+
+// Streaming: rows covers every point exactly once, in ascending x
+// order, and the results cells handed over are identical to the
+// buffered sweep — at any worker count and chunk size on the batched
+// exact-chain engine, and on the per-cell engine the other methods use.
 func TestSweepStreamEmitOrderDeterministic(t *testing.T) {
 	p := params.Baseline()
 	cfgs := SensitivityConfigs()
@@ -488,27 +524,19 @@ func TestSweepStreamEmitOrderDeterministic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var streamed []SweepPoint
-			got, err := sweep(context.Background(), p, cfgs, tc.method, xs, apply, tc.workers,
-				func(pt SweepPoint) error {
-					streamed = append(streamed, pt)
-					return nil
-				}, tc.cells)
+			streamed, _, err := streamGrid(t, p, cfgs, tc.method, xs, apply, tc.workers, tc.cells, nil)
 			if err != nil {
 				t.Fatalf("stream sweep: %v", err)
 			}
-			ref := refs[tc.method]
-			if !reflect.DeepEqual(got, ref) {
-				t.Error("returned grid differs from buffered sweep")
-			}
-			if !reflect.DeepEqual(streamed, ref) {
+			if !reflect.DeepEqual(streamed, refs[tc.method]) {
 				t.Error("streamed points differ from buffered sweep (order or content)")
 			}
 		})
 	}
 }
 
-// An emit failure cancels the sweep and surfaces as the sweep's error.
+// A rows failure cancels the sweep and surfaces as the sweep's error:
+// rows is not called again.
 func TestSweepStreamEmitErrorCancels(t *testing.T) {
 	p := params.Baseline()
 	cfgs := SensitivityConfigs()
@@ -518,32 +546,36 @@ func TestSweepStreamEmitErrorCancels(t *testing.T) {
 	}
 	apply := func(p *params.Parameters, x float64) { p.NodeMTTFHours = x }
 	boom := fmt.Errorf("client went away")
-	n := 0
-	pts, err := SweepStream(context.Background(), p, cfgs, MethodExactChain, xs, apply, 0,
-		func(SweepPoint) error {
-			n++
-			if n == 3 {
-				return boom
-			}
-			return nil
-		})
+	failed := 0
+	calls := 0
+	_, n, err := streamGrid(t, p, cfgs, MethodExactChain, xs, apply, 0, 1, func(lo, hi int) error {
+		calls++
+		if hi >= 3 {
+			failed = calls
+			return boom
+		}
+		return nil
+	})
 	if err != boom {
 		t.Fatalf("stream error = %v, want %v", err, boom)
 	}
-	if pts != nil {
-		t.Error("failed stream returned a non-nil grid")
-	}
-	if n != 3 {
-		t.Errorf("emit called %d times after failure at 3", n)
+	if n != failed {
+		t.Errorf("rows called %d times after failure at call %d", n, failed)
 	}
 }
 
 func TestSweepStreamNilEmit(t *testing.T) {
 	p := params.Baseline()
-	_, err := SweepStream(context.Background(), p, SensitivityConfigs(), MethodExactChain,
-		[]float64{1}, func(*params.Parameters, float64) {}, 0, nil)
-	if err == nil || !strings.Contains(err.Error(), "nil emit") {
-		t.Fatalf("nil emit error = %v", err)
+	apply := func(*params.Parameters, float64) {}
+	cells := func(int, int, []Result) {}
+	rows := func(int, int) error { return nil }
+	for name, err := range map[string]error{
+		"cells": SweepStream(context.Background(), p, SensitivityConfigs(), MethodExactChain, []float64{1}, apply, 0, nil, rows),
+		"rows":  SweepStream(context.Background(), p, SensitivityConfigs(), MethodExactChain, []float64{1}, apply, 0, cells, nil),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "nil emit") {
+			t.Errorf("nil %s error = %v", name, err)
+		}
 	}
 }
 
@@ -663,8 +695,8 @@ func TestSweepWithoutConfigs(t *testing.T) {
 			t.Errorf("%v sweep without configurations = %d points, want an error", m, len(pts))
 		}
 		emitted := 0
-		_, err := SweepStream(context.Background(), params.Baseline(), nil, m, xs, apply, 0,
-			func(SweepPoint) error { emitted++; return nil })
+		err := SweepStream(context.Background(), params.Baseline(), nil, m, xs, apply, 0,
+			func(int, int, []Result) {}, func(lo, hi int) error { emitted += hi - lo; return nil })
 		if err == nil {
 			t.Errorf("%v stream without configurations succeeded after %d of %d emits, want an error", m, emitted, len(xs))
 		}
@@ -693,4 +725,53 @@ func TestSeriesOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	Series(pts, 1)
+}
+
+// streamGridBytes bounds what one streamed 512-point × 5-configuration
+// closed-form sweep allocates: far below the 2560 Results (224 bytes
+// each, 573 KB) a grid of them would take, so no per-point grid comes
+// back onto the streaming path.
+const streamGridBytes = 64 << 10
+
+// TestSweepStreamAllocBytes measures the bytes a streamed sweep
+// allocates, averaged over eight sweeps after a warm-up one.
+func TestSweepStreamAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	cfgs := BaselineConfigs()[:5]
+	xs := make([]float64, 512)
+	for i := range xs {
+		xs[i] = 2e4 * math.Pow(10, float64(i)/float64(len(xs)-1))
+	}
+	apply := func(p *params.Parameters, x float64) { p.DriveMTTFHours = x }
+	var sum float64
+	stream := func() {
+		err := SweepStream(context.Background(), params.Baseline(), cfgs, MethodClosedForm, xs, apply, 1,
+			func(_, _ int, res []Result) {
+				for i := range res {
+					sum += res[i].EventsPerPBYear
+				}
+			},
+			func(int, int) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(cfgs)*len(xs) != 2560 {
+		t.Fatalf("grid of %d cells, want 2560", len(cfgs)*len(xs))
+	}
+	stream() // warm the chunk pool
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		stream()
+	}
+	runtime.ReadMemStats(&after)
+	perSweep := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per streamed sweep", perSweep)
+	if perSweep > streamGridBytes {
+		t.Errorf("a streamed sweep allocates %d bytes, want at most %d", perSweep, streamGridBytes)
+	}
 }

@@ -232,3 +232,27 @@ func TestNaNTauFallsBackToDense(t *testing.T) {
 		}
 	}
 }
+
+// A chunk binds with its first block's first emission, so a whole
+// 256-cell NIR chunk on the sparse route runs as 64 lane blocks: it
+// takes no one-cell solve, and it reports bit for bit what the one-cell
+// loop reports.
+func TestChunkBindsInFirstBlock(t *testing.T) {
+	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 5}
+	ps := laneCells(chunkCells)
+	bc := new(batchChunk)
+	lanes := func(ctx context.Context, cfg Config, ps []params.Parameters, out []Result) (int, error) {
+		return bc.analyze(ctx, cfg, MethodExactChain, ps, out)
+	}
+	want := runChunk(cfg, ps, scalarChunk)
+	got := runChunk(cfg, ps, lanes)
+	if want.err != "" || want.counters["markov.sparse.solves"] != chunkCells {
+		t.Fatalf("reference %q with %d sparse solves; the cells must solve on the sparse route", want.err, want.counters["markov.sparse.solves"])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("lane blocks report\n  %+v\nthe one-cell loop\n  %+v", got, want)
+	}
+	if bc.cellSolves != 0 {
+		t.Errorf("a %d-cell chunk took %d one-cell solves, want 0", chunkCells, bc.cellSolves)
+	}
+}

@@ -1,5 +1,14 @@
 package core
 
+// Sweeps: one parameter varied across a grid of points, every
+// configuration analyzed at each, on the analysis engine. One driver
+// runs every sweep. It hands each solved chunk's results to a cells
+// callback on the worker that solved them, and, for a stream, each
+// advance of the completed prefix of points to a rows callback. Sweep
+// keeps the grid of Results; SweepStream keeps none, so a caller that
+// encodes results does so on the workers and only splices at the
+// frontier.
+
 import (
 	"context"
 	"fmt"
@@ -41,25 +50,49 @@ type SweepPoint struct {
 // emits one "markov.batch" child per solved chunk; chunks run on worker
 // goroutines, so their spans interleave but parent correctly. Closed-form
 // and exact-stable cells open no spans of their own.
+//
+// Sweep is the grid-building caller of the driver SweepStream runs on:
+// it is the one caller that keeps every Result.
 func Sweep(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers int) ([]SweepPoint, error) {
-	return sweep(ctx, base, cfgs, method, xs, apply, workers, nil, chunkCells)
+	return sweepGrid(ctx, base, cfgs, method, xs, apply, workers, chunkCells)
 }
 
-// SweepStream is Sweep delivering completed points incrementally: emit
-// is called exactly once per grid point, in ascending x order, as soon
-// as every configuration at that point has been analyzed — the earliest
-// points stream out while later ones are still being solved. emit is
-// never called concurrently with itself. If emit returns an error the
-// sweep is cancelled and that error is returned; if any cell fails,
-// points from the failing x onward are never emitted and the usual
-// first-cell error is returned. The returned slice is the same complete
-// grid Sweep returns (nil on error); results are bitwise identical to
-// Sweep at any worker count.
-func SweepStream(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers int, emit func(SweepPoint) error) ([]SweepPoint, error) {
-	if emit == nil {
-		return nil, fmt.Errorf("core: nil emit function")
+// sweepGrid is Sweep in chunks of at most chunk cells.
+func sweepGrid(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers, chunk int) ([]SweepPoint, error) {
+	out := make([]SweepPoint, len(xs))
+	for i, x := range xs {
+		out[i] = SweepPoint{X: x, Results: make([]Result, len(cfgs))}
 	}
-	return sweep(ctx, base, cfgs, method, xs, apply, workers, emit, chunkCells)
+	err := sweep(ctx, base, cfgs, method, xs, apply, workers, func(col, lo int, res []Result) {
+		for i := range res {
+			out[lo+i].Results[col] = res[i]
+		}
+	}, nil, chunk)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SweepStream is Sweep handing each solved chunk to the caller instead
+// of keeping a grid. cells(col, lo, res) receives the results of
+// configuration col at points [lo, lo+len(res)) on the worker that
+// solved them, as soon as the chunk has solved; it runs concurrently
+// for distinct chunks, must write only that chunk's slots and must not
+// keep res. rows(lo, hi) runs each time the completion frontier
+// advances — every configuration at points [lo, hi) has been handed to
+// cells — in ascending x, never concurrently with itself, and covers
+// every point exactly once on success; the earliest points stream out
+// while later ones are still being solved. If rows returns an error the
+// sweep is cancelled and that error is returned; if any cell fails,
+// rows never reaches the failing point and the usual first-cell error
+// is returned. Results are bitwise identical to Sweep at any worker
+// count, and no per-point Result outlives its chunk.
+func SweepStream(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers int, cells func(col, lo int, res []Result), rows func(lo, hi int) error) error {
+	if cells == nil || rows == nil {
+		return fmt.Errorf("core: nil emit function (SweepStream needs cells and rows)")
+	}
+	return sweep(ctx, base, cfgs, method, xs, apply, workers, cells, rows, chunkCells)
 }
 
 // sweepCellError attributes a grid-cell failure to its sweep position and
@@ -70,34 +103,31 @@ func sweepCellError(x float64, cfg Config, err error) error {
 	return fmt.Errorf("core: sweep at x=%v: %v: %w", x, cfg, err)
 }
 
-// sweep runs the grid for Sweep and SweepStream (emit == nil means
-// buffered) on the engine, in chunks of at most chunk cells.
-func sweep(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers int, emit func(SweepPoint) error, chunk int) ([]SweepPoint, error) {
+// sweep is the driver of Sweep and SweepStream (rows == nil means no
+// frontier): it runs the grid on the engine, in chunks of at most chunk
+// cells, handing each solved chunk to cells.
+func sweep(ctx context.Context, base params.Parameters, cfgs []Config, method Method, xs []float64, apply func(*params.Parameters, float64), workers int, cells func(col, lo int, res []Result), rows func(lo, hi int) error, chunk int) error {
 	if len(xs) == 0 {
-		return nil, fmt.Errorf("core: empty sweep")
+		return fmt.Errorf("core: empty sweep")
 	}
 	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("core: sweep without configurations")
+		return fmt.Errorf("core: sweep without configurations")
 	}
 	if apply == nil {
-		return nil, fmt.Errorf("core: nil apply function")
+		return fmt.Errorf("core: nil apply function")
 	}
 	ctx, sweepSp := obs.StartSpan(ctx, "core.sweep")
 	if sweepSp != nil {
 		sweepSp.SetAttr("cells", len(xs)*len(cfgs))
 	}
 	defer sweepSp.End()
-	out := make([]SweepPoint, len(xs))
-	for i, x := range xs {
-		out[i] = SweepPoint{X: x, Results: make([]Result, len(cfgs))}
-	}
 
-	var tr *pointTracker
-	if emit != nil {
+	var fr *frontier
+	if rows != nil {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
-		tr = newPointTracker(out, len(cfgs), emit, cancel)
+		fr = newFrontier(len(xs), len(cfgs), rows, cancel)
 	}
 
 	// Rows are sweep points and columns configurations, so the engine's
@@ -108,85 +138,86 @@ func sweep(ctx context.Context, base params.Parameters, cfgs []Config, method Me
 			apply(p, xs[row])
 		},
 		func(ch CellRange, res []Result) {
-			for i := range res {
-				out[ch.Lo+i].Results[ch.Col] = res[i]
-			}
-			tr.chunkDone(ch.Lo, ch.Hi)
+			cells(ch.Col, ch.Lo, res)
+			fr.chunkDone(ch.Lo, ch.Hi)
 		})
-	if tr != nil {
-		// An emit failure cancelled the run; it outranks the ctx.Err it
-		// provoked.
-		if terr := tr.emitErr(); terr != nil {
-			return nil, terr
-		}
+	// A rows failure cancelled the run; it outranks the ctx.Err it
+	// provoked.
+	if ferr := fr.rowsErr(); ferr != nil {
+		return ferr
 	}
-	if err != nil {
-		if row >= 0 {
-			err = sweepCellError(xs[row], cfgs[col], err)
-		}
-		return nil, err
+	if err != nil && row >= 0 {
+		err = sweepCellError(xs[row], cfgs[col], err)
 	}
-	return out, nil
+	return err
 }
 
-// pointTracker watches per-point completion counts for a streaming sweep
-// and emits the finished frontier in ascending x order. All methods are
-// nil-safe no-ops so the buffered path pays one pointer test per chunk.
-type pointTracker struct {
+// frontier counts, per point of a streaming sweep, the configurations
+// not yet handed to cells, and hands each advance of the completed
+// prefix to rows. One worker at a time holds the emitter role and calls
+// rows outside the lock, so the other workers only count and move on;
+// the emitter rescans after every call, so no advance is lost. All
+// methods are nil-safe no-ops, so Sweep pays one pointer test per chunk.
+type frontier struct {
 	mu        sync.Mutex
-	remaining []int
-	next      int
-	points    []SweepPoint
-	emit      func(SweepPoint) error
+	remaining []int32
+	next      int  // first point not yet handed to rows
+	emitting  bool // a worker holds the emitter role
+	rows      func(lo, hi int) error
 	err       error
 	cancel    context.CancelFunc
 }
 
-func newPointTracker(points []SweepPoint, ncfg int, emit func(SweepPoint) error, cancel context.CancelFunc) *pointTracker {
-	rem := make([]int, len(points))
+func newFrontier(points, ncfg int, rows func(lo, hi int) error, cancel context.CancelFunc) *frontier {
+	rem := make([]int32, points)
 	for i := range rem {
-		rem[i] = ncfg
+		rem[i] = int32(ncfg)
 	}
-	return &pointTracker{remaining: rem, points: points, emit: emit, cancel: cancel}
+	return &frontier{remaining: rem, rows: rows, cancel: cancel}
 }
 
-// chunkDone records one completed configuration across points [lo, hi).
-func (t *pointTracker) chunkDone(lo, hi int) {
-	if t == nil {
+// chunkDone records one completed configuration across points [lo, hi)
+// and, unless another worker holds the emitter role, emits the frontier.
+func (f *frontier) chunkDone(lo, hi int) {
+	if f == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for i := lo; i < hi; i++ {
-		t.remaining[i]--
+		f.remaining[i]--
 	}
-	t.advance()
-}
-
-// advance emits the completed frontier. Caller holds t.mu; emit runs
-// under the lock, which is what serializes emissions and keeps them in
-// ascending x order.
-func (t *pointTracker) advance() {
-	if t.err != nil {
+	if f.emitting {
 		return
 	}
-	for t.next < len(t.points) && t.remaining[t.next] == 0 {
-		if err := t.emit(t.points[t.next]); err != nil {
-			t.err = err
-			t.cancel()
-			return
+	f.emitting = true
+	for f.err == nil {
+		lo, hi := f.next, f.next
+		for hi < len(f.remaining) && f.remaining[hi] == 0 {
+			hi++
 		}
-		t.next++
+		if hi == lo {
+			break
+		}
+		f.next = hi
+		f.mu.Unlock()
+		err := f.rows(lo, hi)
+		f.mu.Lock()
+		if err != nil {
+			f.err = err
+			f.cancel()
+		}
 	}
+	f.emitting = false
 }
 
-func (t *pointTracker) emitErr() error {
-	if t == nil {
+func (f *frontier) rowsErr() error {
+	if f == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
 }
 
 // Series extracts one configuration's events-per-PB-year across the sweep,

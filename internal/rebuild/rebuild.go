@@ -168,39 +168,91 @@ func Compute(p params.Parameters, t int) Rates {
 type Tally struct {
 	computes, nodeDisk, nodeNetwork, driveDisk, driveNetwork int64
 	last                                                     Rates
+	// key holds the inputs last was computed from.
+	key rateKey
+}
+
+// rateKey is every input Compute reads: t and the parameters the
+// rebuild paths read, the floats by their bits. No MTTF or error rate
+// enters the rates.
+type rateKey struct {
+	rebuildCmd, utilization, capacity, linkSpeed, links uint64
+	bandwidthFraction, iops, transfer, restripeCmd      uint64
+	t, nodes, redundancy, drives                        int
+}
+
+// set makes k the inputs p and t, written field by field: a
+// design-space enumeration misses on every call, so a miss must cost
+// no more than these stores.
+func (k *rateKey) set(p *params.Parameters, t int) {
+	k.rebuildCmd = math.Float64bits(p.RebuildCommandBytes)
+	k.utilization = math.Float64bits(p.CapacityUtilization)
+	k.capacity = math.Float64bits(p.DriveCapacityBytes)
+	k.linkSpeed = math.Float64bits(p.LinkSpeedGbps)
+	k.links = math.Float64bits(p.EffectiveLinks)
+	k.bandwidthFraction = math.Float64bits(p.RebuildBandwidthFraction)
+	k.iops = math.Float64bits(p.DriveMaxIOPS)
+	k.transfer = math.Float64bits(p.DriveTransferBytesPerSec)
+	k.restripeCmd = math.Float64bits(p.RestripeCommandBytes)
+	k.t, k.nodes, k.redundancy, k.drives = t, p.NodeSetSize, p.RedundancySetSize, p.DrivesPerNode
+}
+
+// matches reports whether p and t are the inputs of k, comparing field
+// by field so a design-space enumeration, whose command size changes
+// from call to call, tells a miss from its first compare.
+func (k *rateKey) matches(p *params.Parameters, t int) bool {
+	return k.rebuildCmd == math.Float64bits(p.RebuildCommandBytes) &&
+		k.utilization == math.Float64bits(p.CapacityUtilization) &&
+		k.nodes == p.NodeSetSize && k.t == t && k.redundancy == p.RedundancySetSize &&
+		k.capacity == math.Float64bits(p.DriveCapacityBytes) &&
+		k.linkSpeed == math.Float64bits(p.LinkSpeedGbps) &&
+		k.links == math.Float64bits(p.EffectiveLinks) &&
+		k.bandwidthFraction == math.Float64bits(p.RebuildBandwidthFraction) &&
+		k.iops == math.Float64bits(p.DriveMaxIOPS) &&
+		k.transfer == math.Float64bits(p.DriveTransferBytesPerSec) &&
+		k.restripeCmd == math.Float64bits(p.RestripeCommandBytes) &&
+		k.drives == p.DrivesPerNode
 }
 
 // Compute is the package-level Compute reading p through a pointer —
 // the same floats, no Parameters copy — with the computation held in
-// the tally until Flush.
+// the tally until Flush. When t and every parameter the rates read are
+// bit for bit those of the tally's latest computation (so +0 and −0
+// differ), it returns that computation's Rates without recomputing
+// them: a sweep over a lifetime or an error rate computes its rates
+// once per chunk. A reused set is tallied as a computation all the
+// same — rebuild.computes and the bottleneck counters count rate sets
+// asked for, not evaluated.
 func (tl *Tally) Compute(p *params.Parameters, t int) Rates {
 	if t < 1 || t >= p.RedundancySetSize {
 		panic(fmt.Sprintf("rebuild: fault tolerance %d out of range [1, R-1] with R=%d", t, p.RedundancySetSize))
 	}
-	nodeT, nodeB := distributedRebuildTime(p, p.NodeDataBytes(), t)
-	driveT, driveB := distributedRebuildTime(p, p.DriveDataBytes(), t)
-	r := Rates{
-		NodeRebuild:     1 / nodeT,
-		DriveRebuild:    1 / driveT,
-		Restripe:        1 / restripeTimeHours(p),
-		NodeBottleneck:  nodeB,
-		DriveBottleneck: driveB,
+	if tl.computes == 0 || !tl.key.matches(p, t) {
+		tl.key.set(p, t)
+		nodeT, nodeB := distributedRebuildTime(p, p.NodeDataBytes(), t)
+		driveT, driveB := distributedRebuildTime(p, p.DriveDataBytes(), t)
+		tl.last = Rates{
+			NodeRebuild:     1 / nodeT,
+			DriveRebuild:    1 / driveT,
+			Restripe:        1 / restripeTimeHours(p),
+			NodeBottleneck:  nodeB,
+			DriveBottleneck: driveB,
+		}
 	}
 	tl.computes++
-	switch nodeB {
+	switch tl.last.NodeBottleneck {
 	case BottleneckDisk:
 		tl.nodeDisk++
 	case BottleneckNetwork:
 		tl.nodeNetwork++
 	}
-	switch driveB {
+	switch tl.last.DriveBottleneck {
 	case BottleneckDisk:
 		tl.driveDisk++
 	case BottleneckNetwork:
 		tl.driveNetwork++
 	}
-	tl.last = r
-	return r
+	return tl.last
 }
 
 // CrossoverLinkSpeedGbps returns the link speed at which the node rebuild

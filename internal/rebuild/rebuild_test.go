@@ -318,3 +318,80 @@ func TestTallyMatchesPerCallCompute(t *testing.T) {
 		}
 	}
 }
+
+// ratesBits is r with its rates as bits, so +0 and −0 differ.
+func ratesBits(r Rates) [5]uint64 {
+	return [5]uint64{math.Float64bits(r.NodeRebuild), math.Float64bits(r.DriveRebuild), math.Float64bits(r.Restripe),
+		uint64(r.NodeBottleneck), uint64(r.DriveBottleneck)}
+}
+
+// A Tally reuses its latest Rates only for bit-equal inputs: after a
+// change of one ulp (or one) in any input Compute reads, or a flip from
+// +0 to −0, its rates are bit for bit a fresh Compute's; after a change
+// in an input it does not read (a lifetime, the error rate) they are
+// too. Every call is tallied, reused or not.
+func TestTallyReusesBitEqualRates(t *testing.T) {
+	t.Parallel()
+	floats := map[string]func(*params.Parameters) *float64{
+		"DriveCapacityBytes":       func(p *params.Parameters) *float64 { return &p.DriveCapacityBytes },
+		"CapacityUtilization":      func(p *params.Parameters) *float64 { return &p.CapacityUtilization },
+		"DriveMaxIOPS":             func(p *params.Parameters) *float64 { return &p.DriveMaxIOPS },
+		"DriveTransferBytesPerSec": func(p *params.Parameters) *float64 { return &p.DriveTransferBytesPerSec },
+		"RebuildCommandBytes":      func(p *params.Parameters) *float64 { return &p.RebuildCommandBytes },
+		"RestripeCommandBytes":     func(p *params.Parameters) *float64 { return &p.RestripeCommandBytes },
+		"LinkSpeedGbps":            func(p *params.Parameters) *float64 { return &p.LinkSpeedGbps },
+		"EffectiveLinks":           func(p *params.Parameters) *float64 { return &p.EffectiveLinks },
+		"RebuildBandwidthFraction": func(p *params.Parameters) *float64 { return &p.RebuildBandwidthFraction },
+	}
+	ints := map[string]func(*params.Parameters) *int{
+		"NodeSetSize":       func(p *params.Parameters) *int { return &p.NodeSetSize },
+		"RedundancySetSize": func(p *params.Parameters) *int { return &p.RedundancySetSize },
+		"DrivesPerNode":     func(p *params.Parameters) *int { return &p.DrivesPerNode },
+	}
+	unread := map[string]func(*params.Parameters) *float64{
+		"NodeMTTFHours":  func(p *params.Parameters) *float64 { return &p.NodeMTTFHours },
+		"DriveMTTFHours": func(p *params.Parameters) *float64 { return &p.DriveMTTFHours },
+		"HardErrorRate":  func(p *params.Parameters) *float64 { return &p.HardErrorRate },
+	}
+	var (
+		tl    Tally
+		calls int64
+	)
+	check := func(what string, p params.Parameters, ft int) {
+		t.Helper()
+		calls++
+		if got, want := tl.Compute(&p, ft), Compute(p, ft); ratesBits(got) != ratesBits(want) {
+			t.Errorf("%s: Tally.Compute %+v, fresh Compute %+v", what, got, want)
+		}
+	}
+	base := params.Baseline()
+	for name, field := range floats {
+		p := base
+		check(name+" base", p, 2)
+		*field(&p) = math.Nextafter(*field(&p), math.Inf(1))
+		check(name+" +1 ulp", p, 2)
+		*field(&p) = 0
+		check(name+" +0", p, 2)
+		*field(&p) = math.Copysign(0, -1)
+		check(name+" −0", p, 2)
+		check(name+" −0 again", p, 2)
+	}
+	for name, field := range ints {
+		p := base
+		check(name+" base", p, 2)
+		*field(&p)++
+		check(name+" +1", p, 2)
+	}
+	check("t 2", base, 2)
+	check("t 3", base, 3)
+	for name, field := range unread {
+		p := base
+		check(name+" base", p, 2)
+		*field(&p) *= 1.5
+		check(name+" changed", p, 2)
+	}
+	if tl.computes != calls || tl.nodeDisk+tl.nodeNetwork != calls || tl.driveDisk+tl.driveNetwork != calls {
+		t.Errorf("tally counts %d computes, %d+%d node and %d+%d drive bottlenecks over %d calls",
+			tl.computes, tl.nodeDisk, tl.nodeNetwork, tl.driveDisk, tl.driveNetwork, calls)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,11 +27,13 @@ import (
 //	{"done":true,"points":N}                         trailer (success)
 //	{"done":false,"error":"..."}                     trailer (sweep failed mid-stream)
 //
-// Both paths encode each row once, by appendSweepRow, into the buffered
-// body; a row line is the row's slice of the body plus a newline. The
-// cache keeps the body with its row offsets, and a replay writes those
-// slices without decoding. Errors after the first byte cannot change
-// the status line — the error trailer is the in-band substitute.
+// Both paths encode each cell once, on the worker that solved it, into
+// a fragment of its row (sweepBody.cells); at the solved frontier the
+// rows' fragments are spliced into the buffered body, and a row line is
+// the row's slice of the body plus a newline. The cache keeps the body
+// with its row offsets, and a replay writes those slices without
+// decoding. Errors after the first byte cannot change the status line —
+// the error trailer is the in-band substitute.
 
 // streamHeader is the first NDJSON line: the sweep's identity and how
 // many point rows a complete stream will carry.
@@ -171,21 +174,15 @@ func (s *Server) replayStream(w http.ResponseWriter, job sweepJob, res result) {
 	}
 }
 
-// buildSweep solves job's grid into its buffered body, encoding each row
-// as the solved frontier reaches it and handing it to emit, if non-nil.
+// buildSweep solves job's grid into its buffered body: the workers
+// encode each solved chunk's cells (sweepBody.cells), and each advance
+// of the solved frontier splices its rows into the body and hands each
+// to emit, if non-nil.
 func (s *Server) buildSweep(ctx context.Context, job sweepJob, emit func(row []byte) error) (result, error) {
 	b := newSweepBody(job)
-	_, err := core.SweepStream(ctx, job.Params, job.Configs, job.Method, job.Values, sweepKnobs[job.Parameter], s.opts.Workers,
-		func(pt core.SweepPoint) error {
-			row := b.add(pt)
-			if emit == nil {
-				return nil
-			}
-			if b.err != nil {
-				return b.err
-			}
-			return emit(row)
-		})
+	defer b.release()
+	err := core.SweepStream(ctx, job.Params, job.Configs, job.Method, job.Values, sweepKnobs[job.Parameter], s.opts.Workers,
+		b.cells, func(lo, hi int) error { return b.splice(lo, hi, emit) })
 	if err == nil {
 		err = b.err
 	}
@@ -195,22 +192,39 @@ func (s *Server) buildSweep(ctx context.Context, job sweepJob, emit func(row []b
 	return b.finish(), nil
 }
 
-// bodyBufs recycles the buffers bodies are built in (finish copies out).
-var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+// byteBufs recycles the buffers bodies and cell fragments are built in
+// (finish copies the body out).
+var byteBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// sweepBody builds a sweep's body row by row, recording where each row
-// starts. err is the first value JSON cannot encode; a buffered sweep
-// reports it after the grid solved, so a failing cell outranks it.
+// sweepBody builds a sweep's body. cells encodes each solved chunk's
+// cells into fragments on the worker that solved them; splice copies
+// the fragments of each completed row into the body, recording where
+// each row starts. A row is its cells' fragments end to end: the first
+// opens the row with its x, the last closes it. err is the first value
+// JSON cannot encode, in body order; a buffered sweep reports it after
+// the grid solved, so a failing cell outranks it.
 type sweepBody struct {
 	labels [][]byte // configuration labels, JSON-quoted once per sweep
+	xs     []float64
+	frags  [][]byte // cell (row, col)'s fragment at row*len(labels)+col; nil if it failed
 	pooled *[]byte  // buf's pool slot
 	buf    []byte
 	rows   []int
 	err    error
+
+	mu     sync.Mutex
+	arenas []*[]byte     // the fragments' buffers, pooled
+	bad    map[int]error // a failed fragment's encoding error
 }
 
 func newSweepBody(job sweepJob) *sweepBody {
-	b := &sweepBody{labels: make([][]byte, len(job.Configs)), pooled: bodyBufs.Get().(*[]byte), rows: make([]int, 0, len(job.Values)+1)}
+	b := &sweepBody{
+		labels: make([][]byte, len(job.Configs)),
+		xs:     job.Values,
+		frags:  make([][]byte, len(job.Values)*len(job.Configs)),
+		pooled: byteBufs.Get().(*[]byte),
+		rows:   make([]int, 0, len(job.Values)+1),
+	}
 	for i, cfg := range job.Configs {
 		b.labels[i] = quoteJSON(cfg.String())
 	}
@@ -224,16 +238,96 @@ func quoteJSON(s string) []byte {
 	return q
 }
 
-// add appends pt's row and a separator; the returned row stays valid.
-func (b *sweepBody) add(pt core.SweepPoint) []byte {
-	start := len(b.buf)
-	b.rows = append(b.rows, start)
-	var err error
-	if b.buf, err = appendSweepRow(b.buf, pt, b.labels); b.err == nil {
-		b.err = err
+// cells encodes configuration col's results at rows [lo, lo+len(res))
+// into one pooled buffer and points each cell's fragment at its bytes.
+// It runs on the worker that solved the chunk, concurrently with other
+// chunks', and writes only the chunk's fragment slots.
+func (b *sweepBody) cells(col, lo int, res []core.Result) {
+	n := len(b.labels)
+	label := b.labels[col]
+	arena := byteBufs.Get().(*[]byte)
+	buf := slices.Grow((*arena)[:0], len(res)*(len(label)+128))
+	for i := range res {
+		start := len(buf)
+		var err error
+		if col == 0 {
+			buf, err = appendJSONFloat(append(buf, `{"x":`...), b.xs[lo+i])
+			buf = append(buf, `,"results":[`...)
+		} else {
+			buf = append(buf, ',')
+		}
+		if err == nil {
+			buf, err = appendSweepCell(buf, label, res[i].MTTDLHours, res[i].EventsPerPBYear)
+		}
+		if col == n-1 {
+			buf = append(buf, "]}"...)
+		}
+		cell := (lo+i)*n + col
+		if err != nil {
+			buf = buf[:start]
+			b.fail(cell, err)
+			continue
+		}
+		b.frags[cell] = buf[start:]
 	}
-	b.buf = append(b.buf, ',')
-	return b.buf[start : len(b.buf)-1]
+	// Growing buf moved it; point the fragments at its final bytes.
+	off := 0
+	for i := range res {
+		cell := (lo+i)*n + col
+		if f := b.frags[cell]; f != nil {
+			b.frags[cell] = buf[off : off+len(f) : off+len(f)]
+			off += len(f)
+		}
+	}
+	*arena = buf
+	b.mu.Lock()
+	b.arenas = append(b.arenas, arena)
+	b.mu.Unlock()
+}
+
+// fail records cell's encoding error.
+func (b *sweepBody) fail(cell int, err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.bad == nil {
+		b.bad = make(map[int]error)
+	}
+	b.bad[cell] = err
+}
+
+// splice appends rows [lo, hi), each followed by a separator, and hands
+// each to emit, if non-nil; a spliced row stays valid until release. At
+// the first row holding a cell JSON cannot encode it records the cell's
+// error and splices nothing more; a stream (emit non-nil) stops there
+// with that error.
+func (b *sweepBody) splice(lo, hi int, emit func(row []byte) error) error {
+	n := len(b.labels)
+	for r := lo; r < hi && b.err == nil; r++ {
+		start := len(b.buf)
+		for c, f := range b.frags[r*n : (r+1)*n] {
+			if f == nil {
+				b.mu.Lock()
+				b.err = b.bad[r*n+c]
+				b.mu.Unlock()
+				break
+			}
+			b.buf = append(b.buf, f...)
+		}
+		if b.err != nil {
+			break
+		}
+		b.rows = append(b.rows, start)
+		b.buf = append(b.buf, ',')
+		if emit != nil {
+			if err := emit(b.buf[start : len(b.buf)-1]); err != nil {
+				return err
+			}
+		}
+	}
+	if emit == nil {
+		return nil
+	}
+	return b.err
 }
 
 // finish closes the body (its last byte is a row separator) in an
@@ -242,33 +336,30 @@ func (b *sweepBody) finish() result {
 	b.rows = append(b.rows, len(b.buf))
 	body := make([]byte, len(b.buf)+1)
 	copy(body[copy(body, b.buf[:len(b.buf)-1]):], "]}")
-	*b.pooled = b.buf
-	bodyBufs.Put(b.pooled)
 	return result{body: body, rows: b.rows}
 }
 
-// appendSweepRow appends pt's row, the encoding/json encoding of its
-// SweepPointResponse, labelling result j with labels[j].
-func appendSweepRow(dst []byte, pt core.SweepPoint, labels [][]byte) ([]byte, error) {
-	dst, err := appendJSONFloat(append(dst, `{"x":`...), pt.X)
-	if err != nil {
-		return dst, err
+// release hands the body's and the fragments' buffers back to the pool.
+// Called once no worker runs: after the sweep returned.
+func (b *sweepBody) release() {
+	*b.pooled = b.buf
+	byteBufs.Put(b.pooled)
+	for _, a := range b.arenas {
+		byteBufs.Put(a)
 	}
-	dst = append(dst, `,"results":[`...)
-	for j := range pt.Results {
-		if j > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(append(append(dst, `{"configuration":`...), labels[j]...), `,"mttdl_hours":`...)
-		if dst, err = appendJSONFloat(dst, pt.Results[j].MTTDLHours); err == nil {
-			dst, err = appendJSONFloat(append(dst, `,"events_per_pb_year":`...), pt.Results[j].EventsPerPBYear)
-		}
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, '}')
+	b.buf, b.frags, b.arenas = nil, nil, nil
+}
+
+// appendSweepCell appends one configuration's result at a point, the
+// encoding/json encoding of its SweepResult labelled with label (JSON
+// quoted).
+func appendSweepCell(dst, label []byte, mttdl, events float64) ([]byte, error) {
+	dst = append(append(append(dst, `{"configuration":`...), label...), `,"mttdl_hours":`...)
+	dst, err := appendJSONFloat(dst, mttdl)
+	if err == nil {
+		dst, err = appendJSONFloat(append(dst, `,"events_per_pb_year":`...), events)
 	}
-	return append(dst, "]}"...), nil
+	return append(dst, '}'), err
 }
 
 // appendJSONFloat appends f as encoding/json encodes a float64: shortest

@@ -11,7 +11,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -309,10 +312,64 @@ func FuzzJSONFloat(f *testing.F) {
 	})
 }
 
-// TestSweepRowMatchesMarshal: a row from appendSweepRow, and a whole body
-// from sweepBody, are the bytes json.Marshal writes for the same
-// SweepPointResponse and SweepResponse, and the recorded row offsets
-// cut the body's points array into those rows.
+// encodeChunks drives b as a sweep's workers and frontier do: grid's
+// columns are cut into chunks of size rows, encoded by cells on workers
+// goroutines in a shuffled order, and the rows are then spliced in runs
+// of growing length. It returns the error splice returned for a stream
+// (emit non-nil) and the rows emit received.
+func encodeChunks(b *sweepBody, grid [][]core.Result, size, workers int, rng *rand.Rand, stream bool) ([][]byte, error) {
+	type chunk struct{ col, lo, hi int }
+	var chunks []chunk
+	for col := range b.labels {
+		for lo := 0; lo < len(grid); lo += size {
+			chunks = append(chunks, chunk{col, lo, min(lo+size, len(grid))})
+		}
+	}
+	rng.Shuffle(len(chunks), func(i, j int) { chunks[i], chunks[j] = chunks[j], chunks[i] })
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(chunks); i = int(next.Add(1)) - 1 {
+				ch := chunks[i]
+				res := make([]core.Result, 0, ch.hi-ch.lo)
+				for r := ch.lo; r < ch.hi; r++ {
+					res = append(res, grid[r][ch.col])
+				}
+				b.cells(ch.col, ch.lo, res)
+			}
+		}()
+	}
+	wg.Wait()
+	var (
+		emitted [][]byte
+		emit    func([]byte) error
+	)
+	if stream {
+		emit = func(row []byte) error {
+			emitted = append(emitted, bytes.Clone(row))
+			return nil
+		}
+	}
+	for lo, run := 0, 1; lo < len(grid); lo, run = lo+run, run+1 {
+		if err := b.splice(lo, min(lo+run, len(grid)), emit); err != nil {
+			return emitted, err
+		}
+	}
+	return emitted, nil
+}
+
+// TestSweepRowMatchesMarshal: a body built by sweepBody — cells encoded
+// chunk by chunk on concurrent workers, in any order, rows spliced in
+// uneven runs — is the bytes json.Marshal writes for the same
+// SweepResponse, and the recorded row offsets cut the body's points
+// array into its SweepPointResponse rows, for chunks of 1, 7 and 256
+// rows on 1 to 3 workers. Labels include HTML characters, quotes,
+// U+2028 and invalid UTF-8, which all escape.
 func TestSweepRowMatchesMarshal(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var floats []float64
@@ -327,54 +384,173 @@ func TestSweepRowMatchesMarshal(t *testing.T) {
 		}
 		return math.Ldexp(rng.Float64(), rng.Intn(160)-80)
 	}
+	job, labels := encoderJob()
+	want := SweepResponse{Parameter: job.Parameter, Method: job.Method.String()}
+	grid := make([][]core.Result, len(job.Values))
+	for i := range job.Values {
+		job.Values[i] = value()
+		row := SweepPointResponse{X: job.Values[i], Results: make([]SweepResult, len(labels))}
+		grid[i] = make([]core.Result, len(labels))
+		for j := range grid[i] {
+			grid[i][j] = core.Result{MTTDLHours: value(), EventsPerPBYear: value()}
+			row.Results[j] = SweepResult{Configuration: labels[j], MTTDLHours: grid[i][j].MTTDLHours, EventsPerPBYear: grid[i][j].EventsPerPBYear}
+		}
+		want.Points = append(want.Points, row)
+	}
+	wantBody, _ := json.Marshal(want)
+	for _, size := range []int{1, 7, 256} {
+		for workers := 1; workers <= 3; workers++ {
+			b := newEncoderBody(job, labels)
+			rows, err := encodeChunks(b, grid, size, workers, rng, true)
+			if err != nil || b.err != nil {
+				t.Fatalf("size %d, %d workers: %v, %v", size, workers, err, b.err)
+			}
+			res := b.finish()
+			b.release()
+			if !bytes.Equal(res.body, wantBody) {
+				t.Fatalf("size %d, %d workers: body differs from json.Marshal(SweepResponse):\n got %s\nwant %s", size, workers, res.body, wantBody)
+			}
+			if len(res.rows) != len(want.Points)+1 || len(rows) != len(want.Points) {
+				t.Fatalf("size %d, %d workers: %d row offsets and %d emitted rows for %d rows", size, workers, len(res.rows), len(rows), len(want.Points))
+			}
+			for i, row := range want.Points {
+				wantRow, _ := json.Marshal(row)
+				if got := res.body[res.rows[i] : res.rows[i+1]-1]; !bytes.Equal(got, wantRow) || !bytes.Equal(rows[i], wantRow) {
+					t.Fatalf("size %d, %d workers: row %d at offsets %d..%d is %s, emitted %s, want %s", size, workers, i, res.rows[i], res.rows[i+1]-1, got, rows[i], wantRow)
+				}
+			}
+		}
+	}
+
+	// A value JSON cannot encode fails the cell with json.Marshal's error.
+	_, err := appendSweepCell(nil, quoteJSON(labels[0]), 1, math.Inf(1))
+	_, werr := json.Marshal(SweepResult{MTTDLHours: 1, EventsPerPBYear: math.Inf(1)})
+	if err == nil || err.Error() != werr.Error() {
+		t.Errorf("+Inf cell: err %v, want %v", err, werr)
+	}
+}
+
+// encoderJob is a 40-point sweep job over three configurations, and the
+// labels an encoder test gives them: the third is no configuration's
+// name, but one that exercises every escape.
+func encoderJob() (sweepJob, []string) {
 	job := sweepJob{
-		Configs:   []core.Config{{Internal: core.InternalRAID5, NodeFaultTolerance: 2}, {Internal: core.InternalNone, NodeFaultTolerance: 3}},
+		Configs: []core.Config{{Internal: core.InternalRAID5, NodeFaultTolerance: 2}, {Internal: core.InternalNone, NodeFaultTolerance: 3},
+			{Internal: core.InternalNone, NodeFaultTolerance: 1}},
 		Method:    core.MethodExactChain,
 		Parameter: "drive_mttf_hours",
 		Values:    make([]float64, 40),
 	}
-	b := newSweepBody(job)
-	labels := []string{job.Configs[0].String(), job.Configs[1].String(),
-		`<a & "b">` + "\u2028\xff"} // HTML characters, quotes, U+2028 and invalid UTF-8 all escape
-	b.labels = append(b.labels, quoteJSON(labels[2]))
-	want := SweepResponse{Parameter: job.Parameter, Method: job.Method.String()}
-	for i := range job.Values {
-		pt := core.SweepPoint{X: value(), Results: make([]core.Result, len(b.labels))}
-		row := SweepPointResponse{X: pt.X, Results: make([]SweepResult, len(b.labels))}
-		for j := range pt.Results {
-			pt.Results[j] = core.Result{MTTDLHours: value(), EventsPerPBYear: value()}
-			row.Results[j] = SweepResult{Configuration: labels[j], MTTDLHours: pt.Results[j].MTTDLHours, EventsPerPBYear: pt.Results[j].EventsPerPBYear}
-		}
-		got := b.add(pt)
-		if b.err != nil {
-			t.Fatalf("row %d: %v", i, b.err)
-		}
-		wantRow, _ := json.Marshal(row)
-		if !bytes.Equal(got, wantRow) {
-			t.Fatalf("row %d:\n got %s\nwant %s", i, got, wantRow)
-		}
-		want.Points = append(want.Points, row)
-	}
-	res := b.finish()
-	wantBody, _ := json.Marshal(want)
-	if !bytes.Equal(res.body, wantBody) {
-		t.Fatalf("body differs from json.Marshal(SweepResponse):\n got %s\nwant %s", res.body, wantBody)
-	}
-	if len(res.rows) != len(want.Points)+1 {
-		t.Fatalf("%d row offsets for %d rows", len(res.rows), len(want.Points))
-	}
-	for i, row := range want.Points {
-		wantRow, _ := json.Marshal(row)
-		if got := res.body[res.rows[i] : res.rows[i+1]-1]; !bytes.Equal(got, wantRow) {
-			t.Fatalf("row %d at offsets %d..%d is %s, want %s", i, res.rows[i], res.rows[i+1]-1, got, wantRow)
-		}
-	}
+	return job, []string{job.Configs[0].String(), job.Configs[1].String(), `<a & "b">` + "\u2028\xff"}
+}
 
-	// A value JSON cannot encode fails the row with json.Marshal's error.
-	_, err := appendSweepRow(nil, core.SweepPoint{X: 1, Results: []core.Result{{MTTDLHours: 1, EventsPerPBYear: math.Inf(1)}}}, b.labels)
-	_, werr := json.Marshal(SweepPointResponse{X: 1, Results: []SweepResult{{MTTDLHours: 1, EventsPerPBYear: math.Inf(1)}}})
-	if err == nil || err.Error() != werr.Error() {
-		t.Errorf("+Inf row: err %v, want %v", err, werr)
+// newEncoderBody is newSweepBody with labels in place of the
+// configurations' names.
+func newEncoderBody(job sweepJob, labels []string) *sweepBody {
+	b := newSweepBody(job)
+	for i, l := range labels {
+		b.labels[i] = quoteJSON(l)
+	}
+	return b
+}
+
+// A non-finite value fails its row in the split encoder as it failed in
+// json.Marshal: at any chunk size and worker count, a buffered body
+// records json.Marshal's error and splices no row from the failing one
+// on, and a stream emits exactly the rows before it, then stops with
+// that error.
+func TestSweepBodyNonFiniteRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	job, labels := encoderJob()
+	grid := make([][]core.Result, len(job.Values))
+	for i := range grid {
+		job.Values[i] = float64(i + 1)
+		grid[i] = make([]core.Result, len(labels))
+		for j := range grid[i] {
+			grid[i][j] = core.Result{MTTDLHours: float64(j + 1), EventsPerPBYear: 0.5}
+		}
+	}
+	const bad = 17
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		grid[bad][2].EventsPerPBYear = v
+		grid[bad+3][0].MTTDLHours = math.NaN() // a later failure never outranks
+		_, werr := json.Marshal(SweepResult{EventsPerPBYear: v})
+		for _, size := range []int{1, 7, 256} {
+			for workers := 1; workers <= 3; workers++ {
+				for _, stream := range []bool{false, true} {
+					b := newEncoderBody(job, labels)
+					rows, err := encodeChunks(b, grid, size, workers, rng, stream)
+					if !stream && err != nil {
+						t.Fatalf("buffered splice returned %v", err)
+					}
+					if stream && (err == nil || err.Error() != werr.Error() || len(rows) != bad) {
+						t.Errorf("%v, size %d, %d workers: stream stopped with %v after %d rows, want %v after %d", v, size, workers, err, len(rows), werr, bad)
+					}
+					if b.err == nil || b.err.Error() != werr.Error() || len(b.rows) != bad {
+						t.Errorf("%v, size %d, %d workers, stream %v: body error %v after %d rows, want %v after %d", v, size, workers, stream, b.err, len(b.rows), werr, bad)
+					}
+					b.release()
+				}
+			}
+		}
+		grid[bad+3][0].MTTDLHours = 1
+	}
+}
+
+// tinyDriveMTTF is a drive lifetime (hours) at which an ft 1
+// no-internal-RAID exact chain still solves to a positive, finite MTTDL
+// (≈2e-304 h) whose events per PB-year overflow to +Inf.
+const tinyDriveMTTF = 9.332636185032189e-302
+
+// sweepWithValues is a sweep request over drive lifetimes for one
+// ft 1 no-internal-RAID configuration on the exact chain.
+func sweepWithValues(vals ...float64) string {
+	s := make([]string, len(vals))
+	for i, v := range vals {
+		s[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return `{"configs":[{"internal":"none","ft":1}],"method":"exact-chain","parameter":"drive_mttf_hours","values":[` + strings.Join(s, ",") + `]}`
+}
+
+// A served sweep whose events overflow keeps the parent's precedence at
+// 1 to 3 workers: the buffered reply is json.Marshal's error (a 422)
+// unless a cell of a later row fails, whose error then wins; the
+// stream ends at the overflowing row with that error in its trailer.
+func TestSweepNonFiniteEventsPrecedence(t *testing.T) {
+	_, werr := json.Marshal(math.Inf(1))
+	for workers := 1; workers <= 3; workers++ {
+		s := New(Options{Workers: workers})
+		srv := httptest.NewServer(s.Handler())
+		post := func(body string) (int, string) {
+			resp, err := http.Post(srv.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var e struct{ Error string }
+			json.Unmarshal([]byte(readAll(t, resp.Body)), &e) //nolint:errcheck // a non-JSON body leaves Error empty
+			return resp.StatusCode, e.Error
+		}
+		if code, msg := post(sweepWithValues(3e5, tinyDriveMTTF, 2e5)); code != http.StatusUnprocessableEntity || msg != werr.Error() {
+			t.Errorf("%d workers: buffered overflow = %d %q, want 422 %q", workers, code, msg, werr)
+		}
+		if code, msg := post(sweepWithValues(3e5, tinyDriveMTTF, 2e5, -1)); code != http.StatusUnprocessableEntity || !strings.Contains(msg, "core: sweep at x=-1") {
+			t.Errorf("%d workers: buffered overflow before a failing cell = %d %q, want 422 with the cell's error", workers, code, msg)
+		}
+		resp := streamRequest(t, context.Background(), srv.URL, sweepWithValues(3e5, 2.5e5, tinyDriveMTTF, 2e5))
+		lines := strings.Split(strings.TrimSuffix(readAll(t, resp.Body), "\n"), "\n")
+		resp.Body.Close()
+		var tail streamTrailer
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &tail); err != nil {
+			t.Fatalf("%d workers: trailer: %v", workers, err)
+		}
+		if len(lines) != 1+2+1 || tail.Done || tail.Error != werr.Error() {
+			t.Errorf("%d workers: stream of %d lines ends %+v, want header, 2 rows and the error %q", workers, len(lines), tail, werr)
+		}
+		if n := s.CacheLen(); n != 0 {
+			t.Errorf("%d workers: cache holds %d entries after failed sweeps, want 0", workers, n)
+		}
+		srv.Close()
 	}
 }
 
@@ -396,11 +572,17 @@ func TestSweepReplayDecodesNothing(t *testing.T) {
 	s := New(Options{})
 	job := sweepJob{Configs: []core.Config{{Internal: core.InternalNone, NodeFaultTolerance: 2}}, Method: core.MethodClosedForm, Parameter: "drive_mttf_hours"}
 	allocs := func(points int) float64 {
-		b := newSweepBody(job)
-		for i := 0; i < points; i++ {
-			b.add(core.SweepPoint{X: float64(i + 1), Results: []core.Result{{MTTDLHours: 1e6, EventsPerPBYear: 1e-3}}})
+		job.Values = make([]float64, points)
+		cells := make([]core.Result, points)
+		for i := range cells {
+			job.Values[i] = float64(i + 1)
+			cells[i] = core.Result{MTTDLHours: 1e6, EventsPerPBYear: 1e-3}
 		}
+		b := newSweepBody(job)
+		b.cells(0, 0, cells)
+		b.splice(0, points, nil) //nolint:errcheck // a buffered splice returns nil
 		res := b.finish()
+		b.release()
 		w := discardWriter{h: http.Header{}}
 		return testing.AllocsPerRun(50, func() { s.replayStream(w, job, res) })
 	}
