@@ -94,6 +94,23 @@ func TestRunRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
+// A NaN lifetime or horizon is an error, not an empty trace or a run
+// that loses nothing.
+func TestRunRejectsNaNInputs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-montecarlo", "5", "-node-mttf", "NaN"},
+		{"-montecarlo", "5", "-drive-mttf", "NaN"},
+		{"-gen", "-years", "NaN"},
+		{"-gen", "-latent", "NaN"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("run %v = %v, want an error naming NaN; stdout %q", args, err, stdout.String())
+		}
+	}
+}
+
 // readSpans decodes a -trace-out file.
 func readSpans(t *testing.T, path string) []obs.SpanRecord {
 	t.Helper()

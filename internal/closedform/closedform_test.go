@@ -19,7 +19,7 @@ func baselineArray() ArrayInputs {
 	return ArrayInputs{
 		D:       p.DrivesPerNode,
 		LambdaD: p.DriveFailureRate(),
-		MuD:     1 / rebuild.RestripeTimeHours(p),
+		MuD:     rebuild.Compute(p, 1).Restripe,
 		CHER:    p.CHER(),
 	}
 }
@@ -213,7 +213,7 @@ func TestGeneralTheoremMatchesPrintedFormulasRandom(t *testing.T) {
 func TestLKCollapsedForm(t *testing.T) {
 	in := baselineNIR(2)
 	for k := 1; k <= 5; k++ {
-		hset := combinat.HSet(in.N, in.R, in.D, in.CHER, k)
+		hset := combinat.AppendHSet(nil, in.N, in.R, in.D, in.CHER, k)
 		got := LK(in, hset)
 		h := combinat.BaseH(in.N, in.R, k, in.CHER)
 		want := float64(in.D) * h * (in.LambdaN + in.LambdaD) *

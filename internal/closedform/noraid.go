@@ -83,7 +83,7 @@ func NIRMTTDL3(in NIRInputs) float64 {
 
 // LK evaluates the appendix's L_k recursion over an ordered parameter set
 // of 2^k values (reverse-lexicographic word order, as produced by
-// combinat.HSet):
+// combinat.AppendHSet):
 //
 //	L(x, y)   = x·λ_N + y·d·λ_d
 //	L_1(H)    = L(H₁, H₂)

@@ -12,26 +12,6 @@ import (
 	"strings"
 )
 
-// Binomial returns C(n, k) as a float64. It returns 0 when k < 0 or k > n,
-// matching the combinatorial convention used by the paper's redundancy-set
-// counting. It panics if n < 0.
-func Binomial(n, k int) float64 {
-	if n < 0 {
-		panic(fmt.Sprintf("combinat: Binomial with negative n = %d", n))
-	}
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	out := 1.0
-	for i := 0; i < k; i++ {
-		out = out * float64(n-i) / float64(i+1)
-	}
-	return out
-}
-
 // FallingFactorial returns n·(n-1)·…·(n-k+1), the number of ordered
 // k-selections from n items. FallingFactorial(n, 0) == 1.
 // It panics if k < 0.
@@ -141,42 +121,13 @@ func H(n, r, d int, cher float64, alpha Word) float64 {
 	return h * math.Pow(float64(d), float64(1-alpha.CountDrives()))
 }
 
-// AllWords enumerates {N,d}^k in the appendix's reverse-lexicographic order
-// (N before d), i.e. the order produced by the recursive dot operation
-// h^(k) = h_N ∘ h^(k-1) ∪ h_d ∘ h^(k-1).
-func AllWords(k int) []Word {
-	if k < 0 {
-		panic(fmt.Sprintf("combinat: AllWords with negative k = %d", k))
-	}
-	if k == 0 {
-		return []Word{{}}
-	}
-	sub := AllWords(k - 1)
-	out := make([]Word, 0, 2*len(sub))
-	for _, first := range []FailureKind{NodeFailure, DriveFailure} {
-		for _, w := range sub {
-			word := make(Word, 0, k)
-			word = append(word, first)
-			word = append(word, w...)
-			out = append(out, word)
-		}
-	}
-	return out
-}
-
-// HSet returns the ordered parameter set h^(k) = {h_α : α ∈ {N,d}^k} in the
-// order of AllWords(k), as consumed by the appendix's L_k recursion. It is
-// AppendHSet into a fresh slice.
-func HSet(n, r, d int, cher float64, k int) []float64 {
-	return AppendHSet(nil, n, r, d, cher, k)
-}
-
-// AppendHSet appends h^(k) (see HSet) to dst and returns the extended
+// AppendHSet appends h^(k), the h_α (see H) of the 2^k failure words of
+// length k in reverse-lexicographic order, to dst and returns the extended
 // slice, so a caller holding a large enough buffer — the closed forms
 // pass one on their stack — evaluates it without allocating.
 //
 // It exploits the order's structure instead of materializing the words:
-// AllWords(k)[i] has letter pattern given by the bits of i (most
+// word i has letter pattern given by the bits of i (most
 // significant first, 1 = drive failure), so #d(α) = popcount(i) and
 // h_α = BaseH · d^(1-popcount(i)) — one BaseH and k+1 powers of d total
 // instead of per-word recomputation (the design-space optimizer
@@ -207,11 +158,3 @@ func AppendHByDrives(dst []float64, n, r, d int, cher float64, k int) []float64 
 	}
 	return dst
 }
-
-// RedundancySets returns C(N, R), the total number of redundancy sets of
-// size R in a node set of size N (Section 4.1).
-func RedundancySets(n, r int) float64 { return Binomial(n, r) }
-
-// SetsPerNode returns C(N-1, R-1), the number of redundancy sets each node
-// participates in (Section 5.2.1).
-func SetsPerNode(n, r int) float64 { return Binomial(n-1, r-1) }

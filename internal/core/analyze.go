@@ -263,14 +263,6 @@ func (pr *analysisPrep) result(p *params.Parameters, cfg Config, method Method, 
 	}
 }
 
-// LogicalCapacityPB returns the user-visible capacity of the system in
-// petabytes: raw capacity × inter-node data fraction (R-t)/R × internal
-// array data fraction (d-m)/d × capacity utilization (the rest is
-// fail-in-place spare).
-func LogicalCapacityPB(p params.Parameters, cfg Config) float64 {
-	return logicalCapacityPB(&p, cfg)
-}
-
 // logicalCapacityPB is LogicalCapacityPB reading p through a pointer.
 func logicalCapacityPB(p *params.Parameters, cfg Config) float64 {
 	r := float64(p.RedundancySetSize)

@@ -33,7 +33,7 @@ import (
 // per block, and one pass of the topology's value-numbered lane program
 // over it, bit for bit the one-cell path, which still takes a chunk's
 // last one to three cells and any block a cell fails; a chunk's first
-// block binds the topology, so a whole chunk can run as blocks. The
+// cell binds the topology, so a whole chunk can run as blocks. The
 // solver's value slab holds one block. Closed-form and exact-stable
 // cells have no chain to amortize: a chunk evaluates them one after
 // another and binds no solver.
@@ -217,11 +217,7 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps
 	if method != MethodExactChain {
 		return evaluateCells(ctx, cfg, method, ps, out)
 	}
-	if cap(bc.preps) < len(ps) {
-		bc.preps = make([]analysisPrep, len(ps))
-	} else {
-		bc.preps = bc.preps[:len(ps)]
-	}
+	bc.preps = slices.Grow(bc.preps[:0], len(ps))[:len(ps)]
 	// The solver comes from markov's free list, which hands out the most
 	// recently released solver — the one whose symbolic-factorization
 	// cache is warmest — on any goroutine, and survives collection.
@@ -246,6 +242,11 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps
 			return -1, ctx.Err()
 		}
 		cells, solved := 1, 0
+		if i == 0 { // cell 0 binds the topology; its fill reuses lane 0
+			if err := ch.emit(ctx, ps, 0, 0); err != nil {
+				return 0, err
+			}
+		}
 		if ch.fillBlock(ctx, ps, i) {
 			cells = sparse.Lanes
 		} else if err := ch.fillCell(ctx, ps, i); err != nil {
@@ -286,10 +287,10 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps
 }
 
 // chainChunk is the fill state of one exact-chain chunk: its solver,
-// its refiller (acquired by the first cell's emission), whether that
-// emission has bound the topology, the chunk's rate tally, and the
-// tally after each cell of the latest fill, to which a failure at that
-// cell rewinds it, uncounting the cells of its block past it.
+// its refiller (acquired by cell 0's emission, which binds the
+// topology), the chunk's rate tally, and the tally after each cell of
+// the latest fill, to which a failure at that cell rewinds it,
+// uncounting the cells of its block past it.
 type chainChunk struct {
 	bc    *batchChunk
 	cfg   Config
@@ -297,7 +298,6 @@ type chainChunk struct {
 	bs    *markov.BatchSolver
 	nir   *model.NIRRefiller
 	ir    *model.IRRefiller
-	bound bool
 	tl    rebuild.Tally
 	lanes [sparse.Lanes]rebuild.Tally
 }
@@ -317,20 +317,16 @@ func (ch *chainChunk) release() {
 // fills them in one FillBlock pass, and reports true, when the route
 // solves in lane blocks, the chunk has a whole block left and every cell
 // of the block preps and fills cleanly. Each lane's refiller emission
-// writes its class values into that lane's buffer; the first emission
-// of a chunk's first block binds the topology, so a whole chunk can run
-// as blocks. Otherwise it leaves the rate tally as it found it, so the
-// one-cell path that follows preps, counts and reports as if no block
-// was tried.
+// writes its class values into that lane's buffer (cell 0's is there
+// already); otherwise it leaves the rate tally as it found it, so the
+// one-cell path preps, counts and reports as if no block was tried.
 func (ch *chainChunk) fillBlock(ctx context.Context, ps []params.Parameters, i int) bool {
-	if ch.bound && !ch.bs.LaneBlocks() || len(ps)-i < sparse.Lanes {
+	if !ch.bs.LaneBlocks() || len(ps)-i < sparse.Lanes {
 		return false
 	}
 	tl := ch.tl
 	for l := range ch.bc.vals {
-		// The chunk's first block binds with its first emission; on the
-		// dense route it then leaves the cell to the one-cell path.
-		if err := ch.emit(ctx, ps, i+l, l); err != nil || !ch.bs.LaneBlocks() {
+		if i+l > 0 && ch.emit(ctx, ps, i+l, l) != nil {
 			ch.tl = tl
 			return false
 		}
@@ -343,13 +339,15 @@ func (ch *chainChunk) fillBlock(ctx context.Context, ps []params.Parameters, i i
 	return true
 }
 
-// fillCell preps, emits and fills cell i of ps into the solver's cell
-// i%2, returning the cell's error, if any: a failing fill never
-// overwrites the row of the cell solved before it, whose residual the
-// chunk reports.
+// fillCell preps, emits (but for cell 0) and fills cell i of ps into
+// the solver's cell i%2, returning the cell's error, if any: a failing
+// fill never overwrites the row of the cell solved before it, whose
+// residual the chunk reports.
 func (ch *chainChunk) fillCell(ctx context.Context, ps []params.Parameters, i int) error {
-	if err := ch.emit(ctx, ps, i, 0); err != nil {
-		return err
+	if i > 0 {
+		if err := ch.emit(ctx, ps, i, 0); err != nil {
+			return err
+		}
 	}
 	ch.lanes[0] = ch.tl
 	if err := ch.bs.FillRates(i%2, ch.bc.vals[0]); err != nil {
@@ -359,9 +357,9 @@ func (ch *chainChunk) fillCell(ctx context.Context, ps []params.Parameters, i in
 }
 
 // emit preps cell i of ps into its prep slot and writes the refiller's
-// class values for it into lane's buffer. The chunk's first emission
-// acquires the refiller and binds its topology, program and class map
-// into the solver.
+// class values for it into lane's buffer. Cell 0's emission, the
+// chunk's first, acquires the refiller and binds its topology, program
+// and class map into the solver.
 func (ch *chainChunk) emit(ctx context.Context, ps []params.Parameters, i, lane int) error {
 	pr := &ch.bc.preps[i]
 	if err := analyzePrep(pr, &ps[i], ch.cfg, &ch.tl); err != nil {
@@ -385,7 +383,7 @@ func (ch *chainChunk) emit(ctx context.Context, ps []params.Parameters, i, lane 
 		*vals = ch.ir.Emit(*vals, pr.ir)
 		c, program, class = ch.ir.Chain(), ch.ir.Program(), ch.ir.Classes()
 	}
-	if !ch.bound {
+	if i == 0 {
 		if err := ch.bs.Bind(ctx, c); err != nil {
 			return chainSolveError(ch.isNIR, err)
 		}
@@ -393,7 +391,6 @@ func (ch *chainChunk) emit(ctx context.Context, ps []params.Parameters, i, lane 
 		if err := ch.bs.BindProgram(program, class); err != nil {
 			return chainSolveError(ch.isNIR, err)
 		}
-		ch.bound = true
 	}
 	return nil
 }

@@ -13,7 +13,7 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%+v rejected: %v", l, err)
 		}
 	}
-	bad := []Lifetime{{}, {Mean: -1}, {Mean: 1, Shape: -1}, {Mean: 1, Shape: 0.1}}
+	bad := []Lifetime{{}, {Mean: -1}, {Mean: math.NaN()}, {Mean: 1, Shape: -1}, {Mean: 1, Shape: math.NaN()}, {Mean: 1, Shape: 0.1}}
 	for _, l := range bad {
 		if err := l.Validate(); err == nil {
 			t.Errorf("%+v accepted", l)

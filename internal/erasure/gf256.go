@@ -36,10 +36,6 @@ func buildTables() *gfTables {
 	return &t
 }
 
-// Add returns a+b in GF(2⁸) (carry-less, so addition is XOR and equals
-// subtraction).
-func Add(a, b byte) byte { return a ^ b }
-
 // Mul returns a·b in GF(2⁸).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
@@ -48,36 +44,12 @@ func Mul(a, b byte) byte {
 	return tables.exp[int(tables.log[a])+int(tables.log[b])]
 }
 
-// Div returns a/b in GF(2⁸). It panics on division by zero.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("erasure: division by zero in GF(256)")
-	}
-	if a == 0 {
-		return 0
-	}
-	d := int(tables.log[a]) - int(tables.log[b])
-	if d < 0 {
-		d += 255
-	}
-	return tables.exp[d]
-}
-
 // Inv returns the multiplicative inverse of a. It panics for a = 0.
 func Inv(a byte) byte {
 	if a == 0 {
 		panic("erasure: zero has no inverse in GF(256)")
 	}
 	return tables.exp[255-int(tables.log[a])]
-}
-
-// Exp returns the generator raised to the n-th power.
-func Exp(n int) byte {
-	n %= 255
-	if n < 0 {
-		n += 255
-	}
-	return tables.exp[n]
 }
 
 // mulSlice computes out[i] ^= c·in[i] over a slice — the inner loop of

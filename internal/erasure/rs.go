@@ -41,10 +41,7 @@ func New(dataShards, parityShards int) (*Code, error) {
 // DataShards returns the number of data shards.
 func (c *Code) DataShards() int { return c.dataShards }
 
-// ParityShards returns the number of parity shards (the fault tolerance).
-func (c *Code) ParityShards() int { return c.parityShards }
-
-// TotalShards returns DataShards()+ParityShards().
+// TotalShards returns the data plus parity shard count.
 func (c *Code) TotalShards() int { return c.dataShards + c.parityShards }
 
 // checkShards validates the shard slice geometry. When withData is true the
@@ -96,34 +93,6 @@ func (c *Code) Encode(shards [][]byte) error {
 		}
 	}
 	return nil
-}
-
-// Verify reports whether the parity shards are consistent with the data
-// shards.
-func (c *Code) Verify(shards [][]byte) (bool, error) {
-	size, err := c.checkShards(shards)
-	if err != nil {
-		return false, err
-	}
-	for _, s := range shards {
-		if s == nil {
-			return false, errors.New("erasure: Verify requires all shards present")
-		}
-	}
-	buf := make([]byte, size)
-	for p := 0; p < c.parityShards; p++ {
-		row := c.matrix.row(c.dataShards + p)
-		clear(buf)
-		for d := 0; d < c.dataShards; d++ {
-			mulSlice(row[d], shards[d], buf)
-		}
-		for i, v := range buf {
-			if v != shards[c.dataShards+p][i] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }
 
 // Reconstruct regenerates every nil shard in place, reading any

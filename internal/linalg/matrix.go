@@ -1,6 +1,6 @@
 // Package linalg provides the dense linear algebra needed to solve
-// continuous-time Markov chain models: matrices, LU factorization with
-// partial pivoting, linear solves, determinants and inverses.
+// continuous-time Markov chain models: matrices and an allocation-free LU
+// factorization with partial pivoting and its solves.
 //
 // The package is deliberately small and self-contained (stdlib only). It is
 // not a general-purpose BLAS; it implements exactly what the reliability
@@ -11,13 +11,12 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
 // Matrix is a dense, row-major matrix of float64 values.
 //
-// The zero value is an empty (0x0) matrix. Use New, FromRows or Identity to
+// The zero value is an empty (0x0) matrix. Use New and Set to
 // construct matrices with content. Methods that take another matrix or a
 // vector panic if the dimensions are incompatible: dimension mismatches are
 // programmer errors, not runtime conditions.
@@ -33,33 +32,6 @@ func New(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: negative dimension %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
-}
-
-// FromRows builds a matrix from a slice of equal-length rows.
-// It panics if the rows are ragged.
-func FromRows(rows [][]float64) *Matrix {
-	r := len(rows)
-	if r == 0 {
-		return New(0, 0)
-	}
-	c := len(rows[0])
-	m := New(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic(fmt.Sprintf("linalg: ragged rows: row 0 has %d cols, row %d has %d", c, i, len(row)))
-		}
-		copy(m.data[i*c:(i+1)*c], row)
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -78,12 +50,6 @@ func (m *Matrix) At(i, j int) float64 {
 func (m *Matrix) Set(i, j int, v float64) {
 	m.boundsCheck(i, j)
 	m.data[i*m.cols+j] = v
-}
-
-// Add increments the element at row i, column j by v.
-func (m *Matrix) Add(i, j int, v float64) {
-	m.boundsCheck(i, j)
-	m.data[i*m.cols+j] += v
 }
 
 func (m *Matrix) boundsCheck(i, j int) {
@@ -111,205 +77,6 @@ func (m *Matrix) Reshape(rows, cols int) *Matrix {
 	}
 	m.rows, m.cols = rows, cols
 	return m
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.rows, m.cols)
-	copy(out.data, m.data)
-	return out
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("linalg: row %d out of range for %dx%d matrix", i, m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("linalg: col %d out of range for %dx%d matrix", j, m.rows, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// Scale multiplies every element by s, in place, and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// AddMatrix returns m + other as a new matrix.
-// It panics if the dimensions differ.
-func (m *Matrix) AddMatrix(other *Matrix) *Matrix {
-	m.sameShape(other)
-	out := m.Clone()
-	for i, v := range other.data {
-		out.data[i] += v
-	}
-	return out
-}
-
-// SubMatrix returns m - other as a new matrix.
-// It panics if the dimensions differ.
-func (m *Matrix) SubMatrix(other *Matrix) *Matrix {
-	m.sameShape(other)
-	out := m.Clone()
-	for i, v := range other.data {
-		out.data[i] -= v
-	}
-	return out
-}
-
-func (m *Matrix) sameShape(other *Matrix) {
-	if m.rows != other.rows || m.cols != other.cols {
-		panic(fmt.Sprintf("linalg: shape mismatch %dx%d vs %dx%d", m.rows, m.cols, other.rows, other.cols))
-	}
-}
-
-// Mul returns the matrix product m·other as a new matrix.
-// It panics if m.Cols() != other.Rows().
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.cols != other.rows {
-		panic(fmt.Sprintf("linalg: product shape mismatch %dx%d · %dx%d", m.rows, m.cols, other.rows, other.cols))
-	}
-	out := New(m.rows, other.cols)
-	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := out.data[i*other.cols : (i+1)*other.cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			ok := other.data[k*other.cols : (k+1)*other.cols]
-			for j, okj := range ok {
-				oi[j] += mik * okj
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product m·x.
-// It panics if len(x) != m.Cols().
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("linalg: MulVec length %d vs %d cols", len(x), m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// VecMul returns the vector-matrix product xᵀ·m.
-// It panics if len(x) != m.Rows().
-func (m *Matrix) VecMul(x []float64) []float64 {
-	if len(x) != m.rows {
-		panic(fmt.Sprintf("linalg: VecMul length %d vs %d rows", len(x), m.rows))
-	}
-	out := make([]float64, m.cols)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			out[j] += xi * v
-		}
-	}
-	return out
-}
-
-// Transpose returns the transpose of m as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*m.rows+i] = m.data[i*m.cols+j]
-		}
-	}
-	return out
-}
-
-// Submatrix returns a copy of the block excluding the listed rows and
-// columns. Used for adjugate/minor computations.
-func (m *Matrix) Submatrix(dropRow, dropCol int) *Matrix {
-	m.boundsCheck(dropRow, dropCol)
-	out := New(m.rows-1, m.cols-1)
-	oi := 0
-	for i := 0; i < m.rows; i++ {
-		if i == dropRow {
-			continue
-		}
-		oj := 0
-		for j := 0; j < m.cols; j++ {
-			if j == dropCol {
-				continue
-			}
-			out.data[oi*out.cols+oj] = m.data[i*m.cols+j]
-			oj++
-		}
-		oi++
-	}
-	return out
-}
-
-// MaxNorm returns the maximum absolute element value.
-func (m *Matrix) MaxNorm() float64 {
-	var max float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// InfNorm returns the maximum absolute row sum.
-func (m *Matrix) InfNorm() float64 {
-	var max float64
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for _, v := range m.data[i*m.cols : (i+1)*m.cols] {
-			s += math.Abs(v)
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
-// ApproxEqual reports whether every element of m and other differs by at
-// most tol. Matrices with different shapes are never equal.
-func (m *Matrix) ApproxEqual(other *Matrix, tol float64) bool {
-	if m.rows != other.rows || m.cols != other.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if math.Abs(v-other.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

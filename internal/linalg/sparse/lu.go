@@ -189,9 +189,6 @@ func sameInts(a, b []int) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
 }
 
-// N returns the dimension of the analyzed pattern.
-func (s *Symbolic) N() int { return s.n }
-
 // FactorNNZ returns the total stored entries of the factors, counting
 // L's implicit unit diagonal.
 func (s *Symbolic) FactorNNZ() int { return len(s.li) + len(s.ui) + s.n }
@@ -357,17 +354,4 @@ func (nu *Numeric) SolveTransposeInto(dst, b, work []float64) []float64 {
 		dst[s.perm[i]] = y[i]
 	}
 	return dst
-}
-
-// Factorize is the convenience path: Analyze + NewNumeric + Refactor.
-func Factorize(a *CSR) (*Numeric, error) {
-	s, err := Analyze(a)
-	if err != nil {
-		return nil, err
-	}
-	nu := NewNumeric(s)
-	if err := nu.Refactor(a); err != nil {
-		return nil, err
-	}
-	return nu, nil
 }

@@ -1,22 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
-
-// Dot returns the inner product of x and y.
-// It panics if the lengths differ.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: Dot length mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float64
-	for i, xi := range x {
-		s += xi * y[i]
-	}
-	return s
-}
+import "math"
 
 // Sum returns the sum of the elements of x.
 func Sum(x []float64) float64 {
@@ -34,67 +18,6 @@ func Ones(n int) []float64 {
 		out[i] = 1
 	}
 	return out
-}
-
-// Unit returns a length-n vector with a one at index i.
-func Unit(n, i int) []float64 {
-	out := make([]float64, n)
-	out[i] = 1
-	return out
-}
-
-// AXPY computes y ← a·x + y in place and returns y.
-// It panics if the lengths differ.
-func AXPY(a float64, x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i, xi := range x {
-		y[i] += a * xi
-	}
-	return y
-}
-
-// ScaleVec multiplies every element of x by a, in place, and returns x.
-func ScaleVec(a float64, x []float64) []float64 {
-	for i := range x {
-		x[i] *= a
-	}
-	return x
-}
-
-// MaxAbs returns the largest absolute value in x, or 0 for an empty slice.
-func MaxAbs(x []float64) float64 {
-	var max float64
-	for _, v := range x {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// Norm1 returns the 1-norm of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// ApproxEqualVec reports whether |x[i]-y[i]| <= tol for all i.
-// Vectors of different lengths are never equal.
-func ApproxEqualVec(x, y []float64, tol float64) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i, xi := range x {
-		if math.Abs(xi-y[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // RelDiff returns |a-b| / max(|a|, |b|), or 0 when both are zero. It is the

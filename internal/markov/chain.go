@@ -277,17 +277,6 @@ func (c *Chain) Initial() int { return c.initial }
 // IsAbsorbing reports whether state i is absorbing.
 func (c *Chain) IsAbsorbing(i int) bool { return c.absorbing[i] }
 
-// Rate returns the transition rate from state i to state j (0 if no edge).
-func (c *Chain) Rate(i, j int) float64 {
-	if c.Frozen() {
-		if e := c.findEdge(i, j); e >= 0 {
-			return c.edges[e].Rate
-		}
-		return 0
-	}
-	return c.rates[i][j]
-}
-
 // ExitRate returns the total outgoing rate of state i. Edges are summed
 // in target-index order so the floating-point result is reproducible;
 // frozen chains return the precomputed sum (same order, same bits).

@@ -12,7 +12,7 @@ import (
 // The per-edge emitters the class emitters replaced, kept as the oracle
 // they must reproduce: every edge's endpoints and rate, in emission
 // order, each rate evaluated on its own with its edge's float
-// expression and an h_α read from the full combinat.HSet table.
+// expression and an h_α read from the full combinat.AppendHSet table.
 
 // oracleEdges is one oracle pass: endpoints and rates in emission order.
 type oracleEdges struct {
@@ -30,7 +30,7 @@ func (o *oracleEdges) add(from, to int, rate float64) {
 // failure edges, then its N child's subtree, then its d child's.
 func oracleNIR(in closedform.NIRInputs, k int) oracleEdges {
 	var o oracleEdges
-	hs := combinat.HSet(in.N, in.R, in.D, in.CHER, k)
+	hs := combinat.AppendHSet(nil, in.N, in.R, in.D, in.CHER, k)
 	hAt := func(word int) float64 {
 		h := hs[word]
 		if h > 1 {

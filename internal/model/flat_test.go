@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/closedform"
 	"repro/internal/linalg"
 	"repro/internal/markov"
 	"repro/internal/params"
@@ -96,52 +95,6 @@ func TestFlatIRChainPanics(t *testing.T) {
 		}
 	}()
 	FlatIRChain(in)
-}
-
-// With symmetric node and drive dynamics (equal repair rates, no sector
-// errors), the appendix's 2^(k+1)-1-state chain is *exactly lumpable* by
-// failure depth, and the lump is the simple birth-death chain of the
-// internal-RAID family with combined rate λ_N + d·λ_d — connecting the
-// paper's two model families structurally.
-func TestNIRLumpsToBirthDeathWhenSymmetric(t *testing.T) {
-	in := baselineNIR(2)
-	in.CHER = 0
-	in.MuD = in.MuN // symmetric repairs
-	full := NIRChain(in, 2)
-	lumped, err := markov.Lump(full, markov.LumpByDepth(full), true, 1e-12)
-	if err != nil {
-		t.Fatalf("NIR chain not lumpable under symmetry: %v", err)
-	}
-	if lumped.NumStates() != 4 { // depths 0..2 + loss
-		t.Errorf("lumped states = %d, want 4", lumped.NumStates())
-	}
-	wantFull, err := markov.MTTA(context.Background(), full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotLumped, err := markov.MTTA(context.Background(), lumped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if linalg.RelDiff(gotLumped, wantFull) > 1e-10 {
-		t.Errorf("lumped MTTA %v vs full %v", gotLumped, wantFull)
-	}
-	// ...and it coincides with the IR birth-death chain at the combined
-	// failure rate.
-	ir := closedform.IRInputs{
-		N: in.N, R: in.R,
-		LambdaN:      in.LambdaN + float64(in.D)*in.LambdaD,
-		LambdaArray:  0,
-		LambdaSector: 0,
-		MuN:          in.MuN,
-	}
-	wantIR, err := markov.MTTA(context.Background(), IRChain(ir, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if linalg.RelDiff(gotLumped, wantIR) > 1e-10 {
-		t.Errorf("lumped NIR %v vs IR birth-death %v", gotLumped, wantIR)
-	}
 }
 
 // Sector errors and array failures can only hurt.

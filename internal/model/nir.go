@@ -107,7 +107,7 @@ func (e *nirEmitter) fill(v []float64, in closedform.NIRInputs) []float64 {
 
 // hAlpha returns h_α by drive-letter count for in, re-evaluating it only
 // when N, R, d or C·HER differ from the previous call's by a bit. Each
-// value is combinat.HSet's entry for its words (AppendHByDrives), clamped
+// value is combinat.AppendHSet's entry for its words (AppendHByDrives), clamped
 // to 1 so that extreme parameterizations still yield a valid
 // probability.
 func (e *nirEmitter) hAlpha(in *closedform.NIRInputs) []float64 {

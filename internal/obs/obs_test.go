@@ -240,7 +240,7 @@ func TestNilHookZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	hist := r.Histogram("h", LinearBuckets(0, 1, 8))
+	hist := r.Histogram("h", []float64{0, 1, 2, 3, 4, 5, 6, 7})
 	if allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(2)
@@ -284,10 +284,6 @@ func TestSnapshotJSONAndText(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
 	exp := ExpBuckets(1, 10, 3)
 	if exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {
 		t.Errorf("ExpBuckets = %v", exp)

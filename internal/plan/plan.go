@@ -232,7 +232,7 @@ type Candidate struct {
 	// CostDrives is the candidate's cost in drive-equivalents:
 	// NodeSetSize · (DrivesPerNode + NodeCostDrives).
 	CostDrives float64 `json:"cost_drives"`
-	// CapacityPB is the logical capacity (core.LogicalCapacityPB).
+	// CapacityPB is the logical capacity (core.Result.LogicalCapacityPB).
 	CapacityPB float64 `json:"capacity_pb"`
 	// BoundEventsPerPBYear is the closed-form estimate used for pruning.
 	BoundEventsPerPBYear float64 `json:"bound_events_per_pb_year"`

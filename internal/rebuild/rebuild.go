@@ -70,27 +70,11 @@ func (b Bottleneck) String() string {
 	}
 }
 
-// DriveThroughput returns the usable rebuild throughput of a single drive
-// in bytes/sec for the given command size: commands are limited both by the
-// drive's IOPS ceiling and by its sustained transfer rate, and rebuild work
-// receives only RebuildBandwidthFraction of the result.
-func DriveThroughput(p params.Parameters, commandBytes float64) float64 {
-	raw := math.Min(p.DriveMaxIOPS*commandBytes, p.DriveTransferBytesPerSec)
-	return raw * p.RebuildBandwidthFraction
-}
-
-// NetworkThroughput returns the usable rebuild throughput in and out of one
-// node in bytes/sec: the sustained rate of its effective links times the
-// rebuild bandwidth allocation.
-func NetworkThroughput(p params.Parameters) float64 {
-	return p.NodeNetworkBytesPerSec() * p.RebuildBandwidthFraction
-}
-
 // distributedRebuildTime returns the time in hours to rebuild dataBytes of
 // lost data distributed across the N-1 surviving nodes, with fault
 // tolerance t of the inter-node redundancy, plus the limiting path.
-// It reads p through a pointer and spells out DriveThroughput and
-// NetworkThroughput with the same association, so the per-candidate
+// It reads p through a pointer and spells out the per-drive and network
+// rebuild throughputs with the same association, so the per-candidate
 // rate computation copies no Parameters and its floats are unchanged.
 func distributedRebuildTime(p *params.Parameters, dataBytes float64, t int) (float64, Bottleneck) {
 	n := float64(p.NodeSetSize)
@@ -104,7 +88,9 @@ func distributedRebuildTime(p *params.Parameters, dataBytes float64, t int) (flo
 
 	netBytes := received + sourced // in and out of the node
 	diskBytes := sourced + rebuilt // reads for peers + local writes
-	// All drives participate, each at DriveThroughput (bytes/sec).
+	// All drives participate, each at its rebuild throughput: the lesser
+	// of its IOPS at the rebuild command size and its transfer rate, at
+	// the rebuild bandwidth fraction (bytes/sec).
 	diskRate := float64(p.DrivesPerNode) *
 		(math.Min(p.DriveMaxIOPS*p.RebuildCommandBytes, p.DriveTransferBytesPerSec) * p.RebuildBandwidthFraction)
 	netRate := p.LinkSpeedGbps * params.LinkBytesPerSecPerGbps * p.EffectiveLinks * p.RebuildBandwidthFraction
@@ -123,24 +109,10 @@ func NodeRebuildTimeHours(p params.Parameters, t int) (float64, Bottleneck) {
 	return distributedRebuildTime(&p, p.NodeDataBytes(), t)
 }
 
-// DriveRebuildTimeHours returns the time to rebuild one drive's worth of
-// data after a drive failure in a no-internal-RAID configuration, and the
-// limiting path. Spare capacity is evenly distributed, so the flow
-// accounting matches the node rebuild with one drive's worth of data.
-func DriveRebuildTimeHours(p params.Parameters, t int) (float64, Bottleneck) {
-	return distributedRebuildTime(&p, p.DriveDataBytes(), t)
-}
-
-// RestripeTimeHours returns the time for an internal RAID array to
+// restripeTimeHours returns the time for an internal RAID array to
 // re-stripe after a drive failure: the surviving d-1 drives' data is read
 // once and written once at the restripe command size, entirely inside the
-// node (no network involvement).
-func RestripeTimeHours(p params.Parameters) float64 {
-	return restripeTimeHours(&p)
-}
-
-// restripeTimeHours is RestripeTimeHours reading p through a pointer,
-// with DriveThroughput spelled out in the same association.
+// node (no network involvement). It reads p through a pointer.
 func restripeTimeHours(p *params.Parameters) float64 {
 	survivors := float64(p.DrivesPerNode - 1)
 	if survivors <= 0 {

@@ -74,23 +74,6 @@ func Analyze(p params.Parameters, cfg core.Config, o Options, method core.Method
 	return core.Analyze(q, cfg, method)
 }
 
-// SweepIntervals analyzes the configuration across scrub intervals,
-// returning one result per interval (hours).
-func SweepIntervals(p params.Parameters, cfg core.Config, rho float64, intervals []float64, method core.Method) ([]core.Result, error) {
-	if len(intervals) == 0 {
-		return nil, fmt.Errorf("scrub: empty interval sweep")
-	}
-	out := make([]core.Result, 0, len(intervals))
-	for _, s := range intervals {
-		r, err := Analyze(p, cfg, Options{LatentFaultsPerDriveHour: rho, ScrubIntervalHours: s}, method)
-		if err != nil {
-			return nil, fmt.Errorf("scrub: interval %v: %w", s, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // MinUsefulInterval returns the scrub interval below which further
 // scrubbing cannot help: where the latent contribution drops to the given
 // fraction of the instantaneous C·HER floor.

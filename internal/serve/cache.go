@@ -184,10 +184,3 @@ func (c *resultCache) put(key string, res result) {
 	e.elem = c.lru.PushFront(e)
 	c.evictOver()
 }
-
-// len returns the number of completed cached results.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}

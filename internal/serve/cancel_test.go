@@ -94,7 +94,7 @@ func TestShutdownCancelsOrphanedSolve(t *testing.T) {
 	// httptest's server doesn't route request contexts through
 	// serve.Server's base context, so run the real Serve/Shutdown pair
 	// on an ephemeral listener.
-	s := New(Options{MaxGridCells: 65536})
+	s := New(Options{MaxGridCells: 1 << 17})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestShutdownCancelsOrphanedSolve(t *testing.T) {
 	url := "http://" + l.Addr().String() + "/v1/sweep"
 	errc := make(chan error, 1)
 	go func() {
-		resp, err := http.Post(url, "application/json", strings.NewReader(slowSweepBody(32768)))
+		resp, err := http.Post(url, "application/json", strings.NewReader(slowSweepBody(1<<17)))
 		if err == nil {
 			resp.Body.Close()
 		}

@@ -394,9 +394,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Handler returns the server's routes as an http.Handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// CacheLen returns the number of completed cached results.
-func (s *Server) CacheLen() int { return s.cache.len() }
-
 // Serve accepts connections on l until Shutdown. Request contexts
 // descend from the server's base context, so Shutdown can cancel
 // orphaned work after the drain deadline.

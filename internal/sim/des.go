@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/params"
 	"repro/internal/rebuild"
@@ -103,11 +104,14 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("sim: unknown repair distribution %d", sc.Repair)
 	case sc.CHER < 0:
 		return fmt.Errorf("sim: negative CHER")
-	case sc.NodeFailureShape < 0 || sc.DriveFailureShape < 0:
-		return fmt.Errorf("sim: negative Weibull shape")
-	case sc.NodeFailureShape > 0 && sc.NodeFailureShape < 0.2,
-		sc.DriveFailureShape > 0 && sc.DriveFailureShape < 0.2:
-		return fmt.Errorf("sim: Weibull shape below 0.2 is numerically pathological")
+	}
+	if err := (dist.Lifetime{Mean: 1 / sc.LambdaN, Shape: sc.NodeFailureShape}).Validate(); err != nil {
+		return fmt.Errorf("sim: node lifetime: %w", err)
+	}
+	if err := (dist.Lifetime{Mean: 1 / sc.LambdaD, Shape: sc.DriveFailureShape}).Validate(); err != nil {
+		return fmt.Errorf("sim: drive lifetime: %w", err)
+	}
+	switch {
 	case sc.ShockRate < 0:
 		return fmt.Errorf("sim: negative shock rate")
 	case sc.ShockRate > 0 && (sc.ShockSize < 1 || sc.ShockSize > sc.N):
@@ -243,34 +247,12 @@ func (s *shard) flushMetrics() {
 	s.recs.loss.Flush()
 }
 
-// RunUntilLoss simulates one trajectory from a fresh system to its first
-// data-loss event. maxEvents bounds the run; exceeding it returns an error
-// (the scenario is too reliable for naive simulation — use the biased
-// estimator instead). m, when non-nil, collects the run's metrics.
-func RunUntilLoss(sc Scenario, rng *rand.Rand, maxEvents int, m *Metrics) (LossResult, error) {
-	if err := sc.Validate(); err != nil {
-		return LossResult{}, err
-	}
-	s := newMissionShard(sc, newCalendarQueue(), m)
-	defer s.flushMetrics()
-	return s.runMission(rng, maxEvents)
-}
-
-// Estimate summarizes repeated RunUntilLoss trials.
+// Estimate summarizes repeated missions, each run to its first data loss.
 type Estimate struct {
 	Trials    int
 	MeanHours float64
 	StdErr    float64
 	MeanEvts  float64
-}
-
-// RelHalfWidth95 returns the 95% confidence half-width relative to the
-// mean, or +Inf for a zero mean.
-func (e Estimate) RelHalfWidth95() float64 {
-	if e.MeanHours == 0 {
-		return math.Inf(1)
-	}
-	return 1.96 * e.StdErr / e.MeanHours
 }
 
 // missionStats accumulates mission results. Welford's online algorithm:

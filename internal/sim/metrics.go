@@ -8,8 +8,8 @@ import "repro/internal/obs"
 // locally, flushing them into the atomic registry once per chunk of
 // missions.
 type Metrics struct {
-	// Missions counts completed RunUntilLoss trajectories; every one ends
-	// in a data-loss event, broken down by cause below.
+	// Missions counts completed missions; every one ends in a data-loss
+	// event, broken down by cause below.
 	Missions *obs.Counter
 	// Events counts all simulator events processed.
 	Events *obs.Counter

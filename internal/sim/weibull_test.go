@@ -26,6 +26,14 @@ func TestScenarioValidateWeibullShapes(t *testing.T) {
 	if err := sc.Validate(); err == nil {
 		t.Error("pathological shape accepted")
 	}
+	sc.NodeFailureShape, sc.DriveFailureShape = 2, math.NaN()
+	if err := sc.Validate(); err == nil {
+		t.Error("NaN drive shape accepted")
+	}
+	sc.DriveFailureShape, sc.LambdaN = 0.5, math.NaN()
+	if err := sc.Validate(); err == nil {
+		t.Error("NaN node failure rate accepted")
+	}
 }
 
 // The lifetime sampler must preserve the configured mean for every shape.

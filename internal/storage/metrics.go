@@ -16,10 +16,6 @@ type Metrics struct {
 	ShardsChecked    *obs.Counter
 	FaultsRepaired   *obs.Counter
 	ScrubObjectsLost *obs.Counter
-	// Rebalance totals.
-	Rebalances     *obs.Counter
-	ShardsMoved    *obs.Counter
-	RebalanceBytes *obs.Counter
 	// Injected failures.
 	NodeFailures  *obs.Counter
 	DriveFailures *obs.Counter
@@ -38,9 +34,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		ShardsChecked:      reg.Counter("storage.scrub.shards_checked"),
 		FaultsRepaired:     reg.Counter("storage.scrub.faults_repaired"),
 		ScrubObjectsLost:   reg.Counter("storage.scrub.objects_lost"),
-		Rebalances:         reg.Counter("storage.rebalances"),
-		ShardsMoved:        reg.Counter("storage.rebalance.shards"),
-		RebalanceBytes:     reg.Counter("storage.rebalance.bytes"),
 		NodeFailures:       reg.Counter("storage.node_failures"),
 		DriveFailures:      reg.Counter("storage.drive_failures"),
 		LatentFaults:       reg.Counter("storage.latent_faults"),

@@ -302,10 +302,9 @@ type RebuildStats struct {
 }
 
 // sortedObjectIDs returns every object ID in lexicographic order. Passes
-// that range over the object map (rebuild, scrub, rebalance) must use it:
-// map iteration order is randomized, and these passes make order-dependent
-// choices (which object claims scarce spare capacity, which shard
-// migrates), so raw map ranging would make replay outcomes vary run to
+// that range over the object map (rebuild, scrub) must use it: map
+// iteration order is randomized, and these passes make order-dependent
+// choices (which object claims scarce spare capacity), so raw map ranging would make replay outcomes vary run to
 // run. Callers hold s.mu.
 func (s *System) sortedObjectIDs() []string {
 	ids := make([]string, 0, len(s.objects))
@@ -467,13 +466,14 @@ func (s *System) CheckAll() []string {
 	return bad
 }
 
-// LostObjects returns the IDs recorded as lost, in unspecified order.
-func (s *System) LostObjects() []string {
+// AddNode appends a fresh node with the configured drive count and
+// returns its index: the spare-node provisioning of Section 3, when
+// fail-in-place attrition pushes utilization past its threshold (see
+// internal/spares).
+func (s *System) AddNode() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.lost))
-	for id := range s.lost {
-		out = append(out, id)
-	}
-	return out
+	s.nodes = append(s.nodes, node{drives: make([]drive, s.cfg.DrivesPerNode)})
+	s.cfg.Nodes = len(s.nodes)
+	return len(s.nodes) - 1
 }

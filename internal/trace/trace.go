@@ -103,14 +103,18 @@ func (o GenerateOptions) validate() error {
 	switch {
 	case o.Nodes < 1 || o.DrivesPerNode < 1:
 		return fmt.Errorf("trace: invalid geometry %dx%d", o.Nodes, o.DrivesPerNode)
-	case o.NodeMTTFHours <= 0 || o.DriveMTTFHours <= 0:
-		return fmt.Errorf("trace: MTTFs must be positive")
-	case o.NodeShape < 0 || o.DriveShape < 0:
-		return fmt.Errorf("trace: negative Weibull shape")
-	case o.LatentFaultsPerDriveHour < 0:
-		return fmt.Errorf("trace: negative latent rate")
-	case o.HorizonHours <= 0:
-		return fmt.Errorf("trace: horizon must be positive")
+	}
+	if err := (dist.Lifetime{Mean: o.NodeMTTFHours, Shape: o.NodeShape}).Validate(); err != nil {
+		return fmt.Errorf("trace: node lifetime: %w", err)
+	}
+	if err := (dist.Lifetime{Mean: o.DriveMTTFHours, Shape: o.DriveShape}).Validate(); err != nil {
+		return fmt.Errorf("trace: drive lifetime: %w", err)
+	}
+	switch {
+	case !(o.LatentFaultsPerDriveHour >= 0):
+		return fmt.Errorf("trace: latent rate %v must be non-negative", o.LatentFaultsPerDriveHour)
+	case !(o.HorizonHours > 0):
+		return fmt.Errorf("trace: horizon %v must be positive", o.HorizonHours)
 	}
 	return nil
 }

@@ -118,6 +118,14 @@ func TestGenerateOptionValidation(t *testing.T) {
 		func(o *GenerateOptions) { o.NodeShape = -2 },
 		func(o *GenerateOptions) { o.LatentFaultsPerDriveHour = -1 },
 		func(o *GenerateOptions) { o.HorizonHours = 0 },
+		// NaN passes x <= 0 and x < 0; a shape below 0.2 is refused as in sim.
+		func(o *GenerateOptions) { o.NodeMTTFHours = math.NaN() },
+		func(o *GenerateOptions) { o.DriveMTTFHours = math.NaN() },
+		func(o *GenerateOptions) { o.NodeShape = math.NaN() },
+		func(o *GenerateOptions) { o.DriveShape = math.NaN() },
+		func(o *GenerateOptions) { o.LatentFaultsPerDriveHour = math.NaN() },
+		func(o *GenerateOptions) { o.HorizonHours = math.NaN() },
+		func(o *GenerateOptions) { o.DriveShape = 0.1 },
 	}
 	for i, mutate := range mutations {
 		o := baseOptions()
