@@ -225,15 +225,6 @@ func TestHSetMatchesIndividualH(t *testing.T) {
 	}
 }
 
-func TestSetCounts(t *testing.T) {
-	if got := RedundancySets(64, 8); got != Binomial(64, 8) {
-		t.Errorf("RedundancySets = %v", got)
-	}
-	if got := SetsPerNode(64, 8); got != Binomial(63, 7) {
-		t.Errorf("SetsPerNode = %v", got)
-	}
-}
-
 // The closed-form HSet must reproduce the word-by-word reference —
 // h_α computed from AllWords(k) and H — bit for bit: the popcount
 // shortcut reuses the exact same BaseH and Pow values, so not even the

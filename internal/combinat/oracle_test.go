@@ -2,9 +2,8 @@ package combinat
 
 import "fmt"
 
-// Test-only: the binomial coefficient and the paper's redundancy-set
-// counts, and the word list and h^(k) table that AppendHSet and the closed
-// forms are checked against.
+// Test-only: the binomial coefficient, and the word list and h^(k) table
+// that AppendHSet and the closed forms are checked against.
 
 // Binomial returns C(n, k) as a float64. It returns 0 when k < 0 or k > n,
 // matching the combinatorial convention used by the paper's redundancy-set
@@ -55,11 +54,3 @@ func AllWords(k int) []Word {
 func HSet(n, r, d int, cher float64, k int) []float64 {
 	return AppendHSet(nil, n, r, d, cher, k)
 }
-
-// RedundancySets returns C(N, R), the total number of redundancy sets of
-// size R in a node set of size N (Section 4.1).
-func RedundancySets(n, r int) float64 { return Binomial(n, r) }
-
-// SetsPerNode returns C(N-1, R-1), the number of redundancy sets each node
-// participates in (Section 5.2.1).
-func SetsPerNode(n, r int) float64 { return Binomial(n-1, r-1) }

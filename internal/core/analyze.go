@@ -263,7 +263,10 @@ func (pr *analysisPrep) result(p *params.Parameters, cfg Config, method Method, 
 	}
 }
 
-// logicalCapacityPB is LogicalCapacityPB reading p through a pointer.
+// logicalCapacityPB returns the user-visible capacity of the system in
+// petabytes: raw capacity × inter-node data fraction (R-t)/R × internal
+// array data fraction (d-m)/d × capacity utilization (the rest is
+// fail-in-place spare).
 func logicalCapacityPB(p *params.Parameters, cfg Config) float64 {
 	r := float64(p.RedundancySetSize)
 	t := float64(cfg.NodeFaultTolerance)

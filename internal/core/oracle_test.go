@@ -4,10 +4,7 @@ import "repro/internal/params"
 
 // Test-only: the capacity the tests check Result.LogicalCapacityPB with.
 
-// LogicalCapacityPB returns the user-visible capacity of the system in
-// petabytes: raw capacity × inter-node data fraction (R-t)/R × internal
-// array data fraction (d-m)/d × capacity utilization (the rest is
-// fail-in-place spare).
+// LogicalCapacityPB is logicalCapacityPB on a copy of p.
 func LogicalCapacityPB(p params.Parameters, cfg Config) float64 {
 	return logicalCapacityPB(&p, cfg)
 }

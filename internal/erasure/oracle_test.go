@@ -1,9 +1,6 @@
 package erasure
 
-import "errors"
-
-// Test-only: GF(2⁸) helpers and the parity check that Encode is tested
-// with.
+// Test-only: the GF(2⁸) helpers the field arithmetic is tested with.
 
 // Add returns a+b in GF(2⁸) (carry-less, so addition is XOR and equals
 // subtraction).
@@ -31,35 +28,4 @@ func Exp(n int) byte {
 		n += 255
 	}
 	return tables.exp[n]
-}
-
-// ParityShards returns the number of parity shards (the fault tolerance).
-func (c *Code) ParityShards() int { return c.parityShards }
-
-// Verify reports whether the parity shards are consistent with the data
-// shards.
-func (c *Code) Verify(shards [][]byte) (bool, error) {
-	size, err := c.checkShards(shards)
-	if err != nil {
-		return false, err
-	}
-	for _, s := range shards {
-		if s == nil {
-			return false, errors.New("erasure: Verify requires all shards present")
-		}
-	}
-	buf := make([]byte, size)
-	for p := 0; p < c.parityShards; p++ {
-		row := c.matrix.row(c.dataShards + p)
-		clear(buf)
-		for d := 0; d < c.dataShards; d++ {
-			mulSlice(row[d], shards[d], buf)
-		}
-		for i, v := range buf {
-			if v != shards[c.dataShards+p][i] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }

@@ -40,27 +40,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestEncodeVerifyRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, geom := range [][2]int{{1, 1}, {3, 2}, {6, 2}, {5, 3}, {10, 4}} {
-		c := mustCode(t, geom[0], geom[1])
-		shards := randomShards(rng, c, 1024)
-		if err := c.Encode(shards); err != nil {
-			t.Fatalf("%v: %v", geom, err)
-		}
-		ok, err := c.Verify(shards)
-		if err != nil || !ok {
-			t.Errorf("%v: Verify = %v, %v", geom, ok, err)
-		}
-		// Corrupt one byte: verification must fail.
-		shards[0][10] ^= 0xFF
-		ok, err = c.Verify(shards)
-		if err != nil || ok {
-			t.Errorf("%v: Verify after corruption = %v, %v", geom, ok, err)
-		}
-	}
-}
-
 func TestReconstructAllErasurePatterns(t *testing.T) {
 	// The paper's geometry: R = 8 nodes per redundancy set, fault
 	// tolerance up to 3 → 5 data + 3 parity. Erase every subset of size
@@ -166,7 +145,7 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 			return false
 		}
 		// Drop up to parity shards, reconstruct, re-join.
-		drops := rng.Intn(c.ParityShards() + 1)
+		drops := rng.Intn(c.TotalShards() - c.DataShards() + 1)
 		for i := 0; i < drops; i++ {
 			shards[rng.Intn(c.TotalShards())] = nil
 		}

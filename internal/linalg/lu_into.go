@@ -2,12 +2,13 @@ package linalg
 
 import "fmt"
 
-// Allocation-free variants of the factorize/solve path. Absorption
-// analyses inside sweeps and Monte Carlo estimators factorize and solve
-// thousands of small matrices of identical shape; these variants let a
-// caller own the factorization storage and scratch vectors and reuse
-// them across solves, so the steady-state hot path performs no heap
-// allocation at all.
+// The factorize/solve path, allocation-free. Absorption analyses inside
+// sweeps and Monte Carlo estimators factorize and solve thousands of
+// small matrices of identical shape; these functions let a caller own
+// the factorization storage and scratch vectors and reuse them across
+// solves, so the steady-state hot path performs no heap allocation at
+// all. The allocating Factorize, Solve and SolveTranspose that the tests
+// compare them with live in oracle_test.go.
 
 // FactorizeInto computes the LU factorization of a square matrix a,
 // reusing f's internal storage when it has capacity. f must be non-nil;

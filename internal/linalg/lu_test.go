@@ -116,24 +116,6 @@ func TestFactorizeNonSquarePanics(t *testing.T) {
 	Factorize(New(2, 3)) //nolint:errcheck // panics before returning
 }
 
-func TestInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(12)
-		a := randomDiagonallyDominant(rng, n)
-		inv, err := Inverse(a)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !a.Mul(inv).ApproxEqual(Identity(n), 1e-8) {
-			t.Fatalf("trial %d: A·A⁻¹ != I", trial)
-		}
-		if !inv.Mul(a).ApproxEqual(Identity(n), 1e-8) {
-			t.Fatalf("trial %d: A⁻¹·A != I", trial)
-		}
-	}
-}
-
 func TestDetProductProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -172,38 +154,6 @@ func TestSolveLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	f.Solve([]float64{1, 2})
-}
-
-func TestSolveMatrix(t *testing.T) {
-	a := FromRows([][]float64{{4, 1}, {1, 3}})
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := f.SolveMatrix(Identity(2))
-	if !a.Mul(x).ApproxEqual(Identity(2), 1e-12) {
-		t.Error("SolveMatrix(I) is not the inverse")
-	}
-}
-
-func TestConditionEstimate(t *testing.T) {
-	wellCond := Identity(4)
-	f, err := Factorize(wellCond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := f.ConditionEstimate(wellCond); c != 1 {
-		t.Errorf("ConditionEstimate(I) = %v, want 1", c)
-	}
-	// A nearly singular matrix should report a huge condition estimate.
-	ill := FromRows([][]float64{{1, 1}, {1, 1 + 1e-13}})
-	fi, err := Factorize(ill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := fi.ConditionEstimate(ill); c < 1e10 {
-		t.Errorf("ConditionEstimate(ill) = %v, want > 1e10", c)
-	}
 }
 
 // randomDiagonallyDominant builds a random strictly diagonally dominant

@@ -214,22 +214,10 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestSubmatrix(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	s := a.Submatrix(1, 1)
-	want := FromRows([][]float64{{1, 3}, {7, 9}})
-	if !s.ApproxEqual(want, 0) {
-		t.Errorf("Submatrix =\n%v want\n%v", s, want)
-	}
-}
-
 func TestNorms(t *testing.T) {
 	a := FromRows([][]float64{{1, -2}, {-3, 0.5}})
 	if got := a.MaxNorm(); got != 3 {
 		t.Errorf("MaxNorm = %v, want 3", got)
-	}
-	if got := a.InfNorm(); got != 3.5 {
-		t.Errorf("InfNorm = %v, want 3.5", got)
 	}
 }
 

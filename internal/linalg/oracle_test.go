@@ -89,21 +89,6 @@ func (f *LU) SolveTranspose(b []float64) []float64 {
 	return x
 }
 
-// SolveMatrix solves A·X = B column-by-column.
-func (f *LU) SolveMatrix(b *Matrix) *Matrix {
-	if b.rows != f.N() {
-		panic(fmt.Sprintf("linalg: SolveMatrix rows %d vs dimension %d", b.rows, f.N()))
-	}
-	out := New(b.rows, b.cols)
-	for j := 0; j < b.cols; j++ {
-		col := f.Solve(b.Col(j))
-		for i, v := range col {
-			out.data[i*out.cols+j] = v
-		}
-	}
-	return out
-}
-
 // Det returns the determinant of the factorized matrix.
 func (f *LU) Det() float64 {
 	n := f.N()
@@ -112,11 +97,6 @@ func (f *LU) Det() float64 {
 		det *= f.lu.data[i*n+i]
 	}
 	return det
-}
-
-// Inverse returns A⁻¹ as a new matrix.
-func (f *LU) Inverse() *Matrix {
-	return f.SolveMatrix(Identity(f.N()))
 }
 
 // Solve is a convenience wrapper: factorize a and solve a·x = b.
@@ -135,15 +115,6 @@ func Det(a *Matrix) float64 {
 		return 0
 	}
 	return f.Det()
-}
-
-// Inverse is a convenience wrapper returning a⁻¹.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Inverse(), nil
 }
 
 // Identity returns the n×n identity matrix.
@@ -320,21 +291,6 @@ func (m *Matrix) MaxNorm() float64 {
 	return max
 }
 
-// InfNorm returns the maximum absolute row sum.
-func (m *Matrix) InfNorm() float64 {
-	var max float64
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for _, v := range m.data[i*m.cols : (i+1)*m.cols] {
-			s += math.Abs(v)
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
 // ApproxEqual reports whether every element of m and other differs by at
 // most tol. Matrices with different shapes are never equal.
 func (m *Matrix) ApproxEqual(other *Matrix, tol float64) bool {
@@ -421,46 +377,6 @@ func ApproxEqualVec(x, y []float64, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// ConditionEstimate returns a cheap lower bound on the infinity-norm
-// condition number: ‖A‖∞ · max|1/u_ii|, useful to flag ill-conditioned
-// absorption matrices in tests.
-func (f *LU) ConditionEstimate(a *Matrix) float64 {
-	n := f.N()
-	minPivot := math.Inf(1)
-	for i := 0; i < n; i++ {
-		if p := math.Abs(f.lu.data[i*n+i]); p < minPivot {
-			minPivot = p
-		}
-	}
-	if minPivot == 0 {
-		return math.Inf(1)
-	}
-	return a.InfNorm() / minPivot
-}
-
-// Submatrix returns a copy of the block excluding the listed rows and
-// columns. Used for adjugate/minor computations.
-func (m *Matrix) Submatrix(dropRow, dropCol int) *Matrix {
-	m.boundsCheck(dropRow, dropCol)
-	out := New(m.rows-1, m.cols-1)
-	oi := 0
-	for i := 0; i < m.rows; i++ {
-		if i == dropRow {
-			continue
-		}
-		oj := 0
-		for j := 0; j < m.cols; j++ {
-			if j == dropCol {
-				continue
-			}
-			out.data[oi*out.cols+oj] = m.data[i*m.cols+j]
-			oj++
-		}
-		oi++
-	}
-	return out
 }
 
 // Add increments the element at row i, column j by v.

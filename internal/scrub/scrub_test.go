@@ -62,12 +62,8 @@ func TestShorterScrubIntervalsNeverHurt(t *testing.T) {
 	p := params.Baseline()
 	cfg := core.Config{Internal: core.InternalNone, NodeFaultTolerance: 2}
 	intervals := []float64{24, 168, 720, 4380, 8766}
-	results, err := SweepIntervals(p, cfg, rhoYearly, intervals, core.MethodClosedForm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].MTTDLHours > results[i-1].MTTDLHours {
+	for i := 1; i < len(intervals); i++ {
+		if mttdlAt(t, p, cfg, intervals[i]) > mttdlAt(t, p, cfg, intervals[i-1]) {
 			t.Errorf("MTTDL improved with longer scrub interval: %v h → %v h",
 				intervals[i-1], intervals[i])
 		}
@@ -80,11 +76,7 @@ func TestScrubMattersAtScale(t *testing.T) {
 	// sector-error component.
 	p := params.Baseline()
 	cfg := core.Config{Internal: core.InternalNone, NodeFaultTolerance: 2}
-	results, err := SweepIntervals(p, cfg, rhoYearly, []float64{24, 8766}, core.MethodClosedForm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	improvement := results[0].MTTDLHours / results[1].MTTDLHours
+	improvement := mttdlAt(t, p, cfg, 24) / mttdlAt(t, p, cfg, 8766)
 	if improvement < 1.5 {
 		t.Errorf("daily vs yearly scrub improvement = %v×, want > 1.5×", improvement)
 	}
@@ -136,10 +128,13 @@ func TestMinUsefulInterval(t *testing.T) {
 	}
 }
 
-func TestSweepIntervalsEmpty(t *testing.T) {
-	p := params.Baseline()
-	cfg := core.Config{Internal: core.InternalNone, NodeFaultTolerance: 2}
-	if _, err := SweepIntervals(p, cfg, rhoYearly, nil, core.MethodClosedForm); err == nil {
-		t.Error("empty sweep accepted")
+// mttdlAt is the closed-form MTTDL of cfg with yearly latent faults and
+// a scrub every s hours.
+func mttdlAt(t *testing.T, p params.Parameters, cfg core.Config, s float64) float64 {
+	t.Helper()
+	r, err := Analyze(p, cfg, Options{LatentFaultsPerDriveHour: rhoYearly, ScrubIntervalHours: s}, core.MethodClosedForm)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return r.MTTDLHours
 }

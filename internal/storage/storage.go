@@ -304,8 +304,8 @@ type RebuildStats struct {
 // sortedObjectIDs returns every object ID in lexicographic order. Passes
 // that range over the object map (rebuild, scrub) must use it: map
 // iteration order is randomized, and these passes make order-dependent
-// choices (which object claims scarce spare capacity), so raw map ranging would make replay outcomes vary run to
-// run. Callers hold s.mu.
+// choices (which object claims scarce spare capacity), so raw map
+// ranging would make replay outcomes vary run to run. Callers hold s.mu.
 func (s *System) sortedObjectIDs() []string {
 	ids := make([]string, 0, len(s.objects))
 	for id := range s.objects {
