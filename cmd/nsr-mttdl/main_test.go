@@ -73,6 +73,25 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// A NaN lifetime is a parameter error, reported by params.Validate
+// before any method runs: closed form (the default method) used to
+// report the NaN MTTDL it computed as numerically unusable.
+func TestRunRejectsNaNParameters(t *testing.T) {
+	for _, args := range [][]string{
+		{"-node-mttf", "NaN"},
+		{"-drive-mttf", "NaN", "-method", "exact-chain"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		if err == nil || !strings.HasPrefix(err.Error(), "params: ") || !strings.Contains(err.Error(), "MTTFHours must be positive") {
+			t.Errorf("run %v = %v, want the params error", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("run %v wrote %q", args, stdout.String())
+		}
+	}
+}
+
 func TestUsageGoesToStderr(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-h"}, &stdout, &stderr); err != flag.ErrHelp {

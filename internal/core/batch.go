@@ -22,19 +22,14 @@ import (
 // share one frozen topology (the model builders' state/edge sets are
 // functions of the fault tolerance alone, never of the parameters), so
 // a chunk binds that topology and its refill program into a
-// markov.BatchSolver once and then takes its cells in one pass: each
-// cell's O(k) rate-class values are emitted through the compiled
-// string-free model refillers into a lane buffer, validated and filled
-// into the solver (no chain in between), solved and estimated before
-// the next cell is emitted — zero per-cell allocation, with spans and
-// metric observations amortized to one per chunk. On the sparse route
-// the cells go in four-cell lane blocks (markov.BatchSolver.FillBlock
-// and SolveBlock): one small lane table of class values and exit sums
-// per block, and one pass of the topology's value-numbered lane program
-// over it, bit for bit the one-cell path, which still takes a chunk's
-// last one to three cells and any block a cell fails; a chunk's first
-// cell binds the topology, so a whole chunk can run as blocks. The
-// solver's value slab holds one block. Closed-form and exact-stable
+// markov.BatchSolver once and then takes its cells in steps of up to
+// sparse.Lanes: each cell's O(k) rate-class values are emitted through
+// the compiled string-free model refillers into a lane buffer, and one
+// markov.BatchSolver.Solve call validates, fills and solves the step's
+// cells (no chain in between), choosing the four-cell lane program or
+// the one-cell path; then the cells are estimated before the next step
+// is emitted — zero per-cell allocation, with spans and metric
+// observations amortized to one per chunk. Closed-form and exact-stable
 // cells have no chain to amortize: a chunk evaluates them one after
 // another and binds no solver.
 //
@@ -173,15 +168,12 @@ func chainStates(cfg Config) float64 {
 
 // batchChunk is one chunk's reusable state: the cells' parameter and
 // result slots, and the prep slots and per-lane class-value buffers of
-// an exact-chain chunk (the one-cell path fills from lane 0's).
+// an exact-chain chunk.
 type batchChunk struct {
 	preps []analysisPrep
 	ps    []params.Parameters
 	res   []Result
 	vals  [sparse.Lanes][]float64
-	// cellSolves counts the one-cell solves (SolveCell) of the latest
-	// exact-chain chunk; lane blocks that commit every lane take none.
-	cellSolves int
 }
 
 var chunkPool = sync.Pool{New: func() any { return new(batchChunk) }}
@@ -200,20 +192,12 @@ func (bc *batchChunk) slots(n int) ([]params.Parameters, []Result) {
 // and exactly the error that cell reports on its own; on cancellation
 // (-1, ctx.Err()).
 //
-// Exact-chain cells: bind the chunk's topology into a pooled solver,
-// then one pass over the cells — prep each cell into the chunk's slot,
-// fill the solver from the refiller's emitted class values (the fill
-// validates them), solve and estimate — stopping at the first failing
-// cell, so no cell past it is prepped. The chunk span opens at the
-// first filled cell and counts the cells reached; a chunk with no
-// filled cell opens no chunk span and records no chunk.
-//
-// On the sparse route the pass takes blocks of sparse.Lanes cells
-// (FillBlock, SolveBlock); a block that any cell fails to fill, and the
-// last cells that fill no block, take the one-cell path (FillRates,
-// SolveCell) cell by cell, and a lane the block does not commit takes
-// SolveCell, which reports that cell's error and accounting exactly.
-func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps []params.Parameters, out []Result) (int, error) {
+// Exact-chain cells go in steps of up to sparse.Lanes: prep and emit
+// the step's cells (cell 0's emission binds the topology), solve them
+// in one Solve call, then estimate them, stopping at the first failing
+// cell (the rate tally rewinds to its lane, counting no cell past it).
+// The chunk's span and accounting are the solver's (StartChunk).
+func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps []params.Parameters, out []Result) (row int, err error) {
 	if method != MethodExactChain {
 		return evaluateCells(ctx, cfg, method, ps, out)
 	}
@@ -224,73 +208,50 @@ func (bc *batchChunk) analyze(ctx context.Context, cfg Config, method Method, ps
 	ch := chainChunk{bc: bc, cfg: cfg, isNIR: cfg.Internal == InternalNone, bs: markov.AcquireBatchSolver()}
 	defer ch.release()
 	defer ch.tl.Flush(ctx)
-	var (
-		endChunk func(int)
-		reached  int
-	)
-	defer func() {
-		if endChunk != nil {
-			endChunk(reached)
-		}
-	}()
-	bs := ch.bs
-	bc.cellSolves = 0
+	end := ch.bs.StartChunk(ctx)
+	defer func() { end(err == nil) }()
 	done := ctx.Done()
-	var mtta [sparse.Lanes]float64
-	for i := 0; i < len(ps); {
+	for i := 0; i < len(ps); i += sparse.Lanes {
 		if cancelled(done) {
 			return -1, ctx.Err()
 		}
-		cells, solved := 1, 0
-		if i == 0 { // cell 0 binds the topology; its fill reuses lane 0
-			if err := ch.emit(ctx, ps, 0, 0); err != nil {
-				return 0, err
+		cells := min(sparse.Lanes, len(ps)-i)
+		var emitErr error
+		for l := range cells {
+			if emitErr = ch.emit(ctx, ps, i+l, l); emitErr != nil {
+				cells = l
+				break
 			}
+			ch.lanes[l] = ch.tl
 		}
-		if ch.fillBlock(ctx, ps, i) {
-			cells = sparse.Lanes
-		} else if err := ch.fillCell(ctx, ps, i); err != nil {
-			return i, err
-		}
-		if endChunk == nil {
-			endChunk = bs.StartChunk(ctx)
-		}
-		if cells > 1 {
-			solved = bs.SolveBlock(0, &mtta)
-		}
-		for l := 0; l < cells; l++ {
-			j := i + l
-			reached = j + 1
-			v := mtta[l]
-			if l >= solved {
-				slot := l
-				if cells == 1 {
-					slot = i % 2
-				}
-				bc.cellSolves++
-				var err error
-				if v, err = bs.SolveCell(slot); err != nil {
+		if cells > 0 {
+			mtta, n, err := ch.bs.Solve(bc.vals[:cells])
+			for l := range n {
+				j := i + l
+				est, err := estimate(&ps[j], cfg, mtta[l])
+				if err != nil {
 					ch.tl = ch.lanes[l]
-					return j, chainSolveError(ch.isNIR, err)
+					return j, err
 				}
+				out[j] = bc.preps[j].result(&ps[j], cfg, MethodExactChain, est)
 			}
-			est, err := estimate(&ps[j], cfg, v)
 			if err != nil {
-				ch.tl = ch.lanes[l]
-				return j, err
+				ch.tl = ch.lanes[n]
+				return i + n, chainSolveError(ch.isNIR, err)
 			}
-			out[j] = bc.preps[j].result(&ps[j], cfg, MethodExactChain, est)
 		}
-		i += cells
+		if emitErr != nil {
+			return i + cells, emitErr
+		}
 	}
 	return -1, nil
 }
 
-// chainChunk is the fill state of one exact-chain chunk: its solver,
-// its refiller (acquired by cell 0's emission, which binds the
-// topology), the chunk's rate tally, and the tally after each cell of
-// the latest fill, to which a failure at that cell rewinds it,
-// uncounting the cells of its block past it.
+// chainChunk is the state of one exact-chain chunk: its solver, its
+// refiller (acquired by cell 0's emission, which binds the topology),
+// the chunk's rate tally, and the tally after each lane's prep in the
+// latest step, to which a failure at that lane rewinds it, uncounting
+// the cells of its step past it.
 type chainChunk struct {
 	bc    *batchChunk
 	cfg   Config
@@ -311,49 +272,6 @@ func (ch *chainChunk) release() {
 		ch.ir.Release()
 	}
 	markov.ReleaseBatchSolver(ch.bs)
-}
-
-// fillBlock preps and emits the sparse.Lanes cells of ps from i on and
-// fills them in one FillBlock pass, and reports true, when the route
-// solves in lane blocks, the chunk has a whole block left and every cell
-// of the block preps and fills cleanly. Each lane's refiller emission
-// writes its class values into that lane's buffer (cell 0's is there
-// already); otherwise it leaves the rate tally as it found it, so the
-// one-cell path preps, counts and reports as if no block was tried.
-func (ch *chainChunk) fillBlock(ctx context.Context, ps []params.Parameters, i int) bool {
-	if !ch.bs.LaneBlocks() || len(ps)-i < sparse.Lanes {
-		return false
-	}
-	tl := ch.tl
-	for l := range ch.bc.vals {
-		if i+l > 0 && ch.emit(ctx, ps, i+l, l) != nil {
-			ch.tl = tl
-			return false
-		}
-		ch.lanes[l] = ch.tl
-	}
-	if !ch.bs.FillBlock(&ch.bc.vals) {
-		ch.tl = tl
-		return false
-	}
-	return true
-}
-
-// fillCell preps, emits (but for cell 0) and fills cell i of ps into
-// the solver's cell i%2, returning the cell's error, if any: a failing
-// fill never overwrites the row of the cell solved before it, whose
-// residual the chunk reports.
-func (ch *chainChunk) fillCell(ctx context.Context, ps []params.Parameters, i int) error {
-	if i > 0 {
-		if err := ch.emit(ctx, ps, i, 0); err != nil {
-			return err
-		}
-	}
-	ch.lanes[0] = ch.tl
-	if err := ch.bs.FillRates(i%2, ch.bc.vals[0]); err != nil {
-		return chainSolveError(ch.isNIR, err)
-	}
-	return nil
 }
 
 // emit preps cell i of ps into its prep slot and writes the refiller's
@@ -387,7 +305,6 @@ func (ch *chainChunk) emit(ctx context.Context, ps []params.Parameters, i, lane 
 		if err := ch.bs.Bind(ctx, c); err != nil {
 			return chainSolveError(ch.isNIR, err)
 		}
-		ch.bs.Cells(sparse.Lanes)
 		if err := ch.bs.BindProgram(program, class); err != nil {
 			return chainSolveError(ch.isNIR, err)
 		}

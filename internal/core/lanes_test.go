@@ -15,27 +15,25 @@ import (
 	"repro/internal/rebuild"
 )
 
-// scalarChunk is the reference the lane blocks must reproduce: the
-// one-cell chunk loop on a no-internal-RAID configuration. Cell by cell
-// it preps, emits and fills, then solves and guards, up to the first
-// failing cell, on an unpooled solver, and reports like the chunk body:
-// the chunk span opens at the first filled cell and counts the cells
-// reached.
-func scalarChunk(ctx context.Context, cfg Config, ps []params.Parameters, out []Result) (int, error) {
+// scalarChunk is the reference the chunk body must reproduce: the
+// one-cell loop on a no-internal-RAID configuration, through the path
+// perfbench replays. Cell by cell it preps, refills the chain and fills
+// it (Refill, Fill), then solves and guards it (SolveCell, estimate), up
+// to the first failing cell, on an unpooled solver, and reports like
+// the chunk body: the chunk's span and accounting are the solver's
+// (StartChunk), so the span opens at the first solve, counts the cells
+// that reached one, and a residual is recorded only when every cell
+// solved.
+func scalarChunk(ctx context.Context, cfg Config, ps []params.Parameters, out []Result) (row int, err error) {
 	preps := make([]analysisPrep, len(ps))
 	bs := markov.NewBatchSolver()
 	var (
-		tl      rebuild.Tally
-		nir     *model.NIRRefiller
-		end     func(int)
-		reached int
+		tl  rebuild.Tally
+		nir *model.NIRRefiller
 	)
 	defer tl.Flush(ctx)
-	defer func() {
-		if end != nil {
-			end(reached)
-		}
-	}()
+	end := bs.StartChunk(ctx)
+	defer func() { end(err == nil) }()
 	for i := range ps {
 		if err := analyzePrep(&preps[i], &ps[i], cfg, &tl); err != nil {
 			return i, err
@@ -46,21 +44,11 @@ func scalarChunk(ctx context.Context, cfg Config, ps []params.Parameters, out []
 			if err := bs.Bind(ctx, nir.Chain()); err != nil {
 				return 0, chainSolveError(true, err)
 			}
-			bs.Cells(2)
-			if err := bs.BindProgram(nir.Program(), nir.Classes()); err != nil {
-				return 0, chainSolveError(true, err)
-			}
 		}
-		// Alternate slab cells, so a failing fill leaves the row of the
-		// cell solved before it to the chunk's residual.
-		if err := bs.FillRates(i%2, nir.Emit(nil, preps[i].nir)); err != nil {
+		if err := bs.Fill(0, nir.Refill(preps[i].nir)); err != nil {
 			return i, chainSolveError(true, err)
 		}
-		if end == nil {
-			end = bs.StartChunk(ctx)
-		}
-		reached = i + 1
-		mtta, err := bs.SolveCell(i % 2)
+		mtta, err := bs.SolveCell(0)
 		if err != nil {
 			return i, chainSolveError(true, err)
 		}
@@ -138,14 +126,15 @@ func runChunk(cfg Config, ps []params.Parameters, chunk func(context.Context, Co
 	return o
 }
 
-// The chunk body's lane blocks against the one-cell loop: every chunk
-// length from 1 to 9 (every remainder of a four-cell block), and a
+// The chunk body's solver calls against the one-cell loop: every chunk
+// length from 1 to 9 (every remainder of a four-cell step), and a
 // failing cell of every kind at every cell of a nine-cell chunk — every
-// lane position of its fill blocks (cells 1–4, 5–8) and solve blocks
-// (cells 0–3, 4–7) — report the same lowest failing cell and error,
+// lane position of both four-cell steps (cells 0–3, 4–7) and the
+// one-cell remainder — report the same lowest failing cell and error,
 // bit-identical results before it, the same solve, sparse, fallback,
 // chunk and rate-computation counts — no lane past a failing cell
-// counted — and a bit-identical last residual.
+// counted — and the same last residual: bit-identical when every cell
+// solved, none when one failed.
 func TestChunkLanesMatchScalarLoop(t *testing.T) {
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 5}
 	type chunkCase struct {
@@ -181,6 +170,9 @@ func TestChunkLanesMatchScalarLoop(t *testing.T) {
 				t.Fatalf("%s: reference %q with %d sparse solves; the good cells must solve on the sparse route", c.name, want.err, want.counters["markov.sparse.solves"])
 			}
 			continue
+		}
+		if want.err != "" && want.residual != 0 {
+			t.Fatalf("%s: the failing reference chunk recorded residual %v", c.name, math.Float64frombits(want.residual))
 		}
 		bad := laneBadCells[c.bad]
 		if fell := want.counters["markov.sparse.dense_fallbacks"] > 0; fell != bad.fallback {
@@ -233,16 +225,16 @@ func TestNaNTauFallsBackToDense(t *testing.T) {
 	}
 }
 
-// A chunk binds with its first block's first emission, so a whole
-// 256-cell NIR chunk on the sparse route runs as 64 lane blocks: it
-// takes no one-cell solve, and it reports bit for bit what the one-cell
-// loop reports.
+// A chunk binds with its first step's first emission, so a whole
+// 256-cell NIR chunk on the sparse route runs as 64 four-cell steps, and
+// it reports bit for bit what the one-cell loop reports; that each of
+// those steps solves in the lane program, with no one-cell solve, is
+// TestSolveRunsWholeChunkInLanes' (internal/markov).
 func TestChunkBindsInFirstBlock(t *testing.T) {
 	cfg := Config{Internal: InternalNone, NodeFaultTolerance: 5}
 	ps := laneCells(chunkCells)
-	bc := new(batchChunk)
 	lanes := func(ctx context.Context, cfg Config, ps []params.Parameters, out []Result) (int, error) {
-		return bc.analyze(ctx, cfg, MethodExactChain, ps, out)
+		return new(batchChunk).analyze(ctx, cfg, MethodExactChain, ps, out)
 	}
 	want := runChunk(cfg, ps, scalarChunk)
 	got := runChunk(cfg, ps, lanes)
@@ -251,8 +243,5 @@ func TestChunkBindsInFirstBlock(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("lane blocks report\n  %+v\nthe one-cell loop\n  %+v", got, want)
-	}
-	if bc.cellSolves != 0 {
-		t.Errorf("a %d-cell chunk took %d one-cell solves, want 0", chunkCells, bc.cellSolves)
 	}
 }

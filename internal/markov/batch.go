@@ -17,36 +17,18 @@ import (
 // captures the topology once — transient indexing, the CSR pattern of
 // R = -Q_B, the dense/sparse routing decision, whether the whole
 // topology reaches absorption, and (on the sparse route) the symbolic
-// factorization with its compiled elimination program. Each cell's
-// rates then go straight into its row of a reused value slab in one
-// fill pass: FillRates takes a refill program's class values (the
-// program and its class map compiled once by BindProgram, so a row edge
-// reads its rate from an O(k) class vector), Fill a chain's edge rates.
-// The pass validates the rates with Chain.Validate's rate checks and
-// writes R's diagonal exit sums and negated off-diagonals. SolveCell
-// then runs Refactor+Solve against that row. After the first chunk every
-// per-cell step is allocation-free: all pattern work, span bookkeeping
-// and metric updates are amortized to one per chunk (StartChunk).
-//
-// Four-cell lanes: on the sparse route BindProgram also compiles the
-// topology's lane program (LaneBlocks), once per topology and class map
-// and cached beside the symbolic analysis: R's stored values name their
-// sources — each off-diagonal its rate class, each diagonal its row's
-// distinct class sequence, whose exit sum every such row shares — and
-// sparse.Symbolic.Compile value-numbers the elimination and the
-// transposed solve over them. A caller then takes blocks of
-// sparse.Lanes cells: FillBlock validates the block's class vectors and
-// writes only the lane table of sources (36 class values and 25 exit
-// sums at fault tolerance 7, against 763 stored values), and SolveBlock
-// runs the program over it. Each lane does exactly the float operations
-// of the one-cell path, so its bits are the same; a lane that fails any
-// check is left to FillRates or SolveCell, which report it exactly, and
-// only its matrix row is written out of the table.
-//
-// Reachability of absorption depends only on which classes are
-// positive: FillRates and FillBlock memoize the verdict by that set
-// (reachMemo) for the bound program, so a cell searches the topology
-// only for a set no earlier cell of its chunk had.
+// factorization. Each cell's rates then go straight into its row of a
+// reused value slab in one fill pass, which validates them with
+// Chain.Validate's rate checks and writes R's diagonal exit sums and
+// negated off-diagonals: Fill takes a chain's edge rates, and Solve a
+// refill program's O(k) class values (BindProgram). SolveCell solves a
+// filled row. Solve is a batched caller's one call: it fills and solves
+// one to sparse.Lanes cells and picks their route — the topology's
+// four-lane program (bindLanes) for four cells that fill on it, the
+// one-cell fill and SolveCell for every other cell, bit for bit alike.
+// After the first chunk every per-cell step is allocation-free: all
+// pattern work, span bookkeeping and metric updates are amortized to
+// one per chunk (StartChunk).
 //
 // Routing: dense partial-pivot LU below the SetSparseMinStates crossover
 // or above the density guard (sparseRoute); otherwise sparse static-pivot
@@ -91,7 +73,7 @@ type BatchSolver struct {
 	// at em[k], and checks the vector's signs in emission order: value
 	// order[i] is emission i's rate. For Fill the vector is the chain's
 	// edge rates (copied to edgeRates), em is redge and the order is the
-	// edges' (nil); for FillRates it is the refill program's class
+	// edges' (nil); for Solve it is the refill program's class
 	// values, em is progEm — the program's edge → emission map progOf
 	// composed with its class map, by BindProgram — and the order is the
 	// class map, emClass, of nclass classes.
@@ -125,31 +107,40 @@ type BatchSolver struct {
 	f              linalg.LU
 	vs             validateScratch
 
-	// Lane blocks: the bound lane program (nil off the lane route) and
-	// two lane tables with their solve vectors. FillBlock and SolveBlock
-	// use tabs[cur]; a block that commits a lane leaves its table to the
-	// chunk's residual (lastBuf, lane lastLane) and flips cur. resRow is
-	// the residual's matrix row, written out of that table.
-	lp         *laneProgram
-	tabs, ys   [2][]sparse.Lane
-	cur        int
-	lastBuf    int
-	lastLane   int
-	lastInLane bool
-	resRow     []float64
+	// The bound lane program (nil off the lane route), its lane table and
+	// its solve vector.
+	lp     *laneProgram
+	tab, y []sparse.Lane
 
 	// own is the private frozen copy through which a one-cell solve
 	// binds a mutable chain, leaving the caller's chain unsealed.
 	own Chain
 
+	// The open chunk (StartChunk): the context its span opens under at
+	// its first solve (nil once opened, and outside a chunk), the span,
+	// and the cells that reached a solve.
+	chunkCtx  context.Context
+	chunkSpan *obs.Span
+	cells     int
+
 	// Accounting since the last flush (account): the latest Bind's
 	// symbolic analysis, cells solved, of them on the sparse route, dense
-	// fallbacks from it, and whether the latest solved cell succeeded, and
-	// on which route.
+	// fallbacks from it, and the route of the latest cell if it solved.
 	symbolic                       symbolicEvent
 	solved, sparseSolved, fellBack int
-	lastOK, lastDense              bool
+	last                           route
 }
+
+// route is the route the latest solved cell took, whose factors or
+// lane table are still in place; routeNone when it failed.
+type route uint8
+
+const (
+	routeNone   route = iota
+	routeSparse       // Refactor and SolveTransposeInto over the slab row
+	routeDense        // the dense LU in r and f
+	routeLane         // the lane program; the cell is the table's last lane
+)
 
 // symbolicEvent is what a Bind's topology-cache lookup did.
 type symbolicEvent uint8
@@ -332,17 +323,17 @@ func (b *BatchSolver) Cells(n int) {
 }
 
 // BindProgram compiles a refill program and its class map against the
-// bound topology for FillRates and FillBlock: program[i] is the edge
-// index (Chain.EdgeIndex) that emission i fills, as in Chain.ApplyRates,
-// and class[i] the index of emission i's rate in the class vector a
-// cell is filled from (the identity map makes the class vector the
-// emitted rate vector). The fused fill needs every edge to carry
-// exactly one emission and every emission a class; any other program
-// is refused with an error. The class vector has 1 + max(class)
-// values. On the sparse route it also binds the topology's lane program
-// (LaneBlocks), compiled on the first BindProgram of this topology and
-// class map and cached with the symbolic analysis: a rebind of a cached
-// topology compiles nothing.
+// bound topology for Solve: program[i] is the edge index
+// (Chain.EdgeIndex) that emission i fills, as in Chain.ApplyRates, and
+// class[i] the index of emission i's rate in the class vector a cell is
+// filled from (the identity map makes the class vector the emitted rate
+// vector). The fused fill needs every edge to carry exactly one
+// emission and every emission a class; any other program is refused
+// with an error. The class vector has 1 + max(class) values. The slab
+// grows to sparse.Lanes cells. On the sparse route it also binds the
+// topology's lane program, compiled on the first BindProgram of this
+// topology and class map and cached with the symbolic analysis: a
+// rebind of a cached topology compiles nothing.
 func (b *BatchSolver) BindProgram(program, class []int) error {
 	b.programBound, b.lp = false, nil
 	if len(program) != b.nedges {
@@ -374,31 +365,19 @@ func (b *BatchSolver) BindProgram(program, class []int) error {
 		b.progEm[k] = class[b.progOf[e]]
 	}
 	b.programBound, b.reach = true, reachMemo{}
+	b.Cells(sparse.Lanes)
 	if b.sparseRoute && b.topo != nil && b.initRow >= 0 {
 		b.bindLanes()
 	}
 	return nil
 }
 
-// FillRates writes one cell of the slab from vals, the class values of
-// the program compiled by BindProgram — what Chain.ApplyRates of the
-// expanded rates (emission i at vals[class[i]]) followed by Fill would
-// write, bit for bit, without touching a chain. It returns
-// Chain.Validate's error for the refilled chain, if any.
-func (b *BatchSolver) FillRates(cell int, vals []float64) error {
-	if !b.programBound {
-		panic("markov: FillRates without a program compiled by BindProgram since the last Bind")
-	}
-	if len(vals) != b.nclass {
-		panic(fmt.Sprintf("markov: FillRates got %d class values for a %d-class program", len(vals), b.nclass))
-	}
-	return b.fill(cell, b.progEm, b.emClass, vals)
-}
-
-// Fill writes c's current rates into cell's row of the value slab and
-// validates them like FillRates. c must be a chain of the bound topology
-// (any refill of the chain Bind saw, or a pooled sibling of the same
-// family) — any other chain panics; cell must be below the Cells bound.
+// Fill writes c's current rates into cell's row of the value slab, as
+// Solve writes the class values c was refilled from, and returns
+// Chain.Validate's error for c, if any. c must be a chain of the bound
+// topology (any refill of the chain Bind saw, or a pooled sibling of
+// the same family) — any other chain panics; cell must be below the
+// Cells bound.
 func (b *BatchSolver) Fill(cell int, c *Chain) error {
 	if !b.bound(c) {
 		panic(fmt.Sprintf("markov: Fill chain (%d states, %d edges, label %q) does not match bound topology (%d, %d, %q)",
@@ -419,7 +398,7 @@ func (b *BatchSolver) bound(c *Chain) bool {
 		len(c.absorbing) == b.n-len(b.trans)
 }
 
-// fill is the one fill pass behind Fill and FillRates: row edge k's
+// fill is the one fill pass behind Fill and Solve: row edge k's
 // rate is vals[em[k]], emission i's is vals[order[i]] (vals[i] for a nil
 // order). It runs Chain.ApplyRates' and Chain.Validate's rate checks in
 // their order and with their messages — a negative rate panics (the
@@ -588,73 +567,86 @@ func (b *BatchSolver) absorptionReachable(em []int, vals []float64) bool {
 	return reached
 }
 
-// StartChunk opens one "markov.batch" span covering the fills and
-// solves that follow, and resolves the metric handles of ctx's registry
-// once; the returned stop function, given the cells the chunk reached,
-// sets the span's cells, closes it and accounts the chunk on that
-// registry: one chunk of cells in markov.batch.*, the Bind's symbolic
-// analysis, the solved cells in markov.absorption.solves and
-// markov.absorption.states, the sparse-route cells in
-// markov.sparse.solves and markov.sparse.nnz, the dense fallbacks, and
-// the residual of the chunk's last solved cell, computed on the route
-// that cell took, in markov.absorption.last_residual (a chunk whose
-// last cell failed sets none). One span and one set of metric updates
-// cover the whole chunk — that is the amortization the batch path
-// exists for; the chunk's time is the span's fold,
-// trace.markov.batch.seconds.
-func (b *BatchSolver) StartChunk(ctx context.Context) func(cells int) {
-	_, sp := obs.StartSpan(ctx, "markov.batch")
-	if sp != nil {
-		sp.SetAttr("states", b.n)
-		sp.SetAttr("sparse", b.sparseRoute)
-	}
-	b.solved, b.sparseSolved, b.fellBack, b.lastOK = 0, 0, 0, false
-	m := metricsFrom(ctx)
-	return func(cells int) {
-		if sp != nil {
-			sp.SetAttr("cells", cells)
+// StartChunk opens one chunk of the solves that follow. Its
+// "markov.batch" span opens at its first solve, so a chunk that reaches
+// none (its first fill fails) records nothing. The returned stop
+// function, given whether the chunk solved every cell, closes the span
+// with the cells that reached a solve and accounts the chunk on ctx's
+// registry: one chunk of cells in markov.batch.*, then account's
+// counts, with the residual of the last cell only if every cell solved.
+// One span and one set of metric updates cover the whole chunk; its
+// time is the span's fold, trace.markov.batch.seconds.
+func (b *BatchSolver) StartChunk(ctx context.Context) func(ok bool) {
+	b.solved, b.sparseSolved, b.fellBack, b.last = 0, 0, 0, routeNone
+	b.chunkCtx, b.chunkSpan, b.cells = ctx, nil, 0
+	return func(ok bool) {
+		b.chunkCtx = nil
+		var m *solverMetrics
+		if b.cells > 0 {
+			if sp := b.chunkSpan; sp != nil {
+				sp.SetAttr("cells", b.cells)
+				sp.End()
+			}
+			if m = metricsFrom(ctx); m != nil {
+				m.batchChunks.Inc()
+				m.batchCells.Add(int64(b.cells))
+				m.batchSize.Observe(float64(b.cells))
+			}
 		}
-		sp.End()
-		if m != nil {
-			m.batchChunks.Inc()
-			m.batchCells.Add(int64(cells))
-			m.batchSize.Observe(float64(cells))
+		if !ok {
+			b.last = routeNone
 		}
 		b.account(m)
 	}
 }
 
+// openSpan opens the open chunk's span at its first solve: every solve
+// calls it, then counts its cells in b.cells.
+func (b *BatchSolver) openSpan() {
+	if ctx := b.chunkCtx; ctx != nil {
+		b.chunkCtx = nil
+		if _, b.chunkSpan = obs.StartSpan(ctx, "markov.batch"); b.chunkSpan != nil {
+			b.chunkSpan.SetAttr("states", b.n)
+			b.chunkSpan.SetAttr("sparse", b.sparseRoute)
+		}
+	}
+}
+
 // lastResidual is the ∞-norm residual ‖Rᵀτ − e‖ of the latest solved
-// cell on the route that cell took. Only valid while lastOK: the cell's
-// matrix and τ are still in place — for a lane, in its lane table, from
-// which they are written out here.
+// cell on the route that cell took. Only valid while that route is not
+// routeNone: the cell's matrix and τ are still in place — for a lane,
+// in the lane table, from which they are written out here.
 func (b *BatchSolver) lastResidual() float64 {
-	switch {
-	case b.lastDense:
+	switch b.last {
+	case routeDense:
 		return absorptionResidual(b.r, b.tau, b.initRow)
-	case b.lastInLane:
-		prog := b.lp.prog
-		b.view.Val = prog.ValuesInto(b.resRow, b.tabs[b.lastBuf], b.lastLane)
-		prog.TauInto(b.tau, b.ys[b.lastBuf], b.lastLane)
+	case routeLane:
+		l := sparse.Lanes - 1
+		b.view.Val = b.lp.prog.ValuesInto(b.vals[l*b.nnz:(l+1)*b.nnz], b.tab, l)
+		b.lp.prog.TauInto(b.tau, b.y, l)
 	}
 	return sparseResidual(&b.view, b.tau, b.initRow, b.work)
 }
 
 // cellSolved records a solved cell for the chunk's accounting and
 // returns its MTTA.
-func (b *BatchSolver) cellSolved(dense bool) float64 {
+func (b *BatchSolver) cellSolved(r route) float64 {
 	b.solved++
-	b.lastOK, b.lastDense, b.lastInLane = true, dense, false
+	b.last = r
 	return linalg.Sum(b.tau)
 }
 
+// usable reports whether an MTTA is positive and finite, as a sum of
+// sojourn times from a transient initial state is: no other is usable.
+func usable(mtta float64) bool { return mtta > 0 && mtta < math.Inf(1) }
+
 // solveOnes returns y = R⁻¹·1 (y_i = MTTA from transient row i) from
 // the factors of the latest solved cell, on the route that cell took.
-// Only valid while lastOK.
+// Only valid after a one-cell solve that succeeded.
 func (b *BatchSolver) solveOnes() []float64 {
 	m := len(b.trans)
 	y := make([]float64, m)
-	if b.lastDense {
+	if b.last == routeDense {
 		return b.f.SolveInto(y, linalg.Ones(m))
 	}
 	return b.num.SolveInto(y, linalg.Ones(m))
@@ -675,10 +667,12 @@ func (b *BatchSolver) SolveCell(cell int) (float64, error) {
 // failure) — as children of ctx's active span, if any. The batched
 // chunk loop passes no span, so it emits none per cell.
 func (b *BatchSolver) solveCell(ctx context.Context, cell int) (float64, error) {
+	b.openSpan()
+	b.cells++
+	b.last = routeNone
 	if b.initRow < 0 {
 		return 0, nil // initial state is absorbing
 	}
-	b.lastOK = false
 	m := len(b.trans)
 	v := b.vals[cell*b.nnz : (cell+1)*b.nnz]
 	if b.sparseRoute {
@@ -694,7 +688,7 @@ func (b *BatchSolver) solveCell(ctx context.Context, cell int) (float64, error) 
 				ssp.End()
 				if tauPlausible(b.tau) {
 					b.sparseSolved++
-					return b.cellSolved(false), nil
+					return b.cellSolved(routeSparse), nil
 				}
 			}
 		}
@@ -717,7 +711,7 @@ func (b *BatchSolver) solveCell(ctx context.Context, cell int) (float64, error) 
 		return 0, fmt.Errorf("markov: absorption matrix: %w", err)
 	}
 	b.f.SolveTransposeInto(b.tau, b.rhs, b.work)
-	return b.cellSolved(true), nil
+	return b.cellSolved(routeDense), nil
 }
 
 // solveChain is the one-cell solve behind MTTA, Absorption,
@@ -726,9 +720,8 @@ func (b *BatchSolver) solveCell(ctx context.Context, cell int) (float64, error) 
 // then bind, fill and solve it as cell 0 under a "markov.solve" span,
 // accounted per call on ctx's registry (account). A mutable chain is bound
 // through the solver's private frozen copy; the caller's chain stays
-// mutable. A solve whose MTTA is not positive and finite lost all
-// accuracy (an MTTA from a transient initial state is a positive sum of
-// sojourn times): it is an error, so no caller can pass the number on.
+// mutable. A solve whose MTTA is not positive and finite (usable) lost
+// all accuracy: it is an error, so no caller can pass the number on.
 // An absorbing initial state has MTTA exactly 0, with no solve.
 func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error) {
 	if err := c.validate(&b.vs); err != nil {
@@ -745,7 +738,7 @@ func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error)
 	if err := b.Bind(ctx, c); err != nil {
 		return 0, err
 	}
-	b.solved, b.sparseSolved, b.fellBack, b.lastOK = 0, 0, 0, false
+	b.solved, b.sparseSolved, b.fellBack, b.last = 0, 0, 0, routeNone
 	defer b.account(metricsFrom(ctx))
 	if b.initRow < 0 {
 		return 0, nil // initial state is absorbing
@@ -754,17 +747,11 @@ func (b *BatchSolver) solveChain(ctx context.Context, c *Chain) (float64, error)
 		return 0, err
 	}
 	v, err := b.solveCell(ctx, 0)
-	if err == nil && !(v > 0 && v < math.Inf(1)) {
+	if err == nil && !usable(v) {
 		return 0, fmt.Errorf("markov: mean time to absorption %g is not positive and finite: the solve lost all accuracy", v)
 	}
 	return v, err
 }
-
-// LaneBlocks reports whether the bound topology solves in lane blocks:
-// on the sparse route, with a symbolic analysis, a transient initial
-// state and a program bound by BindProgram. Elsewhere FillBlock and
-// SolveBlock do nothing, and a caller keeps to FillRates and SolveCell.
-func (b *BatchSolver) LaneBlocks() bool { return b.lp != nil }
 
 // laneProgram is a refill program's lane program on one cached
 // topology: the class of every row edge and its rows' distinct class
@@ -784,7 +771,12 @@ type laneProgram struct {
 
 // bindLanes binds the lane program of the bound topology and program —
 // the cached one with the same key, or a fresh compilation, cached
-// first — and sizes its tables.
+// first — and sizes its tables. R's stored values name their sources:
+// each off-diagonal its rate class, each diagonal its row's distinct
+// class sequence, whose exit sum every such row shares, so four cells'
+// lane table holds 36 class values and 25 exit sums at fault tolerance
+// 7, against 763 stored values, and sparse.Symbolic.Compile
+// value-numbers the elimination and the transposed solve over them.
 func (b *BatchSolver) bindLanes() {
 	te := b.topo
 	i := slices.IndexFunc(te.progs, func(lp *laneProgram) bool {
@@ -801,12 +793,9 @@ func (b *BatchSolver) bindLanes() {
 	lp := te.progs[i]
 	copy(te.progs[1:i+1], te.progs[:i])
 	te.progs[0] = lp
-	b.lp, b.cur, b.lastInLane = lp, 0, false
-	for i := range b.tabs {
-		b.tabs[i] = resize(b.tabs[i], lp.prog.TableLen())
-		b.ys[i] = resize(b.ys[i], lp.prog.SolveLen())
-	}
-	b.resRow = resize(b.resRow, b.nnz)
+	b.lp = lp
+	b.tab = resize(b.tab, lp.prog.TableLen())
+	b.y = resize(b.y, lp.prog.SolveLen())
 }
 
 // compileLanes derives the source map of R's stored values — each
@@ -839,36 +828,64 @@ func (b *BatchSolver) compileLanes() *laneProgram {
 	return lp
 }
 
-// FillBlock validates the class vectors vals[l] of the program compiled
-// by BindProgram for the Lanes cells of one block and writes the lane
-// table SolveBlock runs: every class's negated rate and every distinct
-// class sequence's exit sum, added from 0 in sorted edge order as
-// FillRates adds a row's. It writes no slab row. It reports whether
-// every lane passed FillRates' validation — signs checked once on its
-// class values, zero exits once per distinct sequence, reachability by
-// its positive classes; when one did not, the table holds no result, and
-// FillRates reports the first failing cell's error (or panic) exactly.
-// Where LaneBlocks is false it reports false.
-func (b *BatchSolver) FillBlock(vals *[sparse.Lanes][]float64) bool {
+// Solve fills and solves one to sparse.Lanes cells from their class
+// values vals (of the program BindProgram compiled), in the slab's
+// first cells, and returns their MTTAs and how many cells it solved. It
+// stops at the first cell whose fill or solve fails, returning its
+// index and error (a negative rate panics, as in Chain.ApplyRates), and
+// after the first cell whose MTTA is not usable, counted as solved.
+// Four cells on a topology with a lane program solve in one pass of it;
+// every other cell, and every lane the pass does not commit, takes the
+// one-cell fill and SolveCell — so each cell's MTTA, error and
+// accounting are bit for bit those of Fill (of the chain refilled with
+// its class values) and SolveCell.
+func (b *BatchSolver) Solve(vals [][]float64) (mtta [sparse.Lanes]float64, n int, err error) {
 	if !b.programBound {
-		panic("markov: FillBlock without a program compiled by BindProgram since the last Bind")
+		panic("markov: Solve without a program compiled by BindProgram since the last Bind")
 	}
-	lp := b.lp
-	if lp == nil {
-		return false
+	for l, r := range vals {
+		if len(r) != b.nclass {
+			panic(fmt.Sprintf("markov: Solve got %d class values in cell %d for a %d-class program", len(r), l, b.nclass))
+		}
 	}
-	tab := b.tabs[b.cur]
+	b.last = routeNone
+	lanes := len(vals) == sparse.Lanes && b.lp != nil && b.fillLanes(vals)
+	if lanes {
+		n = b.runLanes(&mtta)
+	}
+	for ; n < len(vals); n++ {
+		if !lanes {
+			if err := b.fill(n, b.progEm, b.emClass, vals[n]); err != nil {
+				return mtta, n, err
+			}
+		}
+		v, err := b.solveCell(context.Background(), n)
+		if err != nil {
+			return mtta, n, err
+		}
+		mtta[n] = v
+		if !usable(v) {
+			return mtta, n + 1, nil
+		}
+	}
+	return mtta, n, nil
+}
+
+// fillLanes writes the lane table of the four class vectors vals —
+// every class's negated rate, every distinct class sequence's exit sum
+// added as fill adds a row's — and reports whether every lane passes
+// fill's checks: signs once per lane, zero exits once per sequence,
+// reachability by the lane's positive classes.
+func (b *BatchSolver) fillLanes(vals [][]float64) bool {
+	lp, tab := b.lp, b.tab
 	var (
 		pos  [sparse.Lanes]bool
 		mask [sparse.Lanes]uint64
 	)
 	for l, r := range vals {
-		if len(r) != b.nclass {
-			panic(fmt.Sprintf("markov: FillBlock got %d class values in lane %d for a %d-class program", len(r), l, b.nclass))
-		}
 		var neg bool
 		if neg, pos[l], mask[l] = signs(r); neg {
-			return false // FillRates panics, or ignores a class no emission reads
+			return false // fill panics, or ignores a class no emission reads
 		}
 	}
 	r0, r1, r2, r3 := vals[0], vals[1][:b.nclass], vals[2][:b.nclass], vals[3][:b.nclass]
@@ -897,25 +914,17 @@ func (b *BatchSolver) FillBlock(vals *[sparse.Lanes][]float64) bool {
 	return true
 }
 
-// SolveBlock runs the lane program over the table of the latest
-// FillBlock. It commits the leading lanes that pass every check
-// SolveCell makes on the sparse route — nonzero pivots, a plausible τ —
-// and whose MTTA is positive and finite, the only MTTA a caller can use:
-// it writes their MTTAs, bit for bit SolveCell's, into mtta and accounts
-// them as SolveCell would. A lane with a NaN pivot is not committed
-// either: its scalar τ is NaN, so SolveCell falls back to dense. It
-// writes every other lane l's matrix into the slab's cell cell+l and
-// returns the number of committed lanes; the caller solves those cells
-// with SolveCell, which reproduces the first rejected lane's dense
-// fallback, error or unusable MTTA exactly, and counts no lane past it.
-// Where LaneBlocks is false it commits nothing and writes nothing.
-func (b *BatchSolver) SolveBlock(cell int, mtta *[sparse.Lanes]float64) int {
-	lp := b.lp
-	if lp == nil {
-		return 0
-	}
-	tab, y := b.tabs[b.cur], b.ys[b.cur]
-	ok := lp.prog.Run(tab, y)
+// runLanes runs the lane program over the table fillLanes wrote and
+// commits the leading lanes that pass solveCell's sparse-route checks —
+// pivots nonzero and not NaN (a NaN pivot makes the scalar τ NaN), a
+// plausible τ — with a usable MTTA: their MTTAs, bit for bit
+// solveCell's, go to mtta, accounted as solveCell would. Every other
+// lane's matrix goes to its slab cell, for solveCell. It returns the
+// number of committed lanes.
+func (b *BatchSolver) runLanes(mtta *[sparse.Lanes]float64) int {
+	b.openSpan()
+	prog, y := b.lp.prog, b.y
+	ok := prog.Run(b.tab, y)
 	// tauPlausible and linalg.Sum of every lane in one pass over the
 	// entries that can be nonzero, in τ's order; the zeros change
 	// neither.
@@ -929,24 +938,17 @@ func (b *BatchSolver) SolveBlock(cell int, mtta *[sparse.Lanes]float64) int {
 	good := [sparse.Lanes]bool{plausible(w0, c0, s0), plausible(w1, c1, s1), plausible(w2, c2, s2), plausible(w3, c3, s3)}
 	sum := [sparse.Lanes]float64{s0, s1, s2, s3}
 	n := 0
-	for ; n < sparse.Lanes; n++ {
-		v := sum[n]
-		if !ok[n] || !good[n] || !(v > 0 && v < math.Inf(1)) {
-			break
-		}
-		mtta[n] = v
+	for ; n < sparse.Lanes && ok[n] && good[n] && usable(sum[n]); n++ {
+		mtta[n] = sum[n]
 	}
-	if n > 0 {
-		// The last committed lane is the latest solved cell: its table
-		// stays in place for the chunk's residual.
-		b.solved += n
-		b.sparseSolved += n
-		b.lastOK, b.lastDense, b.lastInLane = true, false, true
-		b.lastBuf, b.lastLane = b.cur, n-1
-		b.cur ^= 1
+	b.cells += n
+	b.solved += n
+	b.sparseSolved += n
+	if n == sparse.Lanes {
+		b.last = routeLane
 	}
 	for l := n; l < sparse.Lanes; l++ {
-		lp.prog.ValuesInto(b.vals[(cell+l)*b.nnz:(cell+l+1)*b.nnz], tab, l)
+		prog.ValuesInto(b.vals[l*b.nnz:(l+1)*b.nnz], b.tab, l)
 	}
 	return n
 }

@@ -110,21 +110,22 @@ func TestBatchSolverMatchesPerCellBitwise(t *testing.T) {
 						t.Fatalf("k=%d cell %d: batch %v != per-cell %v", k, i, got, want[i])
 					}
 				}
-				end(cells)
+				end(true)
 			}
 		})
 	}
 }
 
-// The batch hot path must be allocation-free per cell after warmup: the
-// fused fill of an emitted rate vector (FillRates, with its validation)
-// and the solve run in reused storage, and so does a four-cell block's
-// emission into the lane buffers, fill and solve (FillBlock, SolveBlock,
-// and SolveCell for the lanes it leaves). A rebind of a cached topology
-// (Bind, BindProgram) allocates nothing either, and compiles nothing:
-// it binds the cached lane program. This is the per-cell half of the
-// "zero per-cell allocation" contract (a chunk's first setup — Bind,
-// BindProgram, StartChunk — is amortized and may allocate).
+// The batch hot path must be allocation-free per cell after warmup: a
+// one-cell Solve — the fused fill of an emitted rate vector, with its
+// validation, and the solve — runs in reused storage, and so does a
+// four-cell block's emission into the lane buffers and its Solve (the
+// lane program on the sparse route, four one-cell solves on the dense
+// route). A rebind of a cached topology (Bind, BindProgram) allocates
+// nothing either, and compiles nothing: it binds the cached lane
+// program. This is the per-cell half of the "zero per-cell allocation"
+// contract (a chunk's first setup — Bind, BindProgram, StartChunk — is
+// amortized and may allocate).
 func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 	for _, route := range []struct {
 		name      string
@@ -148,24 +149,17 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 			if err := b.BindProgram(program, identityClasses(len(program))); err != nil {
 				t.Fatalf("BindProgram: %v", err)
 			}
-			if b.LaneBlocks() != route.lanes {
-				t.Fatalf("LaneBlocks = %v, want %v", b.LaneBlocks(), route.lanes)
+			if got := b.lp != nil; got != route.lanes {
+				t.Fatalf("lane program bound: %v, want %v", got, route.lanes)
 			}
-			b.Cells(sparse.Lanes)
 			var solveErr error
+			one := [][]float64{rates}
 			cell := func() {
-				if err := b.FillRates(0, rates); err != nil {
-					solveErr = err
-					return
-				}
-				if _, err := b.SolveCell(0); err != nil {
+				if _, _, err := b.Solve(one); err != nil {
 					solveErr = err
 				}
 			}
-			var (
-				lanes [sparse.Lanes][]float64
-				mtta  [sparse.Lanes]float64
-			)
+			lanes := make([][]float64, sparse.Lanes)
 			for l := range lanes {
 				lanes[l] = make([]float64, len(rates))
 			}
@@ -177,14 +171,8 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 						lanes[l][i] = r * theta
 					}
 				}
-				if !b.FillBlock(&lanes) {
-					solveErr = fmt.Errorf("FillBlock refused valid rates")
-					return
-				}
-				for l := b.SolveBlock(0, &mtta); l < sparse.Lanes; l++ {
-					if _, err := b.SolveCell(l); err != nil {
-						solveErr = err
-					}
+				if _, n, err := b.Solve(lanes); n != sparse.Lanes || err != nil {
+					solveErr = fmt.Errorf("Solve solved %d cells: %v", n, err)
 				}
 			}
 			lp, class := b.lp, identityClasses(len(program))
@@ -197,10 +185,7 @@ func TestBatchSolverZeroAllocsPerCell(t *testing.T) {
 					solveErr = err
 				}
 			}
-			runs := map[string]func(){"batch cell": cell, "rebind": rebind}
-			if route.lanes {
-				runs["four-cell block"] = block
-			}
+			runs := map[string]func(){"batch cell": cell, "four-cell block": block, "rebind": rebind}
 			for name, f := range runs {
 				f() // warmup
 				if solveErr != nil {
@@ -272,45 +257,46 @@ func ladderProgram(t *testing.T, c *Chain, k int) (program []int, emit func(thet
 	return program, emit
 }
 
-// FillRates writes, bit for bit, what ApplyRates followed by Fill
-// writes — including for zero and negative-zero emissions — and fails
-// with the same validation error.
-func TestFillRatesMatchesApplyRatesFill(t *testing.T) {
+// Solve's one-cell fill writes, bit for bit, what ApplyRates followed
+// by Fill writes — including for zero and negative-zero emissions — and
+// fails with the same validation error.
+func TestSolveFillMatchesApplyRatesFill(t *testing.T) {
 	const k = 11
 	c := newLadder(k, 0.9)
 	program, emit := ladderProgram(t, c, k)
-	b := NewBatchSolver()
-	if err := b.Bind(context.Background(), c); err != nil {
-		t.Fatalf("Bind: %v", err)
+	b, ref := NewBatchSolver(), NewBatchSolver()
+	for _, s := range []*BatchSolver{b, ref} {
+		if err := s.Bind(context.Background(), c); err != nil {
+			t.Fatalf("Bind: %v", err)
+		}
+		if err := s.BindProgram(program, identityClasses(len(program))); err != nil {
+			t.Fatalf("BindProgram: %v", err)
+		}
 	}
-	if err := b.BindProgram(program, identityClasses(len(program))); err != nil {
-		t.Fatalf("BindProgram: %v", err)
-	}
-	b.Cells(2)
 	for _, theta := range []float64{0.01, 1.0, 37.5, 0} {
 		rates := emit(theta)
 		if theta == 1 {
 			rates[2] = math.Copysign(0, -1) // a skip edge at -0
 		}
 		c.ApplyRates(program, rates)
-		want := b.Fill(0, c)
-		got := b.FillRates(1, rates)
+		want := ref.Fill(0, c)
+		_, _, got := b.Solve([][]float64{rates})
 		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
-			t.Fatalf("θ=%v: FillRates error %v, Fill error %v", theta, got, want)
+			t.Fatalf("θ=%v: Solve error %v, Fill error %v", theta, got, want)
 		}
 		if want != nil {
 			continue
 		}
 		for i := 0; i < b.nnz; i++ {
-			if math.Float64bits(b.vals[i]) != math.Float64bits(b.vals[b.nnz+i]) {
-				t.Fatalf("θ=%v slot %d: FillRates %v, Fill %v", theta, i, b.vals[b.nnz+i], b.vals[i])
+			if math.Float64bits(b.vals[i]) != math.Float64bits(ref.vals[i]) {
+				t.Fatalf("θ=%v slot %d: Solve %v, Fill %v", theta, i, b.vals[i], ref.vals[i])
 			}
 		}
 	}
 }
 
 // BindProgram refuses a program that does not give every bound edge
-// exactly one emission; FillRates without a compiled program panics.
+// exactly one emission; Solve without a compiled program panics.
 func TestBindProgramRefusesNonPermutations(t *testing.T) {
 	c := newLadder(5, 1)
 	b := NewBatchSolver()
@@ -337,14 +323,14 @@ func TestBindProgramRefusesNonPermutations(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FillRates after a refused program did not panic")
+			t.Fatal("Solve after a refused program did not panic")
 		}
 	}()
-	b.FillRates(0, make([]float64, len(identity))) //nolint:errcheck // must panic
+	b.Solve([][]float64{make([]float64, len(identity))}) //nolint:errcheck // must panic
 }
 
 // A negative emitted rate panics with ApplyRates' message.
-func TestFillRatesNegativeRatePanics(t *testing.T) {
+func TestSolveNegativeRatePanics(t *testing.T) {
 	const k = 4
 	c := newLadder(k, 1)
 	program, emit := ladderProgram(t, c, k)
@@ -363,9 +349,9 @@ func TestFillRatesNegativeRatePanics(t *testing.T) {
 		t.Fatalf("BindProgram: %v", err)
 	}
 	want := panicOf(func() { c.ApplyRates(program, rates) })
-	got := panicOf(func() { b.FillRates(0, rates) }) //nolint:errcheck // must panic
+	got := panicOf(func() { b.Solve([][]float64{rates}) }) //nolint:errcheck // must panic
 	if want == nil || got != want {
-		t.Fatalf("FillRates panic %v, ApplyRates panic %v", got, want)
+		t.Fatalf("Solve panic %v, ApplyRates panic %v", got, want)
 	}
 }
 
@@ -422,10 +408,10 @@ func TestFillSkipsEdgesOutOfAbsorbingStates(t *testing.T) {
 	rates := []float64{1, -2, 3, 0.5} // x→b is emission 1: never read, still checked
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FillRates accepted a negative rate on an edge out of an absorbing state")
+			t.Fatal("Solve accepted a negative rate on an edge out of an absorbing state")
 		}
 	}()
-	b.FillRates(0, rates) //nolint:errcheck // must panic
+	b.Solve([][]float64{rates}) //nolint:errcheck // must panic
 }
 
 // A chain whose initial state is absorbing batches to MTTA 0, matching
@@ -509,10 +495,10 @@ func dedupe(rates []float64) (class []int, vals []float64) {
 }
 
 // A program bound with a class map fills, validates and panics exactly
-// as the same program bound with the identity map fills from the
-// expanded rates: bit-identical slab rows from FillRates and rows
-// written out of FillBlock's lane table, the same error, the same
-// first-negative panic.
+// as the chain refilled with the expanded rates fills: bit-identical
+// slab rows from Solve's one-cell fill and rows written out of its lane
+// table, against Fill's; the same error; ApplyRates' first-negative
+// panic.
 func TestClassMapFillMatchesExpandedRates(t *testing.T) {
 	defer SetSparseMinStates(SetSparseMinStates(1))
 	const k = 20 // 21 transient rows: the sparse route at crossover 1
@@ -526,7 +512,6 @@ func TestClassMapFillMatchesExpandedRates(t *testing.T) {
 		if err := b.BindProgram(program, class); err != nil {
 			t.Fatalf("BindProgram: %v", err)
 		}
-		b.Cells(sparse.Lanes)
 		return b
 	}
 	panicOf := func(f func()) (msg any) {
@@ -545,7 +530,7 @@ func TestClassMapFillMatchesExpandedRates(t *testing.T) {
 		var out []uint64
 		row := make([]float64, b.nnz)
 		for l := 0; l < sparse.Lanes; l++ {
-			for _, v := range b.lp.prog.ValuesInto(row, b.tabs[b.cur], l) {
+			for _, v := range b.lp.prog.ValuesInto(row, b.tab, l) {
 				out = append(out, math.Float64bits(v))
 			}
 		}
@@ -573,42 +558,46 @@ func TestClassMapFillMatchesExpandedRates(t *testing.T) {
 		if len(vals) >= len(rates) {
 			t.Fatalf("%s: %d classes for %d emissions; the map must share classes", tc.name, len(vals), len(rates))
 		}
-		id, cm := bind(identityClasses(len(program))), bind(class)
+		ref, cm := bind(identityClasses(len(program))), bind(class)
 		var wantErr, gotErr error
-		want := panicOf(func() { wantErr = id.FillRates(0, rates) })
-		got := panicOf(func() { gotErr = cm.FillRates(0, vals) })
+		want := panicOf(func() {
+			c.ApplyRates(program, rates)
+			wantErr = ref.Fill(0, c)
+		})
+		got := panicOf(func() { _, _, gotErr = cm.Solve([][]float64{vals}) })
 		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("%s: class map gives (%v, %v), identity (%v, %v)", tc.name, got, gotErr, want, wantErr)
+			t.Fatalf("%s: class map gives (%v, %v), refilled chain (%v, %v)", tc.name, got, gotErr, want, wantErr)
 		}
 		if (want != nil || wantErr != nil) != tc.fails {
-			t.Fatalf("%s: identity fill gives (%v, %v), want failure %v", tc.name, want, wantErr, tc.fails)
+			t.Fatalf("%s: refilled chain gives (%v, %v), want failure %v", tc.name, want, wantErr, tc.fails)
 		}
+		lanes := [][]float64{vals, vals, vals, vals}
 		if tc.fails {
-			if cm.FillBlock(&[sparse.Lanes][]float64{vals, vals, vals, vals}) {
-				t.Fatalf("%s: FillBlock accepted a failing lane", tc.name)
+			if cm.fillLanes(lanes) {
+				t.Fatalf("%s: the lane fill accepted a failing lane", tc.name)
 			}
 			continue
 		}
-		if w, g := rows(id, 1), rows(cm, 1); !slices.Equal(w, g) {
-			t.Fatalf("%s: class-map row differs from the identity row", tc.name)
+		if w, g := rows(ref, 1), rows(cm, 1); !slices.Equal(w, g) {
+			t.Fatalf("%s: class-map row differs from the refilled chain's row", tc.name)
 		}
 		for l := 1; l < sparse.Lanes; l++ {
-			id.FillRates(l, rates) //nolint:errcheck // valid above
+			ref.Fill(l, c) //nolint:errcheck // valid above
 		}
-		if !cm.FillBlock(&[sparse.Lanes][]float64{vals, vals, vals, vals}) {
-			t.Fatalf("%s: FillBlock refused valid class values", tc.name)
+		if !cm.fillLanes(lanes) {
+			t.Fatalf("%s: the lane fill refused valid class values", tc.name)
 		}
-		if w, g := rows(id, sparse.Lanes), tableRows(cm); !slices.Equal(w, g) {
-			t.Fatalf("%s: FillBlock rows differ from FillRates rows", tc.name)
+		if w, g := rows(ref, sparse.Lanes), tableRows(cm); !slices.Equal(w, g) {
+			t.Fatalf("%s: lane table rows differ from Fill rows", tc.name)
 		}
 	}
 }
 
 // With every value positive the fill takes Bind's reachability verdict
 // instead of a search: on a topology whose absorbing state no path
-// reaches, that verdict is the error Validate reports, from FillRates
-// and from FillBlock alike. Eight feeder states put the chain on the
-// sparse route, where FillBlock runs.
+// reaches, that verdict is the error Validate reports, from Solve's
+// one-cell fill and from its lane fill alike. Eight feeder states put
+// the chain on the sparse route, where the lane fill runs.
 func TestFillReachabilityShortcut(t *testing.T) {
 	defer SetSparseMinStates(SetSparseMinStates(1))
 	c := NewChain()
@@ -637,15 +626,14 @@ func TestFillReachabilityShortcut(t *testing.T) {
 	if err := b.BindProgram(identityClasses(len(vals)), identityClasses(len(vals))); err != nil {
 		t.Fatalf("BindProgram: %v", err)
 	}
-	if !b.LaneBlocks() {
+	if b.lp == nil {
 		t.Fatal("the chain does not solve in lane blocks")
 	}
-	b.Cells(sparse.Lanes)
-	if got := b.FillRates(0, vals); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("FillRates = %v, Validate = %v", got, want)
+	if _, _, got := b.Solve([][]float64{vals}); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Solve = %v, Validate = %v", got, want)
 	}
-	if b.FillBlock(&[sparse.Lanes][]float64{vals, vals, vals, vals}) {
-		t.Fatal("FillBlock accepted an unreachable loss state")
+	if b.fillLanes([][]float64{vals, vals, vals, vals}) {
+		t.Fatal("the lane fill accepted an unreachable loss state")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // LaneStats returns the counts of the bound lane program, and whether
-// one is bound (LaneBlocks).
+// one is bound.
 func (b *BatchSolver) LaneStats() (sparse.ProgramStats, bool) {
 	if b.lp == nil {
 		return sparse.ProgramStats{}, false
@@ -23,6 +23,20 @@ func (b *BatchSolver) ReachVerdicts(vals []float64) (fill, search bool) {
 	_, pos, mask := signs(vals)
 	return b.reachable(b.progEm, vals, pos, true, mask), b.absorptionReachable(b.progEm, vals)
 }
+
+// LaneBlock runs Solve's lane path alone on four cells' class values:
+// whether the lane fill passed, and if it did, the MTTAs and the count
+// of the leading lanes the program committed.
+func (b *BatchSolver) LaneBlock(vals [][]float64) (fills bool, mtta [sparse.Lanes]float64, committed int) {
+	if b.lp == nil || !b.fillLanes(vals) {
+		return false, mtta, 0
+	}
+	return true, mtta, b.runLanes(&mtta)
+}
+
+// SolvedInLanes reports whether the latest Solve solved its last cell in
+// the lane program: four cells, every lane committed, no one-cell solve.
+func (b *BatchSolver) SolvedInLanes() bool { return b.last == routeLane }
 
 // SparseSolve runs SolveCell's sparse route alone on cell, without the
 // dense fallback: the MTTA, and whether the route keeps it (nonzero

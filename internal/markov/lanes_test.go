@@ -10,26 +10,29 @@ import (
 	"repro/internal/obs"
 )
 
-// fillOutcome runs FillRates on cell and reports its panic or error.
-func fillOutcome(b *BatchSolver, cell int, rates []float64) (failed string) {
+// refillOutcome refills c with rates through program (ApplyRates, as a
+// refiller's Refill does), fills it into b's cell and reports the panic
+// or error.
+func refillOutcome(b *BatchSolver, c *Chain, program []int, cell int, rates []float64) (failed string) {
 	defer func() {
 		if p := recover(); p != nil {
 			failed = fmt.Sprint("panic: ", p)
 		}
 	}()
-	if err := b.FillRates(cell, rates); err != nil {
+	c.ApplyRates(program, rates)
+	if err := b.Fill(cell, c); err != nil {
 		return err.Error()
 	}
 	return ""
 }
 
-// FillBlock's lane table holds every lane's row bit for bit as
-// FillRates writes it (written out by the lane program), and FillBlock
-// passes a block exactly when FillRates accepts every lane's rates:
-// with a negative rate (FillRates panics), a transient row with no
-// outgoing rate, an unreachable absorbing state, a NaN rate or a
-// negative-zero rate in one lane, at every lane position.
-func TestFillBlockMatchesFillRates(t *testing.T) {
+// Solve's lane fill holds every lane's row bit for bit as Fill writes it
+// for the refilled chain (written out by the lane program), and passes
+// a block exactly when Fill accepts every lane's refilled chain: with a
+// negative rate (the refill panics), a transient row with no outgoing
+// rate, an unreachable absorbing state, a NaN rate or a negative-zero
+// rate in one lane, at every lane position.
+func TestLaneFillMatchesFill(t *testing.T) {
 	defer SetSparseMinStates(SetSparseMinStates(1))
 	const k = 20 // 21 transient rows: the sparse route at crossover 1
 	c := newLadder(k, 0.9)
@@ -37,7 +40,7 @@ func TestFillBlockMatchesFillRates(t *testing.T) {
 	mid, _ := c.StateIndex("4")
 	variants := []struct {
 		name  string
-		fails bool // FillRates refuses the lane
+		fails bool // Fill refuses the lane
 		edit  func(rates []float64)
 	}{
 		{"valid", false, func([]float64) {}},
@@ -61,7 +64,9 @@ func TestFillBlockMatchesFillRates(t *testing.T) {
 		if err := b.BindProgram(program, identityClasses(len(program))); err != nil {
 			t.Fatalf("BindProgram: %v", err)
 		}
-		b.Cells(sparse.Lanes)
+	}
+	if block.lp == nil {
+		t.Fatal("no lane program bound on the sparse route")
 	}
 	for _, v := range variants {
 		for lane := 0; lane < sparse.Lanes; lane++ {
@@ -72,26 +77,26 @@ func TestFillBlockMatchesFillRates(t *testing.T) {
 				if l == lane {
 					v.edit(rates[l])
 				}
-				if fillOutcome(ref, l, rates[l]) != "" {
+				if refillOutcome(ref, c, program, l, rates[l]) != "" {
 					ok = false
 				}
 			}
 			name := fmt.Sprintf("%s in lane %d", v.name, lane)
 			if ok == v.fails {
-				t.Fatalf("%s: FillRates accepts every lane: %v", name, ok)
+				t.Fatalf("%s: Fill accepts every lane: %v", name, ok)
 			}
-			if got := block.FillBlock(&rates); got != ok {
-				t.Fatalf("%s: FillBlock %v, FillRates accepts every lane: %v", name, got, ok)
+			if got := block.fillLanes(rates[:]); got != ok {
+				t.Fatalf("%s: lane fill %v, Fill accepts every lane: %v", name, got, ok)
 			}
 			if !ok {
 				continue
 			}
 			row := make([]float64, block.nnz)
 			for l := range rates {
-				block.lp.prog.ValuesInto(row, block.tabs[block.cur], l)
+				block.lp.prog.ValuesInto(row, block.tab, l)
 				for i, x := range ref.vals[l*ref.nnz : (l+1)*ref.nnz] {
 					if math.Float64bits(row[i]) != math.Float64bits(x) {
-						t.Fatalf("%s: lane %d slot %d = %v, FillRates %v", name, l, i, row[i], x)
+						t.Fatalf("%s: lane %d slot %d = %v, Fill %v", name, l, i, row[i], x)
 					}
 				}
 			}
@@ -99,11 +104,12 @@ func TestFillBlockMatchesFillRates(t *testing.T) {
 	}
 }
 
-// SolveBlock commits every lane of well-conditioned blocks with
-// SolveCell's bits, and a chunk solved in blocks accounts exactly as
-// one solved cell by cell: solves, sparse solves, fallbacks and the
-// last residual, here the last block's last lane's, written out of its
-// lane table. Off the sparse route FillBlock and SolveBlock do nothing.
+// Solve commits every lane of well-conditioned four-cell blocks with
+// SolveCell's bits, and a chunk solved in Solve calls accounts exactly
+// as one solved cell by cell through Fill and SolveCell: solves, sparse
+// solves, fallbacks and the last residual, here the last block's last
+// lane's, written out of the lane table. Off the sparse route Solve
+// takes the one-cell path for every cell.
 func TestSolveBlockMatchesSolveCellBitwise(t *testing.T) {
 	for _, route := range []struct {
 		name      string
@@ -136,43 +142,41 @@ func TestSolveBlockMatchesSolveCellBitwise(t *testing.T) {
 				if err := b.BindProgram(program, identityClasses(len(program))); err != nil {
 					t.Fatalf("BindProgram: %v", err)
 				}
-				b.Cells(sparse.Lanes)
-				if got := b.LaneBlocks(); got != route.lanes {
-					t.Fatalf("LaneBlocks = %v, want %v", got, route.lanes)
+				if got := b.lp != nil; got != route.lanes {
+					t.Fatalf("lane program bound: %v, want %v", got, route.lanes)
 				}
 				rates := func(i int) []float64 { return emit(0.05 + 1.7*float64(i)) }
 				var o outcome
 				end := b.StartChunk(ctx)
-				for i := 0; i < cells; {
-					n := 0
-					if blocks {
-						var vals [sparse.Lanes][]float64
+				for i := 0; i < cells; i++ {
+					if blocks && i%sparse.Lanes == 0 {
+						vals := make([][]float64, sparse.Lanes)
 						for l := range vals {
 							vals[l] = rates(i + l)
 						}
-						if b.FillBlock(&vals) != route.lanes {
-							t.Fatalf("FillBlock(%d) = %v", i, !route.lanes)
+						mtta, n, err := b.Solve(vals)
+						if n != sparse.Lanes || err != nil {
+							t.Fatalf("Solve(%d) solved %d cells: %v", i, n, err)
 						}
-						var block [sparse.Lanes]float64
-						n = b.SolveBlock(0, &block)
-						if route.lanes != (n == sparse.Lanes) || !route.lanes && n != 0 {
-							t.Fatalf("SolveBlock(%d) committed %d lanes", i, n)
+						if b.SolvedInLanes() != route.lanes {
+							t.Fatalf("Solve(%d) in lanes: %v", i, !route.lanes)
 						}
-						copy(o.mtta[i:], block[:n])
+						copy(o.mtta[i:], mtta[:])
 					}
-					if n == 0 {
-						if err := b.FillRates(0, rates(i)); err != nil {
-							t.Fatalf("FillRates %d: %v", i, err)
-						}
-						v, err := b.SolveCell(0)
-						if err != nil {
-							t.Fatalf("SolveCell %d: %v", i, err)
-						}
-						o.mtta[i], n = v, 1
+					if blocks {
+						continue
 					}
-					i += n
+					c.ApplyRates(program, rates(i))
+					if err := b.Fill(0, c); err != nil {
+						t.Fatalf("Fill %d: %v", i, err)
+					}
+					v, err := b.SolveCell(0)
+					if err != nil {
+						t.Fatalf("SolveCell %d: %v", i, err)
+					}
+					o.mtta[i] = v
 				}
-				end(cells)
+				end(true)
 				root.End()
 				for j, name := range []string{"markov.absorption.solves", "markov.sparse.solves", "markov.sparse.dense_fallbacks"} {
 					o.counters[j] = reg.Counter(name).Value()
@@ -183,6 +187,9 @@ func TestSolveBlockMatchesSolveCellBitwise(t *testing.T) {
 			want, got := run(false), run(true)
 			if got != want {
 				t.Fatalf("blocks %+v, cell by cell %+v", got, want)
+			}
+			if want.residual == 0 {
+				t.Fatal("the chunk recorded no residual")
 			}
 		})
 	}

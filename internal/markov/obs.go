@@ -93,7 +93,7 @@ func (b *BatchSolver) account(m *solverMetrics) {
 		if b.fellBack > 0 {
 			m.sparseFallbacks.Add(int64(b.fellBack))
 		}
-		if b.lastOK {
+		if b.last != routeNone {
 			m.residual.Set(b.lastResidual())
 		}
 	}

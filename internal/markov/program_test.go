@@ -36,7 +36,6 @@ func bindNIR(t *testing.T, k int) (*markov.BatchSolver, *model.NIRRefiller) {
 	if err := b.BindProgram(r.Program(), r.Classes()); err != nil {
 		t.Fatalf("k=%d BindProgram: %v", k, err)
 	}
-	b.Cells(sparse.Lanes)
 	return b, r
 }
 
@@ -70,27 +69,38 @@ func TestLaneProgramCounts(t *testing.T) {
 // the one-cell path does.
 var laneSpecials = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 1e-300, 1e300, -1}
 
-// fillFails fills vals into ref's cell 0 and reports whether it
-// failed, by error or panic.
-func fillFails(ref *markov.BatchSolver, vals []float64) (failed bool) {
+// refillFill refills r's chain with the class values vals — expanded
+// through its class map and loaded by ApplyRates, as Refill loads its
+// own — and fills the chain into ref's cell 0, returning Fill's error.
+func refillFill(ref *markov.BatchSolver, r *model.NIRRefiller, vals []float64) error {
+	rates := make([]float64, len(r.Classes()))
+	for i, c := range r.Classes() {
+		rates[i] = vals[c]
+	}
+	r.Chain().ApplyRates(r.Program(), rates)
+	return ref.Fill(0, r.Chain())
+}
+
+// fillFails reports whether refillFill fails, by error or panic.
+func fillFails(ref *markov.BatchSolver, r *model.NIRRefiller, vals []float64) (failed bool) {
 	defer func() {
 		if recover() != nil {
 			failed = true
 		}
 	}()
-	return ref.FillRates(0, vals) != nil
+	return refillFill(ref, r, vals) != nil
 }
 
 // Lane blocks over the NIR chain's rate-class map at k = 5–10 are the
-// one-cell path bit for bit: FillBlock passes exactly when FillRates
-// accepts every lane; a lane SolveBlock commits has SolveCell's MTTA bit
-// for bit, solved on the sparse route; the first lane it does not
-// commit is one whose sparse route SolveCell rejects (a zero pivot or an
-// implausible τ, where it falls back to dense) or keeps at an MTTA that
-// is not positive and finite. The lanes' class values vary
-// the drive lifetime and, in most blocks, put ±0, NaN, ±Inf, a
-// subnormal, 1e±300 or a negative value into random classes of random
-// lanes.
+// one-cell path bit for bit: Solve's lane fill passes exactly when Fill
+// accepts every lane's refilled chain; a lane the program commits has
+// SolveCell's MTTA bit for bit, solved on the sparse route; the first
+// lane it does not commit is one whose sparse route SolveCell rejects
+// (a zero pivot or an implausible τ, where it falls back to dense) or
+// keeps at an MTTA that is not positive and finite. The lanes' class
+// values vary the drive lifetime and, in most blocks, put ±0, NaN,
+// ±Inf, a subnormal, 1e±300 or a negative value into random classes of
+// random lanes.
 func TestLanesMatchScalarOnNIRClassMaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for k := 5; k <= 10; k++ {
@@ -98,7 +108,7 @@ func TestLanesMatchScalarOnNIRClassMaps(t *testing.T) {
 		ref, _ := bindNIR(t, k)
 		committed, rejected := 0, 0
 		for trial := 0; trial < 24; trial++ {
-			var vals [sparse.Lanes][]float64
+			vals := make([][]float64, sparse.Lanes)
 			for l := range vals {
 				vals[l] = r.Emit(nil, laneInputs(rng.Float64()*9))
 			}
@@ -109,21 +119,20 @@ func TestLanesMatchScalarOnNIRClassMaps(t *testing.T) {
 			name := fmt.Sprintf("k=%d trial %d", k, trial)
 			fills := true
 			for _, v := range vals {
-				if fillFails(ref, v) {
+				if fillFails(ref, r, v) {
 					fills = false
 				}
 			}
-			if got := b.FillBlock(&vals); got != fills {
-				t.Fatalf("%s: FillBlock %v, FillRates accepts every lane: %v", name, got, fills)
+			got, mtta, n := b.LaneBlock(vals)
+			if got != fills {
+				t.Fatalf("%s: lane fill %v, Fill accepts every lane: %v", name, got, fills)
 			}
 			if !fills {
 				continue
 			}
-			var mtta [sparse.Lanes]float64
-			n := b.SolveBlock(0, &mtta)
 			for l := 0; l <= n && l < sparse.Lanes; l++ {
-				if err := ref.FillRates(0, vals[l]); err != nil {
-					t.Fatalf("%s lane %d: FillRates: %v", name, l, err)
+				if err := refillFill(ref, r, vals[l]); err != nil {
+					t.Fatalf("%s lane %d: Fill: %v", name, l, err)
 				}
 				v, kept := ref.SparseSolve(0)
 				if l < n {
@@ -141,6 +150,75 @@ func TestLanesMatchScalarOnNIRClassMaps(t *testing.T) {
 		}
 		if committed == 0 || rejected == 0 {
 			t.Errorf("k=%d: %d lanes committed, %d rejected; the test needs both", k, committed, rejected)
+		}
+	}
+}
+
+// The lanes reject a lane whose sparse τ is implausible even when its
+// sum is a usable MTTA, as the one-cell path does: ft 5 NIR class
+// vectors with a few classes scaled by up to 10^±40 reach that case. As
+// the fourth lane after three ordinary ones it is the first lane the
+// program does not commit, and Solve reports the one-cell path's MTTA
+// for it, the dense fallback's.
+func TestLanesRejectImplausibleTau(t *testing.T) {
+	b, r := bindNIR(t, 5)
+	ref, _ := bindNIR(t, 5)
+	rng := rand.New(rand.NewSource(30))
+	found := 0
+	for trial := 0; trial < 20000 && found < 3; trial++ {
+		v := r.Emit(nil, laneInputs(rng.Float64()*9))
+		for range 1 + rng.Intn(4) {
+			v[rng.Intn(len(v))] *= math.Pow(10, float64(rng.Intn(81)-40))
+		}
+		if refillFill(ref, r, v) != nil {
+			continue
+		}
+		if m, kept := ref.SparseSolve(0); kept || !(m > 0 && m < math.Inf(1)) {
+			continue
+		}
+		found++
+		want, err := ref.SolveCell(0)
+		if err != nil {
+			t.Fatalf("trial %d: SolveCell: %v", trial, err)
+		}
+		vals := [][]float64{r.Emit(nil, laneInputs(1)), r.Emit(nil, laneInputs(2)), r.Emit(nil, laneInputs(3)), v}
+		if fills, _, n := b.LaneBlock(vals); !fills || n != 3 {
+			t.Fatalf("trial %d: lane fill %v with %d lanes committed; want the fourth lane rejected", trial, fills, n)
+		}
+		mtta, n, err := b.Solve(vals)
+		if n != sparse.Lanes || err != nil || math.Float64bits(mtta[3]) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Solve solved %d (%v), fourth MTTA %v; the one-cell path %v", trial, n, err, mtta[3], want)
+		}
+	}
+	if found == 0 {
+		t.Fatal("no class vector reached an implausible τ with a usable MTTA")
+	}
+}
+
+// A 256-cell chunk of ft 5 NIR cells at ordinary rates (63 transient
+// states, the sparse route) runs as 64 Solve calls that each solve all
+// four cells in the lane program, with no one-cell solve, and agree bit
+// for bit with the one-cell path.
+func TestSolveRunsWholeChunkInLanes(t *testing.T) {
+	b, r := bindNIR(t, 5)
+	ref, _ := bindNIR(t, 5)
+	vals := make([][]float64, sparse.Lanes)
+	for i := 0; i < 256; i += sparse.Lanes {
+		for l := range vals {
+			vals[l] = r.Emit(vals[l], laneInputs(float64(i+l)/32))
+		}
+		mtta, n, err := b.Solve(vals)
+		if n != sparse.Lanes || err != nil || !b.SolvedInLanes() {
+			t.Fatalf("cells %d–%d: Solve solved %d (%v), in lanes: %v", i, i+3, n, err, b.SolvedInLanes())
+		}
+		for l, v := range vals {
+			if err := refillFill(ref, r, v); err != nil {
+				t.Fatalf("cell %d: Fill: %v", i+l, err)
+			}
+			want, err := ref.SolveCell(0)
+			if err != nil || math.Float64bits(want) != math.Float64bits(mtta[l]) {
+				t.Fatalf("cell %d: Solve %v, SolveCell %v (%v)", i+l, mtta[l], want, err)
+			}
 		}
 	}
 }

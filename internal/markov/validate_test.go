@@ -46,7 +46,7 @@ var threeStatesClasses = []int{0, 1, 2}
 
 // The fused fill reports exactly what Validate reports for the filled
 // chain — the same error message, or nil — whether it fills from the
-// chain (Fill) or from the emitted rate vector (FillRates). A chain that
+// chain (Fill) or from the emitted class values (Solve). A chain that
 // does not match the bound topology is a programming error: Fill panics.
 func TestBatchValidateRatesParity(t *testing.T) {
 	cases := []struct {
@@ -155,13 +155,14 @@ func TestBatchValidateRatesParity(t *testing.T) {
 			if err := b.BindProgram(program, class); err != nil {
 				t.Fatalf("BindProgram: %v", err)
 			}
-			same("FillRates", b.FillRates(0, rates))
+			_, _, err := b.Solve([][]float64{rates})
+			same("Solve", err)
 		})
 	}
 }
 
 // The fused fill runs once per batched cell, validation included: it
-// must not allocate.
+// must not allocate, from the chain (Fill) or in a one-cell Solve.
 func TestBatchValidateRatesZeroAllocs(t *testing.T) {
 	in := nirInputs(false)
 	r := model.AcquireNIRRefiller(in, 5)
@@ -173,12 +174,12 @@ func TestBatchValidateRatesZeroAllocs(t *testing.T) {
 	if err := b.BindProgram(r.Program(), r.Classes()); err != nil {
 		t.Fatalf("BindProgram: %v", err)
 	}
-	rates := r.Emit(nil, in)
-	if err := b.FillRates(0, rates); err != nil {
-		t.Fatalf("FillRates: %v", err)
+	one := [][]float64{r.Emit(nil, in)}
+	if _, _, err := b.Solve(one); err != nil {
+		t.Fatalf("Solve: %v", err)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = b.FillRates(0, rates) }); n != 0 {
-		t.Errorf("FillRates allocates %v times per run, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = b.Solve(one) }); n != 0 {
+		t.Errorf("Solve allocates %v times per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = b.Fill(0, r.Chain()) }); n != 0 {
 		t.Errorf("Fill allocates %v times per run, want 0", n)

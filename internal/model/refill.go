@@ -24,9 +24,9 @@ import (
 // interface or closure call. Refill expands the class values through
 // the class map and hands them to markov.Chain.ApplyRates; a batched
 // sweep skips the chain altogether: Emit writes the class values into
-// the caller's lane buffer and markov.BatchSolver.FillRates/FillBlock,
-// which composed the class map into their fill order at BindProgram,
-// read every edge's rate from it. Every class keeps the float
+// the caller's lane buffer and markov.BatchSolver.Solve, which composed
+// the class map into its fill order at BindProgram, reads every edge's
+// rate from it. Every class keeps the float
 // expression of the edges it stands for, and fresh build and refill see
 // the same rates in the same order and sum exits in the same sorted
 // order, so a refilled chain is bit-identical to a fresh one — a
@@ -160,7 +160,7 @@ func (r *NIRRefiller) Refill(in closedform.NIRInputs) *markov.Chain {
 // Emit writes in's class values — 5k+1 of them, whatever the chain's
 // size — over dst (reusing its storage) and returns the result, for a
 // markov.BatchSolver that compiled Program and Classes (BindProgram,
-// then FillRates or FillBlock). It does not touch the chain.
+// then Solve). It does not touch the chain.
 func (r *NIRRefiller) Emit(dst []float64, in closedform.NIRInputs) []float64 {
 	return r.e.fill(dst, in)
 }

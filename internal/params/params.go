@@ -135,13 +135,13 @@ func Baseline() Parameters {
 // Validate reports the first problem that would make the models meaningless.
 func (p *Parameters) Validate() error {
 	switch {
-	case p.NodeMTTFHours <= 0:
+	case !(p.NodeMTTFHours > 0):
 		return errors.New("params: NodeMTTFHours must be positive")
-	case p.DriveMTTFHours <= 0:
+	case !(p.DriveMTTFHours > 0):
 		return errors.New("params: DriveMTTFHours must be positive")
-	case p.HardErrorRate < 0:
+	case !(p.HardErrorRate >= 0):
 		return errors.New("params: HardErrorRate must be non-negative")
-	case p.DriveCapacityBytes <= 0:
+	case !(p.DriveCapacityBytes > 0):
 		return errors.New("params: DriveCapacityBytes must be positive")
 	case p.NodeSetSize < 2:
 		return fmt.Errorf("params: NodeSetSize %d must be at least 2", p.NodeSetSize)
@@ -151,21 +151,21 @@ func (p *Parameters) Validate() error {
 		return fmt.Errorf("params: RedundancySetSize %d exceeds NodeSetSize %d", p.RedundancySetSize, p.NodeSetSize)
 	case p.DrivesPerNode < 1:
 		return fmt.Errorf("params: DrivesPerNode %d must be at least 1", p.DrivesPerNode)
-	case p.DriveMaxIOPS <= 0:
+	case !(p.DriveMaxIOPS > 0):
 		return errors.New("params: DriveMaxIOPS must be positive")
-	case p.DriveTransferBytesPerSec <= 0:
+	case !(p.DriveTransferBytesPerSec > 0):
 		return errors.New("params: DriveTransferBytesPerSec must be positive")
-	case p.RestripeCommandBytes <= 0:
+	case !(p.RestripeCommandBytes > 0):
 		return errors.New("params: RestripeCommandBytes must be positive")
-	case p.RebuildCommandBytes <= 0:
+	case !(p.RebuildCommandBytes > 0):
 		return errors.New("params: RebuildCommandBytes must be positive")
-	case p.LinkSpeedGbps <= 0:
+	case !(p.LinkSpeedGbps > 0):
 		return errors.New("params: LinkSpeedGbps must be positive")
-	case p.EffectiveLinks <= 0:
+	case !(p.EffectiveLinks > 0):
 		return errors.New("params: EffectiveLinks must be positive")
-	case p.CapacityUtilization <= 0 || p.CapacityUtilization > 1:
+	case !(p.CapacityUtilization > 0 && p.CapacityUtilization <= 1):
 		return fmt.Errorf("params: CapacityUtilization %v must be in (0, 1]", p.CapacityUtilization)
-	case p.RebuildBandwidthFraction <= 0 || p.RebuildBandwidthFraction > 1:
+	case !(p.RebuildBandwidthFraction > 0 && p.RebuildBandwidthFraction <= 1):
 		return fmt.Errorf("params: RebuildBandwidthFraction %v must be in (0, 1]", p.RebuildBandwidthFraction)
 	}
 	return nil

@@ -83,6 +83,19 @@ func TestValidateCatchesEachField(t *testing.T) {
 		{"util zero", func(p *Parameters) { p.CapacityUtilization = 0 }, "CapacityUtilization"},
 		{"util big", func(p *Parameters) { p.CapacityUtilization = 1.5 }, "CapacityUtilization"},
 		{"bw frac", func(p *Parameters) { p.RebuildBandwidthFraction = 0 }, "RebuildBandwidthFraction"},
+		// NaN fails every comparison, so each float check must refuse it.
+		{"node mttf NaN", func(p *Parameters) { p.NodeMTTFHours = math.NaN() }, "NodeMTTFHours"},
+		{"drive mttf NaN", func(p *Parameters) { p.DriveMTTFHours = math.NaN() }, "DriveMTTFHours"},
+		{"her NaN", func(p *Parameters) { p.HardErrorRate = math.NaN() }, "HardErrorRate"},
+		{"capacity NaN", func(p *Parameters) { p.DriveCapacityBytes = math.NaN() }, "DriveCapacityBytes"},
+		{"iops NaN", func(p *Parameters) { p.DriveMaxIOPS = math.NaN() }, "DriveMaxIOPS"},
+		{"transfer NaN", func(p *Parameters) { p.DriveTransferBytesPerSec = math.NaN() }, "DriveTransferBytesPerSec"},
+		{"restripe NaN", func(p *Parameters) { p.RestripeCommandBytes = math.NaN() }, "RestripeCommandBytes"},
+		{"rebuild cmd NaN", func(p *Parameters) { p.RebuildCommandBytes = math.NaN() }, "RebuildCommandBytes"},
+		{"link NaN", func(p *Parameters) { p.LinkSpeedGbps = math.NaN() }, "LinkSpeedGbps"},
+		{"links NaN", func(p *Parameters) { p.EffectiveLinks = math.NaN() }, "EffectiveLinks"},
+		{"util NaN", func(p *Parameters) { p.CapacityUtilization = math.NaN() }, "CapacityUtilization"},
+		{"bw frac NaN", func(p *Parameters) { p.RebuildBandwidthFraction = math.NaN() }, "RebuildBandwidthFraction"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
